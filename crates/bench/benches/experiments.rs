@@ -2,8 +2,8 @@
 //! run that regenerates the corresponding EXPERIMENTS.md table, so
 //! regressions in protocol cost show up as bench regressions without
 //! re-running the full sweeps. The tables themselves are printed by the
-//! `congos-harness` binaries (`cargo run --release -p congos-harness --bin
-//! exp_eN`).
+//! `congos-harness` binary (`cargo run --release -p congos-harness --bin
+//! exp -- eN`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -153,10 +153,7 @@ fn benches(c: &mut Criterion) {
     let mut g = c.benchmark_group("backend_scaling");
     g.sample_size(10);
     const N_LARGE: usize = 1024;
-    for backend in [
-        EngineBackend::Sequential,
-        EngineBackend::Parallel { workers: 8 },
-    ] {
+    for backend in [EngineBackend::Sequential, EngineBackend::parallel_auto()] {
         g.bench_with_input(
             BenchmarkId::new("e3_congos_poisson_n1024", backend),
             &backend,

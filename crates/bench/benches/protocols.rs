@@ -15,8 +15,10 @@ const ROUNDS: u64 = 96;
 
 fn drive<P>(n: usize) -> u64
 where
-    P: Protocol + 'static,
-    P::Input: From<congos_adversary::RumorSpec>,
+    P: Protocol + Send + 'static,
+    P::Msg: Send + Sync,
+    P::Input: From<congos_adversary::RumorSpec> + Send,
+    P::Output: Send,
 {
     let workload =
         PoissonWorkload::new(0.05, 3, DEADLINE, 11).until(Round(ROUNDS - DEADLINE / 2));

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The node binary is found next to this executable (both live in cargo's
-//! target dir), or wherever `CONGOS_NODE_BIN` / `--node-bin` points.
+//! target dir), or wherever `--node-bin` points.
 //!
 //! Failure behavior: nodes never hang on a dead peer (the transport's
 //! barrier errors out), so the coordinator simply waits for every child;
@@ -40,7 +40,7 @@ options:
                            destinations <d1,d2,..> with hex payload;
                            repeatable
   --node-bin <path>        the congos-node executable (default: sibling of
-                           this binary, or $CONGOS_NODE_BIN)
+                           this binary)
   --json                   print the aggregate as one JSON line
   --help                   show this help";
 
@@ -50,13 +50,10 @@ fn usage_error(msg: &str) -> ! {
     exit(2)
 }
 
-/// Locates the node binary: `--node-bin`, else `CONGOS_NODE_BIN`, else a
-/// `congos-node` next to the running executable.
+/// Locates the node binary: `--node-bin`, else a `congos-node` next to the
+/// running executable.
 fn node_bin(explicit: Option<String>) -> std::path::PathBuf {
     if let Some(p) = explicit {
-        return p.into();
-    }
-    if let Ok(p) = std::env::var("CONGOS_NODE_BIN") {
         return p.into();
     }
     let sibling = std::env::current_exe()
@@ -66,7 +63,7 @@ fn node_bin(explicit: Option<String>) -> std::path::PathBuf {
         Some(p) if p.exists() => p,
         _ => usage_error(
             "cannot find the congos-node binary; build it (cargo build -p congos-net) \
-             and/or pass --node-bin or set CONGOS_NODE_BIN",
+             and/or pass --node-bin",
         ),
     }
 }

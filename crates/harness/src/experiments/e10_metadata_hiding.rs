@@ -17,11 +17,11 @@ use congos::{CongosConfig, CongosNode, CoverTrafficConfig};
 use congos_adversary::{NoFailures, PoissonWorkload};
 use congos_sim::Round;
 
-use crate::run::{run_with_factory, RunSpec};
+use crate::run::{run_with_factory, RunDefaults};
 use crate::table::Table;
 
 /// Runs E10 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 24 } else { 16 };
     let deadline = 64u64;
     let rounds = 3 * deadline;
@@ -54,7 +54,7 @@ pub fn run(full: bool) -> Vec<Table> {
 
     let mut rows: Vec<(u64, u64)> = Vec::new(); // (msgs_total, bytes_total)
     for (name, cfg) in variants {
-        let spec = RunSpec::new(n, 0xE10, rounds);
+        let spec = defaults.spec(n, 0xE10, rounds);
         let w = PoissonWorkload::new(0.02, dest_size, deadline, 0xE10)
             .until(Round(rounds - deadline))
             .data_len(16);
@@ -93,7 +93,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e10_bytes_blow_up_more_than_messages() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         let base_msgs: f64 = t.cell(0, 2).parse().unwrap();
         let hide_msgs: f64 = t.cell(1, 2).parse().unwrap();

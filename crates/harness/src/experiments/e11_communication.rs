@@ -13,11 +13,11 @@ use congos_adversary::{NoFailures, PoissonWorkload};
 use congos_baselines::DirectNode;
 use congos_sim::Round;
 
-use crate::run::{run as run_system, RunSpec};
+use crate::run::{run as run_system, RunDefaults};
 use crate::table::Table;
 
 /// Runs E11 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 24 } else { 16 };
     let deadline = 64u64;
     let rounds = 3 * deadline;
@@ -39,7 +39,7 @@ pub fn run(full: bool) -> Vec<Table> {
         ],
     );
     for &size in sizes {
-        let spec = RunSpec::new(n, 0xE11, rounds);
+        let spec = defaults.spec(n, 0xE11, rounds);
         let w = || {
             PoissonWorkload::new(0.02, 3, deadline, 0xE11)
                 .until(Round(rounds - deadline))
@@ -71,7 +71,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e11_overhead_amortizes_with_rumor_size() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         let first: f64 = t.cell(0, 5).parse().unwrap();
         let last: f64 = t.cell(t.len() - 1, 5).parse().unwrap();

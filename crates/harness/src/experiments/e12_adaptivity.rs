@@ -18,21 +18,22 @@ use congos_adversary::{
 };
 use congos_sim::{Engine, EngineConfig, ProcessId, Round, Tag};
 
+use crate::run::{engine_qod, RunDefaults};
 use crate::table::Table;
 
 struct Outcome {
     crashes: usize,
     confirmed: u64,
     fallbacks: u64,
-    admissible: u64,
-    on_time: u64,
+    on_time_rate: f64,
 }
 
-fn run_against<F: FailurePlan>(n: usize, rounds: u64, seed: u64, failures: F) -> Outcome {
+fn run_against<F: FailurePlan>(cfg: EngineConfig, rounds: u64, failures: F) -> Outcome {
+    let (n, seed) = (cfg.n(), cfg.master_seed());
     let deadline = 64u64;
     let workload = PoissonWorkload::new(0.03, 3, deadline, seed).until(Round(rounds - deadline));
     let mut adv = CrriAdversary::new(failures, workload);
-    let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(seed));
+    let mut engine = Engine::<CongosNode>::new(cfg);
     engine.run(rounds, &mut adv);
 
     let (mut confirmed, mut fallbacks) = (0u64, 0u64);
@@ -41,39 +42,18 @@ fn run_against<F: FailurePlan>(n: usize, rounds: u64, seed: u64, failures: F) ->
         confirmed += s.confirmed;
         fallbacks += s.fallbacks;
     }
-    let (mut admissible, mut on_time) = (0u64, 0u64);
-    for entry in adv.workload().log() {
-        let t = entry.round;
-        let end = t + entry.spec.deadline;
-        if !engine.liveness().continuously_alive(entry.source, t, end) {
-            continue;
-        }
-        for d in &entry.spec.dest {
-            if !engine.liveness().continuously_alive(*d, t, end) {
-                continue;
-            }
-            admissible += 1;
-            if engine
-                .outputs()
-                .iter()
-                .any(|o| o.process == *d && o.value.wid == entry.spec.id && o.round <= end)
-            {
-                on_time += 1;
-            }
-        }
-    }
-    assert_eq!(on_time, admissible, "QoD must hold regardless of adaptivity");
+    let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+    assert!(qod.perfect(), "QoD must hold regardless of adaptivity");
     Outcome {
         crashes: engine.liveness().crash_count(),
         confirmed,
         fallbacks,
-        admissible,
-        on_time,
+        on_time_rate: qod.on_time_rate(),
     }
 }
 
 /// Runs E12 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 24 } else { 16 };
     let rounds = if full { 384u64 } else { 256 };
 
@@ -83,7 +63,8 @@ pub fn run(full: bool) -> Vec<Table> {
         PoissonWorkload::new(0.03, 3, deadline, 0xE12).until(Round(rounds - deadline));
     let killer = ProxyKiller::new(Tag("proxy"), 1).revive_after(40);
     let mut adaptive_adv = CrriAdversary::new(killer, workload);
-    let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(0xE12));
+    let cfg = EngineConfig::new(n).seed(0xE12).backend(defaults.backend);
+    let mut engine = Engine::<CongosNode>::new(cfg);
     engine.run(rounds, &mut adaptive_adv);
     // Extract the adaptive run's crash/restart schedule.
     let mut schedule = ScheduledChurn::new();
@@ -120,12 +101,11 @@ pub fn run(full: bool) -> Vec<Table> {
         ],
     );
     let adaptive = run_against(
-        n,
+        cfg,
         rounds,
-        0xE12,
         ProxyKiller::new(Tag("proxy"), 1).revive_after(40),
     );
-    let oblivious = run_against(n, rounds, 0xE12, schedule);
+    let oblivious = run_against(cfg, rounds, schedule);
     for (name, o) in [("adaptive", adaptive), ("oblivious twin", oblivious)] {
         let total = (o.confirmed + o.fallbacks).max(1);
         t.row(vec![
@@ -134,14 +114,7 @@ pub fn run(full: bool) -> Vec<Table> {
             o.confirmed.to_string(),
             o.fallbacks.to_string(),
             format!("{:.1}", 100.0 * o.fallbacks as f64 / total as f64),
-            format!(
-                "{:.1}",
-                if o.admissible == 0 {
-                    100.0
-                } else {
-                    100.0 * o.on_time as f64 / o.admissible as f64
-                }
-            ),
+            format!("{:.1}", 100.0 * o.on_time_rate),
         ]);
     }
     t.note(
@@ -161,7 +134,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e12_qod_holds_for_both_adversaries() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         assert_eq!(t.len(), 2);
         for r in 0..2 {

@@ -50,9 +50,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::json::Json;
-use crate::run::{run_with_factory, RunSpec, TapSpec};
+use crate::run::{run_with_factory, RunDefaults, TapSpec};
 use crate::system::GossipSystem;
-use crate::table::Table;
+use crate::table::{rows_json, Table};
 
 /// The round the rumor is injected (publicly known to the adversary; a
 /// couple of warm-up rounds keep injection clear of round-0 startup).
@@ -135,7 +135,7 @@ fn run_cell<P>(
     n: usize,
     trials: u64,
     fraction_ppm: u32,
-    topology: TopologySpec,
+    cell: RunDefaults,
     base_seed: u64,
 ) -> (AttackScore, AttackScore, usize)
 where
@@ -167,10 +167,7 @@ where
             exclude: Some(source),
         };
         let members = tap.members(n);
-        let spec = RunSpec::new(n, seed, rounds)
-            .topology(topology)
-            .probe_mem(false)
-            .tap(tap);
+        let spec = cell.spec(n, seed, rounds).probe_mem(false).tap(tap);
         let workload = OneShot::new(
             Round(INJECT_AT),
             vec![(source, RumorSpec::new(0, vec![0xE1, 0x3A], DEADLINE, dest))],
@@ -189,7 +186,7 @@ where
             tags: rumor_tags(system),
         };
         fc.observe(&first_contact_posterior(&ctx), &candidates, source);
-        let topo = Topology::build(topology, n, seed);
+        let topo = Topology::build(cell.topology, n, seed);
         ml.observe(
             &MlEstimator::default().posterior(&ctx, &topo),
             &candidates,
@@ -232,7 +229,7 @@ fn best_p_id(fc: &AttackScore, ml: &AttackScore) -> f64 {
 /// and direct unicast on the complete graph leaks well above the uniform
 /// baseline, so the apparatus demonstrably *can* identify sources when a
 /// protocol leaks them.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let (n, trials, topologies, fractions) = cells(full);
     let base_seed = 0xE13_0001;
 
@@ -264,6 +261,10 @@ pub fn run(full: bool) -> Vec<Table> {
             let gate_cell =
                 topology == TopologySpec::Expander { degree: 4 } && fraction_ppm == 100_000;
             let congos_trials = if gate_cell { trials * GATE_MULT } else { trials };
+            let cell = RunDefaults {
+                topology,
+                ..*defaults
+            };
             let mut sys_rows: Vec<(&'static str, AttackScore, AttackScore, usize)> = Vec::new();
             let (fc, ml, m) = run_cell(
                 "congos",
@@ -271,7 +272,7 @@ pub fn run(full: bool) -> Vec<Table> {
                 n,
                 congos_trials,
                 fraction_ppm,
-                topology,
+                cell,
                 base_seed,
             );
             sys_rows.push(("congos", fc, ml, m));
@@ -281,7 +282,7 @@ pub fn run(full: bool) -> Vec<Table> {
                 n,
                 congos_trials,
                 fraction_ppm,
-                topology,
+                cell,
                 base_seed,
             );
             sys_rows.push(("congos-nocover", fc, ml, m));
@@ -291,7 +292,7 @@ pub fn run(full: bool) -> Vec<Table> {
                 n,
                 trials * CHEAP_MULT,
                 fraction_ppm,
-                topology,
+                cell,
                 base_seed,
             );
             sys_rows.push(("direct", fc, ml, m));
@@ -301,7 +302,7 @@ pub fn run(full: bool) -> Vec<Table> {
                 n,
                 trials * CHEAP_MULT,
                 fraction_ppm,
-                topology,
+                cell,
                 base_seed,
             );
             sys_rows.push(("strong", fc, ml, m));
@@ -375,22 +376,9 @@ pub fn run(full: bool) -> Vec<Table> {
 /// Renders E13 tables as the `BENCH_anonymity.json` row set (one JSON
 /// object per table row, keyed by column name).
 pub fn bench_json(tables: &[Table]) -> Json {
-    let mut rows = Vec::new();
-    for table in tables {
-        for r in 0..table.len() {
-            rows.push(Json::Object(
-                table
-                    .headers()
-                    .iter()
-                    .enumerate()
-                    .map(|(c, h)| (h.clone(), Json::from(table.cell(r, c))))
-                    .collect(),
-            ));
-        }
-    }
     Json::object([
         ("suite", Json::from("anonymity")),
-        ("rows", Json::Array(rows)),
+        ("rows", rows_json(tables)),
     ])
 }
 
@@ -411,7 +399,7 @@ mod tests {
             16,
             12,
             250_000,
-            TopologySpec::Complete,
+            RunDefaults::default(),
             0xA11CE,
         );
         let (fc_c, ml_c, m2) = run_cell(
@@ -420,7 +408,7 @@ mod tests {
             16,
             12,
             250_000,
-            TopologySpec::Complete,
+            RunDefaults::default(),
             0xA11CE,
         );
         assert_eq!(m, m2);
@@ -437,7 +425,7 @@ mod tests {
             16,
             12,
             250_000,
-            TopologySpec::Complete,
+            RunDefaults::default(),
             0xA11CE,
         );
         let nc = best_p_id(&fc_nc, &ml_nc);

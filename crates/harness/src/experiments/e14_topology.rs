@@ -28,9 +28,9 @@ use congos_gossip::GossipNode;
 use congos_sim::{Round, TopologySpec};
 
 use crate::json::Json;
-use crate::run::{run as run_system, RunOutcome, RunSpec};
+use crate::run::{run as run_system, RunDefaults, RunOutcome, RunSpec};
 use crate::system::GossipSystem;
-use crate::table::Table;
+use crate::table::{rows_json, Table};
 
 /// The topology sweep for one scale.
 fn sweep(full: bool) -> Vec<TopologySpec> {
@@ -88,7 +88,7 @@ fn row_of(topology: TopologySpec, out: &RunOutcome) -> Vec<String> {
 /// The `complete` rows are asserted perfect — the topology layer must be
 /// invisible on the paper's network. Sparse/churn rows are *measured*, not
 /// asserted: degraded QoD off the complete graph is the finding, not a bug.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 384u64 } else { 192 };
     let deadline = 48u64;
@@ -110,7 +110,7 @@ pub fn run(full: bool) -> Vec<Table> {
         ],
     );
     for topology in sweep(full) {
-        let spec = RunSpec::new(n, seed, rounds).topology(topology);
+        let spec = defaults.spec(n, seed, rounds).topology(topology);
         for row in [
             run_one::<CongosNode>(spec, rounds, deadline),
             run_one::<DirectNode>(spec, rounds, deadline),
@@ -134,22 +134,9 @@ pub fn run(full: bool) -> Vec<Table> {
 /// Renders E14 tables as the `BENCH_topology.json` row set (one JSON object
 /// per table row, keyed by column name).
 pub fn bench_json(tables: &[Table]) -> Json {
-    let mut rows = Vec::new();
-    for table in tables {
-        for r in 0..table.len() {
-            rows.push(Json::Object(
-                table
-                    .headers()
-                    .iter()
-                    .enumerate()
-                    .map(|(c, h)| (h.clone(), Json::from(table.cell(r, c))))
-                    .collect(),
-            ));
-        }
-    }
     Json::object([
         ("suite", Json::from("topology")),
-        ("rows", Json::Array(rows)),
+        ("rows", rows_json(tables)),
     ])
 }
 
@@ -159,7 +146,7 @@ mod tests {
 
     #[test]
     fn e14_complete_rows_are_perfect_and_sparse_rows_drop() {
-        let tables = run(false);
+        let tables = run(false, &RunDefaults::default());
         let t = &tables[0];
         // 6 topologies × 3 systems in the quick sweep.
         assert_eq!(t.len(), 18);
@@ -182,7 +169,7 @@ mod tests {
 
     #[test]
     fn e14_bench_json_row_set() {
-        let tables = run(false);
+        let tables = run(false, &RunDefaults::default());
         let doc = bench_json(&tables);
         let rows = doc["rows"].as_array().expect("rows array");
         assert_eq!(rows.len(), 18);

@@ -18,7 +18,7 @@ use congos::CongosNode;
 use congos_adversary::{NoFailures, Theorem1Workload};
 use congos_baselines::{DirectNode, StronglyConfidentialNode};
 
-use crate::run::{run as run_system, RunSpec};
+use crate::run::{run as run_system, RunDefaults};
 use crate::stats::fit_power_law;
 use crate::table::Table;
 
@@ -26,7 +26,7 @@ const C: f64 = 8.0; // ε = 2/c = 1/4 ⇒ bound Ω(n^{1.25})
 const DMAX: u64 = 64;
 
 /// Runs E1 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let ns: &[usize] = if full {
         &[32, 64, 128, 256]
     } else {
@@ -52,7 +52,7 @@ pub fn run(full: bool) -> Vec<Table> {
     let mut congos_max = Vec::new();
 
     for &n in ns {
-        let spec = RunSpec::new(n, 0xE1, DMAX + 1);
+        let spec = defaults.spec(n, 0xE1, DMAX + 1);
         let w = || Theorem1Workload::new(C, DMAX, 0xE1);
         let strong = run_system::<StronglyConfidentialNode, _, _>(spec, NoFailures, w());
         let congos = run_system::<CongosNode, _, _>(spec, NoFailures, w());
@@ -117,7 +117,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e1_runs_and_shows_the_gap() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].len(), 3);
     }

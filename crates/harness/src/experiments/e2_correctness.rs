@@ -13,48 +13,25 @@ use congos_adversary::{
 };
 use congos_sim::{Engine, EngineConfig, Round, Tag};
 
-use crate::run::QodSummary;
+use crate::run::{engine_qod, QodSummary, RunDefaults};
 use crate::table::Table;
 
 fn run_audited<F: FailurePlan>(
-    n: usize,
-    seed: u64,
+    cfg: EngineConfig,
     rounds: u64,
     failures: F,
 ) -> (QodSummary, usize, usize) {
+    let (n, seed) = (cfg.n(), cfg.master_seed());
     let deadline = 64u64;
     let workload = PoissonWorkload::new(0.03, 3, deadline, seed).until(Round(rounds - deadline));
     let mut adv = CrriAdversary::new(failures, workload);
     let mut audit = ConfidentialityAuditor::new(n);
     // Theorem replication pins the paper's complete network (the default
     // EngineConfig topology); the sparse/churn sweep lives in E14.
-    let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(seed));
+    let mut engine = Engine::<CongosNode>::new(cfg);
     engine.run_observed(rounds, &mut adv, &mut audit);
 
-    let mut qod = QodSummary::default();
-    for entry in adv.workload().log() {
-        let t = entry.round;
-        let end = t + entry.spec.deadline;
-        let src_ok = engine.liveness().continuously_alive(entry.source, t, end);
-        for d in &entry.spec.dest {
-            if !src_ok || !engine.liveness().continuously_alive(*d, t, end) {
-                qod.inadmissible += 1;
-                continue;
-            }
-            qod.admissible += 1;
-            let best = engine
-                .outputs()
-                .iter()
-                .filter(|o| o.process == *d && o.value.wid == entry.spec.id)
-                .map(|o| o.round)
-                .min();
-            match best {
-                Some(r) if r <= end => qod.on_time += 1,
-                Some(_) => qod.late += 1,
-                None => qod.missed += 1,
-            }
-        }
-    }
+    let (_, qod, _) = engine_qod(&engine, adv.workload().log());
     (
         qod,
         audit.report().violations.len(),
@@ -65,9 +42,11 @@ fn run_audited<F: FailurePlan>(
 type Scenario = (&'static str, Box<dyn FnOnce() -> (QodSummary, usize, usize)>);
 
 /// Runs E2 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 384 } else { 256 };
+    let backend = defaults.backend;
+    let cfg = move |seed: u64| EngineConfig::new(n).seed(seed).backend(backend);
     let mut t = Table::new(
         "E2: correctness matrix (Theorem 2 / Lemmas 3-4)",
         &[
@@ -84,20 +63,19 @@ pub fn run(full: bool) -> Vec<Table> {
     let scenarios: Vec<Scenario> = vec![
         (
             "none",
-            Box::new(move || run_audited(n, 0xE2_01, rounds, NoFailures)),
+            Box::new(move || run_audited(cfg(0xE2_01), rounds, NoFailures)),
         ),
         (
             "random churn",
             Box::new(move || {
-                run_audited(n, 0xE2_02, rounds, RandomChurn::new(0.004, 0.15, 0xE2))
+                run_audited(cfg(0xE2_02), rounds, RandomChurn::new(0.004, 0.15, 0xE2))
             }),
         ),
         (
             "proxy killer",
             Box::new(move || {
                 run_audited(
-                    n,
-                    0xE2_03,
+                    cfg(0xE2_03),
                     rounds,
                     ProxyKiller::new(Tag("proxy"), 1).revive_after(48),
                 )
@@ -106,15 +84,14 @@ pub fn run(full: bool) -> Vec<Table> {
         (
             "group annihilation",
             Box::new(move || {
-                run_audited(n, 0xE2_04, rounds, GroupAnnihilator::new(0, 0, Round(8)))
+                run_audited(cfg(0xE2_04), rounds, GroupAnnihilator::new(0, 0, Round(8)))
             }),
         ),
         (
             "eclipse",
             Box::new(move || {
                 run_audited(
-                    n,
-                    0xE2_05,
+                    cfg(0xE2_05),
                     rounds,
                     Eclipse::new(congos_sim::ProcessId::new(3), Round(rounds / 2), 1),
                 )
@@ -122,7 +99,7 @@ pub fn run(full: bool) -> Vec<Table> {
         ),
         (
             "rolling waves",
-            Box::new(move || run_audited(n, 0xE2_06, rounds, RollingWaves::new(2, 48))),
+            Box::new(move || run_audited(cfg(0xE2_06), rounds, RollingWaves::new(2, 48))),
         ),
     ];
 
@@ -148,7 +125,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e2_matrix_is_clean() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         for r in 0..tables[0].len() {
             assert_eq!(tables[0].cell(r, 4), "0", "late");
             assert_eq!(tables[0].cell(r, 5), "0", "missed");

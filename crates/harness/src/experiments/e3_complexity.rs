@@ -22,12 +22,12 @@ use congos::{CongosNode, TAG_GD, TAG_PROXY};
 use congos_adversary::{NoFailures, PoissonWorkload};
 use congos_sim::{EngineBackend, Round};
 
-use crate::run::{run as run_system, RunSpec};
+use crate::run::{run as run_system, RunDefaults};
 use crate::stats::fit_power_law;
 use crate::table::Table;
 
 /// Runs E3 and returns its two tables.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let mut out = Vec::new();
 
     // ---- Sweep n at a short and a long deadline. -------------------
@@ -48,7 +48,7 @@ pub fn run(full: bool) -> Vec<Table> {
         let mut mean_pr = Vec::new();
         for &n in ns {
             let rounds = 3 * deadline.min(512) + deadline;
-            let spec = RunSpec::new(n, 0xE3, rounds);
+            let spec = defaults.spec(n, 0xE3, rounds);
             let w =
                 PoissonWorkload::new(0.05, 3, deadline, 0xE3).until(Round(rounds - deadline));
             let o = run_system::<CongosNode, _, _>(spec, NoFailures, w);
@@ -98,7 +98,7 @@ pub fn run(full: bool) -> Vec<Table> {
     let mut svc_max = Vec::new();
     for &d in deadlines {
         let rounds = 3 * d;
-        let spec = RunSpec::new(n, 0xE3B, rounds);
+        let spec = defaults.spec(n, 0xE3B, rounds);
         // Fix the *number* of rumors per round so only the deadline varies.
         let w = PoissonWorkload::new(0.05, 3, d, 0xE3B).until(Round(rounds - d));
         let o = run_system::<CongosNode, _, _>(spec, NoFailures, w);
@@ -133,19 +133,19 @@ pub fn run(full: bool) -> Vec<Table> {
     let ns: &[usize] = if full { &[512, 1024, 2048] } else { &[256, 1024] };
     let mut t = Table::new(
         "E3c: engine wall-clock vs backend at large n",
-        &["n", "seq_ms", "par8_ms", "speedup", "msgs"],
+        &["n", "seq_ms", "par_ms", "speedup", "msgs"],
     );
     for &n in ns {
         let rounds = 48u64;
         let mk = || PoissonWorkload::new(2.0 / n as f64, 3, 16, 0xE3C).until(Round(32));
         let run_on = |backend| {
-            let spec = RunSpec::new(n, 0xE3C, rounds).backend(backend);
+            let spec = defaults.spec(n, 0xE3C, rounds).backend(backend);
             let t0 = std::time::Instant::now();
             let o = run_system::<CongosNode, _, _>(spec, NoFailures, mk());
             (t0.elapsed().as_secs_f64() * 1e3, o)
         };
         let (ms_seq, o_seq) = run_on(EngineBackend::Sequential);
-        let (ms_par, o_par) = run_on(EngineBackend::Parallel { workers: 8 });
+        let (ms_par, o_par) = run_on(EngineBackend::parallel_auto());
         assert_eq!(
             o_seq.deliveries, o_par.deliveries,
             "n={n}: backends must be bit-identical"
@@ -159,9 +159,9 @@ pub fn run(full: bool) -> Vec<Table> {
             o_seq.metrics.total().to_string(),
         ]);
     }
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     t.note(format!(
-        "host exposes {cores} core(s); speedup is bounded by physical cores         and ~1x on a single-core host — outcomes are bit-identical on every backend"
+        "par = {} (one worker per core the host exposes); outcomes are bit-identical on every backend",
+        EngineBackend::parallel_auto()
     ));
     out.push(t);
     out
@@ -171,7 +171,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e3_produces_all_sweeps() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         assert_eq!(tables.len(), 3);
         assert!(tables.iter().all(|t| !t.is_empty()));
     }

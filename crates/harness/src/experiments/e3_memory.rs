@@ -20,8 +20,8 @@ use congos_sim::Round;
 
 use crate::json::Json;
 use crate::mem;
-use crate::run::{run_with_factory, RunSpec};
-use crate::table::Table;
+use crate::run::{run_with_factory, RunDefaults};
+use crate::table::{rows_json, Table};
 
 /// Deadline of every sweep point: the smallest pipelined class (the direct
 /// threshold itself — `dline ≥ 32` routes through the full split/proxy/
@@ -80,7 +80,7 @@ pub fn sweep_sizes(full: bool) -> &'static [usize] {
 }
 
 /// Runs the memory sweep over the given sizes and returns its table.
-pub fn sweep(ns: &[usize]) -> Table {
+pub fn sweep(ns: &[usize], defaults: &RunDefaults) -> Table {
     let mut t = Table::new(
         "E3m: memory accounting vs n (pipeline regime)",
         &[
@@ -100,7 +100,7 @@ pub fn sweep(ns: &[usize]) -> Table {
     for &n in ns {
         // Inject for two deadline windows, then drain one.
         let rounds = 3 * DEADLINE;
-        let spec = RunSpec::new(n, 0xE3_4E4, rounds);
+        let spec = defaults.spec(n, 0xE3_4E4, rounds);
         let rate = (RUMORS_PER_ROUND / n as f64).min(1.0);
         let w = PoissonWorkload::new(rate, 3, DEADLINE, 0xE3_4E4).until(Round(rounds - DEADLINE));
         let cfg = sweep_config();
@@ -141,30 +141,17 @@ pub fn sweep(ns: &[usize]) -> Table {
 }
 
 /// Runs E3m at the given scale.
-pub fn run(full: bool) -> Vec<Table> {
-    vec![sweep(sweep_sizes(full))]
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+    vec![sweep(sweep_sizes(full), defaults)]
 }
 
 /// Renders E3m tables as the `BENCH_memory.json` row set (one JSON object
 /// per table row, keyed by column name).
 pub fn bench_json(tables: &[Table]) -> Json {
-    let mut rows = Vec::new();
-    for table in tables {
-        for r in 0..table.len() {
-            rows.push(Json::Object(
-                table
-                    .headers()
-                    .iter()
-                    .enumerate()
-                    .map(|(c, h)| (h.clone(), Json::from(table.cell(r, c))))
-                    .collect(),
-            ));
-        }
-    }
     Json::object([
         ("suite", Json::from("memory")),
         ("deadline", Json::Number(DEADLINE as f64)),
-        ("rows", Json::Array(rows)),
+        ("rows", rows_json(tables)),
     ])
 }
 
@@ -174,7 +161,7 @@ mod tests {
 
     #[test]
     fn e3m_micro_sweep_accounts_memory() {
-        let t = sweep(&[32, 64]);
+        let t = sweep(&[32, 64], &RunDefaults::default());
         assert_eq!(t.len(), 2);
         for r in 0..t.len() {
             // Wall clock and allocation deltas must be non-trivial.

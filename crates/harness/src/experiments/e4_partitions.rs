@@ -13,10 +13,11 @@ use congos_sim::{IdSet, ProcessId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::run::RunDefaults;
 use crate::table::Table;
 
 /// Runs E4 and returns its two tables.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let mut out = Vec::new();
 
     // ---- Lemma 5: exhaustive pair separation. ----------------------
@@ -101,7 +102,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e4_coverage_above_threshold_is_total() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[1];
         // Rows with survivors ≥ threshold must be 100%.
         for r in 0..t.len() {

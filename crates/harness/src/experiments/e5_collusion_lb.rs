@@ -20,6 +20,7 @@ use congos_adversary::{CrriAdversary, NoFailures, PoissonWorkload};
 use congos_gossip::GossipWire;
 use congos_sim::{Engine, EngineConfig, EnvelopeRef, IdSet, Observer, ProcessId, Round};
 
+use crate::run::RunDefaults;
 use crate::table::Table;
 
 /// Counts fragment-carrying envelopes whose sender is entitled
@@ -115,7 +116,7 @@ impl Observer<CongosNode> for BorderMeter {
 }
 
 /// Runs E5 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 64 } else { 32 };
     let taus: &[usize] = if full { &[1, 2, 3, 4, 6] } else { &[1, 2, 3] };
     let mut t = Table::new(
@@ -139,7 +140,9 @@ pub fn run(full: bool) -> Vec<Table> {
         let mut meter = BorderMeter::new(n);
         let cfg2 = cfg.clone();
         let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(n).seed(0xE5 + tau as u64),
+            EngineConfig::new(n)
+                .seed(0xE5 + tau as u64)
+                .backend(defaults.backend),
             move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
         );
         engine.run_observed(rounds, &mut adv, &mut meter);
@@ -183,7 +186,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e5_border_traffic_grows_with_tau() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         assert!(t.len() >= 2);
         // The per-partition fragment count tracks τ+1 exactly…

@@ -10,12 +10,12 @@ use congos::{CongosConfig, CongosNode};
 use congos_adversary::{NoFailures, PoissonWorkload};
 use congos_sim::Round;
 
-use crate::run::{run_with_factory, RunSpec};
+use crate::run::{run_with_factory, RunDefaults};
 use crate::stats::fit_power_law;
 use crate::table::Table;
 
 /// Runs E6 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 64 } else { 32 };
     let taus: &[usize] = if full { &[1, 2, 3, 4, 6] } else { &[1, 2, 3, 4] };
     let deadline = 64u64;
@@ -29,7 +29,7 @@ pub fn run(full: bool) -> Vec<Table> {
     let mut ys = Vec::new();
     for &tau in taus {
         let cfg = CongosConfig::collusion_tolerant(tau, 0xE6).without_degenerate_shortcut();
-        let spec = RunSpec::new(n, 0xE6 + tau as u64, rounds);
+        let spec = defaults.spec(n, 0xE6 + tau as u64, rounds);
         let workload =
             PoissonWorkload::new(0.02, 3, deadline, 0xE6).until(Round(rounds - deadline));
         let cfg2 = cfg.clone();
@@ -64,7 +64,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e6_cost_increases_with_tau() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         let first: f64 = t.cell(0, 4).parse().unwrap();
         let last: f64 = t.cell(t.len() - 1, 4).parse().unwrap();

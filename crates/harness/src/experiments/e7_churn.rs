@@ -10,10 +10,11 @@ use congos::CongosNode;
 use congos_adversary::{CrriAdversary, PoissonWorkload, RandomChurn};
 use congos_sim::{Engine, EngineConfig, ProcessId, Round};
 
+use crate::run::{engine_qod, RunDefaults};
 use crate::table::Table;
 
 /// Runs E7 and returns its table.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 512u64 } else { 256 };
     let deadline = 64u64;
@@ -43,35 +44,12 @@ pub fn run(full: bool) -> Vec<Table> {
         let mut adv = CrriAdversary::new(churn, workload);
         // Pins the paper's complete network: E7 isolates process churn,
         // E14 isolates link churn.
-        let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(0xE7));
+        let cfg = EngineConfig::new(n).seed(0xE7).backend(defaults.backend);
+        let mut engine = Engine::<CongosNode>::new(cfg);
         engine.run(rounds, &mut adv);
 
-        let (mut admissible, mut on_time, mut late, mut missed) = (0u64, 0u64, 0u64, 0u64);
-        for entry in adv.workload().log() {
-            let t0 = entry.round;
-            let end = t0 + entry.spec.deadline;
-            if !engine.liveness().continuously_alive(entry.source, t0, end) {
-                continue;
-            }
-            for d in &entry.spec.dest {
-                if !engine.liveness().continuously_alive(*d, t0, end) {
-                    continue;
-                }
-                admissible += 1;
-                let best = engine
-                    .outputs()
-                    .iter()
-                    .filter(|o| o.process == *d && o.value.wid == entry.spec.id)
-                    .map(|o| o.round)
-                    .min();
-                match best {
-                    Some(r) if r <= end => on_time += 1,
-                    Some(_) => late += 1,
-                    None => missed += 1,
-                }
-            }
-        }
-        assert_eq!(late + missed, 0, "p={p}: QoD violated");
+        let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+        assert!(qod.perfect(), "p={p}: QoD violated");
 
         let (mut confirmed, mut fallbacks) = (0u64, 0u64);
         for pid in ProcessId::all(n) {
@@ -82,17 +60,10 @@ pub fn run(full: bool) -> Vec<Table> {
         t.row(vec![
             format!("{p:.3}"),
             engine.liveness().crash_count().to_string(),
-            admissible.to_string(),
-            format!(
-                "{:.1}",
-                if admissible == 0 {
-                    100.0
-                } else {
-                    100.0 * on_time as f64 / admissible as f64
-                }
-            ),
-            late.to_string(),
-            missed.to_string(),
+            qod.admissible.to_string(),
+            format!("{:.1}", 100.0 * qod.on_time_rate()),
+            qod.late.to_string(),
+            qod.missed.to_string(),
             confirmed.to_string(),
             fallbacks.to_string(),
         ]);
@@ -107,7 +78,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e7_benign_fallbacks_are_rare() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         assert_eq!(t.cell(0, 0), "0.000");
         let confirmed: f64 = t.cell(0, 6).parse().unwrap();

@@ -19,7 +19,7 @@ use congos_baselines::{
 use congos_gossip::GossipNode;
 use congos_sim::{ProcessId, Round};
 
-use crate::run::{run as run_system, RunOutcome, RunSpec};
+use crate::run::{run as run_system, RunDefaults, RunOutcome, RunSpec};
 use crate::table::Table;
 
 const DEADLINE: u64 = 64;
@@ -38,18 +38,12 @@ fn push_row(t: &mut Table, o: &RunOutcome, rekeys: u64) {
     ]);
 }
 
-fn regime(
-    title: &str,
-    n: usize,
-    rounds: u64,
-    fresh: bool,
-    stable_groups: usize,
-) -> Table {
+fn regime(title: &str, spec: RunSpec, fresh: bool, stable_groups: usize) -> Table {
+    let (n, rounds) = (spec.n, spec.rounds);
     let mut t = Table::new(
         title,
         &["system", "total", "max/rnd", "mean/rnd", "rekey_msgs", "rekey/copy", "on_time%"],
     );
-    let spec = RunSpec::new(n, 0xE8, rounds);
     macro_rules! go {
         ($P:ty) => {{
             if fresh {
@@ -86,18 +80,18 @@ fn regime(
 }
 
 /// Runs E8 and returns its two tables.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 64 } else { 32 };
     let rounds = if full { 6 * DEADLINE } else { 4 * DEADLINE };
+    let spec = defaults.spec(n, 0xE8, rounds);
     let mut dynamic = regime(
         "E8a: dynamic groups (fresh destination set per rumor)",
-        n,
-        rounds,
+        spec,
         true,
         0,
     );
     dynamic.note("crypto pays a fresh re-key for every rumor (rekey/copy stays high); epidemic leaks everything; congos stays confidential");
-    let mut stable = regime("E8b: stable groups (2 fixed groups)", n, rounds, false, 2);
+    let mut stable = regime("E8b: stable groups (2 fixed groups)", spec, false, 2);
     stable.note("re-keying amortizes toward 0 per delivered copy: the crypto comparator wins, as the paper concedes");
     vec![dynamic, stable]
 }
@@ -106,7 +100,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e8_crypto_rekeys_more_under_dynamic_groups() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         // Normalized per delivered rumor copy, dynamic groups re-key far
         // more than stable groups (where the cost amortizes away).
         let per_copy_dyn: f64 = tables[0].cell(3, 5).parse().unwrap();

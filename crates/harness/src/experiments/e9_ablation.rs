@@ -16,10 +16,11 @@ use congos_adversary::{
 use congos_gossip::{FanoutParams, GossipStrategy};
 use congos_sim::{Engine, EngineConfig, ProcessId, Round};
 
-use crate::run::{run_with_factory, RunSpec};
+use crate::run::{engine_qod, run_with_factory, RunDefaults};
 use crate::table::Table;
 
-fn annihilation_run(n: usize, cap: Option<usize>, seed: u64) -> (u64, u64, bool) {
+fn annihilation_run(engine_cfg: EngineConfig, cap: Option<usize>) -> (u64, u64, bool) {
+    let n = engine_cfg.n();
     let mut cfg = CongosConfig::base();
     if let Some(c) = cap {
         cfg = cfg.max_partitions(c);
@@ -32,10 +33,9 @@ fn annihilation_run(n: usize, cap: Option<usize>, seed: u64) -> (u64, u64, bool)
     let ann = GroupAnnihilator::new(0, 0, Round(2)).protect([source, dest[0]]);
     let mut adv = CrriAdversary::new(ann, OneShot::new(Round(0), vec![(source, spec)]));
     let cfg2 = cfg.clone();
-    let mut engine = Engine::<CongosNode>::with_factory(
-        EngineConfig::new(n).seed(seed),
-        move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
-    );
+    let mut engine = Engine::<CongosNode>::with_factory(engine_cfg, move |id, n, _s| {
+        CongosNode::with_config(id, n, cfg2.clone())
+    });
     engine.run(deadline + 2, &mut adv);
     let delivered = engine
         .outputs()
@@ -51,7 +51,7 @@ fn annihilation_run(n: usize, cap: Option<usize>, seed: u64) -> (u64, u64, bool)
 }
 
 /// Runs E9 and returns its two tables.
-pub fn run(full: bool) -> Vec<Table> {
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let mut out = Vec::new();
     let n = if full { 32 } else { 16 };
 
@@ -68,7 +68,10 @@ pub fn run(full: bool) -> Vec<Table> {
         let mut fallbacks = 0u64;
         let mut delivered_all = true;
         for &s in seeds {
-            let (c, f, d) = annihilation_run(n, cap, 0xE9 + s);
+            let engine_cfg = EngineConfig::new(n)
+                .seed(0xE9 + s)
+                .backend(defaults.backend);
+            let (c, f, d) = annihilation_run(engine_cfg, cap);
             confirmed += c;
             fallbacks += f;
             delivered_all &= d;
@@ -102,7 +105,7 @@ pub fn run(full: bool) -> Vec<Table> {
             gamma,
             root: 2,
         });
-        let spec = RunSpec::new(n, 0xE9B, rounds);
+        let spec = defaults.spec(n, 0xE9B, rounds);
         let w = PoissonWorkload::new(0.03, 3, deadline, 0xE9B).until(Round(rounds - deadline));
         let cfg2 = cfg.clone();
         let o = run_with_factory::<CongosNode, _, _>(
@@ -132,12 +135,14 @@ pub fn run(full: bool) -> Vec<Table> {
         ("expander", GossipStrategy::Expander),
     ] {
         let cfg = CongosConfig::base().gossip_strategy(strategy);
-        let spec = RunSpec::new(n, 0xE9C, rounds);
+        let spec = defaults.spec(n, 0xE9C, rounds);
         let w = PoissonWorkload::new(0.03, 3, deadline, 0xE9C).until(Round(rounds - deadline));
         let cfg_engine = cfg.clone();
         let mut adv = CrriAdversary::new(NoFailures, w);
         let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(spec.n).seed(spec.seed),
+            EngineConfig::new(spec.n)
+                .seed(spec.seed)
+                .backend(spec.backend),
             move |id, n, _s| CongosNode::with_config(id, n, cfg_engine.clone()),
         );
         engine.run(spec.rounds, &mut adv);
@@ -147,20 +152,8 @@ pub fn run(full: bool) -> Vec<Table> {
             confirmed += s.confirmed;
             fallbacks += s.fallbacks;
         }
-        // QoD check.
-        let (mut admissible, mut on_time) = (0u64, 0u64);
-        for entry in adv.workload().log() {
-            let end = entry.round + entry.spec.deadline;
-            for d in &entry.spec.dest {
-                admissible += 1;
-                if engine.outputs().iter().any(|o| {
-                    o.process == *d && o.value.wid == entry.spec.id && o.round <= end
-                }) {
-                    on_time += 1;
-                }
-            }
-        }
-        assert_eq!(on_time, admissible, "{label}: QoD violated");
+        let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+        assert!(qod.perfect(), "{label}: QoD violated");
         t.row(vec![
             label.to_string(),
             engine.metrics().max_per_round().to_string(),
@@ -179,7 +172,7 @@ pub fn run(full: bool) -> Vec<Table> {
 mod tests {
     #[test]
     fn e9_single_partition_relies_on_fallback() {
-        let tables = super::run(false);
+        let tables = super::run(false, &crate::RunDefaults::default());
         let t = &tables[0];
         let fb_single: u64 = t.cell(0, 2).parse().unwrap();
         let fb_full: u64 = t.cell(1, 2).parse().unwrap();

@@ -1,4 +1,5 @@
-//! One module per experiment (ids match DESIGN.md §4 and EXPERIMENTS.md).
+//! One module per experiment (ids match DESIGN.md §4 and EXPERIMENTS.md),
+//! and the [`REGISTRY`] table the `exp` binary dispatches over.
 
 pub mod e10_metadata_hiding;
 pub mod e11_communication;
@@ -16,38 +17,274 @@ pub mod e7_churn;
 pub mod e8_baselines;
 pub mod e9_ablation;
 
+use crate::json::Json;
+use crate::run::RunDefaults;
 use crate::table::Table;
 
-/// Runs every experiment at the given scale and returns all tables.
+/// The one shape every experiment entry point has: `run(full, defaults)`.
+pub type RunFn = fn(bool, &RunDefaults) -> Vec<Table>;
+
+/// How an experiment executes its runs — which decides which of the
+/// command line's run defaults it can honour. `exp` rejects a flag the
+/// selected experiment would ignore.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Runs {
+    /// No protocol runs (pure combinatorics): no run flag applies.
+    Nothing,
+    /// Drives the engine directly on the paper's complete network:
+    /// `--backend seq|par[:N]` only.
+    Engine,
+    /// Every run goes through [`crate::run()`], but the topology is the swept
+    /// axis: `--backend` (including `net`), no `--topology`.
+    TopologySweep,
+    /// Every run goes through [`crate::run()`]: `--backend` (including `net`)
+    /// and `--topology`.
+    Harness,
+}
+
+impl Runs {
+    /// Whether `--backend seq|par[:N]` changes how the experiment executes.
+    pub fn honours_backend(self) -> bool {
+        self != Runs::Nothing
+    }
+
+    /// Whether `--backend net[:PORT]` is routed to the TCP cluster (or
+    /// refused loudly by it) rather than ignored.
+    pub fn honours_net(self) -> bool {
+        matches!(self, Runs::TopologySweep | Runs::Harness)
+    }
+
+    /// Whether `--topology` reaches every run of the experiment.
+    pub fn honours_topology(self) -> bool {
+        self == Runs::Harness
+    }
+}
+
+/// A `BENCH_*.json` row set an experiment emits next to its tables.
+#[derive(Clone, Copy)]
+pub struct Bench {
+    /// Default output path, relative to the repo root (`--json` overrides).
+    pub path: &'static str,
+    /// Renders the experiment's tables as the row-set document.
+    pub json: fn(&[Table]) -> Json,
+}
+
+/// One row of the experiment registry.
+#[derive(Clone, Copy)]
+pub struct Experiment {
+    /// Command-line name (`exp <name>`).
+    pub name: &'static str,
+    /// The claim it measures, as listed by `exp --list`.
+    pub claim: &'static str,
+    /// Entry point.
+    pub run: RunFn,
+    /// How it executes its runs.
+    pub runs: Runs,
+    /// The bench row set it writes, if any.
+    pub bench: Option<Bench>,
+    /// `true` for the memory sweep: it measures process-wide peak RSS, so it
+    /// takes `--budget-mib` and is left out of the concurrent `exp all`.
+    pub measures_rss: bool,
+}
+
+const fn row(name: &'static str, claim: &'static str, run: RunFn, runs: Runs) -> Experiment {
+    Experiment {
+        name,
+        claim,
+        run,
+        runs,
+        bench: None,
+        measures_rss: false,
+    }
+}
+
+/// Every experiment, in EXPERIMENTS.md order.
+pub const REGISTRY: &[Experiment] = &[
+    row(
+        "e1",
+        "E1: Theorem 1 — the price of strong confidentiality",
+        e1_strong_confidentiality::run,
+        Runs::Harness,
+    ),
+    row(
+        "e2",
+        "E2: Theorem 2 — confidentiality + Quality of Delivery, always",
+        e2_correctness::run,
+        Runs::Engine,
+    ),
+    row(
+        "e3",
+        "E3: Lemma 7 / Theorem 11 — per-round message complexity",
+        e3_complexity::run,
+        Runs::Harness,
+    ),
+    Experiment {
+        bench: Some(Bench {
+            path: "crates/bench/BENCH_memory.json",
+            json: e3_memory::bench_json,
+        }),
+        measures_rss: true,
+        ..row(
+            "e3m",
+            "E3m: memory accounting of the high-n complexity sweeps",
+            e3_memory::run,
+            Runs::Harness,
+        )
+    },
+    row(
+        "e4",
+        "E4: Lemma 5 / Lemma 13 — partition goodness",
+        e4_partitions::run,
+        Runs::Nothing,
+    ),
+    row(
+        "e5",
+        "E5: Theorem 12 — collusion lower bound (border messages)",
+        e5_collusion_lb::run,
+        Runs::Engine,
+    ),
+    row(
+        "e6",
+        "E6: Theorem 16 — the tau^2 cost of collusion tolerance",
+        e6_collusion_cost::run,
+        Runs::Harness,
+    ),
+    row(
+        "e7",
+        "E7: Robustness — QoD and fallback rate under churn",
+        e7_churn::run,
+        Runs::Engine,
+    ),
+    row(
+        "e8",
+        "E8: Alternative approaches — CONGOS vs direct/crypto/epidemic",
+        e8_baselines::run,
+        Runs::Harness,
+    ),
+    row(
+        "e9",
+        "E9: Ablations — partitions, fanout constants, substrate strategy",
+        e9_ablation::run,
+        Runs::Engine,
+    ),
+    row(
+        "e10",
+        "E10: Section 7 — metadata-hiding costs",
+        e10_metadata_hiding::run,
+        Runs::Harness,
+    ),
+    row(
+        "e11",
+        "E11: Section 7 — communication complexity in bytes",
+        e11_communication::run,
+        Runs::Harness,
+    ),
+    row(
+        "e12",
+        "E12: Section 7 — adaptive vs oblivious adversary power",
+        e12_adaptivity::run,
+        Runs::Engine,
+    ),
+    Experiment {
+        bench: Some(Bench {
+            path: "crates/bench/BENCH_anonymity.json",
+            json: e13_anonymity::bench_json,
+        }),
+        ..row(
+            "e13",
+            "E13: Source anonymity — who started this rumor, and can CONGOS hide it?",
+            e13_anonymity::run,
+            Runs::TopologySweep,
+        )
+    },
+    Experiment {
+        bench: Some(Bench {
+            path: "crates/bench/BENCH_topology.json",
+            json: e14_topology::bench_json,
+        }),
+        ..row(
+            "e14",
+            "E14: Beyond the complete graph — QoD/complexity vs topology",
+            e14_topology::run,
+            Runs::TopologySweep,
+        )
+    },
+];
+
+/// Looks an experiment up by its command-line name.
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    REGISTRY.iter().find(|e| e.name == name)
+}
+
+/// The `exp --list` text: one `name  claim` line per registry row.
+pub fn list() -> String {
+    REGISTRY
+        .iter()
+        .map(|e| format!("{:<4} {}\n", e.name, e.claim))
+        .collect()
+}
+
+/// Runs every experiment that can share a process (all but the RSS sweep)
+/// at the given scale and returns all tables.
 ///
 /// Experiments are deterministic and independent, so they execute on
-/// parallel threads; the returned tables keep the E1..E11 order.
-pub fn run_all(full: bool) -> Vec<Table> {
-    let jobs: Vec<fn(bool) -> Vec<Table>> = vec![
-        e1_strong_confidentiality::run,
-        e2_correctness::run,
-        e3_complexity::run,
-        e4_partitions::run,
-        e5_collusion_lb::run,
-        e6_collusion_cost::run,
-        e7_churn::run,
-        e8_baselines::run,
-        e9_ablation::run,
-        e10_metadata_hiding::run,
-        e11_communication::run,
-        e12_adaptivity::run,
-        e13_anonymity::run,
-        e14_topology::run,
-    ];
-    let mut results: Vec<Vec<Table>> = Vec::new();
+/// parallel threads; the returned tables keep the registry order.
+pub fn run_all(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|job| scope.spawn(move || job(full)))
+        let handles: Vec<_> = REGISTRY
+            .iter()
+            .filter(|e| !e.measures_rss)
+            .map(|e| scope.spawn(move || (e.run)(full, defaults)))
             .collect();
-        for h in handles {
-            results.push(h.join().expect("experiment thread"));
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("experiment thread"))
+            .collect()
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_lists_fifteen_distinct_experiments() {
+        // E1–E14 and E3m, each findable by name, each on its own `--list` line.
+        let wanted = (1..=14).map(|i| format!("e{i}")).chain(["e3m".to_string()]);
+        let mut names: Vec<String> = wanted.collect();
+        let mut listed: Vec<String> = REGISTRY.iter().map(|e| e.name.to_string()).collect();
+        names.sort_unstable();
+        listed.sort_unstable();
+        assert_eq!(listed, names);
+        for (e, line) in REGISTRY.iter().zip(list().lines()) {
+            assert!(
+                line.starts_with(e.name) && line.ends_with(e.claim),
+                "{line}"
+            );
+            assert_eq!(find(e.name).map(|f| f.claim), Some(e.claim));
         }
-    });
-    results.into_iter().flatten().collect()
+        assert!(find("e15").is_none());
+        // Exactly the three bench emitters, on their committed default paths.
+        let paths: Vec<&str> = REGISTRY
+            .iter()
+            .filter_map(|e| e.bench.map(|b| b.path))
+            .collect();
+        assert_eq!(
+            paths,
+            [
+                "crates/bench/BENCH_memory.json",
+                "crates/bench/BENCH_anonymity.json",
+                "crates/bench/BENCH_topology.json"
+            ]
+        );
+    }
+
+    #[test]
+    fn every_entry_point_has_the_one_run_shape() {
+        // That `REGISTRY` compiles is the type-level check (each row's
+        // `run` is a `RunFn`); the cheapest row also runs through the
+        // pointer with the default defaults.
+        let e4 = find("e4").expect("e4");
+        assert!(!(e4.run)(false, &RunDefaults::default()).is_empty());
+    }
 }

@@ -1,7 +1,7 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! The experiment binaries exchange result tables as JSON documents
-//! (`exp_all --json` → `exp_report`). The build environment has no registry
+//! (`exp all --json` → `exp report`). The build environment has no registry
 //! access, so instead of `serde_json` this module provides the small value
 //! model those tools need: construction, pretty printing, parsing, and
 //! `value["key"][idx]`-style access.

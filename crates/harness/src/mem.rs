@@ -175,7 +175,7 @@ pub fn mib(bytes: u64) -> String {
 }
 
 /// Prints a one-line process memory summary to stderr. Called by the
-/// `exp_*` binaries at exit so every experiment reports its footprint.
+/// `exp` binary at exit so every experiment reports its footprint.
 pub fn print_process_summary(label: &str) {
     eprintln!(
         "[{label}] peak-RSS {} MiB (now {} MiB), heap: {} MiB allocated, {} MiB live-peak",

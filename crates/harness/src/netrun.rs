@@ -11,10 +11,10 @@
 //! that decide from `(round, rng)` alone, like the stock `OneShot` /
 //! `PoissonWorkload` / `Theorem1Workload` generators. A plan that adapts to
 //! `view.outbox` or to crashes would see a different trajectory; the
-//! networked backend is failure-free by construction (see
-//! `congos_sim::threaded` for why adaptive adversaries are definitionally
-//! lock-step constructs), and [`assert_failure_free`] rejects failure plans
-//! that try to schedule anything.
+//! networked backend is failure-free by construction (an adaptive adversary
+//! must see a round's outboxes before anything is delivered — a lock-step
+//! construct no socket runtime can offer), and [`assert_failure_free`]
+//! rejects failure plans that try to schedule anything.
 
 use congos_adversary::{FailurePlan, InjectionPlan, RumorSpec};
 use congos_sim::{ProcessId, Round, RoundView};

@@ -5,7 +5,10 @@ use congos_adversary::{
     CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, OneShot, PoissonWorkload,
     RumorSpec, StableGroupWorkload, Theorem1Workload,
 };
-use congos_sim::{Engine, EngineBackend, EngineConfig, Metrics, ProcessId, Round, TopologySpec};
+use congos_sim::{
+    Engine, EngineBackend, EngineConfig, LivenessLog, Metrics, ProcessId, Round, Topology,
+    TopologySpec,
+};
 
 use crate::system::GossipSystem;
 
@@ -92,20 +95,11 @@ impl TapSpec {
 }
 
 impl RunSpec {
-    /// Spec for `n` processes, `rounds` rounds, on the process-wide default
-    /// backend (see [`default_backend`]) and default topology (see
-    /// [`default_topology`]).
+    /// Spec for `n` processes, `rounds` rounds, on the in-process sequential
+    /// engine and the complete topology. Experiments that honour the
+    /// command line build their specs with [`RunDefaults::spec`] instead.
     pub fn new(n: usize, seed: u64, rounds: u64) -> Self {
-        RunSpec {
-            n,
-            seed,
-            rounds,
-            backend: default_backend(),
-            topology: default_topology(),
-            probe_mem: true,
-            net: default_net(),
-            tap: None,
-        }
+        RunDefaults::default().spec(n, seed, rounds)
     }
 
     /// Selects the execution backend (the measured outcome is identical on
@@ -141,142 +135,94 @@ impl RunSpec {
     }
 }
 
-static DEFAULT_BACKEND: std::sync::OnceLock<EngineBackend> = std::sync::OnceLock::new();
-
-/// Installs the process-wide default backend used by [`RunSpec::new`].
-/// First writer wins; call before any run. Returns `false` if the default
-/// had already been resolved (set or read).
-pub fn set_default_backend(backend: EngineBackend) -> bool {
-    DEFAULT_BACKEND.set(backend).is_ok()
-}
-
-/// The process-wide default backend: whatever [`set_default_backend`]
-/// installed, else the `CONGOS_BACKEND` env var (`seq` or `par[:N]`), else
-/// [`EngineBackend::Sequential`]. Every experiment outcome is identical on
-/// every backend — this only selects wall-clock behavior.
-pub fn default_backend() -> EngineBackend {
-    *DEFAULT_BACKEND.get_or_init(|| {
-        std::env::var("CONGOS_BACKEND")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_BACKEND: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default()
-    })
-}
-
-/// Applies a `--backend <seq|par[:N]|net[:PORT]>` CLI flag (if present) as
-/// the process-wide default backend and returns the active default.
-/// Intended for the `exp_*` binaries.
-///
-/// `net` (optionally `net:<base_port>`, default port
-/// [`DEFAULT_NET_PORT`]) selects the networked backend: runs execute on a
-/// localhost TCP cluster instead of the in-process engine. The returned
-/// [`EngineBackend`] is unchanged in that case — the net default is
-/// consumed by [`RunSpec::new`] via [`default_net`].
-///
-/// # Panics
-///
-/// Panics on a malformed or missing flag value.
-pub fn init_backend_from_args(args: &[String]) -> EngineBackend {
-    if let Some(i) = args.iter().position(|a| a == "--backend") {
-        let value = args
-            .get(i + 1)
-            .unwrap_or_else(|| panic!("--backend needs a value: seq, par[:N] or net[:PORT]"));
-        if value == "net" || value.starts_with("net:") {
-            let port = match value.strip_prefix("net:") {
-                Some(p) => p
-                    .parse()
-                    .unwrap_or_else(|_| panic!("bad port in --backend {value}")),
-                None => DEFAULT_NET_PORT,
-            };
-            set_default_net(port);
-        } else {
-            let backend: EngineBackend = value.parse().unwrap_or_else(|e| panic!("{e}"));
-            set_default_backend(backend);
-        }
-    }
-    default_backend()
-}
-
 /// Base port used by `--backend net` when no explicit port is given.
 pub const DEFAULT_NET_PORT: u16 = 20700;
 
-static DEFAULT_NET: std::sync::OnceLock<Option<u16>> = std::sync::OnceLock::new();
-
-/// Installs a process-wide default net base port: every subsequent
-/// [`RunSpec::new`] runs on the networked backend. First writer wins;
-/// returns `false` if the default had already been resolved.
-pub fn set_default_net(base_port: u16) -> bool {
-    DEFAULT_NET.set(Some(base_port)).is_ok()
+/// What the command line chose for every run of one experiment: parsed once
+/// by [`RunDefaults::from_args`] and handed down to
+/// `experiments::*::run(full, &RunDefaults)`. The default is the paper's
+/// model on the sequential in-process engine.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunDefaults {
+    /// Execution backend (outcome-invariant; affects wall clock only).
+    pub backend: EngineBackend,
+    /// Communication topology (changes measured outcomes).
+    pub topology: TopologySpec,
+    /// `Some(base_port)` runs on the localhost TCP cluster instead of the
+    /// in-process engine (see [`RunSpec::net`]).
+    pub net: Option<u16>,
 }
 
-/// The process-wide default net base port: whatever [`set_default_net`]
-/// installed, else the `CONGOS_NET_PORT` env var, else `None` (in-process
-/// engine — the default).
-pub fn default_net() -> Option<u16> {
-    *DEFAULT_NET.get_or_init(|| {
-        std::env::var("CONGOS_NET_PORT")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_NET_PORT: {e}");
-                    None
-                }
-            })
-    })
+/// A malformed `--backend` / `--topology` flag.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// The flag was the last argument.
+    MissingValue(&'static str),
+    /// The flag's value did not parse; the string says why.
+    BadValue(&'static str, String),
 }
 
-static DEFAULT_TOPOLOGY: std::sync::OnceLock<TopologySpec> = std::sync::OnceLock::new();
-
-/// Installs the process-wide default topology used by [`RunSpec::new`].
-/// First writer wins; call before any run. Returns `false` if the default
-/// had already been resolved (set or read).
-pub fn set_default_topology(topology: TopologySpec) -> bool {
-    DEFAULT_TOPOLOGY.set(topology).is_ok()
-}
-
-/// The process-wide default topology: whatever [`set_default_topology`]
-/// installed, else the `CONGOS_TOPOLOGY` env var
-/// (`complete`, `expander:<d>` or `churn:<p>[@expander:<d>]`), else
-/// [`TopologySpec::Complete`] — the paper's model. Unlike the backend, the
-/// topology *does* change measured outcomes.
-pub fn default_topology() -> TopologySpec {
-    *DEFAULT_TOPOLOGY.get_or_init(|| {
-        std::env::var("CONGOS_TOPOLOGY")
-            .ok()
-            .and_then(|s| match s.parse() {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    eprintln!("ignoring CONGOS_TOPOLOGY: {e}");
-                    None
-                }
-            })
-            .unwrap_or_default()
-    })
-}
-
-/// Applies a `--topology <complete|expander:d|churn:p[@base]>` CLI flag (if
-/// present) as the process-wide default topology and returns the active
-/// default. Intended for the `exp_*` binaries.
-///
-/// # Panics
-///
-/// Panics on a malformed or missing flag value.
-pub fn init_topology_from_args(args: &[String]) -> TopologySpec {
-    if let Some(i) = args.iter().position(|a| a == "--topology") {
-        let value = args.get(i + 1).unwrap_or_else(|| {
-            panic!("--topology needs a value: complete, expander:<d> or churn:<p>")
-        });
-        let topology: TopologySpec = value.parse().unwrap_or_else(|e| panic!("{e}"));
-        set_default_topology(topology);
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadValue(flag, why) => write!(f, "bad {flag} value: {why}"),
+        }
     }
-    default_topology()
+}
+
+impl std::error::Error for ArgError {}
+
+impl RunDefaults {
+    /// Consumes `--backend <seq|par[:N]|net[:PORT]>` and `--topology
+    /// <complete|expander:d|churn:p[@base]>` from `args` and returns the
+    /// defaults they select plus every argument it did not consume, in
+    /// order, for the caller to interpret (or reject).
+    pub fn from_args(args: &[String]) -> Result<(RunDefaults, Vec<String>), ArgError> {
+        let mut defaults = RunDefaults::default();
+        let mut rest = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--backend" => {
+                    let v = it.next().ok_or(ArgError::MissingValue("--backend"))?;
+                    let bad = |why: String| ArgError::BadValue("--backend", why);
+                    if v == "net" {
+                        defaults.net = Some(DEFAULT_NET_PORT);
+                    } else if let Some(port) = v.strip_prefix("net:") {
+                        let port = port
+                            .parse()
+                            .map_err(|_| bad(format!("bad port in {v:?}")))?;
+                        defaults.net = Some(port);
+                    } else {
+                        defaults.backend = v.parse().map_err(bad)?;
+                    }
+                }
+                "--topology" => {
+                    let v = it.next().ok_or(ArgError::MissingValue("--topology"))?;
+                    defaults.topology = v
+                        .parse()
+                        .map_err(|why| ArgError::BadValue("--topology", why))?;
+                }
+                _ => rest.push(arg.clone()),
+            }
+        }
+        Ok((defaults, rest))
+    }
+
+    /// A [`RunSpec`] for `n` processes, `rounds` rounds, on these defaults.
+    pub fn spec(&self, n: usize, seed: u64, rounds: u64) -> RunSpec {
+        RunSpec {
+            n,
+            seed,
+            rounds,
+            backend: self.backend,
+            topology: self.topology,
+            probe_mem: true,
+            net: self.net,
+            tap: None,
+        }
+    }
 }
 
 /// A delivery, correlated by workload id.
@@ -415,76 +361,26 @@ where
     let mut engine = Engine::<P>::with_factory(
         EngineConfig::new(spec.n)
             .seed(spec.seed)
-            .topology(spec.topology),
+            .topology(spec.topology)
+            .backend(spec.backend),
         factory,
     );
     let mut adv = CrriAdversary::new(failures, workload);
     let mut tap = spec
         .tap
         .map(|t| CoalitionTap::new(spec.n, &t.members(spec.n)));
-    let mem_before = if spec.probe_mem {
-        crate::mem::MemSample::now()
-    } else {
-        crate::mem::MemSample::default()
-    };
-    let t0 = std::time::Instant::now();
-    match &mut tap {
-        Some(tap) => engine.run_observed_backend(spec.backend, spec.rounds, &mut adv, tap),
-        None => engine.run_backend(spec.backend, spec.rounds, &mut adv),
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mem = crate::mem::MemUsage {
-        before: mem_before,
-        after: if spec.probe_mem {
-            crate::mem::MemSample::now()
-        } else {
-            crate::mem::MemSample::default()
-        },
-        wall_ms,
-    };
+    let ((), mem) = timed_with_mem(spec.probe_mem, || match &mut tap {
+        Some(tap) => engine.run_observed(spec.rounds, &mut adv, tap),
+        None => engine.run(spec.rounds, &mut adv),
+    });
+    assert_eq!(
+        engine.metrics().rejected_decisions(),
+        0,
+        "the failure/injection plans issued decisions the engine rejected"
+    );
 
-    let deliveries: Vec<DeliveryRecord> = engine
-        .outputs()
-        .iter()
-        .map(|o| DeliveryRecord {
-            wid: P::wid_of(&o.value),
-            process: o.process,
-            round: o.round,
-        })
-        .collect();
     let injections = adv.workload().entries().to_vec();
-
-    let mut qod = QodSummary::default();
-    let mut latencies = Vec::new();
-    for entry in &injections {
-        let t = entry.round;
-        let end = t + entry.spec.deadline;
-        let src_ok = engine.liveness().continuously_alive(entry.source, t, end);
-        for d in &entry.spec.dest {
-            if !src_ok || !engine.liveness().continuously_alive(*d, t, end) {
-                qod.inadmissible += 1;
-                continue;
-            }
-            if !engine.topology().reachable_within(entry.source, *d, t, end) {
-                qod.unreachable += 1;
-                continue;
-            }
-            qod.admissible += 1;
-            let best = deliveries
-                .iter()
-                .filter(|r| r.wid == entry.spec.id && r.process == *d)
-                .map(|r| r.round)
-                .min();
-            match best {
-                Some(r) if r <= end => {
-                    qod.on_time += 1;
-                    latencies.push(r - t);
-                }
-                Some(_) => qod.late += 1,
-                None => qod.missed += 1,
-            }
-        }
-    }
+    let (deliveries, qod, latencies) = engine_qod(&engine, &injections);
 
     RunOutcome {
         name: P::NAME,
@@ -501,81 +397,77 @@ where
     }
 }
 
-/// The networked path of [`run_with_factory`]: materializes the workload
-/// into a static schedule (rejecting failure plans — the TCP cluster is
-/// failure-free), runs the protocol's TCP deployment, and rebuilds the
-/// same QoD accounting the engine path produces. The `factory` is not used
-/// here: a networked deployment constructs its own nodes from
-/// `(id, n, seed)` on the far side of the socket boundary.
-fn run_networked<P, F, W>(spec: RunSpec, base_port: u16, mut failures: F, mut workload: W) -> RunOutcome
-where
-    P: GossipSystem,
-    P::Input: From<RumorSpec>,
-    F: FailurePlan,
-    W: InjectionPlan + Logged,
-{
-    crate::netrun::assert_failure_free(spec.n, spec.rounds, &mut failures);
-    let schedule = crate::netrun::materialize_injections(spec.n, spec.rounds, &mut workload);
-
-    let mem_before = if spec.probe_mem {
-        crate::mem::MemSample::now()
-    } else {
-        crate::mem::MemSample::default()
-    };
-    let watch: Vec<ProcessId> = spec
-        .tap
-        .map(|t| t.members(spec.n))
-        .unwrap_or_default();
-    let t0 = std::time::Instant::now();
-    let report = P::net_run(
-        spec.n,
-        spec.seed,
-        spec.rounds,
-        spec.topology,
-        base_port,
-        schedule,
-        watch,
-    )
-    .unwrap_or_else(|| {
-        panic!(
-            "protocol {:?} has no networked runtime; --backend net currently \
-             supports the CONGOS protocol only",
-            P::NAME
-        )
-    })
-    .unwrap_or_else(|e| panic!("networked run failed: {e}"));
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let mem = crate::mem::MemUsage {
-        before: mem_before,
-        after: if spec.probe_mem {
+/// Runs `f` between two memory-probe samples (zeroed when `probe` is off)
+/// and times it.
+fn timed_with_mem<R>(probe: bool, f: impl FnOnce() -> R) -> (R, crate::mem::MemUsage) {
+    let sample = || {
+        if probe {
             crate::mem::MemSample::now()
         } else {
             crate::mem::MemSample::default()
-        },
+        }
+    };
+    let before = sample();
+    let t0 = std::time::Instant::now();
+    let result = f();
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let usage = crate::mem::MemUsage {
+        before,
+        after: sample(),
         wall_ms,
     };
+    (result, usage)
+}
 
-    let deliveries: Vec<DeliveryRecord> = report
-        .deliveries
+/// The deliveries of a finished engine run, and their QoD classification
+/// (and on-time latencies) against the workload's injection log — for the
+/// experiments that drive an [`Engine`] themselves as much as for
+/// [`run_with_factory`].
+pub fn engine_qod<P>(
+    engine: &Engine<P>,
+    injections: &[InjectionLogEntry],
+) -> (Vec<DeliveryRecord>, QodSummary, Vec<u64>)
+where
+    P: GossipSystem,
+    P::Input: From<RumorSpec>,
+{
+    let deliveries: Vec<DeliveryRecord> = engine
+        .outputs()
         .iter()
-        .map(|&(wid, process, round)| DeliveryRecord {
-            wid,
-            process,
-            round,
+        .map(|o| DeliveryRecord {
+            wid: P::wid_of(&o.value),
+            process: o.process,
+            round: o.round,
         })
         .collect();
-    let injections = workload.entries().to_vec();
+    let (qod, latencies) =
+        classify_qod(injections, &deliveries, engine.liveness(), engine.topology());
+    (deliveries, qod, latencies)
+}
 
-    // QoD over a failure-free cluster: every pair is admissible unless the
-    // topology never connects it within the deadline window (same
-    // reachability bound the engine path applies).
-    let topology = congos_sim::Topology::build(spec.topology, spec.n, spec.seed);
+/// Classifies every (rumor, destination) pair of `injections` against the
+/// observed `deliveries`: exempt when source or destination was not
+/// continuously alive over the deadline window (`inadmissible`) or the
+/// topology offered no temporal path within it (`unreachable`); otherwise
+/// admissible, and on time, late or missed. Also returns the delivery
+/// latencies of the on-time pairs.
+fn classify_qod(
+    injections: &[InjectionLogEntry],
+    deliveries: &[DeliveryRecord],
+    liveness: &LivenessLog,
+    topology: &Topology,
+) -> (QodSummary, Vec<u64>) {
     let mut qod = QodSummary::default();
     let mut latencies = Vec::new();
-    for entry in &injections {
+    for entry in injections {
         let t = entry.round;
         let end = t + entry.spec.deadline;
+        let src_ok = liveness.continuously_alive(entry.source, t, end);
         for d in &entry.spec.dest {
+            if !src_ok || !liveness.continuously_alive(*d, t, end) {
+                qod.inadmissible += 1;
+                continue;
+            }
             if !topology.reachable_within(entry.source, *d, t, end) {
                 qod.unreachable += 1;
                 continue;
@@ -596,6 +488,70 @@ where
             }
         }
     }
+    (qod, latencies)
+}
+
+/// The networked path of [`run_with_factory`]: materializes the workload
+/// into a static schedule (rejecting failure plans — the TCP cluster is
+/// failure-free), runs the protocol's TCP deployment, and rebuilds the
+/// same QoD accounting the engine path produces. The `factory` is not used
+/// here: a networked deployment constructs its own nodes from
+/// `(id, n, seed)` on the far side of the socket boundary.
+fn run_networked<P, F, W>(spec: RunSpec, base_port: u16, mut failures: F, mut workload: W) -> RunOutcome
+where
+    P: GossipSystem,
+    P::Input: From<RumorSpec>,
+    F: FailurePlan,
+    W: InjectionPlan + Logged,
+{
+    crate::netrun::assert_failure_free(spec.n, spec.rounds, &mut failures);
+    let schedule = crate::netrun::materialize_injections(spec.n, spec.rounds, &mut workload);
+
+    let watch: Vec<ProcessId> = spec
+        .tap
+        .map(|t| t.members(spec.n))
+        .unwrap_or_default();
+    let (report, mem) = timed_with_mem(spec.probe_mem, || {
+        P::net_run(
+            spec.n,
+            spec.seed,
+            spec.rounds,
+            spec.topology,
+            base_port,
+            schedule,
+            watch,
+        )
+    });
+    let report = report
+        .unwrap_or_else(|| {
+            panic!(
+                "protocol {:?} has no networked runtime; --backend net currently \
+                 supports the CONGOS protocol only",
+                P::NAME
+            )
+        })
+        .unwrap_or_else(|e| panic!("networked run failed: {e}"));
+
+    let deliveries: Vec<DeliveryRecord> = report
+        .deliveries
+        .iter()
+        .map(|&(wid, process, round)| DeliveryRecord {
+            wid,
+            process,
+            round,
+        })
+        .collect();
+    let injections = workload.entries().to_vec();
+
+    // QoD over a failure-free cluster: nobody ever crashed, so every pair is
+    // admissible unless the topology never connects it within the deadline
+    // window (same reachability bound the engine path applies).
+    let (qod, latencies) = classify_qod(
+        &injections,
+        &deliveries,
+        &LivenessLog::new(spec.n),
+        &Topology::build(spec.topology, spec.n, spec.seed),
+    );
 
     RunOutcome {
         name: P::NAME,
@@ -632,6 +588,71 @@ mod tests {
     use congos_adversary::{NoFailures, RandomChurn};
     use congos_baselines::DirectNode;
     use congos_gossip::GossipNode;
+
+    fn parse(args: &[&str]) -> Result<(RunDefaults, Vec<String>), ArgError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        RunDefaults::from_args(&args)
+    }
+
+    #[test]
+    fn run_defaults_parse_backend_and_topology() {
+        let backend = |v| parse(&["--backend", v]).map(|(d, _)| (d.backend, d.net));
+        assert_eq!(backend("seq"), Ok((EngineBackend::Sequential, None)));
+        assert_eq!(
+            backend("par:4"),
+            Ok((EngineBackend::Parallel { workers: 4 }, None))
+        );
+        assert_eq!(backend("par"), Ok((EngineBackend::parallel_auto(), None)));
+        // `net` leaves the engine backend alone and reroutes every spec.
+        assert_eq!(
+            backend("net"),
+            Ok((EngineBackend::Sequential, Some(DEFAULT_NET_PORT)))
+        );
+        assert_eq!(
+            backend("net:21400"),
+            Ok((EngineBackend::Sequential, Some(21400)))
+        );
+
+        let (d, rest) = parse(&["e1", "--topology", "expander:4", "--full"]).unwrap();
+        assert_eq!(d.topology, TopologySpec::Expander { degree: 4 });
+        assert_eq!(rest, ["e1", "--full"], "unconsumed arguments pass through");
+        assert_eq!(parse(&[]), Ok((RunDefaults::default(), vec![])));
+
+        let spec = parse(&["--backend", "net:21400"]).unwrap().0.spec(8, 1, 10);
+        assert_eq!((spec.n, spec.seed, spec.rounds), (8, 1, 10));
+        assert_eq!(spec.net, Some(21400));
+        assert_eq!(
+            spec.net(21500).net,
+            Some(21500),
+            "the builder still overrides"
+        );
+        assert_eq!(RunSpec::new(8, 1, 10).net, None);
+    }
+
+    #[test]
+    fn run_defaults_reject_malformed_flags_with_typed_errors() {
+        for bad in ["par:0", "net:x", "auto"] {
+            assert!(
+                matches!(
+                    parse(&["--backend", bad]),
+                    Err(ArgError::BadValue("--backend", _))
+                ),
+                "{bad}"
+            );
+        }
+        assert!(matches!(
+            parse(&["--topology", "ring"]),
+            Err(ArgError::BadValue("--topology", _))
+        ));
+        assert_eq!(
+            parse(&["--full", "--backend"]),
+            Err(ArgError::MissingValue("--backend"))
+        );
+        assert_eq!(
+            parse(&["--topology"]),
+            Err(ArgError::MissingValue("--topology"))
+        );
+    }
 
     #[test]
     fn direct_run_is_perfect() {

@@ -125,6 +125,53 @@ impl Table {
             ("notes", Json::from(self.notes.clone())),
         ])
     }
+
+    /// Rebuilds a table from its [`to_json`](Table::to_json) form; `None`
+    /// if the document does not have that shape.
+    pub fn from_json(doc: &crate::json::Json) -> Option<Table> {
+        let strings = |v: &crate::json::Json| -> Option<Vec<String>> {
+            v.as_array()?
+                .iter()
+                .map(|c| c.as_str().map(str::to_string))
+                .collect()
+        };
+        let headers = strings(&doc["headers"])?;
+        let rows: Vec<Vec<String>> = doc["rows"]
+            .as_array()?
+            .iter()
+            .map(strings)
+            .collect::<Option<_>>()?;
+        if rows.iter().any(|r| r.len() != headers.len()) {
+            return None;
+        }
+        Some(Table {
+            title: doc["title"].as_str()?.to_string(),
+            headers,
+            rows,
+            notes: strings(&doc["notes"])?,
+        })
+    }
+}
+
+/// Every row of every table as one JSON object keyed by column name — the
+/// `rows` array of the `BENCH_*.json` row sets.
+pub fn rows_json(tables: &[Table]) -> crate::json::Json {
+    use crate::json::Json;
+    let row = |t: &Table, r: &Vec<String>| {
+        Json::Object(
+            t.headers
+                .iter()
+                .zip(r)
+                .map(|(h, cell)| (h.clone(), Json::from(cell.as_str())))
+                .collect(),
+        )
+    };
+    Json::Array(
+        tables
+            .iter()
+            .flat_map(|t| t.rows.iter().map(move |r| row(t, r)))
+            .collect(),
+    )
 }
 
 /// Formats a float with 2 decimals (table convenience).
@@ -132,7 +179,7 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Renders a set of tables as a markdown document (used by `exp_report`).
+/// Renders a set of tables as a markdown document (used by `exp report`).
 pub fn tables_to_markdown(tables: &[Table]) -> String {
     let mut out = String::new();
     for t in tables {
@@ -203,6 +250,9 @@ mod tests {
         assert_eq!(j["title"], "demo");
         assert_eq!(j["rows"][0][0], "1");
         assert_eq!(j["notes"][0], "n");
+        assert_eq!(Table::from_json(&j), Some(t), "to_json round-trips");
+        assert_eq!(Table::from_json(&j["rows"]), None);
+        assert_eq!(rows_json(&[Table::from_json(&j).unwrap()])[0]["a"], "1");
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! [`transport::TcpTransport`], the same generic driver the simulator's
 //! `MemTransport` path uses, so the two runtimes cannot drift apart.
 //!
-//! Like the in-process threaded runtime, this backend is failure-free (an
-//! *adaptive* adversary is definitionally a lock-step construct — see
-//! `congos_sim::threaded`); its purpose is deployment realism: the wire
+//! This backend is failure-free (an *adaptive* adversary must see a round's
+//! outboxes before anything is delivered — definitionally a lock-step
+//! construct); its purpose is deployment realism: the wire
 //! types serialize, the rounds synchronize over sockets, and the
 //! confidentiality properties don't depend on any simulator affordance.
 //!

@@ -23,9 +23,12 @@
 //!
 //! The send and compute phases are *embarrassingly parallel across
 //! processes*: each process touches only its own state, RNG stream and
-//! per-slot buffers. [`EngineBackend::Parallel`] exploits this with scoped
-//! worker threads while preserving **bit-identical** traces and metrics
-//! with [`EngineBackend::Sequential`]:
+//! per-slot buffers. [`EngineBackend::Parallel`] (selected with
+//! [`EngineConfig::backend`]) exploits this with scoped worker threads while
+//! preserving **bit-identical** traces and metrics with
+//! [`EngineBackend::Sequential`] — the two differ only in how many chunks
+//! the one round body in [`Engine::step_observed`] cuts the process range
+//! into:
 //!
 //! * every process draws from its own forked RNG stream, so concurrency
 //!   cannot reorder random choices;
@@ -105,10 +108,10 @@ pub struct Context<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> Context<'a, P> {
-    /// Constructs a context for an alternative runtime (a threaded or
-    /// networked backend driving [`Protocol`] implementations outside the
-    /// lock-step engine). Runtimes are responsible for draining `pending`
-    /// after the send phase and routing the messages themselves.
+    /// Constructs a context for an alternative runtime (a networked backend
+    /// driving [`Protocol`] implementations outside the lock-step engine).
+    /// Runtimes are responsible for draining `pending` after the send phase
+    /// and routing the messages themselves.
     pub fn for_runtime(
         id: ProcessId,
         n: usize,
@@ -385,10 +388,12 @@ pub struct EngineConfig {
     n: usize,
     seed: u64,
     topology: TopologySpec,
+    backend: EngineBackend,
 }
 
 impl EngineConfig {
-    /// Configuration for `n` processes with seed 0 on the complete topology.
+    /// Configuration for `n` processes with seed 0 on the complete topology
+    /// and the sequential backend.
     ///
     /// # Panics
     ///
@@ -399,6 +404,7 @@ impl EngineConfig {
             n,
             seed: 0,
             topology: TopologySpec::Complete,
+            backend: EngineBackend::Sequential,
         }
     }
 
@@ -420,6 +426,22 @@ impl EngineConfig {
             panic!("invalid topology {spec} for n={}: {e}", self.n);
         }
         self.topology = spec;
+        self
+    }
+
+    /// Sets the execution backend (default: [`EngineBackend::Sequential`]).
+    /// The execution is bit-identical on every backend; only wall-clock
+    /// time changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Parallel { workers: 0 }`.
+    pub fn backend(mut self, backend: EngineBackend) -> Self {
+        assert!(
+            backend.workers() >= 1,
+            "parallel backend needs at least one worker"
+        );
+        self.backend = backend;
         self
     }
 
@@ -455,23 +477,12 @@ pub enum EngineBackend {
     /// the send and compute phases; adversary and delivery stay sequential.
     Parallel {
         /// Number of worker threads (>= 1). `Parallel { workers: 1 }` is
-        /// the sequential schedule executed on one spawned worker.
+        /// the sequential schedule: one chunk, run on the calling thread.
         workers: usize,
     },
-    /// Adaptive selection: `Parallel` with the machine's parallelism when
-    /// the per-round work (one send + one compute slot per process) clears
-    /// [`EngineBackend::AUTO_WORK_THRESHOLD`] and the host has more than one
-    /// core; `Sequential` otherwise. Below that threshold the per-round
-    /// thread-spawn barrier costs more than it saves
-    /// (`BENCH_backend_scaling.json`: `par:8` is ~1.3× *slower* than `seq`
-    /// at n = 1024 on a single-core host).
-    Auto,
 }
 
 impl EngineBackend {
-    /// Minimum per-round work (process slots) for `Auto` to go parallel.
-    pub const AUTO_WORK_THRESHOLD: usize = 2048;
-
     /// A parallel backend sized to the machine
     /// (`std::thread::available_parallelism`, min 1).
     pub fn parallel_auto() -> Self {
@@ -482,33 +493,11 @@ impl EngineBackend {
         }
     }
 
-    /// Resolves `Auto` against the per-round work of an `n`-process system;
-    /// `Sequential` and `Parallel` resolve to themselves. The result is
-    /// never `Auto`.
-    pub fn resolve(self, n: usize) -> EngineBackend {
-        match self {
-            EngineBackend::Auto => {
-                let cores = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(1);
-                if cores > 1 && n >= Self::AUTO_WORK_THRESHOLD {
-                    EngineBackend::Parallel { workers: cores }
-                } else {
-                    EngineBackend::Sequential
-                }
-            }
-            b => b,
-        }
-    }
-
-    /// Worker count: 1 for `Sequential`, `workers` for `Parallel`; for
-    /// `Auto`, the count of the backend it would resolve to on an
-    /// arbitrarily large system.
+    /// Worker count: 1 for `Sequential`, `workers` for `Parallel`.
     pub fn workers(&self) -> usize {
         match self {
             EngineBackend::Sequential => 1,
             EngineBackend::Parallel { workers } => *workers,
-            EngineBackend::Auto => EngineBackend::Auto.resolve(usize::MAX).workers(),
         }
     }
 }
@@ -518,7 +507,6 @@ impl std::fmt::Display for EngineBackend {
         match self {
             EngineBackend::Sequential => write!(f, "seq"),
             EngineBackend::Parallel { workers } => write!(f, "par:{workers}"),
-            EngineBackend::Auto => write!(f, "auto"),
         }
     }
 }
@@ -526,9 +514,8 @@ impl std::fmt::Display for EngineBackend {
 impl std::str::FromStr for EngineBackend {
     type Err = String;
 
-    /// Parses `seq` / `sequential`, `auto`, or `par` / `parallel` with an
-    /// optional `:<workers>` suffix (defaulting to the machine's
-    /// parallelism).
+    /// Parses `seq` / `sequential`, or `par` / `parallel` with an optional
+    /// `:<workers>` suffix (defaulting to the machine's parallelism).
     fn from_str(s: &str) -> Result<Self, String> {
         let (kind, workers) = match s.split_once(':') {
             Some((k, w)) => (k, Some(w)),
@@ -538,10 +525,6 @@ impl std::str::FromStr for EngineBackend {
             "seq" | "sequential" => match workers {
                 None => Ok(EngineBackend::Sequential),
                 Some(_) => Err(format!("sequential backend takes no worker count: {s:?}")),
-            },
-            "auto" => match workers {
-                None => Ok(EngineBackend::Auto),
-                Some(_) => Err(format!("auto backend takes no worker count: {s:?}")),
             },
             "par" | "parallel" => {
                 let workers = match workers {
@@ -554,9 +537,7 @@ impl std::str::FromStr for EngineBackend {
                 };
                 Ok(EngineBackend::Parallel { workers })
             }
-            _ => Err(format!(
-                "unknown backend {s:?} (expected seq, auto, or par[:N])"
-            )),
+            _ => Err(format!("unknown backend {s:?} (expected seq or par[:N])")),
         }
     }
 }
@@ -773,71 +754,6 @@ impl<P: Protocol + 'static> Engine<P> {
         &self.slots[p.as_usize()].proto
     }
 
-    /// Runs `rounds` rounds under `adversary`.
-    pub fn run<A: Adversary<P>>(&mut self, rounds: u64, adversary: &mut A) {
-        for _ in 0..rounds {
-            self.step(adversary);
-        }
-    }
-
-    /// Runs `rounds` rounds under `adversary`, reporting events to `obs`.
-    pub fn run_observed<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        rounds: u64,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        for _ in 0..rounds {
-            self.step_observed(adversary, obs);
-        }
-    }
-
-    /// Executes one round.
-    pub fn step<A: Adversary<P>>(&mut self, adversary: &mut A) {
-        self.step_observed(adversary, &mut NullObserver);
-    }
-
-    /// Executes one round, reporting events to `obs`.
-    pub fn step_observed<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        let n = self.cfg.n;
-        let round = self.round;
-        self.metrics.begin_round();
-        let out_start = self.outputs.len();
-
-        // ---- Phase 1: send. -------------------------------------------
-        for (i, (slot, buf)) in self.slots.iter_mut().zip(self.arena.iter_mut()).enumerate() {
-            run_send_slot(i, n, round, slot, buf);
-        }
-        self.merge_send_results();
-
-        // ---- Phases 2 & 3: adversary + delivery. ----------------------
-        self.prepare_round(adversary, obs);
-
-        // ---- Phase 4: compute. ----------------------------------------
-        {
-            let outbox = self.mem.columns();
-            let inbox_idx = self.mem.inbox_lists();
-            for i in 0..n {
-                run_compute_slot(
-                    i,
-                    n,
-                    round,
-                    &mut self.slots[i],
-                    Inbox::columnar(outbox, &inbox_idx[i], round),
-                    &mut self.inputs[i],
-                    &mut self.arena[i],
-                );
-            }
-        }
-        self.merge_compute_outputs();
-
-        self.complete_round(round, out_start, obs);
-    }
-
     /// Merges the send-phase arena buffers in process-id order: metric
     /// events into [`Metrics`], the per-process send columns onto the round
     /// outbox (index ranges of the shared columns, no envelope moves),
@@ -866,6 +782,8 @@ impl<P: Protocol + 'static> Engine<P> {
     /// The strictly sequential middle of a round: present the merged outbox
     /// to the adversary, apply crashes and restarts, deliver surviving
     /// messages into per-process inboxes, and stage injected inputs.
+    /// Decisions that are invalid this round are skipped and counted in
+    /// [`Metrics::rejected_decisions`] — in every build profile.
     fn prepare_round<A: Adversary<P>, O: Observer<P>>(&mut self, adversary: &mut A, obs: &mut O) {
         let n = self.cfg.n;
         let round = self.round;
@@ -890,7 +808,7 @@ impl<P: Protocol + 'static> Engine<P> {
         for spec in decision.crashes {
             let i = spec.process.as_usize();
             if !self.slots[i].state.is_alive() || touched[i] {
-                debug_assert!(false, "invalid crash of {} in {round}", spec.process);
+                self.metrics.record_rejected_decision();
                 continue;
             }
             touched[i] = true;
@@ -905,7 +823,7 @@ impl<P: Protocol + 'static> Engine<P> {
         for (p, policy) in decision.restarts {
             let i = p.as_usize();
             if self.slots[i].state.is_alive() || touched[i] {
-                debug_assert!(false, "invalid restart of {p} in {round}");
+                self.metrics.record_rejected_decision();
                 continue;
             }
             touched[i] = true;
@@ -956,11 +874,13 @@ impl<P: Protocol + 'static> Engine<P> {
         self.inputs.resize_with(n, || None);
         for (p, input) in decision.injections {
             let i = p.as_usize();
+            if self.inputs[i].is_some() {
+                // At most one injection per process per round: the first
+                // input stands.
+                self.metrics.record_rejected_decision();
+                continue;
+            }
             let delivered = self.slots[i].state.is_alive();
-            debug_assert!(
-                self.inputs[i].is_none(),
-                "at most one injection per process per round"
-            );
             self.injections.push(InjectionRecord {
                 round,
                 process: p,
@@ -985,6 +905,32 @@ impl<P: Protocol + 'static> Engine<P> {
     }
 }
 
+/// Cuts the process range into `workers` contiguous id chunks
+/// (`[c*chunk, (c+1)*chunk)` goes to worker `c`, independent of scheduling,
+/// so work assignment is deterministic) and runs `work(first_id, part)` on
+/// each: inline when `workers == 1` — the sequential backend is the
+/// one-chunk case — else on one scoped thread per chunk, joined before
+/// returning.
+fn for_each_chunk<T: Send>(
+    workers: usize,
+    chunk: usize,
+    parts: impl Iterator<Item = T>,
+    work: impl Fn(usize, T) + Sync,
+) {
+    if workers == 1 {
+        for (ci, part) in parts.enumerate() {
+            work(ci * chunk, part);
+        }
+    } else {
+        let work = &work;
+        std::thread::scope(|s| {
+            for (ci, part) in parts.enumerate() {
+                s.spawn(move || work(ci * chunk, part));
+            }
+        });
+    }
+}
+
 impl<P> Engine<P>
 where
     P: Protocol + Send + 'static,
@@ -992,126 +938,83 @@ where
     P::Input: Send,
     P::Output: Send,
 {
-    /// Executes one round on the given backend (reporting events to `obs`).
-    ///
-    /// Backends may be switched freely between rounds — the engine's state
-    /// evolution is backend-independent.
-    pub fn step_backend<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        backend: EngineBackend,
-        adversary: &mut A,
-        obs: &mut O,
-    ) {
-        match backend.resolve(self.cfg.n) {
-            EngineBackend::Sequential => self.step_observed(adversary, obs),
-            EngineBackend::Parallel { workers } => {
-                self.step_observed_parallel(workers, adversary, obs)
-            }
-            EngineBackend::Auto => unreachable!("resolve() never returns Auto"),
-        }
+    /// Runs `rounds` rounds under `adversary`.
+    pub fn run<A: Adversary<P>>(&mut self, rounds: u64, adversary: &mut A) {
+        self.run_observed(rounds, adversary, &mut NullObserver);
     }
 
-    /// Runs `rounds` rounds under `adversary` on the given backend.
-    pub fn run_backend<A: Adversary<P>>(
+    /// Runs `rounds` rounds under `adversary`, reporting events to `obs`.
+    pub fn run_observed<A: Adversary<P>, O: Observer<P>>(
         &mut self,
-        backend: EngineBackend,
-        rounds: u64,
-        adversary: &mut A,
-    ) {
-        self.run_observed_backend(backend, rounds, adversary, &mut NullObserver);
-    }
-
-    /// Runs `rounds` rounds on the given backend, reporting events to `obs`.
-    pub fn run_observed_backend<A: Adversary<P>, O: Observer<P>>(
-        &mut self,
-        backend: EngineBackend,
         rounds: u64,
         adversary: &mut A,
         obs: &mut O,
     ) {
         for _ in 0..rounds {
-            self.step_backend(backend, adversary, obs);
+            self.step_observed(adversary, obs);
         }
     }
 
-    /// Executes one round with the send and compute phases split across
-    /// `workers` scoped threads (contiguous process-id chunks). Bit-identical
-    /// to [`step_observed`](Engine::step_observed) — see the module docs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn step_observed_parallel<A: Adversary<P>, O: Observer<P>>(
+    /// Executes one round.
+    pub fn step<A: Adversary<P>>(&mut self, adversary: &mut A) {
+        self.step_observed(adversary, &mut NullObserver);
+    }
+
+    /// Executes one round, reporting events to `obs` — the one round body,
+    /// on whichever backend [`EngineConfig::backend`] selected.
+    pub fn step_observed<A: Adversary<P>, O: Observer<P>>(
         &mut self,
-        workers: usize,
         adversary: &mut A,
         obs: &mut O,
     ) {
-        assert!(workers >= 1, "parallel backend needs at least one worker");
         let n = self.cfg.n;
         let round = self.round;
+        let workers = self.cfg.backend.workers();
+        let chunk = n.div_ceil(workers);
         self.metrics.begin_round();
         let out_start = self.outputs.len();
-        // Fixed chunking: process ids [c*chunk, (c+1)*chunk) go to worker c,
-        // independent of scheduling, so work assignment is deterministic.
-        let chunk = n.div_ceil(workers).max(1);
 
-        // ---- Phase 1: send (parallel). --------------------------------
-        {
-            let slots = &mut self.slots;
-            let arena = &mut self.arena;
-            std::thread::scope(|s| {
-                for (ci, (slot_chunk, buf_chunk)) in slots
-                    .chunks_mut(chunk)
-                    .zip(arena.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    let base = ci * chunk;
-                    s.spawn(move || {
-                        for (j, (slot, buf)) in
-                            slot_chunk.iter_mut().zip(buf_chunk.iter_mut()).enumerate()
-                        {
-                            run_send_slot(base + j, n, round, slot, buf);
-                        }
-                    });
+        // ---- Phase 1: send. -------------------------------------------
+        for_each_chunk(
+            workers,
+            chunk,
+            self.slots
+                .chunks_mut(chunk)
+                .zip(self.arena.chunks_mut(chunk)),
+            |base, (slots, bufs)| {
+                for (j, (slot, buf)) in slots.iter_mut().zip(bufs).enumerate() {
+                    run_send_slot(base + j, n, round, slot, buf);
                 }
-            });
-        }
+            },
+        );
         // Barrier: workers joined; merge in process-id order.
         self.merge_send_results();
 
-        // ---- Phases 2 & 3: adversary + delivery (sequential). ---------
+        // ---- Phases 2 & 3: adversary + delivery (always sequential). --
         self.prepare_round(adversary, obs);
 
-        // ---- Phase 4: compute (parallel). -----------------------------
-        {
-            let slots = &mut self.slots;
-            let arena = &mut self.arena;
-            let outbox = self.mem.columns();
-            let inbox_idx = self.mem.inbox_lists();
-            let inputs = &mut self.inputs;
-            std::thread::scope(|s| {
-                for (ci, ((slot_chunk, buf_chunk), (idx_chunk, input_chunk))) in slots
-                    .chunks_mut(chunk)
-                    .zip(arena.chunks_mut(chunk))
-                    .zip(inbox_idx.chunks(chunk).zip(inputs.chunks_mut(chunk)))
+        // ---- Phase 4: compute. ----------------------------------------
+        let outbox = self.mem.columns();
+        let inboxes = self.mem.inbox_lists();
+        for_each_chunk(
+            workers,
+            chunk,
+            self.slots
+                .chunks_mut(chunk)
+                .zip(self.arena.chunks_mut(chunk))
+                .zip(inboxes.chunks(chunk).zip(self.inputs.chunks_mut(chunk))),
+            |base, ((slots, bufs), (idxs, inputs))| {
+                for (j, ((slot, buf), (idx, input))) in slots
+                    .iter_mut()
+                    .zip(bufs)
+                    .zip(idxs.iter().zip(inputs))
                     .enumerate()
                 {
-                    let base = ci * chunk;
-                    s.spawn(move || {
-                        for (j, ((slot, buf), (idx, input))) in slot_chunk
-                            .iter_mut()
-                            .zip(buf_chunk.iter_mut())
-                            .zip(idx_chunk.iter().zip(input_chunk.iter_mut()))
-                            .enumerate()
-                        {
-                            let inbox = Inbox::columnar(outbox, idx, round);
-                            run_compute_slot(base + j, n, round, slot, inbox, input, buf);
-                        }
-                    });
+                    let inbox = Inbox::columnar(outbox, idx, round);
+                    run_compute_slot(base + j, n, round, slot, inbox, input, buf);
                 }
-            });
-        }
+            },
+        );
         self.merge_compute_outputs();
 
         self.complete_round(round, out_start, obs);
@@ -1368,26 +1271,8 @@ mod tests {
         assert_eq!(EngineBackend::default(), EngineBackend::Sequential);
         assert_eq!(EngineBackend::Sequential.workers(), 1);
         assert_eq!(EngineBackend::Parallel { workers: 3 }.workers(), 3);
-        assert_eq!(EngineBackend::from_str("auto").unwrap(), EngineBackend::Auto);
-        assert!(EngineBackend::from_str("auto:2").is_err());
-        assert_eq!(EngineBackend::Auto.to_string(), "auto");
-        // Below the work threshold Auto always degrades to sequential.
-        assert_eq!(EngineBackend::Auto.resolve(8), EngineBackend::Sequential);
-        // At/above the threshold it picks parallel iff this host has >1 core.
-        let big = EngineBackend::Auto.resolve(EngineBackend::AUTO_WORK_THRESHOLD);
-        match std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1) {
-            1 => assert_eq!(big, EngineBackend::Sequential),
-            cores => assert_eq!(big, EngineBackend::Parallel { workers: cores }),
-        }
-        // Non-auto backends resolve to themselves.
-        assert_eq!(
-            EngineBackend::Sequential.resolve(1 << 20),
-            EngineBackend::Sequential
-        );
-        assert_eq!(
-            EngineBackend::Parallel { workers: 2 }.resolve(1),
-            EngineBackend::Parallel { workers: 2 }
-        );
+        // The guessed `auto` rule is gone: the backend is always explicit.
+        assert!(EngineBackend::from_str("auto").is_err());
     }
 
     /// Observer that fingerprints the full ordered event stream, for
@@ -1460,9 +1345,9 @@ mod tests {
         // Same seed, same scripted churn: the full ordered event stream must
         // match the sequential backend exactly, for every worker count.
         let run = |backend: EngineBackend| {
-            let mut e = Engine::<Ring>::new(EngineConfig::new(8).seed(42));
+            let mut e = Engine::<Ring>::new(EngineConfig::new(8).seed(42).backend(backend));
             let mut log = EventLog::default();
-            e.run_observed_backend(backend, 6, &mut churn_script(), &mut log);
+            e.run_observed(6, &mut churn_script(), &mut log);
             (
                 log.events,
                 e.metrics().total(),
@@ -1479,31 +1364,45 @@ mod tests {
     }
 
     #[test]
-    fn backend_switch_mid_run_is_seamless() {
-        // Alternating backends between rounds produces the same execution as
-        // either backend alone (state evolution is backend-independent).
-        let mut adv_a = churn_script();
-        let mut a = Engine::<Ring>::new(EngineConfig::new(6).seed(9));
-        for r in 0..6u64 {
-            let backend = if r % 2 == 0 {
-                EngineBackend::Sequential
-            } else {
-                EngineBackend::Parallel { workers: 2 }
-            };
-            a.step_backend(backend, &mut adv_a, &mut NullObserver);
-        }
-        let mut adv_b = churn_script();
-        let mut b = Engine::<Ring>::new(EngineConfig::new(6).seed(9));
-        b.run(6, &mut adv_b);
-        assert_eq!(a.outputs(), b.outputs());
-        assert_eq!(a.metrics().total(), b.metrics().total());
+    fn parallel_handles_more_workers_than_processes() {
+        let cfg = EngineConfig::new(2)
+            .seed(1)
+            .backend(EngineBackend::Parallel { workers: 16 });
+        let mut e = Engine::<Ring>::new(cfg);
+        e.run(3, &mut NullAdversary);
+        assert_eq!(e.outputs().len(), 6); // 2 pings per round × 3 rounds
     }
 
     #[test]
-    fn parallel_handles_more_workers_than_processes() {
-        let mut e = Engine::<Ring>::new(EngineConfig::new(2).seed(1));
-        e.run_backend(EngineBackend::Parallel { workers: 16 }, 3, &mut NullAdversary);
-        assert_eq!(e.outputs().len(), 6); // 2 pings per round × 3 rounds
+    fn invalid_decisions_are_counted_and_change_nothing() {
+        // The valid churn script, plus a crash of the already dead p1 and a
+        // restart of the live p0 in round 1, and a second injection at p2
+        // in round 2: each is skipped and counted, and the execution is the
+        // valid one.
+        let run = |mut adv: ScriptedAdversary| {
+            let mut e = Engine::<Ring>::new(EngineConfig::new(8).seed(42));
+            let mut log = EventLog::default();
+            e.run_observed(6, &mut adv, &mut log);
+            (
+                log.events,
+                e.outputs().to_vec(),
+                e.injections().to_vec(),
+                e.metrics().rejected_decisions(),
+            )
+        };
+        let mut bad = churn_script();
+        let round1 = &mut bad.script[1].1;
+        round1.crashes.push(CrashSpec::dropping(ProcessId::new(1)));
+        round1
+            .restarts
+            .push((ProcessId::new(0), IncomingPolicy::DeliverAll));
+        bad.script[2].1.injections.push((ProcessId::new(2), 99u64));
+
+        let (events, outputs, injections, rejected) = run(bad);
+        let valid = run(churn_script());
+        assert_eq!(valid.3, 0);
+        assert_eq!(rejected, 3);
+        assert_eq!((events, outputs, injections), (valid.0, valid.1, valid.2));
     }
 
     /// Protocol that outputs one random value, to check RNG reset semantics.

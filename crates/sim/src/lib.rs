@@ -69,7 +69,6 @@ pub mod message;
 pub mod metrics;
 pub mod process;
 pub mod rng;
-pub mod threaded;
 pub mod topology;
 pub mod trace;
 pub mod transport;

@@ -60,6 +60,7 @@ pub struct Metrics {
     rounds: Vec<RoundCounts>,
     deliveries: u64,
     topology_drops: u64,
+    rejected_decisions: u64,
 }
 
 impl Metrics {
@@ -151,6 +152,14 @@ impl Metrics {
         self.topology_drops
     }
 
+    /// Adversary decisions the engine refused because they were invalid in
+    /// the round they were made: a crash of a dead (or already touched)
+    /// process, a restart of a live one, or a second injection at one
+    /// process (the first input is kept). A valid adversary scores 0.
+    pub fn rejected_decisions(&self) -> u64 {
+        self.rejected_decisions
+    }
+
     /// All tag names seen during the execution.
     pub fn tags(&self) -> Vec<&'static str> {
         let mut names: Vec<&'static str> = self
@@ -180,6 +189,10 @@ impl Metrics {
 
     pub(crate) fn record_topology_drop(&mut self) {
         self.topology_drops += 1;
+    }
+
+    pub(crate) fn record_rejected_decision(&mut self) {
+        self.rejected_decisions += 1;
     }
 }
 

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the confidential-gossip workspace.
 #
-#   scripts/ci.sh            # tier1: build + root tests + differential suite
-#                            #        on both engine backends + topo + mem
+#   scripts/ci.sh            # tier1: build + root tests + the benchmark
+#                            #        package (its pinned API surface) +
+#                            #        every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
-#                            #        exp_e14_topology quick smoke (writes
+#                            #        `exp e14` quick smoke (writes
 #                            #        crates/bench/BENCH_topology.json)
 #   scripts/ci.sh mem        # memory target only: fragstore proptests and
-#                            #        the exp_e3_mem small-n smoke sweep
+#                            #        the `exp e3m` small-n smoke sweep
 #                            #        under a hard peak-RSS budget
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
 #                            #        loopback differential suite plus the
@@ -19,19 +20,15 @@
 #                            #        report with latency percentiles
 #   scripts/ci.sh anonymity  # source-anonymity target: predict-subsystem
 #                            #        proptests, the tap golden-digest
-#                            #        determinism test, and the
-#                            #        exp_e13_anonymity quick sweep (writes
-#                            #        crates/bench/BENCH_anonymity.json and
-#                            #        asserts congos < direct at coalition
-#                            #        10% on expander:4)
+#                            #        determinism test, and the `exp e13`
+#                            #        quick sweep (asserts congos < direct
+#                            #        at coalition 10% on expander:4)
 #   scripts/ci.sh bench      # tier1 + the backend-scaling smoke bench
 #                            #        (results land in BENCH_*.json)
 #   scripts/ci.sh full       # tier1 + bench + the full workspace test suite
 #
-# The differential suite is run twice — CONGOS_BACKEND=seq and
-# CONGOS_BACKEND=par:8 — so harness-level code paths are exercised on both
-# backends end to end (the suite itself additionally compares backends
-# pairwise from inside each test).
+# The differential suite (part of the root tests) compares the engine
+# backends pairwise from inside each test, so one pass covers both.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,21 +39,21 @@ run_topo() {
     cargo test -q --test differential topology_differential
     echo "==> topo: topology invariant proptests"
     cargo test -q -p congos-sim --test topology_prop
-    echo "==> topo: exp_e14_topology smoke (quick sweep)"
-    cargo run --release -q -p congos-harness --bin exp_e14_topology >/dev/null
+    echo "==> topo: exp e14 smoke (quick sweep)"
+    cargo run --release -q -p congos-harness --bin exp -- e14 >/dev/null
     echo "    wrote crates/bench/BENCH_topology.json"
 }
 
 run_mem() {
     echo "==> mem: fragment-store proptests"
     cargo test -q -p congos --test fragstore_prop
-    echo "==> mem: exp_e3_mem smoke sweep under a hard peak-RSS budget"
+    echo "==> mem: exp e3m smoke sweep under a hard peak-RSS budget"
     # The quick sweep (n ≤ 1024) peaks around 450 MiB; the 1024 MiB budget
     # is a 2× regression gate, not a tight fit. The smoke row set goes to a
     # scratch path so it cannot clobber the committed full-sweep
     # crates/bench/BENCH_memory.json (regenerate that with
-    # `exp_e3_mem --full`).
-    cargo run --release -q -p congos-harness --bin exp_e3_mem -- \
+    # `exp e3m --full`).
+    cargo run --release -q -p congos-harness --bin exp -- e3m \
         --json target/BENCH_memory_smoke.json --budget-mib 1024 >/dev/null
 }
 
@@ -91,13 +88,13 @@ run_anonymity() {
     cargo test -q -p congos-adversary --test predict_prop
     echo "==> anonymity: coalition-tap golden-digest determinism"
     cargo test -q --test differential coalition_tap_preserves_golden_trace_digest
-    echo "==> anonymity: exp_e13_anonymity quick sweep (gate: congos < direct"
+    echo "==> anonymity: exp e13 quick sweep (gate: congos < direct"
     echo "    at coalition 10% on expander:4; asserted inside the binary)"
     # Scratch output path so the CI gate cannot clobber the committed
     # quick-sweep crates/bench/BENCH_anonymity.json (regenerate that by
-    # running exp_e13_anonymity from the repo root; --full for the big rows).
+    # running `exp e13` from the repo root; --full for the big rows).
     out=target/BENCH_anonymity_smoke.json
-    cargo run --release -q -p congos-harness --bin exp_e13_anonymity -- \
+    cargo run --release -q -p congos-harness --bin exp -- e13 \
         --json "$out" >/dev/null
     for key in '"suite": "anonymity"' '"p_id%"' '"eps"' '"system"'; do
         grep -q "$key" "$out" || {
@@ -108,47 +105,28 @@ run_anonymity() {
     echo "    wrote $out (schema keys present, gate passed)"
 }
 
-if [ "$target" = "topo" ]; then
-    run_topo
-    echo "==> ci: OK (topo)"
+case "$target" in
+topo | mem | net | loadtest | anonymity)
+    "run_$target"
+    echo "==> ci: OK ($target)"
     exit 0
-fi
-
-if [ "$target" = "mem" ]; then
-    run_mem
-    echo "==> ci: OK (mem)"
-    exit 0
-fi
-
-if [ "$target" = "net" ]; then
-    run_net
-    echo "==> ci: OK (net)"
-    exit 0
-fi
-
-if [ "$target" = "loadtest" ]; then
-    run_loadtest
-    echo "==> ci: OK (loadtest)"
-    exit 0
-fi
-
-if [ "$target" = "anonymity" ]; then
-    run_anonymity
-    echo "==> ci: OK (anonymity)"
-    exit 0
-fi
+    ;;
+tier1 | bench | full) ;;
+*)
+    echo "unknown target $target (see the header of $0)" >&2
+    exit 2
+    ;;
+esac
 
 echo "==> tier1: cargo build --release"
 cargo build --release
 
-echo "==> tier1: cargo test -q (root package)"
+echo "==> tier1: cargo test -q (root package, incl. the differential suite)"
 cargo test -q
 
-echo "==> tier1: differential suite, sequential default backend"
-CONGOS_BACKEND=seq cargo test -q --test differential
-
-echo "==> tier1: differential suite, parallel default backend"
-CONGOS_BACKEND=par:8 cargo test -q --test differential
+echo "==> tier1: benchmark package builds and passes against this tree"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 run_topo
 run_mem

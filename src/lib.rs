@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `congos-sim` | synchronous-round CRRI-model engine, threaded runtime, metrics, tracing |
+//! | [`sim`] | `congos-sim` | synchronous-round CRRI-model engine (sequential and parallel backends), metrics, tracing |
 //! | [`adversary`] | `congos-adversary` | crash/restart strategies and rumor workloads |
 //! | [`gossip`] | `congos-gossip` | the continuous-gossip substrate (randomized + expander modes) |
 //! | [`congos`] | `congos` | **the paper's algorithm**: splitting, partitions, Proxy, GroupDistribution, auditor, extensions |

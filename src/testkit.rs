@@ -134,8 +134,12 @@ pub fn congos_fingerprint_tapped<F: FailurePlan>(
     let mut audit = ConfidentialityAuditor::new(N);
     let mut tracer = Tracer::new(1 << 20);
     let mut tap = CoalitionTap::new(N, members);
-    let mut engine =
-        Engine::<CongosNode>::new(EngineConfig::new(N).seed(seed).topology(topology));
+    let mut engine = Engine::<CongosNode>::new(
+        EngineConfig::new(N)
+            .seed(seed)
+            .topology(topology)
+            .backend(backend),
+    );
     {
         let mut obs = TapAuditAndTrace {
             base: AuditAndTrace {
@@ -144,7 +148,7 @@ pub fn congos_fingerprint_tapped<F: FailurePlan>(
             },
             tap: &mut tap,
         };
-        engine.run_observed_backend(backend, ROUNDS, &mut adv, &mut obs);
+        engine.run_observed(ROUNDS, &mut adv, &mut obs);
     }
     let per_tag = (0..ROUNDS)
         .map(|t| engine.metrics().round(t).iter().collect())

@@ -1,5 +1,5 @@
 //! Workspace-level integration: all five systems under one workload, the
-//! facade crate's re-exports, and the threaded runtime.
+//! facade crate's re-exports, and the parallel engine backend.
 
 use confidential_gossip::adversary::{
     CrriAdversary, NoFailures, OneShot, PoissonWorkload, RumorSpec,
@@ -53,12 +53,17 @@ fn facade_reexports_compose() {
 
 #[test]
 fn threaded_runtime_runs_the_same_protocol_logic() {
-    use confidential_gossip::sim::threaded::{run_threaded, ThreadedConfig};
-    // The plain epidemic node runs unchanged on OS threads with a
-    // bulk-synchronous barrier — protocol logic is runtime-agnostic.
-    let report = run_threaded::<PlainEpidemicNode>(ThreadedConfig::new(6).rounds(8).seed(3));
-    // No injections in the threaded harness ⇒ no outputs, and no traffic
-    // because nothing is active.
-    assert_eq!(report.rounds, 8);
-    assert_eq!(report.outputs.len(), 0);
+    use confidential_gossip::sim::{EngineBackend, NullAdversary};
+    // The plain epidemic node — a baseline, not CONGOS — runs unchanged on
+    // worker threads with a bulk-synchronous barrier: protocol logic is
+    // runtime-agnostic.
+    let cfg = EngineConfig::new(6)
+        .seed(3)
+        .backend(EngineBackend::Parallel { workers: 2 });
+    let mut engine = Engine::<PlainEpidemicNode>::new(cfg);
+    engine.run(8, &mut NullAdversary);
+    // No injections ⇒ no outputs, and no traffic because nothing is active.
+    assert_eq!(engine.round().as_u64(), 8);
+    assert_eq!(engine.outputs().len(), 0);
+    assert_eq!(engine.metrics().total(), 0);
 }
