@@ -204,16 +204,12 @@ impl ClassEngine {
             let partition = partitions.partition(lane.ell as usize);
             let group_len = partition.group(lane.my_group).len();
             if off_block == 0 {
-                lane.proxy.on_block_start(
-                    self.n,
-                    now,
-                    alive_rounds >= self.clock.block_len(),
-                    group_len,
-                );
+                lane.proxy
+                    .on_block_start(now, alive_rounds >= self.clock.block_len(), group_len);
             }
             if off_block == 1 {
                 lane.gd
-                    .on_block_start(self.n, now, alive_rounds >= 2 * dline / 3, group_len);
+                    .on_block_start(now, alive_rounds >= 2 * dline / 3, group_len);
             }
             match it_off {
                 Some(0) => {

@@ -91,13 +91,7 @@ impl GdService {
     /// the complexity shape changes; without it, under-covered blocks would
     /// push rumors to the deadline fallback far more often than the paper's
     /// asymptotic constants would.
-    pub(crate) fn on_block_start(
-        &mut self,
-        n: usize,
-        now: Round,
-        alive_ok: bool,
-        group_len: usize,
-    ) {
+    pub(crate) fn on_block_start(&mut self, now: Round, alive_ok: bool, group_len: usize) {
         let collected = std::mem::take(&mut self.waiting);
         let mut carried = std::mem::take(&mut self.partials);
         carried.retain(|rid, f| rid.birth + f.dline >= now);
@@ -113,10 +107,10 @@ impl GdService {
             self.waiting.extend(carried.into_values());
         }
         self.hit_set.clear();
-        self.hit_procs = IdSet::empty(n);
-        self.irrelevant = IdSet::empty(n);
+        self.hit_procs.clear();
+        self.irrelevant.clear();
         self.collaborators = group_len.max(1);
-        self.collab_next = IdSet::empty(n);
+        self.collab_next.clear();
     }
 
     /// Iteration round 2: sample unserved targets and send each the
@@ -139,7 +133,7 @@ impl GdService {
     ) -> GdSends {
         if !self.collab_next.is_empty() {
             self.collaborators = self.collab_next.len() + 1;
-            self.collab_next = IdSet::empty(n);
+            self.collab_next.clear();
         }
         if !self.active || self.partials.is_empty() {
             return Vec::new();
@@ -256,7 +250,7 @@ mod tests {
         let mut gd = GdService::new(n, 0);
         gd.inject(frag(0, 0, &[1, 3], n)); // dests odd (other group)
         gd.inject(frag(2, 0, &[5], n));
-        gd.on_block_start(n, Round(0), true, 4);
+        gd.on_block_start(Round(0), true, 4);
         let mut rng = SmallRng::seed_from_u64(1);
         // Run enough send rounds to hit everyone.
         let mut seen: Vec<(ProcessId, Vec<Fragment>)> = Vec::new();
@@ -283,7 +277,7 @@ mod tests {
         let part = bit_partition(n);
         let mut gd = GdService::new(n, 0);
         gd.inject(frag(0, 0, &[1, 3, 5, 7], n));
-        gd.on_block_start(n, Round(0), true, 4);
+        gd.on_block_start(Round(0), true, 4);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut targets: Vec<ProcessId> = Vec::new();
         for _ in 0..20 {
@@ -301,12 +295,12 @@ mod tests {
         let part = bit_partition(n);
         let mut gd = GdService::new(n, 0);
         gd.inject(frag(0, 0, &[1], n));
-        gd.on_block_start(n, Round(0), false, 2); // recently restarted
+        gd.on_block_start(Round(0), false, 2); // recently restarted
         let mut rng = SmallRng::seed_from_u64(3);
         assert!(gd.on_send_round(&mut rng, n, 64, &part, params()).is_empty());
         assert!(!gd.is_active());
         // Next block it is eligible and the fragment is still there.
-        gd.on_block_start(n, Round(0), true, 2);
+        gd.on_block_start(Round(0), true, 2);
         let mut sent = Vec::new();
         for _ in 0..8 {
             sent.extend(gd.on_send_round(&mut rng, n, 64, &part, params()));
@@ -319,7 +313,7 @@ mod tests {
         let n = 8;
         let mut gd = GdService::new(n, 0);
         gd.inject(frag(0, 0, &[1], n));
-        gd.on_block_start(n, Round(0), true, 4);
+        gd.on_block_start(Round(0), true, 4);
         gd.on_share(ProcessId::new(2), &[(ProcessId::new(1), rid(0))]);
         // p1 was already served by a group-mate: no send should target p1.
         let part = bit_partition(n);
@@ -338,7 +332,7 @@ mod tests {
     fn gossip_share_requires_content() {
         let n = 4;
         let mut gd = GdService::new(n, 0);
-        gd.on_block_start(n, Round(0), true, 2);
+        gd.on_block_start(Round(0), true, 2);
         assert!(gd.gossip_share().is_none(), "nothing to share or count");
         assert!(gd.end_of_block().is_none());
     }
@@ -349,7 +343,7 @@ mod tests {
         let part = bit_partition(n);
         let mut gd = GdService::new(n, 0);
         gd.inject(frag(0, 0, &[1], n));
-        gd.on_block_start(n, Round(0), true, 8);
+        gd.on_block_start(Round(0), true, 8);
         assert_eq!(gd.collaborators, 8, "initial estimate: whole group");
         gd.on_share(ProcessId::new(2), &[]);
         gd.on_share(ProcessId::new(4), &[]);

@@ -99,7 +99,6 @@ impl ProxyService {
     /// [`GdService::on_block_start`]: super::group_distribution::GdService::on_block_start
     pub(crate) fn on_block_start(
         &mut self,
-        n: usize,
         now: congos_sim::Round,
         alive_ok: bool,
         group_len: usize,
@@ -111,8 +110,8 @@ impl ProxyService {
         self.my_rumors.extend(carried);
         self.active = alive_ok && !self.my_rumors.is_empty();
         self.collaborators = group_len.max(1);
-        self.collab_next = IdSet::empty(n);
-        self.failed_proxies = IdSet::empty(n);
+        self.collab_next.clear();
+        self.failed_proxies.clear();
         self.outstanding.clear();
         self.buffer.clear();
         self.ack_due.clear();
@@ -134,7 +133,7 @@ impl ProxyService {
         }
         if !self.collab_next.is_empty() {
             self.collaborators = self.collab_next.len() + 1;
-            self.collab_next = IdSet::empty(n);
+            self.collab_next.clear();
         }
         if !self.active || self.all_groups_served(partition) {
             return Vec::new();
@@ -161,7 +160,7 @@ impl ProxyService {
             if candidates.is_empty() {
                 // Every known member failed; resample the whole group (they
                 // may have restarted).
-                self.failed_proxies = IdSet::empty(n);
+                self.failed_proxies.clear();
                 candidates = partition.group(g).iter().collect();
             }
             let k = fanout(params, n, dline, self.collaborators, partition.group(g).len() + 1)
@@ -274,13 +273,13 @@ mod tests {
     #[test]
     fn activation_requires_fragments_and_uptime() {
         let mut p = ProxyService::new(8, 0);
-        p.on_block_start(8, Round(0), true, 4);
+        p.on_block_start(Round(0), true, 4);
         assert!(!p.is_active(), "no fragments, no work");
         p.inject(frag(1));
-        p.on_block_start(8, Round(0), true, 4);
+        p.on_block_start(Round(0), true, 4);
         assert!(p.is_active());
         p.inject(frag(1));
-        p.on_block_start(8, Round(0), false, 4);
+        p.on_block_start(Round(0), false, 4);
         assert!(!p.is_active(), "recently restarted processes wait");
     }
 
@@ -290,7 +289,7 @@ mod tests {
         let part = bit_partition(8, 0); // evens group 0, odds group 1
         let mut p = ProxyService::new(8, 0);
         p.inject(frag(1));
-        p.on_block_start(8, Round(0), true, 4);
+        p.on_block_start(Round(0), true, 4);
         let reqs = p.on_iteration_start(&mut rng, 8, 64, &part, params());
         assert!(!reqs.is_empty());
         for (target, frags) in &reqs {
@@ -305,7 +304,7 @@ mod tests {
         let part = bit_partition(4, 0); // {0,2} vs {1,3}
         let mut p = ProxyService::new(4, 0);
         p.inject(frag(1));
-        p.on_block_start(4, Round(0), true, 2);
+        p.on_block_start(Round(0), true, 2);
         let reqs1 = p.on_iteration_start(&mut rng, 4, 64, &part, params());
         let asked1: Vec<ProcessId> = reqs1.iter().map(|(t, _)| *t).collect();
         assert!(!asked1.is_empty());
@@ -327,7 +326,7 @@ mod tests {
         let part = bit_partition(4, 0);
         let mut p = ProxyService::new(4, 0);
         p.inject(frag(1));
-        p.on_block_start(4, Round(0), true, 2);
+        p.on_block_start(Round(0), true, 2);
         let reqs = p.on_iteration_start(&mut rng, 4, 64, &part, params());
         let (target, _) = &reqs[0];
         p.on_ack(*target, &part);
@@ -339,7 +338,7 @@ mod tests {
     #[test]
     fn proxy_side_buffers_and_acks() {
         let mut p = ProxyService::new(8, 1);
-        p.on_block_start(8, Round(0), true, 4);
+        p.on_block_start(Round(0), true, 4);
         p.on_request(ProcessId::new(0), vec![frag(1), frag(1)]);
         p.on_request(ProcessId::new(2), vec![frag(1)]);
         p.on_request(ProcessId::new(0), vec![frag(1)]);
@@ -356,7 +355,7 @@ mod tests {
         let part = bit_partition(64, 0);
         let mut p = ProxyService::new(64, 0);
         p.inject(frag(1));
-        p.on_block_start(64, Round(0), true, 32);
+        p.on_block_start(Round(0), true, 32);
         // Hear 15 collaborators.
         for i in 0..15 {
             p.on_meta(ProcessId::new(i * 2), &[]);
@@ -371,7 +370,7 @@ mod tests {
         let part = bit_partition(4, 0);
         let mut p = ProxyService::new(4, 0);
         p.inject(frag(1));
-        p.on_block_start(4, Round(0), true, 2);
+        p.on_block_start(Round(0), true, 2);
         p.on_meta(ProcessId::new(2), &[ProcessId::new(1)]);
         let reqs = p.on_iteration_start(&mut rng, 4, 64, &part, params());
         for (t, _) in &reqs {

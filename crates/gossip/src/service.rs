@@ -4,7 +4,6 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use congos_sim::{IdSet, ProcessId, Round, Tag};
 
@@ -97,6 +96,10 @@ pub struct ContinuousGossip<T> {
     me: ProcessId,
     n: usize,
     cfg: GossipConfig,
+    /// `cfg.membership \ {me}`: the processes a push may be addressed to.
+    peers: IdSet,
+    /// `cfg.membership.len()`, the group size of the fanout formula.
+    group_size: usize,
     last_inject_round: Round,
     next_seq: u32,
     /// Rumors this process actively forwards.
@@ -129,10 +132,14 @@ impl<T: Clone> ContinuousGossip<T> {
             cfg.membership.contains(me),
             "{me} is not a member of this gossip instance"
         );
+        let mut peers = cfg.membership.clone();
+        peers.remove(me);
         ContinuousGossip {
             me,
             n,
+            group_size: cfg.membership.len(),
             cfg,
+            peers,
             last_inject_round: Round::ZERO,
             next_seq: 0,
             active: BTreeMap::new(),
@@ -282,19 +289,10 @@ impl<T: Clone> ContinuousGossip<T> {
                 self.n,
                 dmin,
                 self.collab_est,
-                self.cfg.membership.len(),
+                self.group_size,
             );
             let targets: Vec<ProcessId> = match self.cfg.strategy {
-                GossipStrategy::Random => {
-                    let members: Vec<ProcessId> = self
-                        .cfg
-                        .membership
-                        .iter()
-                        .filter(|p| *p != self.me)
-                        .collect();
-                    let k = k.min(members.len());
-                    members.choose_multiple(rng, k).copied().collect()
-                }
+                GossipStrategy::Random => self.peers.sample(k, rng),
                 GossipStrategy::Expander => {
                     expander_targets(&self.cfg.membership, self.me, now, k)
                 }
@@ -313,7 +311,7 @@ impl<T: Clone> ContinuousGossip<T> {
         // still shrinking quickly when collaborators actually crash.
         let heard = self.collab_this_round.len() + 1;
         self.collab_est = heard.max(self.collab_est.div_ceil(2));
-        self.collab_this_round = IdSet::empty(self.n);
+        self.collab_this_round.clear();
 
         debug_assert!(
             out.iter().all(|(dst, _)| self.cfg.membership.contains(*dst)),

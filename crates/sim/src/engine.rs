@@ -764,9 +764,12 @@ impl<P: Protocol + 'static> Engine<P> {
         // Last round's payloads die here; the columns keep their capacity.
         self.mem.begin_round(self.round);
         for (i, buf) in self.arena.iter_mut().enumerate() {
-            for (tag, size) in buf.sends.drain(..) {
-                self.metrics.record_send(tag, size);
+            // One metering call per run of equal tags, not per message.
+            for run in buf.sends.chunk_by(|a, b| a.0 == b.0) {
+                let bytes = run.iter().map(|(_, size)| size).sum();
+                self.metrics.record_sends(run[0].0, run.len() as u64, bytes);
             }
+            buf.sends.clear();
             self.mem.append_outbox(ProcessId::new(i), &mut buf.out);
             self.outputs.append(&mut buf.outputs);
         }
@@ -1518,6 +1521,35 @@ mod policy_tests {
         assert_eq!(receivers, vec![ProcessId::new(2)], "only p2's copy survives");
         // Both sends are still metered (complexity counts sends).
         assert_eq!(e.metrics().round(0).total(), 2);
+    }
+
+    /// Every process sends tags a, a, b, a; a message's size is its payload.
+    struct MixedTags;
+    impl Protocol for MixedTags {
+        type Msg = u64;
+        type Input = ();
+        type Output = ();
+        fn new(_id: ProcessId, _n: usize, _seed: u64) -> Self {
+            MixedTags
+        }
+        fn send(&mut self, ctx: &mut Context<'_, Self>) {
+            for (size, tag) in [(1, "a"), (2, "a"), (10, "b"), (4, "a")] {
+                ctx.send(ctx.id(), size, Tag(tag));
+            }
+        }
+        fn receive(&mut self, _: &mut Context<'_, Self>, _: Inbox<'_, u64>, _: Option<()>) {}
+        fn msg_size(msg: &u64) -> u64 {
+            *msg
+        }
+    }
+
+    #[test]
+    fn metering_by_tag_run_keeps_counts_and_bytes() {
+        let mut e = Engine::<MixedTags>::new(EngineConfig::new(3).seed(1));
+        e.step(&mut NullAdversary);
+        let counts = e.metrics().round(0);
+        assert_eq!((counts.of(Tag("a")), counts.bytes_of(Tag("a"))), (9, 21));
+        assert_eq!((counts.of(Tag("b")), counts.bytes_of(Tag("b"))), (3, 30));
     }
 
     struct SubsetRestart;

@@ -5,6 +5,7 @@
 //! test.
 
 use crate::process::ProcessId;
+use rand::Rng;
 use std::fmt;
 
 /// A set of process ids over a universe `0..n`.
@@ -34,11 +35,11 @@ impl IdSet {
 
     /// The full set `{0, …, n−1}`.
     pub fn full(n: usize) -> Self {
-        let mut s = Self::empty(n);
-        for i in 0..n {
-            s.insert(ProcessId::new(i));
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if n % 64 != 0 {
+            words[n / 64] = (1 << (n % 64)) - 1;
         }
-        s
+        IdSet { n, words }
     }
 
     /// Builds a set from an iterator of ids.
@@ -81,6 +82,11 @@ impl IdSet {
         present
     }
 
+    /// Removes every member; the universe and the allocation stay.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
     /// Membership test (ids outside the universe are never members).
     pub fn contains(&self, p: ProcessId) -> bool {
         let i = p.as_usize();
@@ -95,6 +101,75 @@ impl IdSet {
     /// `true` if the set has no members.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|w| *w == 0)
+    }
+
+    /// Number of members with an id below `p`: a member's position in
+    /// [`iter`](IdSet::iter) order.
+    pub fn rank(&self, p: ProcessId) -> usize {
+        let i = p.as_usize().min(self.n);
+        let below = self.words[..i / 64].iter().map(|w| w.count_ones() as usize);
+        let in_word = match i % 64 {
+            0 => 0,
+            b => (self.words[i / 64] & ((1 << b) - 1)).count_ones() as usize,
+        };
+        below.sum::<usize>() + in_word
+    }
+
+    /// The member at position `rank` in [`iter`](IdSet::iter) order, found
+    /// by popcount without listing the members; `None` if `rank >= len`.
+    pub fn select(&self, rank: usize) -> Option<ProcessId> {
+        let mut left = rank;
+        for (wi, w) in self.words.iter().enumerate() {
+            let ones = w.count_ones() as usize;
+            if left < ones {
+                let mut w = *w;
+                for _ in 0..left {
+                    w &= w - 1;
+                }
+                return Some(ProcessId::new(wi * 64 + w.trailing_zeros() as usize));
+            }
+            left -= ones;
+        }
+        None
+    }
+
+    /// Picks `min(k, len)` distinct members uniformly at random, in random
+    /// order.
+    ///
+    /// A partial Fisher–Yates over member ranks: exactly `min(k, len)`
+    /// draws, the `i`-th being `gen_range(i..len)`. A small `k` tracks only
+    /// the displaced ranks and resolves each pick with [`select`]
+    /// (`O(k·n/64 + k²)`, no member list); a `k` that is a large share of
+    /// the set lists the members once and swaps in place (`O(n/64 + len)`).
+    /// Both make the same draws and return the same picks.
+    ///
+    /// [`select`]: IdSet::select
+    pub fn sample<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
+        let len = self.len();
+        let k = k.min(len);
+        if k * k > len {
+            let mut members = self.to_vec();
+            for i in 0..k {
+                members.swap(i, rng.gen_range(i..len));
+            }
+            members.truncate(k);
+            return members;
+        }
+        // `moved` holds `(position, rank now there)` for the swapped
+        // positions only; the latest entry for a position wins.
+        let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let mut picks = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = rng.gen_range(i..len);
+            let at = |pos| {
+                let latest = moved.iter().rev().find(|(p, _)| *p == pos);
+                latest.map_or(pos, |(_, rank)| *rank)
+            };
+            let (rank_i, rank_j) = (at(i), at(j));
+            picks.push(self.select(rank_j).expect("rank below len"));
+            moved.push((j, rank_i));
+        }
+        picks
     }
 
     /// Iterates members in increasing id order.
@@ -244,6 +319,13 @@ mod tests {
         assert!(IdSet::empty(70).is_empty());
         assert!(IdSet::empty(0).is_empty());
         assert_eq!(IdSet::full(0).len(), 0);
+        // Whole-word fill leaves no bit set beyond the universe.
+        for n in [1, 63, 64, 65, 128, 130] {
+            assert_eq!(IdSet::full(n), IdSet::from_iter(n, (0..n).map(p)));
+        }
+        let mut c = IdSet::full(70);
+        c.clear();
+        assert_eq!(c, IdSet::empty(70));
     }
 
     #[test]

@@ -176,11 +176,12 @@ impl Metrics {
         self.rounds.push(RoundCounts::default());
     }
 
-    pub(crate) fn record_send(&mut self, tag: Tag, bytes: u64) {
+    /// Meters `count` sends under `tag` totalling `bytes` in this round.
+    pub(crate) fn record_sends(&mut self, tag: Tag, count: u64, bytes: u64) {
         self.rounds
             .last_mut()
-            .expect("begin_round before record_send")
-            .record(tag, 1, bytes);
+            .expect("begin_round before record_sends")
+            .record(tag, count, bytes);
     }
 
     pub(crate) fn record_delivery(&mut self) {
@@ -203,11 +204,10 @@ mod tests {
     fn sample() -> Metrics {
         let mut m = Metrics::new();
         m.begin_round();
-        m.record_send(Tag("a"), 10);
-        m.record_send(Tag("a"), 10);
-        m.record_send(Tag("b"), 5);
+        m.record_sends(Tag("a"), 2, 20);
+        m.record_sends(Tag("b"), 1, 5);
         m.begin_round();
-        m.record_send(Tag("b"), 5);
+        m.record_sends(Tag("b"), 1, 5);
         m.record_delivery();
         m
     }

@@ -7,6 +7,37 @@ use congos_sim::clock::{trim_deadline, BlockClock};
 use congos_sim::liveness::LivenessLog;
 use congos_sim::{IdSet, ProcessId, Round};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// An arbitrary set over an arbitrary universe `0..n`, `n` not tied to the
+/// word size (the empty universe and the empty set included).
+fn arb_idset() -> impl Strategy<Value = IdSet> {
+    (0usize..200, prop::collection::vec(any::<bool>(), 200)).prop_map(|(n, bits)| {
+        IdSet::from_iter(n, (0..n).filter(|i| bits[*i]).map(ProcessId::new))
+    })
+}
+
+/// First picks of `sample` are uniform over the members, in the sparse
+/// (`k = 1`) and the dense (`k = 3` of 5) regime alike.
+#[test]
+fn idset_sample_first_pick_is_uniform() {
+    let members = [3usize, 64, 65, 129, 130];
+    let set = IdSet::from_iter(131, members.map(ProcessId::new));
+    for k in [1, 3] {
+        let mut rng = SmallRng::seed_from_u64(0x5a3b1e);
+        let mut hits = [0u32; 5];
+        for _ in 0..20_000 {
+            let first = set.sample(k, &mut rng)[0];
+            hits[set.rank(first)] += 1;
+        }
+        // Expected 4000 each, σ ≈ 57: ±300 is beyond 5σ.
+        assert!(
+            hits.iter().all(|h| (3700..=4300).contains(h)),
+            "k = {k}: first-pick counts {hits:?}"
+        );
+    }
+}
 
 proptest! {
     /// IdSet agrees with a BTreeSet model under any operation sequence.
@@ -143,6 +174,45 @@ proptest! {
             ids.iter().collect::<BTreeSet<_>>().len(),
             "duplicates collapse"
         );
+    }
+
+    /// `rank` and `select` are inverse on members, and `select` ends at `len`.
+    #[test]
+    fn idset_rank_select_roundtrip(set in arb_idset()) {
+        for (r, p) in set.iter().enumerate() {
+            prop_assert_eq!(set.rank(p), r);
+            prop_assert_eq!(set.select(set.rank(p)), Some(p));
+        }
+        prop_assert_eq!(set.select(set.len()), None);
+        prop_assert_eq!(set.rank(ProcessId::new(set.universe())), set.len());
+    }
+
+    /// `sample` returns `min(k, len)` distinct members, and makes the draws
+    /// and the picks of a partial Fisher–Yates over `to_vec()` — for `k` on
+    /// both sides of the internal sparse/dense switch (`k² ≤ len`), `k = 0`
+    /// and `k > len`.
+    #[test]
+    fn idset_sample_matches_reference_fisher_yates(
+        set in arb_idset(),
+        k in prop_oneof![0usize..12, 0usize..220],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let picks = set.sample(k, &mut rng);
+
+        let mut reference = set.to_vec();
+        let want = k.min(reference.len());
+        for i in 0..want {
+            let j = reference_rng.gen_range(i..reference.len());
+            reference.swap(i, j);
+        }
+        reference.truncate(want);
+        prop_assert_eq!(&picks, &reference);
+        prop_assert_eq!(rng, reference_rng, "same number and range of draws");
+
+        prop_assert!(picks.iter().all(|p| set.contains(*p)));
+        prop_assert_eq!(picks.iter().collect::<BTreeSet<_>>().len(), want, "distinct");
     }
 
     /// Blocks tile the timeline: `block_start(block_of(t)) ≤ t` strictly

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the confidential-gossip workspace.
 #
-#   scripts/ci.sh            # tier1: build + root tests + the benchmark
+#   scripts/ci.sh            # tier1: build + root tests + the sim, gossip
+#                            #        and congos crate tests + the benchmark
 #                            #        package (its pinned API surface) +
 #                            #        every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
@@ -123,6 +124,9 @@ cargo build --release
 
 echo "==> tier1: cargo test -q (root package, incl. the differential suite)"
 cargo test -q
+
+echo "==> tier1: unit tests and proptests of the sim, gossip and congos crates"
+cargo test -q -p congos-sim -p congos-gossip -p congos
 
 echo "==> tier1: benchmark package builds and passes against this tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
