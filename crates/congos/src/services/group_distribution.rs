@@ -21,7 +21,6 @@
 use std::collections::{BTreeMap, HashSet};
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use congos_gossip::{fanout, FanoutParams};
 use congos_sim::{IdSet, ProcessId, Round};
@@ -138,19 +137,13 @@ impl GdService {
         if !self.active || self.partials.is_empty() {
             return Vec::new();
         }
-        let mut candidates: Vec<ProcessId> = (0..n)
-            .map(ProcessId::new)
-            .filter(|p| !self.hit_procs.contains(*p) && !self.irrelevant.contains(*p))
-            .collect();
-        if candidates.is_empty() {
-            return Vec::new();
-        }
+        let mut candidates = IdSet::full(n);
+        candidates.subtract(&self.hit_procs);
+        candidates.subtract(&self.irrelevant);
         let other_side = n - partition.group(self.my_group).len();
-        let k = fanout(params, n, dline, self.collaborators, other_side + 1)
-            .min(candidates.len());
-        candidates.shuffle(rng);
+        let k = fanout(params, n, dline, self.collaborators, other_side + 1);
         let mut sends = Vec::new();
-        for target in candidates.into_iter().take(k) {
+        for target in candidates.sample(k, rng) {
             let appropriate: Vec<Fragment> = self
                 .partials
                 .values()
@@ -207,7 +200,7 @@ impl GdService {
 mod tests {
     use super::*;
     use congos_sim::Round;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rid(src: usize) -> CongosRumorId {
         CongosRumorId {
@@ -287,6 +280,29 @@ mod tests {
             }
         }
         assert_eq!(targets.len(), 4);
+    }
+
+    #[test]
+    fn one_target_costs_one_draw() {
+        // At the clamp floor (fanout 1) a send round advances the generator
+        // by one `gen_range` over the candidates, never by a shuffle of all
+        // `n` processes.
+        let n = 1024;
+        let part = bit_partition(n);
+        let mut gd = GdService::new(n, 0);
+        gd.inject(frag(0, 0, &[1], n));
+        gd.on_block_start(Round(0), true, n / 2);
+        gd.on_share(ProcessId::new(2), &[(ProcessId::new(7), rid(0))]);
+        let floor = FanoutParams {
+            alpha: 1e-9,
+            gamma: 0.0,
+            root: 2,
+        };
+        let mut rng = SmallRng::seed_from_u64(6);
+        let mut one_draw = rng.clone();
+        one_draw.gen_range(0..n - 1); // p7 is hit: 1023 candidates
+        assert!(gd.on_send_round(&mut rng, n, 64, &part, floor).len() <= 1);
+        assert_eq!(rng, one_draw);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 use std::collections::BTreeSet;
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use congos_gossip::{fanout, FanoutParams};
 use congos_sim::{IdSet, ProcessId};
@@ -152,21 +151,16 @@ impl ProxyService {
             if frags.is_empty() {
                 continue;
             }
-            let mut candidates: Vec<ProcessId> = partition
-                .group(g)
-                .iter()
-                .filter(|p| !self.failed_proxies.contains(*p))
-                .collect();
+            let mut candidates = partition.group(g).clone();
+            candidates.subtract(&self.failed_proxies);
             if candidates.is_empty() {
                 // Every known member failed; resample the whole group (they
                 // may have restarted).
                 self.failed_proxies.clear();
-                candidates = partition.group(g).iter().collect();
+                candidates = partition.group(g).clone();
             }
-            let k = fanout(params, n, dline, self.collaborators, partition.group(g).len() + 1)
-                .min(candidates.len());
-            candidates.shuffle(rng);
-            for target in candidates.into_iter().take(k) {
+            let k = fanout(params, n, dline, self.collaborators, partition.group(g).len() + 1);
+            for target in candidates.sample(k, rng) {
                 self.outstanding.push(target);
                 requests.push((target, frags.clone()));
             }

@@ -41,7 +41,7 @@ pub fn fnv1a(s: &str) -> u64 {
 /// `Complete` topology must reproduce it bit-for-bit: a moved value means
 /// semantic drift in the engine, the protocol, or the topology layer's
 /// supposedly invisible default path.
-pub const GOLDEN_TRACE_DIGEST: u64 = 0x2507_331c_6f82_40be;
+pub const GOLDEN_TRACE_DIGEST: u64 = 0x8216_e22b_d38c_0d66;
 
 /// Everything observable about one run, for exact comparison.
 #[derive(PartialEq, Debug)]
