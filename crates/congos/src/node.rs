@@ -32,6 +32,11 @@ pub struct NodeStats {
     pub decoys_injected: u64,
     /// Decoy payloads this process reassembled and discarded.
     pub decoys_discarded: u64,
+    /// Received messages dropped as ones no correct process sends (an
+    /// impossible deadline class or partition index, a fragment outside its
+    /// group). Always 0 in the simulator; over sockets it counts corrupt or
+    /// hostile frames that still decoded.
+    pub rejected: u64,
 }
 
 struct PartsEntry {
@@ -67,6 +72,7 @@ pub struct CongosNode {
     direct: u64,
     decoys_injected: u64,
     decoys_discarded: u64,
+    rejected: u64,
     seq_in_round: (Round, u32),
 }
 
@@ -111,6 +117,7 @@ impl CongosNode {
             direct: 0,
             decoys_injected: 0,
             decoys_discarded: 0,
+            rejected: 0,
             seq_in_round: (Round::ZERO, 0),
         }
     }
@@ -137,6 +144,7 @@ impl CongosNode {
             ClassStats {
                 confirmed: a.confirmed + s.confirmed,
                 fallbacks: a.fallbacks + s.fallbacks,
+                rejected: a.rejected + s.rejected,
             }
         });
         NodeStats {
@@ -147,6 +155,7 @@ impl CongosNode {
             gossip_fallbacks: self.classes.values().map(|c| c.gossip_fallbacks()).sum(),
             decoys_injected: self.decoys_injected,
             decoys_discarded: self.decoys_discarded,
+            rejected: self.rejected + class.rejected,
         }
     }
 
@@ -218,11 +227,9 @@ impl CongosNode {
         n: usize,
         dline: u64,
     ) -> &'a mut ClassEngine {
-        classes.entry(dline).or_insert_with(|| {
-            let mut c = ClassEngine::new(me, n, dline, partitions);
-            c.configure_gossip(cfg);
-            c
-        })
+        classes
+            .entry(dline)
+            .or_insert_with(|| ClassEngine::new(me, n, dline, partitions, cfg))
     }
 
     /// `true` if an incoming message's deadline class is one this
@@ -433,18 +440,9 @@ impl Protocol for CongosNode {
                 self.inject_decoy(ctx, cover.data_len, cover.deadline);
             }
         }
-        // Collect sends per class, then emit (ctx.rng() and ctx.send() both
-        // borrow ctx mutably, so the two stages are sequenced).
-        let mut all_sends = Vec::new();
-        {
-            let cfg = &self.cfg;
-            let partitions = &self.partitions;
-            for class in self.classes.values_mut() {
-                all_sends.extend(class.on_send(now, ctx.rng(), cfg, partitions, alive_rounds));
-            }
-        }
-        for (dst, msg, tag) in all_sends {
-            ctx.send(dst, msg, tag);
+        let (rng, out) = ctx.rng_and_out();
+        for class in self.classes.values_mut() {
+            class.on_send(now, rng, &self.cfg, &self.partitions, alive_rounds, out);
         }
         if now.as_u64() % 512 == 511 {
             self.prune(now);
@@ -490,7 +488,7 @@ impl Protocol for CongosNode {
                         CongosMsg::Shoot { .. } => unreachable!(),
                     };
                     if !self.valid_class(dline) {
-                        debug_assert!(false, "message with invalid deadline class {dline}");
+                        self.rejected += 1;
                         continue;
                     }
                     let class = Self::class_engine(
@@ -515,5 +513,66 @@ impl Protocol for CongosNode {
         for f in to_save.into_iter().chain(spread) {
             self.save_fragment(ctx, f);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use congos_sim::message::SendColumns;
+    use congos_sim::{Envelope, NodeDriver, RoundTransport};
+    use std::io;
+
+    /// A transport whose peers send whatever the test says.
+    struct Hostile(Vec<Envelope<CongosMsg>>);
+
+    impl RoundTransport<CongosMsg> for Hostile {
+        fn send_outbox(
+            &mut self,
+            _: Round,
+            _: ProcessId,
+            out: &mut SendColumns<CongosMsg>,
+        ) -> io::Result<()> {
+            out.drain().for_each(drop);
+            Ok(())
+        }
+        fn end_of_round(&mut self, _: Round, _: ProcessId) -> io::Result<()> {
+            Ok(())
+        }
+        fn recv_until_barrier(
+            &mut self,
+            _: Round,
+            _: ProcessId,
+            inbox: &mut Vec<Envelope<CongosMsg>>,
+        ) -> io::Result<()> {
+            inbox.clear();
+            inbox.append(&mut self.0);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn impossible_deadline_class_is_rejected_and_counted() {
+        let me = ProcessId::new(0);
+        // Not a power of two; below the pipeline threshold; above the cap.
+        let frames = [3, 1, 1 << 40]
+            .into_iter()
+            .map(|dline| Envelope {
+                src: ProcessId::new(1),
+                dst: me,
+                round: Round(0),
+                tag: crate::messages::TAG_PROXY,
+                payload: CongosMsg::ProxyAck { dline, ell: 0 },
+            })
+            .collect();
+        let mut peers = Hostile(frames);
+        let mut node = NodeDriver::<CongosNode>::new(me, 8, 0);
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        assert_eq!(node.protocol().stats().rejected, 3);
+        assert!(
+            node.protocol().classes.is_empty(),
+            "no class engine was built"
+        );
     }
 }

@@ -17,7 +17,8 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 
 use congos_gossip::{ContinuousGossip, GossipConfig};
-use congos_sim::{BlockClock, IdSet, ProcessId, Round, Tag};
+use congos_sim::message::SendColumns;
+use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
 use crate::config::CongosConfig;
 use crate::messages::{
@@ -30,9 +31,6 @@ use crate::services::group_distribution::GdService;
 use crate::services::hit_history::HitHistory;
 use crate::services::proxy::ProxyService;
 use crate::split;
-
-/// Outgoing messages produced by a class engine in one send phase.
-pub(crate) type Sends = Vec<(ProcessId, CongosMsg, Tag)>;
 
 struct Lane {
     ell: u16,
@@ -54,6 +52,8 @@ pub struct ClassStats {
     pub confirmed: u64,
     /// Rumors that hit the deadline fallback ("shoot").
     pub fallbacks: u64,
+    /// Received messages dropped as ones no correct process sends.
+    pub rejected: u64,
 }
 
 pub(crate) struct ClassEngine {
@@ -71,8 +71,20 @@ pub(crate) struct ClassEngine {
 }
 
 impl ClassEngine {
-    pub(crate) fn new(me: ProcessId, n: usize, dline: u64, partitions: &PartitionSet) -> Self {
+    pub(crate) fn new(
+        me: ProcessId,
+        n: usize,
+        dline: u64,
+        partitions: &PartitionSet,
+        cfg: &CongosConfig,
+    ) -> Self {
         let clock = BlockClock::new(dline);
+        let gossip = |endpoint: GossipConfig| {
+            let endpoint = endpoint
+                .fanout(cfg.gossip_fanout)
+                .strategy(cfg.gossip_strategy);
+            ContinuousGossip::new(me, n, endpoint)
+        };
         let lanes = partitions
             .iter()
             .map(|(ell, p)| {
@@ -81,11 +93,7 @@ impl ClassEngine {
                 Lane {
                     ell: ell as u16,
                     my_group,
-                    gossip: ContinuousGossip::new(
-                        me,
-                        n,
-                        GossipConfig::group(membership, TAG_GROUP_GOSSIP),
-                    ),
+                    gossip: gossip(GossipConfig::group(membership, TAG_GROUP_GOSSIP)),
                     proxy: ProxyService::new(n, my_group),
                     gd: GdService::new(n, my_group),
                 }
@@ -98,7 +106,7 @@ impl ClassEngine {
             clock,
             sqrt_d: dline.isqrt(),
             lanes,
-            all_gossip: ContinuousGossip::new(me, n, GossipConfig::all(n, TAG_ALL_GOSSIP)),
+            all_gossip: gossip(GossipConfig::all(n, TAG_ALL_GOSSIP)),
             cache: BTreeMap::new(),
             hit_matrix: HitHistory::new(dline),
             stats: ClassStats::default(),
@@ -107,29 +115,6 @@ impl ClassEngine {
 
     pub(crate) fn stats(&self) -> ClassStats {
         self.stats
-    }
-
-    /// Applies gossip fanout configuration to the engine's endpoints.
-    pub(crate) fn configure_gossip(&mut self, cfg: &CongosConfig) {
-        // Endpoints are created with defaults; rebuild with configured
-        // fanout. (Called once right after `new`.)
-        for lane in &mut self.lanes {
-            let membership = lane.gossip.membership().clone();
-            lane.gossip = ContinuousGossip::new(
-                self.me,
-                self.n,
-                GossipConfig::group(membership, TAG_GROUP_GOSSIP)
-                    .fanout(cfg.gossip_fanout)
-                    .strategy(cfg.gossip_strategy),
-            );
-        }
-        self.all_gossip = ContinuousGossip::new(
-            self.me,
-            self.n,
-            GossipConfig::all(self.n, TAG_ALL_GOSSIP)
-                .fanout(cfg.gossip_fanout)
-                .strategy(cfg.gossip_strategy),
-        );
     }
 
     /// Injects a rumor into this class's pipeline (Figure 8's
@@ -186,6 +171,7 @@ impl ClassEngine {
 
     /// Send phase for this class: block/iteration bookkeeping, service
     /// sends, gossip drains, confirmation checks and the deadline fallback.
+    /// Messages are queued on `out`, the process's send buffer.
     pub(crate) fn on_send(
         &mut self,
         now: Round,
@@ -193,8 +179,8 @@ impl ClassEngine {
         cfg: &CongosConfig,
         partitions: &PartitionSet,
         alive_rounds: u64,
-    ) -> Sends {
-        let mut out: Sends = Vec::new();
+        out: &mut SendColumns<CongosMsg>,
+    ) {
         let dline = self.dline;
         let off_block = self.clock.offset_in_block(now);
         let it_off = self.clock.offset_in_iteration(now);
@@ -220,15 +206,15 @@ impl ClassEngine {
                         partition,
                         cfg.service_fanout,
                     ) {
-                        out.push((
+                        out.push(
                             dst,
+                            TAG_PROXY,
                             CongosMsg::ProxyRequest {
                                 dline,
                                 ell: lane.ell,
                                 fragments,
                             },
-                            TAG_PROXY,
-                        ));
+                        );
                     }
                 }
                 Some(1) => {
@@ -236,15 +222,15 @@ impl ClassEngine {
                         lane.gd
                             .on_send_round(rng, self.n, dline, partition, cfg.service_fanout)
                     {
-                        out.push((
+                        out.push(
                             dst,
+                            TAG_GD,
                             CongosMsg::Partials {
                                 dline,
                                 ell: lane.ell,
                                 fragments,
                             },
-                            TAG_GD,
-                        ));
+                        );
                     }
                     let (buffer, failed) = lane.proxy.gossip_payloads();
                     let group_set = partition.group(lane.my_group).clone();
@@ -287,14 +273,14 @@ impl ClassEngine {
                 }
                 Some(o) if o == last_iter_round => {
                     for dst in lane.proxy.acks_due() {
-                        out.push((
+                        out.push(
                             dst,
+                            TAG_PROXY,
                             CongosMsg::ProxyAck {
                                 dline,
                                 ell: lane.ell,
                             },
-                            TAG_PROXY,
-                        ));
+                        );
                     }
                 }
                 _ => {}
@@ -331,8 +317,9 @@ impl ClassEngine {
                 }
             }
             for (dst, wire) in lane.gossip.step(now, rng) {
-                out.push((
+                out.push(
                     dst,
+                    TAG_GROUP_GOSSIP,
                     CongosMsg::Gossip {
                         lane: GossipLane::Group {
                             dline,
@@ -340,32 +327,34 @@ impl ClassEngine {
                         },
                         wire: Box::new(wire),
                     },
-                    TAG_GROUP_GOSSIP,
-                ));
+                );
             }
         }
 
         for (dst, wire) in self.all_gossip.step(now, rng) {
-            out.push((
+            out.push(
                 dst,
+                TAG_ALL_GOSSIP,
                 CongosMsg::Gossip {
                     lane: GossipLane::All { dline },
                     wire: Box::new(wire),
                 },
-                TAG_ALL_GOSSIP,
-            ));
+            );
         }
 
         self.check_confirmations(partitions);
-        out.extend(self.fire_fallbacks(now));
+        self.fire_fallbacks(now, out);
         if self.clock.is_block_end(now) {
             self.prune(now);
         }
-        out
     }
 
     /// Routes an incoming protocol message into the right sub-service.
-    /// `Partials` fragments are returned to the node for reassembly.
+    /// `Partials` fragments are returned to the node for reassembly. A
+    /// message no correct process sends — a partition index this
+    /// configuration does not have, or a proxy request carrying a fragment
+    /// of a foreign group — is dropped and counted in
+    /// [`ClassStats::rejected`], in every build profile.
     pub(crate) fn on_receive(
         &mut self,
         now: Round,
@@ -375,28 +364,27 @@ impl ClassEngine {
     ) -> Vec<Fragment> {
         match msg {
             CongosMsg::Gossip { lane, wire } => match lane {
-                GossipLane::Group { ell, .. } => {
-                    if let Some(l) = self.lanes.get_mut(ell as usize) {
-                        l.gossip.on_receive(now, src, *wire);
-                    }
-                }
+                GossipLane::Group { ell, .. } => match self.lanes.get_mut(ell as usize) {
+                    Some(l) => l.gossip.on_receive(now, src, *wire),
+                    None => self.stats.rejected += 1,
+                },
                 GossipLane::All { .. } => self.all_gossip.on_receive(now, src, *wire),
             },
-            CongosMsg::ProxyRequest {
-                ell, fragments, ..
-            } => {
-                if let Some(l) = self.lanes.get_mut(ell as usize) {
-                    // [PROXY:CONFIDENTIAL] sanity: only fragments of our own
-                    // group may be proxied to us.
-                    debug_assert!(fragments.iter().all(|f| f.group == l.my_group));
-                    l.proxy.on_request(src, fragments);
+            CongosMsg::ProxyRequest { ell, fragments, .. } => {
+                match self.lanes.get_mut(ell as usize) {
+                    // [PROXY:CONFIDENTIAL]: only fragments of our own group
+                    // may be proxied to us — an accepted foreign one would be
+                    // re-gossiped inside a group that must never hold it.
+                    Some(l) if fragments.iter().all(|f| f.group == l.my_group) => {
+                        l.proxy.on_request(src, fragments);
+                    }
+                    _ => self.stats.rejected += 1,
                 }
             }
-            CongosMsg::ProxyAck { ell, .. } => {
-                if let Some(l) = self.lanes.get_mut(ell as usize) {
-                    l.proxy.on_ack(src, partitions.partition(ell as usize));
-                }
-            }
+            CongosMsg::ProxyAck { ell, .. } => match self.lanes.get_mut(ell as usize) {
+                Some(l) => l.proxy.on_ack(src, partitions.partition(ell as usize)),
+                None => self.stats.rejected += 1,
+            },
             CongosMsg::Partials { fragments, .. } => return fragments,
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
         }
@@ -414,8 +402,12 @@ impl ClassEngine {
                 match rumor.payload.as_ref() {
                     GossipPayload::Fragments(frags) => {
                         for f in frags {
-                            debug_assert_eq!(f.partition, lane.ell);
-                            debug_assert_eq!(f.group, lane.my_group);
+                            // A lane carries its own group's fragments of
+                            // its own partition and no others.
+                            if f.partition != lane.ell || f.group != lane.my_group {
+                                self.stats.rejected += 1;
+                                continue;
+                            }
                             lane.gd.inject(f.clone());
                             to_save.push(f.clone());
                         }
@@ -426,9 +418,8 @@ impl ClassEngine {
                     GossipPayload::GdShare { hits } => {
                         lane.gd.on_share(origin, hits);
                     }
-                    GossipPayload::Distribution { .. } => {
-                        debug_assert!(false, "Distribution rides AllGossip only");
-                    }
+                    // Distribution rides AllGossip only.
+                    GossipPayload::Distribution { .. } => self.stats.rejected += 1,
                 }
             }
         }
@@ -478,8 +469,7 @@ impl ClassEngine {
     /// The last two bullets of Figure 2: if a rumor's (trimmed) deadline is
     /// expiring and no confirmation arrived, send it whole, directly, to
     /// every destination.
-    fn fire_fallbacks(&mut self, now: Round) -> Sends {
-        let mut out: Sends = Vec::new();
+    fn fire_fallbacks(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
         let expired: Vec<CongosRumorId> = self
             .cache
             .iter()
@@ -491,15 +481,15 @@ impl ClassEngine {
             self.stats.fallbacks += 1;
             for q in c.rumor.dest.iter() {
                 if q != self.me {
-                    out.push((
+                    out.push(
                         q,
+                        TAG_SHOOT,
                         CongosMsg::Shoot {
                             rumor: c.rumor.clone(),
                             rid,
                             direct: false,
                         },
-                        TAG_SHOOT,
-                    ));
+                    );
                 }
             }
         }
@@ -507,7 +497,6 @@ impl ClassEngine {
         // crashed across the boundary — then it lost this state anyway) is
         // dropped defensively.
         self.cache.retain(|_, c| c.expire > now);
-        out
     }
 
     /// Drops confirmation entries for long-expired rumors: whole birth-epoch
@@ -534,7 +523,7 @@ impl ClassEngine {
 mod tests {
     use super::*;
     use crate::config::CongosConfig;
-    use congos_sim::IdSet;
+    use congos_sim::{IdSet, Tag};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -543,9 +532,22 @@ mod tests {
     fn setup(me: usize, n: usize) -> (ClassEngine, PartitionSet, CongosConfig, SmallRng) {
         let partitions = PartitionSet::bits(n);
         let cfg = CongosConfig::base();
-        let mut engine = ClassEngine::new(ProcessId::new(me), n, DLINE, &partitions);
-        engine.configure_gossip(&cfg);
+        let engine = ClassEngine::new(ProcessId::new(me), n, DLINE, &partitions, &cfg);
         (engine, partitions, cfg, SmallRng::seed_from_u64(7))
+    }
+
+    /// One send phase, returning what it queued as `(dst, tag, msg)`.
+    fn sends_at(
+        engine: &mut ClassEngine,
+        t: u64,
+        rng: &mut SmallRng,
+        cfg: &CongosConfig,
+        partitions: &PartitionSet,
+    ) -> Vec<(ProcessId, Tag, CongosMsg)> {
+        let mut out = SendColumns::default();
+        engine.on_send(Round(t), rng, cfg, partitions, u64::MAX, &mut out);
+        let sends = out.drain().collect();
+        sends
     }
 
     fn rumor(n: usize, dest: &[usize]) -> (CongosRumorId, Rumor) {
@@ -571,26 +573,26 @@ mod tests {
         let (rid, r) = rumor(n, &[3]);
         // Mirror the engine's phase order: round 0's send phase runs first,
         // the injection lands in the compute phase after it.
-        let _ = engine.on_send(Round(0), &mut rng, &cfg, &partitions, u64::MAX);
+        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         engine.inject(Round(0), &mut rng, rid, r, &partitions);
 
         // Rest of block 0: fragments spread via gossip; the Proxy service
         // has only collected them into `waiting`.
         for t in 1..16u64 {
-            let sends = engine.on_send(Round(t), &mut rng, &cfg, &partitions, u64::MAX);
+            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
             assert!(
                 !sends
                     .iter()
-                    .any(|(_, m, _)| matches!(m, CongosMsg::ProxyRequest { .. })),
+                    .any(|(_, _, m)| matches!(m, CongosMsg::ProxyRequest { .. })),
                 "premature proxy request at round {t}"
             );
         }
         // Round 16 is block 1's first round: proxy requests go out, and each
         // targets the fragment's own group ([PROXY:CONFIDENTIAL]).
-        let sends = engine.on_send(Round(16), &mut rng, &cfg, &partitions, u64::MAX);
+        let sends = sends_at(&mut engine, 16, &mut rng, &cfg, &partitions);
         let requests: Vec<_> = sends
             .iter()
-            .filter_map(|(dst, m, _)| match m {
+            .filter_map(|(dst, _, m)| match m {
                 CongosMsg::ProxyRequest { ell, fragments, .. } => Some((dst, ell, fragments)),
                 _ => None,
             })
@@ -616,19 +618,19 @@ mod tests {
         // this engine), confirmation can never happen; the fallback must
         // fire exactly at round 64 and clear the cache.
         for t in 0..DLINE {
-            let sends = engine.on_send(Round(t), &mut rng, &cfg, &partitions, u64::MAX);
+            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
             assert!(
-                !sends.iter().any(|(_, m, _)| matches!(m, CongosMsg::Shoot { .. })),
+                !sends.iter().any(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. })),
                 "premature shoot at round {t}"
             );
         }
-        let sends = engine.on_send(Round(DLINE), &mut rng, &cfg, &partitions, u64::MAX);
+        let sends = sends_at(&mut engine, DLINE, &mut rng, &cfg, &partitions);
         let shoots: Vec<_> = sends
             .iter()
-            .filter(|(_, m, _)| matches!(m, CongosMsg::Shoot { .. }))
+            .filter(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. }))
             .collect();
         assert_eq!(shoots.len(), 2, "one shoot per destination");
-        for (dst, m, tag) in &sends {
+        for (dst, tag, m) in &sends {
             if let CongosMsg::Shoot { rumor, direct, .. } = m {
                 assert!(rumor.dest.contains(*dst), "shoot only to destinations");
                 assert!(!direct);
@@ -655,10 +657,10 @@ mod tests {
         // fallback would fire.
         let mut shoots = 0;
         for t in 0..=DLINE {
-            let sends = engine.on_send(Round(t), &mut rng, &cfg, &partitions, u64::MAX);
+            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
             shoots += sends
                 .iter()
-                .filter(|(_, m, _)| matches!(m, CongosMsg::Shoot { .. }))
+                .filter(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. }))
                 .count();
         }
         assert_eq!(shoots, 0);
@@ -685,11 +687,11 @@ mod tests {
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
         engine.inject(Round(0), &mut rng, rid, r, &partitions);
-        let sends = engine.on_send(Round(0), &mut rng, &cfg, &partitions, u64::MAX);
+        let sends = sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         // Group gossip pushes carry the own-group fragments immediately, and
         // the filter confines them to the sender's groups.
         let mut pushes = 0;
-        for (dst, m, _) in &sends {
+        for (dst, _, m) in &sends {
             if let CongosMsg::Gossip {
                 lane: GossipLane::Group { ell, .. },
                 ..
@@ -705,5 +707,138 @@ mod tests {
             }
         }
         assert!(pushes > 0, "fragments must start spreading at once");
+    }
+
+    fn fragment(n: usize, partition: u16, group: u8) -> Fragment {
+        Fragment {
+            rid: rumor(n, &[0]).0,
+            wid: 1,
+            partition,
+            group,
+            k: 2,
+            bytes: vec![0x55; 8].into(),
+            dest: IdSet::from_iter(n, [ProcessId::new(0)]).into(),
+            dline: DLINE,
+        }
+    }
+
+    /// Whether any group-gossip push in the rest of block 0 carries fragments.
+    fn regossips_fragments(
+        engine: &mut ClassEngine,
+        rng: &mut SmallRng,
+        cfg: &CongosConfig,
+        partitions: &PartitionSet,
+    ) -> bool {
+        (1..16).any(|t| {
+            sends_at(engine, t, rng, cfg, partitions)
+                .iter()
+                .any(|(_, _, m)| {
+                    matches!(m, CongosMsg::Gossip { wire, .. } if matches!(
+                        wire.as_ref(),
+                        congos_gossip::GossipWire::Push(rumors) if rumors
+                            .iter()
+                            .any(|r| matches!(*r.payload, GossipPayload::Fragments(_)))
+                    ))
+                })
+        })
+    }
+
+    #[test]
+    fn unknown_partition_index_is_rejected_and_counted() {
+        let n = 8;
+        let (mut engine, partitions, ..) = setup(0, n);
+        let ell = partitions.len() as u16;
+        let from = ProcessId::new(2);
+        for msg in [
+            CongosMsg::ProxyAck { dline: DLINE, ell },
+            CongosMsg::ProxyRequest {
+                dline: DLINE,
+                ell,
+                fragments: vec![fragment(n, 0, 0)],
+            },
+            CongosMsg::Gossip {
+                lane: GossipLane::Group { dline: DLINE, ell },
+                wire: Box::new(congos_gossip::GossipWire::Ack(vec![])),
+            },
+        ] {
+            assert!(engine
+                .on_receive(Round(0), from, msg, &partitions)
+                .is_empty());
+        }
+        assert_eq!(engine.stats().rejected, 3);
+    }
+
+    #[test]
+    fn proxy_request_with_a_foreign_fragment_is_rejected_not_regossiped() {
+        // [PROXY:CONFIDENTIAL] on the receiving side. p0 is in group 0 of
+        // partition 0; a request is taken only if all of it is group 0's.
+        let n = 8;
+        let request = |fragments| CongosMsg::ProxyRequest {
+            dline: DLINE,
+            ell: 0,
+            fragments,
+        };
+        let from = ProcessId::new(1);
+
+        // Requests arrive in the compute phase of an iteration's first round.
+        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+        let own = vec![fragment(n, 0, 0)];
+        engine.on_receive(Round(0), from, request(own), &partitions);
+        assert_eq!(engine.stats().rejected, 0);
+        let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
+        assert!(spread, "a request for the own group is taken up");
+
+        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+        let mixed = vec![fragment(n, 0, 0), fragment(n, 0, 1)];
+        engine.on_receive(Round(0), from, request(mixed), &partitions);
+        assert_eq!(engine.stats().rejected, 1);
+        let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
+        assert!(!spread, "nothing of a rejected request is re-gossiped");
+    }
+
+    #[test]
+    fn payloads_on_the_wrong_gossip_lane_are_rejected() {
+        let n = 8;
+        let (mut engine, partitions, ..) = setup(0, n);
+        // p2 shares p0's group in partition 0, so the lane's filter admits it.
+        let from = ProcessId::new(2);
+        let push = |seq, payload| CongosMsg::Gossip {
+            lane: GossipLane::Group {
+                dline: DLINE,
+                ell: 0,
+            },
+            wire: Box::new(congos_gossip::GossipWire::Push(Arc::new(vec![
+                congos_gossip::GossipRumor {
+                    id: congos_gossip::RumorId {
+                        origin: from,
+                        birth: Round(0),
+                        seq,
+                    },
+                    payload: Arc::new(payload),
+                    duration: 8,
+                    deadline: Round(8),
+                    dest: Arc::new(IdSet::from_iter(n, [ProcessId::new(0)])),
+                    best_effort: true,
+                },
+            ]))),
+        };
+        // Distribution rides AllGossip only; a group lane carries only its
+        // own group's fragments of its own partition.
+        let distribution = GossipPayload::Distribution {
+            partition: 0,
+            group: 0,
+            hits: vec![],
+        };
+        let fragments = GossipPayload::Fragments(vec![
+            fragment(n, 0, 1),
+            fragment(n, 1, 0),
+            fragment(n, 0, 0),
+        ]);
+        engine.on_receive(Round(0), from, push(0, distribution), &partitions);
+        engine.on_receive(Round(0), from, push(1, fragments), &partitions);
+        assert_eq!(engine.post_receive(), vec![fragment(n, 0, 0)]);
+        assert_eq!(engine.stats().rejected, 3);
     }
 }

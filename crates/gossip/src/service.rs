@@ -153,11 +153,6 @@ impl<T: Clone> ContinuousGossip<T> {
         }
     }
 
-    /// The instance's membership (its filter).
-    pub fn membership(&self) -> &IdSet {
-        &self.cfg.membership
-    }
-
     /// Number of deadline-fallback direct sends performed so far.
     pub fn fallbacks(&self) -> u64 {
         self.fallbacks

@@ -378,6 +378,13 @@ where
         0,
         "the failure/injection plans issued decisions the engine rejected"
     );
+    let rejected: u64 = ProcessId::all(spec.n)
+        .map(|p| engine.protocol(p).rejected())
+        .sum();
+    assert_eq!(
+        rejected, 0,
+        "a process rejected a message another process sent"
+    );
 
     let injections = adv.workload().entries().to_vec();
     let (deliveries, qod, latencies) = engine_qod(&engine, &injections);

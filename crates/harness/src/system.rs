@@ -21,6 +21,13 @@ where
     /// Workload id of a delivered output.
     fn wid_of(out: &Self::Output) -> u64;
 
+    /// Received messages this process dropped as ones no correct process
+    /// sends (0 for protocols that validate nothing). In the simulator
+    /// every sender is correct, so the harness asserts a total of 0.
+    fn rejected(&self) -> u64 {
+        0
+    }
+
     /// Runs this protocol over the localhost TCP cluster runtime with a
     /// pre-materialized injection schedule (see [`crate::netrun`]), if the
     /// protocol has a networked deployment. `None` means it doesn't —
@@ -47,6 +54,10 @@ impl GossipSystem for CongosNode {
     const NAME: &'static str = "congos";
     fn wid_of(out: &DeliveredRumor) -> u64 {
         out.wid
+    }
+
+    fn rejected(&self) -> u64 {
+        self.stats().rejected
     }
 
     fn net_run(

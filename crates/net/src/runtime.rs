@@ -193,9 +193,8 @@ fn drive_node(
     me: ProcessId,
     cfg: &NetConfig,
     mut transport: TcpTransport,
-    mut injections: Vec<(u64, CongosInput)>,
+    injections: Vec<(u64, CongosInput)>,
 ) -> io::Result<NodeReport> {
-    injections.sort_by_key(|(r, _)| *r);
     let congos_cfg = cfg.congos.clone();
     let mut driver = NodeDriver::<CongosNode>::with_factory(me, cfg.n, cfg.seed, |id, n, _| {
         CongosNode::with_config(id, n, congos_cfg)
@@ -226,7 +225,8 @@ fn drive_node(
 /// # Errors
 ///
 /// Returns any socket-level error (bind, connect, frame, peer loss)
-/// encountered while running the cluster.
+/// encountered while running the cluster, and `InvalidInput` for a schedule
+/// with two injections at one `(process, round)` or one past `rounds`.
 pub fn run_cluster(
     cfg: NetConfig,
     injections: Vec<(u64, ProcessId, CongosInput)>,
@@ -281,7 +281,9 @@ pub fn run_cluster(
 ///
 /// # Errors
 ///
-/// Returns socket-level errors (bind, connect, frame, peer loss).
+/// Returns socket-level errors (bind, connect, frame, peer loss), and
+/// `InvalidInput` for a schedule with two injections in one round or one
+/// past `rounds`.
 pub fn run_node_process(
     id: usize,
     n: usize,

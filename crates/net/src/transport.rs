@@ -402,10 +402,7 @@ impl RoundTransport<CongosMsg> for TcpTransport {
     ) -> io::Result<()> {
         debug_assert_eq!(src, self.me, "a TcpTransport serves exactly one node");
         let r = round.as_u64();
-        // Collect first: draining borrows `out` while the writer sends
-        // borrow `self` mutably.
-        let drained: Vec<(ProcessId, Tag, CongosMsg)> = out.drain().collect();
-        for (dst, tag, payload) in drained {
+        for (dst, tag, payload) in out.drain() {
             if dst == self.me {
                 self.self_inbox.push(Envelope {
                     src: self.me,

@@ -49,3 +49,30 @@ fn four_os_processes_deliver_a_rumor() {
     delivered.sort_unstable();
     assert_eq!(delivered, vec![2, 3], "exactly the two destinations deliver");
 }
+
+/// A schedule the node could not honour is refused up front, not silently
+/// thinned: a second injection in one round used to shadow every later one.
+#[test]
+fn invalid_injection_schedule_exits_nonzero_with_a_diagnostic() {
+    let bin = env!("CARGO_BIN_EXE_congos-node");
+    for (base_port, injects, needle) in [
+        (
+            "19460",
+            &["0:0:aa", "0:0:bb", "2:0:cc"][..],
+            "two injections at p0 in round 0",
+        ),
+        ("19461", &["0:0:aa", "3:0:bb"][..], "round 3 is outside"),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.args(["--id", "0", "--n", "1", "--rounds", "3"]);
+        cmd.args(["--base-port", base_port]);
+        for inject in injects {
+            cmd.args(["--inject", inject]);
+        }
+        let out = cmd.output().expect("node runs");
+        assert_eq!(out.status.code(), Some(1), "{injects:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{injects:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "no round ran: {injects:?}");
+    }
+}

@@ -23,7 +23,7 @@
 //!
 //! The send and compute phases are *embarrassingly parallel across
 //! processes*: each process touches only its own state, RNG stream and
-//! per-slot buffers. [`EngineBackend::Parallel`] (selected with
+//! buffers. [`EngineBackend::Parallel`] (selected with
 //! [`EngineConfig::backend`]) exploits this with scoped worker threads while
 //! preserving **bit-identical** traces and metrics with
 //! [`EngineBackend::Sequential`] — the two differ only in how many chunks
@@ -32,8 +32,8 @@
 //!
 //! * every process draws from its own forked RNG stream, so concurrency
 //!   cannot reorder random choices;
-//! * workers write envelopes, metric events and outputs into per-process
-//!   arenas, which the engine merges *in process-id order* at the phase
+//! * workers write messages, tag-run sizes and outputs into the process
+//!   they run, and the engine merges these *in process-id order* at the phase
 //!   barrier — the merged order equals the sequential iteration order by
 //!   construction;
 //! * the adversary, delivery and bookkeeping phases stay sequential, so an
@@ -47,7 +47,7 @@ use crate::liveness::LivenessLog;
 use crate::message::{EnvelopeRef, Inbox, SendColumns, Tag};
 use crate::metrics::Metrics;
 use crate::process::{ProcessId, ProcessState};
-use crate::rng::fork_rng;
+use crate::rng::{fork_rng, fork_seed};
 use crate::topology::{Topology, TopologySpec};
 use crate::transport::MemTransport;
 
@@ -103,33 +103,11 @@ pub struct Context<'a, P: Protocol> {
     n: usize,
     round: Round,
     rng: &'a mut SmallRng,
-    pending: &'a mut Vec<(ProcessId, P::Msg, Tag)>,
+    out: &'a mut SendColumns<P::Msg>,
     outputs: &'a mut Vec<OutputRecord<P::Output>>,
 }
 
-impl<'a, P: Protocol> Context<'a, P> {
-    /// Constructs a context for an alternative runtime (a networked backend
-    /// driving [`Protocol`] implementations outside the lock-step engine).
-    /// Runtimes are responsible for draining `pending` after the send phase
-    /// and routing the messages themselves.
-    pub fn for_runtime(
-        id: ProcessId,
-        n: usize,
-        round: Round,
-        rng: &'a mut SmallRng,
-        pending: &'a mut Vec<(ProcessId, P::Msg, Tag)>,
-        outputs: &'a mut Vec<OutputRecord<P::Output>>,
-    ) -> Self {
-        Context {
-            id,
-            n,
-            round,
-            rng,
-            pending,
-            outputs,
-        }
-    }
-
+impl<P: Protocol> Context<'_, P> {
     /// This process's id.
     pub fn id(&self) -> ProcessId {
         self.id
@@ -150,13 +128,19 @@ impl<'a, P: Protocol> Context<'a, P> {
         self.rng
     }
 
+    /// The RNG together with the buffer [`send`](Self::send) appends to, for
+    /// a protocol whose sub-services draw and queue in one pass.
+    pub fn rng_and_out(&mut self) -> (&mut SmallRng, &mut SendColumns<P::Msg>) {
+        (self.rng, self.out)
+    }
+
     /// Queues a point-to-point message. During the send phase it goes out
     /// this round; during the compute phase it goes out next round.
     ///
     /// Self-sends are delivered like any other message.
     pub fn send(&mut self, dst: ProcessId, msg: P::Msg, tag: Tag) {
         debug_assert!(dst.as_usize() < self.n, "send to unknown process {dst}");
-        self.pending.push((dst, msg, tag));
+        self.out.push(dst, tag, msg);
     }
 
     /// Delivers an output to the local user (recorded by the engine).
@@ -542,106 +526,99 @@ impl std::str::FromStr for EngineBackend {
     }
 }
 
-struct Slot<P: Protocol> {
-    proto: P,
-    rng: SmallRng,
-    state: ProcessState,
+/// One incarnation of one process: the protocol instance, its forked RNG
+/// stream and the two buffers its callbacks write. The engine holds `n` of
+/// these and a [`NodeDriver`](crate::transport::NodeDriver) one, so both run
+/// the model's per-process step — [`send`](Self::send), then
+/// [`receive`](Self::receive) — from this one copy.
+pub(crate) struct Process<P: Protocol> {
+    pub(crate) id: ProcessId,
+    n: usize,
     generation: u64,
-    pending: Vec<(ProcessId, P::Msg, Tag)>,
+    pub(crate) proto: P,
+    rng: SmallRng,
+    /// What [`Context::send`] appends to and the round transport drains.
+    /// Compute-phase sends wait here and leave next round, ahead of that
+    /// round's send-phase messages.
+    pub(crate) out: SendColumns<P::Msg>,
+    /// One `(tag, count, bytes)` entry per run of equal tags in `out`,
+    /// filled by [`meter`](Self::meter).
+    sent: Vec<(Tag, u64, u64)>,
+    pub(crate) outputs: Vec<OutputRecord<P::Output>>,
 }
 
-/// Per-process round buffers filled during the parallel phases and merged
-/// in process-id order at the phase barrier. Kept across rounds so the
-/// steady-state round allocates nothing.
-struct SlotBuf<P: Protocol> {
-    /// Messages queued in the send phase, in columnar (dst/tag/payload)
-    /// layout — the sender id is implied by the slot.
-    out: SendColumns<P::Msg>,
-    /// `(tag, wire size)` of each send, in send order — replayed into
-    /// [`Metrics`] at the merge so sharded counting is exact.
-    sends: Vec<(Tag, u64)>,
-    /// Outputs produced in either phase.
-    outputs: Vec<OutputRecord<P::Output>>,
-}
-
-impl<P: Protocol> Default for SlotBuf<P> {
-    fn default() -> Self {
-        SlotBuf {
+impl<P: Protocol> Process<P> {
+    /// Starts incarnation `generation` of process `id` at `round`: a fresh
+    /// protocol instance (processes have no durable storage) on the seed and
+    /// RNG stream forked from `(master_seed, id, generation)`.
+    pub(crate) fn spawn(
+        factory: impl FnOnce(ProcessId, usize, u64) -> P,
+        master_seed: u64,
+        id: ProcessId,
+        n: usize,
+        generation: u64,
+        round: Round,
+    ) -> Self {
+        let mut proto = factory(id, n, fork_seed(master_seed, id, generation));
+        proto.on_start(round);
+        Process {
+            id,
+            n,
+            generation,
+            proto,
+            rng: fork_rng(master_seed, id, generation),
             out: SendColumns::default(),
-            sends: Vec::new(),
+            sent: Vec::new(),
             outputs: Vec::new(),
         }
     }
-}
 
-/// Send phase for one process, writing into its arena buffers. Shared by
-/// both backends, so their per-process behavior is identical by
-/// construction.
-fn run_send_slot<P: Protocol>(
-    i: usize,
-    n: usize,
-    round: Round,
-    slot: &mut Slot<P>,
-    buf: &mut SlotBuf<P>,
-) {
-    if !slot.state.is_alive() {
-        return;
-    }
-    let id = ProcessId::new(i);
-    {
-        let mut ctx = Context::<P> {
-            id,
-            n,
+    fn step(&mut self, round: Round, phase: impl FnOnce(&mut P, &mut Context<'_, P>)) {
+        let mut ctx = Context {
+            id: self.id,
+            n: self.n,
             round,
-            rng: &mut slot.rng,
-            pending: &mut slot.pending,
-            outputs: &mut buf.outputs,
+            rng: &mut self.rng,
+            out: &mut self.out,
+            outputs: &mut self.outputs,
         };
-        slot.proto.send(&mut ctx);
+        phase(&mut self.proto, &mut ctx);
     }
-    for (dst, payload, tag) in slot.pending.drain(..) {
-        buf.sends.push((tag, P::msg_size(&payload)));
-        buf.out.push(dst, tag, payload);
-    }
-}
 
-/// Compute phase for one process. Shared by both backends.
-fn run_compute_slot<P: Protocol>(
-    i: usize,
-    n: usize,
-    round: Round,
-    slot: &mut Slot<P>,
-    inbox: Inbox<'_, P::Msg>,
-    input: &mut Option<P::Input>,
-    buf: &mut SlotBuf<P>,
-) {
-    if !slot.state.is_alive() {
-        return;
+    /// Send phase of `round`.
+    pub(crate) fn send(&mut self, round: Round) {
+        self.step(round, |proto, ctx| proto.send(ctx));
     }
-    let input = input.take();
-    let mut ctx = Context::<P> {
-        id: ProcessId::new(i),
-        n,
-        round,
-        rng: &mut slot.rng,
-        pending: &mut slot.pending,
-        outputs: &mut buf.outputs,
-    };
-    slot.proto.receive(&mut ctx, inbox, input);
+
+    /// Compute phase of `round`.
+    pub(crate) fn receive(
+        &mut self,
+        round: Round,
+        inbox: Inbox<'_, P::Msg>,
+        input: Option<P::Input>,
+    ) {
+        self.step(round, |proto, ctx| proto.receive(ctx, inbox, input));
+    }
+
+    /// Sizes the queued messages. The engine calls this inside its parallel
+    /// send phase so that the sequential merge only adds up runs.
+    fn meter(&mut self) {
+        self.out.tag_runs(P::msg_size, &mut self.sent);
+    }
 }
 
 /// The lock-step execution engine.
 pub struct Engine<P: Protocol + 'static> {
     cfg: EngineConfig,
     round: Round,
-    slots: Vec<Slot<P>>,
+    procs: Vec<Process<P>>,
+    /// `alive[p]` — liveness right now.
+    alive: Vec<bool>,
     factory: Box<dyn Fn(ProcessId, usize, u64) -> P>,
     metrics: Metrics,
     liveness: LivenessLog,
     outputs: Vec<OutputRecord<P::Output>>,
     injections: Vec<InjectionRecord>,
-    /// Per-process round buffers (reused across rounds).
-    arena: Vec<SlotBuf<P>>,
     /// The in-memory delivery substrate: topology, this round's merged
     /// columnar outbox and the per-process index-list inboxes into it. The
     /// engine drives it through its inherent zero-copy methods; networked
@@ -672,32 +649,20 @@ impl<P: Protocol + 'static> Engine<P> {
         F: Fn(ProcessId, usize, u64) -> P + 'static,
     {
         let factory: Box<dyn Fn(ProcessId, usize, u64) -> P> = Box::new(factory);
-        let slots = (0..cfg.n)
-            .map(|i| {
-                let id = ProcessId::new(i);
-                let seed = crate::rng::fork_seed(cfg.seed, id, 0);
-                let mut proto = factory(id, cfg.n, seed);
-                proto.on_start(Round::ZERO);
-                Slot {
-                    proto,
-                    rng: fork_rng(cfg.seed, id, 0),
-                    state: ProcessState::Alive,
-                    generation: 0,
-                    pending: Vec::new(),
-                }
-            })
+        let procs = ProcessId::all(cfg.n)
+            .map(|id| Process::spawn(&factory, cfg.seed, id, cfg.n, 0, Round::ZERO))
             .collect();
         Engine {
             mem: MemTransport::new(cfg.topology, cfg.n, cfg.seed),
             cfg,
             round: Round::ZERO,
-            slots,
+            procs,
+            alive: vec![true; cfg.n],
             factory,
             metrics: Metrics::new(),
             liveness: LivenessLog::new(cfg.n),
             outputs: Vec::new(),
             injections: Vec::new(),
-            arena: (0..cfg.n).map(|_| SlotBuf::default()).collect(),
             meta: Vec::new(),
             inputs: Vec::new(),
         }
@@ -715,7 +680,11 @@ impl<P: Protocol + 'static> Engine<P> {
 
     /// Liveness of process `p` right now.
     pub fn state_of(&self, p: ProcessId) -> ProcessState {
-        self.slots[p.as_usize()].state
+        if self.alive[p.as_usize()] {
+            ProcessState::Alive
+        } else {
+            ProcessState::Crashed
+        }
     }
 
     /// Accumulated message metrics.
@@ -751,34 +720,30 @@ impl<P: Protocol + 'static> Engine<P> {
     /// Read access to a process's protocol state (for white-box assertions
     /// in tests; the protocols themselves never use this).
     pub fn protocol(&self, p: ProcessId) -> &P {
-        &self.slots[p.as_usize()].proto
+        &self.procs[p.as_usize()].proto
     }
 
-    /// Merges the send-phase arena buffers in process-id order: metric
-    /// events into [`Metrics`], the per-process send columns onto the round
-    /// outbox (index ranges of the shared columns, no envelope moves),
-    /// outputs into the global output log. This is the phase barrier that
-    /// makes the parallel backend's observable order equal the sequential
-    /// order.
+    /// Merges the send phase's results in process-id order: tag runs into
+    /// [`Metrics`], the per-process send columns onto the round outbox
+    /// (index ranges of the shared columns, no envelope moves), outputs into
+    /// the global output log. This is the phase barrier that makes the
+    /// parallel backend's observable order equal the sequential order.
     fn merge_send_results(&mut self) {
         // Last round's payloads die here; the columns keep their capacity.
         self.mem.begin_round(self.round);
-        for (i, buf) in self.arena.iter_mut().enumerate() {
-            // One metering call per run of equal tags, not per message.
-            for run in buf.sends.chunk_by(|a, b| a.0 == b.0) {
-                let bytes = run.iter().map(|(_, size)| size).sum();
-                self.metrics.record_sends(run[0].0, run.len() as u64, bytes);
+        for p in &mut self.procs {
+            for (tag, count, bytes) in p.sent.drain(..) {
+                self.metrics.record_sends(tag, count, bytes);
             }
-            buf.sends.clear();
-            self.mem.append_outbox(ProcessId::new(i), &mut buf.out);
-            self.outputs.append(&mut buf.outputs);
+            self.mem.append_outbox(p.id, &mut p.out);
+            self.outputs.append(&mut p.outputs);
         }
     }
 
     /// Merges compute-phase outputs in process-id order.
     fn merge_compute_outputs(&mut self) {
-        for buf in &mut self.arena {
-            self.outputs.append(&mut buf.outputs);
+        for p in &mut self.procs {
+            self.outputs.append(&mut p.outputs);
         }
     }
 
@@ -792,8 +757,6 @@ impl<P: Protocol + 'static> Engine<P> {
         let round = self.round;
 
         // ---- Phase 2: adversary. --------------------------------------
-        let alive_at_start: Vec<bool> =
-            self.slots.iter().map(|s| s.state.is_alive()).collect();
         self.meta.clear();
         self.meta.extend((0..self.mem.outbox_len()).map(|i| {
             let (src, dst, tag) = self.mem.outbox_meta(i);
@@ -801,7 +764,7 @@ impl<P: Protocol + 'static> Engine<P> {
         }));
         let view = RoundView {
             round,
-            alive: &alive_at_start,
+            alive: &self.alive,
             outbox: &self.meta,
         };
         let decision = adversary.decide(&view);
@@ -810,13 +773,12 @@ impl<P: Protocol + 'static> Engine<P> {
         let mut crash_policy: Vec<Option<SentPolicy>> = vec![None; n];
         for spec in decision.crashes {
             let i = spec.process.as_usize();
-            if !self.slots[i].state.is_alive() || touched[i] {
+            if !self.alive[i] || touched[i] {
                 self.metrics.record_rejected_decision();
                 continue;
             }
             touched[i] = true;
-            self.slots[i].state = ProcessState::Crashed;
-            self.slots[i].pending.clear();
+            self.alive[i] = false;
             crash_policy[i] = Some(spec.sent);
             self.liveness.record_crash(spec.process, round);
             obs.on_crash(round, spec.process);
@@ -825,19 +787,14 @@ impl<P: Protocol + 'static> Engine<P> {
         let mut restart_policy: Vec<Option<IncomingPolicy>> = vec![None; n];
         for (p, policy) in decision.restarts {
             let i = p.as_usize();
-            if self.slots[i].state.is_alive() || touched[i] {
+            if self.alive[i] || touched[i] {
                 self.metrics.record_rejected_decision();
                 continue;
             }
             touched[i] = true;
-            let slot = &mut self.slots[i];
-            slot.generation += 1;
-            slot.rng = fork_rng(self.cfg.seed, p, slot.generation);
-            let seed = crate::rng::fork_seed(self.cfg.seed, p, slot.generation);
-            slot.proto = (self.factory)(p, n, seed);
-            slot.proto.on_start(round);
-            slot.pending.clear();
-            slot.state = ProcessState::Alive;
+            let generation = self.procs[i].generation + 1;
+            self.procs[i] = Process::spawn(&self.factory, self.cfg.seed, p, n, generation, round);
+            self.alive[i] = true;
             restart_policy[i] = Some(policy);
             self.liveness.record_restart(p, round);
             obs.on_restart(round, p);
@@ -849,7 +806,7 @@ impl<P: Protocol + 'static> Engine<P> {
         // engine supplies the adversary's gates as closures over this
         // round's decisions.
         {
-            let slots = &self.slots;
+            let alive = &self.alive;
             let metrics = &mut self.metrics;
             self.mem.route_with(
                 round,
@@ -859,7 +816,7 @@ impl<P: Protocol + 'static> Engine<P> {
                 },
                 |src, dst| {
                     let di = dst.as_usize();
-                    if !slots[di].state.is_alive() {
+                    if !alive[di] {
                         return false; // crashed receivers receive nothing
                     }
                     match &restart_policy[di] {
@@ -883,7 +840,7 @@ impl<P: Protocol + 'static> Engine<P> {
                 self.metrics.record_rejected_decision();
                 continue;
             }
-            let delivered = self.slots[i].state.is_alive();
+            let delivered = self.alive[i];
             self.injections.push(InjectionRecord {
                 round,
                 process: p,
@@ -978,15 +935,17 @@ where
         let out_start = self.outputs.len();
 
         // ---- Phase 1: send. -------------------------------------------
+        let alive = &self.alive;
         for_each_chunk(
             workers,
             chunk,
-            self.slots
-                .chunks_mut(chunk)
-                .zip(self.arena.chunks_mut(chunk)),
-            |base, (slots, bufs)| {
-                for (j, (slot, buf)) in slots.iter_mut().zip(bufs).enumerate() {
-                    run_send_slot(base + j, n, round, slot, buf);
+            self.procs.chunks_mut(chunk),
+            |base, procs| {
+                for (j, p) in procs.iter_mut().enumerate() {
+                    if alive[base + j] {
+                        p.send(round);
+                        p.meter();
+                    }
                 }
             },
         );
@@ -997,24 +956,21 @@ where
         self.prepare_round(adversary, obs);
 
         // ---- Phase 4: compute. ----------------------------------------
+        let alive = &self.alive;
         let outbox = self.mem.columns();
         let inboxes = self.mem.inbox_lists();
         for_each_chunk(
             workers,
             chunk,
-            self.slots
+            self.procs
                 .chunks_mut(chunk)
-                .zip(self.arena.chunks_mut(chunk))
-                .zip(inboxes.chunks(chunk).zip(self.inputs.chunks_mut(chunk))),
-            |base, ((slots, bufs), (idxs, inputs))| {
-                for (j, ((slot, buf), (idx, input))) in slots
-                    .iter_mut()
-                    .zip(bufs)
-                    .zip(idxs.iter().zip(inputs))
-                    .enumerate()
-                {
-                    let inbox = Inbox::columnar(outbox, idx, round);
-                    run_compute_slot(base + j, n, round, slot, inbox, input, buf);
+                .zip(self.inputs.chunks_mut(chunk)),
+            |base, (procs, inputs)| {
+                for (j, (p, input)) in procs.iter_mut().zip(inputs).enumerate() {
+                    if alive[base + j] {
+                        let inbox = Inbox::columnar(outbox, &inboxes[base + j], round);
+                        p.receive(round, inbox, input.take());
+                    }
                 }
             },
         );
@@ -1508,6 +1464,83 @@ mod policy_tests {
             } else {
                 RoundDecision::none()
             }
+        }
+    }
+
+    /// Every process sends `(round, false)` to its successor in the send
+    /// phase and queues `(round, true)` for it in the compute phase;
+    /// receivers report what arrived, in inbox order.
+    struct Carry;
+    impl Protocol for Carry {
+        type Msg = (u64, bool);
+        type Input = ();
+        type Output = (ProcessId, u64, bool);
+        fn new(_id: ProcessId, _n: usize, _seed: u64) -> Self {
+            Carry
+        }
+        fn send(&mut self, ctx: &mut Context<'_, Self>) {
+            let next = ProcessId::new((ctx.id().as_usize() + 1) % ctx.n());
+            ctx.send(next, (ctx.round().as_u64(), false), Tag("send"));
+        }
+        fn receive(
+            &mut self,
+            ctx: &mut Context<'_, Self>,
+            inbox: Inbox<'_, (u64, bool)>,
+            _: Option<()>,
+        ) {
+            for env in inbox {
+                ctx.output((env.src, env.payload.0, env.payload.1));
+            }
+            let next = ProcessId::new((ctx.id().as_usize() + 1) % ctx.n());
+            ctx.send(next, (ctx.round().as_u64(), true), Tag("carry"));
+        }
+    }
+
+    /// Crashes p1 in round 2 (its sent messages lost), restarts it in round 4.
+    struct CrashThenRestart;
+    impl Adversary<Carry> for CrashThenRestart {
+        fn decide(&mut self, view: &RoundView<'_>) -> RoundDecision<()> {
+            let mut d = RoundDecision::none();
+            match view.round.as_u64() {
+                2 => d.crashes.push(CrashSpec::dropping(ProcessId::new(1))),
+                4 => d
+                    .restarts
+                    .push((ProcessId::new(1), IncomingPolicy::DeliverAll)),
+                _ => {}
+            }
+            d
+        }
+    }
+
+    #[test]
+    fn compute_phase_sends_leave_next_round_ahead_of_the_send_phase() {
+        let (p1, p2) = (ProcessId::new(1), ProcessId::new(2));
+        for backend in [
+            EngineBackend::Sequential,
+            EngineBackend::Parallel { workers: 3 },
+        ] {
+            let mut e = Engine::<Carry>::new(EngineConfig::new(4).seed(1).backend(backend));
+            e.run(6, &mut CrashThenRestart);
+            // What p2 heard from p1, round by round.
+            let heard = |round: u64| -> Vec<(u64, bool)> {
+                e.outputs()
+                    .iter()
+                    .filter(|o| o.round == Round(round) && o.process == p2 && o.value.0 == p1)
+                    .map(|o| (o.value.1, o.value.2))
+                    .collect()
+            };
+            assert_eq!(heard(0), [(0, false)], "{backend}");
+            // The compute-phase send of round 0 leads round 1's outbox.
+            assert_eq!(heard(1), [(0, true), (1, false)], "{backend}");
+            // p1 crashes in round 2 with DropAll: the carried message is lost
+            // with the send-phase one, and both were metered as sent.
+            assert_eq!(heard(2), [], "{backend}");
+            assert_eq!(e.metrics().round(2).of(Tag("carry")), 4, "{backend}");
+            // Restarted in round 4 after the send phase, p1 computes there;
+            // in round 5 it sends that round's two messages and nothing older.
+            assert_eq!(heard(3), [], "{backend}");
+            assert_eq!(heard(4), [], "{backend}");
+            assert_eq!(heard(5), [(4, true), (5, false)], "{backend}");
         }
     }
 

@@ -170,8 +170,9 @@ impl<M> OutboxColumns<M> {
     }
 }
 
-/// One process's send-phase buffer: the outbox columns minus the (constant)
-/// sender id. Reused across rounds.
+/// One process's send buffer: the outbox columns minus the (constant) sender
+/// id. [`Context::send`](crate::Context::send) appends to it and the round
+/// transport drains it; reused across rounds.
 #[derive(Debug)]
 pub struct SendColumns<M> {
     dst: Vec<ProcessId>,
@@ -207,6 +208,21 @@ impl<M> SendColumns<M> {
         self.payload.is_empty()
     }
 
+    /// Appends one `(tag, count, bytes)` entry per run of equal tags, in
+    /// send order, to `runs` — what the engine meters a process's round by.
+    pub(crate) fn tag_runs(&self, size: impl Fn(&M) -> u64, runs: &mut Vec<(Tag, u64, u64)>) {
+        for (&tag, payload) in self.tag.iter().zip(&self.payload) {
+            let bytes = size(payload);
+            match runs.last_mut() {
+                Some((t, count, total)) if *t == tag => {
+                    *count += 1;
+                    *total += bytes;
+                }
+                _ => runs.push((tag, 1, bytes)),
+            }
+        }
+    }
+
     /// Drains the queued messages in send order as `(dst, tag, payload)`,
     /// leaving the buffer empty with its capacity retained. This is how a
     /// non-columnar transport (e.g. a socket runtime) consumes the send
@@ -238,7 +254,6 @@ enum InboxRepr<'a, M> {
         round: Round,
     },
     Slice(&'a [Envelope<M>]),
-    Empty,
 }
 
 impl<M> Clone for Inbox<'_, M> {
@@ -269,19 +284,11 @@ impl<'a, M> Inbox<'a, M> {
         }
     }
 
-    /// An empty inbox.
-    pub fn empty() -> Self {
-        Inbox {
-            repr: InboxRepr::Empty,
-        }
-    }
-
     /// Number of delivered messages.
     pub fn len(&self) -> usize {
         match self.repr {
             InboxRepr::Columnar { idx, .. } => idx.len(),
             InboxRepr::Slice(envs) => envs.len(),
-            InboxRepr::Empty => 0,
         }
     }
 
@@ -308,7 +315,6 @@ impl<'a, M> Inbox<'a, M> {
                     payload: &e.payload,
                 }
             }
-            InboxRepr::Empty => panic!("index {i} out of bounds of empty inbox"),
         }
     }
 
@@ -436,6 +442,5 @@ mod tests {
         assert_eq!(inbox.len(), 1);
         let e = inbox.get(0);
         assert_eq!(e.to_envelope(), envs[0]);
-        assert!(Inbox::<u32>::empty().is_empty());
     }
 }

@@ -15,24 +15,23 @@
 //!   sockets; end-of-round markers are wire frames and the barrier blocks on
 //!   the peers' reader threads.
 //!
-//! [`NodeDriver`] owns ONE process — protocol instance, forked RNG stream,
-//! pending sends, outputs — and runs the per-node superstep generically over
-//! any transport. Determinism survives the substrate because every input to
+//! [`NodeDriver`] owns ONE process — the same `Process` type (protocol
+//! instance, forked RNG stream, send buffer, outputs) the engine holds `n`
+//! of — and runs its superstep generically over any transport.
+//! Determinism survives the substrate because every input to
 //! a node's state machine is transport-independent: the RNG stream is forked
 //! from `(master_seed, id, generation)`, injections are scheduled by round,
 //! and the inbox is sorted by source id before compute (within one source,
 //! both substrates preserve send order — column order in memory, stream
 //! FIFO order on a socket).
 
+use std::collections::VecDeque;
 use std::io;
 
-use rand::rngs::SmallRng;
-
 use crate::clock::Round;
-use crate::engine::{Context, OutputRecord, Protocol};
+use crate::engine::{OutputRecord, Process, Protocol};
 use crate::message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, SendColumns, Tag};
 use crate::process::ProcessId;
-use crate::rng::{fork_rng, fork_seed};
 use crate::topology::{Topology, TopologySpec};
 
 /// A delivery substrate for bulk-synchronous rounds.
@@ -302,24 +301,56 @@ fn phase_error(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::WouldBlock, msg)
 }
 
-/// One process of a transport-backed deployment: the protocol instance, its
-/// forked RNG stream, pending sends and produced outputs, plus the per-node
-/// superstep loop — the drive logic that used to be duplicated between the
-/// engine and the TCP runtime.
+/// One injection schedule as `(round, input)` pairs, checked against the
+/// model's rule (at most one input per round) and the run's round range,
+/// then walked in round order.
+struct Schedule<I>(VecDeque<(u64, I)>);
+
+impl<I> Schedule<I> {
+    /// # Errors
+    ///
+    /// `InvalidInput`, naming the entry, if two injections of `node` share a
+    /// round or one falls outside `rounds`: either would otherwise be
+    /// silently never made.
+    fn new(
+        node: ProcessId,
+        rounds: std::ops::Range<u64>,
+        mut injections: Vec<(u64, I)>,
+    ) -> io::Result<Self> {
+        injections.sort_by_key(|(r, _)| *r);
+        let invalid = |msg| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        for (i, (r, _)) in injections.iter().enumerate() {
+            if !rounds.contains(r) {
+                return invalid(format!(
+                    "injection at {node} in round {r} is outside the run's rounds {rounds:?}"
+                ));
+            }
+            if i > 0 && injections[i - 1].0 == *r {
+                return invalid(format!(
+                    "two injections at {node} in round {r} (at most one per process per round)"
+                ));
+            }
+        }
+        Ok(Schedule(injections.into()))
+    }
+
+    /// The input due in `round`, if any.
+    fn take(&mut self, round: u64) -> Option<I> {
+        match self.0.front() {
+            Some((due, _)) if *due == round => self.0.pop_front().map(|(_, input)| input),
+            _ => None,
+        }
+    }
+}
+
+/// One process of a transport-backed deployment: a `Process` — the type the
+/// engine holds `n` of — plus the per-node superstep loop over a
+/// [`RoundTransport`].
 pub struct NodeDriver<P: Protocol> {
-    id: ProcessId,
-    n: usize,
+    process: Process<P>,
     round: Round,
-    proto: P,
-    rng: SmallRng,
-    /// Messages queued by the protocol (compute-phase sends carry over to
-    /// the next round's send phase, exactly like an engine slot).
-    pending: Vec<(ProcessId, P::Msg, Tag)>,
-    /// Send-phase staging buffer (reused across rounds).
-    out: SendColumns<P::Msg>,
     /// Receive buffer (reused across rounds).
     inbox: Vec<Envelope<P::Msg>>,
-    outputs: Vec<OutputRecord<P::Output>>,
     /// Delivery-metadata log `(round, sender, tag)` for this node, recorded
     /// just after the inbox sort when enabled — the socket-path equivalent
     /// of the engine's `Observer::on_deliver` tap. Self-sends are skipped to
@@ -346,18 +377,10 @@ impl<P: Protocol> NodeDriver<P> {
         master_seed: u64,
         factory: impl FnOnce(ProcessId, usize, u64) -> P,
     ) -> Self {
-        let mut proto = factory(id, n, fork_seed(master_seed, id, 0));
-        proto.on_start(Round::ZERO);
         NodeDriver {
-            id,
-            n,
+            process: Process::spawn(factory, master_seed, id, n, 0, Round::ZERO),
             round: Round::ZERO,
-            proto,
-            rng: fork_rng(master_seed, id, 0),
-            pending: Vec::new(),
-            out: SendColumns::default(),
             inbox: Vec::new(),
-            outputs: Vec::new(),
             sightings: None,
         }
     }
@@ -384,7 +407,7 @@ impl<P: Protocol> NodeDriver<P> {
 
     /// This driver's process id.
     pub fn id(&self) -> ProcessId {
-        self.id
+        self.process.id
     }
 
     /// The round about to execute.
@@ -394,17 +417,17 @@ impl<P: Protocol> NodeDriver<P> {
 
     /// Outputs produced so far.
     pub fn outputs(&self) -> &[OutputRecord<P::Output>] {
-        &self.outputs
+        &self.process.outputs
     }
 
     /// Consumes the driver, returning the full output log.
     pub fn into_outputs(self) -> Vec<OutputRecord<P::Output>> {
-        self.outputs
+        self.process.outputs
     }
 
     /// Read access to the protocol state (white-box test assertions).
     pub fn protocol(&self) -> &P {
-        &self.proto
+        &self.process.proto
     }
 
     /// Runs the current round's send phase: the protocol queues messages,
@@ -415,23 +438,10 @@ impl<P: Protocol> NodeDriver<P> {
     ///
     /// Propagates transport failures.
     pub fn send_phase<T: RoundTransport<P::Msg>>(&mut self, transport: &mut T) -> io::Result<()> {
-        let round = self.round;
-        {
-            let mut ctx = Context::<P>::for_runtime(
-                self.id,
-                self.n,
-                round,
-                &mut self.rng,
-                &mut self.pending,
-                &mut self.outputs,
-            );
-            self.proto.send(&mut ctx);
-        }
-        for (dst, payload, tag) in self.pending.drain(..) {
-            self.out.push(dst, tag, payload);
-        }
-        transport.send_outbox(round, self.id, &mut self.out)?;
-        transport.end_of_round(round, self.id)
+        let (round, id) = (self.round, self.process.id);
+        self.process.send(round);
+        transport.send_outbox(round, id, &mut self.process.out)?;
+        transport.end_of_round(round, id)
     }
 
     /// Runs the current round's barrier + compute phase: blocks on the
@@ -447,8 +457,8 @@ impl<P: Protocol> NodeDriver<P> {
         transport: &mut T,
         input: Option<P::Input>,
     ) -> io::Result<()> {
-        let round = self.round;
-        transport.recv_until_barrier(round, self.id, &mut self.inbox)?;
+        let (round, id) = (self.round, self.process.id);
+        transport.recv_until_barrier(round, id, &mut self.inbox)?;
         // Stable by source: equals the engine's src-major outbox order, since
         // both substrates preserve per-source send order.
         self.inbox.sort_by_key(|e| e.src);
@@ -456,48 +466,37 @@ impl<P: Protocol> NodeDriver<P> {
             sightings.extend(
                 self.inbox
                     .iter()
-                    .filter(|e| e.src != self.id)
+                    .filter(|e| e.src != id)
                     .map(|e| (round, e.src, e.tag)),
             );
         }
-        {
-            let mut ctx = Context::<P>::for_runtime(
-                self.id,
-                self.n,
-                round,
-                &mut self.rng,
-                &mut self.pending,
-                &mut self.outputs,
-            );
-            self.proto
-                .receive(&mut ctx, Inbox::from_slice(&self.inbox), input);
-        }
+        self.process
+            .receive(round, Inbox::from_slice(&self.inbox), input);
         self.round = round.next();
         Ok(())
     }
 
     /// Runs `rounds` full rounds over a transport this node owns (each node
     /// of a socket cluster has its own), injecting `injections` as
-    /// `(round, input)` pairs (at most one per round — the model's rule).
+    /// `(round, input)` pairs.
     ///
     /// # Errors
     ///
-    /// Propagates transport failures.
+    /// `InvalidInput`, before any round runs, if two injections share a
+    /// round (the model allows one per process per round) or one falls
+    /// outside the rounds this call executes; otherwise propagates transport
+    /// failures.
     pub fn run_rounds<T: RoundTransport<P::Msg>>(
         &mut self,
         transport: &mut T,
         rounds: u64,
-        mut injections: Vec<(u64, P::Input)>,
+        injections: Vec<(u64, P::Input)>,
     ) -> io::Result<()> {
-        injections.sort_by_key(|(r, _)| *r);
-        for _ in 0..rounds {
+        let start = self.round.as_u64();
+        let mut schedule = Schedule::new(self.process.id, start..start + rounds, injections)?;
+        for r in start..start + rounds {
             self.send_phase(transport)?;
-            let r = self.round.as_u64();
-            let input = match injections.first() {
-                Some((due, _)) if *due == r => Some(injections.remove(0).1),
-                _ => None,
-            };
-            self.compute_phase(transport, input)?;
+            self.compute_phase(transport, schedule.take(r))?;
         }
         Ok(())
     }
@@ -513,7 +512,9 @@ impl<P: Protocol> NodeDriver<P> {
 ///
 /// # Errors
 ///
-/// Propagates transport failures (none occur under correct interleaving).
+/// `InvalidInput`, before any round runs, if two injections share a
+/// `(process, round)` or one falls outside `0..rounds`; otherwise propagates
+/// transport failures (none occur under correct interleaving).
 ///
 /// # Panics
 ///
@@ -537,21 +538,18 @@ where
     for (round, pid, input) in injections {
         per_node[pid.as_usize()].push((round, input));
     }
-    for inj in &mut per_node {
-        inj.sort_by_key(|(r, _)| *r);
-    }
+    let mut schedules = ProcessId::all(n)
+        .zip(per_node)
+        .map(|(id, inj)| Schedule::new(id, 0..rounds, inj))
+        .collect::<io::Result<Vec<_>>>()?;
 
     for r in 0..rounds {
         mem.begin_round(Round(r));
         for d in drivers.iter_mut() {
             d.send_phase(&mut mem)?;
         }
-        for (d, inj) in drivers.iter_mut().zip(per_node.iter_mut()) {
-            let input = match inj.first() {
-                Some((due, _)) if *due == r => Some(inj.remove(0).1),
-                _ => None,
-            };
-            d.compute_phase(&mut mem, input)?;
+        for (d, schedule) in drivers.iter_mut().zip(&mut schedules) {
+            d.compute_phase(&mut mem, schedule.take(r))?;
         }
     }
 
@@ -566,12 +564,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig, NullAdversary};
+    use crate::engine::{Context, Engine, EngineConfig, NullAdversary};
     use rand::Rng;
 
     /// Every process sends a seeded random token to its successor and to
-    /// itself each round; receivers report `(src, token)`. Exercises RNG
-    /// forking, self-send loopback and multi-source inbox ordering.
+    /// itself each round; receivers report `(src, token)` and queue, from the
+    /// compute phase, a message that leaves next round. Exercises RNG
+    /// forking, self-send loopback, multi-source inbox ordering and the
+    /// send buffer carried across the round boundary.
     struct Echo;
 
     impl Protocol for Echo {
@@ -600,6 +600,9 @@ mod tests {
             if let Some(v) = input {
                 ctx.output((ctx.id(), v + 1_000_000));
             }
+            // Even, so that an odd payload still identifies a self-send.
+            let next = ProcessId::new((ctx.id().as_usize() + 1) % ctx.n());
+            ctx.send(next, 2 * ctx.round().as_u64(), Tag("carry"));
         }
     }
 
@@ -659,6 +662,35 @@ mod tests {
             assert_eq!(sim, local, "seed {seed} topology {topology} diverged");
             assert!(!sim.is_empty());
         }
+    }
+
+    #[test]
+    fn invalid_schedules_are_rejected_before_round_zero() {
+        let p0 = ProcessId::new(0);
+        let mut mem = MemTransport::<u64>::new(TopologySpec::Complete, 1, 0);
+        mem.begin_round(Round(0));
+        for (schedule, needle) in [
+            (
+                vec![(1, 7u64), (0, 8), (1, 9)],
+                "two injections at p0 in round 1",
+            ),
+            (vec![(0, 7), (3, 8)], "round 3 is outside"),
+        ] {
+            let mut d = NodeDriver::<Echo>::new(p0, 1, 0);
+            let err = d.run_rounds(&mut mem, 3, schedule.clone()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(needle), "{err}");
+            assert_eq!(d.round(), Round(0), "no round ran");
+
+            let cluster = schedule.into_iter().map(|(r, v)| (r, p0, v)).collect();
+            let err =
+                run_local_cluster::<Echo>(2, 0, TopologySpec::Complete, 3, cluster).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(needle), "{err}");
+        }
+        // The same round at two different processes is a valid schedule.
+        let ok = vec![(1, p0, 7u64), (1, ProcessId::new(1), 8)];
+        run_local_cluster::<Echo>(2, 0, TopologySpec::Complete, 3, ok).expect("valid");
     }
 
     #[test]

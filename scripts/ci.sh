@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the confidential-gossip workspace.
 #
-#   scripts/ci.sh            # tier1: build + root tests + the sim, gossip
-#                            #        and congos crate tests + the benchmark
-#                            #        package (its pinned API surface) +
-#                            #        every target below
+#   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
+#                            #        congos, adversary and baselines crate
+#                            #        tests (congos-harness is the only
+#                            #        package outside tier-1) + the
+#                            #        benchmark package (its pinned API
+#                            #        surface) + every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
@@ -125,8 +127,8 @@ cargo build --release
 echo "==> tier1: cargo test -q (root package, incl. the differential suite)"
 cargo test -q
 
-echo "==> tier1: unit tests and proptests of the sim, gossip and congos crates"
-cargo test -q -p congos-sim -p congos-gossip -p congos
+echo "==> tier1: unit tests and proptests of every library crate but congos-harness"
+cargo test -q -p congos-sim -p congos-gossip -p congos -p congos-adversary -p congos-baselines
 
 echo "==> tier1: benchmark package builds and passes against this tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
