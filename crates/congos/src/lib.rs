@@ -70,7 +70,7 @@ pub mod split;
 pub use audit::{AuditReport, ConfidentialityAuditor};
 pub use fragstore::{DestRef, FragBytes, FragStore, FragStoreStats};
 pub use config::{CongosConfig, CoverTrafficConfig, PartitionScheme};
-pub use messages::{tag_by_name, CongosMsg, Fragment, GossipPayload, TAG_ALL_GOSSIP, TAG_GD,
+pub use messages::{CongosMsg, Fragment, GossipPayload, TAG_ALL_GOSSIP, TAG_GD,
     TAG_GROUP_GOSSIP, TAG_PROXY, TAG_SHOOT};
 pub use node::{CongosNode, NodeStats};
 pub use partition::{Partition, PartitionSet};

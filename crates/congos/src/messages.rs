@@ -206,6 +206,24 @@ impl CongosMsg {
             }
         }
     }
+
+    /// The service tag this message is sent and metered under. The tag is a
+    /// function of the message, so it never travels on the wire.
+    pub fn tag(&self) -> Tag {
+        match self {
+            CongosMsg::Gossip {
+                lane: GossipLane::Group { .. },
+                ..
+            } => TAG_GROUP_GOSSIP,
+            CongosMsg::Gossip {
+                lane: GossipLane::All { .. },
+                ..
+            } => TAG_ALL_GOSSIP,
+            CongosMsg::ProxyRequest { .. } | CongosMsg::ProxyAck { .. } => TAG_PROXY,
+            CongosMsg::Partials { .. } => TAG_GD,
+            CongosMsg::Shoot { .. } => TAG_SHOOT,
+        }
+    }
 }
 
 /// Tag for Proxy service traffic (requests + acks), metered per Lemma 7.
@@ -219,23 +237,63 @@ pub const TAG_ALL_GOSSIP: Tag = Tag("all_gossip");
 /// Tag for deadline-fallback and short-deadline direct sends.
 pub const TAG_SHOOT: Tag = Tag("shoot");
 
-/// Resolves a CONGOS tag by its wire name (used by network runtimes that
-/// transmit tag names as strings).
-pub fn tag_by_name(name: &str) -> Option<Tag> {
-    match name {
-        "proxy" => Some(TAG_PROXY),
-        "group_dist" => Some(TAG_GD),
-        "group_gossip" => Some(TAG_GROUP_GOSSIP),
-        "all_gossip" => Some(TAG_ALL_GOSSIP),
-        "shoot" => Some(TAG_SHOOT),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_sim::Round;
+    use congos_sim::{IdSet, Round};
+
+    #[test]
+    fn tag_is_a_function_of_the_message() {
+        let rid = CongosRumorId {
+            source: ProcessId::new(0),
+            birth: Round(0),
+            seq: 0,
+        };
+        let gossip = |lane| CongosMsg::Gossip {
+            lane,
+            wire: Box::new(GossipWire::Ack(vec![])),
+        };
+        let cases = [
+            (
+                gossip(GossipLane::Group { dline: 64, ell: 1 }),
+                TAG_GROUP_GOSSIP,
+            ),
+            (gossip(GossipLane::All { dline: 64 }), TAG_ALL_GOSSIP),
+            (
+                CongosMsg::ProxyRequest {
+                    dline: 64,
+                    ell: 0,
+                    fragments: vec![],
+                },
+                TAG_PROXY,
+            ),
+            (CongosMsg::ProxyAck { dline: 64, ell: 0 }, TAG_PROXY),
+            (
+                CongosMsg::Partials {
+                    dline: 64,
+                    ell: 0,
+                    fragments: vec![],
+                },
+                TAG_GD,
+            ),
+            (
+                CongosMsg::Shoot {
+                    rumor: Rumor {
+                        wid: 0,
+                        data: vec![],
+                        deadline: 64,
+                        dest: IdSet::empty(4),
+                    },
+                    rid,
+                    direct: false,
+                },
+                TAG_SHOOT,
+            ),
+        ];
+        for (msg, tag) in cases {
+            assert_eq!(msg.tag(), tag, "{msg:?}");
+        }
+    }
 
     #[test]
     fn split_key_groups_fragments_of_one_split() {

@@ -7,7 +7,7 @@ use congos_sim::clock::trim_deadline;
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
 
 use crate::config::{CongosConfig, PartitionScheme};
-use crate::messages::{CongosMsg, Fragment, TAG_SHOOT};
+use crate::messages::{CongosMsg, Fragment};
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
 use crate::services::class_engine::{ClassEngine, ClassStats};
@@ -386,16 +386,13 @@ impl CongosNode {
                 // degenerate collusion regime) — Section 5's "trivially met
                 // by sending rumors directly".
                 self.direct += 1;
+                let shoot = CongosMsg::Shoot {
+                    rumor,
+                    rid,
+                    direct: true,
+                };
                 for q in others.iter() {
-                    ctx.send(
-                        q,
-                        CongosMsg::Shoot {
-                            rumor: rumor.clone(),
-                            rid,
-                            direct: true,
-                        },
-                        TAG_SHOOT,
-                    );
+                    ctx.send(q, shoot.clone(), shoot.tag());
                 }
             }
         }

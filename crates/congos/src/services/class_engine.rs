@@ -22,8 +22,7 @@ use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
 use crate::config::CongosConfig;
 use crate::messages::{
-    CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GD, TAG_GROUP_GOSSIP,
-    TAG_PROXY, TAG_SHOOT,
+    CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GROUP_GOSSIP,
 };
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
@@ -31,6 +30,11 @@ use crate::services::group_distribution::GdService;
 use crate::services::hit_history::HitHistory;
 use crate::services::proxy::ProxyService;
 use crate::split;
+
+/// Queues `msg` for `dst` under the tag the message implies.
+fn send(out: &mut SendColumns<CongosMsg>, dst: ProcessId, msg: CongosMsg) {
+    out.push(dst, msg.tag(), msg);
+}
 
 struct Lane {
     ell: u16,
@@ -206,9 +210,9 @@ impl ClassEngine {
                         partition,
                         cfg.service_fanout,
                     ) {
-                        out.push(
+                        send(
+                            out,
                             dst,
-                            TAG_PROXY,
                             CongosMsg::ProxyRequest {
                                 dline,
                                 ell: lane.ell,
@@ -222,9 +226,9 @@ impl ClassEngine {
                         lane.gd
                             .on_send_round(rng, self.n, dline, partition, cfg.service_fanout)
                     {
-                        out.push(
+                        send(
+                            out,
                             dst,
-                            TAG_GD,
                             CongosMsg::Partials {
                                 dline,
                                 ell: lane.ell,
@@ -273,9 +277,9 @@ impl ClassEngine {
                 }
                 Some(o) if o == last_iter_round => {
                     for dst in lane.proxy.acks_due() {
-                        out.push(
+                        send(
+                            out,
                             dst,
-                            TAG_PROXY,
                             CongosMsg::ProxyAck {
                                 dline,
                                 ell: lane.ell,
@@ -317,9 +321,9 @@ impl ClassEngine {
                 }
             }
             for (dst, wire) in lane.gossip.step(now, rng) {
-                out.push(
+                send(
+                    out,
                     dst,
-                    TAG_GROUP_GOSSIP,
                     CongosMsg::Gossip {
                         lane: GossipLane::Group {
                             dline,
@@ -332,9 +336,9 @@ impl ClassEngine {
         }
 
         for (dst, wire) in self.all_gossip.step(now, rng) {
-            out.push(
+            send(
+                out,
                 dst,
-                TAG_ALL_GOSSIP,
                 CongosMsg::Gossip {
                     lane: GossipLane::All { dline },
                     wire: Box::new(wire),
@@ -481,9 +485,9 @@ impl ClassEngine {
             self.stats.fallbacks += 1;
             for q in c.rumor.dest.iter() {
                 if q != self.me {
-                    out.push(
+                    send(
+                        out,
                         q,
-                        TAG_SHOOT,
                         CongosMsg::Shoot {
                             rumor: c.rumor.clone(),
                             rid,
@@ -523,6 +527,7 @@ impl ClassEngine {
 mod tests {
     use super::*;
     use crate::config::CongosConfig;
+    use crate::messages::TAG_SHOOT;
     use congos_sim::{IdSet, Tag};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

@@ -6,8 +6,11 @@
 //! to the cluster runtime — both ends run the same build — so there is no
 //! versioning; a production deployment would add a version byte behind the
 //! same two functions.
+//!
+//! A message's service tag is not on the wire: it is a function of the
+//! message ([`CongosMsg::tag`]).
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::sync::Arc;
 
 use congos::messages::GossipLane;
@@ -24,9 +27,6 @@ pub enum WireFrame {
         src: ProcessId,
         /// Round number.
         round: u64,
-        /// Sending service's tag name (resolved via
-        /// [`congos::tag_by_name`] on receipt).
-        tag: String,
         /// The protocol payload.
         payload: CongosMsg,
     },
@@ -39,6 +39,22 @@ pub enum WireFrame {
     },
 }
 
+impl WireFrame {
+    /// The sending process.
+    pub fn src(&self) -> ProcessId {
+        match self {
+            WireFrame::Msg { src, .. } | WireFrame::EndOfRound { src, .. } => *src,
+        }
+    }
+
+    /// The round the frame belongs to.
+    pub fn round(&self) -> u64 {
+        match self {
+            WireFrame::Msg { round, .. } | WireFrame::EndOfRound { round, .. } => *round,
+        }
+    }
+}
+
 /// Hard cap on the body of one frame. A peer (or corrupted stream) whose
 /// length prefix exceeds this is rejected with `InvalidData` *before* any
 /// allocation — the decoder never trusts the wire with its memory. Far
@@ -46,58 +62,64 @@ pub enum WireFrame {
 /// anything that could hurt the host.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// Writes one frame: a little-endian `u32` length followed by the binary
-/// encoding.
+/// Appends one frame to `buf`: a little-endian `u32` body length followed
+/// by the binary encoding.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the writer; rejects frames larger than
-/// [`MAX_FRAME_LEN`] (which [`decode_frame`] would refuse anyway) with
-/// `InvalidData`.
-pub fn encode_frame<W: Write>(w: &mut W, frame: &WireFrame) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(64);
-    put_frame(&mut buf, frame);
-    if buf.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds MAX_FRAME_LEN", buf.len()),
-        ));
+/// Rejects frames larger than [`MAX_FRAME_LEN`] (which [`decode_frame`]
+/// would refuse anyway) with `InvalidData`, leaving `buf` as it was.
+pub fn encode_frame(buf: &mut Vec<u8>, frame: &WireFrame) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    put_frame(buf, frame);
+    let len = buf.len() - start - 4;
+    if len > MAX_FRAME_LEN {
+        buf.truncate(start);
+        return Err(bad(&format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
     }
-    let len = u32::try_from(buf.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&buf)
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
 }
 
-/// Reads one frame written by [`encode_frame`].
+/// Decodes the frame at the front of `buf`, written by [`encode_frame`] in
+/// a cluster of `n` processes. Returns the frame and the bytes it took, or
+/// `Ok(None)` while `buf` does not yet hold a whole frame.
 ///
 /// Hostile-input hardened: the length prefix is capped by
-/// [`MAX_FRAME_LEN`], every inner length prefix is bounded by the bytes
-/// actually remaining in the frame, and every element count is validated
-/// against a per-element minimum encoding size before any collection is
-/// allocated. Malformed input of any shape yields an `io::Error`, never a
-/// panic or an unbounded allocation.
+/// [`MAX_FRAME_LEN`] before the body is awaited, every inner length prefix
+/// is bounded by the bytes actually remaining in the frame, and every
+/// element count is validated against a per-element minimum encoding size
+/// before any collection is allocated. Every process id must be below `n`
+/// and every id set must range over exactly `n` processes, so a decoded
+/// frame can be handed to a node without further bounds checks. Malformed
+/// input of any shape yields an `io::Error`, never a panic or an unbounded
+/// allocation.
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error (including clean EOF as
-/// `UnexpectedEof`) or an `InvalidData` error for a malformed or oversized
-/// encoding.
-pub fn decode_frame<R: Read>(r: &mut R) -> io::Result<WireFrame> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
+/// `InvalidData` for a malformed, oversized or out-of-range encoding.
+pub fn decode_frame(buf: &[u8], n: usize) -> io::Result<Option<(WireFrame, usize)>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     if len > MAX_FRAME_LEN {
         return Err(bad("frame length prefix exceeds MAX_FRAME_LEN"));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    let mut dec = Dec { buf: &buf, pos: 0 };
+    let Some(body) = buf.get(4..4 + len) else {
+        return Ok(None);
+    };
+    let mut dec = Dec {
+        buf: body,
+        pos: 0,
+        n,
+    };
     let frame = take_frame(&mut dec)?;
-    if dec.pos != buf.len() {
+    if dec.pos != body.len() {
         return Err(bad("trailing bytes in frame"));
     }
-    Ok(frame)
+    Ok(Some((frame, 4 + len)))
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -292,13 +314,11 @@ fn put_frame(buf: &mut Vec<u8>, f: &WireFrame) {
         WireFrame::Msg {
             src,
             round,
-            tag,
             payload,
         } => {
             put_u8(buf, 0);
             put_pid(buf, *src);
             put_u64(buf, *round);
-            put_bytes(buf, tag.as_bytes());
             put_msg(buf, payload);
         }
         WireFrame::EndOfRound { src, round } => {
@@ -314,10 +334,12 @@ fn put_frame(buf: &mut Vec<u8>, f: &WireFrame) {
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Cluster size: every process id on the wire is below it.
+    n: usize,
 }
 
-impl Dec<'_> {
-    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
+impl<'a> Dec<'a> {
+    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
@@ -348,9 +370,9 @@ impl Dec<'_> {
         }
         Ok(n)
     }
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
+    fn bytes(&mut self) -> io::Result<&'a [u8]> {
         let n = self.len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
     /// Element count for a sequence whose elements each encode to at least
     /// `min_elem` bytes. The count is validated against the bytes actually
@@ -392,11 +414,24 @@ mod min_size {
 }
 
 fn take_pid(d: &mut Dec) -> io::Result<ProcessId> {
-    Ok(ProcessId::new(d.u32()? as usize))
+    let id = d.u32()? as usize;
+    if id >= d.n {
+        return Err(bad(&format!(
+            "process id {id} outside a cluster of {}",
+            d.n
+        )));
+    }
+    Ok(ProcessId::new(id))
 }
 fn take_idset(d: &mut Dec) -> io::Result<IdSet> {
     let universe = d.u32()? as usize;
-    let packed = d.take(universe.div_ceil(8))?.to_vec();
+    if universe != d.n {
+        return Err(bad(&format!(
+            "id set over {universe} processes in a cluster of {}",
+            d.n
+        )));
+    }
+    let packed = d.take(universe.div_ceil(8))?;
     let mut set = IdSet::empty(universe);
     for (i, &byte) in packed.iter().enumerate() {
         if byte == 0 {
@@ -439,7 +474,7 @@ fn take_fragment(d: &mut Dec) -> io::Result<Fragment> {
         partition: d.u16()?,
         group: d.u8()?,
         k: d.u8()?,
-        bytes: store.intern_bytes(&d.bytes()?),
+        bytes: store.intern_bytes(d.bytes()?),
         dest: store.intern_dest(&take_idset(d)?),
         dline: d.u64()?,
     })
@@ -526,7 +561,7 @@ fn take_wire(d: &mut Dec) -> io::Result<GossipWire<Arc<GossipPayload>>> {
 fn take_rumor(d: &mut Dec) -> io::Result<Rumor> {
     Ok(Rumor {
         wid: d.u64()?,
-        data: d.bytes()?,
+        data: d.bytes()?.to_vec(),
         deadline: d.u64()?,
         dest: take_idset(d)?,
     })
@@ -568,7 +603,6 @@ fn take_frame(d: &mut Dec) -> io::Result<WireFrame> {
         0 => Ok(WireFrame::Msg {
             src: take_pid(d)?,
             round: d.u64()?,
-            tag: String::from_utf8(d.bytes()?).map_err(|_| bad("tag not utf-8"))?,
             payload: take_msg(d)?,
         }),
         1 => Ok(WireFrame::EndOfRound {
@@ -585,36 +619,94 @@ mod tests {
     use congos::{CongosMsg, CongosRumorId, Rumor};
     use congos_sim::{IdSet, Round};
 
-    fn sample_msg() -> CongosMsg {
+    /// Cluster size of the test frames.
+    const N: usize = 8;
+
+    fn pid(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    fn crid(source: ProcessId) -> CongosRumorId {
+        CongosRumorId {
+            source,
+            birth: Round(5),
+            seq: 0,
+        }
+    }
+
+    fn encoded(frame: &WireFrame) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame(&mut buf, frame).unwrap();
+        buf
+    }
+
+    /// Decodes a buffer holding exactly one frame.
+    fn decode_one(buf: &[u8], n: usize) -> io::Result<WireFrame> {
+        let (frame, used) = decode_frame(buf, n)?.expect("a whole frame");
+        assert_eq!(used, buf.len(), "the frame spans the buffer");
+        Ok(frame)
+    }
+
+    fn msg(payload: CongosMsg) -> WireFrame {
+        WireFrame::Msg {
+            src: pid(1),
+            round: 7,
+            payload,
+        }
+    }
+
+    fn shoot(source: ProcessId, universe: usize) -> CongosMsg {
         CongosMsg::Shoot {
             rumor: Rumor {
                 wid: 9,
                 data: vec![1, 2, 3],
                 deadline: 64,
-                dest: IdSet::from_iter(8, [ProcessId::new(3)]),
+                dest: IdSet::from_iter(universe, [pid(3)]),
             },
-            rid: CongosRumorId {
-                source: ProcessId::new(0),
-                birth: Round(5),
-                seq: 0,
-            },
+            rid: crid(source),
             direct: false,
         }
     }
 
+    fn fragment(source: ProcessId, universe: usize) -> congos::Fragment {
+        congos::Fragment {
+            rid: crid(source),
+            wid: 3,
+            partition: 0,
+            group: 1,
+            k: 2,
+            bytes: vec![0xAB; 32].into(),
+            dest: IdSet::from_iter(universe, [pid(4)]).into(),
+            dline: 64,
+        }
+    }
+
+    fn all_gossip(wire: congos_gossip::GossipWire<Arc<GossipPayload>>) -> WireFrame {
+        msg(CongosMsg::Gossip {
+            lane: GossipLane::All { dline: 64 },
+            wire: Box::new(wire),
+        })
+    }
+
+    fn push(origin: ProcessId, payload: GossipPayload, universe: usize) -> WireFrame {
+        all_gossip(GossipWire::Push(Arc::new(vec![GossipRumor {
+            id: RumorId {
+                origin,
+                birth: Round(1),
+                seq: 0,
+            },
+            payload: Arc::new(payload),
+            duration: 8,
+            deadline: Round(9),
+            dest: Arc::new(IdSet::from_iter(universe, [pid(1)])),
+            best_effort: false,
+        }])))
+    }
+
     #[test]
     fn frame_round_trip() {
-        let frame = WireFrame::Msg {
-            src: ProcessId::new(1),
-            round: 7,
-            tag: "shoot".into(),
-            payload: sample_msg(),
-        };
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, &frame).unwrap();
-        let mut cursor = std::io::Cursor::new(buf);
-        let back = decode_frame(&mut cursor).unwrap();
-        assert_eq!(back, frame);
+        let frame = msg(shoot(pid(0), N));
+        assert_eq!(decode_one(&encoded(&frame), N).unwrap(), frame);
     }
 
     #[test]
@@ -624,60 +716,42 @@ mod tests {
             encode_frame(
                 &mut buf,
                 &WireFrame::EndOfRound {
-                    src: ProcessId::new(2),
+                    src: pid(2),
                     round: r,
                 },
             )
             .unwrap();
         }
-        let mut cursor = std::io::Cursor::new(buf);
+        let mut rest = &buf[..];
         for r in 0..3u64 {
-            match decode_frame(&mut cursor).unwrap() {
-                WireFrame::EndOfRound { src, round } => {
-                    assert_eq!(src, ProcessId::new(2));
-                    assert_eq!(round, r);
+            let (frame, used) = decode_frame(rest, N).unwrap().expect("whole frame");
+            assert_eq!(
+                frame,
+                WireFrame::EndOfRound {
+                    src: pid(2),
+                    round: r
                 }
-                other => panic!("unexpected {other:?}"),
-            }
+            );
+            rest = &rest[used..];
         }
-        assert!(decode_frame(&mut cursor).is_err(), "clean EOF errors out");
+        assert!(rest.is_empty());
+        assert!(
+            decode_frame(rest, N).unwrap().is_none(),
+            "no frame in no bytes"
+        );
     }
 
     #[test]
     fn gossip_wire_serializes_through_arc() {
         // The Arc-shared gossip payloads must survive the codec.
-        use congos::messages::GossipLane;
-        use congos::GossipPayload;
-        use congos_gossip::{GossipRumor, GossipWire, RumorId};
-        use std::sync::Arc;
-        let rumor = GossipRumor {
-            id: RumorId {
-                origin: ProcessId::new(0),
-                birth: Round(1),
-                seq: 0,
+        let frame = push(
+            pid(0),
+            GossipPayload::ProxyMeta {
+                failed_proxies: vec![pid(3)],
             },
-            payload: Arc::new(GossipPayload::ProxyMeta {
-                failed_proxies: vec![ProcessId::new(3)],
-            }),
-            duration: 8,
-            deadline: Round(9),
-            dest: Arc::new(IdSet::from_iter(4, [ProcessId::new(1)])),
-            best_effort: false,
-        };
-        let msg = CongosMsg::Gossip {
-            lane: GossipLane::All { dline: 64 },
-            wire: Box::new(GossipWire::Push(Arc::new(vec![rumor]))),
-        };
-        let frame = WireFrame::Msg {
-            src: ProcessId::new(0),
-            round: 1,
-            tag: "all_gossip".into(),
-            payload: msg,
-        };
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, &frame).unwrap();
-        let back = decode_frame(&mut std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(back, frame);
+            N,
+        );
+        assert_eq!(decode_one(&encoded(&frame), N).unwrap(), frame);
     }
 
     #[test]
@@ -707,7 +781,10 @@ mod tests {
                 partition: rng.gen_range(0..8u16),
                 group: rng.gen_range(0..6u8),
                 k: rng.gen_range(1..7u8),
-                bytes: (0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>().into(),
+                bytes: (0..len)
+                    .map(|_| rng.gen::<u8>())
+                    .collect::<Vec<u8>>()
+                    .into(),
                 dest: dest.into(),
                 dline: 64,
             };
@@ -721,7 +798,11 @@ mod tests {
                 f.wire_size()
             );
             // And the encoding round-trips through the interning decoder.
-            let mut d = Dec { buf: &buf, pos: 0 };
+            let mut d = Dec {
+                buf: &buf,
+                pos: 0,
+                n: universe,
+            };
             let back = take_fragment(&mut d).unwrap();
             assert_eq!(d.pos, buf.len());
             assert_eq!(back, f);
@@ -730,25 +811,16 @@ mod tests {
 
     #[test]
     fn decoded_fragments_are_interned() {
-        use congos::{FragBytes, Fragment};
-        let f = Fragment {
-            rid: CongosRumorId {
-                source: ProcessId::new(1),
-                birth: Round(2),
-                seq: 0,
-            },
-            wid: 3,
-            partition: 0,
-            group: 1,
-            k: 2,
-            bytes: vec![0xAB; 32].into(),
-            dest: IdSet::from_iter(16, [ProcessId::new(4), ProcessId::new(9)]).into(),
-            dline: 64,
-        };
+        use congos::FragBytes;
         let mut buf = Vec::new();
-        put_fragment(&mut buf, &f);
-        let a = take_fragment(&mut Dec { buf: &buf, pos: 0 }).unwrap();
-        let b = take_fragment(&mut Dec { buf: &buf, pos: 0 }).unwrap();
+        put_fragment(&mut buf, &fragment(pid(1), N));
+        let dec = || Dec {
+            buf: &buf,
+            pos: 0,
+            n: N,
+        };
+        let a = take_fragment(&mut dec()).unwrap();
+        let b = take_fragment(&mut dec()).unwrap();
         assert!(
             FragBytes::ptr_eq(&a.bytes, &b.bytes),
             "two decodes of one fragment share the byte allocation"
@@ -762,40 +834,40 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&[9u8, 0]);
-        assert!(decode_frame(&mut std::io::Cursor::new(buf)).is_err());
-        // Truncated body.
+        assert!(decode_frame(&buf, N).is_err());
+        // A body shorter than its length prefix is an incomplete frame…
         let mut buf = Vec::new();
         buf.extend_from_slice(&100u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 5]);
-        assert!(decode_frame(&mut std::io::Cursor::new(buf)).is_err());
-        // Length prefix pointing past the frame end.
-        let frame = WireFrame::Msg {
-            src: ProcessId::new(1),
-            round: 0,
-            tag: "shoot".into(),
-            payload: sample_msg(),
-        };
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, &frame).unwrap();
-        // Corrupt the tag length (offset: 4 frame len + 1 disc + 4 pid + 8 round).
-        buf[17] = 0xFF;
-        assert!(decode_frame(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(decode_frame(&buf, N).unwrap().is_none());
+        // …but a whole body that ends mid-field is malformed.
+        let whole = encoded(&msg(shoot(pid(0), N)));
+        let mut cut = whole[..whole.len() - 3].to_vec();
+        let body_len = cut.len() as u32 - 4;
+        cut[..4].copy_from_slice(&body_len.to_le_bytes());
+        assert!(decode_frame(&cut, N).is_err());
+        // Inner length prefix pointing past the frame end (offset: 4 frame
+        // len + 1 disc + 4 pid + 8 round + 1 msg disc + 8 wid → the rumor
+        // data length).
+        let mut buf = whole;
+        buf[29] = 0xFF;
+        assert!(decode_frame(&buf, N).is_err());
     }
 
     #[test]
     fn oversized_length_prefix_rejected_without_allocation() {
         // A hostile 4 GiB length prefix must be refused up front — if the
-        // decoder tried to honor it, `vec![0u8; len]` would OOM the host.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = decode_frame(&mut std::io::Cursor::new(buf)).unwrap_err();
+        // decoder waited for (or allocated) the claimed body, a peer could
+        // pin the host's memory.
+        let buf = u32::MAX.to_le_bytes();
+        let err = decode_frame(&buf, N).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("MAX_FRAME_LEN"), "{err}");
-        // Just over the cap is refused too; at most MAX_FRAME_LEN is read.
+        // Just over the cap is refused too.
         let mut buf = Vec::new();
         buf.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes());
         buf.extend_from_slice(&[0u8; 64]);
-        assert!(decode_frame(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(decode_frame(&buf, N).is_err());
     }
 
     #[test]
@@ -806,7 +878,6 @@ mod tests {
         put_u8(&mut body, 0); // WireFrame::Msg
         put_pid(&mut body, ProcessId::new(0));
         put_u64(&mut body, 0); // round
-        put_bytes(&mut body, b"all_gossip");
         put_u8(&mut body, 0); // CongosMsg::Gossip
         put_u8(&mut body, 1); // GossipLane::All
         put_u64(&mut body, 64); // dline
@@ -815,7 +886,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        let err = decode_frame(&mut std::io::Cursor::new(buf)).unwrap_err();
+        let err = decode_frame(&buf, N).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Same for a ProxyRequest with a hostile fragment count.
@@ -823,7 +894,6 @@ mod tests {
         put_u8(&mut body, 0);
         put_pid(&mut body, ProcessId::new(1));
         put_u64(&mut body, 3);
-        put_bytes(&mut body, b"proxy");
         put_u8(&mut body, 1); // CongosMsg::ProxyRequest
         put_u64(&mut body, 64);
         put_u16(&mut body, 0);
@@ -831,43 +901,153 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        assert!(decode_frame(&mut std::io::Cursor::new(buf)).is_err());
+        assert!(decode_frame(&buf, N).is_err());
     }
 
     #[test]
     fn encode_rejects_oversized_frame() {
-        use congos::Fragment;
         // A fragment with a payload bigger than MAX_FRAME_LEN cannot be
         // framed (one rumor's fragments are ~|rumor|/g bytes, so this only
         // triggers on absurd inputs — but the check keeps encode and decode
         // symmetric).
-        let f = Fragment {
-            rid: CongosRumorId {
-                source: ProcessId::new(0),
-                birth: Round(0),
-                seq: 0,
-            },
-            wid: 0,
-            partition: 0,
-            group: 0,
-            k: 1,
-            bytes: vec![0u8; MAX_FRAME_LEN + 1].into(),
-            dest: IdSet::empty(4).into(),
+        let mut f = fragment(pid(0), N);
+        f.bytes = vec![0u8; MAX_FRAME_LEN + 1].into();
+        let frame = msg(CongosMsg::Partials {
             dline: 64,
-        };
-        let frame = WireFrame::Msg {
-            src: ProcessId::new(0),
-            round: 0,
-            tag: "partials".into(),
-            payload: CongosMsg::Partials {
-                dline: 64,
-                ell: 0,
-                fragments: vec![f],
-            },
-        };
-        let mut sink = Vec::new();
+            ell: 0,
+            fragments: vec![f],
+        });
+        let mut sink = vec![7u8];
         let err = encode_frame(&mut sink, &frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(sink.is_empty(), "nothing was written");
+        assert_eq!(sink, [7], "the buffer is left as it was");
+    }
+
+    /// `frame(p)` carries the process id `p` in one position: it must decode
+    /// at `p = N − 1` and be refused as `InvalidData` at `p = N`, the first
+    /// id a node of an `N`-node cluster cannot index.
+    fn check_id_position(frame: impl Fn(ProcessId) -> WireFrame) {
+        let last = frame(pid(N - 1));
+        assert_eq!(decode_one(&encoded(&last), N).unwrap(), last);
+        let err = decode_frame(&encoded(&frame(pid(N))), N).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn frame_src_must_fit_the_cluster() {
+        check_id_position(|src| WireFrame::EndOfRound { src, round: 0 });
+        check_id_position(|src| WireFrame::Msg {
+            src,
+            round: 0,
+            payload: CongosMsg::ProxyAck { dline: 64, ell: 0 },
+        });
+    }
+
+    #[test]
+    fn gossip_rumor_origin_must_fit_the_cluster() {
+        check_id_position(|origin| {
+            push(
+                origin,
+                GossipPayload::Distribution {
+                    partition: 0,
+                    group: 0,
+                    hits: vec![],
+                },
+                N,
+            )
+        });
+    }
+
+    #[test]
+    fn acked_rumor_origin_must_fit_the_cluster() {
+        check_id_position(|origin| {
+            all_gossip(GossipWire::Ack(vec![RumorId {
+                origin,
+                birth: Round(1),
+                seq: 0,
+            }]))
+        });
+    }
+
+    #[test]
+    fn fragment_source_must_fit_the_cluster() {
+        check_id_position(|source| {
+            msg(CongosMsg::ProxyRequest {
+                dline: 64,
+                ell: 0,
+                fragments: vec![fragment(source, N)],
+            })
+        });
+    }
+
+    #[test]
+    fn shot_rumor_source_must_fit_the_cluster() {
+        check_id_position(|source| msg(shoot(source, N)));
+    }
+
+    #[test]
+    fn hit_target_must_fit_the_cluster() {
+        check_id_position(|target| {
+            push(
+                pid(0),
+                GossipPayload::GdShare {
+                    hits: vec![(target, crid(pid(0)))],
+                },
+                N,
+            )
+        });
+    }
+
+    #[test]
+    fn hit_rumor_source_must_fit_the_cluster() {
+        check_id_position(|source| {
+            push(
+                pid(0),
+                GossipPayload::Distribution {
+                    partition: 1,
+                    group: 0,
+                    hits: vec![(pid(2), crid(source))],
+                },
+                N,
+            )
+        });
+    }
+
+    #[test]
+    fn failed_proxy_must_fit_the_cluster() {
+        check_id_position(|p| {
+            push(
+                pid(0),
+                GossipPayload::ProxyMeta {
+                    failed_proxies: vec![p],
+                },
+                N,
+            )
+        });
+    }
+
+    #[test]
+    fn id_sets_must_range_over_the_cluster() {
+        let meta = || GossipPayload::ProxyMeta {
+            failed_proxies: vec![],
+        };
+        let frames: [&dyn Fn(usize) -> WireFrame; 3] = [
+            &|u| msg(shoot(pid(0), u)),
+            &|u| {
+                msg(CongosMsg::Partials {
+                    dline: 64,
+                    ell: 0,
+                    fragments: vec![fragment(pid(0), u)],
+                })
+            },
+            &|u| push(pid(0), meta(), u),
+        ];
+        for frame in frames {
+            assert!(decode_one(&encoded(&frame(N)), N).is_ok());
+            for universe in [N - 1, N + 1] {
+                let err = decode_frame(&encoded(&frame(universe)), N).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            }
+        }
     }
 }

@@ -1,18 +1,21 @@
 //! `TcpTransport` — the socket-backed [`RoundTransport`].
 //!
-//! One instance backs ONE node of a cluster. Topology of the plumbing:
+//! One instance backs ONE node of a cluster and runs on that node's thread:
+//! once constructed it owns no threads and no channels, only non-blocking
+//! sockets and their buffers.
 //!
-//! * **Outbound**: one TCP connection per peer, dialed with capped
-//!   exponential backoff while the peers come up. Each connection is owned
-//!   by a dedicated writer thread fed through a bounded channel of encoded
-//!   frames — a stalled peer exerts backpressure instead of growing an
-//!   unbounded queue.
-//! * **Inbound**: one accepted TCP connection per peer, each owned by a
-//!   reader thread that decodes frames (with the codec's frame-size caps)
-//!   and pushes events into one bounded channel the round loop drains.
-//!   A read error or EOF becomes a [`PeerLost`](Event::PeerLost) event, so
-//!   a dead peer surfaces as a clean `io::Error` at the next barrier
-//!   instead of a hang.
+//! * **Connections**: one outbound TCP connection per peer, dialed with
+//!   capped exponential backoff while the peers come up and only ever
+//!   written; one inbound connection per peer, accepted during construction
+//!   and only ever read.
+//! * **Sending**: each frame is encoded into one reusable scratch buffer and
+//!   written to its socket at once. Only the bytes the socket would not take
+//!   wait in that peer's pending buffer, which is freed once it drains.
+//! * **Receiving**: each inbound connection reads into its own buffer, and
+//!   the complete frames in it are decoded in place after every read. An
+//!   inbound connection speaks for the peer named by its first frame; a
+//!   frame naming another process, or a second connection claiming the same
+//!   peer, is `InvalidData`.
 //! * **Self-sends** loop back in memory and never touch a socket.
 //! * **Sender-side topology filtering**: frames whose `(src, dst)` link is
 //!   absent this round are dropped before the wire — exactly the envelopes
@@ -20,27 +23,33 @@
 //!   identical and saves the hop.
 //!
 //! The barrier ([`recv_until_barrier`](RoundTransport::recv_until_barrier))
-//! counts `EndOfRound` markers. Peers may run one superstep ahead (they can
-//! finish round `r` and send round `r + 1` traffic before this node passes
-//! its own round-`r` barrier), so future-round frames are parked in a
-//! carried queue scanned once per round. Past-round frames are a protocol
-//! violation (per-peer streams are FIFO and the barrier was passed) and
-//! error out as `InvalidData`.
+//! is one `poll(2)` loop that reads every inbound connection and flushes
+//! every pending buffer until each peer's end-of-round marker has arrived
+//! *and* nothing is left to send — so two nodes that both send more than a
+//! socket buffer holds in one round cannot deadlock. A second marker from
+//! one peer in one round is `InvalidData`. Peers may run one superstep ahead
+//! (they can finish round `r` and send round `r + 1` traffic before this
+//! node passes its own round-`r` barrier), so future-round frames are
+//! parked in a carried queue scanned once per round. Past-round frames are a
+//! protocol violation (per-peer streams are FIFO and the barrier was passed)
+//! and error out as `InvalidData`. A peer whose connection closes before its
+//! marker is lost: the barrier returns an error naming it instead of
+//! hanging. Writing to a peer that has gone is an `EPIPE` error rather than
+//! a fatal signal because the Rust runtime ignores `SIGPIPE` by default.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::thread::JoinHandle;
+use std::io::{self, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use congos::{tag_by_name, CongosMsg};
+use congos::CongosMsg;
 use congos_sim::message::SendColumns;
 use congos_sim::topology::{Topology, TopologySpec};
 use congos_sim::transport::RoundTransport;
-use congos_sim::{Envelope, ProcessId, Round, Tag};
+use congos_sim::{Envelope, ProcessId, Round};
 
 use crate::codec::{decode_frame, encode_frame, WireFrame};
+use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 
 /// How long to keep retrying an outbound dial while peers come up.
 pub const CONNECT_DEADLINE: Duration = Duration::from_secs(20);
@@ -49,23 +58,78 @@ const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 /// Default cap on waiting for a round barrier before declaring the cluster
 /// wedged.
 pub const BARRIER_TIMEOUT: Duration = Duration::from_secs(30);
-/// Grace period for draining already-queued frames once a peer is known
-/// lost — the missing end-of-round markers may still be in the channel.
-const PEER_LOSS_GRACE: Duration = Duration::from_millis(500);
-/// Bound of the inbound event channel (frames from all peers).
-const EVENT_CHANNEL_BOUND: usize = 4096;
-/// Bound of each per-peer outbound frame channel.
-const WRITER_CHANNEL_BOUND: usize = 256;
+/// Free space each inbound buffer offers a read; a frame larger than the
+/// buffer grows it by this much per read.
+const READ_CHUNK: usize = 16 * 1024;
 
-enum Event {
-    Frame(WireFrame),
-    /// A peer's connection died (EOF or read error). Carries a diagnostic.
-    PeerLost(String),
+/// One peer: the connection this node dialed to it, and what the peer's own
+/// (inbound) connection has told this node so far.
+#[derive(Debug)]
+struct Peer {
+    /// Written only.
+    out: TcpStream,
+    /// Bytes the socket would not take yet, from `sent` on. Empty and
+    /// unallocated whenever the socket has kept up.
+    pending: Vec<u8>,
+    sent: usize,
+    /// Whether an inbound connection speaks for this peer.
+    claimed: bool,
+    /// Whether this peer's end-of-round marker for the current round has
+    /// arrived.
+    marked: bool,
 }
 
-enum WriterCmd {
-    Bytes(Vec<u8>),
-    Flush,
+impl Peer {
+    /// Writes `bytes` after whatever is pending, without blocking: what the
+    /// socket does not take now waits in `pending`.
+    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let written = if self.pending.is_empty() {
+            write_some(&mut self.out, bytes)?
+        } else {
+            0
+        };
+        self.pending.extend_from_slice(&bytes[written..]);
+        Ok(())
+    }
+
+    /// Writes pending bytes until the socket would block, and frees the
+    /// buffer once it has drained.
+    fn flush(&mut self) -> io::Result<()> {
+        self.sent += write_some(&mut self.out, &self.pending[self.sent..])?;
+        if self.sent == self.pending.len() {
+            self.pending = Vec::new();
+            self.sent = 0;
+        }
+        Ok(())
+    }
+}
+
+/// Writes a prefix of `bytes` without blocking and returns its length.
+fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+    let mut written = 0;
+    while written < bytes.len() {
+        match stream.write(&bytes[written..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(k) => written += k,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(written)
+}
+
+/// One connection a peer dialed to this node.
+#[derive(Debug)]
+struct Inbound {
+    stream: TcpStream,
+    /// `buf[..filled]` holds bytes read but not yet decoded.
+    buf: Vec<u8>,
+    filled: usize,
+    /// The peer this connection speaks for, once its first frame named it.
+    peer: Option<ProcessId>,
+    /// The peer closed the connection.
+    closed: bool,
 }
 
 /// The socket-backed delivery substrate for one node of a localhost (or
@@ -76,20 +140,17 @@ pub struct TcpTransport {
     n: usize,
     topology: Topology,
     barrier_timeout: Duration,
-    /// `None` only mid-`Drop` (taking it unblocks readers stuck on a full
-    /// channel).
-    event_rx: Option<Receiver<Event>>,
-    writers: Vec<Option<SyncSender<WriterCmd>>>,
-    writer_handles: Vec<JoinHandle<()>>,
-    reader_handles: Vec<JoinHandle<()>>,
-    /// Clones of the accepted streams, kept to shut readers down on `Drop`.
-    reader_streams: Vec<TcpStream>,
+    /// Indexed by peer id; `None` at `me` (and everywhere when `n == 1`).
+    peers: Vec<Option<Peer>>,
+    inbound: Vec<Inbound>,
+    /// Encode buffer shared by every frame this node sends.
+    scratch: Vec<u8>,
+    /// `poll` set: one entry per inbound connection, then one per peer id.
+    pollfds: Vec<PollFd>,
     /// Loopback buffer for self-sends (drained at the next receive).
     self_inbox: Vec<Envelope<CongosMsg>>,
     /// Frames from future rounds, parked until their round starts.
     carried: VecDeque<WireFrame>,
-    /// Diagnostics of peers lost so far.
-    lost: Vec<String>,
     messages: u64,
     topology_drops: u64,
 }
@@ -199,20 +260,17 @@ impl TcpTransport {
         seed: u64,
         deadline: Duration,
     ) -> io::Result<Self> {
-        let (event_tx, event_rx) = sync_channel::<Event>(EVENT_CHANNEL_BOUND);
         let mut transport = TcpTransport {
             me,
             n,
             topology: Topology::build(topology, n, seed),
             barrier_timeout: BARRIER_TIMEOUT,
-            event_rx: Some(event_rx),
-            writers: (0..n).map(|_| None).collect(),
-            writer_handles: Vec::new(),
-            reader_handles: Vec::new(),
-            reader_streams: Vec::new(),
+            peers: (0..n).map(|_| None).collect(),
+            inbound: Vec::new(),
+            scratch: Vec::new(),
+            pollfds: Vec::new(),
             self_inbox: Vec::new(),
             carried: VecDeque::new(),
-            lost: Vec::new(),
             messages: 0,
             topology_drops: 0,
         };
@@ -231,8 +289,7 @@ impl TcpTransport {
             while streams.len() < n - 1 {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        stream.set_nonblocking(false)?;
-                        stream.set_nodelay(true).ok();
+                        stream.set_nonblocking(true)?;
                         streams.push(stream);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -261,14 +318,20 @@ impl TcpTransport {
                 continue;
             }
             let addr = ("127.0.0.1", base_port + j as u16);
-            match connect_with_backoff(addr, deadline) {
-                Ok(stream) => {
-                    stream.set_nodelay(true).ok();
-                    let (tx, rx) = sync_channel::<WriterCmd>(WRITER_CHANNEL_BOUND);
-                    transport.writer_handles.push(std::thread::spawn(move || {
-                        writer_loop(stream, rx);
-                    }));
-                    transport.writers[j] = Some(tx);
+            let dialed = connect_with_backoff(addr, deadline).and_then(|out| {
+                out.set_nodelay(true).ok();
+                out.set_nonblocking(true)?;
+                Ok(out)
+            });
+            match dialed {
+                Ok(out) => {
+                    transport.peers[j] = Some(Peer {
+                        out,
+                        pending: Vec::new(),
+                        sent: 0,
+                        claimed: false,
+                        marked: false,
+                    });
                 }
                 Err(e) => {
                     dial_err = Some(io::Error::new(e.kind(), format!("node {me}: {e}")));
@@ -281,25 +344,20 @@ impl TcpTransport {
             .join()
             .unwrap_or_else(|_| Err(io::Error::other("accept thread panicked")));
         if let Some(e) = dial_err {
-            return Err(e); // Drop tears down whatever came up
+            return Err(e);
         }
-        let accepted = accepted.map_err(|e| {
-            io::Error::new(e.kind(), format!("node {me}: accepting peers: {e}"))
-        })?;
-
-        for stream in accepted {
-            transport.reader_streams.push(stream.try_clone()?);
-            let tx = event_tx.clone();
-            let peer = stream
-                .peer_addr()
-                .map(|a| a.to_string())
-                .unwrap_or_else(|_| "<unknown>".into());
-            transport.reader_handles.push(std::thread::spawn(move || {
-                reader_loop(stream, tx, peer);
-            }));
-        }
-        // `event_tx` drops here: the channel disconnects only when every
-        // reader thread has exited.
+        let accepted = accepted
+            .map_err(|e| io::Error::new(e.kind(), format!("node {me}: accepting peers: {e}")))?;
+        transport.inbound = accepted
+            .into_iter()
+            .map(|stream| Inbound {
+                stream,
+                buf: Vec::new(),
+                filled: 0,
+                peer: None,
+                closed: false,
+            })
+            .collect();
         Ok(transport)
     }
 
@@ -326,71 +384,179 @@ impl TcpTransport {
         &self.topology
     }
 
-    fn push_to_writer(&mut self, dst: usize, cmd: WriterCmd) -> io::Result<()> {
-        let tx = self.writers[dst]
-            .as_ref()
-            .expect("writer exists for every peer");
-        tx.send(cmd).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                format!(
-                    "node {}: connection to peer p{dst} is gone (write side)",
-                    self.me
-                ),
-            )
-        })
+    /// Sends the frame in `scratch` to peer `dst`.
+    fn send_scratch(&mut self, dst: usize) -> io::Result<()> {
+        let peer = self.peers[dst]
+            .as_mut()
+            .expect("a connection to every peer");
+        peer.send(&self.scratch)
+            .map_err(|e| write_error(self.me, dst, e))
     }
 
-    fn peer_loss_error(&self, round: Round, eor: usize) -> io::Error {
-        io::Error::new(
-            io::ErrorKind::ConnectionReset,
-            format!(
-                "node {}: {round} barrier stalled at {eor}/{} end-of-round markers; \
-                 lost peer(s): {}",
-                self.me,
-                self.n - 1,
-                self.lost.join(", ")
-            ),
-        )
-    }
-}
-
-fn writer_loop(stream: TcpStream, rx: Receiver<WriterCmd>) {
-    let mut w = BufWriter::new(stream);
-    while let Ok(cmd) = rx.recv() {
-        let res = match cmd {
-            WriterCmd::Bytes(bytes) => w.write_all(&bytes),
-            WriterCmd::Flush => w.flush(),
-        };
-        if res.is_err() {
-            // Exiting drops `rx`; the round loop sees the disconnect as a
-            // send failure and reports the lost peer.
-            return;
-        }
-    }
-    let _ = w.flush();
-}
-
-fn reader_loop(stream: TcpStream, tx: SyncSender<Event>, peer: String) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        match decode_frame(&mut reader) {
-            Ok(frame) => {
-                if tx.send(Event::Frame(frame)).is_err() {
-                    return; // round loop gone; nothing to report to
+    /// Reads inbound connection `i` until it would block, decoding each
+    /// complete frame as soon as it is in the buffer.
+    fn read_inbound(
+        &mut self,
+        i: usize,
+        r: u64,
+        inbox: &mut Vec<Envelope<CongosMsg>>,
+    ) -> io::Result<()> {
+        let TcpTransport {
+            me,
+            n,
+            peers,
+            inbound,
+            carried,
+            ..
+        } = self;
+        let conn = &mut inbound[i];
+        loop {
+            if conn.buf.len() - conn.filled < READ_CHUNK {
+                // Exact, not doubling, growth: the buffer is kept for the
+                // connection's life, so it stays at most one chunk above the
+                // largest frame the peer has sent.
+                conn.buf
+                    .reserve_exact(conn.filled + READ_CHUNK - conn.buf.len());
+                conn.buf.resize(conn.filled + READ_CHUNK, 0);
+            }
+            match conn.stream.read(&mut conn.buf[conn.filled..]) {
+                Ok(0) => {
+                    conn.closed = true;
+                    return Ok(());
+                }
+                Ok(k) => conn.filled += k,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    return Err(io::Error::new(
+                        e.kind(),
+                        format!("node {me}: lost peer {}: {e}", speaker(conn.peer)),
+                    ))
                 }
             }
-            Err(e) => {
-                let diag = if e.kind() == io::ErrorKind::UnexpectedEof {
-                    format!("{peer} (clean close)")
-                } else {
-                    format!("{peer} ({e})")
-                };
-                let _ = tx.send(Event::PeerLost(diag));
-                return;
+            let mut pos = 0;
+            while let Some((frame, used)) =
+                decode_frame(&conn.buf[pos..conn.filled], *n).map_err(|e| {
+                    io::Error::new(
+                        e.kind(),
+                        format!("node {me}: bad frame from {}: {e}", speaker(conn.peer)),
+                    )
+                })?
+            {
+                pos += used;
+                bind(&mut conn.peer, frame.src(), peers)?;
+                route(frame, r, *me, peers, inbox, carried)?;
+            }
+            conn.buf.copy_within(pos..conn.filled, 0);
+            conn.filled -= pos;
+        }
+    }
+
+    /// The error of a barrier that can no longer complete because a peer
+    /// closed its connection before sending this round's marker.
+    fn lost_peer(&self, round: Round) -> Option<io::Error> {
+        let marked = |p: ProcessId| self.peers[p.as_usize()].as_ref().is_some_and(|p| p.marked);
+        let conn = self
+            .inbound
+            .iter()
+            .find(|c| c.closed && !c.peer.is_some_and(marked))?;
+        Some(io::Error::new(
+            io::ErrorKind::ConnectionReset,
+            format!(
+                "node {}: {round} barrier: lost peer {} (connection closed before \
+                 its end-of-round marker)",
+                self.me,
+                speaker(conn.peer)
+            ),
+        ))
+    }
+}
+
+/// Names the peer behind a connection in diagnostics.
+fn speaker(peer: Option<ProcessId>) -> String {
+    peer.map_or_else(|| "<not yet named>".into(), |p| p.to_string())
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn write_error(me: ProcessId, dst: usize, e: io::Error) -> io::Error {
+    io::Error::new(
+        e.kind(),
+        format!("node {me}: connection to peer p{dst} is gone (write side): {e}"),
+    )
+}
+
+/// Checks that a frame from `src` may arrive on a connection bound to
+/// `conn`, binding the connection to `src` on its first frame.
+fn bind(
+    conn: &mut Option<ProcessId>,
+    src: ProcessId,
+    peers: &mut [Option<Peer>],
+) -> io::Result<()> {
+    match *conn {
+        Some(p) if p == src => Ok(()),
+        Some(p) => Err(invalid(format!(
+            "the connection of {p} sent a frame from {src}"
+        ))),
+        None => {
+            let peer = peers[src.as_usize()]
+                .as_mut()
+                .ok_or_else(|| invalid(format!("a peer claims to be this node, {src}")))?;
+            if peer.claimed {
+                return Err(invalid(format!("a second connection claims {src}")));
+            }
+            peer.claimed = true;
+            *conn = Some(src);
+            Ok(())
+        }
+    }
+}
+
+/// Routes one frame while this node is in round `r`: into the inbox, onto
+/// its sender's marker, or into `carried` if it belongs to a later round.
+fn route(
+    frame: WireFrame,
+    r: u64,
+    me: ProcessId,
+    peers: &mut [Option<Peer>],
+    inbox: &mut Vec<Envelope<CongosMsg>>,
+    carried: &mut VecDeque<WireFrame>,
+) -> io::Result<()> {
+    let fr = frame.round();
+    if fr > r {
+        carried.push_back(frame);
+        return Ok(());
+    }
+    if fr < r {
+        // Streams are FIFO and the round-`fr` barrier was already passed —
+        // a frame this old is a bug or a hostile peer.
+        return Err(invalid(format!(
+            "stale frame from {}: round {fr} < current {r}",
+            frame.src()
+        )));
+    }
+    match frame {
+        WireFrame::Msg { src, payload, .. } => inbox.push(Envelope {
+            src,
+            dst: me,
+            round: Round(r),
+            tag: payload.tag(),
+            payload,
+        }),
+        WireFrame::EndOfRound { src, .. } => {
+            let peer = peers[src.as_usize()]
+                .as_mut()
+                .expect("bound connections speak for peers");
+            if std::mem::replace(&mut peer.marked, true) {
+                return Err(invalid(format!(
+                    "second end-of-round marker from {src} in round {r}"
+                )));
             }
         }
     }
+    Ok(())
 }
 
 impl RoundTransport<CongosMsg> for TcpTransport {
@@ -423,12 +589,11 @@ impl RoundTransport<CongosMsg> for TcpTransport {
             let frame = WireFrame::Msg {
                 src: self.me,
                 round: r,
-                tag: tag.name().to_string(),
                 payload,
             };
-            let mut bytes = Vec::with_capacity(64);
-            encode_frame(&mut bytes, &frame)?;
-            self.push_to_writer(dst.as_usize(), WriterCmd::Bytes(bytes))?;
+            self.scratch.clear();
+            encode_frame(&mut self.scratch, &frame)?;
+            self.send_scratch(dst.as_usize())?;
             self.messages += 1;
         }
         Ok(())
@@ -440,12 +605,11 @@ impl RoundTransport<CongosMsg> for TcpTransport {
             src: self.me,
             round: round.as_u64(),
         };
-        let mut bytes = Vec::with_capacity(16);
-        encode_frame(&mut bytes, &marker)?;
+        self.scratch.clear();
+        encode_frame(&mut self.scratch, &marker)?;
         for dst in 0..self.n {
-            if self.writers[dst].is_some() {
-                self.push_to_writer(dst, WriterCmd::Bytes(bytes.clone()))?;
-                self.push_to_writer(dst, WriterCmd::Flush)?;
+            if dst != self.me.as_usize() {
+                self.send_scratch(dst)?;
             }
         }
         Ok(())
@@ -461,146 +625,74 @@ impl RoundTransport<CongosMsg> for TcpTransport {
         let r = round.as_u64();
         inbox.clear();
         inbox.append(&mut self.self_inbox);
-        let mut eor = 0usize;
-
-        // One decoded frame: deliver, count, park, or reject.
-        fn classify(
-            frame: WireFrame,
-            r: u64,
-            me: ProcessId,
-            inbox: &mut Vec<Envelope<CongosMsg>>,
-            eor: &mut usize,
-        ) -> io::Result<Option<WireFrame>> {
-            match frame {
-                WireFrame::Msg {
-                    src,
-                    round: fr,
-                    tag,
-                    payload,
-                } => {
-                    if fr == r {
-                        inbox.push(Envelope {
-                            src,
-                            dst: me,
-                            round: Round(r),
-                            tag: tag_by_name(&tag).unwrap_or(Tag("remote")),
-                            payload,
-                        });
-                        Ok(None)
-                    } else if fr > r {
-                        Ok(Some(WireFrame::Msg {
-                            src,
-                            round: fr,
-                            tag,
-                            payload,
-                        }))
-                    } else {
-                        // Streams are FIFO and the round-`fr` barrier was
-                        // already passed — a frame this old is a bug or a
-                        // hostile peer.
-                        Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("stale frame from {src}: round {fr} < current {r}"),
-                        ))
-                    }
-                }
-                WireFrame::EndOfRound { src, round: fr } => {
-                    if fr == r {
-                        *eor += 1;
-                        Ok(None)
-                    } else if fr > r {
-                        Ok(Some(WireFrame::EndOfRound { src, round: fr }))
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("stale end-of-round from {src}: {fr} < current {r}"),
-                        ))
-                    }
-                }
-            }
+        for peer in self.peers.iter_mut().flatten() {
+            peer.marked = false;
         }
-
-        // Frames that arrived during previous rounds, scanned exactly once.
+        // Frames that arrived during the previous round, scanned exactly once.
         for frame in std::mem::take(&mut self.carried) {
-            if let Some(parked) = classify(frame, r, self.me, inbox, &mut eor)? {
-                self.carried.push_back(parked);
-            }
+            route(frame, r, self.me, &mut self.peers, inbox, &mut self.carried)?;
         }
 
-        let start = Instant::now();
-        while eor < self.n - 1 {
-            let timeout = if self.lost.is_empty() {
-                match self.barrier_timeout.checked_sub(start.elapsed()) {
-                    Some(left) if !left.is_zero() => left,
-                    _ => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "node {}: {round} barrier timed out after {:?} \
-                                 ({eor}/{} end-of-round markers)",
-                                self.me,
-                                self.barrier_timeout,
-                                self.n - 1
-                            ),
-                        ));
-                    }
-                }
-            } else {
-                // A peer is gone; drain whatever it already sent, then fail
-                // fast instead of waiting out the full barrier timeout.
-                PEER_LOSS_GRACE
-            };
-            let rx = self.event_rx.as_ref().expect("receiver present outside Drop");
-            match rx.recv_timeout(timeout) {
-                Ok(Event::Frame(frame)) => {
-                    if let Some(parked) = classify(frame, r, self.me, inbox, &mut eor)? {
-                        self.carried.push_back(parked);
-                    }
-                }
-                Ok(Event::PeerLost(diag)) => {
-                    self.lost.push(diag);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected)
-                    if !self.lost.is_empty() =>
-                {
-                    return Err(self.peer_loss_error(round, eor));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        format!(
-                            "node {}: every peer reader exited before the {round} \
-                             barrier completed ({eor}/{})",
-                            self.me,
-                            self.n - 1
-                        ),
-                    ));
-                }
-                Err(RecvTimeoutError::Timeout) => continue, // loop re-checks deadline
+        let deadline = Instant::now() + self.barrier_timeout;
+        loop {
+            if self
+                .peers
+                .iter()
+                .flatten()
+                .all(|p| p.marked && p.pending.is_empty())
+            {
+                return Ok(());
             }
-        }
-        Ok(())
-    }
-}
+            if let Some(e) = self.lost_peer(round) {
+                return Err(e);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let waiting: Vec<String> = (0..self.n)
+                    .filter(|&j| self.peers[j].as_ref().is_some_and(|p| !p.marked))
+                    .map(|j| format!("p{j}"))
+                    .collect();
+                return Err(io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!(
+                        "node {}: {round} barrier timed out after {:?} \
+                         ({}/{} end-of-round markers; waiting for [{}])",
+                        self.me,
+                        self.barrier_timeout,
+                        self.n - 1 - waiting.len(),
+                        self.n - 1,
+                        waiting.join(", ")
+                    ),
+                ));
+            }
 
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Unblock readers stuck sending into a full event channel…
-        drop(self.event_rx.take());
-        // …and readers stuck in a socket read.
-        for s in &self.reader_streams {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        // Writer threads flush what they have and exit once their channel
-        // disconnects.
-        for w in &mut self.writers {
-            drop(w.take());
-        }
-        for h in self.writer_handles.drain(..) {
-            let _ = h.join();
-        }
-        for h in self.reader_handles.drain(..) {
-            let _ = h.join();
+            self.pollfds.clear();
+            self.pollfds.extend(self.inbound.iter().map(|c| {
+                if c.closed {
+                    PollFd::idle()
+                } else {
+                    PollFd::new(&c.stream, POLLIN)
+                }
+            }));
+            self.pollfds.extend(self.peers.iter().map(|p| match p {
+                Some(p) if !p.pending.is_empty() => PollFd::new(&p.out, POLLOUT),
+                _ => PollFd::idle(),
+            }));
+            if poll(&mut self.pollfds, left)? == 0 {
+                continue;
+            }
+            let k = self.inbound.len();
+            for i in 0..k {
+                if self.pollfds[i].ready() {
+                    self.read_inbound(i, r, inbox)?;
+                }
+            }
+            for j in 0..self.n {
+                if self.pollfds[k + j].ready() {
+                    let peer = self.peers[j].as_mut().expect("polled peers exist");
+                    peer.flush().map_err(|e| write_error(self.me, j, e))?;
+                }
+            }
         }
     }
 }
@@ -608,8 +700,68 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use congos::{CongosInput, CongosNode, CongosRumorId, Rumor, TAG_PROXY, TAG_SHOOT};
     use congos_sim::transport::NodeDriver;
-    use congos::{CongosInput, CongosNode};
+    use congos_sim::IdSet;
+
+    fn pid(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// Dials node 0 of the cluster at `base` as raw-socket stand-ins for
+    /// peers `1..n`, after binding their listeners so node 0 can dial them.
+    /// Returns the listeners (keep them alive) and one stream per peer.
+    fn raw_peers(n: usize, base: u16) -> (Vec<TcpListener>, Vec<TcpStream>) {
+        let listeners = (1..n)
+            .map(|j| TcpListener::bind(("127.0.0.1", base + j as u16)).expect("bind"))
+            .collect();
+        let streams = (1..n)
+            .map(|_| connect_with_backoff(("127.0.0.1", base), CONNECT_DEADLINE).expect("dial"))
+            .collect();
+        (listeners, streams)
+    }
+
+    fn encoded(frames: &[WireFrame]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for f in frames {
+            encode_frame(&mut buf, f).expect("encodes");
+        }
+        buf
+    }
+
+    /// Node 0 of an `n`-node cluster at `base`: sends only its round-0
+    /// marker, then returns what its round-0 barrier returns.
+    fn barrier_of_node_0(
+        n: usize,
+        base: u16,
+    ) -> std::thread::JoinHandle<io::Result<Vec<Envelope<CongosMsg>>>> {
+        std::thread::spawn(move || {
+            let me = pid(0);
+            let mut t = TcpTransport::connect(me, n, base, TopologySpec::Complete, 0)?
+                .barrier_timeout(Duration::from_secs(10));
+            t.end_of_round(Round(0), me)?;
+            let mut inbox = Vec::new();
+            t.recv_until_barrier(Round(0), me, &mut inbox)?;
+            Ok(inbox)
+        })
+    }
+
+    fn shoot(data: Vec<u8>, dest: ProcessId, n: usize) -> CongosMsg {
+        CongosMsg::Shoot {
+            rumor: Rumor {
+                wid: 1,
+                data,
+                deadline: 64,
+                dest: IdSet::from_iter(n, [dest]),
+            },
+            rid: CongosRumorId {
+                source: pid(1),
+                birth: Round(0),
+                seq: 0,
+            },
+            direct: true,
+        }
+    }
 
     /// Two real nodes over loopback sockets: a rumor injected at node 0
     /// reaches node 1, driven entirely through the generic NodeDriver.
@@ -617,21 +769,15 @@ mod tests {
     fn two_nodes_exchange_over_sockets() {
         let base = 21200;
         let h = std::thread::spawn(move || {
-            let mut t = TcpTransport::connect(
-                ProcessId::new(1),
-                2,
-                base,
-                TopologySpec::Complete,
-                7,
-            )
-            .expect("node 1 transport");
+            let mut t =
+                TcpTransport::connect(ProcessId::new(1), 2, base, TopologySpec::Complete, 7)
+                    .expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 7);
             d.run_rounds(&mut t, 40, vec![]).expect("node 1 rounds");
             d.into_outputs()
         });
-        let mut t =
-            TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 7)
-                .expect("node 0 transport");
+        let mut t = TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 7)
+            .expect("node 0 transport");
         let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(0), 2, 7);
         let inj = CongosInput {
             wid: 0,
@@ -639,7 +785,8 @@ mod tests {
             deadline: 32,
             dest: vec![ProcessId::new(1)],
         };
-        d.run_rounds(&mut t, 40, vec![(0, inj)]).expect("node 0 rounds");
+        d.run_rounds(&mut t, 40, vec![(0, inj)])
+            .expect("node 0 rounds");
         assert!(t.messages() > 0, "traffic crossed the wire");
         let outs1 = h.join().expect("node 1 thread");
         assert_eq!(outs1.len(), 1, "node 1 delivered the rumor");
@@ -653,21 +800,15 @@ mod tests {
         // Peer runs only 2 rounds then drops its transport (closing both
         // connections); the survivor wants 50.
         let h = std::thread::spawn(move || {
-            let mut t = TcpTransport::connect(
-                ProcessId::new(1),
-                2,
-                base,
-                TopologySpec::Complete,
-                1,
-            )
-            .expect("node 1 transport");
+            let mut t =
+                TcpTransport::connect(ProcessId::new(1), 2, base, TopologySpec::Complete, 1)
+                    .expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 1);
             d.run_rounds(&mut t, 2, vec![]).expect("node 1 rounds");
         });
-        let mut t =
-            TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 1)
-                .expect("node 0 transport")
-                .barrier_timeout(Duration::from_secs(10));
+        let mut t = TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 1)
+            .expect("node 0 transport")
+            .barrier_timeout(Duration::from_secs(10));
         let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(0), 2, 1);
         let err = d
             .run_rounds(&mut t, 50, vec![])
@@ -704,5 +845,135 @@ mod tests {
             msg.contains("connect") || msg.contains("accept"),
             "diagnostic mentions the handshake: {msg}"
         );
+    }
+
+    /// A forged or duplicated end-of-round marker must not stand in for a
+    /// missing peer's: the barrier counts peers, not markers.
+    #[test]
+    fn duplicate_end_of_round_marker_is_rejected() {
+        let base = 21260;
+        let node = barrier_of_node_0(3, base);
+        let (_listeners, mut fakes) = raw_peers(3, base);
+        let eor = WireFrame::EndOfRound {
+            src: pid(1),
+            round: 0,
+        };
+        fakes[0]
+            .write_all(&encoded(&[eor.clone(), eor]))
+            .expect("write");
+        let err = node
+            .join()
+            .expect("node thread")
+            .expect_err("p2 never sent its marker");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string()
+                .contains("second end-of-round marker from p1"),
+            "{err}"
+        );
+    }
+
+    /// A peer naming a process the cluster does not have is refused at the
+    /// codec, so the protocol never indexes its tables with that id.
+    #[test]
+    fn out_of_range_process_id_is_an_error_not_a_panic() {
+        let (base, n) = (21280, 8);
+        let node = std::thread::spawn(move || {
+            let me = pid(0);
+            let mut t = TcpTransport::connect(me, n, base, TopologySpec::Complete, 0)?
+                .barrier_timeout(Duration::from_secs(10));
+            NodeDriver::<CongosNode>::new(me, n, 0).run_rounds(&mut t, 1, vec![])
+        });
+        let (_listeners, mut fakes) = raw_peers(n, base);
+        for (j, fake) in fakes.iter_mut().enumerate() {
+            let mut frames = vec![WireFrame::EndOfRound {
+                src: pid(j + 1),
+                round: 0,
+            }];
+            if j == 0 {
+                frames.insert(
+                    0,
+                    WireFrame::Msg {
+                        src: pid(9),
+                        round: 0,
+                        payload: CongosMsg::ProxyAck { dline: 64, ell: 0 },
+                    },
+                );
+            }
+            fake.write_all(&encoded(&frames)).expect("write");
+        }
+        let err = node
+            .join()
+            .expect("the node must not panic")
+            .expect_err("p9 does not exist");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// Two nodes that each send more than the loopback socket buffers hold
+    /// in the same round must both complete: neither blocks in a write
+    /// while the other waits to be read.
+    #[test]
+    fn frames_larger_than_socket_buffers_cross_both_ways() {
+        let base = 21300;
+        let node = move |i: usize| -> io::Result<Vec<Vec<Envelope<CongosMsg>>>> {
+            let (me, peer) = (pid(i), pid(1 - i));
+            let mut t = TcpTransport::connect(me, 2, base, TopologySpec::Complete, 0)?
+                .barrier_timeout(Duration::from_secs(20));
+            let mut inboxes = Vec::new();
+            for r in 0..2 {
+                let mut out = SendColumns::default();
+                for _ in 0..3 {
+                    let msg = shoot(vec![i as u8; 4 << 20], peer, 2);
+                    out.push(peer, msg.tag(), msg);
+                }
+                t.send_outbox(Round(r), me, &mut out)?;
+                t.end_of_round(Round(r), me)?;
+                let mut inbox = Vec::new();
+                t.recv_until_barrier(Round(r), me, &mut inbox)?;
+                inboxes.push(inbox);
+            }
+            Ok(inboxes)
+        };
+        let h = std::thread::spawn(move || node(1));
+        let rounds = [
+            node(0).expect("node 0"),
+            h.join().expect("node 1 thread").expect("node 1"),
+        ];
+        for (i, inboxes) in rounds.iter().enumerate() {
+            for inbox in inboxes {
+                assert_eq!(inbox.len(), 3, "node {i}");
+                for env in inbox {
+                    assert_eq!(env.src, pid(1 - i));
+                    assert_eq!(env.payload, shoot(vec![(1 - i) as u8; 4 << 20], pid(i), 2));
+                }
+            }
+        }
+    }
+
+    /// Frames that arrive one byte per segment are reassembled in the
+    /// connection's buffer and decoded once whole, tags re-derived.
+    #[test]
+    fn frames_written_one_byte_at_a_time_decode() {
+        let base = 21320;
+        let node = barrier_of_node_0(2, base);
+        let (_listeners, mut fakes) = raw_peers(2, base);
+        let ack = CongosMsg::ProxyAck { dline: 64, ell: 0 };
+        let shot = shoot(b"one byte at a time".to_vec(), pid(0), 2);
+        let msg = |payload| WireFrame::Msg {
+            src: pid(1),
+            round: 0,
+            payload,
+        };
+        let eor = WireFrame::EndOfRound {
+            src: pid(1),
+            round: 0,
+        };
+        fakes[0].set_nodelay(true).expect("nodelay");
+        for byte in encoded(&[msg(ack.clone()), msg(shot.clone()), eor]) {
+            fakes[0].write_all(&[byte]).expect("write");
+        }
+        let inbox = node.join().expect("node thread").expect("barrier");
+        let got: Vec<_> = inbox.iter().map(|e| (e.src, e.tag, &e.payload)).collect();
+        assert_eq!(got, [(pid(1), TAG_PROXY, &ack), (pid(1), TAG_SHOOT, &shot)]);
     }
 }

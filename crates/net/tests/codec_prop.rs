@@ -1,12 +1,12 @@
 //! Property tests for the wire codec's hostile-input behavior.
 //!
-//! The contract of `decode_frame` is: *any* byte stream — truncated,
-//! bit-flipped, or outright random — yields `Ok` or an `io::Error`, never a
-//! panic and never an allocation beyond the (capped) frame length. These
-//! tests drive that contract with randomized corruption of a corpus of
-//! valid encodings covering every `CongosMsg` variant.
+//! The contract of `decode_frame` is: *any* byte buffer — truncated,
+//! bit-flipped, or outright random — yields a frame, "not a whole frame
+//! yet", or an `io::Error`, never a panic and never an allocation beyond
+//! the (capped) frame length. These tests drive that contract with
+//! randomized corruption of a corpus of valid encodings covering every
+//! `CongosMsg` variant.
 
-use std::io::Cursor;
 use std::sync::Arc;
 
 use congos::messages::GossipLane;
@@ -52,11 +52,13 @@ fn gossip_rumor(payload: GossipPayload) -> GossipRumor<Arc<GossipPayload>> {
     }
 }
 
-fn msg_frame(tag: &str, payload: CongosMsg) -> WireFrame {
+/// Cluster size every corpus frame fits.
+const N: usize = 8;
+
+fn msg_frame(payload: CongosMsg) -> WireFrame {
     WireFrame::Msg {
         src: ProcessId::new(1),
         round: 6,
-        tag: tag.into(),
         payload,
     }
 }
@@ -69,82 +71,64 @@ fn corpus() -> Vec<Vec<u8>> {
             src: ProcessId::new(3),
             round: 12,
         },
-        msg_frame(
-            "shoot",
-            CongosMsg::Shoot {
-                rumor: Rumor {
-                    wid: 7,
-                    data: b"confidential".to_vec(),
-                    deadline: 64,
-                    dest: IdSet::from_iter(8, [ProcessId::new(0), ProcessId::new(6)]),
-                },
-                rid: CongosRumorId {
-                    source: ProcessId::new(2),
-                    birth: Round(3),
-                    seq: 1,
-                },
-                direct: true,
+        msg_frame(CongosMsg::Shoot {
+            rumor: Rumor {
+                wid: 7,
+                data: b"confidential".to_vec(),
+                deadline: 64,
+                dest: IdSet::from_iter(8, [ProcessId::new(0), ProcessId::new(6)]),
             },
-        ),
-        msg_frame(
-            "group_gossip",
-            CongosMsg::Gossip {
-                lane: GossipLane::Group { dline: 64, ell: 1 },
-                wire: Box::new(GossipWire::Push(Arc::new(vec![gossip_rumor(
-                    GossipPayload::Fragments(vec![fragment(0), fragment(1)]),
-                )]))),
+            rid: CongosRumorId {
+                source: ProcessId::new(2),
+                birth: Round(3),
+                seq: 1,
             },
-        ),
-        msg_frame(
-            "all_gossip",
-            CongosMsg::Gossip {
-                lane: GossipLane::All { dline: 64 },
-                wire: Box::new(GossipWire::Push(Arc::new(vec![
-                    gossip_rumor(GossipPayload::ProxyMeta {
-                        failed_proxies: vec![ProcessId::new(1), ProcessId::new(3)],
-                    }),
-                    gossip_rumor(GossipPayload::GdShare {
-                        hits: vec![(
-                            ProcessId::new(0),
-                            CongosRumorId {
-                                source: ProcessId::new(0),
-                                birth: Round(1),
-                                seq: 0,
-                            },
-                        )],
-                    }),
-                    gossip_rumor(GossipPayload::Distribution {
-                        partition: 1,
-                        group: 0,
-                        hits: vec![],
-                    }),
-                ]))),
-            },
-        ),
-        msg_frame(
-            "all_gossip",
-            CongosMsg::Gossip {
-                lane: GossipLane::All { dline: 64 },
-                wire: Box::new(GossipWire::Ack(vec![rid(0), rid(1), rid(2)])),
-            },
-        ),
-        msg_frame(
-            "proxy",
-            CongosMsg::ProxyRequest {
-                dline: 64,
-                ell: 2,
-                fragments: vec![fragment(2)],
-            },
-        ),
-        msg_frame("proxy", CongosMsg::ProxyAck { dline: 64, ell: 2 }),
-        msg_frame(
-            "partials",
-            CongosMsg::Partials {
-                dline: 64,
-                ell: 0,
-                fragments: vec![fragment(3), fragment(4), fragment(5)],
-            },
-        ),
+            direct: true,
+        }),
+        msg_frame(CongosMsg::Gossip {
+            lane: GossipLane::Group { dline: 64, ell: 1 },
+            wire: Box::new(GossipWire::Push(Arc::new(vec![gossip_rumor(
+                GossipPayload::Fragments(vec![fragment(0), fragment(1)]),
+            )]))),
+        }),
+        msg_frame(CongosMsg::Gossip {
+            lane: GossipLane::All { dline: 64 },
+            wire: Box::new(GossipWire::Push(Arc::new(vec![
+                gossip_rumor(GossipPayload::ProxyMeta {
+                    failed_proxies: vec![ProcessId::new(1), ProcessId::new(3)],
+                }),
+                gossip_rumor(GossipPayload::GdShare {
+                    hits: vec![(
+                        ProcessId::new(0),
+                        CongosRumorId {
+                            source: ProcessId::new(0),
+                            birth: Round(1),
+                            seq: 0,
+                        },
+                    )],
+                }),
+                gossip_rumor(GossipPayload::Distribution {
+                    partition: 1,
+                    group: 0,
+                    hits: vec![],
+                }),
+            ]))),
+        }),
+        msg_frame(CongosMsg::Gossip {
+            lane: GossipLane::All { dline: 64 },
+            wire: Box::new(GossipWire::Ack(vec![rid(0), rid(1), rid(2)])),
+        }),
+        msg_frame(CongosMsg::ProxyRequest {
+            dline: 64,
+            ell: 2,
+            fragments: vec![fragment(2)],
+        }),
+        msg_frame(CongosMsg::ProxyAck { dline: 64, ell: 2 }),
+        msg_frame(CongosMsg::Partials {
+            dline: 64,
+            ell: 0,
+            fragments: vec![fragment(3), fragment(4), fragment(5)],
+        }),
     ];
     frames
         .iter()
@@ -159,16 +143,34 @@ fn corpus() -> Vec<Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every strict prefix of a valid encoding must fail to decode — there
-    /// is no truncation point that yields a spurious success, and none that
+    /// No strict prefix of a valid encoding yields a frame: the decoder
+    /// reports "not a whole frame yet" at every truncation point, and never
     /// panics.
     #[test]
-    fn truncations_error_cleanly(which in any::<usize>(), cut in any::<usize>()) {
+    fn truncations_yield_no_frame(which in any::<usize>(), cut in any::<usize>()) {
         let corpus = corpus();
         let buf = &corpus[which % corpus.len()];
         let cut = cut % buf.len(); // 0..len, always a strict prefix
-        let err = decode_frame(&mut Cursor::new(&buf[..cut]));
-        prop_assert!(err.is_err(), "decoding a {cut}-byte prefix of a {}-byte frame succeeded", buf.len());
+        let res = decode_frame(&buf[..cut], N);
+        prop_assert!(
+            matches!(res, Ok(None)),
+            "a {cut}-byte prefix of a {}-byte frame decoded to {res:?}",
+            buf.len()
+        );
+    }
+
+    /// A strict prefix of a valid body, framed with its own (shorter)
+    /// length, is a whole frame that ends mid-field: it must be an error,
+    /// never a frame.
+    #[test]
+    fn truncated_bodies_error_cleanly(which in any::<usize>(), cut in any::<usize>()) {
+        let corpus = corpus();
+        let buf = &corpus[which % corpus.len()];
+        let body = &buf[4..4 + cut % (buf.len() - 4)];
+        let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(body);
+        let res = decode_frame(&framed, N);
+        prop_assert!(res.is_err(), "a {}-byte body prefix decoded to {res:?}", body.len());
     }
 
     /// A single flipped bit anywhere in a valid encoding must decode to
@@ -185,7 +187,7 @@ proptest! {
         let mut buf = corpus[which % corpus.len()].clone();
         let i = byte % buf.len();
         buf[i] ^= 1 << bit;
-        let _ = decode_frame(&mut Cursor::new(&buf)); // Ok or Err, both fine
+        let _ = decode_frame(&buf, N); // Ok or Err, both fine
     }
 
     /// Multiple corruptions at once: random byte overwrites on top of a
@@ -204,7 +206,7 @@ proptest! {
             let i = pos % mangled.len();
             mangled[i] = val;
         }
-        let _ = decode_frame(&mut Cursor::new(&mangled));
+        let _ = decode_frame(&mangled, N);
     }
 
     /// Pure noise: random byte strings (with a sane length prefix bolted
@@ -214,19 +216,19 @@ proptest! {
         let mut buf = Vec::with_capacity(4 + body.len());
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        let _ = decode_frame(&mut Cursor::new(&buf));
+        let _ = decode_frame(&buf, N);
     }
 
     /// Corrupting only the outer length prefix: any 4-byte value either
-    /// decodes (len unchanged), errors, or is rejected by the frame cap —
-    /// and the rejection happens before the decoder allocates the claimed
-    /// length.
+    /// decodes (len unchanged), errors, awaits more bytes, or is rejected by
+    /// the frame cap — and the rejection happens on the prefix alone, before
+    /// the decoder waits for (or allocates) the claimed length.
     #[test]
     fn length_prefix_corruption_is_bounded(which in any::<usize>(), len in any::<u32>()) {
         let corpus = corpus();
         let mut buf = corpus[which % corpus.len()].clone();
         buf[..4].copy_from_slice(&len.to_le_bytes());
-        let res = decode_frame(&mut Cursor::new(&buf));
+        let res = decode_frame(&buf, N);
         if len as usize > congos_net::codec::MAX_FRAME_LEN {
             let err = res.expect_err("oversized prefix must be refused");
             prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
@@ -239,7 +241,10 @@ proptest! {
 #[test]
 fn corpus_is_valid() {
     for buf in corpus() {
-        let frame = decode_frame(&mut Cursor::new(&buf)).expect("corpus decodes");
+        let (frame, used) = decode_frame(&buf, N)
+            .expect("corpus decodes")
+            .expect("a whole frame");
+        assert_eq!(used, buf.len());
         let mut re = Vec::new();
         encode_frame(&mut re, &frame).expect("corpus re-encodes");
         assert_eq!(re, buf, "canonical encoding is stable");

@@ -12,8 +12,8 @@
 //!   trait implementation layers barrier bookkeeping on top so the same
 //!   instance can also back an in-process cluster of [`NodeDriver`]s.
 //! * `TcpTransport` (in the `congos-net` crate) ships the messages over real
-//!   sockets; end-of-round markers are wire frames and the barrier blocks on
-//!   the peers' reader threads.
+//!   sockets; end-of-round markers are wire frames and the barrier is one
+//!   `poll(2)` loop over the node's peer connections.
 //!
 //! [`NodeDriver`] owns ONE process — the same `Process` type (protocol
 //! instance, forked RNG stream, send buffer, outputs) the engine holds `n`

@@ -10,7 +10,7 @@
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
-#                            #        crates/bench/BENCH_topology.json)
+#                            #        target/BENCH_topology_smoke.json)
 #   scripts/ci.sh mem        # memory target only: fragstore proptests and
 #                            #        the `exp e3m` small-n smoke sweep
 #                            #        under a hard peak-RSS budget
@@ -43,8 +43,12 @@ run_topo() {
     echo "==> topo: topology invariant proptests"
     cargo test -q -p congos-sim --test topology_prop
     echo "==> topo: exp e14 smoke (quick sweep)"
-    cargo run --release -q -p congos-harness --bin exp -- e14 >/dev/null
-    echo "    wrote crates/bench/BENCH_topology.json"
+    # Scratch output path so the smoke cannot clobber the committed
+    # crates/bench/BENCH_topology.json (regenerate that by running
+    # `exp e14` from the repo root).
+    out=target/BENCH_topology_smoke.json
+    cargo run --release -q -p congos-harness --bin exp -- e14 --json "$out" >/dev/null
+    echo "    wrote $out"
 }
 
 run_mem() {

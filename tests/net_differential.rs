@@ -4,7 +4,8 @@
 //! Both runtimes execute the same `NodeDriver` superstep over the same
 //! protocol code with the same per-`(process, generation)` forked RNGs —
 //! the only difference is the [`RoundTransport`] underneath (the engine's
-//! in-memory delivery path vs framed TCP sockets with per-peer threads).
+//! in-memory delivery path vs framed TCP sockets, polled by one loop per
+//! node).
 //! So for any failure-free `(seed, topology, injections)` the delivery
 //! *traces* — every `(wid, destination, round)` triple — must be
 //! bit-identical, not merely the delivery sets.
