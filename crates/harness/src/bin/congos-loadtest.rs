@@ -18,8 +18,7 @@ use std::process::exit;
 
 use congos::CongosInput;
 use congos_harness::stats::{mean, percentile};
-use congos_harness::Json;
-use congos_net::{run_cluster, NetConfig};
+use congos_harness::{Cluster, Json};
 use congos_sim::rng::fork_rng;
 use congos_sim::{ProcessId, TopologySpec};
 use rand::Rng;
@@ -147,13 +146,12 @@ fn main() {
     );
 
     let t0 = std::time::Instant::now();
-    let report = match run_cluster(
-        NetConfig::new(n, base_port)
-            .rounds(rounds)
-            .seed(seed)
-            .topology(topology),
-        injections,
-    ) {
+    let report = match Cluster::new(n, base_port)
+        .rounds(rounds)
+        .seed(seed)
+        .topology(topology)
+        .run(injections)
+    {
         Ok(r) => r,
         Err(e) => {
             eprintln!("congos-loadtest: cluster failed: {e}");
@@ -171,7 +169,7 @@ fn main() {
             let first = report
                 .deliveries
                 .iter()
-                .filter(|o| o.value.wid == *wid && o.process == *d)
+                .filter(|o| o.wid == *wid && o.process == *d)
                 .map(|o| o.round.as_u64())
                 .min();
             if let Some(r) = first {

@@ -17,24 +17,28 @@
 //! measured outcomes. The flags are parsed once into a [`RunDefaults`] that
 //! every `experiments::*::run(full, &RunDefaults)` receives; there is no
 //! process-global or environment configuration.
+//!
+//! `--backend net[:PORT]` runs an experiment's failure-free CONGOS
+//! workloads on a localhost TCP [`Cluster`] instead of the engine. The
+//! `congos-node` binary runs the same `Cluster` as one OS process per node.
 
 // `deny`, not `forbid`: `mem` carries the one sanctioned exception — the
 // counting global allocator — under a scoped `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cluster;
 pub mod experiments;
 pub mod json;
 pub mod mem;
-pub mod netrun;
 pub mod run;
 pub mod stats;
 pub mod system;
 pub mod table;
 
+pub use cluster::{assert_failure_free, materialize_injections, Cluster, ClusterReport, NetStats};
 pub use json::Json;
 pub use mem::{MemSample, MemUsage};
-pub use netrun::{assert_failure_free, materialize_injections, NetRunReport, NetStats};
 pub use run::{
     run, run_with_factory, ArgError, DeliveryRecord, Logged, QodSummary, RunDefaults, RunOutcome,
     RunSpec, TapSpec, DEFAULT_NET_PORT,

@@ -1,6 +1,6 @@
 //! Generic experiment runner with Quality-of-Delivery accounting.
 
-use congos_adversary::predict::{CoalitionSpec, CoalitionTap, Sighting, SightingLog};
+use congos_adversary::predict::{CoalitionSpec, CoalitionTap, SightingLog};
 use congos_adversary::{
     CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, OneShot, PoissonWorkload,
     RumorSpec, StableGroupWorkload, Theorem1Workload,
@@ -10,6 +10,7 @@ use congos_sim::{
     TopologySpec,
 };
 
+use crate::cluster::{assert_failure_free, materialize_injections, Cluster, NetStats};
 use crate::system::GossipSystem;
 
 /// Access to the injections a workload has emitted (for QoD accounting).
@@ -64,7 +65,7 @@ pub struct RunSpec {
     /// When `Some(base_port)`, the run executes on the networked backend: a
     /// localhost TCP cluster on ports `base_port..base_port+n` instead of
     /// the in-process engine. Networked runs are failure-free and require
-    /// an oblivious workload (see [`crate::netrun`]); only protocols with a
+    /// an oblivious workload (see [`crate::cluster`]); only protocols with a
     /// wire codec support it ([`GossipSystem::net_run`]).
     pub net: Option<u16>,
     /// When `Some`, an observing coalition (the E13 source-prediction
@@ -300,7 +301,7 @@ pub struct RunOutcome {
     /// Socket-level counters when the run executed on the networked
     /// backend (`None` for in-process engine runs, whose per-round,
     /// per-tag accounting lives in [`RunOutcome::metrics`] instead).
-    pub net: Option<crate::netrun::NetStats>,
+    pub net: Option<NetStats>,
     /// The observing coalition's sighting log when [`RunSpec::tap`] was
     /// set (`None` otherwise).
     pub tap: Option<SightingLog>,
@@ -511,24 +512,15 @@ where
     F: FailurePlan,
     W: InjectionPlan + Logged,
 {
-    crate::netrun::assert_failure_free(spec.n, spec.rounds, &mut failures);
-    let schedule = crate::netrun::materialize_injections(spec.n, spec.rounds, &mut workload);
+    assert_failure_free(spec.n, spec.rounds, &mut failures);
+    let schedule = materialize_injections(spec.n, spec.rounds, &mut workload);
 
-    let watch: Vec<ProcessId> = spec
-        .tap
-        .map(|t| t.members(spec.n))
-        .unwrap_or_default();
-    let (report, mem) = timed_with_mem(spec.probe_mem, || {
-        P::net_run(
-            spec.n,
-            spec.seed,
-            spec.rounds,
-            spec.topology,
-            base_port,
-            schedule,
-            watch,
-        )
-    });
+    let cluster = Cluster::new(spec.n, base_port)
+        .seed(spec.seed)
+        .rounds(spec.rounds)
+        .topology(spec.topology)
+        .watch(spec.tap.map(|t| t.members(spec.n)).unwrap_or_default());
+    let (report, mem) = timed_with_mem(spec.probe_mem, || P::net_run(&cluster, schedule));
     let report = report
         .unwrap_or_else(|| {
             panic!(
@@ -542,10 +534,10 @@ where
     let deliveries: Vec<DeliveryRecord> = report
         .deliveries
         .iter()
-        .map(|&(wid, process, round)| DeliveryRecord {
-            wid,
-            process,
-            round,
+        .map(|d| DeliveryRecord {
+            wid: d.wid,
+            process: d.process,
+            round: d.round,
         })
         .collect();
     let injections = workload.entries().to_vec();
@@ -570,19 +562,14 @@ where
         crashes: 0,
         latencies,
         mem,
-        net: Some(crate::netrun::NetStats {
+        net: Some(NetStats {
             messages: report.messages,
             topology_drops: report.topology_drops,
         }),
         tap: spec.tap.map(|_| {
             let mut log = SightingLog::new(spec.n);
-            for &(round, observer, sender, tag) in &report.sightings {
-                log.record(Sighting {
-                    round,
-                    observer,
-                    sender,
-                    tag,
-                });
+            for &sighting in &report.sightings {
+                log.record(sighting);
             }
             log
         }),
@@ -691,6 +678,34 @@ mod tests {
         assert!(net.messages > 0);
         assert_eq!(net.topology_drops, 0);
         assert!(out.metrics.is_empty(), "sockets don't meter per-tag rounds");
+    }
+
+    /// The networked leg of the E13 tap: watched cluster nodes record what
+    /// the engine's observer records (in canonical rather than delivery
+    /// order).
+    #[test]
+    fn networked_tap_sees_what_the_engine_tap_sees() {
+        use congos::CongosNode;
+        let tap = TapSpec {
+            coalition: CoalitionSpec::new(0.4, 5),
+            exclude: Some(ProcessId::new(0)),
+        };
+        let rumor = RumorSpec::new(0, b"who said it".to_vec(), 64, vec![ProcessId::new(3)]);
+        let sightings = |spec: RunSpec| {
+            let w = OneShot::new(Round(1), vec![(ProcessId::new(0), rumor.clone())]);
+            let out = run::<CongosNode, _, _>(spec.tap(tap), NoFailures, w);
+            let mut seen: Vec<_> = out
+                .tap
+                .expect("tapped")
+                .iter()
+                .map(|s| (s.round, s.observer, s.sender, s.tag.name()))
+                .collect();
+            seen.sort_unstable();
+            seen
+        };
+        let engine = sightings(RunSpec::new(5, 2, 70));
+        assert!(!engine.is_empty());
+        assert_eq!(sightings(RunSpec::new(5, 2, 70).net(20780)), engine);
     }
 
     #[test]

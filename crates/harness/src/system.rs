@@ -5,9 +5,9 @@ use congos_adversary::RumorSpec;
 use congos_baselines::{CryptoMulticastNode, DirectNode, StronglyConfidentialNode};
 use congos_gossip::standalone::Delivered;
 use congos_gossip::GossipNode;
-use congos_sim::{ProcessId, Protocol, TopologySpec};
+use congos_sim::Protocol;
 
-use crate::netrun::{NetRunReport, ScheduledInjection};
+use crate::cluster::{Cluster, ClusterReport, ScheduledInjection};
 
 /// A gossip protocol the harness can run generically: its input can be built
 /// from a [`RumorSpec`] and its outputs expose the workload rumor id.
@@ -28,24 +28,14 @@ where
         0
     }
 
-    /// Runs this protocol over the localhost TCP cluster runtime with a
-    /// pre-materialized injection schedule (see [`crate::netrun`]), if the
-    /// protocol has a networked deployment. `None` means it doesn't —
-    /// the default; only protocols with a wire codec can leave the process.
-    ///
-    /// `watch` lists observing-coalition nodes (usually empty): each
-    /// watched node records the `(round, sender, tag)` metadata of its
-    /// deliveries into [`NetRunReport::sightings`] — the networked leg of
-    /// the E13 source-prediction tap.
+    /// Runs this protocol on `cluster` with a pre-materialized injection
+    /// schedule (see [`crate::cluster`]), if the protocol has a networked
+    /// deployment. `None` means it doesn't — the default; only protocols
+    /// with a wire codec can leave the process.
     fn net_run(
-        _n: usize,
-        _seed: u64,
-        _rounds: u64,
-        _topology: TopologySpec,
-        _base_port: u16,
-        _injections: Vec<ScheduledInjection>,
-        _watch: Vec<ProcessId>,
-    ) -> Option<std::io::Result<NetRunReport>> {
+        _cluster: &Cluster,
+        _schedule: Vec<ScheduledInjection>,
+    ) -> Option<std::io::Result<ClusterReport>> {
         None
     }
 }
@@ -61,33 +51,14 @@ impl GossipSystem for CongosNode {
     }
 
     fn net_run(
-        n: usize,
-        seed: u64,
-        rounds: u64,
-        topology: TopologySpec,
-        base_port: u16,
-        injections: Vec<ScheduledInjection>,
-        watch: Vec<ProcessId>,
-    ) -> Option<std::io::Result<NetRunReport>> {
-        let cfg = congos_net::NetConfig::new(n, base_port)
-            .seed(seed)
-            .rounds(rounds)
-            .topology(topology)
-            .watch(watch);
-        let injections = injections
+        cluster: &Cluster,
+        schedule: Vec<ScheduledInjection>,
+    ) -> Option<std::io::Result<ClusterReport>> {
+        let injections = schedule
             .into_iter()
             .map(|(round, source, spec)| (round, source, congos::CongosInput::from(spec)))
             .collect();
-        Some(congos_net::run_cluster(cfg, injections).map(|report| NetRunReport {
-            deliveries: report
-                .deliveries
-                .iter()
-                .map(|o| (o.value.wid, o.process, o.round))
-                .collect(),
-            messages: report.messages,
-            topology_drops: report.topology_drops,
-            sightings: report.sightings,
-        }))
+        Some(cluster.run(injections))
     }
 }
 

@@ -180,7 +180,9 @@ fn connect_with_backoff(addr: (&str, u16), deadline: Duration) -> io::Result<Tcp
 
 impl TcpTransport {
     /// Connects node `me` of an `n`-node cluster on `base_port..base_port+n`
-    /// (node `i` listens on `base_port + i`), binding its own listener.
+    /// (node `i` listens on `base_port + i`) through its already-bound
+    /// `listener`. The cluster launcher binds every listener before any
+    /// node dials, which removes the bind/dial race entirely.
     ///
     /// Blocks until all `n − 1` peer connections exist in both directions,
     /// retrying dials with capped exponential backoff for up to
@@ -188,54 +190,8 @@ impl TcpTransport {
     ///
     /// # Errors
     ///
-    /// Bind failures, dial failures after the retry deadline, and accept
-    /// timeouts (a peer that never dialed in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology spec cannot be instantiated over `n` nodes.
-    pub fn connect(
-        me: ProcessId,
-        n: usize,
-        base_port: u16,
-        topology: TopologySpec,
-        seed: u64,
-    ) -> io::Result<Self> {
-        Self::connect_deadline(me, n, base_port, topology, seed, CONNECT_DEADLINE)
-    }
-
-    /// [`connect`](Self::connect) with an explicit handshake deadline
-    /// (applies to both the dial retries and the accept wait).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`connect`](Self::connect).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology spec cannot be instantiated over `n` nodes.
-    pub fn connect_deadline(
-        me: ProcessId,
-        n: usize,
-        base_port: u16,
-        topology: TopologySpec,
-        seed: u64,
-        deadline: Duration,
-    ) -> io::Result<Self> {
-        let port = base_port + me.as_usize() as u16;
-        let listener = TcpListener::bind(("127.0.0.1", port)).map_err(|e| {
-            io::Error::new(e.kind(), format!("node {me}: bind 127.0.0.1:{port}: {e}"))
-        })?;
-        Self::build(me, n, base_port, listener, topology, seed, deadline)
-    }
-
-    /// Like [`connect`](Self::connect) with a pre-bound listener — lets a
-    /// cluster harness bind every port before any node dials, removing the
-    /// bind/dial race entirely.
-    ///
-    /// # Errors
-    ///
-    /// Dial failures after the retry deadline and accept timeouts.
+    /// Dial failures after the retry deadline, and accept timeouts (a peer
+    /// that never dialed in).
     ///
     /// # Panics
     ///
@@ -251,6 +207,8 @@ impl TcpTransport {
         Self::build(me, n, base_port, listener, topology, seed, CONNECT_DEADLINE)
     }
 
+    /// [`with_listener`](Self::with_listener) with an explicit handshake
+    /// deadline (applies to both the dial retries and the accept wait).
     fn build(
         me: ProcessId,
         n: usize,
@@ -377,11 +335,6 @@ impl TcpTransport {
     /// link that round (always 0 on the complete topology).
     pub fn topology_drops(&self) -> u64 {
         self.topology_drops
-    }
-
-    /// The topology frames are filtered against.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 
     /// Sends the frame in `scratch` to peer `dst`.
@@ -721,6 +674,30 @@ mod tests {
         (listeners, streams)
     }
 
+    /// Node `me` of an `n`-node cluster at `base`, on its own listener.
+    fn connect(me: ProcessId, n: usize, base: u16, seed: u64) -> io::Result<TcpTransport> {
+        connect_deadline(me, n, base, seed, CONNECT_DEADLINE)
+    }
+
+    fn connect_deadline(
+        me: ProcessId,
+        n: usize,
+        base: u16,
+        seed: u64,
+        deadline: Duration,
+    ) -> io::Result<TcpTransport> {
+        let listener = TcpListener::bind(("127.0.0.1", base + me.as_usize() as u16))?;
+        TcpTransport::build(
+            me,
+            n,
+            base,
+            listener,
+            TopologySpec::Complete,
+            seed,
+            deadline,
+        )
+    }
+
     fn encoded(frames: &[WireFrame]) -> Vec<u8> {
         let mut buf = Vec::new();
         for f in frames {
@@ -737,8 +714,7 @@ mod tests {
     ) -> std::thread::JoinHandle<io::Result<Vec<Envelope<CongosMsg>>>> {
         std::thread::spawn(move || {
             let me = pid(0);
-            let mut t = TcpTransport::connect(me, n, base, TopologySpec::Complete, 0)?
-                .barrier_timeout(Duration::from_secs(10));
+            let mut t = connect(me, n, base, 0)?.barrier_timeout(Duration::from_secs(10));
             t.end_of_round(Round(0), me)?;
             let mut inbox = Vec::new();
             t.recv_until_barrier(Round(0), me, &mut inbox)?;
@@ -769,15 +745,12 @@ mod tests {
     fn two_nodes_exchange_over_sockets() {
         let base = 21200;
         let h = std::thread::spawn(move || {
-            let mut t =
-                TcpTransport::connect(ProcessId::new(1), 2, base, TopologySpec::Complete, 7)
-                    .expect("node 1 transport");
+            let mut t = connect(ProcessId::new(1), 2, base, 7).expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 7);
             d.run_rounds(&mut t, 40, vec![]).expect("node 1 rounds");
             d.into_outputs()
         });
-        let mut t = TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 7)
-            .expect("node 0 transport");
+        let mut t = connect(ProcessId::new(0), 2, base, 7).expect("node 0 transport");
         let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(0), 2, 7);
         let inj = CongosInput {
             wid: 0,
@@ -800,13 +773,11 @@ mod tests {
         // Peer runs only 2 rounds then drops its transport (closing both
         // connections); the survivor wants 50.
         let h = std::thread::spawn(move || {
-            let mut t =
-                TcpTransport::connect(ProcessId::new(1), 2, base, TopologySpec::Complete, 1)
-                    .expect("node 1 transport");
+            let mut t = connect(ProcessId::new(1), 2, base, 1).expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 1);
             d.run_rounds(&mut t, 2, vec![]).expect("node 1 rounds");
         });
-        let mut t = TcpTransport::connect(ProcessId::new(0), 2, base, TopologySpec::Complete, 1)
+        let mut t = connect(ProcessId::new(0), 2, base, 1)
             .expect("node 0 transport")
             .barrier_timeout(Duration::from_secs(10));
         let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(0), 2, 1);
@@ -830,15 +801,8 @@ mod tests {
         // bogus port pair well outside every other test's range.
         let deadline = Duration::from_millis(600);
         let start = Instant::now();
-        let err = TcpTransport::connect_deadline(
-            ProcessId::new(0),
-            2,
-            21240,
-            TopologySpec::Complete,
-            0,
-            deadline,
-        )
-        .expect_err("no peer exists");
+        let err =
+            connect_deadline(ProcessId::new(0), 2, 21240, 0, deadline).expect_err("no peer exists");
         assert!(start.elapsed() < deadline + Duration::from_secs(10));
         let msg = err.to_string();
         assert!(
@@ -880,8 +844,7 @@ mod tests {
         let (base, n) = (21280, 8);
         let node = std::thread::spawn(move || {
             let me = pid(0);
-            let mut t = TcpTransport::connect(me, n, base, TopologySpec::Complete, 0)?
-                .barrier_timeout(Duration::from_secs(10));
+            let mut t = connect(me, n, base, 0)?.barrier_timeout(Duration::from_secs(10));
             NodeDriver::<CongosNode>::new(me, n, 0).run_rounds(&mut t, 1, vec![])
         });
         let (_listeners, mut fakes) = raw_peers(n, base);
@@ -917,8 +880,7 @@ mod tests {
         let base = 21300;
         let node = move |i: usize| -> io::Result<Vec<Vec<Envelope<CongosMsg>>>> {
             let (me, peer) = (pid(i), pid(1 - i));
-            let mut t = TcpTransport::connect(me, 2, base, TopologySpec::Complete, 0)?
-                .barrier_timeout(Duration::from_secs(20));
+            let mut t = connect(me, 2, base, 0)?.barrier_timeout(Duration::from_secs(20));
             let mut inboxes = Vec::new();
             for r in 0..2 {
                 let mut out = SendColumns::default();

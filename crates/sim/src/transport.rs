@@ -301,6 +301,29 @@ fn phase_error(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::WouldBlock, msg)
 }
 
+/// Splits a cluster's `(round, process, input)` schedule into one
+/// `(round, input)` list per process of `0..n`, keeping the given order.
+///
+/// # Errors
+///
+/// `InvalidInput`, naming the entry, if its process is outside `0..n`.
+pub fn split_schedule<I>(
+    n: usize,
+    injections: Vec<(u64, ProcessId, I)>,
+) -> io::Result<Vec<Vec<(u64, I)>>> {
+    let mut per_node: Vec<Vec<(u64, I)>> = (0..n).map(|_| Vec::new()).collect();
+    for (round, pid, input) in injections {
+        let Some(node) = per_node.get_mut(pid.as_usize()) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("injection at {pid} in round {round} is outside the {n}-process cluster"),
+            ));
+        };
+        node.push((round, input));
+    }
+    Ok(per_node)
+}
+
 /// One injection schedule as `(round, input)` pairs, checked against the
 /// model's rule (at most one input per round) and the run's round range,
 /// then walked in round order.
@@ -512,9 +535,10 @@ impl<P: Protocol> NodeDriver<P> {
 ///
 /// # Errors
 ///
-/// `InvalidInput`, before any round runs, if two injections share a
-/// `(process, round)` or one falls outside `0..rounds`; otherwise propagates
-/// transport failures (none occur under correct interleaving).
+/// `InvalidInput`, before any round runs, if an injection's process is
+/// outside `0..n`, two injections share a `(process, round)` or one falls
+/// outside `0..rounds`; otherwise propagates transport failures (none occur
+/// under correct interleaving).
 ///
 /// # Panics
 ///
@@ -534,12 +558,8 @@ where
     let mut drivers: Vec<NodeDriver<P>> = (0..n)
         .map(|i| NodeDriver::new(ProcessId::new(i), n, seed))
         .collect();
-    let mut per_node: Vec<Vec<(u64, P::Input)>> = (0..n).map(|_| Vec::new()).collect();
-    for (round, pid, input) in injections {
-        per_node[pid.as_usize()].push((round, input));
-    }
     let mut schedules = ProcessId::all(n)
-        .zip(per_node)
+        .zip(split_schedule(n, injections)?)
         .map(|(id, inj)| Schedule::new(id, 0..rounds, inj))
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -688,6 +708,13 @@ mod tests {
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains(needle), "{err}");
         }
+        let outside = vec![(0, ProcessId::new(2), 7u64)];
+        let err = run_local_cluster::<Echo>(2, 0, TopologySpec::Complete, 3, outside).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("outside the 2-process cluster"),
+            "{err}"
+        );
         // The same round at two different processes is a valid schedule.
         let ok = vec![(1, p0, 7u64), (1, ProcessId::new(1), 8)];
         run_local_cluster::<Echo>(2, 0, TopologySpec::Complete, 3, ok).expect("valid");
@@ -695,14 +722,27 @@ mod tests {
 
     #[test]
     fn mem_transport_counts_topology_drops() {
-        let spec = TopologySpec::Expander { degree: 2 };
-        let outs =
-            run_local_cluster::<Echo>(8, 5, spec, 4, vec![]).expect("cluster");
-        // On a 2-regular graph most successor links are absent some rounds?
-        // No churn here: the edge set is static, so either the ring matches
-        // the expander edges or tokens are dropped — outputs still flow via
-        // self-sends.
-        assert!(outs.iter().any(|o| o.value.1 & 1 == 1), "self-sends loop back");
+        // Every Echo process sends to its successor on the ring; a random
+        // 2-regular graph on 8 nodes lacks some of those links.
+        let drops = |spec| {
+            let n = 8;
+            let mut mem = MemTransport::<u64>::new(spec, n, 5);
+            let mut drivers: Vec<NodeDriver<Echo>> = (0..n)
+                .map(|i| NodeDriver::new(ProcessId::new(i), n, 5))
+                .collect();
+            for r in 0..4 {
+                mem.begin_round(Round(r));
+                for d in drivers.iter_mut() {
+                    d.send_phase(&mut mem).expect("send");
+                }
+                for d in drivers.iter_mut() {
+                    d.compute_phase(&mut mem, None).expect("compute");
+                }
+            }
+            mem.topology_drops()
+        };
+        assert!(drops(TopologySpec::Expander { degree: 2 }) > 0);
+        assert_eq!(drops(TopologySpec::Complete), 0);
     }
 
     #[test]

@@ -15,9 +15,11 @@
 #                            #        the `exp e3m` small-n smoke sweep
 #                            #        under a hard peak-RSS budget
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
-#                            #        loopback differential suite plus the
+#                            #        loopback differential suite, the
 #                            #        congos-net package tests (codec
 #                            #        corruption proptests, transport tests)
+#                            #        and the congos-node multi-process
+#                            #        tests (one congos-harness test target)
 #   scripts/ci.sh loadtest   # quick congos-loadtest gate: a small loopback
 #                            #        run must deliver something and emit a
 #                            #        report with latency percentiles
@@ -69,6 +71,8 @@ run_net() {
     cargo test -q --test net_differential
     echo "==> net: congos-net package tests (codec proptests, transport)"
     cargo test -q -p congos-net
+    echo "==> net: congos-node multi-process tests"
+    cargo test -q -p congos-harness --test multiprocess
 }
 
 run_loadtest() {
