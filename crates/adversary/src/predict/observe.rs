@@ -5,10 +5,9 @@
 //! delivered to them. It is chosen by a [`CoalitionSpec`] — a pure function
 //! of `(n, fraction, seed)` with its own `SmallRng`, so membership never
 //! touches the engine's RNG stream. The [`CoalitionTap`] records sightings
-//! through the [`Observer`] interface on the simulator path, or through
-//! [`CoalitionTap::record_delivery`] when a socket runtime hands it inbox
-//! metadata; either way the executed protocol is bit-identical to an
-//! untapped run.
+//! through the [`Observer`] interface, which the engine and each socket
+//! node's `NodeDriver` both report to; either way the executed protocol is
+//! bit-identical to an untapped run.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -153,12 +152,11 @@ impl SightingLog {
 
 /// A passive observing coalition attached to a running execution.
 ///
-/// On the simulator path this is an [`Observer`]: the engine calls
+/// An [`Observer`]: the engine, or a socket node's `NodeDriver`, calls
 /// [`Observer::on_deliver`] for every delivered envelope, and the tap keeps
 /// those whose receiver is a coalition member. Observers get no RNG handle
 /// and no way to mutate engine state, so RNG-neutrality holds by
-/// construction. On the socket path a node driver with sighting recording
-/// enabled feeds the same data through [`CoalitionTap::record_delivery`].
+/// construction.
 ///
 /// Self-deliveries (`src == dst`) are skipped: a member "hearing from
 /// itself" carries no information about anyone else.
@@ -197,9 +195,7 @@ impl CoalitionTap {
     }
 
     /// Records one delivered envelope's metadata, if its receiver is a
-    /// coalition member. Transport-agnostic entry point: the simulator path
-    /// routes through [`Observer::on_deliver`], socket runtimes call this
-    /// directly with their per-round inbox metadata.
+    /// coalition member: what [`Observer::on_deliver`] does.
     pub fn record_delivery(&mut self, round: Round, src: ProcessId, dst: ProcessId, tag: Tag) {
         if src != dst && self.watch[dst.as_usize()] {
             self.log.record(Sighting {

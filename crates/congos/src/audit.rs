@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 
 use congos_sim::{EnvelopeRef, IdSet, Observer, OutputRecord, ProcessId, Round};
 
-use crate::messages::{CongosMsg, Fragment, GossipPayload};
+use crate::messages::{CongosMsg, Fragment};
 use crate::node::CongosNode;
 use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor};
 use crate::services::hit_history::ExpiryRing;
@@ -99,7 +99,9 @@ pub struct AuditReport {
     pub deliveries: u64,
 }
 
-/// The auditor; implement as an [`Observer`] over a CONGOS engine run:
+/// The auditor, an [`Observer`] of a CONGOS run. Over an engine it sees
+/// every process; over one `NodeDriver` (a TCP node) it sees that node's
+/// deliveries, injections and outputs, and checks that node:
 ///
 /// ```no_run
 /// # use congos::{CongosNode, ConfidentialityAuditor};
@@ -288,43 +290,19 @@ impl ConfidentialityAuditor {
             self.split_k.remove(&(rid, partition));
         }
     }
-
-    fn record_payload(&mut self, holder: ProcessId, payload: &GossipPayload) {
-        if let GossipPayload::Fragments(frags) = payload {
-            for f in frags {
-                self.record_fragment(holder, f);
-            }
-        }
-        // ProxyMeta / GdShare / Distribution carry identities only — the
-        // type system guarantees no fragment bytes ride along.
-    }
 }
 
 impl Observer<CongosNode> for ConfidentialityAuditor {
     fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
         self.now = self.now.max(env.round);
-        match env.payload {
-            CongosMsg::Gossip { wire, .. } => {
-                if let congos_gossip::GossipWire::Push(rumors) = wire.as_ref() {
-                    for r in rumors.iter() {
-                        self.record_payload(env.dst, r.payload.as_ref());
-                    }
-                }
-            }
-            CongosMsg::ProxyRequest { fragments, .. }
-            | CongosMsg::Partials { fragments, .. } => {
-                for f in fragments {
-                    self.record_fragment(env.dst, f);
-                }
-            }
-            CongosMsg::Shoot { rumor, rid, .. } => {
-                // Note: the shoot payload is NOT recorded as ground truth —
-                // with the Section 7 extensions payloads are framed with a
-                // marker byte, and only `on_inject` sees the caller's
-                // original bytes.
-                self.record_whole(env.dst, *rid, &rumor.dest);
-            }
-            CongosMsg::ProxyAck { .. } => {}
+        if let CongosMsg::Shoot { rumor, rid, .. } = env.payload {
+            // Note: the shoot payload is NOT recorded as ground truth — with
+            // the Section 7 extensions payloads are framed with a marker
+            // byte, and only `on_inject` sees the caller's original bytes.
+            self.record_whole(env.dst, *rid, &rumor.dest);
+        }
+        for f in env.payload.fragments() {
+            self.record_fragment(env.dst, f);
         }
     }
 

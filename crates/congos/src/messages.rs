@@ -224,6 +224,34 @@ impl CongosMsg {
             CongosMsg::Shoot { .. } => TAG_SHOOT,
         }
     }
+
+    /// The fragments this message carries, in wire order: those of every
+    /// [`GossipPayload::Fragments`] a gossip lane pushes, and those of a
+    /// `ProxyRequest` or `Partials`. Every other payload carries identities
+    /// only, and a `Shoot` carries the whole rumor instead.
+    pub fn fragments(&self) -> impl Iterator<Item = &Fragment> {
+        self.fragment_batches().flatten()
+    }
+
+    /// [`fragments`](Self::fragments), one slice per pushed gossip payload
+    /// (a push can batch several) or per `ProxyRequest` / `Partials`.
+    pub fn fragment_batches(&self) -> impl Iterator<Item = &[Fragment]> {
+        let (pushed, sent): (&[_], Option<&[Fragment]>) = match self {
+            CongosMsg::Gossip { wire, .. } => match wire.as_ref() {
+                GossipWire::Push(rumors) => (rumors.as_slice(), None),
+                GossipWire::Ack(_) => (&[], None),
+            },
+            CongosMsg::ProxyRequest { fragments, .. } | CongosMsg::Partials { fragments, .. } => {
+                (&[], Some(fragments))
+            }
+            CongosMsg::ProxyAck { .. } | CongosMsg::Shoot { .. } => (&[], None),
+        };
+        let pushed = pushed.iter().filter_map(|r| match r.payload.as_ref() {
+            GossipPayload::Fragments(frags) => Some(frags.as_slice()),
+            _ => None,
+        });
+        pushed.chain(sent)
+    }
 }
 
 /// Tag for Proxy service traffic (requests + acks), metered per Lemma 7.

@@ -516,6 +516,7 @@ impl Protocol for CongosNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{ConfidentialityAuditor, Violation};
     use congos_sim::message::SendColumns;
     use congos_sim::{Envelope, NodeDriver, RoundTransport};
     use std::io;
@@ -571,5 +572,42 @@ mod tests {
             node.protocol().classes.is_empty(),
             "no class engine was built"
         );
+    }
+
+    #[test]
+    fn auditor_watches_the_node_path() {
+        let (me, n) = (ProcessId::new(0), 4);
+        let rid = CongosRumorId {
+            source: ProcessId::new(1),
+            birth: Round(0),
+            seq: 0,
+        };
+        let shoot = Envelope {
+            src: rid.source,
+            dst: me,
+            round: Round(0),
+            tag: crate::messages::TAG_SHOOT,
+            payload: CongosMsg::Shoot {
+                rumor: Rumor {
+                    wid: 0,
+                    data: b"secret".to_vec(),
+                    deadline: 64,
+                    dest: IdSet::from_iter(n, [ProcessId::new(2)]),
+                },
+                rid,
+                direct: true,
+            },
+        };
+        let mut peers = Hostile(vec![shoot]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        let mut audit = ConfidentialityAuditor::new(n);
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase_observed(&mut peers, None, &mut audit)
+            .expect("compute");
+        assert_eq!(
+            audit.report().violations,
+            [Violation::WholeRumorLeaked { process: me, rid }]
+        );
+        assert!(node.outputs().is_empty(), "p0 is no destination");
     }
 }

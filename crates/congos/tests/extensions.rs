@@ -1,9 +1,8 @@
 //! Tests of the Section 7 metadata-hiding extensions: destination hiding
 //! and cover traffic.
 
-use congos::{CongosConfig, CongosNode, ConfidentialityAuditor, CoverTrafficConfig};
+use congos::{ConfidentialityAuditor, CongosConfig, CongosMsg, CongosNode, CoverTrafficConfig};
 use congos_adversary::{CrriAdversary, NoFailures, NoInjections, OneShot, RumorSpec};
-use congos_gossip::GossipWire;
 use congos_sim::{Engine, EngineConfig, EnvelopeRef, Observer, ProcessId, Round};
 
 fn engine_with(cfg: CongosConfig, n: usize, seed: u64) -> Engine<CongosNode> {
@@ -17,32 +16,16 @@ fn engine_with(cfg: CongosConfig, n: usize, seed: u64) -> Engine<CongosNode> {
 struct SingletonCheck;
 
 impl Observer<CongosNode> for SingletonCheck {
-    fn on_deliver(&mut self, env: EnvelopeRef<'_, congos::CongosMsg>) {
-        let check = |frags: &[congos::Fragment]| {
-            for f in frags {
-                assert_eq!(
-                    f.dest.len(),
-                    1,
-                    "destination hiding must expose only singleton sets"
-                );
-            }
-        };
-        match env.payload {
-            congos::CongosMsg::Gossip { wire, .. } => {
-                if let GossipWire::Push(rumors) = wire.as_ref() {
-                    for r in rumors.iter() {
-                        if let congos::GossipPayload::Fragments(frags) = r.payload.as_ref() {
-                            check(frags.as_slice());
-                        }
-                    }
-                }
-            }
-            congos::CongosMsg::ProxyRequest { fragments, .. }
-            | congos::CongosMsg::Partials { fragments, .. } => check(fragments),
-            congos::CongosMsg::Shoot { rumor, .. } => {
-                assert_eq!(rumor.dest.len(), 1);
-            }
-            _ => {}
+    fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
+        for f in env.payload.fragments() {
+            assert_eq!(
+                f.dest.len(),
+                1,
+                "destination hiding must expose only singleton sets"
+            );
+        }
+        if let CongosMsg::Shoot { rumor, .. } = env.payload {
+            assert_eq!(rumor.dest.len(), 1);
         }
     }
 }

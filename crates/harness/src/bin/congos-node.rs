@@ -16,8 +16,9 @@
 //!
 //! Exit status: 2 for a malformed flag or an impossible cluster (`--n 0`, a
 //! topology infeasible at `--n`, a port range past 65535, `--id` ≥ `--n`);
-//! 1 if a node fails — a bind failure, an unreachable or lost peer, or a
-//! schedule it cannot honour — with a diagnostic naming every failed node.
+//! 1 if a node fails — a bind failure, an unreachable or lost peer, a
+//! schedule it cannot honour, or a confidentiality violation its auditor
+//! found — with a diagnostic naming every failed node.
 //! The transport's barrier never hangs on a dead peer.
 
 use std::process::{exit, Command, Stdio};

@@ -6,7 +6,8 @@
 //! splits the injection schedule per node and merges the per-node
 //! [`ClusterReport`]s. [`Cluster::run`] runs every node as a thread of this
 //! process; [`Cluster::run_node`] runs one, as each process of the
-//! `congos-node` binary does.
+//! `congos-node` binary does. Every node is audited for confidentiality
+//! (Definition 2) as it runs, and fails on the first violation.
 //!
 //! The engine feeds adversary plans a live [`RoundView`] every round; a TCP
 //! cluster cannot (nodes are independent processes/threads with no
@@ -28,12 +29,12 @@ use std::io;
 use std::net::TcpListener;
 use std::ops::Range;
 
-use congos::{CongosConfig, CongosInput, CongosNode};
-use congos_adversary::predict::Sighting;
+use congos::{ConfidentialityAuditor, CongosConfig, CongosInput, CongosNode};
+use congos_adversary::predict::{CoalitionTap, Sighting};
 use congos_adversary::{FailurePlan, InjectionPlan, RumorSpec};
 use congos_net::TcpTransport;
 use congos_sim::transport::{split_schedule, NodeDriver};
-use congos_sim::{ProcessId, Round, RoundView, TopologySpec};
+use congos_sim::{Observer, ProcessId, Round, RoundView, TopologySpec};
 
 use crate::Json;
 
@@ -164,11 +165,11 @@ impl Cluster {
         self
     }
 
-    /// Marks `members` as observing-coalition nodes: each records the
-    /// `(round, sender, tag)` metadata of every envelope delivered to it
-    /// (the E13 source-prediction tap). Recording happens after the inbox
-    /// is handed to the node and consumes no RNG, so a watched cluster is
-    /// bit-identical to an unwatched one.
+    /// Marks `members` as observing-coalition nodes: the E13 source-prediction
+    /// tap observing each of them logs the `(round, sender, tag)` metadata of
+    /// every envelope delivered to it. An observer consumes no RNG and
+    /// changes no protocol state, so a watched cluster is bit-identical to
+    /// an unwatched one.
     pub fn watch(mut self, members: Vec<ProcessId>) -> Self {
         self.watch = members;
         self
@@ -212,18 +213,22 @@ impl Cluster {
     /// [`validate`](Self::validate)'s errors; `InvalidInput` for a source
     /// outside the cluster, two injections at one `(source, round)` or one
     /// past `rounds`; otherwise the first failing node's socket error
-    /// (bind, connect, frame, peer loss).
+    /// (bind, connect, frame, peer loss) or the first violation its
+    /// confidentiality auditor found, naming the node.
     pub fn run(&self, injections: Vec<(u64, ProcessId, CongosInput)>) -> io::Result<ClusterReport> {
         self.validate(None)?;
-        let schedules = split_schedule(self.n, injections)?;
+        let schedules = split_schedule(self.n, injections.clone())?;
         let listeners = self.bind(0..self.n)?;
+        let injections = &injections;
         let reports = std::thread::scope(|scope| {
             let nodes: Vec<_> = listeners
                 .into_iter()
                 .zip(schedules)
                 .enumerate()
                 .map(|(i, (listener, schedule))| {
-                    scope.spawn(move || self.drive(ProcessId::new(i), listener, schedule))
+                    scope.spawn(move || {
+                        self.drive(ProcessId::new(i), listener, schedule, injections)
+                    })
                 })
                 .collect();
             nodes
@@ -247,9 +252,9 @@ impl Cluster {
         injections: Vec<(u64, ProcessId, CongosInput)>,
     ) -> io::Result<ClusterReport> {
         self.validate(Some(id))?;
-        let schedule = split_schedule(self.n, injections)?.swap_remove(id);
+        let schedule = split_schedule(self.n, injections.clone())?.swap_remove(id);
         let listener = self.bind(id..id + 1)?.remove(0);
-        self.drive(ProcessId::new(id), listener, schedule)
+        self.drive(ProcessId::new(id), listener, schedule, &injections)
     }
 
     /// Binds the listeners of nodes `ids`, so that no node dials a peer
@@ -267,12 +272,19 @@ impl Cluster {
 
     /// Drives node `me` over a transport on `listener`: builds the
     /// `CongosNode` exactly as the simulator would (same forked seed, same
-    /// config) and runs the shared superstep loop.
+    /// config) and runs the shared superstep loop, making the node's own
+    /// `schedule` of the cluster's `injections`.
+    ///
+    /// The node runs watched by the E13 tap and by a confidentiality
+    /// auditor. The auditor is told every injection of the cluster before
+    /// round 0, so a delivery is checked against its rumor's destinations
+    /// and data at the delivering node, not only at the source.
     fn drive(
         &self,
         me: ProcessId,
         listener: TcpListener,
         schedule: Vec<(u64, CongosInput)>,
+        injections: &[(u64, ProcessId, CongosInput)],
     ) -> io::Result<ClusterReport> {
         let (n, seed) = (self.n, self.seed);
         let mut transport =
@@ -281,9 +293,14 @@ impl Cluster {
         let mut driver = NodeDriver::<CongosNode>::with_factory(me, n, seed, |id, n, _| {
             CongosNode::with_config(id, n, congos)
         });
-        driver.record_sightings(self.watch.contains(&me));
-        driver.run_rounds(&mut transport, self.rounds, schedule)?;
-        let sightings = driver.take_sightings().into_iter();
+        let mut audit = ConfidentialityAuditor::new(n);
+        for (round, source, input) in injections {
+            Observer::<CongosNode>::on_inject(&mut audit, Round(*round), *source, input);
+        }
+        let mut watchers = (CoalitionTap::new(n, &self.watch), audit);
+        driver.run_rounds(&mut transport, self.rounds, schedule, &mut watchers)?;
+        let (tap, audit) = watchers;
+        audit_verdict(me, &audit)?;
         let deliveries = driver.into_outputs().into_iter();
         Ok(ClusterReport {
             deliveries: deliveries
@@ -297,15 +314,20 @@ impl Cluster {
             messages: transport.messages(),
             topology_drops: transport.topology_drops(),
             rounds: self.rounds,
-            sightings: sightings
-                .map(|(round, sender, tag)| Sighting {
-                    round,
-                    observer: me,
-                    sender,
-                    tag,
-                })
-                .collect(),
+            sightings: tap.log().iter().copied().collect(),
         })
+    }
+}
+
+/// An error naming node `me` and the first violation `audit` found, if any.
+fn audit_verdict(me: ProcessId, audit: &ConfidentialityAuditor) -> io::Result<()> {
+    match audit.report().violations.as_slice() {
+        [] => Ok(()),
+        [first, ..] => Err(io::Error::other(format!(
+            "node {}: confidentiality audit failed: {first:?} (of {} violations)",
+            me.as_usize(),
+            audit.report().violations.len()
+        ))),
     }
 }
 
@@ -574,6 +596,37 @@ mod tests {
         let err = Cluster::new(4, 18570).run_node(4, vec![]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("node id 4"), "{err}");
+    }
+
+    #[test]
+    fn an_audit_violation_fails_the_node_naming_it() {
+        use congos::{CongosRumorId, DeliveredRumor, DeliveryPath};
+        use congos_sim::OutputRecord;
+        let me = ProcessId::new(2);
+        let mut audit = ConfidentialityAuditor::new(4);
+        audit_verdict(me, &audit).expect("nothing observed, nothing violated");
+        // A delivery of a rumor nobody injected is corrupt by definition.
+        let rid = CongosRumorId {
+            source: ProcessId::new(0),
+            birth: Round(0),
+            seq: 0,
+        };
+        let rec = OutputRecord {
+            round: Round(5),
+            process: me,
+            value: DeliveredRumor {
+                wid: 0,
+                rid,
+                data: vec![1],
+                via: DeliveryPath::Direct,
+            },
+        };
+        Observer::<CongosNode>::on_output(&mut audit, &rec);
+        let err = audit_verdict(me, &audit).unwrap_err().to_string();
+        assert!(
+            err.starts_with("node 2: confidentiality audit failed: CorruptDelivery"),
+            "{err}"
+        );
     }
 
     #[test]

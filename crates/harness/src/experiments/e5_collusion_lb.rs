@@ -13,17 +13,15 @@
 use std::collections::{HashMap, HashSet};
 use std::collections::BTreeSet;
 
-use congos::{
-    CongosConfig, CongosMsg, CongosNode, CongosRumorId, GossipPayload,
-};
+use congos::{CongosConfig, CongosMsg, CongosNode, CongosRumorId, Fragment};
 use congos_adversary::{CrriAdversary, NoFailures, PoissonWorkload};
-use congos_gossip::GossipWire;
 use congos_sim::{Engine, EngineConfig, EnvelopeRef, IdSet, Observer, ProcessId, Round};
 
 use crate::run::RunDefaults;
 use crate::table::Table;
 
-/// Counts fragment-carrying envelopes whose sender is entitled
+/// Counts fragment batches ([`CongosMsg::fragment_batches`]: a gossip push
+/// counts once per fragment payload it batches) whose sender is entitled
 /// (`dest ∪ {source}`) and whose receiver is not, and tracks which distinct
 /// fragments (group labels, per partition) cross the border — Theorem 12's
 /// "border fragments".
@@ -48,7 +46,7 @@ impl BorderMeter {
         }
     }
 
-    fn record(&mut self, env_src: ProcessId, env_dst: ProcessId, frags: &[congos::Fragment]) {
+    fn record(&mut self, env_src: ProcessId, env_dst: ProcessId, frags: &[Fragment]) {
         let mut crossed = false;
         for f in frags {
             self.rumors.insert(f.rid);
@@ -96,21 +94,8 @@ impl BorderMeter {
 
 impl Observer<CongosNode> for BorderMeter {
     fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
-        match env.payload {
-            CongosMsg::Gossip { wire, .. } => {
-                if let GossipWire::Push(rumors) = wire.as_ref() {
-                    for r in rumors.iter() {
-                        if let GossipPayload::Fragments(frags) = r.payload.as_ref() {
-                            self.record(env.src, env.dst, frags);
-                        }
-                    }
-                }
-            }
-            CongosMsg::ProxyRequest { fragments, .. }
-            | CongosMsg::Partials { fragments, .. } => {
-                self.record(env.src, env.dst, fragments);
-            }
-            _ => {}
+        for frags in env.payload.fragment_batches() {
+            self.record(env.src, env.dst, frags);
         }
     }
 }

@@ -28,7 +28,7 @@
 //! use congos::{CongosInput, CongosNode};
 //! use congos_net::TcpTransport;
 //! use congos_sim::transport::NodeDriver;
-//! use congos_sim::{ProcessId, TopologySpec};
+//! use congos_sim::{NullObserver, ProcessId, TopologySpec};
 //!
 //! // Node 0 of a two-node cluster on ports 18300..18302; node 1 runs the
 //! // same lines with its own id and port, and no injection.
@@ -43,7 +43,7 @@
 //!     deadline: 64,
 //!     dest: vec![ProcessId::new(1)],
 //! };
-//! node.run_rounds(&mut transport, 70, vec![(0, rumor)])?;
+//! node.run_rounds(&mut transport, 70, vec![(0, rumor)], &mut NullObserver)?;
 //! # Ok::<(), std::io::Error>(())
 //! ```
 

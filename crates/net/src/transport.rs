@@ -655,7 +655,7 @@ mod tests {
     use super::*;
     use congos::{CongosInput, CongosNode, CongosRumorId, Rumor, TAG_PROXY, TAG_SHOOT};
     use congos_sim::transport::NodeDriver;
-    use congos_sim::IdSet;
+    use congos_sim::{IdSet, NullObserver};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -747,7 +747,8 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut t = connect(ProcessId::new(1), 2, base, 7).expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 7);
-            d.run_rounds(&mut t, 40, vec![]).expect("node 1 rounds");
+            d.run_rounds(&mut t, 40, vec![], &mut NullObserver)
+                .expect("node 1 rounds");
             d.into_outputs()
         });
         let mut t = connect(ProcessId::new(0), 2, base, 7).expect("node 0 transport");
@@ -758,7 +759,7 @@ mod tests {
             deadline: 32,
             dest: vec![ProcessId::new(1)],
         };
-        d.run_rounds(&mut t, 40, vec![(0, inj)])
+        d.run_rounds(&mut t, 40, vec![(0, inj)], &mut NullObserver)
             .expect("node 0 rounds");
         assert!(t.messages() > 0, "traffic crossed the wire");
         let outs1 = h.join().expect("node 1 thread");
@@ -775,14 +776,15 @@ mod tests {
         let h = std::thread::spawn(move || {
             let mut t = connect(ProcessId::new(1), 2, base, 1).expect("node 1 transport");
             let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(1), 2, 1);
-            d.run_rounds(&mut t, 2, vec![]).expect("node 1 rounds");
+            d.run_rounds(&mut t, 2, vec![], &mut NullObserver)
+                .expect("node 1 rounds");
         });
         let mut t = connect(ProcessId::new(0), 2, base, 1)
             .expect("node 0 transport")
             .barrier_timeout(Duration::from_secs(10));
         let mut d = NodeDriver::<CongosNode>::new(ProcessId::new(0), 2, 1);
         let err = d
-            .run_rounds(&mut t, 50, vec![])
+            .run_rounds(&mut t, 50, vec![], &mut NullObserver)
             .expect_err("peer death must surface as an error");
         h.join().expect("peer thread");
         let msg = err.to_string();
@@ -845,7 +847,7 @@ mod tests {
         let node = std::thread::spawn(move || {
             let me = pid(0);
             let mut t = connect(me, n, base, 0)?.barrier_timeout(Duration::from_secs(10));
-            NodeDriver::<CongosNode>::new(me, n, 0).run_rounds(&mut t, 1, vec![])
+            NodeDriver::<CongosNode>::new(me, n, 0).run_rounds(&mut t, 1, vec![], &mut NullObserver)
         });
         let (_listeners, mut fakes) = raw_peers(n, base);
         for (j, fake) in fakes.iter_mut().enumerate() {

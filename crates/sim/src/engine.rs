@@ -355,6 +355,35 @@ pub struct NullObserver;
 
 impl<P: Protocol> Observer<P> for NullObserver {}
 
+/// Fan-out: `(a, b)` reports every event to `a`, then to `b`. Nest pairs
+/// to watch a run with more than two observers.
+impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
+    fn on_deliver(&mut self, env: EnvelopeRef<'_, P::Msg>) {
+        self.0.on_deliver(env);
+        self.1.on_deliver(env);
+    }
+    fn on_inject(&mut self, round: Round, process: ProcessId, input: &P::Input) {
+        self.0.on_inject(round, process, input);
+        self.1.on_inject(round, process, input);
+    }
+    fn on_output(&mut self, rec: &OutputRecord<P::Output>) {
+        self.0.on_output(rec);
+        self.1.on_output(rec);
+    }
+    fn on_crash(&mut self, round: Round, process: ProcessId) {
+        self.0.on_crash(round, process);
+        self.1.on_crash(round, process);
+    }
+    fn on_restart(&mut self, round: Round, process: ProcessId) {
+        self.0.on_restart(round, process);
+        self.1.on_restart(round, process);
+    }
+    fn on_round_end(&mut self, round: Round) {
+        self.0.on_round_end(round);
+        self.1.on_round_end(round);
+    }
+}
+
 /// An injected input and whether it reached an alive process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InjectionRecord {

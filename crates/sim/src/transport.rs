@@ -17,7 +17,8 @@
 //!
 //! [`NodeDriver`] owns ONE process — the same `Process` type (protocol
 //! instance, forked RNG stream, send buffer, outputs) the engine holds `n`
-//! of — and runs its superstep generically over any transport.
+//! of — and runs its superstep generically over any transport, reporting
+//! to an [`Observer`] what the engine reports for that process.
 //! Determinism survives the substrate because every input to
 //! a node's state machine is transport-independent: the RNG stream is forked
 //! from `(master_seed, id, generation)`, injections are scheduled by round,
@@ -29,7 +30,7 @@ use std::collections::VecDeque;
 use std::io;
 
 use crate::clock::Round;
-use crate::engine::{OutputRecord, Process, Protocol};
+use crate::engine::{NullObserver, Observer, OutputRecord, Process, Protocol};
 use crate::message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, SendColumns, Tag};
 use crate::process::ProcessId;
 use crate::topology::{Topology, TopologySpec};
@@ -374,13 +375,6 @@ pub struct NodeDriver<P: Protocol> {
     round: Round,
     /// Receive buffer (reused across rounds).
     inbox: Vec<Envelope<P::Msg>>,
-    /// Delivery-metadata log `(round, sender, tag)` for this node, recorded
-    /// just after the inbox sort when enabled — the socket-path equivalent
-    /// of the engine's `Observer::on_deliver` tap. Self-sends are skipped to
-    /// match the observing-coalition contract. Recording reads state the
-    /// compute phase produces anyway and touches no RNG, so enabling it
-    /// cannot perturb the execution.
-    sightings: Option<Vec<(Round, ProcessId, Tag)>>,
 }
 
 impl<P: Protocol> NodeDriver<P> {
@@ -404,27 +398,6 @@ impl<P: Protocol> NodeDriver<P> {
             process: Process::spawn(factory, master_seed, id, n, 0, Round::ZERO),
             round: Round::ZERO,
             inbox: Vec::new(),
-            sightings: None,
-        }
-    }
-
-    /// Enables (or disables) delivery-metadata recording for this node.
-    /// While enabled, every received envelope's `(round, sender, tag)` is
-    /// appended to the log returned by [`take_sightings`](Self::take_sightings).
-    pub fn record_sightings(&mut self, on: bool) {
-        if on {
-            self.sightings.get_or_insert_with(Vec::new);
-        } else {
-            self.sightings = None;
-        }
-    }
-
-    /// Drains the recorded delivery metadata (empty unless
-    /// [`record_sightings`](Self::record_sightings) was enabled).
-    pub fn take_sightings(&mut self) -> Vec<(Round, ProcessId, Tag)> {
-        match &mut self.sightings {
-            Some(s) => std::mem::take(s),
-            None => Vec::new(),
         }
     }
 
@@ -467,10 +440,8 @@ impl<P: Protocol> NodeDriver<P> {
         transport.end_of_round(round, id)
     }
 
-    /// Runs the current round's barrier + compute phase: blocks on the
-    /// transport until every peer's round is over, sorts the inbox by source
-    /// (the engine's pid-ordered delivery order), feeds it to the protocol
-    /// together with any injected `input`, and advances the round.
+    /// [`compute_phase_observed`](Self::compute_phase_observed) with no
+    /// observer.
     ///
     /// # Errors
     ///
@@ -480,28 +451,53 @@ impl<P: Protocol> NodeDriver<P> {
         transport: &mut T,
         input: Option<P::Input>,
     ) -> io::Result<()> {
+        self.compute_phase_observed(transport, input, &mut NullObserver)
+    }
+
+    /// Runs the current round's barrier + compute phase: blocks on the
+    /// transport until every peer's round is over, sorts the inbox by source
+    /// (the engine's pid-ordered delivery order), feeds it to the protocol
+    /// together with any injected `input`, and advances the round.
+    ///
+    /// `obs` sees the events the engine reports for this process, in the
+    /// engine's order: each delivery (self-sends included), the injection,
+    /// the round's outputs, then the end of the round.
+    ///
+    /// # Errors
+    ///
+    /// Propagates transport failures.
+    pub fn compute_phase_observed<T: RoundTransport<P::Msg>, O: Observer<P>>(
+        &mut self,
+        transport: &mut T,
+        input: Option<P::Input>,
+        obs: &mut O,
+    ) -> io::Result<()> {
         let (round, id) = (self.round, self.process.id);
         transport.recv_until_barrier(round, id, &mut self.inbox)?;
         // Stable by source: equals the engine's src-major outbox order, since
         // both substrates preserve per-source send order.
         self.inbox.sort_by_key(|e| e.src);
-        if let Some(sightings) = &mut self.sightings {
-            sightings.extend(
-                self.inbox
-                    .iter()
-                    .filter(|e| e.src != id)
-                    .map(|e| (round, e.src, e.tag)),
-            );
+        for env in Inbox::from_slice(&self.inbox) {
+            obs.on_deliver(env);
+        }
+        if let Some(input) = &input {
+            obs.on_inject(round, id, input);
         }
         self.process
             .receive(round, Inbox::from_slice(&self.inbox), input);
+        let outputs = &self.process.outputs;
+        for rec in &outputs[outputs.partition_point(|o| o.round < round)..] {
+            obs.on_output(rec);
+        }
+        obs.on_round_end(round);
         self.round = round.next();
         Ok(())
     }
 
     /// Runs `rounds` full rounds over a transport this node owns (each node
     /// of a socket cluster has its own), injecting `injections` as
-    /// `(round, input)` pairs.
+    /// `(round, input)` pairs and reporting to `obs` as
+    /// [`compute_phase_observed`](Self::compute_phase_observed) does.
     ///
     /// # Errors
     ///
@@ -509,17 +505,18 @@ impl<P: Protocol> NodeDriver<P> {
     /// round (the model allows one per process per round) or one falls
     /// outside the rounds this call executes; otherwise propagates transport
     /// failures.
-    pub fn run_rounds<T: RoundTransport<P::Msg>>(
+    pub fn run_rounds<T: RoundTransport<P::Msg>, O: Observer<P>>(
         &mut self,
         transport: &mut T,
         rounds: u64,
         injections: Vec<(u64, P::Input)>,
+        obs: &mut O,
     ) -> io::Result<()> {
         let start = self.round.as_u64();
         let mut schedule = Schedule::new(self.process.id, start..start + rounds, injections)?;
         for r in start..start + rounds {
             self.send_phase(transport)?;
-            self.compute_phase(transport, schedule.take(r))?;
+            self.compute_phase_observed(transport, schedule.take(r), obs)?;
         }
         Ok(())
     }
@@ -632,6 +629,7 @@ mod tests {
         topology: TopologySpec,
         rounds: u64,
         injections: &[(u64, ProcessId, u64)],
+        obs: &mut impl Observer<Echo>,
     ) -> Vec<OutputRecord<(ProcessId, u64)>> {
         use crate::engine::{Adversary, RoundDecision, RoundView};
         struct Inject {
@@ -653,34 +651,118 @@ mod tests {
             }
         }
         let mut e = Engine::<Echo>::new(EngineConfig::new(n).seed(seed).topology(topology));
-        e.run(
+        e.run_observed(
             rounds,
             &mut Inject {
                 schedule: injections.to_vec(),
             },
+            obs,
         );
         let mut outs = e.into_outputs();
         outs.sort_by_key(|o| (o.round, o.process));
         outs
     }
 
-    #[test]
-    fn local_cluster_matches_engine_exactly() {
-        let injections = vec![
+    fn injections() -> Vec<(u64, ProcessId, u64)> {
+        vec![
             (0, ProcessId::new(0), 7u64),
             (2, ProcessId::new(3), 9u64),
             (5, ProcessId::new(1), 11u64),
-        ];
+        ]
+    }
+
+    #[test]
+    fn local_cluster_matches_engine_exactly() {
+        let injections = injections();
         for (seed, topology) in [
             (1u64, TopologySpec::Complete),
             (2, TopologySpec::Complete),
             (3, TopologySpec::Expander { degree: 4 }),
         ] {
-            let sim = engine_outputs(6, seed, topology, 8, &injections);
+            let sim = engine_outputs(6, seed, topology, 8, &injections, &mut NullObserver);
             let local = run_local_cluster::<Echo>(6, seed, topology, 8, injections.clone())
                 .expect("local cluster");
             assert_eq!(sim, local, "seed {seed} topology {topology} diverged");
             assert!(!sim.is_empty());
+        }
+    }
+
+    /// Every event in order, each with the process it concerns (`None` for
+    /// a round end, which concerns every process).
+    #[derive(Default)]
+    struct EventLog(Vec<(Option<ProcessId>, String)>);
+
+    impl Observer<Echo> for EventLog {
+        fn on_deliver(&mut self, env: EnvelopeRef<'_, u64>) {
+            let (src, dst, round, tag) = (env.src, env.dst, env.round, env.tag.name());
+            let event = format!("d {src} {dst} {round} {tag} {}", env.payload);
+            self.0.push((Some(dst), event));
+        }
+        fn on_inject(&mut self, round: Round, p: ProcessId, input: &u64) {
+            self.0.push((Some(p), format!("i {round} {p} {input}")));
+        }
+        fn on_output(&mut self, rec: &OutputRecord<(ProcessId, u64)>) {
+            let event = format!("o {} {} {:?}", rec.round, rec.process, rec.value);
+            self.0.push((Some(rec.process), event));
+        }
+        fn on_round_end(&mut self, round: Round) {
+            self.0.push((None, format!("e {round}")));
+        }
+    }
+
+    impl EventLog {
+        /// The events that concern `p`, in order.
+        fn of(&self, p: ProcessId) -> Vec<&str> {
+            self.0
+                .iter()
+                .filter(|(q, _)| q.is_none_or(|q| q == p))
+                .map(|(_, event)| event.as_str())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn node_driver_reports_the_engine_events_of_its_process() {
+        let (n, rounds) = (6, 8);
+        for (seed, topology) in [
+            (1u64, TopologySpec::Complete),
+            (3, TopologySpec::Expander { degree: 4 }),
+        ] {
+            let mut engine = EventLog::default();
+            engine_outputs(n, seed, topology, rounds, &injections(), &mut engine);
+
+            let mut mem = MemTransport::<u64>::new(topology, n, seed);
+            let mut drivers: Vec<NodeDriver<Echo>> = (0..n)
+                .map(|i| NodeDriver::new(ProcessId::new(i), n, seed))
+                .collect();
+            let mut logs: Vec<EventLog> = (0..n).map(|_| EventLog::default()).collect();
+            let mut schedules: Vec<_> = ProcessId::all(n)
+                .zip(split_schedule(n, injections()).expect("in range"))
+                .map(|(id, inj)| Schedule::new(id, 0..rounds, inj).expect("valid"))
+                .collect();
+            for r in 0..rounds {
+                mem.begin_round(Round(r));
+                for d in drivers.iter_mut() {
+                    d.send_phase(&mut mem).expect("send");
+                }
+                for ((d, log), schedule) in drivers.iter_mut().zip(&mut logs).zip(&mut schedules) {
+                    d.compute_phase_observed(&mut mem, schedule.take(r), log)
+                        .expect("compute");
+                }
+            }
+
+            for (p, log) in ProcessId::all(n).zip(&logs) {
+                let node: Vec<&str> = log.0.iter().map(|(_, event)| event.as_str()).collect();
+                assert_eq!(node, engine.of(p), "{p}, seed {seed}, {topology}");
+            }
+            let kinds: Vec<char> = engine
+                .0
+                .iter()
+                .filter_map(|(_, e)| e.chars().next())
+                .collect();
+            for kind in ['d', 'i', 'o', 'e'] {
+                assert!(kinds.contains(&kind), "no '{kind}' event at {topology}");
+            }
         }
     }
 
@@ -697,7 +779,9 @@ mod tests {
             (vec![(0, 7), (3, 8)], "round 3 is outside"),
         ] {
             let mut d = NodeDriver::<Echo>::new(p0, 1, 0);
-            let err = d.run_rounds(&mut mem, 3, schedule.clone()).unwrap_err();
+            let err = d
+                .run_rounds(&mut mem, 3, schedule.clone(), &mut NullObserver)
+                .unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
             assert!(err.to_string().contains(needle), "{err}");
             assert_eq!(d.round(), Round(0), "no round ran");

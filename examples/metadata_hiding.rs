@@ -17,42 +17,10 @@
 //! curious processes from telling who started the rumor (the E13
 //! source-identification metric, `congos_adversary::predict`).
 
-use congos::{
-    CongosConfig, CongosInput, CongosMsg, CongosNode, ConfidentialityAuditor, CoverTrafficConfig,
-    DeliveredRumor,
-};
+use congos::{ConfidentialityAuditor, CongosConfig, CongosNode, CoverTrafficConfig};
 use congos_adversary::predict::{first_contact_posterior, CoalitionTap, EstimatorCtx};
 use congos_adversary::{CrriAdversary, NoFailures, OneShot, RumorSpec};
-use congos_sim::engine::{Observer, OutputRecord};
-use congos_sim::{Engine, EngineConfig, EnvelopeRef, ProcessId, Round};
-
-/// Audit the run and let a curious coalition watch its own inboxes.
-struct AuditAndTap<'a> {
-    audit: &'a mut ConfidentialityAuditor,
-    tap: &'a mut CoalitionTap,
-}
-
-impl Observer<CongosNode> for AuditAndTap<'_> {
-    fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
-        self.audit.on_deliver(env);
-        Observer::<CongosNode>::on_deliver(self.tap, env);
-    }
-    fn on_inject(&mut self, round: Round, process: ProcessId, input: &CongosInput) {
-        self.audit.on_inject(round, process, input);
-    }
-    fn on_output(&mut self, rec: &OutputRecord<DeliveredRumor>) {
-        self.audit.on_output(rec);
-    }
-    fn on_crash(&mut self, round: Round, process: ProcessId) {
-        self.audit.on_crash(round, process);
-    }
-    fn on_restart(&mut self, round: Round, process: ProcessId) {
-        self.audit.on_restart(round, process);
-    }
-    fn on_round_end(&mut self, round: Round) {
-        self.audit.on_round_end(round);
-    }
-}
+use congos_sim::{Engine, EngineConfig, ProcessId, Round};
 
 /// Returns (messages, bytes, deliveries, coalition's posterior mass on the
 /// true source).
@@ -63,23 +31,20 @@ fn run_variant(name: &str, cfg: CongosConfig) -> (u64, u64, usize, f64) {
     let secret = b"quarterly numbers: up 12%".to_vec();
     let spec = RumorSpec::new(0, secret.clone(), 64, dest.clone());
     let mut adv = CrriAdversary::new(NoFailures, OneShot::new(Round(0), vec![(source, spec)]));
-    let mut audit = ConfidentialityAuditor::new(n);
-    // Four curious-but-honest processes pool everything their inboxes see.
+    // Audit the run, and let four curious-but-honest processes pool
+    // everything their inboxes see.
     let members: Vec<ProcessId> = [2usize, 5, 9, 13].map(ProcessId::new).to_vec();
-    let mut tap = CoalitionTap::new(n, &members);
+    let mut watchers = (
+        ConfidentialityAuditor::new(n),
+        CoalitionTap::new(n, &members),
+    );
     let cfg2 = cfg.clone();
     let mut e = Engine::<CongosNode>::with_factory(
         EngineConfig::new(n).seed(1234),
         move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
     );
-    e.run_observed(
-        66,
-        &mut adv,
-        &mut AuditAndTap {
-            audit: &mut audit,
-            tap: &mut tap,
-        },
-    );
+    e.run_observed(66, &mut adv, &mut watchers);
+    let (audit, tap) = watchers;
     audit.assert_clean();
 
     for o in e.outputs() {

@@ -17,9 +17,12 @@
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
 #                            #        loopback differential suite, the
 #                            #        congos-net package tests (codec
-#                            #        corruption proptests, transport tests)
-#                            #        and the congos-node multi-process
-#                            #        tests (one congos-harness test target)
+#                            #        corruption proptests, transport tests),
+#                            #        the congos-node multi-process tests
+#                            #        and, from the congos-harness lib, the
+#                            #        `Cluster` unit tests and the TCP
+#                            #        coalition-tap test (every cluster node
+#                            #        runs the confidentiality auditor)
 #   scripts/ci.sh loadtest   # quick congos-loadtest gate: a small loopback
 #                            #        run must deliver something and emit a
 #                            #        report with latency percentiles
@@ -73,6 +76,8 @@ run_net() {
     cargo test -q -p congos-net
     echo "==> net: congos-node multi-process tests"
     cargo test -q -p congos-harness --test multiprocess
+    echo "==> net: Cluster unit tests and the TCP coalition-tap test"
+    cargo test -q -p congos-harness --lib -- cluster:: networked_tap
 }
 
 run_loadtest() {

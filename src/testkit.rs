@@ -8,16 +8,12 @@
 //! [`GOLDEN_TRACE_DIGEST`] — so every suite asserts against the same
 //! fixture instead of each carrying a private copy that can drift.
 
-use congos::{
-    AuditReport, CongosInput, CongosMsg, CongosNode, ConfidentialityAuditor, DeliveredRumor,
-};
+use congos::{AuditReport, ConfidentialityAuditor, CongosNode, DeliveredRumor};
 use congos_adversary::predict::{CoalitionTap, SightingLog};
 use congos_adversary::{CrriAdversary, FailurePlan, PoissonWorkload};
-use congos_sim::engine::{Observer, OutputRecord};
+use congos_sim::engine::OutputRecord;
 use congos_sim::trace::Tracer;
-use congos_sim::{
-    Engine, EngineBackend, EngineConfig, EnvelopeRef, ProcessId, Round, TopologySpec,
-};
+use congos_sim::{Engine, EngineBackend, EngineConfig, ProcessId, Round, TopologySpec};
 
 /// Universe size used by every fingerprint run (matches the seed suite).
 pub const N: usize = 16;
@@ -66,39 +62,6 @@ impl Fingerprint {
     }
 }
 
-/// Observer fan-out: audit and trace the same run.
-struct AuditAndTrace<'a> {
-    audit: &'a mut ConfidentialityAuditor,
-    tracer: &'a mut Tracer,
-}
-
-impl Observer<CongosNode> for AuditAndTrace<'_> {
-    fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
-        self.audit.on_deliver(env);
-        Observer::<CongosNode>::on_deliver(self.tracer, env);
-    }
-    fn on_inject(&mut self, round: Round, process: ProcessId, input: &CongosInput) {
-        self.audit.on_inject(round, process, input);
-        Observer::<CongosNode>::on_inject(self.tracer, round, process, input);
-    }
-    fn on_output(&mut self, rec: &OutputRecord<DeliveredRumor>) {
-        self.audit.on_output(rec);
-        Observer::<CongosNode>::on_output(self.tracer, rec);
-    }
-    fn on_crash(&mut self, round: Round, process: ProcessId) {
-        self.audit.on_crash(round, process);
-        Observer::<CongosNode>::on_crash(self.tracer, round, process);
-    }
-    fn on_restart(&mut self, round: Round, process: ProcessId) {
-        self.audit.on_restart(round, process);
-        Observer::<CongosNode>::on_restart(self.tracer, round, process);
-    }
-    fn on_round_end(&mut self, round: Round) {
-        self.audit.on_round_end(round);
-        Observer::<CongosNode>::on_round_end(self.tracer, round);
-    }
-}
-
 /// Runs CONGOS on the given backend, topology, seed and failure plan and
 /// returns the full [`Fingerprint`] (audited and traced throughout).
 ///
@@ -131,25 +94,18 @@ pub fn congos_fingerprint_tapped<F: FailurePlan>(
     let workload =
         PoissonWorkload::new(0.05, 3, DEADLINE, seed ^ 0xD1FF).until(Round(ROUNDS - DEADLINE));
     let mut adv = CrriAdversary::new(failures, workload);
-    let mut audit = ConfidentialityAuditor::new(N);
-    let mut tracer = Tracer::new(1 << 20);
-    let mut tap = CoalitionTap::new(N, members);
     let mut engine = Engine::<CongosNode>::new(
         EngineConfig::new(N)
             .seed(seed)
             .topology(topology)
             .backend(backend),
     );
-    {
-        let mut obs = TapAuditAndTrace {
-            base: AuditAndTrace {
-                audit: &mut audit,
-                tracer: &mut tracer,
-            },
-            tap: &mut tap,
-        };
-        engine.run_observed(ROUNDS, &mut adv, &mut obs);
-    }
+    let mut obs = (
+        (ConfidentialityAuditor::new(N), Tracer::new(1 << 20)),
+        CoalitionTap::new(N, members),
+    );
+    engine.run_observed(ROUNDS, &mut adv, &mut obs);
+    let ((audit, tracer), tap) = obs;
     let per_tag = (0..ROUNDS)
         .map(|t| engine.metrics().round(t).iter().collect())
         .collect();
@@ -161,32 +117,4 @@ pub fn congos_fingerprint_tapped<F: FailurePlan>(
         outputs: engine.into_outputs(),
     };
     (fp, tap.into_log())
-}
-
-/// Observer fan-out: the audit + trace pair, plus the coalition tap.
-struct TapAuditAndTrace<'a> {
-    base: AuditAndTrace<'a>,
-    tap: &'a mut CoalitionTap,
-}
-
-impl Observer<CongosNode> for TapAuditAndTrace<'_> {
-    fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
-        self.base.on_deliver(env);
-        Observer::<CongosNode>::on_deliver(self.tap, env);
-    }
-    fn on_inject(&mut self, round: Round, process: ProcessId, input: &CongosInput) {
-        self.base.on_inject(round, process, input);
-    }
-    fn on_output(&mut self, rec: &OutputRecord<DeliveredRumor>) {
-        self.base.on_output(rec);
-    }
-    fn on_crash(&mut self, round: Round, process: ProcessId) {
-        self.base.on_crash(round, process);
-    }
-    fn on_restart(&mut self, round: Round, process: ProcessId) {
-        self.base.on_restart(round, process);
-    }
-    fn on_round_end(&mut self, round: Round) {
-        self.base.on_round_end(round);
-    }
 }
