@@ -68,6 +68,9 @@ pub struct CongosNode {
     /// ring buckets instead of scanning the whole map every 512 rounds.
     parts_expiry: ExpiryRing<(CongosRumorId, u16)>,
     delivered_expiry: ExpiryRing<CongosRumorId>,
+    /// Fragments received in the current compute phase, drained through
+    /// `save_fragment`; kept for its capacity.
+    received: Vec<Fragment>,
     injected: u64,
     direct: u64,
     decoys_injected: u64,
@@ -113,6 +116,7 @@ impl CongosNode {
             delivered: HashSet::new(),
             parts_expiry: ExpiryRing::new(512),
             delivered_expiry: ExpiryRing::new(512),
+            received: Vec::new(),
             injected: 0,
             direct: 0,
             decoys_injected: 0,
@@ -453,7 +457,7 @@ impl Protocol for CongosNode {
         input: Option<Self::Input>,
     ) {
         let now = ctx.round();
-        let mut to_save: Vec<Fragment> = Vec::new();
+        let mut received = std::mem::take(&mut self.received);
         for env in inbox {
             match env.payload.clone() {
                 CongosMsg::Shoot { rumor, rid, direct } => {
@@ -496,20 +500,20 @@ impl Protocol for CongosNode {
                         self.n,
                         dline,
                     );
-                    to_save.extend(class.on_receive(now, env.src, msg, &self.partitions));
+                    class.on_receive(now, env.src, msg, &self.partitions, &mut received);
                 }
             }
         }
         if let Some(input) = input {
             self.handle_injection(ctx, input);
         }
-        let mut spread: Vec<Fragment> = Vec::new();
         for class in self.classes.values_mut() {
-            spread.extend(class.post_receive());
+            class.post_receive(&mut received);
         }
-        for f in to_save.into_iter().chain(spread) {
+        for f in received.drain(..) {
             self.save_fragment(ctx, f);
         }
+        self.received = received;
     }
 }
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 
-use congos_gossip::{ContinuousGossip, GossipConfig};
+use congos_gossip::{ContinuousGossip, GossipConfig, GossipWire};
 use congos_sim::message::SendColumns;
 use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
@@ -34,6 +34,18 @@ use crate::split;
 /// Queues `msg` for `dst` under the tag the message implies.
 fn send(out: &mut SendColumns<CongosMsg>, dst: ProcessId, msg: CongosMsg) {
     out.push(dst, msg.tag(), msg);
+}
+
+/// The emitter a gossip endpoint of `lane` steps into: queues each wire on
+/// `out`.
+fn gossip_to(
+    out: &mut SendColumns<CongosMsg>,
+    lane: GossipLane,
+) -> impl FnMut(ProcessId, GossipWire<Arc<GossipPayload>>) + '_ {
+    move |dst, wire| {
+        let wire = Box::new(wire);
+        send(out, dst, CongosMsg::Gossip { lane, wire });
+    }
 }
 
 struct Lane {
@@ -320,31 +332,14 @@ impl ClassEngine {
                     );
                 }
             }
-            for (dst, wire) in lane.gossip.step(now, rng) {
-                send(
-                    out,
-                    dst,
-                    CongosMsg::Gossip {
-                        lane: GossipLane::Group {
-                            dline,
-                            ell: lane.ell,
-                        },
-                        wire: Box::new(wire),
-                    },
-                );
-            }
+            let group_lane = GossipLane::Group {
+                dline,
+                ell: lane.ell,
+            };
+            lane.gossip.step_with(now, rng, gossip_to(out, group_lane));
         }
-
-        for (dst, wire) in self.all_gossip.step(now, rng) {
-            send(
-                out,
-                dst,
-                CongosMsg::Gossip {
-                    lane: GossipLane::All { dline },
-                    wire: Box::new(wire),
-                },
-            );
-        }
+        self.all_gossip
+            .step_with(now, rng, gossip_to(out, GossipLane::All { dline }));
 
         self.check_confirmations(partitions);
         self.fire_fallbacks(now, out);
@@ -354,8 +349,8 @@ impl ClassEngine {
     }
 
     /// Routes an incoming protocol message into the right sub-service.
-    /// `Partials` fragments are returned to the node for reassembly. A
-    /// message no correct process sends — a partition index this
+    /// `Partials` fragments are appended to `saved`, the node's reassembly
+    /// queue. A message no correct process sends — a partition index this
     /// configuration does not have, or a proxy request carrying a fragment
     /// of a foreign group — is dropped and counted in
     /// [`ClassStats::rejected`], in every build profile.
@@ -365,7 +360,8 @@ impl ClassEngine {
         src: ProcessId,
         msg: CongosMsg,
         partitions: &PartitionSet,
-    ) -> Vec<Fragment> {
+        saved: &mut Vec<Fragment>,
+    ) {
         match msg {
             CongosMsg::Gossip { lane, wire } => match lane {
                 GossipLane::Group { ell, .. } => match self.lanes.get_mut(ell as usize) {
@@ -389,17 +385,15 @@ impl ClassEngine {
                 Some(l) => l.proxy.on_ack(src, partitions.partition(ell as usize)),
                 None => self.stats.rejected += 1,
             },
-            CongosMsg::Partials { fragments, .. } => return fragments,
+            CongosMsg::Partials { fragments, .. } => saved.extend(fragments),
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
         }
-        Vec::new()
     }
 
     /// Compute-phase drain: dispatch gossip deliveries into the services and
-    /// return the fragments this process received through its groups (for
-    /// reassembly if it is a destination).
-    pub(crate) fn post_receive(&mut self) -> Vec<Fragment> {
-        let mut to_save = Vec::new();
+    /// append the fragments this process received through its groups to
+    /// `saved` (for reassembly if it is a destination).
+    pub(crate) fn post_receive(&mut self, saved: &mut Vec<Fragment>) {
         for lane in &mut self.lanes {
             for rumor in lane.gossip.take_delivered() {
                 let origin = rumor.id.origin;
@@ -413,7 +407,7 @@ impl ClassEngine {
                                 continue;
                             }
                             lane.gd.inject(f.clone());
-                            to_save.push(f.clone());
+                            saved.push(f.clone());
                         }
                     }
                     GossipPayload::ProxyMeta { failed_proxies } => {
@@ -438,7 +432,6 @@ impl ClassEngine {
                     .extend(*partition, *group, hits.iter().copied());
             }
         }
-        to_save
     }
 
     /// Figure 8's confirmation rule, generalized to `k` groups: a rumor is
@@ -766,9 +759,9 @@ mod tests {
                 wire: Box::new(congos_gossip::GossipWire::Ack(vec![])),
             },
         ] {
-            assert!(engine
-                .on_receive(Round(0), from, msg, &partitions)
-                .is_empty());
+            let mut saved = Vec::new();
+            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
+            assert!(saved.is_empty());
         }
         assert_eq!(engine.stats().rejected, 3);
     }
@@ -789,7 +782,7 @@ mod tests {
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         let own = vec![fragment(n, 0, 0)];
-        engine.on_receive(Round(0), from, request(own), &partitions);
+        engine.on_receive(Round(0), from, request(own), &partitions, &mut Vec::new());
         assert_eq!(engine.stats().rejected, 0);
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(spread, "a request for the own group is taken up");
@@ -797,7 +790,7 @@ mod tests {
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         let mixed = vec![fragment(n, 0, 0), fragment(n, 0, 1)];
-        engine.on_receive(Round(0), from, request(mixed), &partitions);
+        engine.on_receive(Round(0), from, request(mixed), &partitions, &mut Vec::new());
         assert_eq!(engine.stats().rejected, 1);
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(!spread, "nothing of a rejected request is re-gossiped");
@@ -841,9 +834,13 @@ mod tests {
             fragment(n, 1, 0),
             fragment(n, 0, 0),
         ]);
-        engine.on_receive(Round(0), from, push(0, distribution), &partitions);
-        engine.on_receive(Round(0), from, push(1, fragments), &partitions);
-        assert_eq!(engine.post_receive(), vec![fragment(n, 0, 0)]);
+        let mut saved = Vec::new();
+        for msg in [push(0, distribution), push(1, fragments)] {
+            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
+        }
+        assert!(saved.is_empty(), "pushes deliver at post_receive");
+        engine.post_receive(&mut saved);
+        assert_eq!(saved, vec![fragment(n, 0, 0)]);
         assert_eq!(engine.stats().rejected, 3);
     }
 }

@@ -16,7 +16,9 @@ use crate::rumor::{GossipRumor, RumorId};
 /// The push batch is `Arc`-shared: one round's batch is identical across
 /// all of a process's push targets, so the envelope clone is a refcount
 /// bump rather than a deep copy (at `n` processes × fanout targets × many
-/// active rumors, deep copies dominate memory otherwise).
+/// active rumors, deep copies dominate memory otherwise). The sender also
+/// keeps the batch between rounds and rebuilds it only after its active
+/// set changed, so consecutive pushes may share one allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipWire<T> {
     /// Epidemic push of a batch of active rumors (one envelope, arbitrarily
@@ -88,7 +90,8 @@ struct OwnRumor<T> {
 ///
 /// Embed one per partition side (plus `AllGossip`); call
 /// [`inject`](ContinuousGossip::inject) to gossip a rumor,
-/// [`step`](ContinuousGossip::step) once per round in the host's send phase,
+/// [`step_with`](ContinuousGossip::step_with) once per round in the host's
+/// send phase,
 /// [`on_receive`](ContinuousGossip::on_receive) for every incoming wire
 /// message, and [`take_delivered`](ContinuousGossip::take_delivered) in the
 /// compute phase.
@@ -104,13 +107,18 @@ pub struct ContinuousGossip<T> {
     next_seq: u32,
     /// Rumors this process actively forwards.
     active: BTreeMap<RumorId, GossipRumor<T>>,
+    /// `active`'s values as one shared push batch; `None` once `active`
+    /// changed, rebuilt at the next push.
+    batch: Option<Arc<Vec<GossipRumor<T>>>>,
     /// Dedup set with the round after which each entry may be dropped.
     seen: HashMap<RumorId, Round>,
     /// Rumors this process injected and still tracks for acknowledgment.
     own: BTreeMap<RumorId, OwnRumor<T>>,
-    /// Acks queued for the next send phase, grouped by destination.
-    pending_acks: BTreeMap<ProcessId, Vec<RumorId>>,
-    /// Rumors delivered to this process, awaiting pickup by the host.
+    /// Acks queued for the next send phase as `(destination, id)`, in
+    /// arrival order; emptied each step, capacity kept.
+    pending_acks: Vec<(ProcessId, RumorId)>,
+    /// Rumors delivered to this process, awaiting pickup by the host
+    /// (drained, capacity kept).
     delivered: Vec<GossipRumor<T>>,
     /// Collaborators heard from in the previous round (plus self).
     collab_est: usize,
@@ -143,9 +151,10 @@ impl<T: Clone> ContinuousGossip<T> {
             last_inject_round: Round::ZERO,
             next_seq: 0,
             active: BTreeMap::new(),
+            batch: None,
             seen: HashMap::new(),
             own: BTreeMap::new(),
-            pending_acks: BTreeMap::new(),
+            pending_acks: Vec::new(),
             delivered: Vec::new(),
             collab_est: 1,
             collab_this_round: IdSet::empty(n),
@@ -225,16 +234,45 @@ impl<T: Clone> ContinuousGossip<T> {
             );
         }
         self.active.insert(id, rumor);
+        self.batch = None;
         id
     }
 
-    /// Send phase: returns this round's outgoing wire messages. Every
-    /// destination is a member of the instance — the filter by construction.
+    /// Send phase: returns this round's outgoing wire messages, in the
+    /// order [`step_with`](Self::step_with) emits them. Only tests and the
+    /// benchmark probe call this; hosts emit in place.
     pub fn step(&mut self, now: Round, rng: &mut SmallRng) -> Vec<(ProcessId, GossipWire<T>)> {
-        let mut out: Vec<(ProcessId, GossipWire<T>)> = Vec::new();
+        let mut out = Vec::new();
+        self.step_with(now, rng, |dst, wire| out.push((dst, wire)));
+        out
+    }
+
+    /// Send phase: hands this round's outgoing wire messages to `emit`, in
+    /// order: acks (ascending destination, ids in arrival order), deadline
+    /// fallbacks (ascending rumor id, ascending destination), then the
+    /// epidemic push. Every destination is a member of the instance — the
+    /// filter by construction.
+    pub fn step_with(
+        &mut self,
+        now: Round,
+        rng: &mut SmallRng,
+        mut emit: impl FnMut(ProcessId, GossipWire<T>),
+    ) {
+        let membership = &self.cfg.membership;
+        let mut emit = |dst: ProcessId, wire: GossipWire<T>| {
+            debug_assert!(
+                membership.contains(dst),
+                "filter violation: gossip instance addressed a non-member"
+            );
+            emit(dst, wire);
+        };
 
         // Drop expired rumors from the forwarding set.
+        let before = self.active.len();
         self.active.retain(|_, r| r.active_at(now));
+        if self.active.len() != before {
+            self.batch = None;
+        }
         // Prune the dedup map once it outgrows a small bound. The retain
         // predicate is the receive horizon (a rumor can arrive no later
         // than its deadline-fallback round `dl + 1`, processed at
@@ -245,29 +283,29 @@ impl<T: Clone> ContinuousGossip<T> {
             self.seen.retain(|_, dl| *dl + 2 >= now);
         }
 
-        // Acks queued from last round's deliveries.
-        for (dst, ids) in std::mem::take(&mut self.pending_acks) {
-            out.push((dst, GossipWire::Ack(ids)));
+        // Acks queued from last round's deliveries: one per destination.
+        // The sort is stable, so each destination's ids keep arrival order.
+        self.pending_acks.sort_by_key(|&(dst, _)| dst);
+        for run in self.pending_acks.chunk_by(|a, b| a.0 == b.0) {
+            let ids = run.iter().map(|&(_, id)| id).collect();
+            emit(run[0].0, GossipWire::Ack(ids));
         }
+        self.pending_acks.clear();
 
         // Deadline fallback: for own rumors whose deadline is this round,
         // send directly to every unacknowledged destination. This is what
         // makes Quality of Delivery hold with probability 1.
-        let expiring: Vec<RumorId> = self
-            .own
-            .iter()
-            .filter(|(_, o)| o.rumor.deadline == now)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in expiring {
-            let o = self.own.remove(&id).expect("present");
-            let single = Arc::new(vec![o.rumor.clone()]);
-            for dst in o.unacked.iter() {
-                self.fallbacks += 1;
-                out.push((dst, GossipWire::Push(Arc::clone(&single))));
+        let fallbacks = &mut self.fallbacks;
+        self.own.retain(|_, o| {
+            if o.rumor.deadline == now && !o.unacked.is_empty() {
+                let single = Arc::new(vec![o.rumor.clone()]);
+                for dst in o.unacked.iter() {
+                    *fallbacks += 1;
+                    emit(dst, GossipWire::Push(Arc::clone(&single)));
+                }
             }
-        }
-        self.own.retain(|_, o| o.rumor.deadline > now);
+            o.rumor.deadline > now
+        });
 
         // Epidemic push of all active rumors, to random members or along
         // the deterministic expander schedule.
@@ -288,13 +326,14 @@ impl<T: Clone> ContinuousGossip<T> {
             );
             let targets: Vec<ProcessId> = match self.cfg.strategy {
                 GossipStrategy::Random => self.peers.sample(k, rng),
-                GossipStrategy::Expander => {
-                    expander_targets(&self.cfg.membership, self.me, now, k)
-                }
+                GossipStrategy::Expander => expander_targets(membership, self.me, now, k),
             };
-            let batch = Arc::new(self.active.values().cloned().collect::<Vec<_>>());
+            let active = &self.active;
+            let batch = self
+                .batch
+                .get_or_insert_with(|| Arc::new(active.values().cloned().collect()));
             for dst in targets {
-                out.push((dst, GossipWire::Push(Arc::clone(&batch))));
+                emit(dst, GossipWire::Push(Arc::clone(batch)));
             }
         }
 
@@ -307,12 +346,6 @@ impl<T: Clone> ContinuousGossip<T> {
         let heard = self.collab_this_round.len() + 1;
         self.collab_est = heard.max(self.collab_est.div_ceil(2));
         self.collab_this_round.clear();
-
-        debug_assert!(
-            out.iter().all(|(dst, _)| self.cfg.membership.contains(*dst)),
-            "filter violation: gossip instance addressed a non-member"
-        );
-        out
     }
 
     /// Handles an incoming wire message. Traffic from outside the membership
@@ -332,14 +365,12 @@ impl<T: Clone> ContinuousGossip<T> {
                     if rumor.dest.contains(self.me) {
                         self.delivered.push(rumor.clone());
                         if rumor.id.origin != self.me && !rumor.best_effort {
-                            self.pending_acks
-                                .entry(rumor.id.origin)
-                                .or_default()
-                                .push(rumor.id);
+                            self.pending_acks.push((rumor.id.origin, rumor.id));
                         }
                     }
                     if rumor.active_at(now) {
                         self.active.insert(rumor.id, rumor.clone());
+                        self.batch = None;
                     }
                 }
             }
@@ -353,9 +384,10 @@ impl<T: Clone> ContinuousGossip<T> {
         }
     }
 
-    /// Returns (and clears) the rumors delivered to this process.
-    pub fn take_delivered(&mut self) -> Vec<GossipRumor<T>> {
-        std::mem::take(&mut self.delivered)
+    /// Drains the rumors delivered to this process, in delivery order. The
+    /// queue keeps its capacity for the next round.
+    pub fn take_delivered(&mut self) -> std::vec::Drain<'_, GossipRumor<T>> {
+        self.delivered.drain(..)
     }
 
     /// The tag under which this instance's messages should be sent.
@@ -382,10 +414,10 @@ mod tests {
         let mut g = mk(0, 4);
         let dest = IdSet::from_iter(4, [ProcessId::new(0), ProcessId::new(2)]);
         g.inject(Round(0), 7, 16, dest);
-        let d = g.take_delivered();
+        let d: Vec<_> = g.take_delivered().collect();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].payload, 7);
-        assert!(g.take_delivered().is_empty(), "pickup clears the queue");
+        assert_eq!(g.take_delivered().len(), 0, "pickup clears the queue");
     }
 
     #[test]
@@ -403,7 +435,7 @@ mod tests {
                 b.on_receive(Round(0), ProcessId::new(0), wire);
             }
         }
-        let d = b.take_delivered();
+        let d: Vec<_> = b.take_delivered().collect();
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].payload, 9);
         // Next round, b acks to the origin.
@@ -465,7 +497,7 @@ mod tests {
             best_effort: false,
         };
         g.on_receive(Round(0), ProcessId::new(2), GossipWire::Push(Arc::new(vec![rumor])));
-        assert!(g.take_delivered().is_empty());
+        assert_eq!(g.take_delivered().len(), 0);
     }
 
     #[test]
@@ -539,6 +571,115 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let _ = g.step(Round(1), &mut rng);
         assert_eq!(g.collab_est, 4, "3 peers + self");
+    }
+
+    /// A rumor from `origin` (born at round 0) destined to `dest`.
+    fn rumor(n: usize, origin: usize, seq: u32, dest: &[usize]) -> GossipRumor<u32> {
+        GossipRumor {
+            id: RumorId {
+                origin: ProcessId::new(origin),
+                birth: Round(0),
+                seq,
+            },
+            payload: seq,
+            duration: 16,
+            deadline: Round(16),
+            dest: Arc::new(IdSet::from_iter(n, dest.iter().map(|&p| ProcessId::new(p)))),
+            best_effort: false,
+        }
+    }
+
+    fn push_one(g: &mut ContinuousGossip<u32>, now: Round, src: usize, r: GossipRumor<u32>) {
+        let wire = GossipWire::Push(Arc::new(vec![r]));
+        g.on_receive(now, ProcessId::new(src), wire);
+    }
+
+    /// The batch of a step's epidemic push (its last wire).
+    fn epidemic_batch(out: &[(ProcessId, GossipWire<u32>)]) -> Arc<Vec<GossipRumor<u32>>> {
+        match out.last() {
+            Some((_, GossipWire::Push(batch))) => Arc::clone(batch),
+            other => panic!("step ended without an epidemic push: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_ack_per_origin_in_ascending_order_with_ids_in_arrival_order() {
+        let n = 8;
+        let mut b = mk(1, n);
+        // Interleaved deliveries from origins 5, 2 and 7.
+        for (origin, seq) in [(5, 0), (2, 0), (5, 1), (7, 0), (2, 1), (5, 2)] {
+            push_one(&mut b, Round(0), origin, rumor(n, origin, seq, &[1]));
+        }
+        let id = |origin, seq| RumorId {
+            origin: ProcessId::new(origin),
+            birth: Round(0),
+            seq,
+        };
+        let mut rng = SmallRng::seed_from_u64(6);
+        let out = b.step(Round(1), &mut rng);
+        let acks: Vec<(ProcessId, GossipWire<u32>)> = vec![
+            (ProcessId::new(2), GossipWire::Ack(vec![id(2, 0), id(2, 1)])),
+            (
+                ProcessId::new(5),
+                GossipWire::Ack(vec![id(5, 0), id(5, 1), id(5, 2)]),
+            ),
+            (ProcessId::new(7), GossipWire::Ack(vec![id(7, 0)])),
+        ];
+        assert_eq!(out[..3], acks[..], "acks lead the step, one per origin");
+        assert!(
+            out[3..]
+                .iter()
+                .all(|(_, w)| matches!(w, GossipWire::Push(_))),
+            "no second ack: {out:?}"
+        );
+        let again = b.step(Round(2), &mut rng);
+        assert!(
+            again.iter().all(|(_, w)| matches!(w, GossipWire::Push(_))),
+            "acks are sent once"
+        );
+    }
+
+    #[test]
+    fn unchanged_active_set_pushes_the_same_batch() {
+        let mut a = mk(0, 8);
+        a.inject(Round(0), 3, 16, IdSet::full(8));
+        let mut rng = SmallRng::seed_from_u64(7);
+        let first = epidemic_batch(&a.step(Round(0), &mut rng));
+        let second = epidemic_batch(&a.step(Round(1), &mut rng));
+        assert!(
+            Arc::ptr_eq(&first, &second),
+            "the batch is rebuilt only on change"
+        );
+    }
+
+    #[test]
+    fn batch_follows_the_active_set_through_insert_inject_and_expiry() {
+        let n = 8;
+        let mut g = mk(0, n);
+        let mut rng = SmallRng::seed_from_u64(8);
+        let active = |g: &ContinuousGossip<u32>| g.active.values().cloned().collect::<Vec<_>>();
+        g.inject(Round(0), 1, 2, IdSet::full(n));
+        let mut last = epidemic_batch(&g.step(Round(0), &mut rng));
+        assert_eq!(*last, active(&g));
+
+        // An insert through `on_receive`.
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[0, 4]));
+        let batch = epidemic_batch(&g.step(Round(1), &mut rng));
+        assert_eq!((batch.len(), &*batch), (2, &active(&g)));
+        assert!(!Arc::ptr_eq(&batch, &last));
+        last = batch;
+
+        // An insert through `inject`.
+        g.inject(Round(1), 2, 16, IdSet::full(n));
+        let batch = epidemic_batch(&g.step(Round(2), &mut rng));
+        assert_eq!((batch.len(), &*batch), (3, &active(&g)));
+        assert!(!Arc::ptr_eq(&batch, &last));
+        last = batch;
+
+        // The first rumor's deadline (round 2) passes: it expires at round 3.
+        let batch = epidemic_batch(&g.step(Round(3), &mut rng));
+        assert_eq!((batch.len(), &*batch), (2, &active(&g)));
+        assert!(!Arc::ptr_eq(&batch, &last));
     }
 
     #[test]

@@ -109,10 +109,9 @@ impl Protocol for GossipNode {
 
     fn send(&mut self, ctx: &mut Context<'_, Self>) {
         let now = ctx.round();
-        let out = self.svc.step(now, ctx.rng());
-        for (dst, wire) in out {
-            ctx.send(dst, wire, GOSSIP_TAG);
-        }
+        let (rng, out) = ctx.rng_and_out();
+        self.svc
+            .step_with(now, rng, |dst, wire| out.push(dst, GOSSIP_TAG, wire));
     }
 
     fn receive(

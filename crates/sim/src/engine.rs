@@ -658,6 +658,12 @@ pub struct Engine<P: Protocol + 'static> {
     meta: Vec<OutboxMeta>,
     /// This round's injected inputs (reused across rounds).
     inputs: Vec<Option<P::Input>>,
+    /// This round's liveness decisions, indexed by process (reused across
+    /// rounds; sized by the first round): whether the process already had
+    /// its one liveness event, and the policy of its crash or restart.
+    touched: Vec<bool>,
+    crash_policy: Vec<Option<SentPolicy>>,
+    restart_policy: Vec<Option<IncomingPolicy>>,
 }
 
 impl<P: Protocol + 'static> Engine<P> {
@@ -694,6 +700,9 @@ impl<P: Protocol + 'static> Engine<P> {
             injections: Vec::new(),
             meta: Vec::new(),
             inputs: Vec::new(),
+            touched: Vec::new(),
+            crash_policy: Vec::new(),
+            restart_policy: Vec::new(),
         }
     }
 
@@ -798,8 +807,16 @@ impl<P: Protocol + 'static> Engine<P> {
         };
         let decision = adversary.decide(&view);
 
-        let mut touched = vec![false; n]; // one liveness event per round
-        let mut crash_policy: Vec<Option<SentPolicy>> = vec![None; n];
+        // One liveness event per process per round.
+        let touched = &mut self.touched;
+        touched.clear();
+        touched.resize(n, false);
+        let crash_policy = &mut self.crash_policy;
+        crash_policy.clear();
+        crash_policy.resize_with(n, || None);
+        let restart_policy = &mut self.restart_policy;
+        restart_policy.clear();
+        restart_policy.resize_with(n, || None);
         for spec in decision.crashes {
             let i = spec.process.as_usize();
             if !self.alive[i] || touched[i] {
@@ -813,7 +830,6 @@ impl<P: Protocol + 'static> Engine<P> {
             obs.on_crash(round, spec.process);
         }
 
-        let mut restart_policy: Vec<Option<IncomingPolicy>> = vec![None; n];
         for (p, policy) in decision.restarts {
             let i = p.as_usize();
             if self.alive[i] || touched[i] {
