@@ -4,19 +4,33 @@
 //! type is written as fixed-width little-endian fields plus length-prefixed
 //! sequences, with one discriminant byte per enum. The format is internal
 //! to the cluster runtime — both ends run the same build — so there is no
-//! versioning; a production deployment would add a version byte behind the
-//! same two functions.
+//! versioning; a production deployment would add a version byte behind
+//! [`encode_frame`] and [`Decoder`].
 //!
 //! A message's service tag is not on the wire: it is a function of the
 //! message ([`CongosMsg::tag`]).
+//!
+//! Every gossip rumor is written behind its own `u32` body length, so the
+//! decoder sees a rumor's exact byte span before parsing it. A gossip push
+//! carries the sender's whole active set, so a node receives the same
+//! rumor bytes from every peer, round after round; one [`Decoder`] per node
+//! decodes each distinct rumor encoding once and serves the repeats from
+//! the decoded value. The length prefixes are not counted by
+//! `CongosMsg::wire_size`, which prices the protocol's payload, not this
+//! framing.
 
+use std::collections::HashMap;
 use std::io;
+use std::ops::AddAssign;
 use std::sync::Arc;
 
 use congos::messages::GossipLane;
 use congos::{CongosMsg, CongosRumorId, FragStore, Fragment, GossipPayload, Rumor};
 use congos_gossip::{GossipRumor, GossipWire, RumorId};
 use congos_sim::{IdSet, ProcessId, Round};
+
+/// A gossip rumor as it crosses the wire.
+type WireRumor = GossipRumor<Arc<GossipPayload>>;
 
 /// One framed unit on the wire.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,7 +81,7 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 ///
 /// # Errors
 ///
-/// Rejects frames larger than [`MAX_FRAME_LEN`] (which [`decode_frame`]
+/// Rejects frames larger than [`MAX_FRAME_LEN`] (which [`Decoder::decode`]
 /// would refuse anyway) with `InvalidData`, leaving `buf` as it was.
 pub fn encode_frame(buf: &mut Vec<u8>, frame: &WireFrame) -> io::Result<()> {
     let start = buf.len();
@@ -82,44 +96,227 @@ pub fn encode_frame(buf: &mut Vec<u8>, frame: &WireFrame) -> io::Result<()> {
     Ok(())
 }
 
-/// Decodes the frame at the front of `buf`, written by [`encode_frame`] in
-/// a cluster of `n` processes. Returns the frame and the bytes it took, or
-/// `Ok(None)` while `buf` does not yet hold a whole frame.
+/// What a [`Decoder`] did with the gossip rumors it met.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DecodeStats {
+    /// Rumors parsed in full: first sightings of an encoding, including
+    /// those that turned out malformed.
+    pub rumors_decoded: u64,
+    /// Rumors served from the decoded value of an identical encoding.
+    pub rumors_reused: u64,
+    /// Encoded bytes of the reused rumors.
+    pub bytes_reused: u64,
+    /// Decoded rumors dropped after two rounds without a repeat.
+    pub rumors_evicted: u64,
+}
+
+impl AddAssign for DecodeStats {
+    fn add_assign(&mut self, other: DecodeStats) {
+        self.rumors_decoded += other.rumors_decoded;
+        self.rumors_reused += other.rumors_reused;
+        self.bytes_reused += other.bytes_reused;
+        self.rumors_evicted += other.rumors_evicted;
+    }
+}
+
+/// Decodes the frames one node receives, written by [`encode_frame`] in a
+/// cluster of `n` processes, and each distinct gossip-rumor encoding once.
 ///
-/// Hostile-input hardened: the length prefix is capped by
+/// **Hostile-input hardened.** The frame length prefix is capped by
 /// [`MAX_FRAME_LEN`] before the body is awaited, every inner length prefix
 /// is bounded by the bytes actually remaining in the frame, and every
 /// element count is validated against a per-element minimum encoding size
 /// before any collection is allocated. Every process id must be below `n`
 /// and every id set must range over exactly `n` processes, so a decoded
-/// frame can be handed to a node without further bounds checks. Malformed
-/// input of any shape yields an `io::Error`, never a panic or an unbounded
-/// allocation.
+/// frame can be handed to a node without further bounds checks. A gossip
+/// rumor whose body does not consume its length prefix exactly is
+/// malformed. Malformed input of any shape yields an `io::Error`, never a
+/// panic or an unbounded allocation.
 ///
-/// # Errors
+/// **Per-node reuse.** The decoder keeps every gossip rumor that decoded
+/// cleanly, keyed by its exact encoded bytes. A rumor whose bytes it has
+/// kept is not parsed again: it is a clone of the kept value, which costs
+/// only reference-count bumps. Decoding is a pure function of the bytes
+/// and `n`, so the clone equals what a fresh decode would return, and no
+/// check is skipped. The key is the bytes, not the [`RumorId`]: a peer that
+/// reuses an id with other content gets that content decoded.
 ///
-/// `InvalidData` for a malformed, oversized or out-of-range encoding.
-pub fn decode_frame(buf: &[u8], n: usize) -> io::Result<Option<(WireFrame, usize)>> {
-    let Some(prefix) = buf.first_chunk::<4>() else {
-        return Ok(None);
-    };
-    let len = u32::from_le_bytes(*prefix) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(bad("frame length prefix exceeds MAX_FRAME_LEN"));
+/// **Eviction and memory bound.** Whenever the highest frame round decoded
+/// so far advances, every kept rumor not met in that round or the one
+/// before is dropped. What the decoder keeps is therefore bounded by the
+/// distinct rumor bytes received in two rounds — a peer can grow it only
+/// by sending those bytes. (`TcpTransport` fails on any frame more than
+/// one round ahead of its node, so no peer can push this clock far ahead
+/// and stall it while the node runs on.) The map is allocated on the first
+/// rumor.
+#[derive(Debug)]
+pub struct Decoder {
+    /// Cluster size: every process id on the wire is below it.
+    n: usize,
+    /// Highest frame round decoded so far.
+    round: u64,
+    /// Each kept rumor by its encoded body, with the last `round` at which
+    /// it was decoded or reused.
+    rumors: HashMap<Box<[u8]>, (WireRumor, u64)>,
+    stats: DecodeStats,
+}
+
+impl Decoder {
+    /// A decoder for the frames of a cluster of `n` processes, keeping no
+    /// rumors yet.
+    pub fn new(n: usize) -> Self {
+        Decoder {
+            n,
+            round: 0,
+            rumors: HashMap::new(),
+            stats: DecodeStats::default(),
+        }
     }
-    let Some(body) = buf.get(4..4 + len) else {
-        return Ok(None);
-    };
-    let mut dec = Dec {
-        buf: body,
-        pos: 0,
-        n,
-    };
-    let frame = take_frame(&mut dec)?;
-    if dec.pos != body.len() {
-        return Err(bad("trailing bytes in frame"));
+
+    /// Decodes the frame at the front of `buf`. Returns the frame and the
+    /// bytes it took, or `Ok(None)` while `buf` does not yet hold a whole
+    /// frame.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for a malformed, oversized or out-of-range encoding.
+    pub fn decode(&mut self, buf: &[u8]) -> io::Result<Option<(WireFrame, usize)>> {
+        let Some(prefix) = buf.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_FRAME_LEN {
+            return Err(bad("frame length prefix exceeds MAX_FRAME_LEN"));
+        }
+        let Some(body) = buf.get(4..4 + len) else {
+            return Ok(None);
+        };
+        let mut dec = Dec {
+            buf: body,
+            pos: 0,
+            n: self.n,
+        };
+        let frame = self.take_frame(&mut dec)?;
+        if dec.pos != body.len() {
+            return Err(bad("trailing bytes in frame"));
+        }
+        Ok(Some((frame, 4 + len)))
     }
-    Ok(Some((frame, 4 + len)))
+
+    /// What this decoder has done so far.
+    pub fn stats(&self) -> DecodeStats {
+        self.stats
+    }
+
+    /// Notes a frame of `round`: when it is the highest yet, drops every
+    /// rumor not met in it or the round before.
+    fn advance(&mut self, round: u64) {
+        if round <= self.round {
+            return;
+        }
+        self.round = round;
+        let kept = self.rumors.len();
+        self.rumors.retain(|_, (_, seen)| *seen >= round - 1);
+        self.stats.rumors_evicted += (kept - self.rumors.len()) as u64;
+    }
+
+    fn take_frame(&mut self, d: &mut Dec) -> io::Result<WireFrame> {
+        let kind = d.u8()?;
+        if kind > 1 {
+            return Err(bad("bad WireFrame discriminant"));
+        }
+        let src = take_pid(d)?;
+        let round = d.u64()?;
+        self.advance(round);
+        Ok(if kind == 0 {
+            WireFrame::Msg {
+                src,
+                round,
+                payload: self.take_msg(d)?,
+            }
+        } else {
+            WireFrame::EndOfRound { src, round }
+        })
+    }
+
+    fn take_msg(&mut self, d: &mut Dec) -> io::Result<CongosMsg> {
+        match d.u8()? {
+            0 => Ok(CongosMsg::Gossip {
+                lane: take_lane(d)?,
+                wire: Box::new(self.take_wire(d)?),
+            }),
+            1 => Ok(CongosMsg::ProxyRequest {
+                dline: d.u64()?,
+                ell: d.u16()?,
+                fragments: take_fragments(d)?,
+            }),
+            2 => Ok(CongosMsg::ProxyAck {
+                dline: d.u64()?,
+                ell: d.u16()?,
+            }),
+            3 => Ok(CongosMsg::Partials {
+                dline: d.u64()?,
+                ell: d.u16()?,
+                fragments: take_fragments(d)?,
+            }),
+            4 => Ok(CongosMsg::Shoot {
+                rumor: take_rumor(d)?,
+                rid: take_crid(d)?,
+                direct: match d.u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(bad("bad bool")),
+                },
+            }),
+            _ => Err(bad("bad CongosMsg discriminant")),
+        }
+    }
+
+    fn take_wire(&mut self, d: &mut Dec) -> io::Result<GossipWire<Arc<GossipPayload>>> {
+        match d.u8()? {
+            0 => {
+                let count = d.count(min_size::GOSSIP_RUMOR)?;
+                let mut rumors = Vec::with_capacity(count);
+                for _ in 0..count {
+                    rumors.push(self.take_gossip_rumor(d)?);
+                }
+                Ok(GossipWire::Push(Arc::new(rumors)))
+            }
+            1 => {
+                let count = d.count(min_size::RID)?;
+                let mut ids = Vec::with_capacity(count);
+                for _ in 0..count {
+                    ids.push(take_rid(d)?);
+                }
+                Ok(GossipWire::Ack(ids))
+            }
+            _ => Err(bad("bad GossipWire discriminant")),
+        }
+    }
+
+    /// One length-prefixed gossip rumor: the kept value of an identical
+    /// encoding, or a full decode that is kept if it succeeds.
+    fn take_gossip_rumor(&mut self, d: &mut Dec) -> io::Result<WireRumor> {
+        let span = d.bytes()?;
+        if let Some((rumor, seen)) = self.rumors.get_mut(span) {
+            *seen = self.round;
+            self.stats.rumors_reused += 1;
+            self.stats.bytes_reused += span.len() as u64;
+            return Ok(rumor.clone());
+        }
+        self.stats.rumors_decoded += 1;
+        let mut body = Dec {
+            buf: span,
+            pos: 0,
+            n: self.n,
+        };
+        let rumor = take_gossip_rumor_body(&mut body)?;
+        if body.pos != span.len() {
+            return Err(bad("gossip rumor body shorter than its length prefix"));
+        }
+        self.rumors.insert(span.into(), (rumor.clone(), self.round));
+        Ok(rumor)
+    }
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -231,13 +428,19 @@ fn put_lane(buf: &mut Vec<u8>, lane: &GossipLane) {
         }
     }
 }
-fn put_gossip_rumor(buf: &mut Vec<u8>, r: &GossipRumor<Arc<GossipPayload>>) {
+/// A `u32` body length, then the body, so the decoder can key its reuse on
+/// the rumor's exact bytes before parsing them.
+fn put_gossip_rumor(buf: &mut Vec<u8>, r: &WireRumor) {
+    let start = buf.len();
+    put_u32(buf, 0);
     put_rid(buf, &r.id);
     put_payload(buf, &r.payload);
     put_u64(buf, r.duration);
     put_u64(buf, r.deadline.0);
     put_idset(buf, &r.dest);
     buf.push(r.best_effort as u8);
+    let len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 fn put_wire(buf: &mut Vec<u8>, w: &GossipWire<Arc<GossipPayload>>) {
     match w {
@@ -408,9 +611,10 @@ mod min_size {
     pub const HIT: usize = 4 + CRID;
     /// Bare process id.
     pub const PID: usize = 4;
-    /// rid + payload discriminant(1) + duration(8) + deadline(8)
-    /// + idset universe(4) + best_effort(1); the payload body adds more.
-    pub const GOSSIP_RUMOR: usize = RID + 1 + 8 + 8 + 4 + 1;
+    /// body length prefix(4) + rid + payload discriminant(1) +
+    /// duration(8) + deadline(8) + idset universe(4) + best_effort(1); the
+    /// payload body adds more.
+    pub const GOSSIP_RUMOR: usize = 4 + RID + 1 + 8 + 8 + 4 + 1;
 }
 
 fn take_pid(d: &mut Dec) -> io::Result<ProcessId> {
@@ -527,7 +731,9 @@ fn take_lane(d: &mut Dec) -> io::Result<GossipLane> {
         _ => Err(bad("bad GossipLane discriminant")),
     }
 }
-fn take_gossip_rumor(d: &mut Dec) -> io::Result<GossipRumor<Arc<GossipPayload>>> {
+/// The body of a gossip rumor, behind the length prefix the [`Decoder`]
+/// has already taken.
+fn take_gossip_rumor_body(d: &mut Dec) -> io::Result<WireRumor> {
     Ok(GossipRumor {
         id: take_rid(d)?,
         payload: Arc::new(take_payload(d)?),
@@ -537,27 +743,6 @@ fn take_gossip_rumor(d: &mut Dec) -> io::Result<GossipRumor<Arc<GossipPayload>>>
         best_effort: d.u8()? != 0,
     })
 }
-fn take_wire(d: &mut Dec) -> io::Result<GossipWire<Arc<GossipPayload>>> {
-    match d.u8()? {
-        0 => {
-            let count = d.count(min_size::GOSSIP_RUMOR)?;
-            let mut rumors = Vec::with_capacity(count);
-            for _ in 0..count {
-                rumors.push(take_gossip_rumor(d)?);
-            }
-            Ok(GossipWire::Push(Arc::new(rumors)))
-        }
-        1 => {
-            let count = d.count(min_size::RID)?;
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(take_rid(d)?);
-            }
-            Ok(GossipWire::Ack(ids))
-        }
-        _ => Err(bad("bad GossipWire discriminant")),
-    }
-}
 fn take_rumor(d: &mut Dec) -> io::Result<Rumor> {
     Ok(Rumor {
         wid: d.u64()?,
@@ -566,53 +751,6 @@ fn take_rumor(d: &mut Dec) -> io::Result<Rumor> {
         dest: take_idset(d)?,
     })
 }
-fn take_msg(d: &mut Dec) -> io::Result<CongosMsg> {
-    match d.u8()? {
-        0 => Ok(CongosMsg::Gossip {
-            lane: take_lane(d)?,
-            wire: Box::new(take_wire(d)?),
-        }),
-        1 => Ok(CongosMsg::ProxyRequest {
-            dline: d.u64()?,
-            ell: d.u16()?,
-            fragments: take_fragments(d)?,
-        }),
-        2 => Ok(CongosMsg::ProxyAck {
-            dline: d.u64()?,
-            ell: d.u16()?,
-        }),
-        3 => Ok(CongosMsg::Partials {
-            dline: d.u64()?,
-            ell: d.u16()?,
-            fragments: take_fragments(d)?,
-        }),
-        4 => Ok(CongosMsg::Shoot {
-            rumor: take_rumor(d)?,
-            rid: take_crid(d)?,
-            direct: match d.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(bad("bad bool")),
-            },
-        }),
-        _ => Err(bad("bad CongosMsg discriminant")),
-    }
-}
-fn take_frame(d: &mut Dec) -> io::Result<WireFrame> {
-    match d.u8()? {
-        0 => Ok(WireFrame::Msg {
-            src: take_pid(d)?,
-            round: d.u64()?,
-            payload: take_msg(d)?,
-        }),
-        1 => Ok(WireFrame::EndOfRound {
-            src: take_pid(d)?,
-            round: d.u64()?,
-        }),
-        _ => Err(bad("bad WireFrame discriminant")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,7 +780,7 @@ mod tests {
 
     /// Decodes a buffer holding exactly one frame.
     fn decode_one(buf: &[u8], n: usize) -> io::Result<WireFrame> {
-        let (frame, used) = decode_frame(buf, n)?.expect("a whole frame");
+        let (frame, used) = Decoder::new(n).decode(buf)?.expect("a whole frame");
         assert_eq!(used, buf.len(), "the frame spans the buffer");
         Ok(frame)
     }
@@ -722,9 +860,10 @@ mod tests {
             )
             .unwrap();
         }
+        let mut dec = Decoder::new(N);
         let mut rest = &buf[..];
         for r in 0..3u64 {
-            let (frame, used) = decode_frame(rest, N).unwrap().expect("whole frame");
+            let (frame, used) = dec.decode(rest).unwrap().expect("whole frame");
             assert_eq!(
                 frame,
                 WireFrame::EndOfRound {
@@ -735,10 +874,7 @@ mod tests {
             rest = &rest[used..];
         }
         assert!(rest.is_empty());
-        assert!(
-            decode_frame(rest, N).unwrap().is_none(),
-            "no frame in no bytes"
-        );
+        assert!(dec.decode(rest).unwrap().is_none(), "no frame in no bytes");
     }
 
     #[test]
@@ -834,24 +970,24 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&[9u8, 0]);
-        assert!(decode_frame(&buf, N).is_err());
+        assert!(Decoder::new(N).decode(&buf).is_err());
         // A body shorter than its length prefix is an incomplete frame…
         let mut buf = Vec::new();
         buf.extend_from_slice(&100u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 5]);
-        assert!(decode_frame(&buf, N).unwrap().is_none());
+        assert!(Decoder::new(N).decode(&buf).unwrap().is_none());
         // …but a whole body that ends mid-field is malformed.
         let whole = encoded(&msg(shoot(pid(0), N)));
         let mut cut = whole[..whole.len() - 3].to_vec();
         let body_len = cut.len() as u32 - 4;
         cut[..4].copy_from_slice(&body_len.to_le_bytes());
-        assert!(decode_frame(&cut, N).is_err());
+        assert!(Decoder::new(N).decode(&cut).is_err());
         // Inner length prefix pointing past the frame end (offset: 4 frame
         // len + 1 disc + 4 pid + 8 round + 1 msg disc + 8 wid → the rumor
         // data length).
         let mut buf = whole;
         buf[29] = 0xFF;
-        assert!(decode_frame(&buf, N).is_err());
+        assert!(Decoder::new(N).decode(&buf).is_err());
     }
 
     #[test]
@@ -860,14 +996,14 @@ mod tests {
         // decoder waited for (or allocated) the claimed body, a peer could
         // pin the host's memory.
         let buf = u32::MAX.to_le_bytes();
-        let err = decode_frame(&buf, N).unwrap_err();
+        let err = Decoder::new(N).decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("MAX_FRAME_LEN"), "{err}");
         // Just over the cap is refused too.
         let mut buf = Vec::new();
         buf.extend_from_slice(&((MAX_FRAME_LEN as u32) + 1).to_le_bytes());
         buf.extend_from_slice(&[0u8; 64]);
-        assert!(decode_frame(&buf, N).is_err());
+        assert!(Decoder::new(N).decode(&buf).is_err());
     }
 
     #[test]
@@ -886,7 +1022,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        let err = decode_frame(&buf, N).unwrap_err();
+        let err = Decoder::new(N).decode(&buf).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Same for a ProxyRequest with a hostile fragment count.
@@ -901,7 +1037,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        assert!(decode_frame(&buf, N).is_err());
+        assert!(Decoder::new(N).decode(&buf).is_err());
     }
 
     #[test]
@@ -929,7 +1065,9 @@ mod tests {
     fn check_id_position(frame: impl Fn(ProcessId) -> WireFrame) {
         let last = frame(pid(N - 1));
         assert_eq!(decode_one(&encoded(&last), N).unwrap(), last);
-        let err = decode_frame(&encoded(&frame(pid(N))), N).unwrap_err();
+        let err = Decoder::new(N)
+            .decode(&encoded(&frame(pid(N))))
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
@@ -1045,9 +1183,173 @@ mod tests {
         for frame in frames {
             assert!(decode_one(&encoded(&frame(N)), N).is_ok());
             for universe in [N - 1, N + 1] {
-                let err = decode_frame(&encoded(&frame(universe)), N).unwrap_err();
+                let err = Decoder::new(N)
+                    .decode(&encoded(&frame(universe)))
+                    .unwrap_err();
                 assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             }
         }
+    }
+
+    fn rumor(origin: usize, seq: u32, meta: &[usize]) -> WireRumor {
+        GossipRumor {
+            id: RumorId {
+                origin: pid(origin),
+                birth: Round(1),
+                seq,
+            },
+            payload: Arc::new(GossipPayload::ProxyMeta {
+                failed_proxies: meta.iter().map(|&p| pid(p)).collect(),
+            }),
+            duration: 8,
+            deadline: Round(9),
+            dest: Arc::new(IdSet::from_iter(N, [pid(1)])),
+            best_effort: false,
+        }
+    }
+
+    /// A push of `rumors` from `src` in `round`.
+    fn push_from(src: usize, round: u64, rumors: Vec<WireRumor>) -> WireFrame {
+        WireFrame::Msg {
+            src: pid(src),
+            round,
+            payload: CongosMsg::Gossip {
+                lane: GossipLane::Group { dline: 64, ell: 1 },
+                wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+            },
+        }
+    }
+
+    /// The rumors of a decoded push.
+    fn pushed(frame: &WireFrame) -> &[WireRumor] {
+        match frame {
+            WireFrame::Msg {
+                payload: CongosMsg::Gossip { wire, .. },
+                ..
+            } => match wire.as_ref() {
+                GossipWire::Push(rumors) => rumors,
+                GossipWire::Ack(_) => panic!("not a push"),
+            },
+            _ => panic!("not a gossip message"),
+        }
+    }
+
+    #[test]
+    fn a_warm_decoder_decodes_a_stream_as_fresh_decoders_do() {
+        let (a, b, c) = (rumor(0, 0, &[2]), rumor(3, 1, &[]), rumor(0, 2, &[4, 5]));
+        let frames = [
+            push_from(1, 0, vec![a.clone(), b.clone()]),
+            push_from(2, 0, vec![a.clone()]), // the same rumor from a second sender
+            push_from(1, 0, vec![a.clone(), a.clone()]), // repeated within a frame
+            WireFrame::EndOfRound {
+                src: pid(1),
+                round: 0,
+            },
+            push_from(1, 1, vec![c.clone(), a.clone(), b.clone()]),
+            WireFrame::Msg {
+                src: pid(2),
+                round: 1,
+                payload: shoot(pid(2), N),
+            },
+            push_from(3, 1, vec![b.clone()]),
+        ];
+        let mut warm = Decoder::new(N);
+        let mut decoded = Vec::new();
+        for frame in &frames {
+            let bytes = encoded(frame);
+            let (got, used) = warm.decode(&bytes).unwrap().expect("a whole frame");
+            assert_eq!(used, bytes.len());
+            assert_eq!(got, decode_one(&bytes, N).unwrap(), "warm and fresh agree");
+            assert_eq!(&got, frame);
+            decoded.push(got);
+        }
+        // Every rumor is parsed once; the repeats share its allocations.
+        let stats = warm.stats();
+        assert_eq!(
+            (stats.rumors_decoded, stats.rumors_reused),
+            (3, 6),
+            "{stats:?}"
+        );
+        assert_eq!(stats.rumors_evicted, 0);
+        let first_a = &pushed(&decoded[0])[0];
+        for frame in [&decoded[1], &decoded[2], &decoded[4]] {
+            let again = pushed(frame).iter().find(|r| r.id == a.id).unwrap();
+            assert!(Arc::ptr_eq(&first_a.payload, &again.payload));
+            assert!(Arc::ptr_eq(&first_a.dest, &again.dest));
+        }
+    }
+
+    #[test]
+    fn a_reused_rumor_id_with_new_bytes_decodes_the_new_bytes() {
+        let old = rumor(0, 0, &[2]);
+        let new = rumor(0, 0, &[6]);
+        assert_eq!(old.id, new.id);
+        let mut dec = Decoder::new(N);
+        for r in [&old, &new, &old] {
+            let frame = push_from(1, 0, vec![r.clone()]);
+            let (got, _) = dec.decode(&encoded(&frame)).unwrap().expect("whole");
+            assert_eq!(got, frame);
+        }
+        assert_eq!(
+            (dec.stats().rumors_decoded, dec.stats().rumors_reused),
+            (2, 1)
+        );
+    }
+
+    #[test]
+    fn a_rumor_length_prefix_off_by_one_is_invalid_and_not_kept() {
+        // Two rumors, so a span one byte too long still ends inside the
+        // frame. The first rumor's length prefix follows 4 frame length +
+        // 1 disc + 4 pid + 8 round + 1 msg disc + the `Group` lane (1 disc
+        // + 8 dline + 2 ell) + 1 wire disc + 4 rumor count.
+        let frame = push_from(1, 0, vec![rumor(0, 0, &[2]), rumor(0, 1, &[3])]);
+        let bytes = encoded(&frame);
+        let at = 4 + 1 + 4 + 8 + 1 + (1 + 8 + 2) + 1 + 4;
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        let mut dec = Decoder::new(N);
+        for wrong in [len - 1, len + 1] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&wrong.to_le_bytes());
+            let err = dec.decode(&bad).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        assert!(dec.rumors.is_empty(), "a span that failed is not kept");
+        assert_eq!(dec.stats().rumors_decoded, 2);
+        // The valid frame is then decoded in full, not served from a cache.
+        assert_eq!(dec.decode(&bytes).unwrap().expect("whole").0, frame);
+        assert_eq!(
+            (dec.stats().rumors_decoded, dec.stats().rumors_reused),
+            (4, 0)
+        );
+    }
+
+    #[test]
+    fn rumors_unseen_for_two_rounds_are_evicted() {
+        let (a, b) = (rumor(0, 0, &[2]), rumor(1, 0, &[3]));
+        let mut dec = Decoder::new(N);
+        let mut feed = |round: u64, rumors: Vec<WireRumor>| {
+            let frame = push_from(2, round, rumors);
+            assert_eq!(dec.decode(&encoded(&frame)).unwrap().unwrap().0, frame);
+            (dec.rumors.len(), dec.stats())
+        };
+        feed(1, vec![a.clone(), b.clone()]);
+        // Round 2 meets only `b`; `a`, last met in round 1, stays.
+        assert_eq!(feed(2, vec![b.clone()]).0, 2);
+        // Round 3 drops `a` (unseen in rounds 2 and 3) and keeps `b`.
+        let (kept, stats) = feed(3, vec![]);
+        assert_eq!((kept, stats.rumors_evicted), (1, 1));
+        // A later frame of an earlier round evicts nothing.
+        assert_eq!(feed(2, vec![]).0, 1);
+        // `a` comes back: decoded again; `b` is still reused.
+        let (_, stats) = feed(3, vec![a.clone(), b.clone()]);
+        assert_eq!((stats.rumors_decoded, stats.rumors_reused), (3, 2));
+        // Two rounds later both are gone, whatever frame advanced the round.
+        let end = WireFrame::EndOfRound {
+            src: pid(2),
+            round: 5,
+        };
+        dec.decode(&encoded(&end)).unwrap().unwrap();
+        assert!(dec.rumors.is_empty());
+        assert_eq!(dec.stats().rumors_evicted, 3);
     }
 }

@@ -56,5 +56,5 @@ pub mod codec;
 mod poll;
 pub mod transport;
 
-pub use codec::{decode_frame, encode_frame, WireFrame};
+pub use codec::{encode_frame, DecodeStats, Decoder, WireFrame};
 pub use transport::TcpTransport;

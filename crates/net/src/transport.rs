@@ -12,9 +12,11 @@
 //!   written to its socket at once. Only the bytes the socket would not take
 //!   wait in that peer's pending buffer, which is freed once it drains.
 //! * **Receiving**: each inbound connection reads into its own buffer, and
-//!   the complete frames in it are decoded in place after every read. An
-//!   inbound connection speaks for the peer named by its first frame; a
-//!   frame naming another process, or a second connection claiming the same
+//!   the complete frames in it are decoded in place after every read, by
+//!   the node's one [`Decoder`]: a gossip rumor this node has met in the
+//!   last two rounds, from any peer, is not parsed again. An inbound
+//!   connection speaks for the peer named by its first frame; a frame
+//!   naming another process, or a second connection claiming the same
 //!   peer, is `InvalidData`.
 //! * **Self-sends** loop back in memory and never touch a socket.
 //! * **Sender-side topology filtering**: frames whose `(src, dst)` link is
@@ -32,10 +34,14 @@
 //! node passes its own round-`r` barrier), so future-round frames are
 //! parked in a carried queue scanned once per round. Past-round frames are a
 //! protocol violation (per-peer streams are FIFO and the barrier was passed)
-//! and error out as `InvalidData`. A peer whose connection closes before its
-//! marker is lost: the barrier returns an error naming it instead of
-//! hanging. Writing to a peer that has gone is an `EPIPE` error rather than
-//! a fatal signal because the Rust runtime ignores `SIGPIPE` by default.
+//! and error out as `InvalidData`, and so do frames two or more rounds
+//! ahead: a peer cannot pass its round-`r + 1` barrier before this node has
+//! sent its round-`r + 1` marker. That bound also keeps the decoder's round,
+//! which times its evictions, within one round of this node's. A peer whose
+//! connection closes before its marker is lost: the barrier returns an
+//! error naming it instead of hanging. Writing to a peer that has gone is an
+//! `EPIPE` error rather than a fatal signal because the Rust runtime
+//! ignores `SIGPIPE` by default.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -48,7 +54,7 @@ use congos_sim::topology::{Topology, TopologySpec};
 use congos_sim::transport::RoundTransport;
 use congos_sim::{Envelope, ProcessId, Round};
 
-use crate::codec::{decode_frame, encode_frame, WireFrame};
+use crate::codec::{encode_frame, DecodeStats, Decoder, WireFrame};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 
 /// How long to keep retrying an outbound dial while peers come up.
@@ -58,8 +64,10 @@ const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(100);
 /// Default cap on waiting for a round barrier before declaring the cluster
 /// wedged.
 pub const BARRIER_TIMEOUT: Duration = Duration::from_secs(30);
-/// Free space each inbound buffer offers a read; a frame larger than the
-/// buffer grows it by this much per read.
+/// Free space each inbound buffer offers a read. A buffer with less free
+/// space at least doubles, so growing one costs O(its final size) in all,
+/// and it stays below 2 × (largest frame + `READ_CHUNK`): it only ever
+/// holds one partial frame plus one read.
 const READ_CHUNK: usize = 16 * 1024;
 
 /// One peer: the connection this node dialed to it, and what the peer's own
@@ -143,6 +151,8 @@ pub struct TcpTransport {
     /// Indexed by peer id; `None` at `me` (and everywhere when `n == 1`).
     peers: Vec<Option<Peer>>,
     inbound: Vec<Inbound>,
+    /// Decodes every inbound frame, each distinct gossip rumor once.
+    decoder: Decoder,
     /// Encode buffer shared by every frame this node sends.
     scratch: Vec<u8>,
     /// `poll` set: one entry per inbound connection, then one per peer id.
@@ -225,6 +235,7 @@ impl TcpTransport {
             barrier_timeout: BARRIER_TIMEOUT,
             peers: (0..n).map(|_| None).collect(),
             inbound: Vec::new(),
+            decoder: Decoder::new(n),
             scratch: Vec::new(),
             pollfds: Vec::new(),
             self_inbox: Vec::new(),
@@ -337,6 +348,11 @@ impl TcpTransport {
         self.topology_drops
     }
 
+    /// What this node's decoder did with the gossip rumors it received.
+    pub fn decode_stats(&self) -> DecodeStats {
+        self.decoder.stats()
+    }
+
     /// Sends the frame in `scratch` to peer `dst`.
     fn send_scratch(&mut self, dst: usize) -> io::Result<()> {
         let peer = self.peers[dst]
@@ -356,21 +372,19 @@ impl TcpTransport {
     ) -> io::Result<()> {
         let TcpTransport {
             me,
-            n,
             peers,
             inbound,
+            decoder,
             carried,
             ..
         } = self;
         let conn = &mut inbound[i];
         loop {
             if conn.buf.len() - conn.filled < READ_CHUNK {
-                // Exact, not doubling, growth: the buffer is kept for the
-                // connection's life, so it stays at most one chunk above the
-                // largest frame the peer has sent.
-                conn.buf
-                    .reserve_exact(conn.filled + READ_CHUNK - conn.buf.len());
-                conn.buf.resize(conn.filled + READ_CHUNK, 0);
+                // Sized from bytes already here, never from a length prefix
+                // whose frame has not arrived (see `READ_CHUNK`).
+                let len = (conn.filled + READ_CHUNK).max(2 * conn.buf.len());
+                conn.buf.resize(len, 0);
             }
             match conn.stream.read(&mut conn.buf[conn.filled..]) {
                 Ok(0) => {
@@ -389,7 +403,7 @@ impl TcpTransport {
             }
             let mut pos = 0;
             while let Some((frame, used)) =
-                decode_frame(&conn.buf[pos..conn.filled], *n).map_err(|e| {
+                decoder.decode(&conn.buf[pos..conn.filled]).map_err(|e| {
                     io::Error::new(
                         e.kind(),
                         format!("node {me}: bad frame from {}: {e}", speaker(conn.peer)),
@@ -478,6 +492,12 @@ fn route(
     carried: &mut VecDeque<WireFrame>,
 ) -> io::Result<()> {
     let fr = frame.round();
+    if fr > r + 1 {
+        return Err(invalid(format!(
+            "frame from {} for round {fr}, more than one round ahead of {r}",
+            frame.src()
+        )));
+    }
     if fr > r {
         carried.push_back(frame);
         return Ok(());
@@ -835,6 +855,30 @@ mod tests {
         assert!(
             err.to_string()
                 .contains("second end-of-round marker from p1"),
+            "{err}"
+        );
+    }
+
+    /// A frame two rounds ahead cannot come from a peer that waits for this
+    /// node's markers: it is refused rather than parked, so it can neither
+    /// pile up nor move the decoder's eviction clock.
+    #[test]
+    fn a_frame_two_rounds_ahead_is_rejected() {
+        let base = 21340;
+        let node = barrier_of_node_0(2, base);
+        let (_listeners, mut fakes) = raw_peers(2, base);
+        let ahead = WireFrame::EndOfRound {
+            src: pid(1),
+            round: 2,
+        };
+        fakes[0].write_all(&encoded(&[ahead])).expect("write");
+        let err = node
+            .join()
+            .expect("node thread")
+            .expect_err("round 2 is two rounds ahead of round 0");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            err.to_string().contains("more than one round ahead"),
             "{err}"
         );
     }

@@ -1,18 +1,26 @@
 //! Property tests for the wire codec's hostile-input behavior.
 //!
-//! The contract of `decode_frame` is: *any* byte buffer — truncated,
+//! The contract of `Decoder::decode` is: *any* byte buffer — truncated,
 //! bit-flipped, or outright random — yields a frame, "not a whole frame
 //! yet", or an `io::Error`, never a panic and never an allocation beyond
 //! the (capped) frame length. These tests drive that contract with
 //! randomized corruption of a corpus of valid encodings covering every
 //! `CongosMsg` variant.
+//!
+//! A node decodes with one long-lived decoder that reuses the gossip
+//! rumors it has already decoded, so the corruption properties run through
+//! one such decoder per test thread: corrupt input meets a warm cache, and
+//! after every case the decoder must still decode the corpus exactly as a
+//! fresh decoder does.
 
+use std::cell::RefCell;
+use std::io;
 use std::sync::Arc;
 
 use congos::messages::GossipLane;
 use congos::{CongosMsg, CongosRumorId, Fragment, GossipPayload, Rumor};
 use congos_gossip::{GossipRumor, GossipWire, RumorId};
-use congos_net::{decode_frame, encode_frame, WireFrame};
+use congos_net::{encode_frame, Decoder, WireFrame};
 use congos_sim::{IdSet, ProcessId, Round};
 use proptest::prelude::*;
 
@@ -140,6 +148,60 @@ fn corpus() -> Vec<Vec<u8>> {
         .collect()
 }
 
+/// A decoded frame and the bytes it took, or "not a whole frame yet".
+type Decoded = io::Result<Option<(WireFrame, usize)>>;
+
+thread_local! {
+    /// One decoder per test thread, kept across every case of a property.
+    static WARM: RefCell<Decoder> = RefCell::new(Decoder::new(N));
+}
+
+/// Decodes `buf` with this thread's long-lived decoder, then checks that the
+/// decoder still decodes every corpus frame as a fresh decoder does.
+fn decode_warm(buf: &[u8]) -> Decoded {
+    WARM.with(|warm| {
+        let mut warm = warm.borrow_mut();
+        let res = warm.decode(buf);
+        for frame in corpus() {
+            let fresh = Decoder::new(N).decode(&frame).expect("corpus decodes");
+            assert_eq!(warm.decode(&frame).expect("corpus decodes"), fresh);
+        }
+        res
+    })
+}
+
+/// Encodes a push of `rumors` from `src` in `round`.
+fn push_bytes(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> Vec<u8> {
+    let frame = WireFrame::Msg {
+        src: ProcessId::new(src),
+        round,
+        payload: CongosMsg::Gossip {
+            lane: GossipLane::All { dline: 64 },
+            wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+        },
+    };
+    let mut buf = Vec::new();
+    encode_frame(&mut buf, &frame).expect("encodes");
+    buf
+}
+
+/// Six rumors, two of which share a `RumorId` with different contents.
+fn rumor_pool() -> Vec<GossipRumor<Arc<GossipPayload>>> {
+    let mut pool: Vec<_> = (0..5)
+        .map(|i| {
+            let mut r = gossip_rumor(GossipPayload::Fragments(vec![fragment(i)]));
+            r.id = rid(i);
+            r
+        })
+        .collect();
+    let mut twin = pool[0].clone();
+    twin.payload = Arc::new(GossipPayload::ProxyMeta {
+        failed_proxies: vec![ProcessId::new(7)],
+    });
+    pool.push(twin);
+    pool
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -151,7 +213,7 @@ proptest! {
         let corpus = corpus();
         let buf = &corpus[which % corpus.len()];
         let cut = cut % buf.len(); // 0..len, always a strict prefix
-        let res = decode_frame(&buf[..cut], N);
+        let res = decode_warm(&buf[..cut]);
         prop_assert!(
             matches!(res, Ok(None)),
             "a {cut}-byte prefix of a {}-byte frame decoded to {res:?}",
@@ -169,7 +231,7 @@ proptest! {
         let body = &buf[4..4 + cut % (buf.len() - 4)];
         let mut framed = (body.len() as u32).to_le_bytes().to_vec();
         framed.extend_from_slice(body);
-        let res = decode_frame(&framed, N);
+        let res = decode_warm(&framed);
         prop_assert!(res.is_err(), "a {}-byte body prefix decoded to {res:?}", body.len());
     }
 
@@ -187,7 +249,7 @@ proptest! {
         let mut buf = corpus[which % corpus.len()].clone();
         let i = byte % buf.len();
         buf[i] ^= 1 << bit;
-        let _ = decode_frame(&buf, N); // Ok or Err, both fine
+        let _ = decode_warm(&buf); // Ok or Err, both fine
     }
 
     /// Multiple corruptions at once: random byte overwrites on top of a
@@ -206,7 +268,7 @@ proptest! {
             let i = pos % mangled.len();
             mangled[i] = val;
         }
-        let _ = decode_frame(&mangled, N);
+        let _ = decode_warm(&mangled);
     }
 
     /// Pure noise: random byte strings (with a sane length prefix bolted
@@ -216,7 +278,7 @@ proptest! {
         let mut buf = Vec::with_capacity(4 + body.len());
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        let _ = decode_frame(&buf, N);
+        let _ = decode_warm(&buf);
     }
 
     /// Corrupting only the outer length prefix: any 4-byte value either
@@ -228,11 +290,36 @@ proptest! {
         let corpus = corpus();
         let mut buf = corpus[which % corpus.len()].clone();
         buf[..4].copy_from_slice(&len.to_le_bytes());
-        let res = decode_frame(&buf, N);
+        let res = decode_warm(&buf);
         if len as usize > congos_net::codec::MAX_FRAME_LEN {
             let err = res.expect_err("oversized prefix must be refused");
             prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         }
+    }
+
+    /// A stream of pushes drawn from a small rumor pool — repeats within
+    /// and across frames, the same rumor from several senders, one id with
+    /// two contents — decodes through one warm decoder exactly as through
+    /// a fresh decoder per frame, while the rounds advance and evict.
+    #[test]
+    fn warm_stream_matches_fresh_decoders(
+        frames in prop::collection::vec(
+            (1usize..N, 0u64..2, prop::collection::vec(0usize..6, 0..5)),
+            1..24,
+        ),
+    ) {
+        let pool = rumor_pool();
+        let mut warm = Decoder::new(N);
+        let (mut round, mut rumors) = (0, 0);
+        for (src, step, picks) in frames {
+            round += step;
+            rumors += picks.len() as u64;
+            let bytes = push_bytes(src, round, picks.iter().map(|&i| pool[i].clone()).collect());
+            let fresh = Decoder::new(N).decode(&bytes).expect("decodes");
+            prop_assert_eq!(warm.decode(&bytes).expect("decodes"), fresh);
+        }
+        let stats = warm.stats();
+        prop_assert_eq!(stats.rumors_decoded + stats.rumors_reused, rumors);
     }
 }
 
@@ -241,7 +328,8 @@ proptest! {
 #[test]
 fn corpus_is_valid() {
     for buf in corpus() {
-        let (frame, used) = decode_frame(&buf, N)
+        let (frame, used) = Decoder::new(N)
+            .decode(&buf)
             .expect("corpus decodes")
             .expect("a whole frame");
         assert_eq!(used, buf.len());
