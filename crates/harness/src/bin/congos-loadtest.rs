@@ -8,7 +8,7 @@
 //! sources, each to a fresh random destination set) during the first
 //! `--duration` rounds. Afterwards it classifies every (rumor, destination)
 //! pair, prints a human summary and writes the full report to
-//! `crates/bench/BENCH_net_loadtest.json` (see `--out`).
+//! `results/BENCH_net_loadtest.json` (see `--out`).
 //!
 //! Exit status: nonzero if the cluster errored, or if nothing was
 //! delivered — a load test that delivers zero rumors is a broken setup,
@@ -40,7 +40,7 @@ options:
   --seed <s>               master seed (default 0)
   --topology <spec>        complete | expander:<d> (default complete)
   --out <path>             report path (default
-                           crates/bench/BENCH_net_loadtest.json)
+                           results/BENCH_net_loadtest.json)
   --help                   show this help";
 
 fn usage_error(msg: &str) -> ! {
@@ -61,7 +61,7 @@ fn main() {
     let mut dests: usize = 2;
     let mut seed: u64 = 0;
     let mut topology = TopologySpec::Complete;
-    let mut out_path = String::from("crates/bench/BENCH_net_loadtest.json");
+    let mut out_path = String::from("results/BENCH_net_loadtest.json");
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {

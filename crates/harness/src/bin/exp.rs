@@ -18,7 +18,7 @@ use congos_harness::experiments::{self, Experiment};
 use congos_harness::{mem, tables_to_markdown, Json, RunDefaults, Table};
 
 const USAGE: &str = "\
-usage: exp <name|all> [--full] [--csv] [--json PATH] [--backend seq|par[:N]|net[:PORT]]
+usage: exp <name|all> [--full] [--csv] [--json PATH] [--backend seq|par[:N]]
            [--topology complete|expander:D|churn:P[@BASE]] [--budget-mib X]
        exp report <results.json>
        exp --list";
@@ -75,14 +75,9 @@ fn parse(args: &[String]) -> Result<Command, String> {
     }
     let target = target.ok_or("no experiment named")?;
 
-    let net = opts.defaults.net.is_some();
     if target == "all" {
-        if gave("--topology") || net {
-            return Err(
-                "all takes --backend seq|par[:N] only: some experiments pin or \
-                        sweep the topology, or drive the in-process engine directly"
-                    .into(),
-            );
+        if gave("--topology") {
+            return Err("all takes no --topology: some experiments pin or sweep it".into());
         }
         if opts.budget_mib.is_some() {
             return Err("--budget-mib applies to the memory sweep (e3m) only".into());
@@ -97,12 +92,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
             "{name} does not take --topology: it pins or sweeps the topology itself"
         ));
     }
-    if net && !exp.runs.honours_net() {
-        return Err(format!(
-            "{name} runs on the in-process engine only: no --backend net"
-        ));
-    }
-    if gave("--backend") && !net && !exp.runs.honours_backend() {
+    if gave("--backend") && !exp.runs.honours_backend() {
         return Err(format!("{name} executes no protocol runs: no --backend"));
     }
     if opts.json.is_some() && exp.bench.is_none() {
@@ -125,8 +115,8 @@ fn print_tables(tables: &[Table], csv: bool) {
     }
 }
 
-/// Writes `doc` to `path`; a failure (say, a default `crates/bench/…` path
-/// when run from outside the repo root) is reported, not fatal.
+/// Writes `doc` to `path`; a failure (say, a default `results/…` path when
+/// run from outside the repo root) is reported, not fatal.
 fn write_json(path: &str, doc: &Json) {
     match std::fs::write(path, doc.to_string_pretty() + "\n") {
         Ok(()) => eprintln!("wrote {path}"),
@@ -228,7 +218,7 @@ mod tests {
         for ok in [
             &["e7", "--backend", "par:2"][..],
             &["e3m", "--json", "x.json", "--budget-mib", "1024"],
-            &["e13", "--backend", "net:21500"],
+            &["e13", "--backend", "seq"],
         ] {
             assert!(matches!(parse_strs(ok), Ok(Command::One(..))), "{ok:?}");
         }
@@ -247,6 +237,8 @@ mod tests {
             &["e2", "--topology", "expander:4"],
             &["e7", "--topology", "churn:0.05"],
             &["e7", "--backend", "net"],
+            &["e13", "--backend", "net:21500"],
+            &["e1", "--backend", "net"],
             &["e4", "--backend", "par:2"],
             &["e1", "--backend", "auto"],
             &["e1", "--backend"],

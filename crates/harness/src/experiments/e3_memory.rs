@@ -175,6 +175,6 @@ mod tests {
         let doc = bench_json(&[t]);
         let rows = doc["rows"].as_array().expect("rows array");
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0]["n"].as_str(), Some("32"));
+        assert_eq!(rows[0]["n"].as_f64(), Some(32.0));
     }
 }

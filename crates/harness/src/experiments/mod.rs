@@ -35,10 +35,9 @@ pub enum Runs {
     /// `--backend seq|par[:N]` only.
     Engine,
     /// Every run goes through [`crate::run()`], but the topology is the swept
-    /// axis: `--backend` (including `net`), no `--topology`.
+    /// axis: `--backend`, no `--topology`.
     TopologySweep,
-    /// Every run goes through [`crate::run()`]: `--backend` (including `net`)
-    /// and `--topology`.
+    /// Every run goes through [`crate::run()`]: `--backend` and `--topology`.
     Harness,
 }
 
@@ -46,12 +45,6 @@ impl Runs {
     /// Whether `--backend seq|par[:N]` changes how the experiment executes.
     pub fn honours_backend(self) -> bool {
         self != Runs::Nothing
-    }
-
-    /// Whether `--backend net[:PORT]` is routed to the TCP cluster (or
-    /// refused loudly by it) rather than ignored.
-    pub fn honours_net(self) -> bool {
-        matches!(self, Runs::TopologySweep | Runs::Harness)
     }
 
     /// Whether `--topology` reaches every run of the experiment.
@@ -120,7 +113,7 @@ pub const REGISTRY: &[Experiment] = &[
     ),
     Experiment {
         bench: Some(Bench {
-            path: "crates/bench/BENCH_memory.json",
+            path: "results/BENCH_memory.json",
             json: e3_memory::bench_json,
         }),
         measures_rss: true,
@@ -187,7 +180,7 @@ pub const REGISTRY: &[Experiment] = &[
     ),
     Experiment {
         bench: Some(Bench {
-            path: "crates/bench/BENCH_anonymity.json",
+            path: "results/BENCH_anonymity.json",
             json: e13_anonymity::bench_json,
         }),
         ..row(
@@ -199,7 +192,7 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         bench: Some(Bench {
-            path: "crates/bench/BENCH_topology.json",
+            path: "results/BENCH_topology.json",
             json: e14_topology::bench_json,
         }),
         ..row(
@@ -272,9 +265,9 @@ mod tests {
         assert_eq!(
             paths,
             [
-                "crates/bench/BENCH_memory.json",
-                "crates/bench/BENCH_anonymity.json",
-                "crates/bench/BENCH_topology.json"
+                "results/BENCH_memory.json",
+                "results/BENCH_anonymity.json",
+                "results/BENCH_topology.json"
             ]
         );
     }

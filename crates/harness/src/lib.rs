@@ -18,9 +18,10 @@
 //! every `experiments::*::run(full, &RunDefaults)` receives; there is no
 //! process-global or environment configuration.
 //!
-//! `--backend net[:PORT]` runs an experiment's failure-free CONGOS
-//! workloads on a localhost TCP [`Cluster`] instead of the engine. The
-//! `congos-node` binary runs the same `Cluster` as one OS process per node.
+//! [`RunSpec::net`] runs a failure-free CONGOS workload on a localhost TCP
+//! [`Cluster`] instead of the engine; the TCP-vs-engine differential tests
+//! use it as their reference. The `congos-node` binary runs the same
+//! `Cluster` as one OS process per node.
 
 // `deny`, not `forbid`: `mem` carries the one sanctioned exception — the
 // counting global allocator — under a scoped `#[allow(unsafe_code)]`.
@@ -41,7 +42,7 @@ pub use json::Json;
 pub use mem::{MemSample, MemUsage};
 pub use run::{
     run, run_with_factory, ArgError, DeliveryRecord, Logged, QodSummary, RunDefaults, RunOutcome,
-    RunSpec, TapSpec, DEFAULT_NET_PORT,
+    RunSpec, TapSpec,
 };
 pub use stats::{fit_power_law, percentile};
 pub use system::GossipSystem;

@@ -136,9 +136,6 @@ impl RunSpec {
     }
 }
 
-/// Base port used by `--backend net` when no explicit port is given.
-pub const DEFAULT_NET_PORT: u16 = 20700;
-
 /// What the command line chose for every run of one experiment: parsed once
 /// by [`RunDefaults::from_args`] and handed down to
 /// `experiments::*::run(full, &RunDefaults)`. The default is the paper's
@@ -149,9 +146,6 @@ pub struct RunDefaults {
     pub backend: EngineBackend,
     /// Communication topology (changes measured outcomes).
     pub topology: TopologySpec,
-    /// `Some(base_port)` runs on the localhost TCP cluster instead of the
-    /// in-process engine (see [`RunSpec::net`]).
-    pub net: Option<u16>,
 }
 
 /// A malformed `--backend` / `--topology` flag.
@@ -175,7 +169,7 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl RunDefaults {
-    /// Consumes `--backend <seq|par[:N]|net[:PORT]>` and `--topology
+    /// Consumes `--backend <seq|par[:N]>` and `--topology
     /// <complete|expander:d|churn:p[@base]>` from `args` and returns the
     /// defaults they select plus every argument it did not consume, in
     /// order, for the caller to interpret (or reject).
@@ -187,17 +181,9 @@ impl RunDefaults {
             match arg.as_str() {
                 "--backend" => {
                     let v = it.next().ok_or(ArgError::MissingValue("--backend"))?;
-                    let bad = |why: String| ArgError::BadValue("--backend", why);
-                    if v == "net" {
-                        defaults.net = Some(DEFAULT_NET_PORT);
-                    } else if let Some(port) = v.strip_prefix("net:") {
-                        let port = port
-                            .parse()
-                            .map_err(|_| bad(format!("bad port in {v:?}")))?;
-                        defaults.net = Some(port);
-                    } else {
-                        defaults.backend = v.parse().map_err(bad)?;
-                    }
+                    defaults.backend = v
+                        .parse()
+                        .map_err(|why| ArgError::BadValue("--backend", why))?;
                 }
                 "--topology" => {
                     let v = it.next().ok_or(ArgError::MissingValue("--topology"))?;
@@ -220,7 +206,7 @@ impl RunDefaults {
             backend: self.backend,
             topology: self.topology,
             probe_mem: true,
-            net: self.net,
+            net: None,
             tap: None,
         }
     }
@@ -524,7 +510,7 @@ where
     let report = report
         .unwrap_or_else(|| {
             panic!(
-                "protocol {:?} has no networked runtime; --backend net currently \
+                "protocol {:?} has no networked runtime; RunSpec::net \
                  supports the CONGOS protocol only",
                 P::NAME
             )
@@ -591,36 +577,27 @@ mod tests {
 
     #[test]
     fn run_defaults_parse_backend_and_topology() {
-        let backend = |v| parse(&["--backend", v]).map(|(d, _)| (d.backend, d.net));
-        assert_eq!(backend("seq"), Ok((EngineBackend::Sequential, None)));
-        assert_eq!(
-            backend("par:4"),
-            Ok((EngineBackend::Parallel { workers: 4 }, None))
-        );
-        assert_eq!(backend("par"), Ok((EngineBackend::parallel_auto(), None)));
-        // `net` leaves the engine backend alone and reroutes every spec.
-        assert_eq!(
-            backend("net"),
-            Ok((EngineBackend::Sequential, Some(DEFAULT_NET_PORT)))
-        );
-        assert_eq!(
-            backend("net:21400"),
-            Ok((EngineBackend::Sequential, Some(21400)))
-        );
+        let backend = |v| parse(&["--backend", v]).map(|(d, _)| d.backend);
+        assert_eq!(backend("seq"), Ok(EngineBackend::Sequential));
+        assert_eq!(backend("par:4"), Ok(EngineBackend::Parallel { workers: 4 }));
+        assert_eq!(backend("par"), Ok(EngineBackend::parallel_auto()));
+        // The TCP cluster is reached through `RunSpec::net`, not the flag.
+        for net in ["net", "net:21400"] {
+            assert!(
+                matches!(backend(net), Err(ArgError::BadValue("--backend", _))),
+                "{net}"
+            );
+        }
 
         let (d, rest) = parse(&["e1", "--topology", "expander:4", "--full"]).unwrap();
         assert_eq!(d.topology, TopologySpec::Expander { degree: 4 });
         assert_eq!(rest, ["e1", "--full"], "unconsumed arguments pass through");
         assert_eq!(parse(&[]), Ok((RunDefaults::default(), vec![])));
 
-        let spec = parse(&["--backend", "net:21400"]).unwrap().0.spec(8, 1, 10);
+        let spec = parse(&["--backend", "par:2"]).unwrap().0.spec(8, 1, 10);
         assert_eq!((spec.n, spec.seed, spec.rounds), (8, 1, 10));
-        assert_eq!(spec.net, Some(21400));
-        assert_eq!(
-            spec.net(21500).net,
-            Some(21500),
-            "the builder still overrides"
-        );
+        assert_eq!(spec.net, None);
+        assert_eq!(spec.net(21500).net, Some(21500), "the builder selects TCP");
         assert_eq!(RunSpec::new(8, 1, 10).net, None);
     }
 

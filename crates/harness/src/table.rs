@@ -154,15 +154,21 @@ impl Table {
 }
 
 /// Every row of every table as one JSON object keyed by column name — the
-/// `rows` array of the `BENCH_*.json` row sets.
+/// `rows` array of the `BENCH_*.json` row sets. A cell that parses as a
+/// finite `f64` becomes a JSON number; every other cell (`inf`, `NaN`, a
+/// name, anything with a unit or `%` suffix) stays a string.
 pub fn rows_json(tables: &[Table]) -> crate::json::Json {
     use crate::json::Json;
+    let cell = |c: &str| match c.parse::<f64>() {
+        Ok(x) if x.is_finite() => Json::Number(x),
+        _ => Json::from(c),
+    };
     let row = |t: &Table, r: &Vec<String>| {
         Json::Object(
             t.headers
                 .iter()
                 .zip(r)
-                .map(|(h, cell)| (h.clone(), Json::from(cell.as_str())))
+                .map(|(h, c)| (h.clone(), cell(c)))
                 .collect(),
         )
     };
@@ -252,7 +258,26 @@ mod tests {
         assert_eq!(j["notes"][0], "n");
         assert_eq!(Table::from_json(&j), Some(t), "to_json round-trips");
         assert_eq!(Table::from_json(&j["rows"]), None);
-        assert_eq!(rows_json(&[Table::from_json(&j).unwrap()])[0]["a"], "1");
+        assert_eq!(
+            rows_json(&[Table::from_json(&j).unwrap()])[0]["a"].as_f64(),
+            Some(1.0)
+        );
+    }
+
+    #[test]
+    fn rows_json_types_finite_numbers_only() {
+        let cells = [
+            "7", "-0.25", "1e3", "inf", "NaN", "12%", "3.2 ms", "complete",
+        ];
+        let mut t = Table::new("demo", &cells);
+        t.row(cells.iter().map(|c| c.to_string()).collect());
+        let row = &rows_json(&[t])[0];
+        for (c, x) in [("7", 7.0), ("-0.25", -0.25), ("1e3", 1000.0)] {
+            assert_eq!(row[c].as_f64(), Some(x), "{c}");
+        }
+        for c in ["inf", "NaN", "12%", "3.2 ms", "complete"] {
+            assert_eq!(row[c].as_str(), Some(c), "{c} stays a string");
+        }
     }
 
     #[test]

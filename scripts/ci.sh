@@ -31,9 +31,7 @@
 #                            #        determinism test, and the `exp e13`
 #                            #        quick sweep (asserts congos < direct
 #                            #        at coalition 10% on expander:4)
-#   scripts/ci.sh bench      # tier1 + the backend-scaling smoke bench
-#                            #        (results land in BENCH_*.json)
-#   scripts/ci.sh full       # tier1 + bench + the full workspace test suite
+#   scripts/ci.sh full       # tier1 + the full workspace test suite
 #
 # The differential suite (part of the root tests) compares the engine
 # backends pairwise from inside each test, so one pass covers both.
@@ -49,7 +47,7 @@ run_topo() {
     cargo test -q -p congos-sim --test topology_prop
     echo "==> topo: exp e14 smoke (quick sweep)"
     # Scratch output path so the smoke cannot clobber the committed
-    # crates/bench/BENCH_topology.json (regenerate that by running
+    # results/BENCH_topology.json (regenerate that by running
     # `exp e14` from the repo root).
     out=target/BENCH_topology_smoke.json
     cargo run --release -q -p congos-harness --bin exp -- e14 --json "$out" >/dev/null
@@ -63,7 +61,7 @@ run_mem() {
     # The quick sweep (n ≤ 1024) peaks around 450 MiB; the 1024 MiB budget
     # is a 2× regression gate, not a tight fit. The smoke row set goes to a
     # scratch path so it cannot clobber the committed full-sweep
-    # crates/bench/BENCH_memory.json (regenerate that with
+    # results/BENCH_memory.json (regenerate that with
     # `exp e3m --full`).
     cargo run --release -q -p congos-harness --bin exp -- e3m \
         --json target/BENCH_memory_smoke.json --budget-mib 1024 >/dev/null
@@ -83,7 +81,7 @@ run_net() {
 run_loadtest() {
     echo "==> loadtest: small loopback run, percentile report gate"
     # Scratch output path so the quick gate cannot clobber the committed
-    # full-config crates/bench/BENCH_net_loadtest.json (regenerate that by
+    # full-config results/BENCH_net_loadtest.json (regenerate that by
     # running congos-loadtest with defaults from the repo root).
     out=target/BENCH_net_loadtest_smoke.json
     cargo run --release -q -p congos-harness --bin congos-loadtest -- \
@@ -107,7 +105,7 @@ run_anonymity() {
     echo "==> anonymity: exp e13 quick sweep (gate: congos < direct"
     echo "    at coalition 10% on expander:4; asserted inside the binary)"
     # Scratch output path so the CI gate cannot clobber the committed
-    # quick-sweep crates/bench/BENCH_anonymity.json (regenerate that by
+    # quick-sweep results/BENCH_anonymity.json (regenerate that by
     # running `exp e13` from the repo root; --full for the big rows).
     out=target/BENCH_anonymity_smoke.json
     cargo run --release -q -p congos-harness --bin exp -- e13 \
@@ -127,7 +125,7 @@ topo | mem | net | loadtest | anonymity)
     echo "==> ci: OK ($target)"
     exit 0
     ;;
-tier1 | bench | full) ;;
+tier1 | full) ;;
 *)
     echo "unknown target $target (see the header of $0)" >&2
     exit 2
@@ -152,13 +150,6 @@ run_mem
 run_net
 run_loadtest
 run_anonymity
-
-if [ "$target" = "bench" ] || [ "$target" = "full" ]; then
-    echo "==> bench: backend_scaling smoke (e3_congos_poisson at n=1024)"
-    BENCH_JSON="BENCH_backend_scaling.json" \
-        cargo bench -p congos-bench -- backend_scaling
-    echo "    wrote crates/bench/BENCH_backend_scaling.json"
-fi
 
 if [ "$target" = "full" ]; then
     echo "==> full: cargo test -q --workspace"
