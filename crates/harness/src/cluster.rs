@@ -32,7 +32,7 @@ use std::ops::Range;
 use congos::{ConfidentialityAuditor, CongosConfig, CongosInput, CongosNode};
 use congos_adversary::predict::{CoalitionTap, Sighting};
 use congos_adversary::{FailurePlan, InjectionPlan, RumorSpec};
-use congos_net::{DecodeStats, TcpTransport};
+use congos_net::{TcpTransport, WireStats};
 use congos_sim::transport::{split_schedule, NodeDriver};
 use congos_sim::{Observer, ProcessId, Round, RoundView, TopologySpec};
 
@@ -107,9 +107,8 @@ pub struct NetStats {
     pub messages: u64,
     /// Outbound messages dropped by the topology gate.
     pub topology_drops: u64,
-    /// What the nodes' decoders did with the gossip rumors they received,
-    /// summed over nodes.
-    pub decode: DecodeStats,
+    /// What the nodes did on the wire, summed over nodes.
+    pub wire: WireStats,
 }
 
 /// A localhost CONGOS cluster: node `i` listens on `base_port + i`.
@@ -316,7 +315,7 @@ impl Cluster {
                 .collect(),
             messages: transport.messages(),
             topology_drops: transport.topology_drops(),
-            decode: transport.decode_stats(),
+            wire: transport.wire_stats(),
             rounds: self.rounds,
             sightings: tap.log().iter().copied().collect(),
         })
@@ -359,8 +358,9 @@ pub struct ClusterReport {
     /// Outbound messages dropped at the sender because the topology had no
     /// link to the destination that round (0 on the complete topology).
     pub topology_drops: u64,
-    /// Gossip rumors decoded in full and reused, per node or summed.
-    pub decode: DecodeStats,
+    /// Bytes and `write` calls out, and gossip rumors defined, referred
+    /// to, decoded in full and evicted, per node or summed.
+    pub wire: WireStats,
     /// Rounds executed.
     pub rounds: u64,
     /// The watched nodes' sightings, sorted by `(round, observer, sender,
@@ -378,7 +378,7 @@ impl ClusterReport {
             merged.deliveries.extend(report.deliveries);
             merged.messages += report.messages;
             merged.topology_drops += report.topology_drops;
-            merged.decode += report.decode;
+            merged.wire += report.wire;
             merged.rounds = merged.rounds.max(report.rounds);
             merged.sightings.extend(report.sightings);
         }
@@ -408,12 +408,14 @@ impl ClusterReport {
             ("messages", Json::from(self.messages)),
             ("topology_drops", Json::from(self.topology_drops)),
             (
-                "decode",
+                "wire",
                 Json::object([
-                    ("rumors_decoded", Json::from(self.decode.rumors_decoded)),
-                    ("rumors_reused", Json::from(self.decode.rumors_reused)),
-                    ("bytes_reused", Json::from(self.decode.bytes_reused)),
-                    ("rumors_evicted", Json::from(self.decode.rumors_evicted)),
+                    ("bytes_out", Json::from(self.wire.bytes_out)),
+                    ("writes", Json::from(self.wire.writes)),
+                    ("rumors_defined", Json::from(self.wire.rumors_defined)),
+                    ("rumors_referenced", Json::from(self.wire.rumors_referenced)),
+                    ("rumors_decoded", Json::from(self.wire.rumors_decoded)),
+                    ("rumors_evicted", Json::from(self.wire.rumors_evicted)),
                 ]),
             ),
             ("rounds", Json::from(self.rounds)),
@@ -455,11 +457,13 @@ impl ClusterReport {
             deliveries,
             messages: num(doc, "messages")?,
             topology_drops: num(doc, "topology_drops")?,
-            decode: DecodeStats {
-                rumors_decoded: num(&doc["decode"], "rumors_decoded")?,
-                rumors_reused: num(&doc["decode"], "rumors_reused")?,
-                bytes_reused: num(&doc["decode"], "bytes_reused")?,
-                rumors_evicted: num(&doc["decode"], "rumors_evicted")?,
+            wire: WireStats {
+                bytes_out: num(&doc["wire"], "bytes_out")?,
+                writes: num(&doc["wire"], "writes")?,
+                rumors_defined: num(&doc["wire"], "rumors_defined")?,
+                rumors_referenced: num(&doc["wire"], "rumors_referenced")?,
+                rumors_decoded: num(&doc["wire"], "rumors_decoded")?,
+                rumors_evicted: num(&doc["wire"], "rumors_evicted")?,
             },
             rounds: num(doc, "rounds")?,
             sightings: Vec::new(),
@@ -670,10 +674,12 @@ mod tests {
             ],
             messages: 1234,
             topology_drops: 5,
-            decode: DecodeStats {
-                rumors_decoded: 17,
-                rumors_reused: 1 << 33,
-                bytes_reused: 9_876_543_210,
+            wire: WireStats {
+                bytes_out: 9_876_543_210,
+                writes: 4321,
+                rumors_defined: 17,
+                rumors_referenced: 1 << 33,
+                rumors_decoded: 15,
                 rumors_evicted: 3,
             },
             rounds: 80,
@@ -699,10 +705,12 @@ mod tests {
                 .collect(),
             messages: 10,
             topology_drops: p as u64,
-            decode: DecodeStats {
+            wire: WireStats {
+                bytes_out: 100,
+                writes: 5,
+                rumors_defined: 1,
+                rumors_referenced: 2 + p as u64,
                 rumors_decoded: 1,
-                rumors_reused: 2 + p as u64,
-                bytes_reused: 100,
                 rumors_evicted: p as u64,
             },
             rounds: 40 + p as u64,
@@ -723,13 +731,15 @@ mod tests {
             .collect();
         assert_eq!(order, [(2, 1), (3, 0), (7, 0), (7, 1)]);
         assert_eq!((a.messages, a.topology_drops, a.rounds), (20, 1, 41));
-        let decode = DecodeStats {
+        let wire = WireStats {
+            bytes_out: 200,
+            writes: 10,
+            rumors_defined: 2,
+            rumors_referenced: 5,
             rumors_decoded: 2,
-            rumors_reused: 5,
-            bytes_reused: 200,
             rumors_evicted: 1,
         };
-        assert_eq!(a.decode, decode);
+        assert_eq!(a.wire, wire);
         assert_eq!(a.sightings.len(), 2);
     }
 

@@ -551,7 +551,7 @@ where
         net: Some(NetStats {
             messages: report.messages,
             topology_drops: report.topology_drops,
-            decode: report.decode,
+            wire: report.wire,
         }),
         tap: spec.tap.map(|_| {
             let mut log = SightingLog::new(spec.n);
@@ -655,7 +655,10 @@ mod tests {
         let net = out.net.expect("networked runs carry socket stats");
         assert!(net.messages > 0);
         assert_eq!(net.topology_drops, 0);
-        assert!(net.decode.rumors_reused > 0, "pushes repeat rumors: {net:?}");
+        assert!(
+            net.wire.rumors_referenced > 0,
+            "pushes repeat rumors: {net:?}"
+        );
         assert!(out.metrics.is_empty(), "sockets don't meter per-tag rounds");
     }
 

@@ -5,19 +5,31 @@
 //! sequences, with one discriminant byte per enum. The format is internal
 //! to the cluster runtime — both ends run the same build — so there is no
 //! versioning; a production deployment would add a version byte behind
-//! [`encode_frame`] and [`Decoder`].
+//! [`Encoder`] and [`Decoder`].
 //!
 //! A message's service tag is not on the wire: it is a function of the
 //! message ([`CongosMsg::tag`]).
 //!
-//! Every gossip rumor is written behind its own `u32` body length, so the
-//! decoder sees a rumor's exact byte span before parsing it. A gossip push
-//! carries the sender's whole active set, so a node receives the same
-//! rumor bytes from every peer, round after round; one [`Decoder`] per node
-//! decodes each distinct rumor encoding once and serves the repeats from
-//! the decoded value. The length prefixes are not counted by
-//! `CongosMsg::wire_size`, which prices the protocol's payload, not this
-//! framing.
+//! **Gossip rumors.** A gossip push carries the sender's whole active set,
+//! so the same rumor goes to the same peer round after round. Each rumor of
+//! a push is written in one of three forms, named by a leading form byte:
+//!
+//! * a *kept definition*: the rumor's body behind its own `u32` length,
+//!   which the receiver decodes, keeps and binds to the sender;
+//! * a *reference*: 17 bytes, the form byte and the [`RumorId`], which
+//!   resolves only to bytes the same sender defined on the same lane;
+//! * a *once definition*: a body the receiver decodes but does not keep.
+//!
+//! A rumor is named by its lane and its id. Both ends drop a rumor once the
+//! round has passed its deadline: a rumor is never pushed after its
+//! deadline, and a node only decodes frames of its current round or the
+//! next. One [`Encoder`] per node holds the *told* table — which peer was
+//! sent which rumor's bytes — and one [`Decoder`] per node holds the
+//! *kept* table. A receiver keeps at most [`MAX_KEPT_BYTES_PER_PEER`] bytes
+//! defined by one peer; the sender tracks the same count per peer and
+//! writes a once definition where a kept one would cross it. The length
+//! prefixes and form bytes are not counted by `CongosMsg::wire_size`, which
+//! prices the protocol's payload, not this framing.
 
 use std::collections::HashMap;
 use std::io;
@@ -31,6 +43,20 @@ use congos_sim::{IdSet, ProcessId, Round};
 
 /// A gossip rumor as it crosses the wire.
 type WireRumor = GossipRumor<Arc<GossipPayload>>;
+
+/// What names a gossip rumor in the told and kept tables: the lane it
+/// travels on and its id there.
+type RumorKey = (GossipLane, RumorId);
+
+/// The form byte that leads each gossip rumor of a push.
+mod form {
+    /// A length-prefixed body the receiver keeps, bound to the sender.
+    pub const KEEP: u8 = 0;
+    /// A rumor id naming bytes the sender defined earlier.
+    pub const REFER: u8 = 1;
+    /// A length-prefixed body the receiver decodes and does not keep.
+    pub const ONCE: u8 = 2;
+}
 
 /// One framed unit on the wire.
 #[derive(Clone, Debug, PartialEq)]
@@ -76,51 +102,217 @@ impl WireFrame {
 /// anything that could hurt the host.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
+/// Cap on the encoded rumor bytes one peer can make a [`Decoder`] keep: the
+/// sum of the body lengths of the kept definitions it sent whose deadline
+/// has not passed. A kept definition that would cross it is `InvalidData`;
+/// an [`Encoder`] writes a once definition instead.
+pub const MAX_KEPT_BYTES_PER_PEER: usize = 4 * 1024 * 1024;
+
 /// Appends one frame to `buf`: a little-endian `u32` body length followed
-/// by the binary encoding.
+/// by the binary encoding, every gossip rumor as a kept definition — what
+/// an [`Encoder`] writes to a peer it has told nothing.
 ///
 /// # Errors
 ///
 /// Rejects frames larger than [`MAX_FRAME_LEN`] (which [`Decoder::decode`]
 /// would refuse anyway) with `InvalidData`, leaving `buf` as it was.
 pub fn encode_frame(buf: &mut Vec<u8>, frame: &WireFrame) -> io::Result<()> {
-    let start = buf.len();
-    buf.extend_from_slice(&[0; 4]);
-    put_frame(buf, frame);
-    let len = buf.len() - start - 4;
-    if len > MAX_FRAME_LEN {
-        buf.truncate(start);
-        return Err(bad(&format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
-    }
-    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    Ok(())
+    put_framed(buf, frame, &mut DefineAll)
 }
 
-/// What a [`Decoder`] did with the gossip rumors it met.
+/// What one node's transport did on the wire. Each [`Encoder`] and
+/// [`Decoder`] fills in its own fields; the transport adds the socket ones.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DecodeStats {
-    /// Rumors parsed in full: first sightings of an encoding, including
-    /// those that turned out malformed.
+pub struct WireStats {
+    /// Bytes the sockets took.
+    pub bytes_out: u64,
+    /// `write` calls on the sockets.
+    pub writes: u64,
+    /// Gossip rumors sent as a definition, kept or once.
+    pub rumors_defined: u64,
+    /// Gossip rumors sent as a reference.
+    pub rumors_referenced: u64,
+    /// Gossip rumors received and parsed in full, including those that
+    /// turned out malformed.
     pub rumors_decoded: u64,
-    /// Rumors served from the decoded value of an identical encoding.
-    pub rumors_reused: u64,
-    /// Encoded bytes of the reused rumors.
-    pub bytes_reused: u64,
-    /// Decoded rumors dropped after two rounds without a repeat.
+    /// Kept rumors dropped once every peer that defined them had passed
+    /// their deadline.
     pub rumors_evicted: u64,
 }
 
-impl AddAssign for DecodeStats {
-    fn add_assign(&mut self, other: DecodeStats) {
+impl AddAssign for WireStats {
+    fn add_assign(&mut self, other: WireStats) {
+        self.bytes_out += other.bytes_out;
+        self.writes += other.writes;
+        self.rumors_defined += other.rumors_defined;
+        self.rumors_referenced += other.rumors_referenced;
         self.rumors_decoded += other.rumors_decoded;
-        self.rumors_reused += other.rumors_reused;
-        self.bytes_reused += other.bytes_reused;
         self.rumors_evicted += other.rumors_evicted;
     }
 }
 
-/// Decodes the frames one node receives, written by [`encode_frame`] in a
-/// cluster of `n` processes, and each distinct gossip-rumor encoding once.
+/// The rumor bytes one peer has made a node keep, by deadline. Both ends of
+/// a link count them from the frames on it; the receiver does not count a
+/// definition of bytes it already holds from that peer, so the sender's
+/// count is never below the receiver's, and a kept definition the sender
+/// finds within the bound the receiver does too.
+#[derive(Debug, Default)]
+struct Charges {
+    /// `(deadline, body length)` of each kept definition.
+    held: Vec<(u64, usize)>,
+    /// The sum of the lengths in `held`.
+    bytes: usize,
+}
+
+impl Charges {
+    fn fits(&self, len: usize) -> bool {
+        self.bytes + len <= MAX_KEPT_BYTES_PER_PEER
+    }
+
+    fn charge(&mut self, deadline: u64, len: usize) {
+        self.held.push((deadline, len));
+        self.bytes += len;
+    }
+
+    /// Drops the charges whose deadline is before `round`; returns whether
+    /// there were any.
+    fn release(&mut self, round: u64) -> bool {
+        let (held, bytes) = (self.held.len(), &mut self.bytes);
+        self.held.retain(|&(deadline, len)| {
+            let live = deadline >= round;
+            if !live {
+                *bytes -= len;
+            }
+            live
+        });
+        self.held.len() != held
+    }
+}
+
+/// A rumor this node has sent, and the peers that were sent its bytes.
+#[derive(Debug)]
+struct Told {
+    rumor: WireRumor,
+    peers: IdSet,
+}
+
+/// Encodes the frames one node sends in a cluster of `n` processes, each
+/// gossip rumor's bytes once per peer.
+///
+/// The *told* table holds each rumor the node has sent some peer in a kept
+/// definition, with the set of those peers. A rumor the destination was
+/// told, with equal contents, is written as a reference; any other as a
+/// definition — kept, and marked told, unless it would take the
+/// destination past [`MAX_KEPT_BYTES_PER_PEER`] or its deadline has passed.
+/// A frame that fails to encode marks nothing. Whenever a frame of a later
+/// round is encoded, every rumor whose deadline is before it is dropped.
+/// The encoder assumes the frames it encodes for a peer reach that peer in
+/// order, and that the frames of one round are encoded together.
+#[derive(Debug)]
+pub struct Encoder {
+    /// Cluster size.
+    n: usize,
+    /// Round of the latest frame encoded.
+    round: u64,
+    told: HashMap<RumorKey, Told>,
+    /// Indexed by peer id.
+    charges: Vec<Charges>,
+    /// Rumors marked told while encoding the current frame.
+    marked: Vec<RumorKey>,
+    stats: WireStats,
+}
+
+impl Encoder {
+    /// An encoder for one node of a cluster of `n` processes, which has told
+    /// no peer anything yet.
+    pub fn new(n: usize) -> Self {
+        Encoder {
+            n,
+            round: 0,
+            told: HashMap::new(),
+            charges: (0..n).map(|_| Charges::default()).collect(),
+            marked: Vec::new(),
+            stats: WireStats::default(),
+        }
+    }
+
+    /// Appends `frame`, bound for peer `dst`, to `buf` as [`encode_frame`]
+    /// does, writing the rumors `dst` was already told as references.
+    ///
+    /// # Errors
+    ///
+    /// As [`encode_frame`]; a frame that fails leaves the told table as it
+    /// was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is outside the cluster.
+    pub fn encode_frame(
+        &mut self,
+        buf: &mut Vec<u8>,
+        frame: &WireFrame,
+        dst: ProcessId,
+    ) -> io::Result<()> {
+        let round = frame.round();
+        if round > self.round {
+            self.round = round;
+            self.told.retain(|_, t| t.rumor.deadline.0 >= round);
+            for charges in &mut self.charges {
+                charges.release(round);
+            }
+        }
+        let stats = self.stats;
+        self.marked.clear();
+        let res = put_framed(buf, frame, &mut Tell { enc: self, dst });
+        if res.is_err() {
+            self.stats = stats;
+            let charges = &mut self.charges[dst.as_usize()];
+            for key in self.marked.drain(..) {
+                if let Some(told) = self.told.get_mut(&key) {
+                    told.peers.remove(dst);
+                }
+                let (_, len) = charges.held.pop().expect("one charge per mark");
+                charges.bytes -= len;
+            }
+        }
+        res
+    }
+
+    /// What this encoder has done so far: the rumors it defined and
+    /// referenced.
+    pub fn stats(&self) -> WireStats {
+        self.stats
+    }
+
+    /// Whether peer `dst` was told the bytes of `id` on `lane`.
+    #[cfg(test)]
+    pub(crate) fn told(&self, lane: GossipLane, id: RumorId, dst: ProcessId) -> bool {
+        self.told
+            .get(&(lane, id))
+            .is_some_and(|t| t.peers.contains(dst))
+    }
+}
+
+/// A kept rumor: its bytes, their decoded value, and the peers that defined
+/// these bytes.
+#[derive(Debug)]
+struct Kept {
+    bytes: Box<[u8]>,
+    rumor: WireRumor,
+    definers: IdSet,
+}
+
+/// What a [`Decoder`] knows of one peer's stream.
+#[derive(Debug, Default)]
+struct PeerStream {
+    /// The highest frame round the peer has sent.
+    round: u64,
+    charges: Charges,
+}
+
+/// Decodes the frames one node receives in a cluster of `n` processes,
+/// written by [`encode_frame`] or an [`Encoder`], parsing each gossip
+/// rumor's bytes once.
 ///
 /// **Hostile-input hardened.** The frame length prefix is capped by
 /// [`MAX_FRAME_LEN`] before the body is awaited, every inner length prefix
@@ -133,32 +325,31 @@ impl AddAssign for DecodeStats {
 /// malformed. Malformed input of any shape yields an `io::Error`, never a
 /// panic or an unbounded allocation.
 ///
-/// **Per-node reuse.** The decoder keeps every gossip rumor that decoded
-/// cleanly, keyed by its exact encoded bytes. A rumor whose bytes it has
-/// kept is not parsed again: it is a clone of the kept value, which costs
-/// only reference-count bumps. Decoding is a pure function of the bytes
-/// and `n`, so the clone equals what a fresh decode would return, and no
-/// check is skipped. The key is the bytes, not the [`RumorId`]: a peer that
-/// reuses an id with other content gets that content decoded.
+/// **The kept table.** A kept definition from peer `p` binds its bytes to
+/// `p` under the rumor's lane and id, and a reference from `p` resolves only
+/// to the bytes `p` bound there; it is `InvalidData` if `p` bound none, or
+/// none that are still kept. A kept definition with other bytes under a
+/// bound key replaces them and is bound to its sender only. A definition
+/// whose bytes are kept is a clone of the kept value, which costs only
+/// reference-count bumps; any other is parsed in full. Decoding is a pure
+/// function of the bytes and `n`, so a frame decodes to what a fresh decode
+/// of its definitions would return, and no check is skipped.
 ///
-/// **Eviction and memory bound.** Whenever the highest frame round decoded
-/// so far advances, every kept rumor not met in that round or the one
-/// before is dropped. What the decoder keeps is therefore bounded by the
-/// distinct rumor bytes received in two rounds — a peer can grow it only
-/// by sending those bytes. (`TcpTransport` fails on any frame more than
-/// one round ahead of its node, so no peer can push this clock far ahead
-/// and stall it while the node runs on.) The map is allocated on the first
-/// rumor.
+/// **Retention and memory bound.** When a frame of peer `p` names a later
+/// round than `p` named before, `p` is unbound from every rumor whose
+/// deadline is before it, and a rumor bound to no peer is dropped; a peer's
+/// rounds unbind that peer only. A peer can make the decoder keep at most
+/// [`MAX_KEPT_BYTES_PER_PEER`] bytes: the body lengths of its kept
+/// definitions whose deadline has not passed (a kept definition of a rumor
+/// whose deadline is before its frame's round is `InvalidData`).
 #[derive(Debug)]
 pub struct Decoder {
     /// Cluster size: every process id on the wire is below it.
     n: usize,
-    /// Highest frame round decoded so far.
-    round: u64,
-    /// Each kept rumor by its encoded body, with the last `round` at which
-    /// it was decoded or reused.
-    rumors: HashMap<Box<[u8]>, (WireRumor, u64)>,
-    stats: DecodeStats,
+    kept: HashMap<RumorKey, Kept>,
+    /// Indexed by peer id.
+    peers: Vec<PeerStream>,
+    stats: WireStats,
 }
 
 impl Decoder {
@@ -167,9 +358,9 @@ impl Decoder {
     pub fn new(n: usize) -> Self {
         Decoder {
             n,
-            round: 0,
-            rumors: HashMap::new(),
-            stats: DecodeStats::default(),
+            kept: HashMap::new(),
+            peers: (0..n).map(|_| PeerStream::default()).collect(),
+            stats: WireStats::default(),
         }
     }
 
@@ -179,7 +370,8 @@ impl Decoder {
     ///
     /// # Errors
     ///
-    /// `InvalidData` for a malformed, oversized or out-of-range encoding.
+    /// `InvalidData` for a malformed, oversized or out-of-range encoding,
+    /// or a gossip rumor the kept table does not allow.
     pub fn decode(&mut self, buf: &[u8]) -> io::Result<Option<(WireFrame, usize)>> {
         let Some(prefix) = buf.first_chunk::<4>() else {
             return Ok(None);
@@ -203,21 +395,33 @@ impl Decoder {
         Ok(Some((frame, 4 + len)))
     }
 
-    /// What this decoder has done so far.
-    pub fn stats(&self) -> DecodeStats {
+    /// What this decoder has done so far: the rumors it decoded in full and
+    /// evicted.
+    pub fn stats(&self) -> WireStats {
         self.stats
     }
 
-    /// Notes a frame of `round`: when it is the highest yet, drops every
-    /// rumor not met in it or the round before.
-    fn advance(&mut self, round: u64) {
-        if round <= self.round {
+    /// Notes a frame of `round` from `src`: when the round is the highest
+    /// `src` has named, unbinds `src` from every rumor whose deadline is
+    /// before it and drops the rumors left unbound.
+    fn advance(&mut self, src: ProcessId, round: u64) {
+        let peer = &mut self.peers[src.as_usize()];
+        if round <= peer.round {
             return;
         }
-        self.round = round;
-        let kept = self.rumors.len();
-        self.rumors.retain(|_, (_, seen)| *seen >= round - 1);
-        self.stats.rumors_evicted += (kept - self.rumors.len()) as u64;
+        peer.round = round;
+        // Every binding of `src` holds a charge of the same deadline.
+        if !peer.charges.release(round) {
+            return;
+        }
+        let kept = self.kept.len();
+        self.kept.retain(|_, k| {
+            if k.rumor.deadline.0 < round {
+                k.definers.remove(src);
+            }
+            !k.definers.is_empty()
+        });
+        self.stats.rumors_evicted += (kept - self.kept.len()) as u64;
     }
 
     fn take_frame(&mut self, d: &mut Dec) -> io::Result<WireFrame> {
@@ -227,24 +431,28 @@ impl Decoder {
         }
         let src = take_pid(d)?;
         let round = d.u64()?;
-        self.advance(round);
+        self.advance(src, round);
         Ok(if kind == 0 {
             WireFrame::Msg {
                 src,
                 round,
-                payload: self.take_msg(d)?,
+                payload: self.take_msg(d, src, round)?,
             }
         } else {
             WireFrame::EndOfRound { src, round }
         })
     }
 
-    fn take_msg(&mut self, d: &mut Dec) -> io::Result<CongosMsg> {
+    fn take_msg(&mut self, d: &mut Dec, src: ProcessId, round: u64) -> io::Result<CongosMsg> {
         match d.u8()? {
-            0 => Ok(CongosMsg::Gossip {
-                lane: take_lane(d)?,
-                wire: Box::new(self.take_wire(d)?),
-            }),
+            0 => {
+                let lane = take_lane(d)?;
+                let wire = self.take_wire(d, (lane, src, round))?;
+                Ok(CongosMsg::Gossip {
+                    lane,
+                    wire: Box::new(wire),
+                })
+            }
             1 => Ok(CongosMsg::ProxyRequest {
                 dline: d.u64()?,
                 ell: d.u16()?,
@@ -272,13 +480,17 @@ impl Decoder {
         }
     }
 
-    fn take_wire(&mut self, d: &mut Dec) -> io::Result<GossipWire<Arc<GossipPayload>>> {
+    fn take_wire(
+        &mut self,
+        d: &mut Dec,
+        push: (GossipLane, ProcessId, u64),
+    ) -> io::Result<GossipWire<Arc<GossipPayload>>> {
         match d.u8()? {
             0 => {
                 let count = d.count(min_size::GOSSIP_RUMOR)?;
                 let mut rumors = Vec::with_capacity(count);
                 for _ in 0..count {
-                    rumors.push(self.take_gossip_rumor(d)?);
+                    rumors.push(self.take_gossip_rumor(d, push)?);
                 }
                 Ok(GossipWire::Push(Arc::new(rumors)))
             }
@@ -294,29 +506,99 @@ impl Decoder {
         }
     }
 
-    /// One length-prefixed gossip rumor: the kept value of an identical
-    /// encoding, or a full decode that is kept if it succeeds.
-    fn take_gossip_rumor(&mut self, d: &mut Dec) -> io::Result<WireRumor> {
+    /// One gossip rumor of a push on `lane` from `src` in `round`, in any of
+    /// its three forms.
+    fn take_gossip_rumor(
+        &mut self,
+        d: &mut Dec,
+        (lane, src, round): (GossipLane, ProcessId, u64),
+    ) -> io::Result<WireRumor> {
+        let keep = match d.u8()? {
+            form::REFER => {
+                // `advance` has unbound `src` from every rumor whose
+                // deadline is before `round`.
+                let id = take_rid(d)?;
+                let kept = self
+                    .kept
+                    .get(&(lane, id))
+                    .filter(|k| k.definers.contains(src))
+                    .ok_or_else(|| {
+                        bad(&format!(
+                            "{src} refers to rumor {id:?} on {lane:?}, which it has not \
+                             defined or whose deadline has passed"
+                        ))
+                    })?;
+                return Ok(kept.rumor.clone());
+            }
+            form::KEEP => true,
+            form::ONCE => false,
+            f => return Err(bad(&format!("{src} sent an unknown gossip rumor form {f}"))),
+        };
         let span = d.bytes()?;
-        if let Some((rumor, seen)) = self.rumors.get_mut(span) {
-            *seen = self.round;
-            self.stats.rumors_reused += 1;
-            self.stats.bytes_reused += span.len() as u64;
-            return Ok(rumor.clone());
-        }
-        self.stats.rumors_decoded += 1;
-        let mut body = Dec {
+        // The body starts with the rumor's id.
+        let id = take_rid(&mut Dec {
             buf: span,
             pos: 0,
             n: self.n,
+        })?;
+        let key = (lane, id);
+        let same = self.kept.get(&key).filter(|k| *k.bytes == *span);
+        let rumor = match same {
+            Some(k) => k.rumor.clone(),
+            None => {
+                self.stats.rumors_decoded += 1;
+                decode_body(span, self.n)?
+            }
         };
-        let rumor = take_gossip_rumor_body(&mut body)?;
-        if body.pos != span.len() {
-            return Err(bad("gossip rumor body shorter than its length prefix"));
+        if !keep || same.is_some_and(|k| k.definers.contains(src)) {
+            return Ok(rumor);
         }
-        self.rumors.insert(span.into(), (rumor.clone(), self.round));
+        if rumor.deadline.0 < round {
+            return Err(bad(&format!(
+                "{src} defines rumor {id:?} to be kept in round {round}, past its deadline"
+            )));
+        }
+        let charges = &mut self.peers[src.as_usize()].charges;
+        if !charges.fits(span.len()) {
+            return Err(bad(&format!(
+                "{src} would make this node keep more than \
+                 MAX_KEPT_BYTES_PER_PEER ({MAX_KEPT_BYTES_PER_PEER}) rumor bytes"
+            )));
+        }
+        charges.charge(rumor.deadline.0, span.len());
+        match self.kept.get_mut(&key).filter(|k| *k.bytes == *span) {
+            Some(kept) => {
+                kept.definers.insert(src);
+            }
+            None => {
+                // New bytes, or other bytes than those kept: the old
+                // definers lose them.
+                let mut definers = IdSet::empty(self.n);
+                definers.insert(src);
+                let kept = Kept {
+                    bytes: span.into(),
+                    rumor: rumor.clone(),
+                    definers,
+                };
+                self.kept.insert(key, kept);
+            }
+        }
         Ok(rumor)
     }
+}
+
+/// A length-prefixed gossip rumor body, parsed in full.
+fn decode_body(span: &[u8], n: usize) -> io::Result<WireRumor> {
+    let mut body = Dec {
+        buf: span,
+        pos: 0,
+        n,
+    };
+    let rumor = take_gossip_rumor_body(&mut body)?;
+    if body.pos != span.len() {
+        return Err(bad("gossip rumor body shorter than its length prefix"));
+    }
+    Ok(rumor)
 }
 
 fn bad(msg: &str) -> io::Error {
@@ -428,9 +710,63 @@ fn put_lane(buf: &mut Vec<u8>, lane: &GossipLane) {
         }
     }
 }
-/// A `u32` body length, then the body, so the decoder can key its reuse on
-/// the rumor's exact bytes before parsing them.
-fn put_gossip_rumor(buf: &mut Vec<u8>, r: &WireRumor) {
+/// How a push writes each of its gossip rumors.
+trait PutRumor {
+    fn put_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor);
+}
+
+/// Every rumor as a kept definition.
+struct DefineAll;
+
+impl PutRumor for DefineAll {
+    fn put_rumor(&mut self, buf: &mut Vec<u8>, _: &GossipLane, r: &WireRumor) {
+        put_definition(buf, form::KEEP, r);
+    }
+}
+
+/// An [`Encoder`]'s rumors for one frame to `dst`.
+struct Tell<'a> {
+    enc: &'a mut Encoder,
+    dst: ProcessId,
+}
+
+impl PutRumor for Tell<'_> {
+    fn put_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor) {
+        let Tell { enc, dst } = self;
+        let key = (*lane, r.id);
+        let told = enc.told.get(&key);
+        if told.is_some_and(|t| t.peers.contains(*dst) && t.rumor == *r) {
+            put_u8(buf, form::REFER);
+            put_rid(buf, &r.id);
+            enc.stats.rumors_referenced += 1;
+            return;
+        }
+        enc.stats.rumors_defined += 1;
+        let at = buf.len();
+        let len = put_definition(buf, form::KEEP, r);
+        let charges = &mut enc.charges[dst.as_usize()];
+        if r.deadline.0 < enc.round || !charges.fits(len) {
+            buf[at] = form::ONCE;
+            return;
+        }
+        charges.charge(r.deadline.0, len);
+        let told = enc.told.entry(key).or_insert_with(|| Told {
+            rumor: r.clone(),
+            peers: IdSet::empty(enc.n),
+        });
+        if told.rumor != *r {
+            told.rumor = r.clone();
+            told.peers.clear();
+        }
+        told.peers.insert(*dst);
+        enc.marked.push(key);
+    }
+}
+
+/// The form byte, a `u32` body length, then the body, so the decoder sees
+/// a rumor's exact byte span before parsing it. Returns the body length.
+fn put_definition(buf: &mut Vec<u8>, form: u8, r: &WireRumor) -> usize {
+    put_u8(buf, form);
     let start = buf.len();
     put_u32(buf, 0);
     put_rid(buf, &r.id);
@@ -439,16 +775,22 @@ fn put_gossip_rumor(buf: &mut Vec<u8>, r: &WireRumor) {
     put_u64(buf, r.deadline.0);
     put_idset(buf, &r.dest);
     buf.push(r.best_effort as u8);
-    let len = (buf.len() - start - 4) as u32;
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let len = buf.len() - start - 4;
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len
 }
-fn put_wire(buf: &mut Vec<u8>, w: &GossipWire<Arc<GossipPayload>>) {
+fn put_wire(
+    buf: &mut Vec<u8>,
+    lane: &GossipLane,
+    w: &GossipWire<Arc<GossipPayload>>,
+    rumors: &mut impl PutRumor,
+) {
     match w {
-        GossipWire::Push(rumors) => {
+        GossipWire::Push(pushed) => {
             put_u8(buf, 0);
-            put_u32(buf, rumors.len() as u32);
-            for r in rumors.iter() {
-                put_gossip_rumor(buf, r);
+            put_u32(buf, pushed.len() as u32);
+            for r in pushed.iter() {
+                rumors.put_rumor(buf, lane, r);
             }
         }
         GossipWire::Ack(ids) => {
@@ -466,12 +808,12 @@ fn put_rumor(buf: &mut Vec<u8>, r: &Rumor) {
     put_u64(buf, r.deadline);
     put_idset(buf, &r.dest);
 }
-fn put_msg(buf: &mut Vec<u8>, m: &CongosMsg) {
+fn put_msg(buf: &mut Vec<u8>, m: &CongosMsg, rumors: &mut impl PutRumor) {
     match m {
         CongosMsg::Gossip { lane, wire } => {
             put_u8(buf, 0);
             put_lane(buf, lane);
-            put_wire(buf, wire);
+            put_wire(buf, lane, wire, rumors);
         }
         CongosMsg::ProxyRequest {
             dline,
@@ -512,7 +854,21 @@ fn put_msg(buf: &mut Vec<u8>, m: &CongosMsg) {
         }
     }
 }
-fn put_frame(buf: &mut Vec<u8>, f: &WireFrame) {
+/// Appends `f` behind its `u32` body length, or nothing if the body would
+/// exceed [`MAX_FRAME_LEN`].
+fn put_framed(buf: &mut Vec<u8>, f: &WireFrame, rumors: &mut impl PutRumor) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    put_frame(buf, f, rumors);
+    let len = buf.len() - start - 4;
+    if len > MAX_FRAME_LEN {
+        buf.truncate(start);
+        return Err(bad(&format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
+    }
+    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+fn put_frame(buf: &mut Vec<u8>, f: &WireFrame, rumors: &mut impl PutRumor) {
     match f {
         WireFrame::Msg {
             src,
@@ -522,7 +878,7 @@ fn put_frame(buf: &mut Vec<u8>, f: &WireFrame) {
             put_u8(buf, 0);
             put_pid(buf, *src);
             put_u64(buf, *round);
-            put_msg(buf, payload);
+            put_msg(buf, payload, rumors);
         }
         WireFrame::EndOfRound { src, round } => {
             put_u8(buf, 1);
@@ -611,10 +967,9 @@ mod min_size {
     pub const HIT: usize = 4 + CRID;
     /// Bare process id.
     pub const PID: usize = 4;
-    /// body length prefix(4) + rid + payload discriminant(1) +
-    /// duration(8) + deadline(8) + idset universe(4) + best_effort(1); the
-    /// payload body adds more.
-    pub const GOSSIP_RUMOR: usize = 4 + RID + 1 + 8 + 8 + 4 + 1;
+    /// The shortest form of a gossip rumor, a reference: form byte(1) +
+    /// rid.
+    pub const GOSSIP_RUMOR: usize = 1 + RID;
 }
 
 fn take_pid(d: &mut Dec) -> io::Result<ProcessId> {
@@ -1191,7 +1546,19 @@ mod tests {
         }
     }
 
+    /// A rumor over the test cluster whose deadline is round 9.
     fn rumor(origin: usize, seq: u32, meta: &[usize]) -> WireRumor {
+        rumor_until(N, origin, seq, meta, 9)
+    }
+
+    /// A rumor over `universe` processes whose deadline is `deadline`.
+    fn rumor_until(
+        universe: usize,
+        origin: usize,
+        seq: u32,
+        meta: &[usize],
+        deadline: u64,
+    ) -> WireRumor {
         GossipRumor {
             id: RumorId {
                 origin: pid(origin),
@@ -1202,11 +1569,24 @@ mod tests {
                 failed_proxies: meta.iter().map(|&p| pid(p)).collect(),
             }),
             duration: 8,
-            deadline: Round(9),
-            dest: Arc::new(IdSet::from_iter(N, [pid(1)])),
+            deadline: Round(deadline),
+            dest: Arc::new(IdSet::from_iter(universe, [pid(1)])),
             best_effort: false,
         }
     }
+
+    /// A rumor carrying one fragment of `len` bytes.
+    fn rumor_of_size(seq: u32, len: usize, deadline: u64) -> WireRumor {
+        let mut r = rumor_until(N, 0, seq, &[], deadline);
+        r.payload = Arc::new(GossipPayload::Fragments(vec![congos::Fragment {
+            bytes: vec![seq as u8; len].into(),
+            ..fragment(pid(0), N)
+        }]));
+        r
+    }
+
+    /// The lane of every test push.
+    const LANE: GossipLane = GossipLane::Group { dline: 64, ell: 1 };
 
     /// A push of `rumors` from `src` in `round`.
     fn push_from(src: usize, round: u64, rumors: Vec<WireRumor>) -> WireFrame {
@@ -1214,7 +1594,7 @@ mod tests {
             src: pid(src),
             round,
             payload: CongosMsg::Gossip {
-                lane: GossipLane::Group { dline: 64, ell: 1 },
+                lane: LANE,
                 wire: Box::new(GossipWire::Push(Arc::new(rumors))),
             },
         }
@@ -1232,6 +1612,27 @@ mod tests {
             },
             _ => panic!("not a gossip message"),
         }
+    }
+
+    /// `frame` as its sender's `enc` writes it for node 0.
+    fn told(enc: &mut Encoder, frame: &WireFrame) -> Vec<u8> {
+        let mut buf = Vec::new();
+        enc.encode_frame(&mut buf, frame, pid(0)).unwrap();
+        buf
+    }
+
+    /// Decodes a buffer holding exactly one frame with `dec`.
+    fn decode_with(dec: &mut Decoder, bytes: &[u8]) -> io::Result<WireFrame> {
+        let (frame, used) = dec.decode(bytes)?.expect("a whole frame");
+        assert_eq!(used, bytes.len(), "the frame spans the buffer");
+        Ok(frame)
+    }
+
+    /// Asserts that `res` is `InvalidData` naming peer `p`.
+    fn assert_refused<T: std::fmt::Debug>(res: io::Result<T>, p: usize) {
+        let err = res.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&format!("p{p} ")), "{err}");
     }
 
     #[test]
@@ -1257,8 +1658,7 @@ mod tests {
         let mut decoded = Vec::new();
         for frame in &frames {
             let bytes = encoded(frame);
-            let (got, used) = warm.decode(&bytes).unwrap().expect("a whole frame");
-            assert_eq!(used, bytes.len());
+            let got = decode_with(&mut warm, &bytes).unwrap();
             assert_eq!(got, decode_one(&bytes, N).unwrap(), "warm and fresh agree");
             assert_eq!(&got, frame);
             decoded.push(got);
@@ -1266,11 +1666,10 @@ mod tests {
         // Every rumor is parsed once; the repeats share its allocations.
         let stats = warm.stats();
         assert_eq!(
-            (stats.rumors_decoded, stats.rumors_reused),
-            (3, 6),
+            (stats.rumors_decoded, stats.rumors_evicted),
+            (3, 0),
             "{stats:?}"
         );
-        assert_eq!(stats.rumors_evicted, 0);
         let first_a = &pushed(&decoded[0])[0];
         for frame in [&decoded[1], &decoded[2], &decoded[4]] {
             let again = pushed(frame).iter().find(|r| r.id == a.id).unwrap();
@@ -1280,20 +1679,50 @@ mod tests {
     }
 
     #[test]
+    fn an_encoder_sends_each_peer_a_rumors_bytes_once() {
+        let (a, b, c) = (rumor(0, 0, &[2]), rumor(3, 1, &[]), rumor(0, 2, &[4, 5]));
+        let mut senders = [Encoder::new(N), Encoder::new(N)];
+        let frames = [
+            (0, push_from(1, 0, vec![a.clone(), b.clone()])),
+            (1, push_from(2, 0, vec![a.clone()])),
+            (0, push_from(1, 0, vec![a.clone(), a.clone(), c.clone()])),
+            (0, push_from(1, 1, vec![c, a, b])),
+        ];
+        let mut dec = Decoder::new(N);
+        let mut sizes = Vec::new();
+        for (sender, frame) in &frames {
+            let bytes = told(&mut senders[*sender], frame);
+            assert_eq!(&decode_with(&mut dec, &bytes).unwrap(), frame);
+            sizes.push(bytes.len());
+        }
+        let stats = |enc: &Encoder| (enc.stats().rumors_defined, enc.stats().rumors_referenced);
+        assert_eq!(stats(&senders[0]), (3, 5));
+        assert_eq!(stats(&senders[1]), (1, 0));
+        // p2's definition of `a` is p1's bytes: kept, not parsed again.
+        assert_eq!(dec.stats().rumors_decoded, 3);
+        // Three references: the push's header and 17 bytes each.
+        let header = 4 + 1 + 4 + 8 + 1 + (1 + 8 + 2) + 1 + 4;
+        assert_eq!(sizes[3], header + 3 * 17);
+    }
+
+    #[test]
     fn a_reused_rumor_id_with_new_bytes_decodes_the_new_bytes() {
         let old = rumor(0, 0, &[2]);
         let new = rumor(0, 0, &[6]);
         assert_eq!(old.id, new.id);
+        let mut sender = Encoder::new(N);
         let mut dec = Decoder::new(N);
         for r in [&old, &new, &old] {
             let frame = push_from(1, 0, vec![r.clone()]);
-            let (got, _) = dec.decode(&encoded(&frame)).unwrap().expect("whole");
-            assert_eq!(got, frame);
+            assert_eq!(decode_with(&mut dec, &encoded(&frame)).unwrap(), frame);
+            // An encoder defines changed contents again.
+            assert_eq!(
+                decode_with(&mut dec, &told(&mut sender, &frame)).unwrap(),
+                frame
+            );
         }
-        assert_eq!(
-            (dec.stats().rumors_decoded, dec.stats().rumors_reused),
-            (2, 1)
-        );
+        assert_eq!(dec.stats().rumors_decoded, 3);
+        assert_eq!(sender.stats().rumors_defined, 3);
     }
 
     #[test]
@@ -1301,10 +1730,10 @@ mod tests {
         // Two rumors, so a span one byte too long still ends inside the
         // frame. The first rumor's length prefix follows 4 frame length +
         // 1 disc + 4 pid + 8 round + 1 msg disc + the `Group` lane (1 disc
-        // + 8 dline + 2 ell) + 1 wire disc + 4 rumor count.
+        // + 8 dline + 2 ell) + 1 wire disc + 4 rumor count + 1 form.
         let frame = push_from(1, 0, vec![rumor(0, 0, &[2]), rumor(0, 1, &[3])]);
         let bytes = encoded(&frame);
-        let at = 4 + 1 + 4 + 8 + 1 + (1 + 8 + 2) + 1 + 4;
+        let at = 4 + 1 + 4 + 8 + 1 + (1 + 8 + 2) + 1 + 4 + 1;
         let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
         let mut dec = Decoder::new(N);
         for wrong in [len - 1, len + 1] {
@@ -1313,43 +1742,230 @@ mod tests {
             let err = dec.decode(&bad).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
-        assert!(dec.rumors.is_empty(), "a span that failed is not kept");
+        assert!(dec.kept.is_empty(), "a span that failed is not kept");
         assert_eq!(dec.stats().rumors_decoded, 2);
         // The valid frame is then decoded in full, not served from a cache.
-        assert_eq!(dec.decode(&bytes).unwrap().expect("whole").0, frame);
+        assert_eq!(decode_with(&mut dec, &bytes).unwrap(), frame);
+        assert_eq!(dec.stats().rumors_decoded, 4);
+    }
+
+    #[test]
+    fn kept_rumors_are_dropped_once_every_definer_passed_their_deadline() {
+        let (a, b) = (rumor_until(N, 0, 0, &[2], 3), rumor_until(N, 1, 0, &[3], 5));
+        let mut dec = Decoder::new(N);
+        let mut feed = |src: usize, round: u64, rumors: Vec<WireRumor>| {
+            let frame = push_from(src, round, rumors);
+            assert_eq!(decode_with(&mut dec, &encoded(&frame)).unwrap(), frame);
+            (dec.kept.len(), dec.stats().rumors_evicted)
+        };
+        feed(1, 2, vec![a.clone(), b.clone()]);
+        feed(2, 3, vec![a.clone()]);
+        // p1 passes `a`'s deadline; p2, in round 3, still holds it.
+        assert_eq!(feed(1, 4, vec![]), (2, 0));
+        // A frame of an earlier round unbinds nothing.
+        assert_eq!(feed(2, 3, vec![]), (2, 0));
+        // p2 passes it too: `a` is dropped, `b` (deadline 5) stays.
+        assert_eq!(feed(2, 4, vec![]), (1, 1));
+        // A round marker moves its sender's round as well.
+        let end = WireFrame::EndOfRound {
+            src: pid(1),
+            round: 6,
+        };
+        decode_with(&mut dec, &encoded(&end)).unwrap();
+        assert!(dec.kept.is_empty());
+        assert_eq!(dec.stats().rumors_evicted, 2);
+        assert!(dec.peers[1].charges.held.is_empty());
+        assert_eq!(dec.peers[1].charges.bytes, 0);
+    }
+
+    #[test]
+    fn an_encoder_forgets_what_it_told_once_the_deadline_passed() {
+        let a = rumor_until(N, 0, 0, &[2], 3);
+        let mut sender = Encoder::new(N);
+        let frame = |round| push_from(1, round, vec![a.clone()]);
+        told(&mut sender, &frame(3));
+        assert!(sender.told(LANE, a.id, pid(0)));
+        // In round 4 the rumor is no longer told, and a push of it would be
+        // a once definition.
+        let mut dec = Decoder::new(N);
         assert_eq!(
-            (dec.stats().rumors_decoded, dec.stats().rumors_reused),
-            (4, 0)
+            decode_with(&mut dec, &told(&mut sender, &frame(4))).unwrap(),
+            frame(4)
+        );
+        assert!(!sender.told(LANE, a.id, pid(0)));
+        assert!(sender.told.is_empty() && dec.kept.is_empty());
+        assert_eq!(sender.charges[0].bytes, 0);
+    }
+
+    #[test]
+    fn a_reference_to_a_rumor_the_peer_never_defined_is_refused() {
+        let a = rumor(0, 0, &[2]);
+        let mut sender = Encoder::new(N);
+        told(&mut sender, &push_from(1, 0, vec![a.clone()])); // never arrives
+        let reference = told(&mut sender, &push_from(1, 0, vec![a]));
+        assert_refused(Decoder::new(N).decode(&reference), 1);
+    }
+
+    #[test]
+    fn a_reference_to_a_rumor_only_another_peer_defined_is_refused() {
+        let a = rumor(0, 0, &[2]);
+        let mut dec = Decoder::new(N);
+        let mut p2 = Encoder::new(N);
+        let frame = push_from(2, 0, vec![a.clone()]);
+        decode_with(&mut dec, &told(&mut p2, &frame)).unwrap();
+        let mut p1 = Encoder::new(N);
+        told(&mut p1, &push_from(1, 0, vec![a.clone()])); // never arrives
+        assert_refused(dec.decode(&told(&mut p1, &push_from(1, 0, vec![a]))), 1);
+        // p2's own reference resolves.
+        assert_eq!(
+            decode_with(&mut dec, &told(&mut p2, &frame)).unwrap(),
+            frame
         );
     }
 
     #[test]
-    fn rumors_unseen_for_two_rounds_are_evicted() {
-        let (a, b) = (rumor(0, 0, &[2]), rumor(1, 0, &[3]));
+    fn a_rumor_past_its_deadline_is_refused_by_reference_and_kept_definition() {
+        let a = rumor(0, 0, &[2]); // deadline 9
+        let mut sender = Encoder::new(N);
         let mut dec = Decoder::new(N);
-        let mut feed = |round: u64, rumors: Vec<WireRumor>| {
-            let frame = push_from(2, round, rumors);
-            assert_eq!(dec.decode(&encoded(&frame)).unwrap().unwrap().0, frame);
-            (dec.rumors.len(), dec.stats())
+        decode_with(
+            &mut dec,
+            &told(&mut sender, &push_from(1, 9, vec![a.clone()])),
+        )
+        .unwrap();
+        // A reference in round 9, moved to round 10 (bytes 9..17 of a frame).
+        let mut late = told(&mut sender, &push_from(1, 9, vec![a.clone()]));
+        late[9..17].copy_from_slice(&10u64.to_le_bytes());
+        assert_refused(dec.decode(&late), 1);
+        // A kept definition in round 10 is refused too…
+        let frame = push_from(1, 10, vec![a]);
+        assert_refused(Decoder::new(N).decode(&encoded(&frame)), 1);
+        // …so an encoder sends it once, and the receiver keeps nothing.
+        let mut dec = Decoder::new(N);
+        assert_eq!(
+            decode_with(&mut dec, &told(&mut sender, &frame)).unwrap(),
+            frame
+        );
+        assert!(dec.kept.is_empty());
+    }
+
+    #[test]
+    fn a_second_definition_with_other_bytes_binds_to_its_sender_only() {
+        let (old, new) = (rumor(0, 0, &[2]), rumor(0, 0, &[6]));
+        let (mut p1, mut p2) = (Encoder::new(N), Encoder::new(N));
+        let mut dec = Decoder::new(N);
+        let mut feed = |enc: &mut Encoder, src: usize, r: &WireRumor| {
+            let frame = push_from(src, 0, vec![r.clone()]);
+            decode_with(&mut dec, &told(enc, &frame)).map(|got| assert_eq!(got, frame))
         };
-        feed(1, vec![a.clone(), b.clone()]);
-        // Round 2 meets only `b`; `a`, last met in round 1, stays.
-        assert_eq!(feed(2, vec![b.clone()]).0, 2);
-        // Round 3 drops `a` (unseen in rounds 2 and 3) and keeps `b`.
-        let (kept, stats) = feed(3, vec![]);
-        assert_eq!((kept, stats.rumors_evicted), (1, 1));
-        // A later frame of an earlier round evicts nothing.
-        assert_eq!(feed(2, vec![]).0, 1);
-        // `a` comes back: decoded again; `b` is still reused.
-        let (_, stats) = feed(3, vec![a.clone(), b.clone()]);
-        assert_eq!((stats.rumors_decoded, stats.rumors_reused), (3, 2));
-        // Two rounds later both are gone, whatever frame advanced the round.
-        let end = WireFrame::EndOfRound {
-            src: pid(2),
-            round: 5,
-        };
-        dec.decode(&encoded(&end)).unwrap().unwrap();
-        assert!(dec.rumors.is_empty());
-        assert_eq!(dec.stats().rumors_evicted, 3);
+        feed(&mut p1, 1, &old).unwrap();
+        feed(&mut p2, 2, &new).unwrap(); // the new bytes decode…
+        feed(&mut p2, 2, &new).unwrap(); // …and p2 may refer to them…
+        assert_refused(feed(&mut p1, 1, &old), 1); // …but p1 may not.
+        assert_eq!(dec.stats().rumors_decoded, 2);
+    }
+
+    #[test]
+    fn a_peer_cannot_make_a_node_keep_more_than_the_bound() {
+        // Two rumors, each a little over half the bound.
+        let half = MAX_KEPT_BYTES_PER_PEER / 2;
+        let (a, b) = (rumor_of_size(0, half, 9), rumor_of_size(1, half, 20));
+        let mut dec = Decoder::new(N);
+        decode_with(&mut dec, &encoded(&push_from(1, 0, vec![a.clone()]))).unwrap();
+        assert_refused(dec.decode(&encoded(&push_from(1, 0, vec![b.clone()]))), 1);
+        // Each peer has a bound of its own…
+        decode_with(&mut dec, &encoded(&push_from(2, 0, vec![b.clone()]))).unwrap();
+        // …and what a peer kept stops counting at the rumor's deadline.
+        decode_with(&mut dec, &encoded(&push_from(1, 10, vec![b.clone()]))).unwrap();
+
+        // An encoder sends what would cross the bound once, unkept, and
+        // defines it again in the next push.
+        let mut sender = Encoder::new(N);
+        let mut dec = Decoder::new(N);
+        let frame = push_from(1, 0, vec![a.clone(), b.clone()]);
+        for _ in 0..2 {
+            assert_eq!(
+                decode_with(&mut dec, &told(&mut sender, &frame)).unwrap(),
+                frame
+            );
+            assert!(sender.told(LANE, a.id, pid(0)) && !sender.told(LANE, b.id, pid(0)));
+            assert_eq!(dec.kept.len(), 1);
+        }
+        let stats = sender.stats();
+        assert_eq!((stats.rumors_defined, stats.rumors_referenced), (3, 1));
+    }
+
+    #[test]
+    fn a_bad_form_byte_is_refused() {
+        let frame = push_from(1, 0, vec![rumor(0, 0, &[2])]);
+        let bytes = encoded(&frame);
+        let at = 4 + 1 + 4 + 8 + 1 + (1 + 8 + 2) + 1 + 4;
+        assert_eq!(bytes[at], form::KEEP);
+        for f in 3..=u8::MAX {
+            let mut bad = bytes.clone();
+            bad[at] = f;
+            assert_refused(Decoder::new(N).decode(&bad), 1);
+        }
+        // A once definition decodes the same rumor and keeps nothing.
+        let mut once = bytes;
+        once[at] = form::ONCE;
+        let mut dec = Decoder::new(N);
+        assert_eq!(decode_with(&mut dec, &once).unwrap(), frame);
+        assert!(dec.kept.is_empty());
+    }
+
+    #[test]
+    fn a_frame_that_fails_to_encode_marks_nothing() {
+        let small = rumor(0, 0, &[2]);
+        let huge = rumor_of_size(1, MAX_FRAME_LEN, 9);
+        let mut sender = Encoder::new(N);
+        let mut sink = vec![7u8];
+        let err = sender
+            .encode_frame(
+                &mut sink,
+                &push_from(1, 0, vec![small.clone(), huge]),
+                pid(0),
+            )
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(sink, [7], "the buffer is left as it was");
+        assert!(!sender.told(LANE, small.id, pid(0)));
+        assert_eq!(sender.stats(), WireStats::default());
+        assert_eq!(sender.charges[0].bytes, 0);
+        // So the next push defines the rumor.
+        let frame = push_from(1, 0, vec![small]);
+        let bytes = told(&mut sender, &frame);
+        assert_eq!(decode_with(&mut Decoder::new(N), &bytes).unwrap(), frame);
+    }
+
+    #[test]
+    fn the_tables_hold_peers_past_64() {
+        let n = 130;
+        let a = rumor_until(n, 3, 0, &[], 9);
+        let mut dec = Decoder::new(n);
+        for src in [64, 100, 129] {
+            let mut sender = Encoder::new(n);
+            for round in [0, 1] {
+                let frame = push_from(src, round, vec![a.clone()]);
+                assert_eq!(
+                    decode_with(&mut dec, &told(&mut sender, &frame)).unwrap(),
+                    frame
+                );
+            }
+            assert_eq!(sender.stats().rumors_referenced, 1);
+            let mut buf = Vec::new();
+            sender
+                .encode_frame(&mut buf, &push_from(src, 1, vec![a.clone()]), pid(127))
+                .unwrap();
+            assert!(sender.told(LANE, a.id, pid(127)) && !sender.told(LANE, a.id, pid(63)));
+        }
+        let definers: Vec<_> = dec.kept[&(LANE, a.id)].definers.iter().collect();
+        assert_eq!(definers, [pid(64), pid(100), pid(129)]);
+        let mut stranger = Encoder::new(n);
+        told(&mut stranger, &push_from(65, 1, vec![a.clone()])); // never arrives
+        assert_refused(
+            dec.decode(&told(&mut stranger, &push_from(65, 1, vec![a]))),
+            65,
+        );
     }
 }

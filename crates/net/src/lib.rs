@@ -56,5 +56,5 @@ pub mod codec;
 mod poll;
 pub mod transport;
 
-pub use codec::{encode_frame, DecodeStats, Decoder, WireFrame};
+pub use codec::{encode_frame, Decoder, Encoder, WireFrame, WireStats};
 pub use transport::TcpTransport;

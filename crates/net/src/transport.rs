@@ -8,21 +8,23 @@
 //!   capped exponential backoff while the peers come up and only ever
 //!   written; one inbound connection per peer, accepted during construction
 //!   and only ever read.
-//! * **Sending**: each frame is encoded into one reusable scratch buffer and
-//!   written to its socket at once. Only the bytes the socket would not take
-//!   wait in that peer's pending buffer, which is freed once it drains.
+//! * **Sending**: the round's outbox is stable-sorted by destination, and
+//!   each peer's frames are encoded into one reusable scratch buffer and
+//!   written with one `write`. The node's one [`Encoder`] writes a gossip
+//!   rumor's bytes to a peer once and refers to them afterwards (see
+//!   [`codec`](crate::codec)). Only the bytes the socket would not take wait
+//!   in that peer's pending buffer, which is freed once it drains.
 //! * **Receiving**: each inbound connection reads into its own buffer, and
 //!   the complete frames in it are decoded in place after every read, by
-//!   the node's one [`Decoder`]: a gossip rumor this node has met in the
-//!   last two rounds, from any peer, is not parsed again. An inbound
-//!   connection speaks for the peer named by its first frame; a frame
-//!   naming another process, or a second connection claiming the same
-//!   peer, is `InvalidData`.
+//!   the node's one [`Decoder`], which resolves each peer's references to
+//!   the rumors that peer defined. An inbound connection speaks for the
+//!   peer named by its first frame; a frame naming another process, or a
+//!   second connection claiming the same peer, is `InvalidData`.
 //! * **Self-sends** loop back in memory and never touch a socket.
 //! * **Sender-side topology filtering**: frames whose `(src, dst)` link is
 //!   absent this round are dropped before the wire — exactly the envelopes
 //!   the simulator's delivery phase would drop, which keeps delivery sets
-//!   identical and saves the hop.
+//!   identical and saves the hop. A dropped frame tells its peer nothing.
 //!
 //! The barrier ([`recv_until_barrier`](RoundTransport::recv_until_barrier))
 //! is one `poll(2)` loop that reads every inbound connection and flushes
@@ -36,8 +38,8 @@
 //! protocol violation (per-peer streams are FIFO and the barrier was passed)
 //! and error out as `InvalidData`, and so do frames two or more rounds
 //! ahead: a peer cannot pass its round-`r + 1` barrier before this node has
-//! sent its round-`r + 1` marker. That bound also keeps the decoder's round,
-//! which times its evictions, within one round of this node's. A peer whose
+//! sent its round-`r + 1` marker. That bound is what lets both rumor tables
+//! drop a rumor once the round has passed its deadline. A peer whose
 //! connection closes before its marker is lost: the barrier returns an
 //! error naming it instead of hanging. Writing to a peer that has gone is an
 //! `EPIPE` error rather than a fatal signal because the Rust runtime
@@ -54,7 +56,7 @@ use congos_sim::topology::{Topology, TopologySpec};
 use congos_sim::transport::RoundTransport;
 use congos_sim::{Envelope, ProcessId, Round};
 
-use crate::codec::{encode_frame, DecodeStats, Decoder, WireFrame};
+use crate::codec::{encode_frame, Decoder, Encoder, WireFrame, WireStats};
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 
 /// How long to keep retrying an outbound dial while peers come up.
@@ -90,9 +92,9 @@ struct Peer {
 impl Peer {
     /// Writes `bytes` after whatever is pending, without blocking: what the
     /// socket does not take now waits in `pending`.
-    fn send(&mut self, bytes: &[u8]) -> io::Result<()> {
+    fn send(&mut self, bytes: &[u8], wire: &mut WireStats) -> io::Result<()> {
         let written = if self.pending.is_empty() {
-            write_some(&mut self.out, bytes)?
+            write_some(&mut self.out, bytes, wire)?
         } else {
             0
         };
@@ -102,8 +104,8 @@ impl Peer {
 
     /// Writes pending bytes until the socket would block, and frees the
     /// buffer once it has drained.
-    fn flush(&mut self) -> io::Result<()> {
-        self.sent += write_some(&mut self.out, &self.pending[self.sent..])?;
+    fn flush(&mut self, wire: &mut WireStats) -> io::Result<()> {
+        self.sent += write_some(&mut self.out, &self.pending[self.sent..], wire)?;
         if self.sent == self.pending.len() {
             self.pending = Vec::new();
             self.sent = 0;
@@ -112,13 +114,18 @@ impl Peer {
     }
 }
 
-/// Writes a prefix of `bytes` without blocking and returns its length.
-fn write_some(stream: &mut TcpStream, bytes: &[u8]) -> io::Result<usize> {
+/// Writes a prefix of `bytes` without blocking and returns its length,
+/// counting the calls and bytes in `wire`.
+fn write_some(stream: &mut TcpStream, bytes: &[u8], wire: &mut WireStats) -> io::Result<usize> {
     let mut written = 0;
     while written < bytes.len() {
+        wire.writes += 1;
         match stream.write(&bytes[written..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(k) => written += k,
+            Ok(k) => {
+                written += k;
+                wire.bytes_out += k as u64;
+            }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -151,9 +158,15 @@ pub struct TcpTransport {
     /// Indexed by peer id; `None` at `me` (and everywhere when `n == 1`).
     peers: Vec<Option<Peer>>,
     inbound: Vec<Inbound>,
-    /// Decodes every inbound frame, each distinct gossip rumor once.
+    /// Encodes every outbound frame: the told table.
+    encoder: Encoder,
+    /// Decodes every inbound frame: the kept table.
     decoder: Decoder,
-    /// Encode buffer shared by every frame this node sends.
+    /// The round's socket-bound messages, sorted by destination; empty
+    /// between rounds.
+    outbox: Vec<(ProcessId, CongosMsg)>,
+    /// Encode buffer shared by every frame this node sends: one peer's
+    /// frames of a round, or one marker.
     scratch: Vec<u8>,
     /// `poll` set: one entry per inbound connection, then one per peer id.
     pollfds: Vec<PollFd>,
@@ -163,6 +176,8 @@ pub struct TcpTransport {
     carried: VecDeque<WireFrame>,
     messages: u64,
     topology_drops: u64,
+    /// The socket counters; the encoder and decoder keep the rest.
+    wire: WireStats,
 }
 
 fn connect_with_backoff(addr: (&str, u16), deadline: Duration) -> io::Result<TcpStream> {
@@ -235,13 +250,16 @@ impl TcpTransport {
             barrier_timeout: BARRIER_TIMEOUT,
             peers: (0..n).map(|_| None).collect(),
             inbound: Vec::new(),
+            encoder: Encoder::new(n),
             decoder: Decoder::new(n),
+            outbox: Vec::new(),
             scratch: Vec::new(),
             pollfds: Vec::new(),
             self_inbox: Vec::new(),
             carried: VecDeque::new(),
             messages: 0,
             topology_drops: 0,
+            wire: WireStats::default(),
         };
         if n == 1 {
             return Ok(transport); // no sockets at all
@@ -348,18 +366,22 @@ impl TcpTransport {
         self.topology_drops
     }
 
-    /// What this node's decoder did with the gossip rumors it received.
-    pub fn decode_stats(&self) -> DecodeStats {
-        self.decoder.stats()
+    /// What this node did on the wire: bytes and `write` calls, and the
+    /// gossip rumors it defined, referred to, decoded and evicted.
+    pub fn wire_stats(&self) -> WireStats {
+        let mut stats = self.wire;
+        stats += self.encoder.stats();
+        stats += self.decoder.stats();
+        stats
     }
 
-    /// Sends the frame in `scratch` to peer `dst`.
-    fn send_scratch(&mut self, dst: usize) -> io::Result<()> {
-        let peer = self.peers[dst]
+    /// Sends the frames in `scratch` to peer `dst`.
+    fn send_scratch(&mut self, dst: ProcessId) -> io::Result<()> {
+        let peer = self.peers[dst.as_usize()]
             .as_mut()
             .expect("a connection to every peer");
-        peer.send(&self.scratch)
-            .map_err(|e| write_error(self.me, dst, e))
+        peer.send(&self.scratch, &mut self.wire)
+            .map_err(|e| write_error(self.me, dst.as_usize(), e))
     }
 
     /// Reads inbound connection `i` until it would block, decoding each
@@ -541,6 +563,7 @@ impl RoundTransport<CongosMsg> for TcpTransport {
     ) -> io::Result<()> {
         debug_assert_eq!(src, self.me, "a TcpTransport serves exactly one node");
         let r = round.as_u64();
+        let mut outbox = std::mem::take(&mut self.outbox);
         for (dst, tag, payload) in out.drain() {
             if dst == self.me {
                 self.self_inbox.push(Envelope {
@@ -559,16 +582,37 @@ impl RoundTransport<CongosMsg> for TcpTransport {
                 self.topology_drops += 1;
                 continue;
             }
+            outbox.push((dst, payload));
+        }
+        // Stable: each peer's messages keep their send order.
+        outbox.sort_by_key(|&(dst, _)| dst);
+        self.scratch.clear();
+        let mut batch = None;
+        for (dst, payload) in outbox.drain(..) {
+            match batch {
+                Some(b) if b != dst => {
+                    self.send_scratch(b)?;
+                    self.scratch.clear();
+                }
+                _ => {}
+            }
+            batch = Some(dst);
             let frame = WireFrame::Msg {
                 src: self.me,
                 round: r,
                 payload,
             };
-            self.scratch.clear();
-            encode_frame(&mut self.scratch, &frame)?;
-            self.send_scratch(dst.as_usize())?;
+            if let Err(e) = self.encoder.encode_frame(&mut self.scratch, &frame, dst) {
+                // The frames already in the batch were told: they go out.
+                self.send_scratch(dst)?;
+                return Err(e);
+            }
             self.messages += 1;
         }
+        if let Some(b) = batch {
+            self.send_scratch(b)?;
+        }
+        self.outbox = outbox;
         Ok(())
     }
 
@@ -580,8 +624,8 @@ impl RoundTransport<CongosMsg> for TcpTransport {
         };
         self.scratch.clear();
         encode_frame(&mut self.scratch, &marker)?;
-        for dst in 0..self.n {
-            if dst != self.me.as_usize() {
+        for dst in (0..self.n).map(ProcessId::new) {
+            if dst != self.me {
                 self.send_scratch(dst)?;
             }
         }
@@ -663,7 +707,8 @@ impl RoundTransport<CongosMsg> for TcpTransport {
             for j in 0..self.n {
                 if self.pollfds[k + j].ready() {
                     let peer = self.peers[j].as_mut().expect("polled peers exist");
-                    peer.flush().map_err(|e| write_error(self.me, j, e))?;
+                    peer.flush(&mut self.wire)
+                        .map_err(|e| write_error(self.me, j, e))?;
                 }
             }
         }
@@ -673,9 +718,18 @@ impl RoundTransport<CongosMsg> for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos::{CongosInput, CongosNode, CongosRumorId, Rumor, TAG_PROXY, TAG_SHOOT};
+    use std::sync::Arc;
+
+    use congos::messages::GossipLane;
+    use congos::{
+        CongosInput, CongosNode, CongosRumorId, Fragment, GossipPayload, Rumor, TAG_PROXY,
+        TAG_SHOOT,
+    };
+    use congos_gossip::{GossipRumor, GossipWire, RumorId};
     use congos_sim::transport::NodeDriver;
     use congos_sim::{IdSet, NullObserver};
+
+    use crate::codec::MAX_FRAME_LEN;
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -983,5 +1037,177 @@ mod tests {
         let inbox = node.join().expect("node thread").expect("barrier");
         let got: Vec<_> = inbox.iter().map(|e| (e.src, e.tag, &e.payload)).collect();
         assert_eq!(got, [(pid(1), TAG_PROXY, &ack), (pid(1), TAG_SHOOT, &shot)]);
+    }
+
+    /// The lane of every test push.
+    const LANE: GossipLane = GossipLane::All { dline: 64 };
+
+    /// A gossip rumor of a two-node cluster with one `len`-byte fragment,
+    /// live until round 1000.
+    fn gossip_rumor(seq: u32, len: usize) -> GossipRumor<Arc<GossipPayload>> {
+        let rid = CongosRumorId {
+            source: pid(0),
+            birth: Round(0),
+            seq,
+        };
+        GossipRumor {
+            id: RumorId {
+                origin: pid(0),
+                birth: Round(0),
+                seq,
+            },
+            payload: Arc::new(GossipPayload::Fragments(vec![Fragment {
+                rid,
+                wid: seq as u64,
+                partition: 0,
+                group: 0,
+                k: 1,
+                bytes: vec![seq as u8; len].into(),
+                dest: IdSet::from_iter(2, [pid(1)]).into(),
+                dline: 64,
+            }])),
+            duration: 1000,
+            deadline: Round(1000),
+            dest: Arc::new(IdSet::from_iter(2, [pid(1)])),
+            best_effort: false,
+        }
+    }
+
+    fn push_of(rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> CongosMsg {
+        CongosMsg::Gossip {
+            lane: LANE,
+            wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+        }
+    }
+
+    /// Runs `send` on node 0 of a two-node cluster at `base`, whose peer is a
+    /// raw socket. Returns the transport and every byte it wrote to the
+    /// peer.
+    fn node_0_writes(
+        base: u16,
+        topology: TopologySpec,
+        seed: u64,
+        send: impl FnOnce(&mut TcpTransport) + Send + 'static,
+    ) -> (TcpTransport, Vec<u8>) {
+        let node = std::thread::spawn(move || {
+            let listener = TcpListener::bind(("127.0.0.1", base)).expect("bind");
+            let mut t =
+                TcpTransport::build(pid(0), 2, base, listener, topology, seed, CONNECT_DEADLINE)
+                    .expect("node 0 transport");
+            send(&mut t);
+            t
+        });
+        let (listeners, _fakes) = raw_peers(2, base);
+        let mut t = node.join().expect("node thread");
+        // Closing the connection ends the peer's stream.
+        let out = t.peers[1].take().expect("a peer").out;
+        drop(out);
+        let (mut from_node, _) = listeners[0].accept().expect("node 0 dialed p1");
+        let mut bytes = Vec::new();
+        from_node.read_to_end(&mut bytes).expect("read");
+        (t, bytes)
+    }
+
+    /// Decodes every frame of `bytes` with one fresh decoder.
+    fn frames_in(bytes: &[u8]) -> Vec<WireFrame> {
+        let mut dec = Decoder::new(2);
+        let mut rest = bytes;
+        let mut frames = Vec::new();
+        while let Some((frame, used)) = dec.decode(rest).expect("decodes") {
+            frames.push(frame);
+            rest = &rest[used..];
+        }
+        assert!(rest.is_empty());
+        frames
+    }
+
+    /// A frame the topology drops tells its peer nothing: the first push
+    /// over the restored link defines the rumor, and only the next one
+    /// refers to it.
+    #[test]
+    fn a_frame_the_topology_drops_tells_the_peer_nothing() {
+        let (spec, seed) = (TopologySpec::churn(0.5), 3);
+        let topology = Topology::build(spec, 2, seed);
+        let up = |r: u64| topology.connected(Round(r), pid(0), pid(1));
+        let down = (0..).find(|&r| !up(r)).expect("a round without the link");
+        let rounds: Vec<u64> = std::iter::once(down)
+            .chain((down + 1..).filter(|&r| up(r)).take(2))
+            .collect();
+        let rumor = gossip_rumor(0, 8);
+        let id = rumor.id;
+        let (t, bytes) = node_0_writes(21360, spec, seed, move |t| {
+            for r in rounds {
+                let mut out = SendColumns::default();
+                let msg = push_of(vec![rumor.clone()]);
+                out.push(pid(1), msg.tag(), msg);
+                t.send_outbox(Round(r), pid(0), &mut out).expect("send");
+                assert_eq!(t.encoder.told(LANE, id, pid(1)), r != down, "round {r}");
+            }
+        });
+        assert_eq!(t.topology_drops(), 1);
+        let stats = t.wire_stats();
+        assert_eq!((stats.rumors_defined, stats.rumors_referenced), (1, 1));
+        // A fresh decoder resolves the reference only after the definition.
+        let frames = frames_in(&bytes);
+        assert_eq!(frames.len(), 2);
+        for frame in frames {
+            assert!(
+                matches!(frame, WireFrame::Msg { payload, .. } if payload == push_of(vec![gossip_rumor(0, 8)]))
+            );
+        }
+    }
+
+    /// A frame that cannot be encoded fails the send and tells its rumors
+    /// to nobody; the frames before it in the peer's batch still go out.
+    #[test]
+    fn an_encode_error_leaves_no_told_mark() {
+        let (small, other) = (gossip_rumor(0, 8), gossip_rumor(1, 8));
+        let (first, second) = (small.id, other.id);
+        let (t, bytes) = node_0_writes(21380, TopologySpec::Complete, 0, move |t| {
+            let mut out = SendColumns::default();
+            for rumors in [vec![small], vec![other, gossip_rumor(2, MAX_FRAME_LEN)]] {
+                let msg = push_of(rumors);
+                out.push(pid(1), msg.tag(), msg);
+            }
+            let err = t.send_outbox(Round(0), pid(0), &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(t.encoder.told(LANE, first, pid(1)));
+            assert!(!t.encoder.told(LANE, second, pid(1)));
+        });
+        assert_eq!(t.messages(), 1);
+        let frames = frames_in(&bytes);
+        assert_eq!(frames.len(), 1);
+        assert!(
+            matches!(&frames[0], WireFrame::Msg { payload, .. } if *payload == push_of(vec![gossip_rumor(0, 8)]))
+        );
+    }
+
+    /// A round's frames to one peer go out in send order with one `write`,
+    /// and its marker with one more.
+    #[test]
+    fn a_peers_frames_of_a_round_take_one_write() {
+        let shots: Vec<_> = (0..5).map(|i| shoot(vec![i; 4], pid(1), 2)).collect();
+        let sent = shots.clone();
+        let (t, bytes) = node_0_writes(21400, TopologySpec::Complete, 0, move |t| {
+            let mut out = SendColumns::default();
+            for (i, msg) in sent.into_iter().enumerate() {
+                out.push(pid((i + 1) % 2), msg.tag(), msg); // 1, 0, 1, 0, 1
+            }
+            t.send_outbox(Round(0), pid(0), &mut out).expect("send");
+            assert_eq!(t.wire_stats().writes, 1);
+            t.end_of_round(Round(0), pid(0)).expect("marker");
+        });
+        let stats = t.wire_stats();
+        assert_eq!(stats.writes, 2);
+        assert_eq!(stats.bytes_out, bytes.len() as u64);
+        let got: Vec<_> = frames_in(&bytes)
+            .into_iter()
+            .filter_map(|f| match f {
+                WireFrame::Msg { payload, .. } => Some(payload),
+                WireFrame::EndOfRound { .. } => None,
+            })
+            .collect();
+        assert_eq!(got, [&shots[0], &shots[2], &shots[4]].map(Clone::clone));
+        assert_eq!(t.self_inbox.len(), 2);
     }
 }

@@ -7,11 +7,13 @@
 //! randomized corruption of a corpus of valid encodings covering every
 //! `CongosMsg` variant.
 //!
-//! A node decodes with one long-lived decoder that reuses the gossip
-//! rumors it has already decoded, so the corruption properties run through
-//! one such decoder per test thread: corrupt input meets a warm cache, and
+//! A node decodes with one long-lived decoder whose kept table holds the
+//! gossip rumors its peers defined, so the corruption properties run
+//! through one such decoder per test thread, warmed with definitions and
+//! references from several peers: corrupt input meets warm tables, and
 //! after every case the decoder must still decode the corpus exactly as a
-//! fresh decoder does.
+//! fresh decoder does. A last property checks that streams written by
+//! per-peer `Encoder`s, references included, decode to what was sent.
 
 use std::cell::RefCell;
 use std::io;
@@ -20,7 +22,7 @@ use std::sync::Arc;
 use congos::messages::GossipLane;
 use congos::{CongosMsg, CongosRumorId, Fragment, GossipPayload, Rumor};
 use congos_gossip::{GossipRumor, GossipWire, RumorId};
-use congos_net::{encode_frame, Decoder, WireFrame};
+use congos_net::{encode_frame, Decoder, Encoder, WireFrame};
 use congos_sim::{IdSet, ProcessId, Round};
 use proptest::prelude::*;
 
@@ -153,7 +155,26 @@ type Decoded = io::Result<Option<(WireFrame, usize)>>;
 
 thread_local! {
     /// One decoder per test thread, kept across every case of a property.
-    static WARM: RefCell<Decoder> = RefCell::new(Decoder::new(N));
+    static WARM: RefCell<Decoder> = RefCell::new(warmed());
+}
+
+/// A decoder whose kept table holds the rumor pool (twin aside) from every
+/// peer, each defined in round 5 and referred to in round 6.
+fn warmed() -> Decoder {
+    let pool = rumor_pool();
+    let mut dec = Decoder::new(N);
+    for src in 1..N {
+        let mut enc = Encoder::new(N);
+        for round in [5, 6] {
+            let frame = push_frame(src, round, pool[..5].to_vec());
+            let (got, _) = dec
+                .decode(&told(&mut enc, &frame))
+                .expect("decodes")
+                .expect("a whole frame");
+            assert_eq!(got, frame);
+        }
+    }
+    dec
 }
 
 /// Decodes `buf` with this thread's long-lived decoder, then checks that the
@@ -170,18 +191,30 @@ fn decode_warm(buf: &[u8]) -> Decoded {
     })
 }
 
-/// Encodes a push of `rumors` from `src` in `round`.
-fn push_bytes(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> Vec<u8> {
-    let frame = WireFrame::Msg {
+/// A push of `rumors` from `src` in `round`.
+fn push_frame(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> WireFrame {
+    WireFrame::Msg {
         src: ProcessId::new(src),
         round,
         payload: CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
             wire: Box::new(GossipWire::Push(Arc::new(rumors))),
         },
-    };
+    }
+}
+
+/// Encodes `frame` with every gossip rumor as a kept definition.
+fn encoded(frame: &WireFrame) -> Vec<u8> {
     let mut buf = Vec::new();
-    encode_frame(&mut buf, &frame).expect("encodes");
+    encode_frame(&mut buf, frame).expect("encodes");
+    buf
+}
+
+/// Encodes `frame` with its sender's `enc`, for node 0.
+fn told(enc: &mut Encoder, frame: &WireFrame) -> Vec<u8> {
+    let mut buf = Vec::new();
+    enc.encode_frame(&mut buf, frame, ProcessId::new(0))
+        .expect("encodes");
     buf
 }
 
@@ -300,7 +333,7 @@ proptest! {
     /// A stream of pushes drawn from a small rumor pool — repeats within
     /// and across frames, the same rumor from several senders, one id with
     /// two contents — decodes through one warm decoder exactly as through
-    /// a fresh decoder per frame, while the rounds advance and evict.
+    /// a fresh decoder per frame, while the rounds advance.
     #[test]
     fn warm_stream_matches_fresh_decoders(
         frames in prop::collection::vec(
@@ -314,12 +347,47 @@ proptest! {
         for (src, step, picks) in frames {
             round += step;
             rumors += picks.len() as u64;
-            let bytes = push_bytes(src, round, picks.iter().map(|&i| pool[i].clone()).collect());
+            let bytes = encoded(&push_frame(src, round, picks.iter().map(|&i| pool[i].clone()).collect()));
             let fresh = Decoder::new(N).decode(&bytes).expect("decodes");
             prop_assert_eq!(warm.decode(&bytes).expect("decodes"), fresh);
         }
-        let stats = warm.stats();
-        prop_assert_eq!(stats.rumors_decoded + stats.rumors_reused, rumors);
+        prop_assert!(warm.stats().rumors_decoded <= rumors);
+    }
+
+    /// Pushes from several peers, each written by the peer's own `Encoder`
+    /// — references, definitions kept and once, rumors whose deadlines pass
+    /// — decode through one decoder to exactly the frames that were sent.
+    #[test]
+    fn encoded_streams_decode_to_what_was_sent(
+        frames in prop::collection::vec(
+            (1usize..N, 0u64..3, prop::collection::vec(0usize..5, 0..5)),
+            1..32,
+        ),
+    ) {
+        let pool: Vec<_> = rumor_pool()
+            .into_iter()
+            .take(5)
+            .zip(0..)
+            .map(|(mut r, i)| {
+                r.deadline = Round(3 + 4 * i);
+                r
+            })
+            .collect();
+        let mut senders: Vec<Encoder> = (0..N).map(|_| Encoder::new(N)).collect();
+        let mut dec = Decoder::new(N);
+        let (mut round, mut rumors) = (0, 0);
+        for (src, step, picks) in frames {
+            round += step;
+            rumors += picks.len() as u64;
+            let frame = push_frame(src, round, picks.iter().map(|&i| pool[i].clone()).collect());
+            let bytes = told(&mut senders[src], &frame);
+            prop_assert_eq!(dec.decode(&bytes).expect("decodes"), Some((frame, bytes.len())));
+        }
+        let sent = senders.iter().fold(0, |sum, enc| {
+            let stats = enc.stats();
+            sum + stats.rumors_defined + stats.rumors_referenced
+        });
+        prop_assert_eq!(sent, rumors);
     }
 }
 

@@ -17,7 +17,8 @@
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
 #                            #        loopback differential suite, the
 #                            #        congos-net package tests (codec
-#                            #        corruption proptests, transport tests),
+#                            #        corruption proptests, rumor-table and
+#                            #        transport tests; debug and release),
 #                            #        the congos-node multi-process tests
 #                            #        and, from the congos-harness lib, the
 #                            #        `Cluster` unit tests and the TCP
@@ -70,8 +71,9 @@ run_mem() {
 run_net() {
     echo "==> net: TCP-vs-simulator loopback differential suite"
     cargo test -q --test net_differential
-    echo "==> net: congos-net package tests (codec proptests, transport)"
+    echo "==> net: congos-net package tests (codec proptests, rumor tables, transport), debug and release"
     cargo test -q -p congos-net
+    cargo test -q --release -p congos-net
     echo "==> net: congos-node multi-process tests"
     cargo test -q -p congos-harness --test multiprocess
     echo "==> net: Cluster unit tests and the TCP coalition-tap test"

@@ -10,9 +10,9 @@
 //! *traces* — every `(wid, destination, round)` triple — must be
 //! bit-identical, not merely the delivery sets.
 //!
-//! The harness's `--backend net` path is exercised end to end here: the
-//! oblivious workload is materialized into a static schedule, the cluster
-//! runs over loopback sockets, and QoD is recomputed from topology
+//! The harness's TCP route, `RunSpec::net`, is exercised end to end here:
+//! the oblivious workload is materialized into a static schedule, the
+//! cluster runs over loopback sockets, and QoD is recomputed from topology
 //! reachability. Each test case gets its own disjoint port range so the
 //! suite can run in parallel.
 
