@@ -4,7 +4,7 @@ use congos_sim::{
     Adversary, CrashSpec, IncomingPolicy, ProcessId, Protocol, RoundDecision, RoundView,
 };
 
-use crate::workload::RumorSpec;
+use crate::workload::{InjectionLogEntry, RumorSpec};
 
 /// Decides crashes and restarts each round, after seeing the round's
 /// outboxes (so implementations may be fully adaptive).
@@ -25,7 +25,9 @@ pub trait InjectionPlan {
 }
 
 /// The composite CRRI adversary: a failure plan plus an injection plan plus
-/// a conversion from [`RumorSpec`] into the protocol's input type.
+/// a conversion from [`RumorSpec`] into the protocol's input type. It keeps
+/// the one record of the injections its plan emitted, against which
+/// Quality of Delivery is judged.
 ///
 /// ```
 /// use congos_adversary::{CrriAdversary, NoFailures, NoInjections};
@@ -36,12 +38,17 @@ pub trait InjectionPlan {
 pub struct CrriAdversary<F, W> {
     failures: F,
     workload: W,
+    injections: Vec<InjectionLogEntry>,
 }
 
 impl<F: FailurePlan, W: InjectionPlan> CrriAdversary<F, W> {
     /// Combines a failure plan and an injection plan.
     pub fn new(failures: F, workload: W) -> Self {
-        CrriAdversary { failures, workload }
+        CrriAdversary {
+            failures,
+            workload,
+            injections: Vec::new(),
+        }
     }
 
     /// Access to the failure plan (e.g. to read attack statistics).
@@ -49,9 +56,12 @@ impl<F: FailurePlan, W: InjectionPlan> CrriAdversary<F, W> {
         &self.failures
     }
 
-    /// Access to the injection plan (e.g. to read the injected-rumor log).
-    pub fn workload(&self) -> &W {
-        &self.workload
+    /// Every injection the plan emitted so far, in emission order. An
+    /// injection at a process crashed in the same round is listed, though
+    /// the engine never makes it: its source is not continuously alive, so
+    /// QoD exempts it.
+    pub fn injections(&self) -> &[InjectionLogEntry] {
+        &self.injections
     }
 }
 
@@ -64,13 +74,18 @@ where
 {
     fn decide(&mut self, view: &RoundView<'_>) -> RoundDecision<P::Input> {
         let (crashes, restarts) = self.failures.decide_failures(view);
+        let emitted = self.workload.decide_injections(view);
+        self.injections
+            .extend(emitted.iter().map(|(source, spec)| InjectionLogEntry {
+                round: view.round,
+                source: *source,
+                spec: spec.clone(),
+            }));
         // Injections may only target alive processes; the plan sees the
         // pre-crash liveness, so drop targets crashed this very round.
         let crashed_now: Vec<ProcessId> = crashes.iter().map(|c| c.process).collect();
         let restarted_now: Vec<ProcessId> = restarts.iter().map(|(p, _)| *p).collect();
-        let injections = self
-            .workload
-            .decide_injections(view)
+        let injections = emitted
             .into_iter()
             .filter(|(p, _)| {
                 let alive = view.alive[p.as_usize()];
@@ -89,7 +104,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failures::NoFailures;
+    use crate::failures::{NoFailures, ScheduledChurn};
     use crate::workload::{NoInjections, OneShot, RumorSpec};
     use congos_sim::{Context, Engine, EngineConfig, Inbox, Round};
 
@@ -127,6 +142,41 @@ mod tests {
         assert_eq!(e.outputs().len(), 1);
         assert_eq!(e.outputs()[0].round, Round(2));
         assert_eq!(e.outputs()[0].value, 42);
+        assert_eq!(adv.injections().len(), 1);
+        assert_eq!(adv.injections()[0].round, Round(2));
+    }
+
+    #[test]
+    fn an_injection_at_a_process_crashed_that_round_is_logged_not_made() {
+        let spec = |id| RumorSpec::new(id, vec![id as u8], 8, vec![ProcessId::new(3)]);
+        let mut adv = CrriAdversary::new(
+            ScheduledChurn::new().crash_at(Round(1), ProcessId::new(1)),
+            OneShot::new(
+                Round(1),
+                vec![(ProcessId::new(0), spec(7)), (ProcessId::new(1), spec(8))],
+            ),
+        );
+        let mut e = Engine::<Sink>::new(EngineConfig::new(4));
+        e.run(3, &mut adv);
+        let logged: Vec<_> = adv
+            .injections()
+            .iter()
+            .map(|i| (i.round, i.source, i.spec.id))
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                (Round(1), ProcessId::new(0), 7),
+                (Round(1), ProcessId::new(1), 8)
+            ],
+            "the log holds what the plan emitted, crashed source included"
+        );
+        let made: Vec<_> = e.outputs().iter().map(|o| (o.process, o.value)).collect();
+        assert_eq!(
+            made,
+            [(ProcessId::new(0), 7)],
+            "the crashed source injects nothing"
+        );
     }
 
     #[test]
@@ -135,6 +185,7 @@ mod tests {
         let mut e = Engine::<Sink>::new(EngineConfig::new(4));
         e.run(4, &mut adv);
         assert!(e.outputs().is_empty());
+        assert!(adv.injections().is_empty());
         assert_eq!(e.liveness().crash_count(), 0);
     }
 }

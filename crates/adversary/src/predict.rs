@@ -63,10 +63,3 @@ pub struct EstimatorCtx<'a> {
     /// Rumor-bearing service tags (empty = consider every tag).
     pub tags: &'a [&'static str],
 }
-
-impl EstimatorCtx<'_> {
-    /// `true` if `tag` passes the rumor-bearing filter.
-    pub fn tag_matches(&self, tag: &str) -> bool {
-        self.tags.is_empty() || self.tags.contains(&tag)
-    }
-}

@@ -37,7 +37,8 @@ impl RumorSpec {
     }
 }
 
-/// Record of an injection a workload has emitted (for later QoD accounting).
+/// Record of an injection a workload has emitted, kept by
+/// [`CrriAdversary`](crate::CrriAdversary) for later QoD accounting.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct InjectionLogEntry {
     /// Round of injection.
@@ -63,22 +64,12 @@ impl InjectionPlan for NoInjections {
 pub struct OneShot {
     round: Round,
     batch: Vec<(ProcessId, RumorSpec)>,
-    log: Vec<InjectionLogEntry>,
 }
 
 impl OneShot {
     /// Injects `batch` at `round`.
     pub fn new(round: Round, batch: Vec<(ProcessId, RumorSpec)>) -> Self {
-        OneShot {
-            round,
-            batch,
-            log: Vec::new(),
-        }
-    }
-
-    /// Injections emitted so far.
-    pub fn log(&self) -> &[InjectionLogEntry] {
-        &self.log
+        OneShot { round, batch }
     }
 }
 
@@ -87,15 +78,7 @@ impl InjectionPlan for OneShot {
         if view.round != self.round {
             return Vec::new();
         }
-        let batch = std::mem::take(&mut self.batch);
-        for (p, spec) in &batch {
-            self.log.push(InjectionLogEntry {
-                round: view.round,
-                source: *p,
-                spec: spec.clone(),
-            });
-        }
-        batch
+        std::mem::take(&mut self.batch)
     }
 }
 
@@ -113,7 +96,6 @@ pub struct PoissonWorkload {
     rng: SmallRng,
     next_id: u64,
     until: Option<Round>,
-    log: Vec<InjectionLogEntry>,
 }
 
 impl PoissonWorkload {
@@ -135,7 +117,6 @@ impl PoissonWorkload {
             rng: SmallRng::seed_from_u64(seed ^ 0x7a11_ab1e),
             next_id: 0,
             until: None,
-            log: Vec::new(),
         }
     }
 
@@ -150,11 +131,6 @@ impl PoissonWorkload {
     pub fn until(mut self, round: Round) -> Self {
         self.until = Some(round);
         self
-    }
-
-    /// Injections emitted so far.
-    pub fn log(&self) -> &[InjectionLogEntry] {
-        &self.log
     }
 }
 
@@ -173,11 +149,6 @@ impl InjectionPlan for PoissonWorkload {
                 let data = (0..self.data_len).map(|_| self.rng.gen()).collect();
                 let spec = RumorSpec::new(self.next_id, data, self.deadline, dest);
                 self.next_id += 1;
-                self.log.push(InjectionLogEntry {
-                    round: view.round,
-                    source: p,
-                    spec: spec.clone(),
-                });
                 out.push((p, spec));
             }
         }
@@ -194,7 +165,6 @@ pub struct Theorem1Workload {
     deadline: u64,
     data_len: usize,
     rng: SmallRng,
-    log: Vec<InjectionLogEntry>,
 }
 
 impl Theorem1Workload {
@@ -208,18 +178,12 @@ impl Theorem1Workload {
             deadline,
             data_len: 16,
             rng: SmallRng::seed_from_u64(seed ^ 0x1e0_4e44),
-            log: Vec::new(),
         }
     }
 
     /// The expected destination-set size parameter `x = n^{1/2 − 2/c}`.
     pub fn x(&self, n: usize) -> f64 {
         (n as f64).powf(0.5 - 2.0 / self.c)
-    }
-
-    /// Injections emitted so far.
-    pub fn log(&self) -> &[InjectionLogEntry] {
-        &self.log
     }
 }
 
@@ -242,12 +206,7 @@ impl InjectionPlan for Theorem1Workload {
             }
             let data = (0..self.data_len).map(|_| self.rng.gen()).collect();
             let spec = RumorSpec::new(i as u64, data, self.deadline, dest);
-            self.log.push(InjectionLogEntry {
-                round: view.round,
-                source: p,
-                spec: spec.clone(),
-            });
-            out.push((p, spec.clone()));
+            out.push((p, spec));
         }
         out
     }
@@ -264,7 +223,6 @@ pub struct StableGroupWorkload {
     rng: SmallRng,
     next_id: u64,
     until: Option<Round>,
-    log: Vec<InjectionLogEntry>,
 }
 
 impl StableGroupWorkload {
@@ -288,7 +246,6 @@ impl StableGroupWorkload {
             rng: SmallRng::seed_from_u64(seed ^ 0x57ab_1e67),
             next_id: 0,
             until: None,
-            log: Vec::new(),
         }
     }
 
@@ -296,11 +253,6 @@ impl StableGroupWorkload {
     pub fn until(mut self, round: Round) -> Self {
         self.until = Some(round);
         self
-    }
-
-    /// Injections emitted so far.
-    pub fn log(&self) -> &[InjectionLogEntry] {
-        &self.log
     }
 }
 
@@ -323,11 +275,6 @@ impl InjectionPlan for StableGroupWorkload {
                     self.groups[g].clone(),
                 );
                 self.next_id += 1;
-                self.log.push(InjectionLogEntry {
-                    round: view.round,
-                    source: p,
-                    spec: spec.clone(),
-                });
                 out.push((p, spec));
             }
         }
@@ -394,7 +341,6 @@ mod tests {
         assert!(w.decide_injections(&view(0, &alive)).is_empty());
         assert_eq!(w.decide_injections(&view(1, &alive)).len(), 1);
         assert!(w.decide_injections(&view(1, &alive)).is_empty());
-        assert_eq!(w.log().len(), 1);
     }
 
     #[test]

@@ -79,7 +79,7 @@ fn coalitions_of_tau_curious_processes_learn_nothing() {
         audit.report().fragment_receipts
     );
     // QoD under the failure-free run: everything delivered on time.
-    for entry in adv.workload().log() {
+    for entry in adv.injections() {
         let end = entry.round + entry.spec.deadline;
         for d in &entry.spec.dest {
             assert!(
@@ -107,7 +107,7 @@ fn collusion_pipeline_survives_churn() {
     audit.assert_clean();
 
     let mut admissible = 0;
-    for entry in adv.workload().log() {
+    for entry in adv.injections() {
         let t = entry.round;
         let end = t + entry.spec.deadline;
         if !e.liveness().continuously_alive(entry.source, t, end) {

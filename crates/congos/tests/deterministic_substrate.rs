@@ -78,7 +78,7 @@ fn continuous_workload_over_expander_meets_qod() {
     let mut adv = CrriAdversary::new(NoFailures, workload);
     let mut e = engine(n, 63);
     e.run(rounds, &mut adv);
-    for entry in adv.workload().log() {
+    for entry in adv.injections() {
         let end = entry.round + entry.spec.deadline;
         for d in &entry.spec.dest {
             assert!(

@@ -142,7 +142,7 @@ fn restart_storm_keeps_audit_clean_and_admissible_delivery() {
     assert!(e.liveness().crash_count() >= 10);
 
     let mut admissible = 0;
-    for entry in adv.workload().log() {
+    for entry in adv.injections() {
         let t = entry.round;
         let end = t + entry.spec.deadline;
         if !e.liveness().continuously_alive(entry.source, t, end) {

@@ -67,7 +67,7 @@ fn continuous_workload_is_confidential_and_timely() {
     e.run_observed(rounds, &mut adv, &mut audit);
     audit.assert_clean();
 
-    let log = adv.workload().log().to_vec();
+    let log = adv.injections().to_vec();
     assert!(log.len() > 20, "workload too thin: {}", log.len());
     for entry in &log {
         let end = entry.round + entry.spec.deadline;
@@ -94,7 +94,7 @@ fn qod_holds_under_random_churn() {
     e.run_observed(rounds, &mut adv, &mut audit);
     audit.assert_clean();
 
-    let log = adv.workload().log().to_vec();
+    let log = adv.injections().to_vec();
     let mut admissible = 0;
     for entry in &log {
         let t = entry.round;

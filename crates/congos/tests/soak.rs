@@ -69,7 +69,7 @@ fn thousand_round_soak() {
             .or_insert(o.round);
     }
     let (mut admissible, mut on_time) = (0u64, 0u64);
-    for entry in adv.workload().log() {
+    for entry in adv.injections() {
         let t = entry.round;
         let end = t + entry.spec.deadline;
         if !e.liveness().continuously_alive(entry.source, t, end) {

@@ -200,7 +200,7 @@ mod tests {
 
         // Check QoD: every admissible (source continuously alive, dest
         // continuously alive) injection is delivered by its deadline.
-        let log: Vec<_> = adv.workload().log().to_vec();
+        let log: Vec<_> = adv.injections().to_vec();
         let mut checked = 0;
         for entry in &log {
             let t = entry.round;

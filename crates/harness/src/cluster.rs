@@ -1,29 +1,29 @@
-//! Launching a CONGOS cluster over localhost TCP, and running harness
-//! workloads on it.
+//! Launching a CONGOS cluster over localhost TCP.
 //!
-//! A [`Cluster`] is the one way to start `n` [`NodeDriver`]s over
-//! [`TcpTransport`]s: it validates its parameters, binds the listeners,
-//! splits the injection schedule per node and merges the per-node
-//! [`ClusterReport`]s. [`Cluster::run`] runs every node as a thread of this
-//! process; [`Cluster::run_node`] runs one, as each process of the
-//! `congos-node` binary does. Every node is audited for confidentiality
-//! (Definition 2) as it runs, and fails on the first violation.
+//! A [`Cluster`] is the one way to run a workload over TCP: it starts `n`
+//! [`NodeDriver`]s over [`TcpTransport`]s, validates its parameters and
+//! injection schedule, binds the listeners, splits the schedule per node
+//! and merges the per-node [`ClusterReport`]s. [`Cluster::run`] runs every
+//! node as a thread of this process; [`Cluster::run_node`] runs one, as
+//! each process of the `congos-node` binary does. Every node is audited for
+//! confidentiality (Definition 2) as it runs, and fails on the first
+//! violation.
 //!
 //! The engine feeds adversary plans a live [`RoundView`] every round; a TCP
 //! cluster cannot (nodes are independent processes/threads with no
-//! lock-step oracle). The bridge is *materialization*: dry-run the
-//! injection plan against a synthetic failure-free view — every process
-//! alive, outboxes unseen — to extract a static `(round, source, spec)`
-//! schedule, then hand that schedule to the cluster.
+//! lock-step oracle). The bridge is *materialization*:
+//! [`materialize_injections`] dry-runs the injection plan against a
+//! synthetic failure-free view — every process alive, outboxes unseen — to
+//! extract a static `(round, source, input)` schedule for the cluster.
 //!
 //! Materialization is faithful exactly for **oblivious** workloads: plans
 //! that decide from `(round, rng)` alone, like the stock `OneShot` /
 //! `PoissonWorkload` / `Theorem1Workload` generators. A plan that adapts to
-//! `view.outbox` or to crashes would see a different trajectory; the
-//! networked backend is failure-free by construction (an adaptive adversary
-//! must see a round's outboxes before anything is delivered — a lock-step
-//! construct no socket runtime can offer), and [`assert_failure_free`]
-//! rejects failure plans that try to schedule anything.
+//! `view.outbox` or to crashes would see a different trajectory. A cluster
+//! takes an injection schedule and nothing else, so no failure plan can
+//! reach it: it is failure-free by construction (an adaptive adversary must
+//! see a round's outboxes before anything is delivered — a lock-step
+//! construct no socket runtime can offer).
 
 use std::io;
 use std::net::TcpListener;
@@ -31,84 +31,35 @@ use std::ops::Range;
 
 use congos::{ConfidentialityAuditor, CongosConfig, CongosInput, CongosNode};
 use congos_adversary::predict::{CoalitionTap, Sighting};
-use congos_adversary::{FailurePlan, InjectionPlan, RumorSpec};
+use congos_adversary::{InjectionPlan, RumorSpec};
 use congos_net::{TcpTransport, WireStats};
 use congos_sim::transport::{split_schedule, NodeDriver};
 use congos_sim::{Observer, ProcessId, Round, RoundView, TopologySpec};
 
 use crate::Json;
 
-/// One materialized injection: round, source process, and the spec.
-pub type ScheduledInjection = (u64, ProcessId, RumorSpec);
-
-/// Shows `f` a synthetic failure-free view of each round in `0..rounds`:
-/// all `n` processes alive, no outbox visibility.
-fn dry_run(n: usize, rounds: u64, mut f: impl FnMut(&RoundView<'_>)) {
-    let alive = vec![true; n];
-    for r in 0..rounds {
-        f(&RoundView {
-            round: Round(r),
-            alive: &alive,
-            outbox: &[],
-        });
-    }
-}
-
-/// Dry-runs `workload` for `rounds` rounds against a synthetic failure-free
-/// view (all `n` processes alive, no outbox visibility) and returns the
-/// static injection schedule it produces. The plan's log fills in as a side
-/// effect, so QoD accounting can use `Logged::entries` afterwards exactly
-/// as the engine path does.
-pub fn materialize_injections<W: InjectionPlan>(
+/// Dry-runs `workload` for `rounds` rounds against a synthetic
+/// failure-free view (all `n` processes alive, no outbox visibility) and
+/// returns the static injection schedule it produces, each spec converted
+/// into the protocol's input (`CongosInput` for [`Cluster::run`]).
+pub fn materialize_injections<I: From<RumorSpec>, W: InjectionPlan>(
     n: usize,
     rounds: u64,
     workload: &mut W,
-) -> Vec<ScheduledInjection> {
+) -> Vec<(u64, ProcessId, I)> {
+    let alive = vec![true; n];
     let mut schedule = Vec::new();
-    dry_run(n, rounds, |view| {
-        for (source, spec) in workload.decide_injections(view) {
-            schedule.push((view.round.as_u64(), source, spec));
+    for r in 0..rounds {
+        let view = RoundView {
+            round: Round(r),
+            alive: &alive,
+            outbox: &[],
+        };
+        for (source, spec) in workload.decide_injections(&view) {
+            schedule.push((r, source, I::from(spec)));
         }
-    });
+    }
     schedule
-}
-
-/// Dry-runs `failures` the same way and panics if the plan ever schedules
-/// a crash or restart: the networked backend is failure-free, and silently
-/// dropping a failure plan would misreport an experiment as having
-/// survived churn it never saw.
-///
-/// # Panics
-///
-/// Panics if the plan emits any crash or restart within `rounds` rounds.
-pub fn assert_failure_free<F: FailurePlan>(n: usize, rounds: u64, failures: &mut F) {
-    dry_run(n, rounds, |view| {
-        let (crashes, restarts) = failures.decide_failures(view);
-        assert!(
-            crashes.is_empty() && restarts.is_empty(),
-            "the networked backend is failure-free, but the failure plan \
-             scheduled {} crash(es) and {} restart(s) at round {}; run \
-             failure experiments on the in-process engine",
-            crashes.len(),
-            restarts.len(),
-            view.round.as_u64(),
-        );
-    });
-}
-
-/// Socket-level counters of a networked run, attached to
-/// [`RunOutcome`](crate::run::RunOutcome) when the run executed over TCP.
-/// The in-process engine meters per-round, per-tag instead (see
-/// `RunOutcome::metrics`); sockets only see whole frames, so the networked
-/// backend reports these coarser totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Protocol messages sent over sockets (self-deliveries excluded).
-    pub messages: u64,
-    /// Outbound messages dropped by the topology gate.
-    pub topology_drops: u64,
-    /// What the nodes did on the wire, summed over nodes.
-    pub wire: WireStats,
 }
 
 /// A localhost CONGOS cluster: node `i` listens on `base_port + i`.
@@ -212,14 +163,15 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`validate`](Self::validate)'s errors; `InvalidInput` for a source
-    /// outside the cluster, two injections at one `(source, round)` or one
-    /// past `rounds`; otherwise the first failing node's socket error
-    /// (bind, connect, frame, peer loss) or the first violation its
-    /// confidentiality auditor found, naming the node.
+    /// [`validate`](Self::validate)'s errors; `InvalidInput`, naming the
+    /// entry, for a source or destination outside the cluster, two
+    /// injections at one `(source, round)` or one past `rounds`; otherwise
+    /// the first failing node's socket error (bind, connect, frame, peer
+    /// loss) or the first violation its confidentiality auditor found,
+    /// naming the node.
     pub fn run(&self, injections: Vec<(u64, ProcessId, CongosInput)>) -> io::Result<ClusterReport> {
         self.validate(None)?;
-        let schedules = split_schedule(self.n, injections.clone())?;
+        let schedules = self.schedules(&injections)?;
         let listeners = self.bind(0..self.n)?;
         let injections = &injections;
         let reports = std::thread::scope(|scope| {
@@ -254,9 +206,35 @@ impl Cluster {
         injections: Vec<(u64, ProcessId, CongosInput)>,
     ) -> io::Result<ClusterReport> {
         self.validate(Some(id))?;
-        let schedule = split_schedule(self.n, injections.clone())?.swap_remove(id);
+        let schedule = self.schedules(&injections)?.swap_remove(id);
         let listener = self.bind(id..id + 1)?.remove(0);
         self.drive(ProcessId::new(id), listener, schedule, &injections)
+    }
+
+    /// Splits the cluster's `injections` into one schedule per node.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput`, naming the entry, for a source or destination
+    /// outside the cluster.
+    fn schedules(
+        &self,
+        injections: &[(u64, ProcessId, CongosInput)],
+    ) -> io::Result<Vec<Vec<(u64, CongosInput)>>> {
+        let n = self.n;
+        for (round, source, input) in injections {
+            if let Some(d) = input.dest.iter().find(|d| d.as_usize() >= n) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "injection {} at {source} in round {round} names destination {d}, \
+                         outside the {n}-process cluster",
+                        input.wid
+                    ),
+                ));
+            }
+        }
+        split_schedule(n, injections.to_vec())
     }
 
     /// Binds the listeners of nodes `ids`, so that no node dials a peer
@@ -491,44 +469,33 @@ pub fn unhex(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::Logged;
-    use congos_adversary::{NoFailures, OneShot, PoissonWorkload, RandomChurn};
+    use crate::run::{run, RunSpec, TapSpec};
+    use congos_adversary::{CoalitionSpec, NoFailures, OneShot, PoissonWorkload};
+    use congos_baselines::DirectNode;
     use congos_sim::Tag;
 
     #[test]
-    fn materializes_oneshot_and_fills_log() {
+    fn materializes_oneshot() {
         let spec = RumorSpec::new(7, vec![1, 2], 32, vec![ProcessId::new(2)]);
         let mut w = OneShot::new(Round(3), vec![(ProcessId::new(0), spec.clone())]);
-        let schedule = materialize_injections(4, 10, &mut w);
+        let schedule: Vec<(u64, ProcessId, RumorSpec)> = materialize_injections(4, 10, &mut w);
         assert_eq!(schedule, vec![(3, ProcessId::new(0), spec)]);
-        assert_eq!(w.entries().len(), 1);
-        assert_eq!(w.entries()[0].round, Round(3));
     }
 
     #[test]
     fn materialized_poisson_matches_engine_trajectory() {
         // Poisson is oblivious (round + rng only), so materializing it must
-        // produce the identical schedule a failure-free engine run sees.
+        // produce the schedule a failure-free engine run injects.
         let mk = || PoissonWorkload::new(0.2, 2, 16, 5).until(Round(12));
-        let mut a = mk();
-        let mut b = mk();
-        let sched_a = materialize_injections(6, 20, &mut a);
-        let sched_b = materialize_injections(6, 20, &mut b);
-        assert_eq!(sched_a, sched_b, "materialization is deterministic");
-        assert!(!sched_a.is_empty(), "rate 0.2 over 6x12 should inject");
-        assert_eq!(a.entries().len(), sched_a.len());
-    }
-
-    #[test]
-    fn failure_free_plans_pass() {
-        assert_failure_free(8, 50, &mut NoFailures);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure-free")]
-    fn churn_plans_are_rejected() {
-        // High-rate churn over plenty of rounds is certain to schedule.
-        assert_failure_free(16, 200, &mut RandomChurn::new(0.5, 0.0, 1));
+        let schedule: Vec<(u64, ProcessId, RumorSpec)> = materialize_injections(6, 20, &mut mk());
+        assert!(!schedule.is_empty(), "rate 0.2 over 6x12 should inject");
+        let engine = run::<DirectNode, _, _>(RunSpec::new(6, 1, 20), NoFailures, mk());
+        let injected: Vec<_> = engine
+            .injections
+            .into_iter()
+            .map(|e| (e.round.as_u64(), e.source, e.spec))
+            .collect();
+        assert_eq!(schedule, injected);
     }
 
     fn input(wid: u64, data: Vec<u8>, deadline: u64, dest: &[usize]) -> CongosInput {
@@ -557,6 +524,11 @@ mod tests {
             assert!(d.round.as_u64() <= 64);
         }
         assert!(report.messages > 0);
+        assert!(
+            report.wire.rumors_referenced > 0,
+            "pushes repeat rumors: {:?}",
+            report.wire
+        );
     }
 
     #[test]
@@ -622,6 +594,50 @@ mod tests {
         let err = Cluster::new(4, 18570).run_node(4, vec![]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
         assert!(err.to_string().contains("node id 4"), "{err}");
+    }
+
+    #[test]
+    fn a_destination_outside_the_cluster_is_invalid_input() {
+        let cluster = Cluster::new(4, 18570).rounds(2);
+        let injections = vec![(0, ProcessId::new(0), input(5, vec![0xab], 16, &[1, 9]))];
+        for err in [
+            cluster.run(injections.clone()).map(drop),
+            cluster.run_node(0, injections).map(drop),
+        ]
+        .map(Result::unwrap_err)
+        {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(
+                err.to_string(),
+                "injection 5 at p0 in round 0 names destination p9, \
+                 outside the 4-process cluster"
+            );
+        }
+    }
+
+    /// The TCP leg of the E13 tap: watched cluster nodes record what the
+    /// engine's observer records (in canonical rather than delivery order).
+    #[test]
+    fn tcp_tap_sees_what_the_engine_tap_sees() {
+        let (n, seed, rounds) = (5, 2, 70);
+        let tap = TapSpec {
+            coalition: CoalitionSpec::new(0.4, 5),
+            exclude: Some(ProcessId::new(0)),
+        };
+        let rumor = RumorSpec::new(0, b"who said it".to_vec(), 64, vec![ProcessId::new(3)]);
+        let mk = || OneShot::new(Round(1), vec![(ProcessId::new(0), rumor.clone())]);
+        let spec = RunSpec::new(n, seed, rounds).tap(tap);
+        let engine = run::<CongosNode, _, _>(spec, NoFailures, mk());
+        let mut seen: Vec<Sighting> = engine.tap.expect("tapped").iter().copied().collect();
+        seen.sort_by_key(|s| (s.round, s.observer, s.sender, s.tag.name()));
+        assert!(!seen.is_empty());
+        let report = Cluster::new(n, 20780)
+            .seed(seed)
+            .rounds(rounds)
+            .watch(tap.members(n))
+            .run(materialize_injections(n, rounds, &mut mk()))
+            .expect("cluster run");
+        assert_eq!(report.sightings, seen);
     }
 
     #[test]

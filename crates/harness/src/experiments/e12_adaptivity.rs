@@ -42,7 +42,7 @@ fn run_against<F: FailurePlan>(cfg: EngineConfig, rounds: u64, failures: F) -> O
         confirmed += s.confirmed;
         fallbacks += s.fallbacks;
     }
-    let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+    let (_, qod, _) = engine_qod(&engine, adv.injections());
     assert!(qod.perfect(), "QoD must hold regardless of adaptivity");
     Outcome {
         crashes: engine.liveness().crash_count(),

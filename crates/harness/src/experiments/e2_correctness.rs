@@ -31,7 +31,7 @@ fn run_audited<F: FailurePlan>(
     let mut engine = Engine::<CongosNode>::new(cfg);
     engine.run_observed(rounds, &mut adv, &mut audit);
 
-    let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+    let (_, qod, _) = engine_qod(&engine, adv.injections());
     (
         qod,
         audit.report().violations.len(),

@@ -48,7 +48,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let mut engine = Engine::<CongosNode>::new(cfg);
         engine.run(rounds, &mut adv);
 
-        let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+        let (_, qod, _) = engine_qod(&engine, adv.injections());
         assert!(qod.perfect(), "p={p}: QoD violated");
 
         let (mut confirmed, mut fallbacks) = (0u64, 0u64);

@@ -152,7 +152,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             confirmed += s.confirmed;
             fallbacks += s.fallbacks;
         }
-        let (_, qod, _) = engine_qod(&engine, adv.workload().log());
+        let (_, qod, _) = engine_qod(&engine, adv.injections());
         assert!(qod.perfect(), "{label}: QoD violated");
         t.row(vec![
             label.to_string(),

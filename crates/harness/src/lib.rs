@@ -18,10 +18,12 @@
 //! every `experiments::*::run(full, &RunDefaults)` receives; there is no
 //! process-global or environment configuration.
 //!
-//! [`RunSpec::net`] runs a failure-free CONGOS workload on a localhost TCP
-//! [`Cluster`] instead of the engine; the TCP-vs-engine differential tests
-//! use it as their reference. The `congos-node` binary runs the same
-//! `Cluster` as one OS process per node.
+//! Every run over TCP goes through [`Cluster`]: `n` CONGOS nodes on
+//! localhost sockets, driven by a static injection schedule. The
+//! TCP-vs-engine differential tests turn an oblivious workload into that
+//! schedule with [`materialize_injections`] and compare the
+//! [`ClusterReport`] with the engine run. The `congos-node` binary runs the
+//! same `Cluster` as one OS process per node.
 
 // `deny`, not `forbid`: `mem` carries the one sanctioned exception — the
 // counting global allocator — under a scoped `#[allow(unsafe_code)]`.
@@ -37,12 +39,12 @@ pub mod stats;
 pub mod system;
 pub mod table;
 
-pub use cluster::{assert_failure_free, materialize_injections, Cluster, ClusterReport, NetStats};
+pub use cluster::{materialize_injections, Cluster, ClusterReport};
 pub use json::Json;
 pub use mem::{MemSample, MemUsage};
 pub use run::{
-    run, run_with_factory, ArgError, DeliveryRecord, Logged, QodSummary, RunDefaults, RunOutcome,
-    RunSpec, TapSpec,
+    run, run_with_factory, ArgError, DeliveryRecord, QodSummary, RunDefaults, RunOutcome, RunSpec,
+    TapSpec,
 };
 pub use stats::{fit_power_law, percentile};
 pub use system::GossipSystem;

@@ -1,47 +1,10 @@
 //! Generic experiment runner with Quality-of-Delivery accounting.
 
 use congos_adversary::predict::{CoalitionSpec, CoalitionTap, SightingLog};
-use congos_adversary::{
-    CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, OneShot, PoissonWorkload,
-    RumorSpec, StableGroupWorkload, Theorem1Workload,
-};
-use congos_sim::{
-    Engine, EngineBackend, EngineConfig, LivenessLog, Metrics, ProcessId, Round, Topology,
-    TopologySpec,
-};
+use congos_adversary::{CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, RumorSpec};
+use congos_sim::{Engine, EngineBackend, EngineConfig, Metrics, ProcessId, Round, TopologySpec};
 
-use crate::cluster::{assert_failure_free, materialize_injections, Cluster, NetStats};
 use crate::system::GossipSystem;
-
-/// Access to the injections a workload has emitted (for QoD accounting).
-pub trait Logged {
-    /// Entries emitted so far.
-    fn entries(&self) -> &[InjectionLogEntry];
-}
-
-impl Logged for OneShot {
-    fn entries(&self) -> &[InjectionLogEntry] {
-        self.log()
-    }
-}
-
-impl Logged for PoissonWorkload {
-    fn entries(&self) -> &[InjectionLogEntry] {
-        self.log()
-    }
-}
-
-impl Logged for Theorem1Workload {
-    fn entries(&self) -> &[InjectionLogEntry] {
-        self.log()
-    }
-}
-
-impl Logged for StableGroupWorkload {
-    fn entries(&self) -> &[InjectionLogEntry] {
-        self.log()
-    }
-}
 
 /// Parameters of one run.
 #[derive(Clone, Copy, Debug)]
@@ -62,18 +25,11 @@ pub struct RunSpec {
     /// atomic loads); on by default. When off, [`RunOutcome::mem`] is
     /// zeroed.
     pub probe_mem: bool,
-    /// When `Some(base_port)`, the run executes on the networked backend: a
-    /// localhost TCP cluster on ports `base_port..base_port+n` instead of
-    /// the in-process engine. Networked runs are failure-free and require
-    /// an oblivious workload (see [`crate::cluster`]); only protocols with a
-    /// wire codec support it ([`GossipSystem::net_run`]).
-    pub net: Option<u16>,
     /// When `Some`, an observing coalition (the E13 source-prediction
     /// adversary) is attached to the run: its members record delivery
     /// metadata into [`RunOutcome::tap`]. The tap is an RNG-neutral
-    /// observer on the engine path and an inbox-metadata recorder on the
-    /// networked path; either way the measured execution is bit-identical
-    /// to an untapped run.
+    /// observer, so the measured execution is bit-identical to an untapped
+    /// run.
     pub tap: Option<TapSpec>,
 }
 
@@ -119,13 +75,6 @@ impl RunSpec {
     /// Enables or disables the memory probe (see [`RunSpec::probe_mem`]).
     pub fn probe_mem(mut self, enabled: bool) -> Self {
         self.probe_mem = enabled;
-        self
-    }
-
-    /// Selects the networked backend on ports `base_port..base_port+n`
-    /// (see [`RunSpec::net`]).
-    pub fn net(mut self, base_port: u16) -> Self {
-        self.net = Some(base_port);
         self
     }
 
@@ -206,7 +155,6 @@ impl RunDefaults {
             backend: self.backend,
             topology: self.topology,
             probe_mem: true,
-            net: None,
             tap: None,
         }
     }
@@ -272,7 +220,7 @@ pub struct RunOutcome {
     pub metrics: Metrics,
     /// All deliveries.
     pub deliveries: Vec<DeliveryRecord>,
-    /// All injections the workload emitted.
+    /// All injections the adversary's plan emitted.
     pub injections: Vec<InjectionLogEntry>,
     /// QoD classification.
     pub qod: QodSummary,
@@ -284,10 +232,6 @@ pub struct RunOutcome {
     /// Memory accounting around the engine run (zeroed when
     /// [`RunSpec::probe_mem`] was off).
     pub mem: crate::mem::MemUsage,
-    /// Socket-level counters when the run executed on the networked
-    /// backend (`None` for in-process engine runs, whose per-round,
-    /// per-tag accounting lives in [`RunOutcome::metrics`] instead).
-    pub net: Option<NetStats>,
     /// The observing coalition's sighting log when [`RunSpec::tap`] was
     /// set (`None` otherwise).
     pub tap: Option<SightingLog>,
@@ -322,7 +266,7 @@ where
     P::Input: From<RumorSpec> + Send,
     P::Output: Send,
     F: FailurePlan,
-    W: InjectionPlan + Logged,
+    W: InjectionPlan,
 {
     run_with_factory(spec, P::new, failures, workload)
 }
@@ -340,11 +284,8 @@ where
     P::Input: From<RumorSpec> + Send,
     P::Output: Send,
     F: FailurePlan,
-    W: InjectionPlan + Logged,
+    W: InjectionPlan,
 {
-    if let Some(base_port) = spec.net {
-        return run_networked::<P, F, W>(spec, base_port, failures, workload);
-    }
     let mut engine = Engine::<P>::with_factory(
         EngineConfig::new(spec.n)
             .seed(spec.seed)
@@ -373,7 +314,7 @@ where
         "a process rejected a message another process sent"
     );
 
-    let injections = adv.workload().entries().to_vec();
+    let injections = adv.injections().to_vec();
     let (deliveries, qod, latencies) = engine_qod(&engine, &injections);
 
     RunOutcome {
@@ -386,7 +327,6 @@ where
         crashes: engine.liveness().crash_count(),
         latencies,
         mem,
-        net: None,
         tap: tap.map(CoalitionTap::into_log),
     }
 }
@@ -414,9 +354,14 @@ fn timed_with_mem<R>(probe: bool, f: impl FnOnce() -> R) -> (R, crate::mem::MemU
 }
 
 /// The deliveries of a finished engine run, and their QoD classification
-/// (and on-time latencies) against the workload's injection log — for the
-/// experiments that drive an [`Engine`] themselves as much as for
-/// [`run_with_factory`].
+/// against the adversary's injection log — for the experiments that drive
+/// an [`Engine`] themselves as much as for [`run_with_factory`].
+///
+/// Every (rumor, destination) pair is exempt when source or destination
+/// was not continuously alive over the deadline window (`inadmissible`) or
+/// the topology offered no temporal path within it (`unreachable`);
+/// otherwise it is admissible, and on time, late or missed. Also returns
+/// the delivery latencies of the on-time pairs.
 pub fn engine_qod<P>(
     engine: &Engine<P>,
     injections: &[InjectionLogEntry],
@@ -434,23 +379,7 @@ where
             round: o.round,
         })
         .collect();
-    let (qod, latencies) =
-        classify_qod(injections, &deliveries, engine.liveness(), engine.topology());
-    (deliveries, qod, latencies)
-}
-
-/// Classifies every (rumor, destination) pair of `injections` against the
-/// observed `deliveries`: exempt when source or destination was not
-/// continuously alive over the deadline window (`inadmissible`) or the
-/// topology offered no temporal path within it (`unreachable`); otherwise
-/// admissible, and on time, late or missed. Also returns the delivery
-/// latencies of the on-time pairs.
-fn classify_qod(
-    injections: &[InjectionLogEntry],
-    deliveries: &[DeliveryRecord],
-    liveness: &LivenessLog,
-    topology: &Topology,
-) -> (QodSummary, Vec<u64>) {
+    let (liveness, topology) = (engine.liveness(), engine.topology());
     let mut qod = QodSummary::default();
     let mut latencies = Vec::new();
     for entry in injections {
@@ -482,91 +411,13 @@ fn classify_qod(
             }
         }
     }
-    (qod, latencies)
-}
-
-/// The networked path of [`run_with_factory`]: materializes the workload
-/// into a static schedule (rejecting failure plans — the TCP cluster is
-/// failure-free), runs the protocol's TCP deployment, and rebuilds the
-/// same QoD accounting the engine path produces. The `factory` is not used
-/// here: a networked deployment constructs its own nodes from
-/// `(id, n, seed)` on the far side of the socket boundary.
-fn run_networked<P, F, W>(spec: RunSpec, base_port: u16, mut failures: F, mut workload: W) -> RunOutcome
-where
-    P: GossipSystem,
-    P::Input: From<RumorSpec>,
-    F: FailurePlan,
-    W: InjectionPlan + Logged,
-{
-    assert_failure_free(spec.n, spec.rounds, &mut failures);
-    let schedule = materialize_injections(spec.n, spec.rounds, &mut workload);
-
-    let cluster = Cluster::new(spec.n, base_port)
-        .seed(spec.seed)
-        .rounds(spec.rounds)
-        .topology(spec.topology)
-        .watch(spec.tap.map(|t| t.members(spec.n)).unwrap_or_default());
-    let (report, mem) = timed_with_mem(spec.probe_mem, || P::net_run(&cluster, schedule));
-    let report = report
-        .unwrap_or_else(|| {
-            panic!(
-                "protocol {:?} has no networked runtime; RunSpec::net \
-                 supports the CONGOS protocol only",
-                P::NAME
-            )
-        })
-        .unwrap_or_else(|e| panic!("networked run failed: {e}"));
-
-    let deliveries: Vec<DeliveryRecord> = report
-        .deliveries
-        .iter()
-        .map(|d| DeliveryRecord {
-            wid: d.wid,
-            process: d.process,
-            round: d.round,
-        })
-        .collect();
-    let injections = workload.entries().to_vec();
-
-    // QoD over a failure-free cluster: nobody ever crashed, so every pair is
-    // admissible unless the topology never connects it within the deadline
-    // window (same reachability bound the engine path applies).
-    let (qod, latencies) = classify_qod(
-        &injections,
-        &deliveries,
-        &LivenessLog::new(spec.n),
-        &Topology::build(spec.topology, spec.n, spec.seed),
-    );
-
-    RunOutcome {
-        name: P::NAME,
-        topology: spec.topology,
-        metrics: Metrics::new(),
-        deliveries,
-        injections,
-        qod,
-        crashes: 0,
-        latencies,
-        mem,
-        net: Some(NetStats {
-            messages: report.messages,
-            topology_drops: report.topology_drops,
-            wire: report.wire,
-        }),
-        tap: spec.tap.map(|_| {
-            let mut log = SightingLog::new(spec.n);
-            for &sighting in &report.sightings {
-                log.record(sighting);
-            }
-            log
-        }),
-    }
+    (deliveries, qod, latencies)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_adversary::{NoFailures, RandomChurn};
+    use congos_adversary::{NoFailures, PoissonWorkload, RandomChurn};
     use congos_baselines::DirectNode;
     use congos_gossip::GossipNode;
 
@@ -581,7 +432,7 @@ mod tests {
         assert_eq!(backend("seq"), Ok(EngineBackend::Sequential));
         assert_eq!(backend("par:4"), Ok(EngineBackend::Parallel { workers: 4 }));
         assert_eq!(backend("par"), Ok(EngineBackend::parallel_auto()));
-        // The TCP cluster is reached through `RunSpec::net`, not the flag.
+        // The TCP cluster is reached through `Cluster`, not the flag.
         for net in ["net", "net:21400"] {
             assert!(
                 matches!(backend(net), Err(ArgError::BadValue("--backend", _))),
@@ -596,9 +447,6 @@ mod tests {
 
         let spec = parse(&["--backend", "par:2"]).unwrap().0.spec(8, 1, 10);
         assert_eq!((spec.n, spec.seed, spec.rounds), (8, 1, 10));
-        assert_eq!(spec.net, None);
-        assert_eq!(spec.net(21500).net, Some(21500), "the builder selects TCP");
-        assert_eq!(RunSpec::new(8, 1, 10).net, None);
     }
 
     #[test]
@@ -635,73 +483,6 @@ mod tests {
         assert!(out.qod.admissible > 0);
         assert_eq!(out.crashes, 0);
         assert_eq!(out.name, "direct");
-    }
-
-    #[test]
-    fn networked_backend_runs_congos_with_qod() {
-        use congos::CongosNode;
-        let spec = RunSpec::new(4, 11, 80).net(20740);
-        let rumor = RumorSpec::new(
-            0,
-            b"over sockets".to_vec(),
-            64,
-            vec![ProcessId::new(1), ProcessId::new(3)],
-        );
-        let w = OneShot::new(Round(0), vec![(ProcessId::new(0), rumor)]);
-        let out = run::<CongosNode, _, _>(spec, NoFailures, w);
-        assert_eq!(out.qod.admissible, 2);
-        assert!(out.qod.perfect(), "failure-free TCP run must be on time: {:?}", out.qod);
-        assert_eq!(out.deliveries.len(), 2);
-        let net = out.net.expect("networked runs carry socket stats");
-        assert!(net.messages > 0);
-        assert_eq!(net.topology_drops, 0);
-        assert!(
-            net.wire.rumors_referenced > 0,
-            "pushes repeat rumors: {net:?}"
-        );
-        assert!(out.metrics.is_empty(), "sockets don't meter per-tag rounds");
-    }
-
-    /// The networked leg of the E13 tap: watched cluster nodes record what
-    /// the engine's observer records (in canonical rather than delivery
-    /// order).
-    #[test]
-    fn networked_tap_sees_what_the_engine_tap_sees() {
-        use congos::CongosNode;
-        let tap = TapSpec {
-            coalition: CoalitionSpec::new(0.4, 5),
-            exclude: Some(ProcessId::new(0)),
-        };
-        let rumor = RumorSpec::new(0, b"who said it".to_vec(), 64, vec![ProcessId::new(3)]);
-        let sightings = |spec: RunSpec| {
-            let w = OneShot::new(Round(1), vec![(ProcessId::new(0), rumor.clone())]);
-            let out = run::<CongosNode, _, _>(spec.tap(tap), NoFailures, w);
-            let mut seen: Vec<_> = out
-                .tap
-                .expect("tapped")
-                .iter()
-                .map(|s| (s.round, s.observer, s.sender, s.tag.name()))
-                .collect();
-            seen.sort_unstable();
-            seen
-        };
-        let engine = sightings(RunSpec::new(5, 2, 70));
-        assert!(!engine.is_empty());
-        assert_eq!(sightings(RunSpec::new(5, 2, 70).net(20780)), engine);
-    }
-
-    #[test]
-    #[should_panic(expected = "no networked runtime")]
-    fn networked_backend_rejects_protocols_without_a_codec() {
-        let spec = RunSpec::new(3, 0, 4).net(20760);
-        let w = OneShot::new(
-            Round(0),
-            vec![(
-                ProcessId::new(0),
-                RumorSpec::new(0, vec![1], 16, vec![ProcessId::new(1)]),
-            )],
-        );
-        let _ = run::<DirectNode, _, _>(spec, NoFailures, w);
     }
 
     #[test]

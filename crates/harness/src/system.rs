@@ -7,8 +7,6 @@ use congos_gossip::standalone::Delivered;
 use congos_gossip::GossipNode;
 use congos_sim::Protocol;
 
-use crate::cluster::{Cluster, ClusterReport, ScheduledInjection};
-
 /// A gossip protocol the harness can run generically: its input can be built
 /// from a [`RumorSpec`] and its outputs expose the workload rumor id.
 pub trait GossipSystem: Protocol + 'static
@@ -27,17 +25,6 @@ where
     fn rejected(&self) -> u64 {
         0
     }
-
-    /// Runs this protocol on `cluster` with a pre-materialized injection
-    /// schedule (see [`crate::cluster`]), if the protocol has a networked
-    /// deployment. `None` means it doesn't — the default; only protocols
-    /// with a wire codec can leave the process.
-    fn net_run(
-        _cluster: &Cluster,
-        _schedule: Vec<ScheduledInjection>,
-    ) -> Option<std::io::Result<ClusterReport>> {
-        None
-    }
 }
 
 impl GossipSystem for CongosNode {
@@ -48,17 +35,6 @@ impl GossipSystem for CongosNode {
 
     fn rejected(&self) -> u64 {
         self.stats().rejected
-    }
-
-    fn net_run(
-        cluster: &Cluster,
-        schedule: Vec<ScheduledInjection>,
-    ) -> Option<std::io::Result<ClusterReport>> {
-        let injections = schedule
-            .into_iter()
-            .map(|(round, source, spec)| (round, source, congos::CongosInput::from(spec)))
-            .collect();
-        Some(cluster.run(injections))
     }
 }
 

@@ -180,11 +180,6 @@ pub fn rows_json(tables: &[Table]) -> crate::json::Json {
     )
 }
 
-/// Formats a float with 2 decimals (table convenience).
-pub fn f2(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// Renders a set of tables as a markdown document (used by `exp report`).
 pub fn tables_to_markdown(tables: &[Table]) -> String {
     let mut out = String::new();

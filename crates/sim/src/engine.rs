@@ -467,11 +467,6 @@ impl EngineConfig {
     pub fn master_seed(&self) -> u64 {
         self.seed
     }
-
-    /// The configured topology spec.
-    pub fn topology_spec(&self) -> TopologySpec {
-        self.topology
-    }
 }
 
 /// How the engine executes the per-process phases of a round.

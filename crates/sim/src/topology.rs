@@ -76,14 +76,6 @@ impl TopologySpec {
         }
     }
 
-    /// The churn flip probability, if this is a churn spec.
-    pub fn flip_probability(&self) -> Option<f64> {
-        match self {
-            TopologySpec::Churn { flip_ppm, .. } => Some(*flip_ppm as f64 / 1e6),
-            _ => None,
-        }
-    }
-
     /// `true` for the complete topology (the engine's zero-overhead path).
     pub fn is_complete(&self) -> bool {
         matches!(self, TopologySpec::Complete)

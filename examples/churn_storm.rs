@@ -73,7 +73,7 @@ fn main() {
 
     // Classify every (rumor, destination) pair.
     let (mut admissible, mut on_time, mut exempt, mut bonus) = (0u64, 0u64, 0u64, 0u64);
-    for entry in adversary.workload().log() {
+    for entry in adversary.injections() {
         let t = entry.round;
         let end = t + entry.spec.deadline;
         let src_ok = engine.liveness().continuously_alive(entry.source, t, end);

@@ -59,7 +59,7 @@ fn main() {
     );
     engine.run_observed(rounds, &mut adversary, &mut audit);
 
-    let injected = adversary.workload().log().len();
+    let injected = adversary.injections().len();
     println!(
         "{injected} rumors injected; {} fragment receipts circulated",
         audit.report().fragment_receipts
@@ -69,7 +69,7 @@ fn main() {
     println!("audit: none of the {rings} rings could reassemble any rumor ✓");
 
     // And delivery still works for the legitimate destinations.
-    for entry in adversary.workload().log() {
+    for entry in adversary.injections() {
         let end = entry.round + entry.spec.deadline;
         for d in &entry.spec.dest {
             assert!(

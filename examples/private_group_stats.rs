@@ -52,7 +52,7 @@ fn main() {
 
     // Which group was each rumor destined to?
     let mut group_of_rumor: HashMap<u64, usize> = HashMap::new();
-    for entry in adversary.workload().log() {
+    for entry in adversary.injections() {
         let g = groups
             .iter()
             .position(|grp| *grp == entry.spec.dest)
@@ -85,7 +85,7 @@ fn main() {
 
     // Every published value reached its whole site by its deadline.
     let mut checked = 0u64;
-    for entry in adversary.workload().log() {
+    for entry in adversary.injections() {
         let end = entry.round + entry.spec.deadline;
         for d in &entry.spec.dest {
             checked += 1;

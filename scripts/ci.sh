@@ -76,8 +76,8 @@ run_net() {
     cargo test -q --release -p congos-net
     echo "==> net: congos-node multi-process tests"
     cargo test -q -p congos-harness --test multiprocess
-    echo "==> net: Cluster unit tests and the TCP coalition-tap test"
-    cargo test -q -p congos-harness --lib -- cluster:: networked_tap
+    echo "==> net: Cluster unit tests, the TCP coalition-tap test among them"
+    cargo test -q -p congos-harness --lib -- cluster::
 }
 
 run_loadtest() {

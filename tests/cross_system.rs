@@ -8,7 +8,7 @@ use confidential_gossip::baselines::{
     CryptoMulticastNode, DirectNode, PlainEpidemicNode, StronglyConfidentialNode,
 };
 use confidential_gossip::congos::{CongosNode, ConfidentialityAuditor};
-use confidential_gossip::harness::{run, Logged, RunSpec};
+use confidential_gossip::harness::{run, RunSpec};
 use confidential_gossip::sim::{Engine, EngineConfig, ProcessId, Round};
 
 #[test]
@@ -48,7 +48,7 @@ fn facade_reexports_compose() {
     engine.run_observed(65, &mut adv, &mut audit);
     audit.assert_clean();
     assert_eq!(engine.outputs().len(), 2);
-    assert_eq!(adv.workload().entries().len(), 1);
+    assert_eq!(adv.injections().len(), 1);
 }
 
 #[test]

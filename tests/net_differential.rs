@@ -10,68 +10,84 @@
 //! *traces* — every `(wid, destination, round)` triple — must be
 //! bit-identical, not merely the delivery sets.
 //!
-//! The harness's TCP route, `RunSpec::net`, is exercised end to end here:
-//! the oblivious workload is materialized into a static schedule, the
-//! cluster runs over loopback sockets, and QoD is recomputed from topology
-//! reachability. Each test case gets its own disjoint port range so the
-//! suite can run in parallel.
-
-use std::collections::BTreeSet;
+//! Each case runs an oblivious workload on the engine through
+//! `harness::run`, turns the same workload into a static schedule with
+//! `materialize_injections`, runs that schedule on a `Cluster` over
+//! loopback sockets, and compares the `ClusterReport` with the engine run.
+//! Each test case gets its own disjoint port range so the suite can run in
+//! parallel.
+//!
+//! [`RoundTransport`]: confidential_gossip::sim::transport::RoundTransport
 
 use confidential_gossip::adversary::{NoFailures, PoissonWorkload};
-use confidential_gossip::congos::CongosNode;
-use confidential_gossip::harness::{run, RunOutcome, RunSpec};
-use confidential_gossip::sim::{Round, TopologySpec};
+use confidential_gossip::congos::{CongosInput, CongosNode};
+use confidential_gossip::harness::{materialize_injections, run, Cluster, ClusterReport, RunSpec};
+use confidential_gossip::sim::{ProcessId, Round, TopologySpec};
 
-/// Full delivery trace: `(wid, destination, round)`.
-fn delivery_trace(out: &RunOutcome) -> BTreeSet<(u64, usize, u64)> {
-    out.deliveries
-        .iter()
-        .map(|d| (d.wid, d.process.as_usize(), d.round.as_u64()))
-        .collect()
+/// Full delivery trace: `(wid, destination, round)`, sorted.
+type Trace = Vec<(u64, usize, u64)>;
+
+/// The trace of `deliveries`, each given as `(wid, destination, round)`.
+fn trace(deliveries: impl Iterator<Item = (u64, ProcessId, Round)>) -> Trace {
+    let mut trace: Trace = deliveries
+        .map(|(wid, p, r)| (wid, p.as_usize(), r.as_u64()))
+        .collect();
+    trace.sort_unstable();
+    trace
 }
 
-/// Runs the same spec + workload on the engine and on the TCP cluster and
-/// checks the traces agree. Returns the trace so callers can assert on it.
-fn engine_vs_cluster(
+const ROUNDS: u64 = 72;
+
+/// The workload of every case: oblivious, so the engine and the cluster
+/// see the same injections.
+fn workload(seed: u64) -> PoissonWorkload {
+    PoissonWorkload::new(0.2, 2, 64, seed).until(Round(ROUNDS - 64))
+}
+
+/// Runs `workload(wseed)` on a cluster of `n` nodes from `base_port`.
+fn cluster_run(
     n: usize,
     seed: u64,
     topology: TopologySpec,
+    wseed: u64,
     base_port: u16,
-) -> BTreeSet<(u64, usize, u64)> {
-    let rounds = 72;
-    let mk = || PoissonWorkload::new(0.2, 2, 64, seed * 31).until(Round(rounds - 64));
+) -> (Vec<(u64, ProcessId, CongosInput)>, ClusterReport) {
+    let schedule = materialize_injections(n, ROUNDS, &mut workload(wseed));
+    let report = Cluster::new(n, base_port)
+        .seed(seed)
+        .rounds(ROUNDS)
+        .topology(topology)
+        .run(schedule.clone())
+        .unwrap_or_else(|e| panic!("seed {seed} {topology:?}: cluster run failed: {e}"));
+    (schedule, report)
+}
 
-    let sim = run::<CongosNode, _, _>(
-        RunSpec::new(n, seed, rounds).topology(topology),
-        NoFailures,
-        mk(),
-    );
-    let net = run::<CongosNode, _, _>(
-        RunSpec::new(n, seed, rounds).topology(topology).net(base_port),
-        NoFailures,
-        mk(),
-    );
+/// Runs the same workload on the engine and on the TCP cluster and checks
+/// the traces agree.
+fn engine_vs_cluster(n: usize, seed: u64, topology: TopologySpec, base_port: u16) {
+    let spec = RunSpec::new(n, seed, ROUNDS).topology(topology);
+    let sim = run::<CongosNode, _, _>(spec, NoFailures, workload(seed * 31));
+    let (schedule, net) = cluster_run(n, seed, topology, seed * 31, base_port);
 
+    let injected: Vec<_> = sim
+        .injections
+        .iter()
+        .map(|e| {
+            let input = CongosInput::from(e.spec.clone());
+            (e.round.as_u64(), e.source, input)
+        })
+        .collect();
     assert_eq!(
-        sim.injections.len(),
-        net.injections.len(),
+        schedule, injected,
         "seed {seed} {topology:?}: materialized workload diverges from the engine's"
-    );
-    // Identical traces imply identical QoD — but QoD is computed by two
-    // different code paths (engine liveness vs topology-only), so check it
-    // explicitly too.
-    assert_eq!(
-        sim.qod, net.qod,
-        "seed {seed} {topology:?}: QoD classifications diverge"
     );
     assert!(
         sim.qod.on_time > 0,
         "seed {seed} {topology:?}: nothing delivered on time"
     );
 
-    let sim_trace = delivery_trace(&sim);
-    let net_trace = delivery_trace(&net);
+    let sim_trace = trace(sim.deliveries.iter().map(|d| (d.wid, d.process, d.round)));
+    let net_trace = trace(net.deliveries.iter().map(|d| (d.wid, d.process, d.round)));
     assert_eq!(
         sim_trace, net_trace,
         "seed {seed} {topology:?}: TCP cluster and simulator delivery traces diverge"
@@ -80,10 +96,10 @@ fn engine_vs_cluster(
         !sim_trace.is_empty(),
         "seed {seed} {topology:?}: empty workload proves nothing"
     );
-
-    let stats = net.net.expect("networked run must report socket stats");
-    assert!(stats.messages > 0, "seed {seed} {topology:?}: no socket traffic");
-    sim_trace
+    assert!(
+        net.messages > 0,
+        "seed {seed} {topology:?}: no socket traffic"
+    );
 }
 
 #[test]
@@ -110,18 +126,11 @@ fn tcp_cluster_matches_simulator_on_expander() {
 fn expander_topology_actually_drops_messages_over_sockets() {
     // Sanity that the sparse topology is enforced on the socket path too:
     // a 4-regular graph on 6 nodes must censor some pairs in some round.
-    let rounds = 72;
-    let spec = RunSpec::new(6, 31, rounds)
-        .topology(TopologySpec::Expander { degree: 4 })
-        .net(21120);
-    let out = run::<CongosNode, _, _>(
-        spec,
-        NoFailures,
-        PoissonWorkload::new(0.2, 2, 64, 977).until(Round(rounds - 64)),
-    );
-    let stats = out.net.expect("networked run must report socket stats");
+    let topology = TopologySpec::Expander { degree: 4 };
+    let (_, report) = cluster_run(6, 31, topology, 977, 21120);
     assert!(
-        stats.topology_drops > 0,
-        "expander cluster should drop off-topology sends, saw {stats:?}"
+        report.topology_drops > 0,
+        "expander cluster should drop off-topology sends, saw {}",
+        report.topology_drops
     );
 }
