@@ -5,9 +5,10 @@
 //! writes all tables as one document; `report` renders such a document as
 //! markdown — the generator behind EXPERIMENTS.md's measured sections.
 //!
-//! `--backend` and `--topology` are parsed once into a `RunDefaults` and
-//! handed to the experiment. A flag the chosen experiment would ignore is
-//! an error, not a no-op: E2/E7 pin the complete graph, E13/E14 sweep the
+//! `--topology` is parsed once into a `RunDefaults` and handed to the
+//! experiment; the engine picks its own parallelism, so there is no backend
+//! flag. A flag the chosen experiment would ignore is an error, not a
+//! no-op: E2/E7 pin the complete graph, E13/E14 sweep the
 //! topology themselves, `--json` applies to `all` and to the experiments
 //! that emit a `BENCH_*.json` row set (it overrides the default path),
 //! `--budget-mib` to the memory sweep (exit 1 if peak RSS exceeds it — the
@@ -18,7 +19,7 @@ use congos_harness::experiments::{self, Experiment};
 use congos_harness::{mem, tables_to_markdown, Json, RunDefaults, Table};
 
 const USAGE: &str = "\
-usage: exp <name|all> [--full] [--csv] [--json PATH] [--backend seq|par[:N]]
+usage: exp <name|all> [--full] [--csv] [--json PATH]
            [--topology complete|expander:D|churn:P[@BASE]] [--budget-mib X]
        exp report <results.json>
        exp --list";
@@ -91,9 +92,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
         return Err(format!(
             "{name} does not take --topology: it pins or sweeps the topology itself"
         ));
-    }
-    if gave("--backend") && !exp.runs.honours_backend() {
-        return Err(format!("{name} executes no protocol runs: no --backend"));
     }
     if opts.json.is_some() && exp.bench.is_none() {
         return Err(format!("{name} writes no BENCH row set: no --json"));
@@ -212,13 +210,12 @@ mod tests {
             _ => panic!("e1 honours --topology"),
         }
         assert!(matches!(
-            parse_strs(&["all", "--json", "x.json", "--backend", "par"]),
+            parse_strs(&["all", "--json", "x.json"]),
             Ok(Command::All(_))
         ));
         for ok in [
-            &["e7", "--backend", "par:2"][..],
+            &["e7", "--csv"][..],
             &["e3m", "--json", "x.json", "--budget-mib", "1024"],
-            &["e13", "--backend", "seq"],
         ] {
             assert!(matches!(parse_strs(ok), Ok(Command::One(..))), "{ok:?}");
         }
@@ -236,17 +233,10 @@ mod tests {
             &["e13", "--topology", "expander:4"],
             &["e2", "--topology", "expander:4"],
             &["e7", "--topology", "churn:0.05"],
-            &["e7", "--backend", "net"],
-            &["e13", "--backend", "net:21500"],
-            &["e1", "--backend", "net"],
-            &["e4", "--backend", "par:2"],
-            &["e1", "--backend", "auto"],
-            &["e1", "--backend"],
             &["e1", "--json", "x.json"],
             &["e1", "--budget-mib", "10"],
             &["e3m", "--budget-mib", "lots"],
             &["all", "--topology", "expander:4"],
-            &["all", "--backend", "net"],
             &["--list", "e1"],
             &["report"],
             &["report", "a.json", "--csv"],

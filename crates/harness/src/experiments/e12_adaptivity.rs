@@ -53,7 +53,7 @@ fn run_against<F: FailurePlan>(cfg: EngineConfig, rounds: u64, failures: F) -> O
 }
 
 /// Runs E12 and returns its table.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 24 } else { 16 };
     let rounds = if full { 384u64 } else { 256 };
 
@@ -63,7 +63,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         PoissonWorkload::new(0.03, 3, deadline, 0xE12).until(Round(rounds - deadline));
     let killer = ProxyKiller::new(Tag("proxy"), 1).revive_after(40);
     let mut adaptive_adv = CrriAdversary::new(killer, workload);
-    let cfg = EngineConfig::new(n).seed(0xE12).backend(defaults.backend);
+    let cfg = EngineConfig::new(n).seed(0xE12);
     let mut engine = Engine::<CongosNode>::new(cfg);
     engine.run(rounds, &mut adaptive_adv);
     // Extract the adaptive run's crash/restart schedule.

@@ -229,7 +229,7 @@ fn best_p_id(fc: &AttackScore, ml: &AttackScore) -> f64 {
 /// and direct unicast on the complete graph leaks well above the uniform
 /// baseline, so the apparatus demonstrably *can* identify sources when a
 /// protocol leaks them.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let (n, trials, topologies, fractions) = cells(full);
     let base_seed = 0xE13_0001;
 
@@ -261,10 +261,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             let gate_cell =
                 topology == TopologySpec::Expander { degree: 4 } && fraction_ppm == 100_000;
             let congos_trials = if gate_cell { trials * GATE_MULT } else { trials };
-            let cell = RunDefaults {
-                topology,
-                ..*defaults
-            };
+            let cell = RunDefaults { topology };
             let mut sys_rows: Vec<(&'static str, AttackScore, AttackScore, usize)> = Vec::new();
             let (fc, ml, m) = run_cell(
                 "congos",

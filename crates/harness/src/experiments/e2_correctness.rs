@@ -42,11 +42,10 @@ fn run_audited<F: FailurePlan>(
 type Scenario = (&'static str, Box<dyn FnOnce() -> (QodSummary, usize, usize)>);
 
 /// Runs E2 and returns its table.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 384 } else { 256 };
-    let backend = defaults.backend;
-    let cfg = move |seed: u64| EngineConfig::new(n).seed(seed).backend(backend);
+    let cfg = move |seed: u64| EngineConfig::new(n).seed(seed);
     let mut t = Table::new(
         "E2: correctness matrix (Theorem 2 / Lemmas 3-4)",
         &[

@@ -101,7 +101,7 @@ impl Observer<CongosNode> for BorderMeter {
 }
 
 /// Runs E5 and returns its table.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 64 } else { 32 };
     let taus: &[usize] = if full { &[1, 2, 3, 4, 6] } else { &[1, 2, 3] };
     let mut t = Table::new(
@@ -125,9 +125,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let mut meter = BorderMeter::new(n);
         let cfg2 = cfg.clone();
         let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(n)
-                .seed(0xE5 + tau as u64)
-                .backend(defaults.backend),
+            EngineConfig::new(n).seed(0xE5 + tau as u64),
             move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
         );
         engine.run_observed(rounds, &mut adv, &mut meter);

@@ -14,7 +14,7 @@ use crate::run::{engine_qod, RunDefaults};
 use crate::table::Table;
 
 /// Runs E7 and returns its table.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 512u64 } else { 256 };
     let deadline = 64u64;
@@ -44,7 +44,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let mut adv = CrriAdversary::new(churn, workload);
         // Pins the paper's complete network: E7 isolates process churn,
         // E14 isolates link churn.
-        let cfg = EngineConfig::new(n).seed(0xE7).backend(defaults.backend);
+        let cfg = EngineConfig::new(n).seed(0xE7);
         let mut engine = Engine::<CongosNode>::new(cfg);
         engine.run(rounds, &mut adv);
 

@@ -68,9 +68,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let mut fallbacks = 0u64;
         let mut delivered_all = true;
         for &s in seeds {
-            let engine_cfg = EngineConfig::new(n)
-                .seed(0xE9 + s)
-                .backend(defaults.backend);
+            let engine_cfg = EngineConfig::new(n).seed(0xE9 + s);
             let (c, f, d) = annihilation_run(engine_cfg, cap);
             confirmed += c;
             fallbacks += f;
@@ -140,9 +138,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let cfg_engine = cfg.clone();
         let mut adv = CrriAdversary::new(NoFailures, w);
         let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(spec.n)
-                .seed(spec.seed)
-                .backend(spec.backend),
+            EngineConfig::new(spec.n).seed(spec.seed),
             move |id, n, _s| CongosNode::with_config(id, n, cfg_engine.clone()),
         );
         engine.run(spec.rounds, &mut adv);

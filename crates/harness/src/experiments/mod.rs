@@ -29,24 +29,17 @@ pub type RunFn = fn(bool, &RunDefaults) -> Vec<Table>;
 /// selected experiment would ignore.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Runs {
-    /// No protocol runs (pure combinatorics): no run flag applies.
-    Nothing,
-    /// Drives the engine directly on the paper's complete network:
-    /// `--backend seq|par[:N]` only.
+    /// Drives the engine directly on the paper's complete network, or runs
+    /// no protocol at all (E4's combinatorics): no `--topology`.
     Engine,
     /// Every run goes through [`crate::run()`], but the topology is the swept
-    /// axis: `--backend`, no `--topology`.
+    /// axis: no `--topology`.
     TopologySweep,
-    /// Every run goes through [`crate::run()`]: `--backend` and `--topology`.
+    /// Every run goes through [`crate::run()`]: `--topology` applies.
     Harness,
 }
 
 impl Runs {
-    /// Whether `--backend seq|par[:N]` changes how the experiment executes.
-    pub fn honours_backend(self) -> bool {
-        self != Runs::Nothing
-    }
-
     /// Whether `--topology` reaches every run of the experiment.
     pub fn honours_topology(self) -> bool {
         self == Runs::Harness
@@ -128,7 +121,7 @@ pub const REGISTRY: &[Experiment] = &[
         "e4",
         "E4: Lemma 5 / Lemma 13 — partition goodness",
         e4_partitions::run,
-        Runs::Nothing,
+        Runs::Engine,
     ),
     row(
         "e5",

@@ -9,14 +9,14 @@
 //!
 //! Run any experiment with `cargo run --release -p congos-harness --bin exp
 //! -- e1` (etc.; `exp --list` names them), or all of them with `exp all`.
-//! Pass `--full` for the larger sweeps, and `--backend <seq|par[:N]>` to
-//! pick the execution backend — results are bit-identical on every
-//! backend; only wall-clock time changes. Pass `--topology
+//! Pass `--full` for the larger sweeps, and `--topology
 //! <complete|expander:d|churn:p>` to run an experiment on a sparser or
-//! churning network — unlike the backend, the topology *does* change
-//! measured outcomes. The flags are parsed once into a [`RunDefaults`] that
-//! every `experiments::*::run(full, &RunDefaults)` receives; there is no
-//! process-global or environment configuration.
+//! churning network, which changes measured outcomes. The flags are parsed
+//! once into a [`RunDefaults`] that every `experiments::*::run(full,
+//! &RunDefaults)` receives; there is no process-global or environment
+//! configuration. The engine picks its own parallelism (its default
+//! [`congos_sim::EngineBackend::Auto`]): results are bit-identical on every
+//! backend, so there is nothing to choose.
 //!
 //! Every run over TCP goes through [`Cluster`]: `n` CONGOS nodes on
 //! localhost sockets, driven by a static injection schedule. The

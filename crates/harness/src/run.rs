@@ -15,7 +15,9 @@ pub struct RunSpec {
     pub seed: u64,
     /// Rounds to execute.
     pub rounds: u64,
-    /// Execution backend (outcome-invariant; affects wall clock only).
+    /// Execution backend (outcome-invariant; affects wall clock only). The
+    /// engine's default, [`EngineBackend::Auto`], unless a caller pins one
+    /// to time it.
     pub backend: EngineBackend,
     /// Communication topology (changes the measured outcome, unlike the
     /// backend: sparser topologies drop undeliverable links).
@@ -52,14 +54,15 @@ impl TapSpec {
 }
 
 impl RunSpec {
-    /// Spec for `n` processes, `rounds` rounds, on the in-process sequential
-    /// engine and the complete topology. Experiments that honour the
-    /// command line build their specs with [`RunDefaults::spec`] instead.
+    /// Spec for `n` processes, `rounds` rounds, on the in-process engine
+    /// (its default backend, which picks its own parallelism) and the
+    /// complete topology. Experiments that honour the command line build
+    /// their specs with [`RunDefaults::spec`] instead.
     pub fn new(n: usize, seed: u64, rounds: u64) -> Self {
         RunDefaults::default().spec(n, seed, rounds)
     }
 
-    /// Selects the execution backend (the measured outcome is identical on
+    /// Pins the execution backend (the measured outcome is identical on
     /// every backend; only wall-clock time changes).
     pub fn backend(mut self, backend: EngineBackend) -> Self {
         self.backend = backend;
@@ -88,16 +91,15 @@ impl RunSpec {
 /// What the command line chose for every run of one experiment: parsed once
 /// by [`RunDefaults::from_args`] and handed down to
 /// `experiments::*::run(full, &RunDefaults)`. The default is the paper's
-/// model on the sequential in-process engine.
+/// complete network. There is no backend choice: the engine picks its own
+/// parallelism, and every backend gives the same outcome.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunDefaults {
-    /// Execution backend (outcome-invariant; affects wall clock only).
-    pub backend: EngineBackend,
     /// Communication topology (changes measured outcomes).
     pub topology: TopologySpec,
 }
 
-/// A malformed `--backend` / `--topology` flag.
+/// A malformed `--topology` flag.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ArgError {
     /// The flag was the last argument.
@@ -118,22 +120,15 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl RunDefaults {
-    /// Consumes `--backend <seq|par[:N]>` and `--topology
-    /// <complete|expander:d|churn:p[@base]>` from `args` and returns the
-    /// defaults they select plus every argument it did not consume, in
-    /// order, for the caller to interpret (or reject).
+    /// Consumes `--topology <complete|expander:d|churn:p[@base]>` from
+    /// `args` and returns the defaults it selects plus every argument it did
+    /// not consume, in order, for the caller to interpret (or reject).
     pub fn from_args(args: &[String]) -> Result<(RunDefaults, Vec<String>), ArgError> {
         let mut defaults = RunDefaults::default();
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--backend" => {
-                    let v = it.next().ok_or(ArgError::MissingValue("--backend"))?;
-                    defaults.backend = v
-                        .parse()
-                        .map_err(|why| ArgError::BadValue("--backend", why))?;
-                }
                 "--topology" => {
                     let v = it.next().ok_or(ArgError::MissingValue("--topology"))?;
                     defaults.topology = v
@@ -152,7 +147,7 @@ impl RunDefaults {
             n,
             seed,
             rounds,
-            backend: self.backend,
+            backend: EngineBackend::default(),
             topology: self.topology,
             probe_mem: true,
             tap: None,
@@ -427,47 +422,24 @@ mod tests {
     }
 
     #[test]
-    fn run_defaults_parse_backend_and_topology() {
-        let backend = |v| parse(&["--backend", v]).map(|(d, _)| d.backend);
-        assert_eq!(backend("seq"), Ok(EngineBackend::Sequential));
-        assert_eq!(backend("par:4"), Ok(EngineBackend::Parallel { workers: 4 }));
-        assert_eq!(backend("par"), Ok(EngineBackend::parallel_auto()));
-        // The TCP cluster is reached through `Cluster`, not the flag.
-        for net in ["net", "net:21400"] {
-            assert!(
-                matches!(backend(net), Err(ArgError::BadValue("--backend", _))),
-                "{net}"
-            );
-        }
-
+    fn run_defaults_parse_topology() {
         let (d, rest) = parse(&["e1", "--topology", "expander:4", "--full"]).unwrap();
         assert_eq!(d.topology, TopologySpec::Expander { degree: 4 });
         assert_eq!(rest, ["e1", "--full"], "unconsumed arguments pass through");
         assert_eq!(parse(&[]), Ok((RunDefaults::default(), vec![])));
 
-        let spec = parse(&["--backend", "par:2"]).unwrap().0.spec(8, 1, 10);
+        let spec = d.spec(8, 1, 10);
         assert_eq!((spec.n, spec.seed, spec.rounds), (8, 1, 10));
+        assert_eq!(spec.backend, EngineBackend::Auto, "the engine picks");
+        assert_eq!(spec.topology, d.topology);
     }
 
     #[test]
     fn run_defaults_reject_malformed_flags_with_typed_errors() {
-        for bad in ["par:0", "net:x", "auto"] {
-            assert!(
-                matches!(
-                    parse(&["--backend", bad]),
-                    Err(ArgError::BadValue("--backend", _))
-                ),
-                "{bad}"
-            );
-        }
         assert!(matches!(
             parse(&["--topology", "ring"]),
             Err(ArgError::BadValue("--topology", _))
         ));
-        assert_eq!(
-            parse(&["--full", "--backend"]),
-            Err(ArgError::MissingValue("--backend"))
-        );
         assert_eq!(
             parse(&["--topology"]),
             Err(ArgError::MissingValue("--topology"))

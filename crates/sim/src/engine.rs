@@ -23,12 +23,10 @@
 //!
 //! The send and compute phases are *embarrassingly parallel across
 //! processes*: each process touches only its own state, RNG stream and
-//! buffers. [`EngineBackend::Parallel`] (selected with
-//! [`EngineConfig::backend`]) exploits this with scoped worker threads while
-//! preserving **bit-identical** traces and metrics with
-//! [`EngineBackend::Sequential`] — the two differ only in how many chunks
-//! the one round body in [`Engine::step_observed`] cuts the process range
-//! into:
+//! buffers. The engine exploits this with scoped worker threads while
+//! preserving **bit-identical** traces and metrics on every
+//! [`EngineBackend`] — backends differ only in how many chunks the one
+//! round body in [`Engine::step_observed`] cuts the process range into:
 //!
 //! * every process draws from its own forked RNG stream, so concurrency
 //!   cannot reorder random choices;
@@ -39,6 +37,14 @@
 //! * the adversary, delivery and bookkeeping phases stay sequential, so an
 //!   adaptive adversary observes exactly the ordered outbox snapshot it
 //!   would have seen sequentially.
+//!
+//! The default, [`EngineBackend::Auto`], picks per phase and round: one
+//! worker per core the host exposes when the phase's message load reaches
+//! [`AUTO_MIN_MSGS`], inline on the calling thread below it. Both loads are
+//! known before the phase runs, so the choice is deterministic — and it
+//! could not change the execution anyway.
+
+use std::sync::OnceLock;
 
 use rand::rngs::SmallRng;
 
@@ -406,7 +412,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Configuration for `n` processes with seed 0 on the complete topology
-    /// and the sequential backend.
+    /// and the [`EngineBackend::Auto`] backend.
     ///
     /// # Panics
     ///
@@ -417,7 +423,7 @@ impl EngineConfig {
             n,
             seed: 0,
             topology: TopologySpec::Complete,
-            backend: EngineBackend::Sequential,
+            backend: EngineBackend::Auto,
         }
     }
 
@@ -442,16 +448,16 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the execution backend (default: [`EngineBackend::Sequential`]).
-    /// The execution is bit-identical on every backend; only wall-clock
-    /// time changes.
+    /// Pins the execution backend (default: [`EngineBackend::Auto`]). The
+    /// execution is bit-identical on every backend; only wall-clock time
+    /// changes.
     ///
     /// # Panics
     ///
     /// Panics on `Parallel { workers: 0 }`.
     pub fn backend(mut self, backend: EngineBackend) -> Self {
         assert!(
-            backend.workers() >= 1,
+            backend != EngineBackend::Parallel { workers: 0 },
             "parallel backend needs at least one worker"
         );
         self.backend = backend;
@@ -469,83 +475,82 @@ impl EngineConfig {
     }
 }
 
+/// Messages in a phase's load from which [`EngineBackend::Auto`] fans the
+/// phase out: the previous round's outbox for the send phase, this round's
+/// deliveries for the compute phase. On CONGOS with 2 workers (pipeline,
+/// churn, collusion and light configurations, n = 16 to 1024), phases
+/// below 64 messages ran faster inline, phases of 64–127 messages were
+/// split, and every load bucket from 128 messages up ran faster fanned out.
+pub const AUTO_MIN_MSGS: usize = 128;
+
 /// How the engine executes the per-process phases of a round.
 ///
-/// Both backends produce **bit-identical** executions: identical delivery
+/// Every backend produces a **bit-identical** execution: identical delivery
 /// sets, metrics, outputs and observer event order for the same config,
-/// adversary and seed (see the module docs for why). `Parallel` pays a
-/// per-round synchronization cost, so it wins only when per-process work is
-/// substantial (large `n`, heavy protocols).
+/// adversary and seed (see the module docs for why). A fan-out costs a
+/// thread spawn per extra worker, so it wins only when per-process work is
+/// substantial; [`Auto`](Self::Auto) fans out only then.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum EngineBackend {
-    /// One thread executes processes in id order (the default).
+    /// One worker per core the host exposes
+    /// (`std::thread::available_parallelism`), used on a phase only when
+    /// its load reaches [`AUTO_MIN_MSGS`] messages; lighter phases run
+    /// inline (the default).
     #[default]
+    Auto,
+    /// One thread executes processes in id order on every round.
     Sequential,
-    /// Scoped worker threads split processes into contiguous id chunks for
-    /// the send and compute phases; adversary and delivery stay sequential.
+    /// Worker threads split processes into contiguous id chunks for the
+    /// send and compute phases of every round; adversary and delivery stay
+    /// sequential.
     Parallel {
-        /// Number of worker threads (>= 1). `Parallel { workers: 1 }` is
-        /// the sequential schedule: one chunk, run on the calling thread.
+        /// Number of workers (>= 1): chunk 0 runs on the calling thread,
+        /// every other chunk on a scoped thread of its own.
+        /// `Parallel { workers: 1 }` is the sequential schedule.
         workers: usize,
     },
 }
 
 impl EngineBackend {
-    /// A parallel backend sized to the machine
-    /// (`std::thread::available_parallelism`, min 1).
+    /// A parallel backend sized to the machine, fanning out on every round.
     pub fn parallel_auto() -> Self {
         EngineBackend::Parallel {
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            workers: host_parallelism(),
         }
     }
 
-    /// Worker count: 1 for `Sequential`, `workers` for `Parallel`.
+    /// Worker count of a heavy phase: the host's parallelism for `Auto`,
+    /// 1 for `Sequential`, `workers` for `Parallel`.
     pub fn workers(&self) -> usize {
         match self {
+            EngineBackend::Auto => host_parallelism(),
             EngineBackend::Sequential => 1,
             EngineBackend::Parallel { workers } => *workers,
         }
     }
+
+    /// Worker count of a phase whose load is `msgs` messages.
+    fn workers_for(&self, msgs: usize) -> usize {
+        match self {
+            EngineBackend::Auto if msgs < AUTO_MIN_MSGS => 1,
+            _ => self.workers(),
+        }
+    }
+}
+
+/// `std::thread::available_parallelism` (min 1), read once per process: it
+/// reads cgroup files on every call.
+fn host_parallelism() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 impl std::fmt::Display for EngineBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EngineBackend::Auto => write!(f, "auto"),
             EngineBackend::Sequential => write!(f, "seq"),
             EngineBackend::Parallel { workers } => write!(f, "par:{workers}"),
-        }
-    }
-}
-
-impl std::str::FromStr for EngineBackend {
-    type Err = String;
-
-    /// Parses `seq` / `sequential`, or `par` / `parallel` with an optional
-    /// `:<workers>` suffix (defaulting to the machine's parallelism).
-    fn from_str(s: &str) -> Result<Self, String> {
-        let (kind, workers) = match s.split_once(':') {
-            Some((k, w)) => (k, Some(w)),
-            None => (s, None),
-        };
-        match kind {
-            "seq" | "sequential" => match workers {
-                None => Ok(EngineBackend::Sequential),
-                Some(_) => Err(format!("sequential backend takes no worker count: {s:?}")),
-            },
-            "par" | "parallel" => {
-                let workers = match workers {
-                    None => return Ok(EngineBackend::parallel_auto()),
-                    Some(w) => w
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&w| w >= 1)
-                        .ok_or_else(|| format!("bad worker count in {s:?}"))?,
-                };
-                Ok(EngineBackend::Parallel { workers })
-            }
-            _ => Err(format!("unknown backend {s:?} (expected seq or par[:N])")),
         }
     }
 }
@@ -782,10 +787,15 @@ impl<P: Protocol + 'static> Engine<P> {
 
     /// The strictly sequential middle of a round: present the merged outbox
     /// to the adversary, apply crashes and restarts, deliver surviving
-    /// messages into per-process inboxes, and stage injected inputs.
-    /// Decisions that are invalid this round are skipped and counted in
-    /// [`Metrics::rejected_decisions`] — in every build profile.
-    fn prepare_round<A: Adversary<P>, O: Observer<P>>(&mut self, adversary: &mut A, obs: &mut O) {
+    /// messages into per-process inboxes, and stage injected inputs. Returns
+    /// the number of messages delivered. Decisions that are invalid this
+    /// round are skipped and counted in [`Metrics::rejected_decisions`] — in
+    /// every build profile.
+    fn prepare_round<A: Adversary<P>, O: Observer<P>>(
+        &mut self,
+        adversary: &mut A,
+        obs: &mut O,
+    ) -> usize {
         let n = self.cfg.n;
         let round = self.round;
 
@@ -845,6 +855,7 @@ impl<P: Protocol + 'static> Engine<P> {
         // restart incoming-policy → observe) lives in MemTransport; the
         // engine supplies the adversary's gates as closures over this
         // round's decisions.
+        let mut delivered = 0;
         {
             let alive = &self.alive;
             let metrics = &mut self.metrics;
@@ -864,7 +875,10 @@ impl<P: Protocol + 'static> Engine<P> {
                         None => true,
                     }
                 },
-                |env| obs.on_deliver(env),
+                |env| {
+                    delivered += 1;
+                    obs.on_deliver(env);
+                },
                 || metrics.record_topology_drop(),
             );
         }
@@ -891,6 +905,7 @@ impl<P: Protocol + 'static> Engine<P> {
                 self.inputs[i] = Some(input);
             }
         }
+        delivered
     }
 
     /// End-of-round bookkeeping: meter this round's deliveries, notify the
@@ -905,30 +920,30 @@ impl<P: Protocol + 'static> Engine<P> {
     }
 }
 
-/// Cuts the process range into `workers` contiguous id chunks
-/// (`[c*chunk, (c+1)*chunk)` goes to worker `c`, independent of scheduling,
-/// so work assignment is deterministic) and runs `work(first_id, part)` on
-/// each: inline when `workers == 1` — the sequential backend is the
-/// one-chunk case — else on one scoped thread per chunk, joined before
-/// returning.
+/// Runs `work(first_id, part)` on each contiguous id chunk of `parts`
+/// (chunk `c` starts at `c * chunk`, independent of scheduling, so work
+/// assignment is deterministic): chunk 0 on the calling thread, every other
+/// chunk on a scoped thread of its own, all joined before returning. A
+/// single chunk — the sequential schedule — runs inline without a scope.
 fn for_each_chunk<T: Send>(
-    workers: usize,
     chunk: usize,
     parts: impl Iterator<Item = T>,
     work: impl Fn(usize, T) + Sync,
 ) {
-    if workers == 1 {
-        for (ci, part) in parts.enumerate() {
-            work(ci * chunk, part);
-        }
-    } else {
-        let work = &work;
-        std::thread::scope(|s| {
-            for (ci, part) in parts.enumerate() {
-                s.spawn(move || work(ci * chunk, part));
-            }
-        });
+    let mut parts = parts.enumerate().peekable();
+    let Some((_, first)) = parts.next() else {
+        return;
+    };
+    if parts.peek().is_none() {
+        return work(0, first);
     }
+    let work = &work;
+    std::thread::scope(|s| {
+        for (ci, part) in parts {
+            s.spawn(move || work(ci * chunk, part));
+        }
+        work(0, first);
+    });
 }
 
 impl<P> Engine<P>
@@ -961,7 +976,8 @@ where
     }
 
     /// Executes one round, reporting events to `obs` — the one round body,
-    /// on whichever backend [`EngineConfig::backend`] selected.
+    /// on whichever backend [`EngineConfig::backend`] selected (for
+    /// [`EngineBackend::Auto`], per phase, by the phase's message load).
     pub fn step_observed<A: Adversary<P>, O: Observer<P>>(
         &mut self,
         adversary: &mut A,
@@ -969,38 +985,34 @@ where
     ) {
         let n = self.cfg.n;
         let round = self.round;
-        let workers = self.cfg.backend.workers();
-        let chunk = n.div_ceil(workers);
         self.metrics.begin_round();
         let out_start = self.outputs.len();
 
         // ---- Phase 1: send. -------------------------------------------
+        // The transport still holds last round's outbox: its size is the
+        // send phase's load estimate.
+        let chunk = n.div_ceil(self.cfg.backend.workers_for(self.mem.outbox_len()));
         let alive = &self.alive;
-        for_each_chunk(
-            workers,
-            chunk,
-            self.procs.chunks_mut(chunk),
-            |base, procs| {
-                for (j, p) in procs.iter_mut().enumerate() {
-                    if alive[base + j] {
-                        p.send(round);
-                        p.meter();
-                    }
+        for_each_chunk(chunk, self.procs.chunks_mut(chunk), |base, procs| {
+            for (j, p) in procs.iter_mut().enumerate() {
+                if alive[base + j] {
+                    p.send(round);
+                    p.meter();
                 }
-            },
-        );
+            }
+        });
         // Barrier: workers joined; merge in process-id order.
         self.merge_send_results();
 
         // ---- Phases 2 & 3: adversary + delivery (always sequential). --
-        self.prepare_round(adversary, obs);
+        let delivered = self.prepare_round(adversary, obs);
 
         // ---- Phase 4: compute. ----------------------------------------
+        let chunk = n.div_ceil(self.cfg.backend.workers_for(delivered));
         let alive = &self.alive;
         let outbox = self.mem.columns();
         let inboxes = self.mem.inbox_lists();
         for_each_chunk(
-            workers,
             chunk,
             self.procs
                 .chunks_mut(chunk)
@@ -1240,38 +1252,107 @@ mod tests {
     }
 
     #[test]
-    fn backend_parses_and_displays() {
-        use std::str::FromStr;
-        assert_eq!(
-            EngineBackend::from_str("seq").unwrap(),
-            EngineBackend::Sequential
-        );
-        assert_eq!(
-            EngineBackend::from_str("sequential").unwrap(),
-            EngineBackend::Sequential
-        );
-        assert_eq!(
-            EngineBackend::from_str("par:4").unwrap(),
-            EngineBackend::Parallel { workers: 4 }
-        );
-        assert_eq!(
-            EngineBackend::from_str("parallel:1").unwrap(),
-            EngineBackend::Parallel { workers: 1 }
-        );
-        assert!(matches!(
-            EngineBackend::from_str("par").unwrap(),
-            EngineBackend::Parallel { workers } if workers >= 1
-        ));
-        assert!(EngineBackend::from_str("par:0").is_err());
-        assert!(EngineBackend::from_str("seq:2").is_err());
-        assert!(EngineBackend::from_str("bogus").is_err());
+    fn backend_defaults_to_auto_and_displays() {
+        assert_eq!(EngineBackend::default(), EngineBackend::Auto);
+        assert_eq!(EngineConfig::new(4).backend, EngineBackend::Auto);
+        assert_eq!(EngineBackend::Auto.to_string(), "auto");
         assert_eq!(EngineBackend::Sequential.to_string(), "seq");
         assert_eq!(EngineBackend::Parallel { workers: 8 }.to_string(), "par:8");
-        assert_eq!(EngineBackend::default(), EngineBackend::Sequential);
         assert_eq!(EngineBackend::Sequential.workers(), 1);
         assert_eq!(EngineBackend::Parallel { workers: 3 }.workers(), 3);
-        // The guessed `auto` rule is gone: the backend is always explicit.
-        assert!(EngineBackend::from_str("auto").is_err());
+        assert_eq!(
+            EngineBackend::Auto.workers(),
+            EngineBackend::parallel_auto().workers()
+        );
+        // Only `Auto` gates by load; an explicit pin always fans out.
+        assert_eq!(EngineBackend::Auto.workers_for(AUTO_MIN_MSGS - 1), 1);
+        assert_eq!(
+            EngineBackend::Auto.workers_for(AUTO_MIN_MSGS),
+            EngineBackend::Auto.workers()
+        );
+        assert_eq!(EngineBackend::Parallel { workers: 2 }.workers_for(0), 2);
+    }
+
+    /// Process 0 sends `LOAD[r]` messages in round `r`, spread over every
+    /// process; each process records the thread that ran its send and its
+    /// receive, and outputs how much it received.
+    struct Spy {
+        threads: Vec<(Round, bool, std::thread::ThreadId)>,
+    }
+
+    const K: usize = AUTO_MIN_MSGS;
+    const LOAD: [usize; 6] = [K - 1, K, 3, 2 * K, 0, K];
+
+    impl Protocol for Spy {
+        type Msg = u32;
+        type Input = ();
+        type Output = usize;
+        fn new(_id: ProcessId, _n: usize, _seed: u64) -> Self {
+            Spy {
+                threads: Vec::new(),
+            }
+        }
+        fn send(&mut self, ctx: &mut Context<'_, Self>) {
+            let id = std::thread::current().id();
+            self.threads.push((ctx.round(), true, id));
+            if ctx.id().as_usize() == 0 {
+                for i in 0..LOAD[ctx.round().as_u64() as usize] {
+                    ctx.send(ProcessId::new(i % ctx.n()), i as u32, Tag("load"));
+                }
+            }
+        }
+        fn receive(&mut self, ctx: &mut Context<'_, Self>, inbox: Inbox<'_, u32>, _: Option<()>) {
+            let id = std::thread::current().id();
+            self.threads.push((ctx.round(), false, id));
+            ctx.output(inbox.len());
+        }
+    }
+
+    #[test]
+    fn auto_fans_out_exactly_the_phases_at_or_above_the_gate() {
+        let n = 8;
+        let run = |backend| {
+            let mut e = Engine::<Spy>::new(EngineConfig::new(n).seed(3).backend(backend));
+            e.run(LOAD.len() as u64, &mut NullAdversary);
+            e
+        };
+        let auto = run(EngineBackend::default());
+        let seq = run(EngineBackend::Sequential);
+        assert_eq!(auto.outputs(), seq.outputs());
+        assert_eq!(
+            auto.metrics().per_round_series(),
+            seq.metrics().per_round_series()
+        );
+        assert_eq!(auto.metrics().deliveries(), seq.metrics().deliveries());
+
+        let caller = std::thread::current().id();
+        let multicore = EngineBackend::Auto.workers() > 1;
+        let (first, last) = (
+            auto.protocol(ProcessId::new(0)),
+            auto.protocol(ProcessId::new(n - 1)),
+        );
+        for (r, load) in LOAD.iter().enumerate() {
+            // The send phase is gated by the previous round's outbox, the
+            // compute phase by this round's deliveries.
+            let send_load = if r == 0 { 0 } else { LOAD[r - 1] };
+            for (phase, (is_send, load)) in [(true, send_load), (false, *load)].iter().enumerate() {
+                let (_, _, t0) = first.threads[2 * r + phase];
+                let (round, sent, tn) = last.threads[2 * r + phase];
+                assert_eq!((round, sent), (Round(r as u64), *is_send));
+                assert_eq!(t0, caller, "chunk 0 runs on the calling thread");
+                let fans_out = multicore && *load >= K;
+                assert_eq!(
+                    tn != caller,
+                    fans_out,
+                    "round {r}, send {is_send}, load {load}"
+                );
+            }
+        }
+        assert!(seq
+            .protocol(ProcessId::new(n - 1))
+            .threads
+            .iter()
+            .all(|t| t.2 == caller));
     }
 
     /// Observer that fingerprints the full ordered event stream, for

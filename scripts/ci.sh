@@ -35,7 +35,8 @@
 #   scripts/ci.sh full       # tier1 + the full workspace test suite
 #
 # The differential suite (part of the root tests) compares the engine
-# backends pairwise from inside each test, so one pass covers both.
+# backends pairwise from inside each test, so one pass covers them all;
+# tier1 runs its backend-equivalence module once more in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -139,6 +140,12 @@ cargo build --release
 
 echo "==> tier1: cargo test -q (root package, incl. the differential suite)"
 cargo test -q
+
+echo "==> tier1: backend-equivalence suite in release, the profile the benchmark runs"
+# The default backend fans heavy rounds out over worker threads, so every
+# default run takes the parallel path; pin it bit-identical in the build
+# profile the benchmark measures, not only in the test profile.
+cargo test -q --release --test differential backend_equivalence
 
 echo "==> tier1: unit tests and proptests of every library crate but congos-harness"
 cargo test -q -p congos-sim -p congos-gossip -p congos -p congos-adversary -p congos-baselines

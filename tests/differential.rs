@@ -7,7 +7,8 @@
 //! * **Backend equivalence** — the parallel round engine must be
 //!   bit-identical to the sequential one: same delivery sets, same
 //!   per-round per-tag message counts, same audit verdicts, same trace —
-//!   for every worker count, every seed, and under adaptive adversaries.
+//!   for every worker count, the default load-gated schedule, every seed,
+//!   and under adaptive adversaries.
 //! * **Topology equivalence** — both of the above must keep holding when
 //!   the network is no longer the paper's complete graph: for every
 //!   topology × adversary × seed, sequential and parallel executions must
@@ -84,17 +85,24 @@ fn congos_collusion_variant_is_also_delivery_equivalent() {
 
 mod backend_equivalence {
     //! The parallel engine's determinism contract, checked end to end on
-    //! CONGOS over the complete topology: for every backend the full
-    //! observable execution — ordered deliveries, per-round per-tag message
-    //! counts, audit verdicts, the rendered trace — must be bit-identical
-    //! to the sequential engine.
+    //! CONGOS over the complete topology: for every backend — explicit
+    //! worker counts and the default, which fans out only its heavy phases
+    //! — the full observable execution (ordered deliveries, per-round
+    //! per-tag message counts, audit verdicts, the rendered trace) must be
+    //! bit-identical to the sequential engine.
 
     use confidential_gossip::adversary::{NoFailures, ProxyKiller, RandomChurn};
     use confidential_gossip::sim::{EngineBackend, Tag, TopologySpec};
     use confidential_gossip::testkit::{congos_fingerprint, fnv1a, GOLDEN_TRACE_DIGEST};
 
     const SEEDS: [u64; 3] = [11, 12, 13];
-    const WORKER_COUNTS: [usize; 2] = [1, 4];
+    /// Every backend compared against `Sequential`, the default (`Auto`)
+    /// among them.
+    const BACKENDS: [EngineBackend; 3] = [
+        EngineBackend::Parallel { workers: 1 },
+        EngineBackend::Parallel { workers: 4 },
+        EngineBackend::Auto,
+    ];
 
     #[test]
     fn no_failures_identical_across_backends() {
@@ -106,14 +114,14 @@ mod backend_equivalence {
                 NoFailures,
             );
             assert!(!seq.outputs.is_empty(), "seed {seed}: nothing delivered");
-            for workers in WORKER_COUNTS {
+            for backend in BACKENDS {
                 let par = congos_fingerprint(
-                    EngineBackend::Parallel { workers },
+                    backend,
                     TopologySpec::Complete,
                     seed,
                     NoFailures,
                 );
-                assert_eq!(seq, par, "seed {seed} workers {workers}");
+                assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
     }
@@ -128,14 +136,14 @@ mod backend_equivalence {
                 seed,
                 churn(),
             );
-            for workers in WORKER_COUNTS {
+            for backend in BACKENDS {
                 let par = congos_fingerprint(
-                    EngineBackend::Parallel { workers },
+                    backend,
                     TopologySpec::Complete,
                     seed,
                     churn(),
                 );
-                assert_eq!(seq, par, "seed {seed} workers {workers}");
+                assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
     }
@@ -153,21 +161,21 @@ mod backend_equivalence {
                 seed,
                 killer(),
             );
-            for workers in WORKER_COUNTS {
+            for backend in BACKENDS {
                 let par = congos_fingerprint(
-                    EngineBackend::Parallel { workers },
+                    backend,
                     TopologySpec::Complete,
                     seed,
                     killer(),
                 );
-                assert_eq!(seq, par, "seed {seed} workers {workers}");
+                assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
     }
 
     #[test]
     fn seed_determinism_and_golden_trace_digests() {
-        // The digest is pinned for both backends; the two values being one
+        // The digest is pinned for every backend; the values being one
         // constant *is* the determinism contract, and pinning (rather than
         // comparing) makes any semantic drift a loud failure instead of a
         // silently moved baseline.
@@ -184,24 +192,21 @@ mod backend_equivalence {
             NoFailures,
         );
         assert_eq!(seq_a.trace, seq_b.trace, "sequential run not reproducible");
-        let par = congos_fingerprint(
-            EngineBackend::Parallel { workers: 4 },
-            TopologySpec::Complete,
-            42,
-            NoFailures,
-        );
         assert_eq!(
             fnv1a(&seq_a.trace),
             GOLDEN_TRACE_DIGEST,
             "sequential golden trace digest moved (got {:#x})",
             fnv1a(&seq_a.trace)
         );
-        assert_eq!(
-            fnv1a(&par.trace),
-            GOLDEN_TRACE_DIGEST,
-            "parallel golden trace digest moved (got {:#x})",
-            fnv1a(&par.trace)
-        );
+        for backend in BACKENDS {
+            let par = congos_fingerprint(backend, TopologySpec::Complete, 42, NoFailures);
+            assert_eq!(
+                fnv1a(&par.trace),
+                GOLDEN_TRACE_DIGEST,
+                "{backend} golden trace digest moved (got {:#x})",
+                fnv1a(&par.trace)
+            );
+        }
     }
 
     #[test]
