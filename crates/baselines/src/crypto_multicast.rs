@@ -114,13 +114,13 @@ impl Protocol for CryptoMulticastNode {
     ) {
         let me = ctx.id();
         for env in inbox {
-            match env.payload.clone() {
+            match env.payload {
                 CryptoMsg::KeyOffer { gid } => {
-                    ctx.send(env.src, CryptoMsg::KeyAck { gid }, TAG_REKEY);
+                    ctx.send(env.src, CryptoMsg::KeyAck { gid: *gid }, TAG_REKEY);
                 }
                 CryptoMsg::KeyAck { gid } => {
                     let mut ready: Vec<(Vec<ProcessId>, u64, Vec<u8>)> = Vec::new();
-                    if let Some(k) = self.keys.get_mut(&gid) {
+                    if let Some(k) = self.keys.get_mut(gid) {
                         k.acks_missing = k.acks_missing.saturating_sub(1);
                         if k.acks_missing == 0 {
                             for (wid, data) in k.queued.drain(..) {
@@ -133,7 +133,10 @@ impl Protocol for CryptoMulticastNode {
                     }
                 }
                 CryptoMsg::Cipher { wid, data } => {
-                    ctx.output(Delivered { wid, data });
+                    ctx.output(Delivered {
+                        wid: *wid,
+                        data: data.clone(),
+                    });
                 }
             }
         }

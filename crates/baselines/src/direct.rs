@@ -44,10 +44,9 @@ impl Protocol for DirectNode {
         input: Option<Self::Input>,
     ) {
         for env in inbox {
-            let payload = env.payload.clone();
             ctx.output(Delivered {
-                wid: payload.wid,
-                data: payload.data,
+                wid: env.payload.wid,
+                data: env.payload.data.clone(),
             });
         }
         if let Some(inj) = input {

@@ -150,7 +150,7 @@ impl Protocol for StronglyConfidentialNode {
         let now = ctx.round();
         let me = ctx.id();
         for env in inbox {
-            match env.payload.clone() {
+            match env.payload {
                 StrongMsg::Push(rumors) => {
                     for rumor in rumors {
                         debug_assert!(
@@ -172,13 +172,13 @@ impl Protocol for StronglyConfidentialNode {
                                 .push(rumor.rid);
                         }
                         if rumor.deadline >= now {
-                            self.active.insert(rumor.rid, rumor);
+                            self.active.insert(rumor.rid, rumor.clone());
                         }
                     }
                 }
                 StrongMsg::Ack(ids) => {
                     for rid in ids {
-                        if let Some(o) = self.own.get_mut(&rid) {
+                        if let Some(o) = self.own.get_mut(rid) {
                             o.unacked.remove(env.src);
                         }
                     }

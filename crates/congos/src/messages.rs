@@ -128,14 +128,15 @@ pub enum GossipLane {
 /// The multiplexed message type of a CONGOS process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CongosMsg {
-    /// Traffic of a gossip endpoint. Payloads are `Arc`-shared: epidemic
-    /// push clones a batch per target every round, and the payloads are the
-    /// bulk of the bytes.
+    /// Traffic of a gossip endpoint, held inline: the wire is at most as
+    /// large as the other variants, so a box would only add an allocation
+    /// per message. Payloads are `Arc`-shared: epidemic push clones a batch
+    /// per target every round, and the payloads are the bulk of the bytes.
     Gossip {
         /// Which endpoint.
         lane: GossipLane,
         /// The gossip wire message.
-        wire: Box<GossipWire<Arc<GossipPayload>>>,
+        wire: GossipWire<Arc<GossipPayload>>,
     },
     /// A proxy request (Figure 9, round 1 of an iteration): fragments the
     /// receiver is asked to spread in its own group.
@@ -168,8 +169,10 @@ pub enum CongosMsg {
     /// destination (Figure 8's `⟨shoot, r⟩`). Also used for deadlines too
     /// short for the pipeline (`direct = true`).
     Shoot {
-        /// The rumor (receiver is guaranteed to be in `rumor.dest`).
-        rumor: Rumor,
+        /// The rumor (receiver is guaranteed to be in `rumor.dest`), shared
+        /// by every destination's copy of one shoot. The `Arc` exists in
+        /// memory only: each copy is encoded and sized as the whole rumor.
+        rumor: Arc<Rumor>,
         /// Identity, for delivery dedup.
         rid: CongosRumorId,
         /// `true` when sent eagerly (short deadline / degenerate collusion)
@@ -184,7 +187,7 @@ impl CongosMsg {
     pub fn wire_size(&self) -> u64 {
         match self {
             CongosMsg::Gossip { wire, .. } => {
-                8 + match wire.as_ref() {
+                8 + match wire {
                     congos_gossip::GossipWire::Push(rumors) => rumors
                         .iter()
                         .map(|r| {
@@ -237,7 +240,7 @@ impl CongosMsg {
     /// (a push can batch several) or per `ProxyRequest` / `Partials`.
     pub fn fragment_batches(&self) -> impl Iterator<Item = &[Fragment]> {
         let (pushed, sent): (&[_], Option<&[Fragment]>) = match self {
-            CongosMsg::Gossip { wire, .. } => match wire.as_ref() {
+            CongosMsg::Gossip { wire, .. } => match wire {
                 GossipWire::Push(rumors) => (rumors.as_slice(), None),
                 GossipWire::Ack(_) => (&[], None),
             },
@@ -279,7 +282,7 @@ mod tests {
         };
         let gossip = |lane| CongosMsg::Gossip {
             lane,
-            wire: Box::new(GossipWire::Ack(vec![])),
+            wire: GossipWire::Ack(vec![]),
         };
         let cases = [
             (
@@ -306,12 +309,12 @@ mod tests {
             ),
             (
                 CongosMsg::Shoot {
-                    rumor: Rumor {
+                    rumor: Arc::new(Rumor {
                         wid: 0,
                         data: vec![],
                         deadline: 64,
                         dest: IdSet::empty(4),
-                    },
+                    }),
                     rid,
                     direct: false,
                 },
@@ -321,6 +324,31 @@ mod tests {
         for (msg, tag) in cases {
             assert_eq!(msg.tag(), tag, "{msg:?}");
         }
+    }
+
+    /// Every message of a round is moved through the engine's columns and
+    /// inboxes by value, so the enum's size is paid per message, and a boxed
+    /// field is one more allocation per message. A variant that would grow
+    /// the enum goes behind an `Arc` (shared, like `Shoot`'s rumor) or a
+    /// `Box`; the gossip wire, the bulk of the traffic, stays inline.
+    #[test]
+    fn a_message_is_at_most_48_bytes_and_holds_its_wire_inline() {
+        let size = std::mem::size_of::<CongosMsg>();
+        assert!(size <= 48, "CongosMsg is {size} bytes");
+        let msg = CongosMsg::Gossip {
+            lane: GossipLane::All { dline: 64 },
+            wire: GossipWire::Ack(vec![]),
+        };
+        let CongosMsg::Gossip { wire, .. } = &msg else {
+            unreachable!()
+        };
+        let wire: &GossipWire<_> = wire;
+        let start = &msg as *const CongosMsg as usize;
+        let at = wire as *const GossipWire<_> as usize;
+        assert!(
+            (start..start + size).contains(&at),
+            "the wire is not inline"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! [`congos_sim::Protocol`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 use congos_sim::clock::trim_deadline;
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
@@ -391,7 +392,7 @@ impl CongosNode {
                 // by sending rumors directly".
                 self.direct += 1;
                 let shoot = CongosMsg::Shoot {
-                    rumor,
+                    rumor: Arc::new(rumor),
                     rid,
                     direct: true,
                 };
@@ -459,16 +460,17 @@ impl Protocol for CongosNode {
         let now = ctx.round();
         let mut received = std::mem::take(&mut self.received);
         for env in inbox {
-            match env.payload.clone() {
+            match env.payload {
                 CongosMsg::Shoot { rumor, rid, direct } => {
-                    if rumor.dest.contains(self.me) {
+                    // `deliver` drops a repeat: clone the data only for a first.
+                    if rumor.dest.contains(self.me) && !self.delivered.contains(rid) {
                         self.deliver(
                             ctx,
                             DeliveredRumor {
                                 wid: rumor.wid,
-                                rid,
-                                data: rumor.data,
-                                via: if direct {
+                                rid: *rid,
+                                data: rumor.data.clone(),
+                                via: if *direct {
                                     DeliveryPath::Direct
                                 } else {
                                     DeliveryPath::Fallback
@@ -478,7 +480,7 @@ impl Protocol for CongosNode {
                     }
                 }
                 msg => {
-                    let dline = match &msg {
+                    let dline = match msg {
                         CongosMsg::Gossip { lane, .. } => match lane {
                             crate::messages::GossipLane::Group { dline, .. } => *dline,
                             crate::messages::GossipLane::All { dline } => *dline,
@@ -525,8 +527,9 @@ mod tests {
     use congos_sim::{Envelope, NodeDriver, RoundTransport};
     use std::io;
 
-    /// A transport whose peers send whatever the test says.
-    struct Hostile(Vec<Envelope<CongosMsg>>);
+    /// A transport whose peers send whatever the test says; it keeps what
+    /// the node sends.
+    struct Hostile(Vec<Envelope<CongosMsg>>, Vec<CongosMsg>);
 
     impl RoundTransport<CongosMsg> for Hostile {
         fn send_outbox(
@@ -535,7 +538,7 @@ mod tests {
             _: ProcessId,
             out: &mut SendColumns<CongosMsg>,
         ) -> io::Result<()> {
-            out.drain().for_each(drop);
+            self.1.extend(out.drain().map(|(_, _, msg)| msg));
             Ok(())
         }
         fn end_of_round(&mut self, _: Round, _: ProcessId) -> io::Result<()> {
@@ -567,7 +570,7 @@ mod tests {
                 payload: CongosMsg::ProxyAck { dline, ell: 0 },
             })
             .collect();
-        let mut peers = Hostile(frames);
+        let mut peers = Hostile(frames, vec![]);
         let mut node = NodeDriver::<CongosNode>::new(me, 8, 0);
         node.send_phase(&mut peers).expect("send");
         node.compute_phase(&mut peers, None).expect("compute");
@@ -592,17 +595,17 @@ mod tests {
             round: Round(0),
             tag: crate::messages::TAG_SHOOT,
             payload: CongosMsg::Shoot {
-                rumor: Rumor {
+                rumor: Arc::new(Rumor {
                     wid: 0,
                     data: b"secret".to_vec(),
                     deadline: 64,
                     dest: IdSet::from_iter(n, [ProcessId::new(2)]),
-                },
+                }),
                 rid,
                 direct: true,
             },
         };
-        let mut peers = Hostile(vec![shoot]);
+        let mut peers = Hostile(vec![shoot], vec![]);
         let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
         let mut audit = ConfidentialityAuditor::new(n);
         node.send_phase(&mut peers).expect("send");
@@ -613,5 +616,36 @@ mod tests {
             [Violation::WholeRumorLeaked { process: me, rid }]
         );
         assert!(node.outputs().is_empty(), "p0 is no destination");
+    }
+
+    #[test]
+    fn direct_shoots_share_one_rumor() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        node.send_phase(&mut peers).expect("send");
+        let input = CongosInput {
+            wid: 0,
+            data: b"short".to_vec(),
+            deadline: 4, // below the pipeline threshold: the direct path
+            dest: [3, 5, 6].map(ProcessId::new).to_vec(),
+        };
+        node.compute_phase(&mut peers, Some(input))
+            .expect("compute");
+        node.send_phase(&mut peers).expect("send");
+        let rumors: Vec<&Arc<Rumor>> = peers
+            .1
+            .iter()
+            .filter_map(|m| match m {
+                CongosMsg::Shoot {
+                    rumor,
+                    direct: true,
+                    ..
+                } => Some(rumor),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rumors.len(), 3, "one shoot per destination");
+        assert!(rumors.iter().all(|r| Arc::ptr_eq(r, rumors[0])));
     }
 }

@@ -42,10 +42,7 @@ fn gossip_to(
     out: &mut SendColumns<CongosMsg>,
     lane: GossipLane,
 ) -> impl FnMut(ProcessId, GossipWire<Arc<GossipPayload>>) + '_ {
-    move |dst, wire| {
-        let wire = Box::new(wire);
-        send(out, dst, CongosMsg::Gossip { lane, wire });
-    }
+    move |dst, wire| send(out, dst, CongosMsg::Gossip { lane, wire })
 }
 
 struct Lane {
@@ -348,7 +345,8 @@ impl ClassEngine {
         }
     }
 
-    /// Routes an incoming protocol message into the right sub-service.
+    /// Routes an incoming protocol message, borrowed from the inbox, into
+    /// the right sub-service; each path clones only what it keeps.
     /// `Partials` fragments are appended to `saved`, the node's reassembly
     /// queue. A message no correct process sends — a partition index this
     /// configuration does not have, or a proxy request carrying a fragment
@@ -358,20 +356,20 @@ impl ClassEngine {
         &mut self,
         now: Round,
         src: ProcessId,
-        msg: CongosMsg,
+        msg: &CongosMsg,
         partitions: &PartitionSet,
         saved: &mut Vec<Fragment>,
     ) {
         match msg {
             CongosMsg::Gossip { lane, wire } => match lane {
-                GossipLane::Group { ell, .. } => match self.lanes.get_mut(ell as usize) {
-                    Some(l) => l.gossip.on_receive(now, src, *wire),
+                GossipLane::Group { ell, .. } => match self.lanes.get_mut(*ell as usize) {
+                    Some(l) => l.gossip.on_receive(now, src, wire),
                     None => self.stats.rejected += 1,
                 },
-                GossipLane::All { .. } => self.all_gossip.on_receive(now, src, *wire),
+                GossipLane::All { .. } => self.all_gossip.on_receive(now, src, wire),
             },
             CongosMsg::ProxyRequest { ell, fragments, .. } => {
-                match self.lanes.get_mut(ell as usize) {
+                match self.lanes.get_mut(*ell as usize) {
                     // [PROXY:CONFIDENTIAL]: only fragments of our own group
                     // may be proxied to us — an accepted foreign one would be
                     // re-gossiped inside a group that must never hold it.
@@ -381,11 +379,11 @@ impl ClassEngine {
                     _ => self.stats.rejected += 1,
                 }
             }
-            CongosMsg::ProxyAck { ell, .. } => match self.lanes.get_mut(ell as usize) {
-                Some(l) => l.proxy.on_ack(src, partitions.partition(ell as usize)),
+            CongosMsg::ProxyAck { ell, .. } => match self.lanes.get_mut(*ell as usize) {
+                Some(l) => l.proxy.on_ack(src, partitions.partition(*ell as usize)),
                 None => self.stats.rejected += 1,
             },
-            CongosMsg::Partials { fragments, .. } => saved.extend(fragments),
+            CongosMsg::Partials { fragments, .. } => saved.extend_from_slice(fragments),
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
         }
     }
@@ -465,7 +463,7 @@ impl ClassEngine {
 
     /// The last two bullets of Figure 2: if a rumor's (trimmed) deadline is
     /// expiring and no confirmation arrived, send it whole, directly, to
-    /// every destination.
+    /// every destination. Every destination's copy shares one `Arc`.
     fn fire_fallbacks(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
         let expired: Vec<CongosRumorId> = self
             .cache
@@ -474,15 +472,15 @@ impl ClassEngine {
             .map(|(rid, _)| *rid)
             .collect();
         for rid in expired {
-            let c = self.cache.remove(&rid).expect("present");
+            let rumor = Arc::new(self.cache.remove(&rid).expect("present").rumor);
             self.stats.fallbacks += 1;
-            for q in c.rumor.dest.iter() {
+            for q in rumor.dest.iter() {
                 if q != self.me {
                     send(
                         out,
                         q,
                         CongosMsg::Shoot {
-                            rumor: c.rumor.clone(),
+                            rumor: Arc::clone(&rumor),
                             rid,
                             direct: false,
                         },
@@ -628,11 +626,17 @@ mod tests {
             .filter(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. }))
             .collect();
         assert_eq!(shoots.len(), 2, "one shoot per destination");
+        let mut shared: Option<&Arc<Rumor>> = None;
         for (dst, tag, m) in &sends {
             if let CongosMsg::Shoot { rumor, direct, .. } = m {
                 assert!(rumor.dest.contains(*dst), "shoot only to destinations");
                 assert!(!direct);
                 assert_eq!(*tag, TAG_SHOOT);
+                let first = shared.get_or_insert(rumor);
+                assert!(
+                    Arc::ptr_eq(first, rumor),
+                    "every destination's shoot shares one rumor"
+                );
             }
         }
         assert_eq!(engine.cache_len(), 0);
@@ -732,7 +736,7 @@ mod tests {
                 .iter()
                 .any(|(_, _, m)| {
                     matches!(m, CongosMsg::Gossip { wire, .. } if matches!(
-                        wire.as_ref(),
+                        wire,
                         congos_gossip::GossipWire::Push(rumors) if rumors
                             .iter()
                             .any(|r| matches!(*r.payload, GossipPayload::Fragments(_)))
@@ -756,11 +760,11 @@ mod tests {
             },
             CongosMsg::Gossip {
                 lane: GossipLane::Group { dline: DLINE, ell },
-                wire: Box::new(congos_gossip::GossipWire::Ack(vec![])),
+                wire: congos_gossip::GossipWire::Ack(vec![]),
             },
         ] {
             let mut saved = Vec::new();
-            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
+            engine.on_receive(Round(0), from, &msg, &partitions, &mut saved);
             assert!(saved.is_empty());
         }
         assert_eq!(engine.stats().rejected, 3);
@@ -782,7 +786,7 @@ mod tests {
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         let own = vec![fragment(n, 0, 0)];
-        engine.on_receive(Round(0), from, request(own), &partitions, &mut Vec::new());
+        engine.on_receive(Round(0), from, &request(own), &partitions, &mut Vec::new());
         assert_eq!(engine.stats().rejected, 0);
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(spread, "a request for the own group is taken up");
@@ -790,7 +794,13 @@ mod tests {
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         let mixed = vec![fragment(n, 0, 0), fragment(n, 0, 1)];
-        engine.on_receive(Round(0), from, request(mixed), &partitions, &mut Vec::new());
+        engine.on_receive(
+            Round(0),
+            from,
+            &request(mixed),
+            &partitions,
+            &mut Vec::new(),
+        );
         assert_eq!(engine.stats().rejected, 1);
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(!spread, "nothing of a rejected request is re-gossiped");
@@ -807,20 +817,18 @@ mod tests {
                 dline: DLINE,
                 ell: 0,
             },
-            wire: Box::new(congos_gossip::GossipWire::Push(Arc::new(vec![
-                congos_gossip::GossipRumor {
-                    id: congos_gossip::RumorId {
-                        origin: from,
-                        birth: Round(0),
-                        seq,
-                    },
-                    payload: Arc::new(payload),
-                    duration: 8,
-                    deadline: Round(8),
-                    dest: Arc::new(IdSet::from_iter(n, [ProcessId::new(0)])),
-                    best_effort: true,
+            wire: congos_gossip::GossipWire::Push(Arc::new(vec![congos_gossip::GossipRumor {
+                id: congos_gossip::RumorId {
+                    origin: from,
+                    birth: Round(0),
+                    seq,
                 },
-            ]))),
+                payload: Arc::new(payload),
+                duration: 8,
+                deadline: Round(8),
+                dest: Arc::new(IdSet::from_iter(n, [ProcessId::new(0)])),
+                best_effort: true,
+            }])),
         };
         // Distribution rides AllGossip only; a group lane carries only its
         // own group's fragments of its own partition.
@@ -836,7 +844,7 @@ mod tests {
         ]);
         let mut saved = Vec::new();
         for msg in [push(0, distribution), push(1, fragments)] {
-            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
+            engine.on_receive(Round(0), from, &msg, &partitions, &mut saved);
         }
         assert!(saved.is_empty(), "pushes deliver at post_receive");
         engine.post_receive(&mut saved);

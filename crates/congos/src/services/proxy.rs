@@ -195,9 +195,9 @@ impl ProxyService {
 
     /// A proxy request arrived: cache the fragments (they belong to my
     /// group) and remember to acknowledge.
-    pub(crate) fn on_request(&mut self, src: ProcessId, fragments: Vec<Fragment>) {
+    pub(crate) fn on_request(&mut self, src: ProcessId, fragments: &[Fragment]) {
         debug_assert!(fragments.iter().all(|f| f.group == self.my_group));
-        self.buffer.extend(fragments);
+        self.buffer.extend_from_slice(fragments);
         if !self.ack_due.contains(&src) {
             self.ack_due.push(src);
         }
@@ -333,9 +333,9 @@ mod tests {
     fn proxy_side_buffers_and_acks() {
         let mut p = ProxyService::new(8, 1);
         p.on_block_start(Round(0), true, 4);
-        p.on_request(ProcessId::new(0), vec![frag(1), frag(1)]);
-        p.on_request(ProcessId::new(2), vec![frag(1)]);
-        p.on_request(ProcessId::new(0), vec![frag(1)]);
+        p.on_request(ProcessId::new(0), &[frag(1), frag(1)]);
+        p.on_request(ProcessId::new(2), &[frag(1)]);
+        p.on_request(ProcessId::new(0), &[frag(1)]);
         let (buffer, _) = p.gossip_payloads();
         assert_eq!(buffer.len(), 4);
         let acks = p.acks_due();

@@ -1,5 +1,6 @@
 //! The embeddable continuous-gossip service.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -349,13 +350,15 @@ impl<T: Clone> ContinuousGossip<T> {
     }
 
     /// Handles an incoming wire message. Traffic from outside the membership
-    /// is ignored (filtered).
-    pub fn on_receive(&mut self, now: Round, src: ProcessId, wire: GossipWire<T>) {
+    /// is ignored (filtered). The wire may be owned or borrowed (a host reads
+    /// its inbox in place): either way only the rumors this endpoint keeps
+    /// are cloned, and a borrowed push leaves the sender's batch untouched.
+    pub fn on_receive(&mut self, now: Round, src: ProcessId, wire: impl Borrow<GossipWire<T>>) {
         if !self.cfg.membership.contains(src) {
             return;
         }
         self.collab_this_round.insert(src);
-        match wire {
+        match wire.borrow() {
             GossipWire::Push(rumors) => {
                 for rumor in rumors.iter() {
                     if self.seen.contains_key(&rumor.id) {
@@ -376,7 +379,7 @@ impl<T: Clone> ContinuousGossip<T> {
             }
             GossipWire::Ack(ids) => {
                 for id in ids {
-                    if let Some(o) = self.own.get_mut(&id) {
+                    if let Some(o) = self.own.get_mut(id) {
                         o.unacked.remove(src);
                     }
                 }
@@ -680,6 +683,49 @@ mod tests {
         let batch = epidemic_batch(&g.step(Round(3), &mut rng));
         assert_eq!((batch.len(), &*batch), (2, &active(&g)));
         assert!(!Arc::ptr_eq(&batch, &last));
+    }
+
+    #[test]
+    fn borrowed_and_owned_wires_leave_identical_state() {
+        let n = 8;
+        let mut a = mk(0, n);
+        a.inject(Round(0), 4, 16, IdSet::from_iter(n, [ProcessId::new(1)]));
+        push_one(&mut a, Round(0), 2, rumor(n, 2, 0, &[0, 1]));
+        let mut rng = SmallRng::seed_from_u64(9);
+        let push = a.step(Round(0), &mut rng).pop().expect("an epidemic push");
+        let GossipWire::Push(batch) = &push.1 else {
+            panic!("not a push: {push:?}")
+        };
+        let (mut borrowed, mut owned) = (mk(1, n), mk(1, n));
+        let to_a = IdSet::from_iter(n, [ProcessId::new(0)]);
+        let mine = borrowed.inject(Round(0), 7, 16, to_a.clone());
+        assert_eq!(owned.inject(Round(0), 7, 16, to_a), mine);
+        let ack = GossipWire::Ack(vec![mine]);
+        let refs = Arc::strong_count(batch);
+        for wire in [&push.1, &ack] {
+            borrowed.on_receive(Round(0), ProcessId::new(0), wire);
+        }
+        assert_eq!(
+            Arc::strong_count(batch),
+            refs,
+            "a borrowed push is read in place"
+        );
+        for wire in [push.1.clone(), ack] {
+            owned.on_receive(Round(0), ProcessId::new(0), wire);
+        }
+        assert_eq!(borrowed.pending_acks, owned.pending_acks);
+        let unacked = |g: &ContinuousGossip<u32>| g.own[&mine].unacked.clone();
+        assert!(unacked(&borrowed).is_empty(), "the ack is applied");
+        assert_eq!(unacked(&borrowed), unacked(&owned));
+        let delivered = |g: &mut ContinuousGossip<u32>| g.take_delivered().collect::<Vec<_>>();
+        assert_eq!(delivered(&mut borrowed), delivered(&mut owned));
+        let (mut r1, mut r2) = (SmallRng::seed_from_u64(10), SmallRng::seed_from_u64(10));
+        let steps = (
+            borrowed.step(Round(1), &mut r1),
+            owned.step(Round(1), &mut r2),
+        );
+        assert_eq!(epidemic_batch(&steps.0), epidemic_batch(&steps.1));
+        assert_eq!(steps.0, steps.1, "same acks, same targets, same batch");
     }
 
     #[test]

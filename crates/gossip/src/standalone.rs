@@ -122,7 +122,7 @@ impl Protocol for GossipNode {
     ) {
         let now = ctx.round();
         for env in inbox {
-            self.svc.on_receive(now, env.src, env.payload.clone());
+            self.svc.on_receive(now, env.src, env.payload);
         }
         if let Some(inj) = input {
             let dest = IdSet::from_iter(self.n, inj.dest.iter().copied());

@@ -448,10 +448,7 @@ impl Decoder {
             0 => {
                 let lane = take_lane(d)?;
                 let wire = self.take_wire(d, (lane, src, round))?;
-                Ok(CongosMsg::Gossip {
-                    lane,
-                    wire: Box::new(wire),
-                })
+                Ok(CongosMsg::Gossip { lane, wire })
             }
             1 => Ok(CongosMsg::ProxyRequest {
                 dline: d.u64()?,
@@ -468,7 +465,7 @@ impl Decoder {
                 fragments: take_fragments(d)?,
             }),
             4 => Ok(CongosMsg::Shoot {
-                rumor: take_rumor(d)?,
+                rumor: Arc::new(take_rumor(d)?),
                 rid: take_crid(d)?,
                 direct: match d.u8()? {
                     0 => false,
@@ -1150,12 +1147,12 @@ mod tests {
 
     fn shoot(source: ProcessId, universe: usize) -> CongosMsg {
         CongosMsg::Shoot {
-            rumor: Rumor {
+            rumor: Arc::new(Rumor {
                 wid: 9,
                 data: vec![1, 2, 3],
                 deadline: 64,
                 dest: IdSet::from_iter(universe, [pid(3)]),
-            },
+            }),
             rid: crid(source),
             direct: false,
         }
@@ -1177,7 +1174,7 @@ mod tests {
     fn all_gossip(wire: congos_gossip::GossipWire<Arc<GossipPayload>>) -> WireFrame {
         msg(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: Box::new(wire),
+            wire,
         })
     }
 
@@ -1595,7 +1592,7 @@ mod tests {
             round,
             payload: CongosMsg::Gossip {
                 lane: LANE,
-                wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+                wire: GossipWire::Push(Arc::new(rumors)),
             },
         }
     }
@@ -1606,7 +1603,7 @@ mod tests {
             WireFrame::Msg {
                 payload: CongosMsg::Gossip { wire, .. },
                 ..
-            } => match wire.as_ref() {
+            } => match wire {
                 GossipWire::Push(rumors) => rumors,
                 GossipWire::Ack(_) => panic!("not a push"),
             },

@@ -798,12 +798,12 @@ mod tests {
 
     fn shoot(data: Vec<u8>, dest: ProcessId, n: usize) -> CongosMsg {
         CongosMsg::Shoot {
-            rumor: Rumor {
+            rumor: Arc::new(Rumor {
                 wid: 1,
                 data,
                 deadline: 64,
                 dest: IdSet::from_iter(n, [dest]),
-            },
+            }),
             rid: CongosRumorId {
                 source: pid(1),
                 birth: Round(0),
@@ -1076,7 +1076,7 @@ mod tests {
     fn push_of(rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> CongosMsg {
         CongosMsg::Gossip {
             lane: LANE,
-            wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+            wire: GossipWire::Push(Arc::new(rumors)),
         }
     }
 

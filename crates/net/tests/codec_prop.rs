@@ -82,12 +82,12 @@ fn corpus() -> Vec<Vec<u8>> {
             round: 12,
         },
         msg_frame(CongosMsg::Shoot {
-            rumor: Rumor {
+            rumor: Arc::new(Rumor {
                 wid: 7,
                 data: b"confidential".to_vec(),
                 deadline: 64,
                 dest: IdSet::from_iter(8, [ProcessId::new(0), ProcessId::new(6)]),
-            },
+            }),
             rid: CongosRumorId {
                 source: ProcessId::new(2),
                 birth: Round(3),
@@ -97,13 +97,13 @@ fn corpus() -> Vec<Vec<u8>> {
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::Group { dline: 64, ell: 1 },
-            wire: Box::new(GossipWire::Push(Arc::new(vec![gossip_rumor(
-                GossipPayload::Fragments(vec![fragment(0), fragment(1)]),
-            )]))),
+            wire: GossipWire::Push(Arc::new(vec![gossip_rumor(GossipPayload::Fragments(
+                vec![fragment(0), fragment(1)],
+            ))])),
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: Box::new(GossipWire::Push(Arc::new(vec![
+            wire: GossipWire::Push(Arc::new(vec![
                 gossip_rumor(GossipPayload::ProxyMeta {
                     failed_proxies: vec![ProcessId::new(1), ProcessId::new(3)],
                 }),
@@ -122,11 +122,11 @@ fn corpus() -> Vec<Vec<u8>> {
                     group: 0,
                     hits: vec![],
                 }),
-            ]))),
+            ])),
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: Box::new(GossipWire::Ack(vec![rid(0), rid(1), rid(2)])),
+            wire: GossipWire::Ack(vec![rid(0), rid(1), rid(2)]),
         }),
         msg_frame(CongosMsg::ProxyRequest {
             dline: 64,
@@ -198,7 +198,7 @@ fn push_frame(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>
         round,
         payload: CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: Box::new(GossipWire::Push(Arc::new(rumors))),
+            wire: GossipWire::Push(Arc::new(rumors)),
         },
     }
 }
