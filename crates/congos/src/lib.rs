@@ -66,6 +66,7 @@ pub mod partition;
 pub mod rumor;
 pub mod services;
 pub mod split;
+pub mod wire;
 
 pub use audit::{AuditReport, ConfidentialityAuditor};
 pub use fragstore::{DestRef, FragBytes, FragStore, FragStoreStats};

@@ -44,15 +44,6 @@ impl Fragment {
     pub fn split_key(&self) -> (CongosRumorId, u16) {
         (self.rid, self.partition)
     }
-
-    /// Exact wire size in bytes — what the codec's fragment encoder emits:
-    /// rumor id (16) + wid (8) + partition (2) + group (1) + k (1) +
-    /// length-prefixed payload (4 + len) + destination bitmap
-    /// (4 + ⌈universe/8⌉) + deadline (8). The round-trip test in
-    /// `congos-net` pins this against the encoder byte-for-byte.
-    pub fn wire_size(&self) -> u64 {
-        44 + self.bytes.len() as u64 + self.dest.universe().div_ceil(8) as u64
-    }
 }
 
 /// Payload carried inside GroupGossip/AllGossip instances.
@@ -89,22 +80,6 @@ pub enum GossipPayload {
         /// `(target, rumor id)` pairs served.
         hits: Vec<(ProcessId, CongosRumorId)>,
     },
-}
-
-impl GossipPayload {
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> u64 {
-        match self {
-            GossipPayload::Fragments(frags) => {
-                frags.iter().map(Fragment::wire_size).sum::<u64>() + 4
-            }
-            GossipPayload::ProxyMeta { failed_proxies } => {
-                4 * failed_proxies.len() as u64 + 8
-            }
-            GossipPayload::GdShare { hits } => 20 * hits.len() as u64 + 8,
-            GossipPayload::Distribution { hits, .. } => 20 * hits.len() as u64 + 12,
-        }
-    }
 }
 
 /// Identifies one gossip endpoint within a process.
@@ -182,34 +157,6 @@ pub enum CongosMsg {
 }
 
 impl CongosMsg {
-    /// Estimated wire size in bytes — the basis for the communication-
-    /// complexity metrics (Section 7 of the paper).
-    pub fn wire_size(&self) -> u64 {
-        match self {
-            CongosMsg::Gossip { wire, .. } => {
-                8 + match wire {
-                    congos_gossip::GossipWire::Push(rumors) => rumors
-                        .iter()
-                        .map(|r| {
-                            r.payload.wire_size()
-                                + r.dest.universe().div_ceil(8) as u64
-                                + 32
-                        })
-                        .sum::<u64>(),
-                    congos_gossip::GossipWire::Ack(ids) => 16 * ids.len() as u64,
-                }
-            }
-            CongosMsg::ProxyRequest { fragments, .. }
-            | CongosMsg::Partials { fragments, .. } => {
-                fragments.iter().map(Fragment::wire_size).sum::<u64>() + 12
-            }
-            CongosMsg::ProxyAck { .. } => 12,
-            CongosMsg::Shoot { rumor, .. } => {
-                rumor.data.len() as u64 + rumor.dest.universe().div_ceil(8) as u64 + 32
-            }
-        }
-    }
-
     /// The service tag this message is sent and metered under. The tag is a
     /// function of the message, so it never travels on the wire.
     pub fn tag(&self) -> Tag {

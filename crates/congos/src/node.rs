@@ -35,8 +35,9 @@ pub struct NodeStats {
     pub decoys_discarded: u64,
     /// Received messages dropped as ones no correct process sends (an
     /// impossible deadline class or partition index, a fragment outside its
-    /// group). Always 0 in the simulator; over sockets it counts corrupt or
-    /// hostile frames that still decoded.
+    /// group, a rumor id born after the current round). Always 0 in the
+    /// simulator; over sockets it counts corrupt or hostile frames that
+    /// still decoded.
     pub rejected: u64,
 }
 
@@ -246,6 +247,12 @@ impl CongosNode {
     }
 
     fn save_fragment(&mut self, ctx: &mut Context<'_, Self>, f: Fragment) {
+        if f.rid.birth > ctx.round() {
+            // No correct process sends a rumor born after this round, and
+            // its expiry round would overflow.
+            self.rejected += 1;
+            return;
+        }
         if !f.dest.contains(self.me) || self.delivered.contains(&f.rid) {
             return;
         }
@@ -431,7 +438,7 @@ impl Protocol for CongosNode {
     }
 
     fn msg_size(msg: &Self::Msg) -> u64 {
-        msg.wire_size()
+        crate::wire::encoded_len(msg)
     }
 
     fn send(&mut self, ctx: &mut Context<'_, Self>) {
@@ -461,6 +468,10 @@ impl Protocol for CongosNode {
         let mut received = std::mem::take(&mut self.received);
         for env in inbox {
             match env.payload {
+                CongosMsg::Shoot { rid, .. } if rid.birth > now => {
+                    // Born after this round, as in `save_fragment`.
+                    self.rejected += 1;
+                }
                 CongosMsg::Shoot { rumor, rid, direct } => {
                     // `deliver` drops a repeat: clone the data only for a first.
                     if rumor.dest.contains(self.me) && !self.delivered.contains(rid) {
@@ -579,6 +590,62 @@ mod tests {
             node.protocol().classes.is_empty(),
             "no class engine was built"
         );
+    }
+
+    #[test]
+    fn a_rumor_born_in_a_later_round_is_rejected_and_counted() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let from = |payload: CongosMsg| Envelope {
+            src: ProcessId::new(1),
+            dst: me,
+            round: Round(1),
+            tag: payload.tag(),
+            payload,
+        };
+        let mut envelopes = Vec::new();
+        // One past the receiving round, and one whose expiry overflows.
+        for birth in [2, u64::MAX - 5] {
+            let rid = CongosRumorId {
+                source: ProcessId::new(1),
+                birth: Round(birth),
+                seq: 0,
+            };
+            let dest = IdSet::from_iter(n, [me]);
+            envelopes.push(from(CongosMsg::Partials {
+                dline: 32,
+                ell: 0,
+                fragments: vec![Fragment {
+                    rid,
+                    wid: 0,
+                    partition: 0,
+                    group: 0,
+                    k: 1,
+                    bytes: vec![1, 2, 3].into(),
+                    dest: dest.clone().into(),
+                    dline: 32,
+                }],
+            }));
+            envelopes.push(from(CongosMsg::Shoot {
+                rumor: Arc::new(Rumor {
+                    wid: 0,
+                    data: vec![1, 2, 3],
+                    deadline: 32,
+                    dest,
+                }),
+                rid,
+                direct: true,
+            }));
+        }
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        peers.0 = envelopes;
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        assert_eq!(node.protocol().stats().rejected, 4);
+        assert!(node.outputs().is_empty(), "nothing was delivered");
+        assert!(node.protocol().parts.is_empty() && node.protocol().delivered.is_empty());
     }
 
     #[test]

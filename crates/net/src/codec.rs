@@ -1,18 +1,18 @@
-//! Wire framing: length-prefixed binary.
+//! Wire framing and the per-node rumor tables of the TCP transport.
 //!
-//! The codec is hand-rolled (no external serialization dependency): each
-//! type is written as fixed-width little-endian fields plus length-prefixed
-//! sequences, with one discriminant byte per enum. The format is internal
-//! to the cluster runtime — both ends run the same build — so there is no
-//! versioning; a production deployment would add a version byte behind
-//! [`Encoder`] and [`Decoder`].
-//!
-//! A message's service tag is not on the wire: it is a function of the
-//! message ([`CongosMsg::tag`]).
+//! A frame is a little-endian `u32` body length, then the body: one
+//! discriminant byte, the sender's process id (`u32`) and the round
+//! (`u64`) — a 17-byte header with the length — and, for a
+//! [`WireFrame::Msg`], the message as [`congos::wire`] lays it out. That
+//! module describes every byte of a message once, for this codec and for
+//! the simulator's byte metric alike; this one adds the framing and the
+//! choice of each gossip rumor's form. A production deployment would add a
+//! version byte behind [`Encoder`] and [`Decoder`].
 //!
 //! **Gossip rumors.** A gossip push carries the sender's whole active set,
 //! so the same rumor goes to the same peer round after round. Each rumor of
-//! a push is written in one of three forms, named by a leading form byte:
+//! a push is written in one of three forms, named by a leading
+//! [`form`] byte:
 //!
 //! * a *kept definition*: the rumor's body behind its own `u32` length,
 //!   which the receiver decodes, keeps and binds to the sender;
@@ -27,36 +27,27 @@
 //! sent which rumor's bytes — and one [`Decoder`] per node holds the
 //! *kept* table. A receiver keeps at most [`MAX_KEPT_BYTES_PER_PEER`] bytes
 //! defined by one peer; the sender tracks the same count per peer and
-//! writes a once definition where a kept one would cross it. The length
-//! prefixes and form bytes are not counted by `CongosMsg::wire_size`, which
-//! prices the protocol's payload, not this framing.
+//! writes a once definition where a kept one would cross it.
 
 use std::collections::HashMap;
 use std::io;
 use std::ops::AddAssign;
-use std::sync::Arc;
 
 use congos::messages::GossipLane;
-use congos::{CongosMsg, CongosRumorId, FragStore, Fragment, GossipPayload, Rumor};
-use congos_gossip::{GossipRumor, GossipWire, RumorId};
-use congos_sim::{IdSet, ProcessId, Round};
-
-/// A gossip rumor as it crosses the wire.
-type WireRumor = GossipRumor<Arc<GossipPayload>>;
+use congos::wire::{
+    self, form, invalid_data, min_size, put_definition, put_pid, put_rid, take_definition,
+    take_pid, take_rid, DefineAll, Dec, PutGossipRumor, Sink, TakeGossipRumor, WireRumor,
+};
+use congos::CongosMsg;
+use congos_gossip::RumorId;
+use congos_sim::{IdSet, ProcessId};
 
 /// What names a gossip rumor in the told and kept tables: the lane it
 /// travels on and its id there.
 type RumorKey = (GossipLane, RumorId);
 
-/// The form byte that leads each gossip rumor of a push.
-mod form {
-    /// A length-prefixed body the receiver keeps, bound to the sender.
-    pub const KEEP: u8 = 0;
-    /// A rumor id naming bytes the sender defined earlier.
-    pub const REFER: u8 = 1;
-    /// A length-prefixed body the receiver decodes and does not keep.
-    pub const ONCE: u8 = 2;
-}
+/// The shortest form of a gossip rumor, a reference: form byte(1) + rid.
+const GOSSIP_RUMOR: usize = 1 + min_size::RID;
 
 /// One framed unit on the wire.
 #[derive(Clone, Debug, PartialEq)]
@@ -283,14 +274,6 @@ impl Encoder {
     pub fn stats(&self) -> WireStats {
         self.stats
     }
-
-    /// Whether peer `dst` was told the bytes of `id` on `lane`.
-    #[cfg(test)]
-    pub(crate) fn told(&self, lane: GossipLane, id: RumorId, dst: ProcessId) -> bool {
-        self.told
-            .get(&(lane, id))
-            .is_some_and(|t| t.peers.contains(dst))
-    }
 }
 
 /// A kept rumor: its bytes, their decoded value, and the peers that defined
@@ -315,15 +298,9 @@ struct PeerStream {
 /// rumor's bytes once.
 ///
 /// **Hostile-input hardened.** The frame length prefix is capped by
-/// [`MAX_FRAME_LEN`] before the body is awaited, every inner length prefix
-/// is bounded by the bytes actually remaining in the frame, and every
-/// element count is validated against a per-element minimum encoding size
-/// before any collection is allocated. Every process id must be below `n`
-/// and every id set must range over exactly `n` processes, so a decoded
-/// frame can be handed to a node without further bounds checks. A gossip
-/// rumor whose body does not consume its length prefix exactly is
-/// malformed. Malformed input of any shape yields an `io::Error`, never a
-/// panic or an unbounded allocation.
+/// [`MAX_FRAME_LEN`] before the body is awaited; inside it, the message is
+/// read as [`congos::wire`] reads it, so a decoded frame can be handed to a
+/// node without further bounds checks.
 ///
 /// **The kept table.** A kept definition from peer `p` binds its bytes to
 /// `p` under the rumor's lane and id, and a reference from `p` resolves only
@@ -378,19 +355,15 @@ impl Decoder {
         };
         let len = u32::from_le_bytes(*prefix) as usize;
         if len > MAX_FRAME_LEN {
-            return Err(bad("frame length prefix exceeds MAX_FRAME_LEN"));
+            return Err(invalid_data("frame length prefix exceeds MAX_FRAME_LEN"));
         }
         let Some(body) = buf.get(4..4 + len) else {
             return Ok(None);
         };
-        let mut dec = Dec {
-            buf: body,
-            pos: 0,
-            n: self.n,
-        };
+        let mut dec = Dec::new(body, self.n);
         let frame = self.take_frame(&mut dec)?;
-        if dec.pos != body.len() {
-            return Err(bad("trailing bytes in frame"));
+        if !dec.is_done() {
+            return Err(invalid_data("trailing bytes in frame"));
         }
         Ok(Some((frame, 4 + len)))
     }
@@ -423,11 +396,10 @@ impl Decoder {
         });
         self.stats.rumors_evicted += (kept - self.kept.len()) as u64;
     }
-
     fn take_frame(&mut self, d: &mut Dec) -> io::Result<WireFrame> {
         let kind = d.u8()?;
         if kind > 1 {
-            return Err(bad("bad WireFrame discriminant"));
+            return Err(invalid_data("bad WireFrame discriminant"));
         }
         let src = take_pid(d)?;
         let round = d.u64()?;
@@ -436,91 +408,38 @@ impl Decoder {
             WireFrame::Msg {
                 src,
                 round,
-                payload: self.take_msg(d, src, round)?,
+                payload: wire::take_msg(d, &mut Resolve { dec: self, src, round })?,
             }
         } else {
             WireFrame::EndOfRound { src, round }
         })
     }
+}
 
-    fn take_msg(&mut self, d: &mut Dec, src: ProcessId, round: u64) -> io::Result<CongosMsg> {
-        match d.u8()? {
-            0 => {
-                let lane = take_lane(d)?;
-                let wire = self.take_wire(d, (lane, src, round))?;
-                Ok(CongosMsg::Gossip { lane, wire })
-            }
-            1 => Ok(CongosMsg::ProxyRequest {
-                dline: d.u64()?,
-                ell: d.u16()?,
-                fragments: take_fragments(d)?,
-            }),
-            2 => Ok(CongosMsg::ProxyAck {
-                dline: d.u64()?,
-                ell: d.u16()?,
-            }),
-            3 => Ok(CongosMsg::Partials {
-                dline: d.u64()?,
-                ell: d.u16()?,
-                fragments: take_fragments(d)?,
-            }),
-            4 => Ok(CongosMsg::Shoot {
-                rumor: Arc::new(take_rumor(d)?),
-                rid: take_crid(d)?,
-                direct: match d.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(bad("bad bool")),
-                },
-            }),
-            _ => Err(bad("bad CongosMsg discriminant")),
-        }
-    }
+/// A [`Decoder`]'s gossip rumors of one push from `src` in `round`.
+struct Resolve<'a> {
+    dec: &'a mut Decoder,
+    src: ProcessId,
+    round: u64,
+}
 
-    fn take_wire(
-        &mut self,
-        d: &mut Dec,
-        push: (GossipLane, ProcessId, u64),
-    ) -> io::Result<GossipWire<Arc<GossipPayload>>> {
-        match d.u8()? {
-            0 => {
-                let count = d.count(min_size::GOSSIP_RUMOR)?;
-                let mut rumors = Vec::with_capacity(count);
-                for _ in 0..count {
-                    rumors.push(self.take_gossip_rumor(d, push)?);
-                }
-                Ok(GossipWire::Push(Arc::new(rumors)))
-            }
-            1 => {
-                let count = d.count(min_size::RID)?;
-                let mut ids = Vec::with_capacity(count);
-                for _ in 0..count {
-                    ids.push(take_rid(d)?);
-                }
-                Ok(GossipWire::Ack(ids))
-            }
-            _ => Err(bad("bad GossipWire discriminant")),
-        }
-    }
+impl TakeGossipRumor for Resolve<'_> {
+    const MIN_SIZE: usize = GOSSIP_RUMOR;
 
-    /// One gossip rumor of a push on `lane` from `src` in `round`, in any of
-    /// its three forms.
-    fn take_gossip_rumor(
-        &mut self,
-        d: &mut Dec,
-        (lane, src, round): (GossipLane, ProcessId, u64),
-    ) -> io::Result<WireRumor> {
+    fn take_gossip_rumor(&mut self, d: &mut Dec<'_>, lane: GossipLane) -> io::Result<WireRumor> {
+        let Resolve { dec, src, round } = self;
+        let (src, round) = (*src, *round);
         let keep = match d.u8()? {
             form::REFER => {
                 // `advance` has unbound `src` from every rumor whose
                 // deadline is before `round`.
                 let id = take_rid(d)?;
-                let kept = self
+                let kept = dec
                     .kept
                     .get(&(lane, id))
                     .filter(|k| k.definers.contains(src))
                     .ok_or_else(|| {
-                        bad(&format!(
+                        invalid_data(&format!(
                             "{src} refers to rumor {id:?} on {lane:?}, which it has not \
                              defined or whose deadline has passed"
                         ))
@@ -529,212 +448,74 @@ impl Decoder {
             }
             form::KEEP => true,
             form::ONCE => false,
-            f => return Err(bad(&format!("{src} sent an unknown gossip rumor form {f}"))),
+            f => {
+                return Err(invalid_data(&format!(
+                    "{src} sent an unknown gossip rumor form {f}"
+                )))
+            }
         };
         let span = d.bytes()?;
         // The body starts with the rumor's id.
-        let id = take_rid(&mut Dec {
-            buf: span,
-            pos: 0,
-            n: self.n,
-        })?;
+        let id = take_rid(&mut Dec::new(span, dec.n))?;
         let key = (lane, id);
-        let same = self.kept.get(&key).filter(|k| *k.bytes == *span);
+        let same = dec.kept.get(&key).filter(|k| *k.bytes == *span);
         let rumor = match same {
             Some(k) => k.rumor.clone(),
             None => {
-                self.stats.rumors_decoded += 1;
-                decode_body(span, self.n)?
+                dec.stats.rumors_decoded += 1;
+                take_definition(span, dec.n)?
             }
         };
         if !keep || same.is_some_and(|k| k.definers.contains(src)) {
             return Ok(rumor);
         }
         if rumor.deadline.0 < round {
-            return Err(bad(&format!(
+            return Err(invalid_data(&format!(
                 "{src} defines rumor {id:?} to be kept in round {round}, past its deadline"
             )));
         }
-        let charges = &mut self.peers[src.as_usize()].charges;
+        let charges = &mut dec.peers[src.as_usize()].charges;
         if !charges.fits(span.len()) {
-            return Err(bad(&format!(
+            return Err(invalid_data(&format!(
                 "{src} would make this node keep more than \
                  MAX_KEPT_BYTES_PER_PEER ({MAX_KEPT_BYTES_PER_PEER}) rumor bytes"
             )));
         }
         charges.charge(rumor.deadline.0, span.len());
-        match self.kept.get_mut(&key).filter(|k| *k.bytes == *span) {
+        match dec.kept.get_mut(&key).filter(|k| *k.bytes == *span) {
             Some(kept) => {
                 kept.definers.insert(src);
             }
             None => {
                 // New bytes, or other bytes than those kept: the old
                 // definers lose them.
-                let mut definers = IdSet::empty(self.n);
+                let mut definers = IdSet::empty(dec.n);
                 definers.insert(src);
                 let kept = Kept {
                     bytes: span.into(),
                     rumor: rumor.clone(),
                     definers,
                 };
-                self.kept.insert(key, kept);
+                dec.kept.insert(key, kept);
             }
         }
         Ok(rumor)
     }
 }
 
-/// A length-prefixed gossip rumor body, parsed in full.
-fn decode_body(span: &[u8], n: usize) -> io::Result<WireRumor> {
-    let mut body = Dec {
-        buf: span,
-        pos: 0,
-        n,
-    };
-    let rumor = take_gossip_rumor_body(&mut body)?;
-    if body.pos != span.len() {
-        return Err(bad("gossip rumor body shorter than its length prefix"));
-    }
-    Ok(rumor)
-}
-
-fn bad(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-// ---------------------------------------------------------------- encoding
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    put_u32(buf, v.len() as u32);
-    buf.extend_from_slice(v);
-}
-fn put_pid(buf: &mut Vec<u8>, p: ProcessId) {
-    put_u32(buf, p.as_usize() as u32);
-}
-fn put_idset(buf: &mut Vec<u8>, s: &IdSet) {
-    // Universe followed by a packed membership bitmap (LSB-first within
-    // each byte) — `⌈universe/8⌉` bytes regardless of density, which
-    // `Fragment::wire_size` mirrors exactly.
-    put_u32(buf, s.universe() as u32);
-    let start = buf.len();
-    buf.resize(start + s.universe().div_ceil(8), 0);
-    for p in s.iter() {
-        let i = p.as_usize();
-        buf[start + i / 8] |= 1 << (i % 8);
-    }
-}
-fn put_crid(buf: &mut Vec<u8>, id: &CongosRumorId) {
-    put_pid(buf, id.source);
-    put_u64(buf, id.birth.0);
-    put_u32(buf, id.seq);
-}
-fn put_rid(buf: &mut Vec<u8>, id: &RumorId) {
-    put_pid(buf, id.origin);
-    put_u64(buf, id.birth.0);
-    put_u32(buf, id.seq);
-}
-fn put_fragment(buf: &mut Vec<u8>, f: &Fragment) {
-    put_crid(buf, &f.rid);
-    put_u64(buf, f.wid);
-    put_u16(buf, f.partition);
-    put_u8(buf, f.group);
-    put_u8(buf, f.k);
-    put_bytes(buf, &f.bytes);
-    put_idset(buf, &f.dest);
-    put_u64(buf, f.dline);
-}
-fn put_hits(buf: &mut Vec<u8>, hits: &[(ProcessId, CongosRumorId)]) {
-    put_u32(buf, hits.len() as u32);
-    for (p, id) in hits {
-        put_pid(buf, *p);
-        put_crid(buf, id);
-    }
-}
-fn put_payload(buf: &mut Vec<u8>, p: &GossipPayload) {
-    match p {
-        GossipPayload::Fragments(frags) => {
-            put_u8(buf, 0);
-            put_u32(buf, frags.len() as u32);
-            for f in frags {
-                put_fragment(buf, f);
-            }
-        }
-        GossipPayload::ProxyMeta { failed_proxies } => {
-            put_u8(buf, 1);
-            put_u32(buf, failed_proxies.len() as u32);
-            for p in failed_proxies {
-                put_pid(buf, *p);
-            }
-        }
-        GossipPayload::GdShare { hits } => {
-            put_u8(buf, 2);
-            put_hits(buf, hits);
-        }
-        GossipPayload::Distribution {
-            partition,
-            group,
-            hits,
-        } => {
-            put_u8(buf, 3);
-            put_u16(buf, *partition);
-            put_u8(buf, *group);
-            put_hits(buf, hits);
-        }
-    }
-}
-fn put_lane(buf: &mut Vec<u8>, lane: &GossipLane) {
-    match lane {
-        GossipLane::Group { dline, ell } => {
-            put_u8(buf, 0);
-            put_u64(buf, *dline);
-            put_u16(buf, *ell);
-        }
-        GossipLane::All { dline } => {
-            put_u8(buf, 1);
-            put_u64(buf, *dline);
-        }
-    }
-}
-/// How a push writes each of its gossip rumors.
-trait PutRumor {
-    fn put_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor);
-}
-
-/// Every rumor as a kept definition.
-struct DefineAll;
-
-impl PutRumor for DefineAll {
-    fn put_rumor(&mut self, buf: &mut Vec<u8>, _: &GossipLane, r: &WireRumor) {
-        put_definition(buf, form::KEEP, r);
-    }
-}
-
-/// An [`Encoder`]'s rumors for one frame to `dst`.
+/// An [`Encoder`]'s gossip rumors for one frame to `dst`.
 struct Tell<'a> {
     enc: &'a mut Encoder,
     dst: ProcessId,
 }
 
-impl PutRumor for Tell<'_> {
-    fn put_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor) {
+impl PutGossipRumor<Vec<u8>> for Tell<'_> {
+    fn put_gossip_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor) {
         let Tell { enc, dst } = self;
         let key = (*lane, r.id);
         let told = enc.told.get(&key);
         if told.is_some_and(|t| t.peers.contains(*dst) && t.rumor == *r) {
-            put_u8(buf, form::REFER);
-            put_rid(buf, &r.id);
+            put_reference(buf, &r.id);
             enc.stats.rumors_referenced += 1;
             return;
         }
@@ -760,357 +541,63 @@ impl PutRumor for Tell<'_> {
     }
 }
 
-/// The form byte, a `u32` body length, then the body, so the decoder sees
-/// a rumor's exact byte span before parsing it. Returns the body length.
-fn put_definition(buf: &mut Vec<u8>, form: u8, r: &WireRumor) -> usize {
-    put_u8(buf, form);
-    let start = buf.len();
-    put_u32(buf, 0);
-    put_rid(buf, &r.id);
-    put_payload(buf, &r.payload);
-    put_u64(buf, r.duration);
-    put_u64(buf, r.deadline.0);
-    put_idset(buf, &r.dest);
-    buf.push(r.best_effort as u8);
-    let len = buf.len() - start - 4;
-    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
-    len
+/// A gossip rumor as a reference to bytes defined earlier.
+fn put_reference<S: Sink>(out: &mut S, id: &RumorId) {
+    out.put_u8(form::REFER);
+    put_rid(out, id);
 }
-fn put_wire(
-    buf: &mut Vec<u8>,
-    lane: &GossipLane,
-    w: &GossipWire<Arc<GossipPayload>>,
-    rumors: &mut impl PutRumor,
-) {
-    match w {
-        GossipWire::Push(pushed) => {
-            put_u8(buf, 0);
-            put_u32(buf, pushed.len() as u32);
-            for r in pushed.iter() {
-                rumors.put_rumor(buf, lane, r);
-            }
-        }
-        GossipWire::Ack(ids) => {
-            put_u8(buf, 1);
-            put_u32(buf, ids.len() as u32);
-            for id in ids {
-                put_rid(buf, id);
-            }
-        }
-    }
-}
-fn put_rumor(buf: &mut Vec<u8>, r: &Rumor) {
-    put_u64(buf, r.wid);
-    put_bytes(buf, &r.data);
-    put_u64(buf, r.deadline);
-    put_idset(buf, &r.dest);
-}
-fn put_msg(buf: &mut Vec<u8>, m: &CongosMsg, rumors: &mut impl PutRumor) {
-    match m {
-        CongosMsg::Gossip { lane, wire } => {
-            put_u8(buf, 0);
-            put_lane(buf, lane);
-            put_wire(buf, lane, wire, rumors);
-        }
-        CongosMsg::ProxyRequest {
-            dline,
-            ell,
-            fragments,
-        } => {
-            put_u8(buf, 1);
-            put_u64(buf, *dline);
-            put_u16(buf, *ell);
-            put_u32(buf, fragments.len() as u32);
-            for f in fragments {
-                put_fragment(buf, f);
-            }
-        }
-        CongosMsg::ProxyAck { dline, ell } => {
-            put_u8(buf, 2);
-            put_u64(buf, *dline);
-            put_u16(buf, *ell);
-        }
-        CongosMsg::Partials {
-            dline,
-            ell,
-            fragments,
-        } => {
-            put_u8(buf, 3);
-            put_u64(buf, *dline);
-            put_u16(buf, *ell);
-            put_u32(buf, fragments.len() as u32);
-            for f in fragments {
-                put_fragment(buf, f);
-            }
-        }
-        CongosMsg::Shoot { rumor, rid, direct } => {
-            put_u8(buf, 4);
-            put_rumor(buf, rumor);
-            put_crid(buf, rid);
-            put_u8(buf, u8::from(*direct));
-        }
-    }
-}
+
 /// Appends `f` behind its `u32` body length, or nothing if the body would
 /// exceed [`MAX_FRAME_LEN`].
-fn put_framed(buf: &mut Vec<u8>, f: &WireFrame, rumors: &mut impl PutRumor) -> io::Result<()> {
+fn put_framed(
+    buf: &mut Vec<u8>,
+    f: &WireFrame,
+    rumors: &mut impl PutGossipRumor<Vec<u8>>,
+) -> io::Result<()> {
     let start = buf.len();
-    buf.extend_from_slice(&[0; 4]);
-    put_frame(buf, f, rumors);
+    buf.put_u32(0);
+    let (kind, src, round) = match f {
+        WireFrame::Msg { src, round, .. } => (0, src, round),
+        WireFrame::EndOfRound { src, round } => (1, src, round),
+    };
+    buf.put_u8(kind);
+    put_pid(buf, *src);
+    buf.put_u64(*round);
+    if let WireFrame::Msg { payload, .. } = f {
+        wire::put_msg(buf, payload, rumors);
+    }
     let len = buf.len() - start - 4;
     if len > MAX_FRAME_LEN {
         buf.truncate(start);
-        return Err(bad(&format!("frame of {len} bytes exceeds MAX_FRAME_LEN")));
+        return Err(invalid_data(&format!(
+            "frame of {len} bytes exceeds MAX_FRAME_LEN"
+        )));
     }
-    buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    buf.patch_u32(start, len as u32);
     Ok(())
 }
-fn put_frame(buf: &mut Vec<u8>, f: &WireFrame, rumors: &mut impl PutRumor) {
-    match f {
-        WireFrame::Msg {
-            src,
-            round,
-            payload,
-        } => {
-            put_u8(buf, 0);
-            put_pid(buf, *src);
-            put_u64(buf, *round);
-            put_msg(buf, payload, rumors);
-        }
-        WireFrame::EndOfRound { src, round } => {
-            put_u8(buf, 1);
-            put_pid(buf, *src);
-            put_u64(buf, *round);
-        }
-    }
-}
 
-// ---------------------------------------------------------------- decoding
-
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Cluster size: every process id on the wire is below it.
-    n: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| bad("truncated frame"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    /// Length prefix bounded by the remaining bytes (a corrupt length must
-    /// not cause a huge allocation).
-    fn len(&mut self) -> io::Result<usize> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(bad("length prefix exceeds frame"));
-        }
-        Ok(n)
-    }
-    fn bytes(&mut self) -> io::Result<&'a [u8]> {
-        let n = self.len()?;
-        self.take(n)
-    }
-    /// Element count for a sequence whose elements each encode to at least
-    /// `min_elem` bytes. The count is validated against the bytes actually
-    /// remaining, so `Vec::with_capacity(count)` downstream is bounded by
-    /// the (already capped) frame size — a hostile count cannot reserve
-    /// more memory than the frame it arrived in.
-    fn count(&mut self, min_elem: usize) -> io::Result<usize> {
-        debug_assert!(min_elem >= 1);
-        let n = self.u32()? as usize;
-        let need = n
-            .checked_mul(min_elem)
-            .ok_or_else(|| bad("element count overflows"))?;
-        if need > self.buf.len() - self.pos {
-            return Err(bad("element count exceeds frame"));
-        }
-        Ok(n)
-    }
-}
-
-/// Minimum encoded sizes (bytes) per element kind, used to validate counts
-/// before allocating. Derived from the `put_*` encoders: every field is
-/// fixed-width except the two inner length prefixes of a fragment, which
-/// contribute at least their 4-byte prefix each.
-mod min_size {
-    /// pid(4) + birth(8) + seq(4).
-    pub const CRID: usize = 16;
-    /// Same layout as a CONGOS rumor id.
-    pub const RID: usize = 16;
-    /// crid + wid(8) + partition(2) + group(1) + k(1) + bytes prefix(4)
-    /// + idset universe(4) + dline(8).
-    pub const FRAGMENT: usize = CRID + 8 + 2 + 1 + 1 + 4 + 4 + 8;
-    /// pid + crid.
-    pub const HIT: usize = 4 + CRID;
-    /// Bare process id.
-    pub const PID: usize = 4;
-    /// The shortest form of a gossip rumor, a reference: form byte(1) +
-    /// rid.
-    pub const GOSSIP_RUMOR: usize = 1 + RID;
-}
-
-fn take_pid(d: &mut Dec) -> io::Result<ProcessId> {
-    let id = d.u32()? as usize;
-    if id >= d.n {
-        return Err(bad(&format!(
-            "process id {id} outside a cluster of {}",
-            d.n
-        )));
-    }
-    Ok(ProcessId::new(id))
-}
-fn take_idset(d: &mut Dec) -> io::Result<IdSet> {
-    let universe = d.u32()? as usize;
-    if universe != d.n {
-        return Err(bad(&format!(
-            "id set over {universe} processes in a cluster of {}",
-            d.n
-        )));
-    }
-    let packed = d.take(universe.div_ceil(8))?;
-    let mut set = IdSet::empty(universe);
-    for (i, &byte) in packed.iter().enumerate() {
-        if byte == 0 {
-            continue;
-        }
-        for b in 0..8 {
-            if byte & (1 << b) != 0 {
-                let id = i * 8 + b;
-                if id >= universe {
-                    return Err(bad("idset bit outside universe"));
-                }
-                set.insert(ProcessId::new(id));
-            }
-        }
-    }
-    Ok(set)
-}
-fn take_crid(d: &mut Dec) -> io::Result<CongosRumorId> {
-    Ok(CongosRumorId {
-        source: take_pid(d)?,
-        birth: Round(d.u64()?),
-        seq: d.u32()?,
-    })
-}
-fn take_rid(d: &mut Dec) -> io::Result<RumorId> {
-    Ok(RumorId {
-        origin: take_pid(d)?,
-        birth: Round(d.u64()?),
-        seq: d.u32()?,
-    })
-}
-fn take_fragment(d: &mut Dec) -> io::Result<Fragment> {
-    // Decoded fragments re-enter the interner: fragments arriving from
-    // many peers (or repeatedly, via epidemic push) collapse to one
-    // allocation per distinct byte string / destination set.
-    let store = FragStore::global();
-    Ok(Fragment {
-        rid: take_crid(d)?,
-        wid: d.u64()?,
-        partition: d.u16()?,
-        group: d.u8()?,
-        k: d.u8()?,
-        bytes: store.intern_bytes(d.bytes()?),
-        dest: store.intern_dest(&take_idset(d)?),
-        dline: d.u64()?,
-    })
-}
-fn take_fragments(d: &mut Dec) -> io::Result<Vec<Fragment>> {
-    let count = d.count(min_size::FRAGMENT)?;
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push(take_fragment(d)?);
-    }
-    Ok(v)
-}
-fn take_hits(d: &mut Dec) -> io::Result<Vec<(ProcessId, CongosRumorId)>> {
-    let count = d.count(min_size::HIT)?;
-    let mut v = Vec::with_capacity(count);
-    for _ in 0..count {
-        v.push((take_pid(d)?, take_crid(d)?));
-    }
-    Ok(v)
-}
-fn take_payload(d: &mut Dec) -> io::Result<GossipPayload> {
-    match d.u8()? {
-        0 => Ok(GossipPayload::Fragments(take_fragments(d)?)),
-        1 => {
-            let count = d.count(min_size::PID)?;
-            let mut failed_proxies = Vec::with_capacity(count);
-            for _ in 0..count {
-                failed_proxies.push(take_pid(d)?);
-            }
-            Ok(GossipPayload::ProxyMeta { failed_proxies })
-        }
-        2 => Ok(GossipPayload::GdShare {
-            hits: take_hits(d)?,
-        }),
-        3 => Ok(GossipPayload::Distribution {
-            partition: d.u16()?,
-            group: d.u8()?,
-            hits: take_hits(d)?,
-        }),
-        _ => Err(bad("bad GossipPayload discriminant")),
-    }
-}
-fn take_lane(d: &mut Dec) -> io::Result<GossipLane> {
-    match d.u8()? {
-        0 => Ok(GossipLane::Group {
-            dline: d.u64()?,
-            ell: d.u16()?,
-        }),
-        1 => Ok(GossipLane::All { dline: d.u64()? }),
-        _ => Err(bad("bad GossipLane discriminant")),
-    }
-}
-/// The body of a gossip rumor, behind the length prefix the [`Decoder`]
-/// has already taken.
-fn take_gossip_rumor_body(d: &mut Dec) -> io::Result<WireRumor> {
-    Ok(GossipRumor {
-        id: take_rid(d)?,
-        payload: Arc::new(take_payload(d)?),
-        duration: d.u64()?,
-        deadline: Round(d.u64()?),
-        dest: Arc::new(take_idset(d)?),
-        best_effort: d.u8()? != 0,
-    })
-}
-fn take_rumor(d: &mut Dec) -> io::Result<Rumor> {
-    Ok(Rumor {
-        wid: d.u64()?,
-        data: d.bytes()?.to_vec(),
-        deadline: d.u64()?,
-        dest: take_idset(d)?,
-    })
-}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos::{CongosMsg, CongosRumorId, Rumor};
-    use congos_sim::{IdSet, Round};
+    use std::sync::Arc;
+
+    use congos::wire::ByteCount;
+    use congos::{CongosRumorId, GossipPayload, Rumor};
+    use congos_gossip::{GossipRumor, GossipWire};
+    use congos_sim::Round;
 
     /// Cluster size of the test frames.
     const N: usize = 8;
+
+    impl Encoder {
+        /// Whether peer `dst` was told the bytes of `id` on `lane`.
+        pub(crate) fn told(&self, lane: GossipLane, id: RumorId, dst: ProcessId) -> bool {
+            self.told
+                .get(&(lane, id))
+                .is_some_and(|t| t.peers.contains(dst))
+        }
+    }
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -1243,80 +730,6 @@ mod tests {
     }
 
     #[test]
-    fn fragment_wire_size_matches_encoder_exactly() {
-        // `Fragment::wire_size` (the basis of the communication metrics)
-        // must agree byte-for-byte with what the codec emits, for random
-        // fragments across payload lengths, universes and densities.
-        use congos::Fragment;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(0xF7A6);
-        for trial in 0..200 {
-            let len = rng.gen_range(0..96);
-            let universe = rng.gen_range(1..200usize);
-            let members = rng.gen_range(0..=universe);
-            let dest = IdSet::from_iter(
-                universe,
-                (0..members).map(|_| ProcessId::new(rng.gen_range(0..universe))),
-            );
-            let f = Fragment {
-                rid: CongosRumorId {
-                    source: ProcessId::new(rng.gen_range(0..universe)),
-                    birth: Round(rng.gen_range(0..1000u64)),
-                    seq: rng.gen_range(0..4u32),
-                },
-                wid: rng.gen(),
-                partition: rng.gen_range(0..8u16),
-                group: rng.gen_range(0..6u8),
-                k: rng.gen_range(1..7u8),
-                bytes: (0..len)
-                    .map(|_| rng.gen::<u8>())
-                    .collect::<Vec<u8>>()
-                    .into(),
-                dest: dest.into(),
-                dline: 64,
-            };
-            let mut buf = Vec::new();
-            put_fragment(&mut buf, &f);
-            assert_eq!(
-                buf.len() as u64,
-                f.wire_size(),
-                "trial {trial}: encoder wrote {} bytes, wire_size says {}",
-                buf.len(),
-                f.wire_size()
-            );
-            // And the encoding round-trips through the interning decoder.
-            let mut d = Dec {
-                buf: &buf,
-                pos: 0,
-                n: universe,
-            };
-            let back = take_fragment(&mut d).unwrap();
-            assert_eq!(d.pos, buf.len());
-            assert_eq!(back, f);
-        }
-    }
-
-    #[test]
-    fn decoded_fragments_are_interned() {
-        use congos::FragBytes;
-        let mut buf = Vec::new();
-        put_fragment(&mut buf, &fragment(pid(1), N));
-        let dec = || Dec {
-            buf: &buf,
-            pos: 0,
-            n: N,
-        };
-        let a = take_fragment(&mut dec()).unwrap();
-        let b = take_fragment(&mut dec()).unwrap();
-        assert!(
-            FragBytes::ptr_eq(&a.bytes, &b.bytes),
-            "two decodes of one fragment share the byte allocation"
-        );
-        assert!(congos::DestRef::ptr_eq(&a.dest, &b.dest));
-    }
-
-    #[test]
     fn malformed_frames_error_cleanly() {
         // Bad discriminant.
         let mut buf = Vec::new();
@@ -1362,15 +775,15 @@ mod tests {
     fn hostile_element_count_rejected_before_allocation() {
         // A Gossip/Push frame claiming u32::MAX rumors in a tiny body must
         // fail the count-vs-remaining-bytes check, not reserve gigabytes.
-        let mut body = Vec::new();
-        put_u8(&mut body, 0); // WireFrame::Msg
+        let mut body: Vec<u8> = Vec::new();
+        body.put_u8(0); // WireFrame::Msg
         put_pid(&mut body, ProcessId::new(0));
-        put_u64(&mut body, 0); // round
-        put_u8(&mut body, 0); // CongosMsg::Gossip
-        put_u8(&mut body, 1); // GossipLane::All
-        put_u64(&mut body, 64); // dline
-        put_u8(&mut body, 0); // GossipWire::Push
-        put_u32(&mut body, u32::MAX); // hostile rumor count
+        body.put_u64(0); // round
+        body.put_u8(0); // CongosMsg::Gossip
+        body.put_u8(1); // GossipLane::All
+        body.put_u64(64); // dline
+        body.put_u8(0); // GossipWire::Push
+        body.put_u32(u32::MAX); // hostile rumor count
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
@@ -1378,14 +791,14 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // Same for a ProxyRequest with a hostile fragment count.
-        let mut body = Vec::new();
-        put_u8(&mut body, 0);
+        let mut body: Vec<u8> = Vec::new();
+        body.put_u8(0);
         put_pid(&mut body, ProcessId::new(1));
-        put_u64(&mut body, 3);
-        put_u8(&mut body, 1); // CongosMsg::ProxyRequest
-        put_u64(&mut body, 64);
-        put_u16(&mut body, 0);
-        put_u32(&mut body, 50_000_000); // hostile fragment count
+        body.put_u64(3);
+        body.put_u8(1); // CongosMsg::ProxyRequest
+        body.put_u64(64);
+        body.put_u16(0);
+        body.put_u32(50_000_000); // hostile fragment count
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
@@ -1630,6 +1043,16 @@ mod tests {
         let err = res.unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(err.to_string().contains(&format!("p{p} ")), "{err}");
+    }
+
+    #[test]
+    fn a_reference_is_the_shortest_gossip_rumor() {
+        let mut count = ByteCount::default();
+        put_reference(&mut count, &rumor(0, 0, &[]).id);
+        assert_eq!(count.0, GOSSIP_RUMOR);
+        let mut count = ByteCount::default();
+        let body = put_definition(&mut count, form::KEEP, &rumor(0, 0, &[]));
+        assert!(count.0 > GOSSIP_RUMOR && body + 5 == count.0);
     }
 
     #[test]

@@ -94,10 +94,11 @@ pub trait Protocol: Sized {
         input: Option<Self::Input>,
     );
 
-    /// Estimated wire size of a message payload in bytes, used for the
-    /// per-round *communication* complexity metrics (Section 7 of the
-    /// paper discusses bits, not just message counts). Defaults to 0 —
-    /// protocols that want byte metering override this.
+    /// Wire size of a message payload in bytes, used for the per-round
+    /// *communication* complexity metrics (Section 7 of the paper discusses
+    /// bits, not just message counts). Defaults to 0 — protocols that want
+    /// byte metering override this. CONGOS counts what its encoder writes
+    /// (`congos::wire`); a protocol without a codec returns a formula.
     fn msg_size(_msg: &Self::Msg) -> u64 {
         0
     }

@@ -5,6 +5,12 @@
 //! messages sent in that round. Tags let callers meter individual services —
 //! e.g. Lemma 7 counts Proxy/GroupDistribution messages excluding the
 //! GroupGossip black box.
+//!
+//! Each send also records its payload's bytes, as the protocol's
+//! [`Protocol::msg_size`](crate::Protocol::msg_size) gives them. For CONGOS
+//! that is the count of what a fresh TCP encoder writes for the message
+//! behind its frame header (`congos::wire`), every pushed gossip rumor as a
+//! definition: the simulator and the wire count a byte the same way.
 
 use crate::message::Tag;
 use std::collections::BTreeMap;
@@ -14,8 +20,8 @@ use std::collections::BTreeMap;
 ///
 /// Byte accounting covers the paper's *communication complexity* discussion
 /// (Section 7): message counts alone hide the cost of large batched
-/// envelopes, so every send also records its payload's estimated wire size
-/// (see [`Protocol::msg_size`](crate::Protocol::msg_size)).
+/// envelopes, so every send also records its payload's wire size, as the
+/// protocol's [`Protocol::msg_size`](crate::Protocol::msg_size) gives it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RoundCounts {
     by_tag: BTreeMap<&'static str, (u64, u64)>, // (messages, bytes)

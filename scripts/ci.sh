@@ -3,10 +3,12 @@
 #
 #   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
 #                            #        congos, adversary and baselines crate
-#                            #        tests (congos-harness is the only
-#                            #        package outside tier-1) + the
-#                            #        benchmark package (its pinned API
-#                            #        surface) + every target below
+#                            #        tests + from the congos-harness lib
+#                            #        (otherwise outside tier-1) the E10 and
+#                            #        E11 tests, the only ones that read
+#                            #        simulator bytes + the benchmark
+#                            #        package (its pinned API surface) +
+#                            #        every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
@@ -149,6 +151,13 @@ cargo test -q --release --test differential backend_equivalence
 
 echo "==> tier1: unit tests and proptests of every library crate but congos-harness"
 cargo test -q -p congos-sim -p congos-gossip -p congos -p congos-adversary -p congos-baselines
+
+echo "==> tier1: E10 and E11, the tests that read simulator bytes, in release"
+# Both run in about 1 s together on a 2-core host, after the harness lib's
+# release test build.
+cargo test -q --release -p congos-harness --lib -- --exact \
+    experiments::e10_metadata_hiding::tests::e10_bytes_blow_up_more_than_messages \
+    experiments::e11_communication::tests::e11_overhead_amortizes_with_rumor_size
 
 echo "==> tier1: benchmark package builds and passes against this tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
