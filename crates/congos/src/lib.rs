@@ -58,7 +58,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod fragstore;
 pub mod messages;
 pub mod node;
 pub mod oneshot;
@@ -69,10 +68,10 @@ pub mod split;
 pub mod wire;
 
 pub use audit::{AuditReport, ConfidentialityAuditor};
-pub use fragstore::{DestRef, FragBytes, FragStore, FragStoreStats};
 pub use config::{CongosConfig, CoverTrafficConfig, PartitionScheme};
-pub use messages::{CongosMsg, Fragment, GossipPayload, TAG_ALL_GOSSIP, TAG_GD,
-    TAG_GROUP_GOSSIP, TAG_PROXY, TAG_SHOOT};
+pub use messages::{CongosMsg, DestRef, FragBytes, Fragment, GossipPayload, TAG_ALL_GOSSIP,
+    TAG_GD, TAG_GROUP_GOSSIP, TAG_PROXY, TAG_SHOOT};
 pub use node::{CongosNode, NodeStats};
 pub use partition::{Partition, PartitionSet};
 pub use rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
+pub use split::{FragStore, FragStoreStats};

@@ -1,12 +1,118 @@
 //! Wire types: fragments and the multiplexed CONGOS message.
 
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use congos_gossip::GossipWire;
-use congos_sim::{ProcessId, Tag};
+use congos_sim::{IdSet, ProcessId, Tag};
 
-use crate::fragstore::{DestRef, FragBytes};
 use crate::rumor::{CongosRumorId, Rumor};
+
+/// A shared fragment byte string.
+///
+/// Dereferences to `[u8]`; equality and hashing are by content, with a
+/// pointer-identity fast path. Clones share the allocation.
+#[derive(Clone)]
+pub struct FragBytes(Arc<[u8]>);
+
+impl FragBytes {
+    /// `true` if both handles point at the same allocation.
+    pub fn ptr_eq(a: &FragBytes, b: &FragBytes) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for FragBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl PartialEq for FragBytes {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+impl Eq for FragBytes {}
+
+impl Hash for FragBytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl fmt::Debug for FragBytes {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "FragBytes({} bytes)", self.0.len())
+    }
+}
+
+impl From<Vec<u8>> for FragBytes {
+    fn from(v: Vec<u8>) -> Self {
+        FragBytes(v.into())
+    }
+}
+
+impl From<&[u8]> for FragBytes {
+    fn from(v: &[u8]) -> Self {
+        FragBytes(v.into())
+    }
+}
+
+/// A shared destination set.
+///
+/// Dereferences to [`IdSet`]; equality and hashing are by content, with a
+/// pointer-identity fast path. Clones share the allocation.
+#[derive(Clone)]
+pub struct DestRef(Arc<IdSet>);
+
+impl DestRef {
+    /// `true` if both handles point at the same allocation.
+    pub fn ptr_eq(a: &DestRef, b: &DestRef) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Deref for DestRef {
+    type Target = IdSet;
+    fn deref(&self) -> &IdSet {
+        &self.0
+    }
+}
+
+impl PartialEq for DestRef {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+impl Eq for DestRef {}
+
+impl Hash for DestRef {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl fmt::Debug for DestRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl From<IdSet> for DestRef {
+    fn from(s: IdSet) -> Self {
+        DestRef(Arc::new(s))
+    }
+}
+
+impl From<&IdSet> for DestRef {
+    fn from(s: &IdSet) -> Self {
+        DestRef(Arc::new(s.clone()))
+    }
+}
 
 /// One fragment of a split rumor, for one partition.
 ///
@@ -28,12 +134,11 @@ pub struct Fragment {
     pub group: u8,
     /// Total fragments in this split (`τ+1`).
     pub k: u8,
-    /// The fragment bytes (a uniform pad, or the XOR-masked residue),
-    /// interned in the [`crate::fragstore::FragStore`]: every copy of this
-    /// fragment shares one allocation.
+    /// The fragment bytes (a uniform pad, or the XOR-masked residue). Every
+    /// clone of this fragment a process buffers shares one allocation.
     pub bytes: FragBytes,
-    /// The rumor's destination set `ρ.D` (metadata), interned: all `k·p`
-    /// fragments of one rumor share one allocation.
+    /// The rumor's destination set `ρ.D` (metadata). At the source all
+    /// `k·p` fragments of one rumor share one allocation.
     pub dest: DestRef,
     /// Trimmed deadline class of the rumor (selects the protocol instance).
     pub dline: u64,

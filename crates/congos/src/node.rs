@@ -44,8 +44,8 @@ pub struct NodeStats {
 struct PartsEntry {
     k: u8,
     wid: u64,
-    /// Fragment bytes by group — interned handles, shared with the store.
-    got: BTreeMap<u8, crate::fragstore::FragBytes>,
+    /// Fragment bytes by group, sharing the received fragments' allocations.
+    got: BTreeMap<u8, crate::messages::FragBytes>,
 }
 
 /// One process running CONGOS.

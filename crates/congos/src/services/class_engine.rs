@@ -22,7 +22,8 @@ use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
 use crate::config::CongosConfig;
 use crate::messages::{
-    CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GROUP_GOSSIP,
+    CongosMsg, DestRef, FragBytes, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP,
+    TAG_GROUP_GOSSIP,
 };
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
@@ -142,14 +143,13 @@ impl ClassEngine {
         rumor: Rumor,
         partitions: &PartitionSet,
     ) {
-        // One interned destination set shared by all k·p fragments.
-        let store = crate::fragstore::FragStore::global();
-        let dest = store.intern_dest(&rumor.dest);
+        // One destination set shared by all k·p fragments.
+        let dest = DestRef::from(&rumor.dest);
         for lane in &mut self.lanes {
             let partition = partitions.partition(lane.ell as usize);
             let k = partition.group_count();
-            let frags = split::split_interned(rng, &rumor.data, k, store);
-            for (g, bytes) in frags.into_iter().enumerate() {
+            let frags = split::split(rng, &rumor.data, k);
+            for (g, bytes) in frags.into_iter().map(FragBytes::from).enumerate() {
                 let fragment = Fragment {
                     rid,
                     wid: rumor.wid,

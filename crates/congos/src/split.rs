@@ -15,6 +15,8 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+use crate::messages::FragBytes;
+
 /// Splits `data` into `k ≥ 1` fragments such that the XOR of all fragments
 /// equals `data`, and any `k−1` of them are independent uniform randomness.
 ///
@@ -46,19 +48,41 @@ pub fn split(rng: &mut SmallRng, data: &[u8], k: usize) -> Vec<Vec<u8>> {
     fragments
 }
 
-/// [`split`], interned: each fragment's bytes go straight into `store` so
-/// every downstream copy (gossip batches, proxy buffers, GD partials)
-/// shares one allocation per fragment.
-pub fn split_interned(
-    rng: &mut SmallRng,
-    data: &[u8],
-    k: usize,
-    store: &crate::fragstore::FragStore,
-) -> Vec<crate::fragstore::FragBytes> {
-    split(rng, data, k)
-        .into_iter()
-        .map(|f| store.intern_bytes(&f))
-        .collect()
+/// Only the benchmark uses `FragStore`, `FragStoreStats` and
+/// [`split_interned`] (its pinned API surface); they go with the paired
+/// benchmark change (ROADMAP item 4(vii)). There is no fragment store:
+/// `gc` does nothing, `stats` reads zero and `intern_bytes` allocates.
+#[derive(Debug, Default)]
+pub struct FragStore;
+
+/// Always zero.
+#[allow(missing_docs)]
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FragStoreStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+#[allow(missing_docs)]
+impl FragStore {
+    pub fn new() -> Self {
+        FragStore
+    }
+    pub fn global() -> &'static FragStore {
+        &FragStore
+    }
+    pub fn gc(&self) {}
+    pub fn stats(&self) -> FragStoreStats {
+        FragStoreStats::default()
+    }
+    pub fn intern_bytes(&self, bytes: &[u8]) -> FragBytes {
+        bytes.into()
+    }
+}
+
+/// [`split`] into [`FragBytes`], ignoring the store (see [`FragStore`]).
+pub fn split_interned(rng: &mut SmallRng, data: &[u8], k: usize, _: &FragStore) -> Vec<FragBytes> {
+    split(rng, data, k).into_iter().map(Into::into).collect()
 }
 
 /// Reassembles a rumor from all of its fragments (XOR of the set).

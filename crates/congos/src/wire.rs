@@ -29,8 +29,7 @@ use std::sync::Arc;
 use congos_gossip::{GossipRumor, GossipWire, RumorId};
 use congos_sim::{IdSet, ProcessId, Round};
 
-use crate::fragstore::FragStore;
-use crate::messages::{CongosMsg, Fragment, GossipLane, GossipPayload};
+use crate::messages::{CongosMsg, DestRef, FragBytes, Fragment, GossipLane, GossipPayload};
 use crate::rumor::{CongosRumorId, Rumor};
 
 /// A gossip rumor as it crosses the wire.
@@ -512,18 +511,16 @@ pub fn take_rid(d: &mut Dec) -> io::Result<RumorId> {
 }
 
 fn take_fragment(d: &mut Dec) -> io::Result<Fragment> {
-    // Decoded fragments re-enter the interner: fragments arriving from
-    // many peers (or repeatedly, via epidemic push) collapse to one
-    // allocation per distinct byte string / destination set.
-    let store = FragStore::global();
+    // A decoded fragment gets its own allocations: it belongs to the node
+    // that decoded it. Its clones in that node's buffers share them.
     Ok(Fragment {
         rid: take_crid(d)?,
         wid: d.u64()?,
         partition: d.u16()?,
         group: d.u8()?,
         k: d.u8()?,
-        bytes: store.intern_bytes(d.bytes()?),
-        dest: store.intern_dest(&take_idset(d)?),
+        bytes: FragBytes::from(d.bytes()?),
+        dest: DestRef::from(take_idset(d)?),
         dline: d.u64()?,
     })
 }
@@ -638,10 +635,9 @@ pub fn take_msg<R: TakeGossipRumor>(d: &mut Dec, rumors: &mut R) -> io::Result<C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fragstore::{DestRef, FragBytes};
 
     #[test]
-    fn decoded_fragments_are_interned() {
+    fn decoded_fragments_share_no_allocation() {
         let f = Fragment {
             rid: CongosRumorId {
                 source: ProcessId::new(1),
@@ -666,10 +662,11 @@ mod tests {
         };
         let (a, b) = (decode(), decode());
         assert_eq!(a, f);
+        assert_eq!(b, f);
         assert!(
-            FragBytes::ptr_eq(&a.bytes, &b.bytes),
-            "two decodes of one fragment share the byte allocation"
+            !FragBytes::ptr_eq(&a.bytes, &b.bytes) && !FragBytes::ptr_eq(&a.bytes, &f.bytes),
+            "each decode allocates its own bytes"
         );
-        assert!(DestRef::ptr_eq(&a.dest, &b.dest));
+        assert!(!DestRef::ptr_eq(&a.dest, &b.dest) && !DestRef::ptr_eq(&a.dest, &f.dest));
     }
 }

@@ -1,5 +1,6 @@
-//! Long-running soak test (ignored by default — run with
-//! `cargo test -p congos --test soak -- --ignored`).
+//! Soak test, ignored by default: about 3 s in release on a 2-core host.
+//! `scripts/ci.sh mem` runs it with
+//! `cargo test --release -p congos --test soak -- --ignored`.
 //!
 //! A thousand rounds of continuous injection under combined churn and
 //! adaptive attacks, with the auditor attached throughout: memory must stay
@@ -39,7 +40,7 @@ impl FailurePlan for Combined {
 }
 
 #[test]
-#[ignore = "soak test: ~1-2 minutes; run with --ignored"]
+#[ignore = "soak test: ~3 s in release; run with --release -- --ignored"]
 fn thousand_round_soak() {
     let n = 24;
     let deadline = 64u64;

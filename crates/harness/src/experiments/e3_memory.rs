@@ -8,7 +8,7 @@
 //! monotone, so the per-point increment is attributable to that point),
 //! cumulative heap bytes allocated inside the run, and wall-clock time.
 //!
-//! The memory-lean hot state (interned fragment store, bounded hit-set
+//! The memory-lean hot state (shared fragment handles, bounded hit-set
 //! history, reused columnar outboxes) is what keeps the large-`n` points
 //! inside a fixed budget; `scripts/ci.sh mem` replays the small-`n` sweep
 //! under a hard RSS ceiling as a regression gate.
@@ -52,7 +52,7 @@ pub const RUMORS_PER_ROUND: f64 = 1.0;
 ///   state term. The sweep sends them best-effort (`lean_metadata`).
 ///
 /// Fragments (the rumors themselves) keep full QoD guarantees; the
-/// interned fragment store, bounded hit-set history and columnar outboxes
+/// shared fragment handles, bounded hit-set history and columnar outboxes
 /// are exercised identically. The differential suites pin golden digests
 /// on the *default* configuration, which is unaffected.
 pub fn sweep_config() -> CongosConfig {

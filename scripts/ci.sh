@@ -13,9 +13,12 @@
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
 #                            #        target/BENCH_topology_smoke.json)
-#   scripts/ci.sh mem        # memory target only: fragstore proptests and
-#                            #        the `exp e3m` small-n smoke sweep
-#                            #        under a hard peak-RSS budget
+#   scripts/ci.sh mem        # memory target only: fragment-handle
+#                            #        proptests, the congos soak test
+#                            #        (release, ~3 s: 1024 rounds of churn
+#                            #        and attacks, bounded state) and the
+#                            #        `exp e3m` small-n smoke sweep under a
+#                            #        hard peak-RSS budget
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator
 #                            #        loopback differential suite, the
 #                            #        congos-net package tests (codec
@@ -35,6 +38,13 @@
 #                            #        quick sweep (asserts congos < direct
 #                            #        at coalition 10% on expander:4)
 #   scripts/ci.sh full       # tier1 + the full workspace test suite
+#   scripts/ci.sh loc [REV]  # non-test Rust lines per crate and in total
+#                            #        over crates/*/src, src/ and examples/
+#                            #        (each file cut at the #[cfg(test)]
+#                            #        that opens a `mod … {`); with REV,
+#                            #        also that revision's count (through
+#                            #        `git archive`) and the delta. Builds
+#                            #        nothing; a bad REV exits 2
 #
 # The differential suite (part of the root tests) compares the engine
 # backends pairwise from inside each test, so one pass covers them all;
@@ -59,8 +69,10 @@ run_topo() {
 }
 
 run_mem() {
-    echo "==> mem: fragment-store proptests"
-    cargo test -q -p congos --test fragstore_prop
+    echo "==> mem: fragment-handle proptests"
+    cargo test -q -p congos --test handles_prop
+    echo "==> mem: congos soak test (release)"
+    cargo test -q --release -p congos --test soak -- --ignored
     echo "==> mem: exp e3m smoke sweep under a hard peak-RSS budget"
     # The quick sweep (n ≤ 1024) peaks around 450 MiB; the 1024 MiB budget
     # is a 2× regression gate, not a tight fit. The smoke row set goes to a
@@ -124,7 +136,57 @@ run_anonymity() {
     echo "    wrote $out (schema keys present, gate passed)"
 }
 
+# Prints "<unit> <lines>" per unit (a crate under crates/, `root` for src/,
+# `examples`) for the tree rooted at $1, counting each .rs file up to the
+# `#[cfg(test)]` (plus any attributes after it) that opens an inline `mod`.
+count_loc() {
+    (
+        cd "$1"
+        { find crates/*/src src examples -name '*.rs' 2>/dev/null || true; } | sort |
+            while read -r f; do
+                case $f in
+                crates/*) unit=${f#crates/} && unit=${unit%%/*} ;;
+                src/*) unit=root ;;
+                *) unit=examples ;;
+                esac
+                awk -v unit="$unit" '
+                    /^[[:space:]]*#\[cfg\(test\)\]/ { if (!held) held = NR; next }
+                    held && /^[[:space:]]*#\[/ { next }
+                    held && /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]+[[:alnum:]_]+[[:space:]]*\{/ {
+                        cut = held - 1; done = 1; exit
+                    }
+                    { held = 0 }
+                    END { print unit, (done ? cut : NR) }' "$f"
+            done
+    ) | awk '{ s[$1] += $2 } END { for (u in s) print u, s[u] }' | sort
+}
+
+run_loc() {
+    local rev=${1:-}
+    if [ -z "$rev" ]; then
+        count_loc . | awk '{ printf "%-12s %7d\n", $1, $2; t += $2 }
+            END { printf "%-12s %7d\n", "total", t }'
+        return
+    fi
+    git rev-parse -q --verify "$rev^{commit}" >/dev/null || {
+        echo "loc: unknown revision $rev" >&2
+        exit 2
+    }
+    loc_base=$(mktemp -d)
+    trap 'rm -rf "$loc_base"' EXIT
+    git archive "$rev" | tar -x -C "$loc_base"
+    join -a1 -a2 -e0 -o0,1.2,2.2 <(count_loc "$loc_base") <(count_loc .) |
+        awk -v rev="$rev" '
+            BEGIN { printf "%-12s %7s %7s %7s\n", "unit", substr(rev, 1, 7), "tree", "delta" }
+            { printf "%-12s %7d %7d %+7d\n", $1, $2, $3, $3 - $2; a += $2; b += $3 }
+            END { printf "%-12s %7d %7d %+7d\n", "total", a, b, b - a }'
+}
+
 case "$target" in
+loc)
+    run_loc "${2:-}"
+    exit 0
+    ;;
 topo | mem | net | loadtest | anonymity)
     "run_$target"
     echo "==> ci: OK ($target)"
