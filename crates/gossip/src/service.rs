@@ -2,6 +2,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::mem;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -25,6 +26,12 @@ pub enum GossipWire<T> {
     /// Epidemic push of a batch of active rumors (one envelope, arbitrarily
     /// many rumors — the model allows unbounded message size and gossip
     /// protocols gain their efficiency from exactly this merging).
+    ///
+    /// An honest sender's batch is its active set in ascending [`RumorId`]
+    /// order, which lets the receiver deduplicate it with one merge walk
+    /// against its own, equally sorted, active set. A batch that is
+    /// unsorted or repeats an id is accepted and handled identically, only
+    /// without that fast path.
     Push(Arc<Vec<GossipRumor<T>>>),
     /// Acknowledgment of delivered rumors, sent to each rumor's origin.
     Ack(Vec<RumorId>),
@@ -106,12 +113,18 @@ pub struct ContinuousGossip<T> {
     group_size: usize,
     last_inject_round: Round,
     next_seq: u32,
-    /// Rumors this process actively forwards.
-    active: BTreeMap<RumorId, GossipRumor<T>>,
-    /// `active`'s values as one shared push batch; `None` once `active`
+    /// Rumors this process actively forwards, in ascending id order, at
+    /// most one per id. Every id here is also in `seen` (`active ⊆ seen`):
+    /// both insertion paths write `seen` first, and `seen` keeps every id
+    /// with `deadline + 2 ≥ now` while `active` keeps only
+    /// `deadline ≥ now`.
+    active: Vec<GossipRumor<T>>,
+    /// A copy of `active` as one shared push batch; `None` once `active`
     /// changed, rebuilt at the next push.
     batch: Option<Arc<Vec<GossipRumor<T>>>>,
-    /// Dedup set with the round after which each entry may be dropped.
+    /// Dedup set with the round after which each entry may be dropped. A
+    /// superset of `active`'s ids; it also guards ids no longer active, or
+    /// never made active.
     seen: HashMap<RumorId, Round>,
     /// Rumors this process injected and still tracks for acknowledgment.
     own: BTreeMap<RumorId, OwnRumor<T>>,
@@ -124,6 +137,8 @@ pub struct ContinuousGossip<T> {
     /// Collaborators heard from in the previous round (plus self).
     collab_est: usize,
     collab_this_round: IdSet,
+    /// `collab_this_round.len()`, counted as peers are first heard.
+    heard_this_round: usize,
     /// Count of fallback direct-sends performed (observable for Lemma 10
     /// style "fallback is rare" experiments).
     fallbacks: u64,
@@ -151,7 +166,7 @@ impl<T: Clone> ContinuousGossip<T> {
             peers,
             last_inject_round: Round::ZERO,
             next_seq: 0,
-            active: BTreeMap::new(),
+            active: Vec::new(),
             batch: None,
             seen: HashMap::new(),
             own: BTreeMap::new(),
@@ -159,6 +174,7 @@ impl<T: Clone> ContinuousGossip<T> {
             delivered: Vec::new(),
             collab_est: 1,
             collab_this_round: IdSet::empty(n),
+            heard_this_round: 0,
             fallbacks: 0,
         }
     }
@@ -234,7 +250,10 @@ impl<T: Clone> ContinuousGossip<T> {
                 },
             );
         }
-        self.active.insert(id, rumor);
+        match self.active.binary_search_by_key(&id, |r| r.id) {
+            Ok(i) => self.active[i] = rumor,
+            Err(i) => self.active.insert(i, rumor),
+        }
         self.batch = None;
         id
     }
@@ -270,16 +289,18 @@ impl<T: Clone> ContinuousGossip<T> {
 
         // Drop expired rumors from the forwarding set.
         let before = self.active.len();
-        self.active.retain(|_, r| r.active_at(now));
+        self.active.retain(|r| r.active_at(now));
         if self.active.len() != before {
             self.batch = None;
         }
         // Prune the dedup map once it outgrows a small bound. The retain
-        // predicate is the receive horizon (a rumor can arrive no later
-        // than its deadline-fallback round `dl + 1`, processed at
-        // `now = dl + 1 < dl + 2`), so pruning earlier or more often is
+        // predicate is the receive horizon (a rumor's last send is its
+        // deadline fallback in round `dl`, received in that same round, so
+        // `now = dl < dl + 2`), so pruning earlier or more often is
         // behavior-neutral — it only caps the map near the live window
         // instead of letting every instance hold thousands of dead ids.
+        // It is also weaker than the expiry above (`dl ≥ now`), which keeps
+        // `active ⊆ seen`.
         if self.seen.len() > 256 {
             self.seen.retain(|_, dl| *dl + 2 >= now);
         }
@@ -296,24 +317,26 @@ impl<T: Clone> ContinuousGossip<T> {
         // Deadline fallback: for own rumors whose deadline is this round,
         // send directly to every unacknowledged destination. This is what
         // makes Quality of Delivery hold with probability 1.
-        let fallbacks = &mut self.fallbacks;
-        self.own.retain(|_, o| {
-            if o.rumor.deadline == now && !o.unacked.is_empty() {
-                let single = Arc::new(vec![o.rumor.clone()]);
-                for dst in o.unacked.iter() {
-                    *fallbacks += 1;
-                    emit(dst, GossipWire::Push(Arc::clone(&single)));
+        if !self.own.is_empty() {
+            let fallbacks = &mut self.fallbacks;
+            self.own.retain(|_, o| {
+                if o.rumor.deadline == now && !o.unacked.is_empty() {
+                    let single = Arc::new(vec![o.rumor.clone()]);
+                    for dst in o.unacked.iter() {
+                        *fallbacks += 1;
+                        emit(dst, GossipWire::Push(Arc::clone(&single)));
+                    }
                 }
-            }
-            o.rumor.deadline > now
-        });
+                o.rumor.deadline > now
+            });
+        }
 
         // Epidemic push of all active rumors, to random members or along
         // the deterministic expander schedule.
         if !self.active.is_empty() {
             let dmin = self
                 .active
-                .values()
+                .iter()
                 .map(|r| r.duration)
                 .min()
                 .unwrap_or(1)
@@ -330,9 +353,7 @@ impl<T: Clone> ContinuousGossip<T> {
                 GossipStrategy::Expander => expander_targets(membership, self.me, now, k),
             };
             let active = &self.active;
-            let batch = self
-                .batch
-                .get_or_insert_with(|| Arc::new(active.values().cloned().collect()));
+            let batch = self.batch.get_or_insert_with(|| Arc::new(active.clone()));
             for dst in targets {
                 emit(dst, GossipWire::Push(Arc::clone(batch)));
             }
@@ -344,35 +365,63 @@ impl<T: Clone> ContinuousGossip<T> {
         // collapses the estimate and re-saturates the fanout next round);
         // decaying halvings keep it near the true collaborator count while
         // still shrinking quickly when collaborators actually crash.
-        let heard = self.collab_this_round.len() + 1;
-        self.collab_est = heard.max(self.collab_est.div_ceil(2));
-        self.collab_this_round.clear();
+        let heard = mem::take(&mut self.heard_this_round);
+        self.collab_est = (heard + 1).max(self.collab_est.div_ceil(2));
+        if heard != 0 {
+            self.collab_this_round.clear();
+        }
     }
 
     /// Handles an incoming wire message. Traffic from outside the membership
     /// is ignored (filtered). The wire may be owned or borrowed (a host reads
     /// its inbox in place): either way only the rumors this endpoint keeps
     /// are cloned, and a borrowed push leaves the sender's batch untouched.
+    ///
+    /// A push is deduplicated by walking it in step with the id-sorted
+    /// active set. A rumor found there is skipped without consulting
+    /// `seen`, which is exact because `active ⊆ seen`; every other rumor is
+    /// checked against `seen`, and a new active one joins `active` at the
+    /// walk's cursor. Where the batch steps back in id order (never in an
+    /// honest push) the cursor is re-placed by binary search, so such a
+    /// batch is handled identically, only slower.
     pub fn on_receive(&mut self, now: Round, src: ProcessId, wire: impl Borrow<GossipWire<T>>) {
         if !self.cfg.membership.contains(src) {
             return;
         }
-        self.collab_this_round.insert(src);
+        if self.collab_this_round.insert(src) {
+            self.heard_this_round += 1;
+        }
         match wire.borrow() {
             GossipWire::Push(rumors) => {
+                // The walk's cursor: after it advances, `active[..at]`
+                // holds exactly the active ids below the rumor walked.
+                let mut at = 0;
                 for rumor in rumors.iter() {
-                    if self.seen.contains_key(&rumor.id) {
+                    let id = rumor.id;
+                    if at > 0 && self.active[at - 1].id > id {
+                        // The batch stepped back in id order.
+                        at = self.active.partition_point(|r| r.id < id);
+                    }
+                    while self.active.get(at).is_some_and(|r| r.id < id) {
+                        at += 1;
+                    }
+                    if self.active.get(at).is_some_and(|r| r.id == id) {
+                        at += 1;
                         continue;
                     }
-                    self.seen.insert(rumor.id, rumor.deadline);
+                    if self.seen.contains_key(&id) {
+                        continue;
+                    }
+                    self.seen.insert(id, rumor.deadline);
                     if rumor.dest.contains(self.me) {
                         self.delivered.push(rumor.clone());
-                        if rumor.id.origin != self.me && !rumor.best_effort {
-                            self.pending_acks.push((rumor.id.origin, rumor.id));
+                        if id.origin != self.me && !rumor.best_effort {
+                            self.pending_acks.push((id.origin, id));
                         }
                     }
                     if rumor.active_at(now) {
-                        self.active.insert(rumor.id, rumor.clone());
+                        self.active.insert(at, rumor.clone());
+                        at += 1;
                         self.batch = None;
                     }
                 }
@@ -656,11 +705,31 @@ mod tests {
     }
 
     #[test]
+    fn push_of_active_rumors_changes_nothing() {
+        let n = 8;
+        let mut g = mk(0, n);
+        g.inject(Round(0), 1, 16, IdSet::full(n));
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[0, 4]));
+        push_one(&mut g, Round(0), 5, rumor(n, 5, 0, &[0]));
+        let mut rng = SmallRng::seed_from_u64(11);
+        let batch = epidemic_batch(&g.step(Round(1), &mut rng));
+        assert_eq!(batch.len(), 3);
+        g.take_delivered().for_each(drop);
+
+        // The sender forwards the same three rumors.
+        let echo = GossipWire::Push(Arc::new(Vec::clone(&batch)));
+        g.on_receive(Round(1), ProcessId::new(4), echo);
+        assert!(g.delivered.is_empty() && g.pending_acks.is_empty());
+        let again = epidemic_batch(&g.step(Round(2), &mut rng));
+        assert!(Arc::ptr_eq(&again, &batch), "the batch is kept");
+    }
+
+    #[test]
     fn batch_follows_the_active_set_through_insert_inject_and_expiry() {
         let n = 8;
         let mut g = mk(0, n);
         let mut rng = SmallRng::seed_from_u64(8);
-        let active = |g: &ContinuousGossip<u32>| g.active.values().cloned().collect::<Vec<_>>();
+        let active = |g: &ContinuousGossip<u32>| g.active.clone();
         g.inject(Round(0), 1, 2, IdSet::full(n));
         let mut last = epidemic_batch(&g.step(Round(0), &mut rng));
         assert_eq!(*last, active(&g));

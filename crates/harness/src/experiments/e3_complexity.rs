@@ -27,16 +27,43 @@ use crate::run::{run as run_system, RunDefaults};
 use crate::stats::fit_power_law;
 use crate::table::Table;
 
-/// Runs E3 and returns its two tables.
+/// The points one E3 run sweeps.
+struct Sizes {
+    /// E3a: the system sizes, swept at a short and a long deadline.
+    a_ns: &'static [usize],
+    a_deadlines: [u64; 2],
+    /// E3b: the fixed system size and the deadlines swept at it.
+    b_n: usize,
+    b_deadlines: &'static [u64],
+    /// E3c: the system sizes.
+    c_ns: &'static [usize],
+}
+
+const QUICK: Sizes = Sizes {
+    a_ns: &[16, 32, 64],
+    a_deadlines: [64, 1024],
+    b_n: 32,
+    b_deadlines: &[64, 128, 256, 512],
+    c_ns: &[256, 1024],
+};
+
+const FULL: Sizes = Sizes {
+    a_ns: &[16, 32, 64, 128],
+    a_deadlines: [64, 1024],
+    b_n: 64,
+    b_deadlines: &[64, 128, 256, 512, 1024],
+    c_ns: &[512, 1024, 2048],
+};
+
+/// Runs E3 and returns its three tables.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
+    run_sized(if full { &FULL } else { &QUICK }, defaults)
+}
+
+fn run_sized(sizes: &Sizes, defaults: &RunDefaults) -> Vec<Table> {
     let mut out = Vec::new();
 
     // ---- Sweep n at a short and a long deadline. -------------------
-    let ns: &[usize] = if full {
-        &[16, 32, 64, 128]
-    } else {
-        &[16, 32, 64]
-    };
     let mut t = Table::new(
         "E3a: per-round complexity vs n (Theorem 11)",
         &[
@@ -44,10 +71,10 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         ],
     );
     let mut exponents = Vec::new();
-    for &deadline in &[64u64, 1024] {
+    for &deadline in &sizes.a_deadlines {
         let mut xs = Vec::new();
         let mut mean_pr = Vec::new();
-        for &n in ns {
+        for &n in sizes.a_ns {
             let rounds = 3 * deadline.min(512) + deadline;
             let spec = defaults.spec(n, 0xE3, rounds);
             let w =
@@ -85,19 +112,14 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     out.push(t);
 
     // ---- Sweep deadline at fixed n. --------------------------------
-    let n = if full { 64 } else { 32 };
-    let deadlines: &[u64] = if full {
-        &[64, 128, 256, 512, 1024]
-    } else {
-        &[64, 128, 256, 512]
-    };
+    let n = sizes.b_n;
     let mut t = Table::new(
         "E3b: service cost vs deadline (Lemma 7 decay)",
         &["dline", "svc_max/rnd", "svc_total", "max/rnd", "rumors"],
     );
     let mut ds = Vec::new();
     let mut svc_max = Vec::new();
-    for &d in deadlines {
+    for &d in sizes.b_deadlines {
         let rounds = 3 * d;
         let spec = defaults.spec(n, 0xE3B, rounds);
         // Fix the *number* of rumors per round so only the deadline varies.
@@ -133,7 +155,6 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     // (`RunOutcome::mem.wall_ms`), not node construction or QoD analysis;
     // each cell is the fastest of five interleaved runs after a warm-up
     // run. Outcomes must be bit-identical.
-    let ns: &[usize] = if full { &[512, 1024, 2048] } else { &[256, 1024] };
     let mut t = Table::new(
         "E3c: engine wall-clock vs backend at large n",
         &["n", "seq_ms", "auto_ms", "par_ms", "auto_x", "par_x", "msgs"],
@@ -143,7 +164,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         EngineBackend::default(),
         EngineBackend::parallel_auto(),
     ];
-    for &n in ns {
+    for &n in sizes.c_ns {
         let rounds = 48u64;
         let mk = || PoissonWorkload::new(2.0 / n as f64, 3, 16, 0xE3C).until(Round(32));
         let run_on = |backend| {
@@ -185,9 +206,22 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    /// Every sweep at its smallest informative points: the run still
+    /// asserts QoD on every row, `b1 < b0` on E3a's fitted exponents and
+    /// bit-identical outcomes across E3c's backends.
+    const TEST: Sizes = Sizes {
+        a_ns: &[8, 16, 32],
+        a_deadlines: [64, 256],
+        b_n: 16,
+        b_deadlines: &[64, 128],
+        c_ns: &[128],
+    };
+
     #[test]
     fn e3_produces_all_sweeps() {
-        let tables = super::run(false, &crate::RunDefaults::default());
+        let tables = run_sized(&TEST, &RunDefaults::default());
         assert_eq!(tables.len(), 3);
         assert!(tables.iter().all(|t| !t.is_empty()));
     }
