@@ -40,8 +40,8 @@ mod tests {
                 &mut self,
                 env: EnvelopeRef<'_, GossipWire<congos_gossip::standalone::StandalonePayload>>,
             ) {
-                if let GossipWire::Push(rumors) = &env.payload {
-                    for r in rumors.iter() {
+                if let GossipWire::Push(batch) = &env.payload {
+                    for r in batch.rumors() {
                         if !self.dest.contains(&env.dst) && r.id.origin != env.dst {
                             self.leaks += 1;
                         }

@@ -293,7 +293,7 @@ impl CongosMsg {
     pub fn fragment_batches(&self) -> impl Iterator<Item = &[Fragment]> {
         let (pushed, sent): (&[_], Option<&[Fragment]>) = match self {
             CongosMsg::Gossip { wire, .. } => match wire {
-                GossipWire::Push(rumors) => (rumors.as_slice(), None),
+                GossipWire::Push(batch) => (batch.rumors(), None),
                 GossipWire::Ack(_) => (&[], None),
             },
             CongosMsg::ProxyRequest { fragments, .. } | CongosMsg::Partials { fragments, .. } => {

@@ -737,7 +737,8 @@ mod tests {
                 .any(|(_, _, m)| {
                     matches!(m, CongosMsg::Gossip { wire, .. } if matches!(
                         wire,
-                        congos_gossip::GossipWire::Push(rumors) if rumors
+                        congos_gossip::GossipWire::Push(batch) if batch
+                            .rumors()
                             .iter()
                             .any(|r| matches!(*r.payload, GossipPayload::Fragments(_)))
                     ))
@@ -817,18 +818,21 @@ mod tests {
                 dline: DLINE,
                 ell: 0,
             },
-            wire: congos_gossip::GossipWire::Push(Arc::new(vec![congos_gossip::GossipRumor {
-                id: congos_gossip::RumorId {
-                    origin: from,
-                    birth: Round(0),
-                    seq,
-                },
-                payload: Arc::new(payload),
-                duration: 8,
-                deadline: Round(8),
-                dest: Arc::new(IdSet::from_iter(n, [ProcessId::new(0)])),
-                best_effort: true,
-            }])),
+            wire: congos_gossip::GossipWire::Push(Arc::new(
+                vec![congos_gossip::GossipRumor {
+                    id: congos_gossip::RumorId {
+                        origin: from,
+                        birth: Round(0),
+                        seq,
+                    },
+                    payload: Arc::new(payload),
+                    duration: 8,
+                    deadline: Round(8),
+                    dest: IdSet::from_iter(n, [ProcessId::new(0)]),
+                    best_effort: true,
+                }]
+                .into(),
+            )),
         };
         // Distribution rides AllGossip only; a group lane carries only its
         // own group's fragments of its own partition.

@@ -11,7 +11,9 @@
 //! [`ByteCount`] adds them up without walking id-set members or byte
 //! strings. [`encoded_len`] is what a fresh TCP encoder writes for a
 //! message behind its frame header, and the simulator's byte metric
-//! (`CongosNode`'s `Protocol::msg_size`). Each rumor of a gossip push
+//! (`CongosNode`'s `Protocol::msg_size`); it counts a push batch's rumors
+//! once and keeps the count in the batch ([`PushBatch::wire_len`]), so a
+//! batch pushed to many targets is priced once. Each rumor of a gossip push
 //! leads with a [`form`] byte; a definition puts the rumor's body behind
 //! its own `u32` length. Which form a rumor takes is the caller's, through
 //! [`PutGossipRumor`] and [`TakeGossipRumor`]: `congos-net` keeps the
@@ -26,7 +28,7 @@
 use std::io;
 use std::sync::Arc;
 
-use congos_gossip::{GossipRumor, GossipWire, RumorId};
+use congos_gossip::{GossipRumor, GossipWire, PushBatch, RumorId};
 use congos_sim::{IdSet, ProcessId, Round};
 
 use crate::messages::{CongosMsg, DestRef, FragBytes, Fragment, GossipLane, GossipPayload};
@@ -158,7 +160,7 @@ impl Sink for ByteCount {
 /// that form puts after it.
 pub trait PutGossipRumor<S: Sink> {
     /// Writes `r`, pushed on `lane`.
-    fn put_gossip_rumor(&mut self, out: &mut S, lane: &GossipLane, r: &WireRumor);
+    fn put_gossip_rumor(&mut self, out: &mut S, lane: &GossipLane, r: &Arc<WireRumor>);
 }
 
 /// Every gossip rumor as a kept definition: what an encoder writes to a
@@ -166,16 +168,32 @@ pub trait PutGossipRumor<S: Sink> {
 pub struct DefineAll;
 
 impl<S: Sink> PutGossipRumor<S> for DefineAll {
-    fn put_gossip_rumor(&mut self, out: &mut S, _: &GossipLane, r: &WireRumor) {
+    fn put_gossip_rumor(&mut self, out: &mut S, _: &GossipLane, r: &Arc<WireRumor>) {
         put_definition(out, form::KEEP, r);
     }
 }
 
 /// The bytes `m` takes behind its frame header, every pushed gossip rumor
-/// as a kept definition.
+/// as a kept definition. A push's rumors are counted on the first call for
+/// their batch only; their count does not depend on the lane.
 pub fn encoded_len(m: &CongosMsg) -> u64 {
+    match m {
+        CongosMsg::Gossip {
+            lane,
+            wire: GossipWire::Push(batch),
+        } => {
+            let rumors =
+                batch.wire_len(|rumors| counted(|c| put_rumors(c, lane, rumors, &mut DefineAll)));
+            counted(|c| put_gossip_head(c, lane, 0)) + rumors
+        }
+        _ => counted(|c| put_msg(c, m, &mut DefineAll)),
+    }
+}
+
+/// The bytes `put` writes, counted.
+fn counted(put: impl FnOnce(&mut ByteCount)) -> u64 {
     let mut count = ByteCount::default();
-    put_msg(&mut count, m, &mut DefineAll);
+    put(&mut count);
     count.0 as u64
 }
 
@@ -302,23 +320,37 @@ fn put_rumor<S: Sink>(out: &mut S, r: &Rumor) {
     put_idset(out, &r.dest);
 }
 
+/// What leads a gossip message: its discriminant, its lane, then the
+/// wire's discriminant `wire` (0 a push, 1 an ack).
+fn put_gossip_head<S: Sink>(out: &mut S, lane: &GossipLane, wire: u8) {
+    out.put_u8(0);
+    put_lane(out, lane);
+    out.put_u8(wire);
+}
+
+/// A push's rumors, each as `rumors` writes it.
+fn put_rumors<S: Sink>(
+    out: &mut S,
+    lane: &GossipLane,
+    pushed: &[Arc<WireRumor>],
+    rumors: &mut impl PutGossipRumor<S>,
+) {
+    put_seq(out, pushed, |out, r| rumors.put_gossip_rumor(out, lane, r));
+}
+
 /// One message, each pushed gossip rumor as `rumors` writes it.
 pub fn put_msg<S: Sink>(out: &mut S, m: &CongosMsg, rumors: &mut impl PutGossipRumor<S>) {
     match m {
-        CongosMsg::Gossip { lane, wire } => {
-            out.put_u8(0);
-            put_lane(out, lane);
-            match wire {
-                GossipWire::Push(pushed) => {
-                    out.put_u8(0);
-                    put_seq(out, pushed, |out, r| rumors.put_gossip_rumor(out, lane, r));
-                }
-                GossipWire::Ack(ids) => {
-                    out.put_u8(1);
-                    put_seq(out, ids, put_rid);
-                }
+        CongosMsg::Gossip { lane, wire } => match wire {
+            GossipWire::Push(batch) => {
+                put_gossip_head(out, lane, 0);
+                put_rumors(out, lane, batch.rumors(), rumors);
             }
-        }
+            GossipWire::Ack(ids) => {
+                put_gossip_head(out, lane, 1);
+                put_seq(out, ids, put_rid);
+            }
+        },
         CongosMsg::ProxyRequest {
             dline,
             ell,
@@ -450,8 +482,12 @@ pub trait TakeGossipRumor {
     /// accepts.
     const MIN_SIZE: usize;
     /// Reads one gossip rumor of a push on `lane`, leading [`form`] byte
-    /// included.
-    fn take_gossip_rumor(&mut self, d: &mut Dec<'_>, lane: GossipLane) -> io::Result<WireRumor>;
+    /// included. A rumor the reader already holds comes back shared.
+    fn take_gossip_rumor(
+        &mut self,
+        d: &mut Dec<'_>,
+        lane: GossipLane,
+    ) -> io::Result<Arc<WireRumor>>;
 }
 
 /// A process id, which must be below the cluster size.
@@ -571,7 +607,7 @@ pub fn take_definition(span: &[u8], n: usize) -> io::Result<WireRumor> {
         payload: Arc::new(take_payload(&mut d)?),
         duration: d.u64()?,
         deadline: Round(d.u64()?),
-        dest: Arc::new(take_idset(&mut d)?),
+        dest: take_idset(&mut d)?,
         best_effort: d.u8()? != 0,
     };
     if !d.is_done() {
@@ -597,9 +633,9 @@ pub fn take_msg<R: TakeGossipRumor>(d: &mut Dec, rumors: &mut R) -> io::Result<C
         0 => {
             let lane = take_lane(d)?;
             let wire = match d.u8()? {
-                0 => GossipWire::Push(Arc::new(
+                0 => GossipWire::Push(Arc::new(PushBatch::from(
                     d.seq(R::MIN_SIZE, |d| rumors.take_gossip_rumor(d, lane))?,
-                )),
+                ))),
                 1 => GossipWire::Ack(d.seq(min_size::RID, take_rid)?),
                 _ => return Err(invalid_data("bad GossipWire discriminant")),
             };

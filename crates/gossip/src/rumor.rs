@@ -2,7 +2,6 @@
 
 use congos_sim::{IdSet, ProcessId, Round};
 use std::fmt;
-use std::sync::Arc;
 
 /// Globally unique rumor identity: the injecting process, the injection
 /// round, and a round-local sequence number.
@@ -43,12 +42,10 @@ pub struct GossipRumor<T> {
     pub duration: u64,
     /// Absolute deadline round: injection round + duration.
     pub deadline: Round,
-    /// Destination set within this instance's membership. `Arc`-shared:
-    /// a rumor is cloned into the forwarding set of every process the
-    /// epidemic reaches, and at large `n` the per-copy destination bitmap
-    /// (`n` bits each) dominates the resident footprint — sharing one
-    /// allocation per rumor makes each copy a refcount bump.
-    pub dest: Arc<IdSet>,
+    /// Destination set within this instance's membership. It needs no
+    /// sharing of its own: the whole rumor is one `Arc` shared by every
+    /// endpoint and push batch that holds it.
+    pub dest: IdSet,
     /// Best-effort rumors are delivered when the epidemic reaches a
     /// destination but carry **no** Quality-of-Delivery obligation: the
     /// origin does not track acknowledgments and does not fire the
@@ -92,7 +89,7 @@ mod tests {
             payload: (),
             duration: 8,
             deadline: Round(10),
-            dest: Arc::new(IdSet::empty(4)),
+            dest: IdSet::empty(4),
             best_effort: false,
         };
         assert!(r.active_at(Round(10)));

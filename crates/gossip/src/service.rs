@@ -2,8 +2,9 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::mem;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 
@@ -28,13 +29,84 @@ pub enum GossipWire<T> {
     /// protocols gain their efficiency from exactly this merging).
     ///
     /// An honest sender's batch is its active set in ascending [`RumorId`]
-    /// order, which lets the receiver deduplicate it with one merge walk
-    /// against its own, equally sorted, active set. A batch that is
-    /// unsorted or repeats an id is accepted and handled identically, only
-    /// without that fast path.
-    Push(Arc<Vec<GossipRumor<T>>>),
+    /// order, which lets the receiver deduplicate it by walking the batch's
+    /// [id column](PushBatch::ids) against its own, equally sorted, active
+    /// ids. A batch that is unsorted or repeats an id is accepted and
+    /// handled identically, only without that fast path.
+    Push(Arc<PushBatch<T>>),
     /// Acknowledgment of delivered rumors, sent to each rumor's origin.
     Ack(Vec<RumorId>),
+}
+
+/// The rumors of one push, each shared by `Arc` with every endpoint that
+/// holds it, with their ids as a dense column and a memo of the batch's
+/// size on the wire.
+///
+/// A batch is immutable. Its id column is built from its rumors, so a
+/// decoded or hostile batch cannot disagree with it: `ids()[i]` is always
+/// `rumors()[i].id`. Equality compares the rumors only.
+pub struct PushBatch<T> {
+    ids: Vec<RumorId>,
+    rumors: Vec<Arc<GossipRumor<T>>>,
+    /// The host's byte count of the rumors, computed on first request.
+    wire_len: OnceLock<u64>,
+}
+
+impl<T> PushBatch<T> {
+    /// A batch of columns kept in lockstep by the caller.
+    fn from_columns(ids: Vec<RumorId>, rumors: Vec<Arc<GossipRumor<T>>>) -> Self {
+        debug_assert!(ids.iter().eq(rumors.iter().map(|r| &r.id)));
+        PushBatch {
+            ids,
+            rumors,
+            wire_len: OnceLock::new(),
+        }
+    }
+
+    /// The rumors, in push order.
+    pub fn rumors(&self) -> &[Arc<GossipRumor<T>>] {
+        &self.rumors
+    }
+
+    /// The rumors' ids, in push order.
+    pub fn ids(&self) -> &[RumorId] {
+        &self.ids
+    }
+
+    /// The bytes the rumors take on the wire, as `count` prices them. The
+    /// first call runs `count`; every later one returns its result, so a
+    /// batch pushed to many targets over many rounds is priced once. Every
+    /// caller on one payload type must therefore price it the same way.
+    pub fn wire_len(&self, count: impl FnOnce(&[Arc<GossipRumor<T>>]) -> u64) -> u64 {
+        *self.wire_len.get_or_init(|| count(&self.rumors))
+    }
+}
+
+impl<T> From<Vec<Arc<GossipRumor<T>>>> for PushBatch<T> {
+    fn from(rumors: Vec<Arc<GossipRumor<T>>>) -> Self {
+        let ids = rumors.iter().map(|r| r.id).collect();
+        PushBatch::from_columns(ids, rumors)
+    }
+}
+
+impl<T> From<Vec<GossipRumor<T>>> for PushBatch<T> {
+    fn from(rumors: Vec<GossipRumor<T>>) -> Self {
+        rumors.into_iter().map(Arc::new).collect::<Vec<_>>().into()
+    }
+}
+
+impl<T: PartialEq> PartialEq for PushBatch<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.rumors == other.rumors
+    }
+}
+
+impl<T: Eq> Eq for PushBatch<T> {}
+
+impl<T: fmt::Debug> fmt::Debug for PushBatch<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.rumors).finish()
+    }
 }
 
 /// Configuration of one gossip instance.
@@ -90,7 +162,7 @@ impl GossipConfig {
 }
 
 struct OwnRumor<T> {
-    rumor: GossipRumor<T>,
+    rumor: Arc<GossipRumor<T>>,
     unacked: IdSet,
 }
 
@@ -113,15 +185,18 @@ pub struct ContinuousGossip<T> {
     group_size: usize,
     last_inject_round: Round,
     next_seq: u32,
-    /// Rumors this process actively forwards, in ascending id order, at
-    /// most one per id. Every id here is also in `seen` (`active ⊆ seen`):
-    /// both insertion paths write `seen` first, and `seen` keeps every id
-    /// with `deadline + 2 ≥ now` while `active` keeps only
-    /// `deadline ≥ now`.
-    active: Vec<GossipRumor<T>>,
-    /// A copy of `active` as one shared push batch; `None` once `active`
-    /// changed, rebuilt at the next push.
-    batch: Option<Arc<Vec<GossipRumor<T>>>>,
+    /// The ids of the rumors this process actively forwards, in ascending
+    /// order, at most one each; `active[i].id == ids[i]`. Every id here is
+    /// also in `seen` (`ids ⊆ seen`): both insertion paths write `seen`
+    /// first, and `seen` keeps every id with `deadline + 2 ≥ now` while
+    /// `active` keeps only `deadline ≥ now`.
+    ids: Vec<RumorId>,
+    /// The rumors of `ids`, in lockstep with it.
+    active: Vec<Arc<GossipRumor<T>>>,
+    /// `ids` and `active` as one shared push batch, with the shortest
+    /// duration among them (the fanout's `dmin`); `None` once they changed,
+    /// rebuilt at the next push.
+    batch: Option<(Arc<PushBatch<T>>, u64)>,
     /// Dedup set with the round after which each entry may be dropped. A
     /// superset of `active`'s ids; it also guards ids no longer active, or
     /// never made active.
@@ -133,7 +208,7 @@ pub struct ContinuousGossip<T> {
     pending_acks: Vec<(ProcessId, RumorId)>,
     /// Rumors delivered to this process, awaiting pickup by the host
     /// (drained, capacity kept).
-    delivered: Vec<GossipRumor<T>>,
+    delivered: Vec<Arc<GossipRumor<T>>>,
     /// Collaborators heard from in the previous round (plus self).
     collab_est: usize,
     collab_this_round: IdSet,
@@ -144,7 +219,7 @@ pub struct ContinuousGossip<T> {
     fallbacks: u64,
 }
 
-impl<T: Clone> ContinuousGossip<T> {
+impl<T> ContinuousGossip<T> {
     /// Creates the endpoint for process `me` in a system of `n` processes.
     ///
     /// # Panics
@@ -166,6 +241,7 @@ impl<T: Clone> ContinuousGossip<T> {
             peers,
             last_inject_round: Round::ZERO,
             next_seq: 0,
+            ids: Vec::new(),
             active: Vec::new(),
             batch: None,
             seen: HashMap::new(),
@@ -226,33 +302,36 @@ impl<T: Clone> ContinuousGossip<T> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        let rumor = GossipRumor {
+        let rumor = Arc::new(GossipRumor {
             id,
             payload,
             duration,
             deadline: now + duration,
-            dest: Arc::new(dest),
+            dest,
             best_effort,
-        };
+        });
         self.seen.insert(id, rumor.deadline);
         if rumor.dest.contains(self.me) {
-            self.delivered.push(rumor.clone());
+            self.delivered.push(Arc::clone(&rumor));
         }
         if !best_effort {
-            let mut unacked = IdSet::clone(&rumor.dest);
+            let mut unacked = rumor.dest.clone();
             unacked.intersect_with(&self.cfg.membership);
             unacked.remove(self.me);
             self.own.insert(
                 id,
                 OwnRumor {
-                    rumor: rumor.clone(),
+                    rumor: Arc::clone(&rumor),
                     unacked,
                 },
             );
         }
-        match self.active.binary_search_by_key(&id, |r| r.id) {
+        match self.ids.binary_search(&id) {
             Ok(i) => self.active[i] = rumor,
-            Err(i) => self.active.insert(i, rumor),
+            Err(i) => {
+                self.ids.insert(i, id);
+                self.active.insert(i, rumor);
+            }
         }
         self.batch = None;
         id
@@ -291,6 +370,8 @@ impl<T: Clone> ContinuousGossip<T> {
         let before = self.active.len();
         self.active.retain(|r| r.active_at(now));
         if self.active.len() != before {
+            self.ids.clear();
+            self.ids.extend(self.active.iter().map(|r| r.id));
             self.batch = None;
         }
         // Prune the dedup map once it outgrows a small bound. The retain
@@ -321,7 +402,7 @@ impl<T: Clone> ContinuousGossip<T> {
             let fallbacks = &mut self.fallbacks;
             self.own.retain(|_, o| {
                 if o.rumor.deadline == now && !o.unacked.is_empty() {
-                    let single = Arc::new(vec![o.rumor.clone()]);
+                    let single = Arc::new(PushBatch::from(vec![Arc::clone(&o.rumor)]));
                     for dst in o.unacked.iter() {
                         *fallbacks += 1;
                         emit(dst, GossipWire::Push(Arc::clone(&single)));
@@ -334,17 +415,16 @@ impl<T: Clone> ContinuousGossip<T> {
         // Epidemic push of all active rumors, to random members or along
         // the deterministic expander schedule.
         if !self.active.is_empty() {
-            let dmin = self
-                .active
-                .iter()
-                .map(|r| r.duration)
-                .min()
-                .unwrap_or(1)
-                .max(1);
+            let (ids, active) = (&self.ids, &self.active);
+            let (batch, dmin) = self.batch.get_or_insert_with(|| {
+                let dmin = active.iter().map(|r| r.duration).min().unwrap_or(1);
+                let batch = PushBatch::from_columns(ids.clone(), active.clone());
+                (Arc::new(batch), dmin.max(1))
+            });
             let k = fanout(
                 self.cfg.fanout,
                 self.n,
-                dmin,
+                *dmin,
                 self.collab_est,
                 self.group_size,
             );
@@ -352,8 +432,6 @@ impl<T: Clone> ContinuousGossip<T> {
                 GossipStrategy::Random => self.peers.sample(k, rng),
                 GossipStrategy::Expander => expander_targets(membership, self.me, now, k),
             };
-            let active = &self.active;
-            let batch = self.batch.get_or_insert_with(|| Arc::new(active.clone()));
             for dst in targets {
                 emit(dst, GossipWire::Push(Arc::clone(batch)));
             }
@@ -373,17 +451,19 @@ impl<T: Clone> ContinuousGossip<T> {
     }
 
     /// Handles an incoming wire message. Traffic from outside the membership
-    /// is ignored (filtered). The wire may be owned or borrowed (a host reads
-    /// its inbox in place): either way only the rumors this endpoint keeps
-    /// are cloned, and a borrowed push leaves the sender's batch untouched.
+    /// is ignored (filtered), and so is a pushed rumor whose origin is not a
+    /// member: no honest peer forwards one, since a rumor enters an instance
+    /// only at a member. The wire may be owned or borrowed (a host reads its
+    /// inbox in place); either way a rumor this endpoint keeps is the
+    /// pushed allocation, shared by one refcount bump.
     ///
-    /// A push is deduplicated by walking it in step with the id-sorted
-    /// active set. A rumor found there is skipped without consulting
-    /// `seen`, which is exact because `active ⊆ seen`; every other rumor is
-    /// checked against `seen`, and a new active one joins `active` at the
-    /// walk's cursor. Where the batch steps back in id order (never in an
-    /// honest push) the cursor is re-placed by binary search, so such a
-    /// batch is handled identically, only slower.
+    /// A push is deduplicated by walking its id column in step with the
+    /// endpoint's own sorted active ids; only a rumor not found there is
+    /// read. That skip is exact because `ids ⊆ seen`; every other rumor is
+    /// checked against `seen`, and a new active one joins the active
+    /// columns at the walk's cursor. Where the batch steps back in id order
+    /// (never in an honest push) the cursor is re-placed by binary search,
+    /// so such a batch is handled identically, only slower.
     pub fn on_receive(&mut self, now: Round, src: ProcessId, wire: impl Borrow<GossipWire<T>>) {
         if !self.cfg.membership.contains(src) {
             return;
@@ -392,35 +472,43 @@ impl<T: Clone> ContinuousGossip<T> {
             self.heard_this_round += 1;
         }
         match wire.borrow() {
-            GossipWire::Push(rumors) => {
-                // The walk's cursor: after it advances, `active[..at]`
-                // holds exactly the active ids below the rumor walked.
+            GossipWire::Push(batch) => {
+                // The walk's cursor: after it advances, `ids[..at]` holds
+                // exactly the active ids below the one walked.
                 let mut at = 0;
-                for rumor in rumors.iter() {
-                    let id = rumor.id;
-                    if at > 0 && self.active[at - 1].id > id {
-                        // The batch stepped back in id order.
-                        at = self.active.partition_point(|r| r.id < id);
-                    }
-                    while self.active.get(at).is_some_and(|r| r.id < id) {
-                        at += 1;
-                    }
-                    if self.active.get(at).is_some_and(|r| r.id == id) {
+                for (i, &id) in batch.ids().iter().enumerate() {
+                    if self.ids.get(at) == Some(&id) {
                         at += 1;
                         continue;
                     }
+                    if at > 0 && self.ids[at - 1] > id {
+                        // The batch stepped back in id order.
+                        at = self.ids.partition_point(|&a| a < id);
+                    }
+                    while self.ids.get(at).is_some_and(|&a| a < id) {
+                        at += 1;
+                    }
+                    if self.ids.get(at) == Some(&id) {
+                        at += 1;
+                        continue;
+                    }
+                    if !self.cfg.membership.contains(id.origin) {
+                        continue;
+                    }
+                    let rumor = &batch.rumors()[i];
                     if self.seen.contains_key(&id) {
                         continue;
                     }
                     self.seen.insert(id, rumor.deadline);
                     if rumor.dest.contains(self.me) {
-                        self.delivered.push(rumor.clone());
+                        self.delivered.push(Arc::clone(rumor));
                         if id.origin != self.me && !rumor.best_effort {
                             self.pending_acks.push((id.origin, id));
                         }
                     }
                     if rumor.active_at(now) {
-                        self.active.insert(at, rumor.clone());
+                        self.ids.insert(at, id);
+                        self.active.insert(at, Arc::clone(rumor));
                         at += 1;
                         self.batch = None;
                     }
@@ -436,9 +524,10 @@ impl<T: Clone> ContinuousGossip<T> {
         }
     }
 
-    /// Drains the rumors delivered to this process, in delivery order. The
-    /// queue keeps its capacity for the next round.
-    pub fn take_delivered(&mut self) -> std::vec::Drain<'_, GossipRumor<T>> {
+    /// Drains the rumors delivered to this process, in delivery order, each
+    /// the allocation the endpoint also forwards. The queue keeps its
+    /// capacity for the next round.
+    pub fn take_delivered(&mut self) -> std::vec::Drain<'_, Arc<GossipRumor<T>>> {
         self.delivered.drain(..)
     }
 
@@ -454,11 +543,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn mk(me: usize, n: usize) -> ContinuousGossip<u32> {
-        ContinuousGossip::new(
-            ProcessId::new(me),
-            n,
-            GossipConfig::all(n, Tag("gg")),
-        )
+        ContinuousGossip::new(ProcessId::new(me), n, GossipConfig::all(n, Tag("gg")))
     }
 
     #[test]
@@ -509,11 +594,19 @@ mod tests {
             payload: 5u32,
             duration: 16,
             deadline: Round(16),
-            dest: Arc::new(IdSet::from_iter(4, [ProcessId::new(1)])),
+            dest: IdSet::from_iter(4, [ProcessId::new(1)]),
             best_effort: false,
         };
-        b.on_receive(Round(0), ProcessId::new(0), GossipWire::Push(Arc::new(vec![rumor.clone()])));
-        b.on_receive(Round(0), ProcessId::new(2), GossipWire::Push(Arc::new(vec![rumor])));
+        b.on_receive(
+            Round(0),
+            ProcessId::new(0),
+            GossipWire::Push(Arc::new(vec![rumor.clone()].into())),
+        );
+        b.on_receive(
+            Round(0),
+            ProcessId::new(2),
+            GossipWire::Push(Arc::new(vec![rumor].into())),
+        );
         assert_eq!(b.take_delivered().len(), 1);
     }
 
@@ -545,10 +638,14 @@ mod tests {
             payload: 9u32,
             duration: 16,
             deadline: Round(16),
-            dest: Arc::new(IdSet::from_iter(4, [ProcessId::new(0)])),
+            dest: IdSet::from_iter(4, [ProcessId::new(0)]),
             best_effort: false,
         };
-        g.on_receive(Round(0), ProcessId::new(2), GossipWire::Push(Arc::new(vec![rumor])));
+        g.on_receive(
+            Round(0),
+            ProcessId::new(2),
+            GossipWire::Push(Arc::new(vec![rumor].into())),
+        );
         assert_eq!(g.take_delivered().len(), 0);
     }
 
@@ -565,7 +662,7 @@ mod tests {
             let out = a.step(Round(r), &mut rng);
             if r == 4 {
                 saw_direct = out.iter().any(|(dst, w)| {
-                    *dst == ProcessId::new(5) && matches!(w, GossipWire::Push(b) if b.len() == 1)
+                    *dst == ProcessId::new(5) && matches!(w, GossipWire::Push(b) if b.rumors().len() == 1)
                 });
             }
         }
@@ -615,10 +712,14 @@ mod tests {
                 payload: 0u32,
                 duration: 64,
                 deadline: Round(64),
-                dest: Arc::new(IdSet::empty(16)),
+                dest: IdSet::empty(16),
                 best_effort: false,
             };
-            g.on_receive(Round(0), ProcessId::new(s), GossipWire::Push(Arc::new(vec![rumor])));
+            g.on_receive(
+                Round(0),
+                ProcessId::new(s),
+                GossipWire::Push(Arc::new(vec![rumor].into())),
+            );
         }
         let mut rng = SmallRng::seed_from_u64(5);
         let _ = g.step(Round(1), &mut rng);
@@ -636,18 +737,22 @@ mod tests {
             payload: seq,
             duration: 16,
             deadline: Round(16),
-            dest: Arc::new(IdSet::from_iter(n, dest.iter().map(|&p| ProcessId::new(p)))),
+            dest: IdSet::from_iter(n, dest.iter().map(|&p| ProcessId::new(p))),
             best_effort: false,
         }
     }
 
     fn push_one(g: &mut ContinuousGossip<u32>, now: Round, src: usize, r: GossipRumor<u32>) {
-        let wire = GossipWire::Push(Arc::new(vec![r]));
+        let wire = GossipWire::Push(Arc::new(vec![r].into()));
         g.on_receive(now, ProcessId::new(src), wire);
     }
 
+    fn ids_of(rumors: &[Arc<GossipRumor<u32>>]) -> Vec<RumorId> {
+        rumors.iter().map(|r| r.id).collect()
+    }
+
     /// The batch of a step's epidemic push (its last wire).
-    fn epidemic_batch(out: &[(ProcessId, GossipWire<u32>)]) -> Arc<Vec<GossipRumor<u32>>> {
+    fn epidemic_batch(out: &[(ProcessId, GossipWire<u32>)]) -> Arc<PushBatch<u32>> {
         match out.last() {
             Some((_, GossipWire::Push(batch))) => Arc::clone(batch),
             other => panic!("step ended without an epidemic push: {other:?}"),
@@ -713,11 +818,11 @@ mod tests {
         push_one(&mut g, Round(0), 5, rumor(n, 5, 0, &[0]));
         let mut rng = SmallRng::seed_from_u64(11);
         let batch = epidemic_batch(&g.step(Round(1), &mut rng));
-        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.rumors().len(), 3);
         g.take_delivered().for_each(drop);
 
         // The sender forwards the same three rumors.
-        let echo = GossipWire::Push(Arc::new(Vec::clone(&batch)));
+        let echo = GossipWire::Push(Arc::new(batch.rumors().to_vec().into()));
         g.on_receive(Round(1), ProcessId::new(4), echo);
         assert!(g.delivered.is_empty() && g.pending_acks.is_empty());
         let again = epidemic_batch(&g.step(Round(2), &mut rng));
@@ -729,28 +834,41 @@ mod tests {
         let n = 8;
         let mut g = mk(0, n);
         let mut rng = SmallRng::seed_from_u64(8);
-        let active = |g: &ContinuousGossip<u32>| g.active.clone();
+        // The batch is the active columns: the same ids, the same
+        // allocations.
+        let active = |g: &ContinuousGossip<u32>| {
+            assert_eq!(g.ids, ids_of(&g.active));
+            (g.ids.clone(), g.active.clone())
+        };
+        let columns = |b: &PushBatch<u32>| {
+            assert_eq!(
+                b.ids(),
+                ids_of(b.rumors()),
+                "the id column follows the rumors"
+            );
+            (b.ids().to_vec(), b.rumors().to_vec())
+        };
         g.inject(Round(0), 1, 2, IdSet::full(n));
         let mut last = epidemic_batch(&g.step(Round(0), &mut rng));
-        assert_eq!(*last, active(&g));
+        assert_eq!(columns(&last), active(&g));
 
         // An insert through `on_receive`.
         push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[0, 4]));
         let batch = epidemic_batch(&g.step(Round(1), &mut rng));
-        assert_eq!((batch.len(), &*batch), (2, &active(&g)));
+        assert_eq!((batch.rumors().len(), columns(&batch)), (2, active(&g)));
         assert!(!Arc::ptr_eq(&batch, &last));
         last = batch;
 
         // An insert through `inject`.
         g.inject(Round(1), 2, 16, IdSet::full(n));
         let batch = epidemic_batch(&g.step(Round(2), &mut rng));
-        assert_eq!((batch.len(), &*batch), (3, &active(&g)));
+        assert_eq!((batch.rumors().len(), columns(&batch)), (3, active(&g)));
         assert!(!Arc::ptr_eq(&batch, &last));
         last = batch;
 
         // The first rumor's deadline (round 2) passes: it expires at round 3.
         let batch = epidemic_batch(&g.step(Round(3), &mut rng));
-        assert_eq!((batch.len(), &*batch), (2, &active(&g)));
+        assert_eq!((batch.rumors().len(), columns(&batch)), (2, active(&g)));
         assert!(!Arc::ptr_eq(&batch, &last));
     }
 
@@ -795,6 +913,94 @@ mod tests {
         );
         assert_eq!(epidemic_batch(&steps.0), epidemic_batch(&steps.1));
         assert_eq!(steps.0, steps.1, "same acks, same targets, same batch");
+    }
+
+    #[test]
+    fn pushed_rumor_from_a_non_member_origin_is_ignored() {
+        let n = 4;
+        let members = IdSet::from_iter(n, [ProcessId::new(0), ProcessId::new(1)]);
+        let mut g: ContinuousGossip<u32> = ContinuousGossip::new(
+            ProcessId::new(0),
+            n,
+            GossipConfig::group(members, Tag("gg")),
+        );
+        // A member forwards a rumor that entered the instance at p2, which
+        // only a hostile or corrupt peer does.
+        let foreign = rumor(n, 2, 0, &[0, 1]);
+        let id = foreign.id;
+        push_one(&mut g, Round(0), 1, foreign);
+        assert_eq!(g.take_delivered().len(), 0, "no delivery");
+        assert!(!g.seen.contains_key(&id), "no seen entry");
+        assert!(g.ids.is_empty() && g.active.is_empty(), "no forwarding");
+        let mut rng = SmallRng::seed_from_u64(12);
+        let out = g.step(Round(1), &mut rng);
+        assert!(out.is_empty(), "no ack and no push: {out:?}");
+
+        // The same push with a member origin is taken up.
+        push_one(&mut g, Round(1), 1, rumor(n, 1, 0, &[0]));
+        assert_eq!(g.take_delivered().len(), 1);
+        let out = g.step(Round(2), &mut rng);
+        assert!(
+            out.iter().all(|(dst, _)| *dst == ProcessId::new(1)),
+            "{out:?}"
+        );
+        assert!(matches!(&out[0].1, GossipWire::Ack(ids) if ids.len() == 1));
+    }
+
+    #[test]
+    fn kept_rumors_are_the_pushed_allocation() {
+        let n = 8;
+        let mut g = mk(0, n);
+        let batch = Arc::new(PushBatch::from(vec![
+            rumor(n, 2, 0, &[0, 1]),
+            rumor(n, 3, 0, &[1]),
+        ]));
+        g.on_receive(
+            Round(0),
+            ProcessId::new(2),
+            GossipWire::Push(Arc::clone(&batch)),
+        );
+        let pushed = batch.rumors();
+        assert!(Arc::ptr_eq(&g.active[0], &pushed[0]), "activated in place");
+        assert!(Arc::ptr_eq(&g.active[1], &pushed[1]));
+        let delivered: Vec<_> = g.take_delivered().collect();
+        assert_eq!(delivered.len(), 1);
+        assert!(Arc::ptr_eq(&delivered[0], &pushed[0]), "delivered in place");
+        // The next push forwards the same allocations.
+        let mut rng = SmallRng::seed_from_u64(13);
+        let forwarded = epidemic_batch(&g.step(Round(1), &mut rng));
+        assert!(forwarded.rumors().iter().zip(pushed).all(|(a, b)| Arc::ptr_eq(a, b)));
+    }
+
+    #[test]
+    fn id_column_is_built_from_the_rumors() {
+        let n = 8;
+        let rumors = vec![
+            rumor(n, 5, 1, &[0]),
+            rumor(n, 2, 0, &[1]),
+            rumor(n, 5, 1, &[]),
+        ];
+        let owned = PushBatch::from(rumors.clone());
+        assert_eq!(owned.ids(), ids_of(owned.rumors()));
+        assert_eq!(owned.ids()[1], rumors[1].id, "push order is kept");
+        let shared = PushBatch::from(rumors.into_iter().map(Arc::new).collect::<Vec<_>>());
+        assert_eq!(shared.ids(), owned.ids());
+        assert_eq!(shared, owned);
+    }
+
+    #[test]
+    fn wire_len_is_counted_once() {
+        let n = 8;
+        let batch = PushBatch::from(vec![rumor(n, 1, 0, &[0]), rumor(n, 2, 0, &[0])]);
+        let mut calls = 0;
+        for _ in 0..3 {
+            let len = batch.wire_len(|rumors| {
+                calls += 1;
+                10 * rumors.len() as u64
+            });
+            assert_eq!(len, 20);
+        }
+        assert_eq!(calls, 1, "the count is memoized");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! meeting — and completely non-confidential, since rumors transit arbitrary
 //! relays in the clear.
 
+use std::sync::Arc;
+
 use congos_adversary::RumorSpec;
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Tag};
 
@@ -95,14 +97,14 @@ impl Protocol for GossipNode {
 
     fn msg_size(msg: &Self::Msg) -> u64 {
         match msg {
-            GossipWire::Push(rumors) => rumors
-                .iter()
-                .map(|r| {
-                    r.payload.data.len() as u64
-                        + r.dest.universe().div_ceil(8) as u64
-                        + 40
-                })
-                .sum(),
+            GossipWire::Push(batch) => batch.wire_len(|rumors| {
+                rumors
+                    .iter()
+                    .map(|r| {
+                        r.payload.data.len() as u64 + r.dest.universe().div_ceil(8) as u64 + 40
+                    })
+                    .sum()
+            }),
             GossipWire::Ack(ids) => 16 * ids.len() as u64,
         }
     }
@@ -142,10 +144,11 @@ impl Protocol for GossipNode {
     }
 }
 
-fn deliver(ctx: &mut Context<'_, GossipNode>, r: GossipRumor<StandalonePayload>) {
+fn deliver(ctx: &mut Context<'_, GossipNode>, r: Arc<GossipRumor<StandalonePayload>>) {
+    // The rumor is shared with the forwarding set, so its bytes are copied.
     ctx.output(Delivered {
         wid: r.payload.wid,
-        data: r.payload.data,
+        data: r.payload.data.clone(),
     });
 }
 

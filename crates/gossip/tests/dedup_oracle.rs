@@ -1,21 +1,23 @@
 //! Differential property test of `ContinuousGossip`'s push deduplication.
 //!
-//! The endpoint keeps its active set as one id-sorted vector and skips a
-//! pushed rumor it already forwards without consulting its `seen` map.
-//! `Reference` below is the straightforward endpoint that check replaced: a
-//! `BTreeMap` active set and every pushed id looked up in `seen`. Both are
-//! driven through the same arbitrary interleaving of `inject`, `step` and
-//! `on_receive` — pushes ascending, shuffled or repeating ids, carrying
-//! expired rumors, from members and non-members, plus acks and echoes of the
-//! endpoint's own batch — and must emit equal wires, deliver equal rumors
-//! and count equal fallbacks.
+//! The endpoint keeps its active ids as one sorted column and skips a
+//! pushed rumor it already forwards, found by walking the push's id column,
+//! without reading the rumor or consulting its `seen` map. `Reference`
+//! below is the straightforward endpoint that walk replaced: a `BTreeMap`
+//! active set and every pushed id looked up in `seen`. Both ignore a pushed
+//! rumor whose origin is not a member. Both are driven through the same
+//! arbitrary interleaving of `inject`, `step` and `on_receive` — pushes
+//! ascending, shuffled or repeating ids, carrying expired rumors and
+//! rumors of any origin, from members and non-members, plus acks and echoes
+//! of the endpoint's own batch — and must emit equal wires, deliver equal
+//! rumors and count equal fallbacks.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use congos_gossip::{
     expander_targets, fanout, ContinuousGossip, FanoutParams, GossipConfig, GossipRumor,
-    GossipStrategy, GossipWire, RumorId,
+    GossipStrategy, GossipWire, PushBatch, RumorId,
 };
 use congos_sim::{IdSet, ProcessId, Round, Tag};
 use proptest::prelude::*;
@@ -25,8 +27,10 @@ use rand::SeedableRng;
 
 type Wire = GossipWire<u32>;
 
+type Rumor = Arc<GossipRumor<u32>>;
+
 struct OwnRumor {
-    rumor: GossipRumor<u32>,
+    rumor: Rumor,
     unacked: IdSet,
 }
 
@@ -39,11 +43,11 @@ struct Reference {
     peers: IdSet,
     last_inject_round: Round,
     next_seq: u32,
-    active: BTreeMap<RumorId, GossipRumor<u32>>,
+    active: BTreeMap<RumorId, Rumor>,
     seen: HashMap<RumorId, Round>,
     own: BTreeMap<RumorId, OwnRumor>,
     pending_acks: Vec<(ProcessId, RumorId)>,
-    delivered: Vec<GossipRumor<u32>>,
+    delivered: Vec<Rumor>,
     collab_est: usize,
     collab_this_round: IdSet,
     fallbacks: u64,
@@ -82,20 +86,20 @@ impl Reference {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        let rumor = GossipRumor {
+        let rumor = Arc::new(GossipRumor {
             id,
             payload,
             duration,
             deadline: now + duration,
-            dest: Arc::new(dest),
+            dest,
             best_effort,
-        };
+        });
         self.seen.insert(id, rumor.deadline);
         if rumor.dest.contains(self.me) {
             self.delivered.push(rumor.clone());
         }
         if !best_effort {
-            let mut unacked = IdSet::clone(&rumor.dest);
+            let mut unacked = rumor.dest.clone();
             unacked.intersect_with(&self.cfg.membership);
             unacked.remove(self.me);
             self.own.insert(
@@ -128,7 +132,8 @@ impl Reference {
             if o.rumor.deadline == now && !o.unacked.is_empty() {
                 for dst in o.unacked.iter() {
                     *fallbacks += 1;
-                    out.push((dst, GossipWire::Push(Arc::new(vec![o.rumor.clone()]))));
+                    let single = PushBatch::from(vec![Arc::clone(&o.rumor)]);
+                    out.push((dst, GossipWire::Push(Arc::new(single))));
                 }
             }
             o.rumor.deadline > now
@@ -152,7 +157,9 @@ impl Reference {
                 GossipStrategy::Random => self.peers.sample(k, rng),
                 GossipStrategy::Expander => expander_targets(&self.cfg.membership, self.me, now, k),
             };
-            let batch = Arc::new(self.active.values().cloned().collect::<Vec<_>>());
+            let batch = Arc::new(PushBatch::from(
+                self.active.values().cloned().collect::<Vec<_>>(),
+            ));
             for dst in targets {
                 out.push((dst, GossipWire::Push(Arc::clone(&batch))));
             }
@@ -169,9 +176,11 @@ impl Reference {
         }
         self.collab_this_round.insert(src);
         match wire {
-            GossipWire::Push(rumors) => {
-                for rumor in rumors.iter() {
-                    if self.seen.contains_key(&rumor.id) {
+            GossipWire::Push(batch) => {
+                for rumor in batch.rumors() {
+                    if !self.cfg.membership.contains(rumor.id.origin)
+                        || self.seen.contains_key(&rumor.id)
+                    {
                         continue;
                     }
                     self.seen.insert(rumor.id, rumor.deadline);
@@ -203,8 +212,8 @@ const N: usize = 6;
 const BIRTH_SPREAD: u64 = 6;
 
 /// A pushed rumor, its birth relative to the current round. Its origin is
-/// the `origin % m`-th of the `m` members: a rumor enters an instance only
-/// at a member.
+/// any process: a rumor enters an instance only at a member, so one from
+/// outside the membership comes from a hostile peer.
 #[derive(Clone, Debug)]
 struct RumorSpec {
     origin: usize,
@@ -323,27 +332,21 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build(
-    members: &IdSet,
-    now: Round,
-    specs: &[RumorSpec],
-    order: Order,
-    seed: u64,
-) -> Vec<GossipRumor<u32>> {
+fn build(now: Round, specs: &[RumorSpec], order: Order, seed: u64) -> Vec<GossipRumor<u32>> {
     let mut rumors: Vec<_> = specs
         .iter()
         .map(|s| {
             let birth = Round(now.as_u64().saturating_sub(s.back));
             GossipRumor {
                 id: RumorId {
-                    origin: members.select(s.origin % members.len()).expect("a member"),
+                    origin: ProcessId::new(s.origin),
                     birth,
                     seq: s.seq,
                 },
                 payload: s.dest as u32,
                 duration: s.duration,
                 deadline: birth + s.duration,
-                dest: Arc::new(idset(s.dest)),
+                dest: idset(s.dest),
                 best_effort: s.best_effort,
             }
         })
@@ -389,7 +392,7 @@ proptest! {
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
         // Start late enough that births reach back before round 0 rarely.
         let mut now = Round(BIRTH_SPREAD);
-        let mut last_batch: Option<Arc<Vec<GossipRumor<u32>>>> = None;
+        let mut last_batch: Option<Arc<PushBatch<u32>>> = None;
         let mut acked: Vec<RumorId> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -409,25 +412,31 @@ proptest! {
                     let got = real.step(now, &mut rng_real);
                     let want = model.step(now, &mut rng_model);
                     prop_assert_eq!(&got, &want, "step at {:?}", now);
+                    for (_, wire) in &got {
+                        if let GossipWire::Push(batch) = wire {
+                            let ids: Vec<_> = batch.rumors().iter().map(|r| r.id).collect();
+                            prop_assert_eq!(batch.ids(), &ids[..], "id column of a step's push");
+                        }
+                    }
                     if let Some((_, GossipWire::Push(batch))) = got.last() {
                         last_batch = Some(Arc::clone(batch));
                     }
                     now = now.next();
                 }
                 Op::Push { src, rumors, order, shuffle_seed } => {
-                    let rumors = build(&model.cfg.membership, now, rumors, *order, *shuffle_seed);
+                    let rumors = build(now, rumors, *order, *shuffle_seed);
                     acked.extend(rumors.iter().map(|r| r.id));
-                    let wire = GossipWire::Push(Arc::new(rumors));
+                    let wire = GossipWire::Push(Arc::new(rumors.into()));
                     real.on_receive(now, ProcessId::new(*src), &wire);
                     model.on_receive(now, ProcessId::new(*src), &wire);
                 }
                 Op::Echo { src, reversed } => {
                     let Some(batch) = &last_batch else { continue };
-                    let mut rumors = Vec::clone(batch);
+                    let mut rumors = batch.rumors().to_vec();
                     if *reversed {
                         rumors.reverse();
                     }
-                    let wire = GossipWire::Push(Arc::new(rumors));
+                    let wire = GossipWire::Push(Arc::new(rumors.into()));
                     real.on_receive(now, ProcessId::new(*src), &wire);
                     model.on_receive(now, ProcessId::new(*src), &wire);
                 }

@@ -32,6 +32,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::ops::AddAssign;
+use std::sync::Arc;
 
 use congos::messages::GossipLane;
 use congos::wire::{
@@ -183,7 +184,7 @@ impl Charges {
 /// A rumor this node has sent, and the peers that were sent its bytes.
 #[derive(Debug)]
 struct Told {
-    rumor: WireRumor,
+    rumor: Arc<WireRumor>,
     peers: IdSet,
 }
 
@@ -276,12 +277,12 @@ impl Encoder {
     }
 }
 
-/// A kept rumor: its bytes, their decoded value, and the peers that defined
-/// these bytes.
+/// A kept rumor: its bytes, their decoded value (shared with every push
+/// that resolves to it), and the peers that defined these bytes.
 #[derive(Debug)]
 struct Kept {
     bytes: Box<[u8]>,
-    rumor: WireRumor,
+    rumor: Arc<WireRumor>,
     definers: IdSet,
 }
 
@@ -307,10 +308,11 @@ struct PeerStream {
 /// to the bytes `p` bound there; it is `InvalidData` if `p` bound none, or
 /// none that are still kept. A kept definition with other bytes under a
 /// bound key replaces them and is bound to its sender only. A definition
-/// whose bytes are kept is a clone of the kept value, which costs only
-/// reference-count bumps; any other is parsed in full. Decoding is a pure
-/// function of the bytes and `n`, so a frame decodes to what a fresh decode
-/// of its definitions would return, and no check is skipped.
+/// or reference whose bytes are kept resolves to the kept value itself,
+/// which costs one reference-count bump; any other is parsed in full.
+/// Decoding is a pure function of the bytes and `n`, so a frame decodes to
+/// what a fresh decode of its definitions would return, and no check is
+/// skipped.
 ///
 /// **Retention and memory bound.** When a frame of peer `p` names a later
 /// round than `p` named before, `p` is unbound from every rumor whose
@@ -426,7 +428,11 @@ struct Resolve<'a> {
 impl TakeGossipRumor for Resolve<'_> {
     const MIN_SIZE: usize = GOSSIP_RUMOR;
 
-    fn take_gossip_rumor(&mut self, d: &mut Dec<'_>, lane: GossipLane) -> io::Result<WireRumor> {
+    fn take_gossip_rumor(
+        &mut self,
+        d: &mut Dec<'_>,
+        lane: GossipLane,
+    ) -> io::Result<Arc<WireRumor>> {
         let Resolve { dec, src, round } = self;
         let (src, round) = (*src, *round);
         let keep = match d.u8()? {
@@ -444,7 +450,7 @@ impl TakeGossipRumor for Resolve<'_> {
                              defined or whose deadline has passed"
                         ))
                     })?;
-                return Ok(kept.rumor.clone());
+                return Ok(Arc::clone(&kept.rumor));
             }
             form::KEEP => true,
             form::ONCE => false,
@@ -460,10 +466,10 @@ impl TakeGossipRumor for Resolve<'_> {
         let key = (lane, id);
         let same = dec.kept.get(&key).filter(|k| *k.bytes == *span);
         let rumor = match same {
-            Some(k) => k.rumor.clone(),
+            Some(k) => Arc::clone(&k.rumor),
             None => {
                 dec.stats.rumors_decoded += 1;
-                take_definition(span, dec.n)?
+                Arc::new(take_definition(span, dec.n)?)
             }
         };
         if !keep || same.is_some_and(|k| k.definers.contains(src)) {
@@ -493,7 +499,7 @@ impl TakeGossipRumor for Resolve<'_> {
                 definers.insert(src);
                 let kept = Kept {
                     bytes: span.into(),
-                    rumor: rumor.clone(),
+                    rumor: Arc::clone(&rumor),
                     definers,
                 };
                 dec.kept.insert(key, kept);
@@ -510,7 +516,7 @@ struct Tell<'a> {
 }
 
 impl PutGossipRumor<Vec<u8>> for Tell<'_> {
-    fn put_gossip_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &WireRumor) {
+    fn put_gossip_rumor(&mut self, buf: &mut Vec<u8>, lane: &GossipLane, r: &Arc<WireRumor>) {
         let Tell { enc, dst } = self;
         let key = (*lane, r.id);
         let told = enc.told.get(&key);
@@ -529,11 +535,11 @@ impl PutGossipRumor<Vec<u8>> for Tell<'_> {
         }
         charges.charge(r.deadline.0, len);
         let told = enc.told.entry(key).or_insert_with(|| Told {
-            rumor: r.clone(),
+            rumor: Arc::clone(r),
             peers: IdSet::empty(enc.n),
         });
         if told.rumor != *r {
-            told.rumor = r.clone();
+            told.rumor = Arc::clone(r);
             told.peers.clear();
         }
         told.peers.insert(*dst);
@@ -580,7 +586,6 @@ fn put_framed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     use congos::wire::ByteCount;
     use congos::{CongosRumorId, GossipPayload, Rumor};
@@ -666,18 +671,21 @@ mod tests {
     }
 
     fn push(origin: ProcessId, payload: GossipPayload, universe: usize) -> WireFrame {
-        all_gossip(GossipWire::Push(Arc::new(vec![GossipRumor {
-            id: RumorId {
-                origin,
-                birth: Round(1),
-                seq: 0,
-            },
-            payload: Arc::new(payload),
-            duration: 8,
-            deadline: Round(9),
-            dest: Arc::new(IdSet::from_iter(universe, [pid(1)])),
-            best_effort: false,
-        }])))
+        all_gossip(GossipWire::Push(Arc::new(
+            vec![GossipRumor {
+                id: RumorId {
+                    origin,
+                    birth: Round(1),
+                    seq: 0,
+                },
+                payload: Arc::new(payload),
+                duration: 8,
+                deadline: Round(9),
+                dest: IdSet::from_iter(universe, [pid(1)]),
+                best_effort: false,
+            }]
+            .into(),
+        )))
     }
 
     #[test]
@@ -980,7 +988,7 @@ mod tests {
             }),
             duration: 8,
             deadline: Round(deadline),
-            dest: Arc::new(IdSet::from_iter(universe, [pid(1)])),
+            dest: IdSet::from_iter(universe, [pid(1)]),
             best_effort: false,
         }
     }
@@ -1005,19 +1013,24 @@ mod tests {
             round,
             payload: CongosMsg::Gossip {
                 lane: LANE,
-                wire: GossipWire::Push(Arc::new(rumors)),
+                wire: GossipWire::Push(Arc::new(rumors.into())),
             },
         }
     }
 
-    /// The rumors of a decoded push.
-    fn pushed(frame: &WireFrame) -> &[WireRumor] {
+    /// The rumors of a decoded push, whose id column is checked against
+    /// them.
+    fn pushed(frame: &WireFrame) -> &[Arc<WireRumor>] {
         match frame {
             WireFrame::Msg {
                 payload: CongosMsg::Gossip { wire, .. },
                 ..
             } => match wire {
-                GossipWire::Push(rumors) => rumors,
+                GossipWire::Push(batch) => {
+                    let ids: Vec<_> = batch.rumors().iter().map(|r| r.id).collect();
+                    assert_eq!(batch.ids(), ids, "the id column follows the rumors");
+                    batch.rumors()
+                }
                 GossipWire::Ack(_) => panic!("not a push"),
             },
             _ => panic!("not a gossip message"),
@@ -1083,7 +1096,7 @@ mod tests {
             assert_eq!(&got, frame);
             decoded.push(got);
         }
-        // Every rumor is parsed once; the repeats share its allocations.
+        // Every rumor is parsed once; each repeat is the kept rumor.
         let stats = warm.stats();
         assert_eq!(
             (stats.rumors_decoded, stats.rumors_evicted),
@@ -1093,8 +1106,7 @@ mod tests {
         let first_a = &pushed(&decoded[0])[0];
         for frame in [&decoded[1], &decoded[2], &decoded[4]] {
             let again = pushed(frame).iter().find(|r| r.id == a.id).unwrap();
-            assert!(Arc::ptr_eq(&first_a.payload, &again.payload));
-            assert!(Arc::ptr_eq(&first_a.dest, &again.dest));
+            assert!(Arc::ptr_eq(first_a, again));
         }
     }
 

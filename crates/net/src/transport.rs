@@ -1068,7 +1068,7 @@ mod tests {
             }])),
             duration: 1000,
             deadline: Round(1000),
-            dest: Arc::new(IdSet::from_iter(2, [pid(1)])),
+            dest: IdSet::from_iter(2, [pid(1)]),
             best_effort: false,
         }
     }
@@ -1076,7 +1076,7 @@ mod tests {
     fn push_of(rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> CongosMsg {
         CongosMsg::Gossip {
             lane: LANE,
-            wire: GossipWire::Push(Arc::new(rumors)),
+            wire: GossipWire::Push(Arc::new(rumors.into())),
         }
     }
 

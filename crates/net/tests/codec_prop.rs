@@ -57,7 +57,7 @@ fn gossip_rumor(payload: GossipPayload) -> GossipRumor<Arc<GossipPayload>> {
         payload: Arc::new(payload),
         duration: 8,
         deadline: Round(40),
-        dest: Arc::new(IdSet::from_iter(8, [ProcessId::new(2)])),
+        dest: IdSet::from_iter(8, [ProcessId::new(2)]),
         best_effort: false,
     }
 }
@@ -97,32 +97,39 @@ fn corpus() -> Vec<Vec<u8>> {
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::Group { dline: 64, ell: 1 },
-            wire: GossipWire::Push(Arc::new(vec![gossip_rumor(GossipPayload::Fragments(
-                vec![fragment(0), fragment(1)],
-            ))])),
+            wire: GossipWire::Push(Arc::new(
+                vec![gossip_rumor(GossipPayload::Fragments(vec![
+                    fragment(0),
+                    fragment(1),
+                ]))]
+                .into(),
+            )),
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: GossipWire::Push(Arc::new(vec![
-                gossip_rumor(GossipPayload::ProxyMeta {
-                    failed_proxies: vec![ProcessId::new(1), ProcessId::new(3)],
-                }),
-                gossip_rumor(GossipPayload::GdShare {
-                    hits: vec![(
-                        ProcessId::new(0),
-                        CongosRumorId {
-                            source: ProcessId::new(0),
-                            birth: Round(1),
-                            seq: 0,
-                        },
-                    )],
-                }),
-                gossip_rumor(GossipPayload::Distribution {
-                    partition: 1,
-                    group: 0,
-                    hits: vec![],
-                }),
-            ])),
+            wire: GossipWire::Push(Arc::new(
+                vec![
+                    gossip_rumor(GossipPayload::ProxyMeta {
+                        failed_proxies: vec![ProcessId::new(1), ProcessId::new(3)],
+                    }),
+                    gossip_rumor(GossipPayload::GdShare {
+                        hits: vec![(
+                            ProcessId::new(0),
+                            CongosRumorId {
+                                source: ProcessId::new(0),
+                                birth: Round(1),
+                                seq: 0,
+                            },
+                        )],
+                    }),
+                    gossip_rumor(GossipPayload::Distribution {
+                        partition: 1,
+                        group: 0,
+                        hits: vec![],
+                    }),
+                ]
+                .into(),
+            )),
         }),
         msg_frame(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
@@ -198,7 +205,7 @@ fn push_frame(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>
         round,
         payload: CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
-            wire: GossipWire::Push(Arc::new(rumors)),
+            wire: GossipWire::Push(Arc::new(rumors.into())),
         },
     }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use congos::messages::GossipLane;
 use congos::wire::{self, min_size, ByteCount};
 use congos::{CongosMsg, CongosNode, CongosRumorId, Fragment, GossipPayload, Rumor};
-use congos_gossip::{GossipRumor, GossipWire, RumorId};
+use congos_gossip::{GossipRumor, GossipWire, PushBatch, RumorId};
 use congos_net::{encode_frame, Decoder, WireFrame};
 use congos_sim::{IdSet, ProcessId, Protocol, Round};
 use proptest::prelude::*;
@@ -104,22 +104,26 @@ fn lane(rng: &mut SmallRng) -> GossipLane {
     }
 }
 
-/// One message of each variant, both gossip wires included.
-fn messages(rng: &mut SmallRng, n: usize) -> Vec<CongosMsg> {
-    let pushed = (0..len(rng))
+fn push_batch(rng: &mut SmallRng, n: usize) -> Arc<PushBatch<Arc<GossipPayload>>> {
+    let pushed: Vec<_> = (0..len(rng))
         .map(|_| GossipRumor {
             id: rid(rng, n),
             payload: Arc::new(payload(rng, n)),
             duration: rng.gen(),
             deadline: Round(rng.gen()),
-            dest: Arc::new(idset(rng, n)),
+            dest: idset(rng, n),
             best_effort: rng.gen(),
         })
         .collect();
+    Arc::new(pushed.into())
+}
+
+/// One message of each variant, both gossip wires included.
+fn messages(rng: &mut SmallRng, n: usize) -> Vec<CongosMsg> {
     vec![
         CongosMsg::Gossip {
             lane: lane(rng),
-            wire: GossipWire::Push(Arc::new(pushed)),
+            wire: GossipWire::Push(push_batch(rng, n)),
         },
         CongosMsg::Gossip {
             lane: lane(rng),
@@ -175,6 +179,35 @@ proptest! {
             prop_assert_eq!(buf.len() as u64, HEADER + size, "{:?}", frame);
             let decoded = Decoder::new(n).decode(&buf).expect("decodes");
             prop_assert_eq!(decoded, Some((frame, buf.len())));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A push batch's rumors are counted once and the count is kept in the
+    /// batch: metered again, and on the other kind of lane, the batch still
+    /// prices as what the encoder writes.
+    #[test]
+    fn a_batch_is_priced_once_on_every_lane(
+        n in prop_oneof![Just(8usize), Just(65usize)],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let batch = push_batch(&mut rng, n);
+        let group = GossipLane::Group { dline: rng.gen(), ell: rng.gen() };
+        let all = GossipLane::All { dline: rng.gen() };
+        for lane in [group, group, all, all] {
+            let payload = CongosMsg::Gossip {
+                lane,
+                wire: GossipWire::Push(Arc::clone(&batch)),
+            };
+            let size = CongosNode::msg_size(&payload);
+            let frame = WireFrame::Msg { src: ProcessId::new(0), round: 0, payload };
+            let mut buf = Vec::new();
+            encode_frame(&mut buf, &frame).expect("encodes");
+            prop_assert_eq!(buf.len() as u64, HEADER + size, "{:?}", lane);
         }
     }
 }

@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
 #                            #        congos, adversary and baselines crate
-#                            #        tests + from the congos-harness lib
+#                            #        tests (gossip's in release too) + from
+#                            #        the congos-harness lib
 #                            #        (otherwise outside tier-1) the E10 and
 #                            #        E11 tests, the only ones that read
 #                            #        simulator bytes + the benchmark
@@ -213,6 +214,12 @@ cargo test -q --release --test differential backend_equivalence
 
 echo "==> tier1: unit tests and proptests of every library crate but congos-harness"
 cargo test -q -p congos-sim -p congos-gossip -p congos -p congos-adversary -p congos-baselines
+
+echo "==> tier1: congos-gossip tests in release"
+# The membership filter's `debug_assert!` is compiled out here, so the
+# tests that feed an endpoint hostile pushes (a rumor whose origin is not a
+# member) must see it drop them by its own checks.
+cargo test -q --release -p congos-gossip
 
 echo "==> tier1: E10 and E11, the tests that read simulator bytes, in release"
 # Both run in about 1 s together on a 2-core host, after the harness lib's
