@@ -33,7 +33,7 @@ use congos_sim::{EnvelopeRef, IdSet, Observer, OutputRecord, ProcessId, Round};
 use crate::messages::{CongosMsg, Fragment};
 use crate::node::CongosNode;
 use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor};
-use crate::services::hit_history::ExpiryRing;
+use crate::services::expiry::ExpiryRing;
 
 /// A violation the auditor detected.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -12,7 +12,7 @@ use crate::messages::{CongosMsg, Fragment};
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
 use crate::services::class_engine::{ClassEngine, ClassStats};
-use crate::services::hit_history::ExpiryRing;
+use crate::services::expiry::ExpiryRing;
 use crate::split;
 
 /// Node-level statistics for experiments.

@@ -10,6 +10,13 @@
 //! and the coordinator state of the `ConfidentialGossip` service —
 //! rumor-cache, the confirmation matrix `hitSetM`, and the deadline
 //! fallback.
+//!
+//! Only a rumor's source ever consults `hitSetM` about it, and the cache
+//! holds exactly this engine's own unsettled rumors, so the matrix lives in
+//! the cache: each `CachedRumor` records, per `(ℓ, g)`, which of *its*
+//! destinations some `Distribution` reported served. A hit for any other
+//! rumor is never queried and is skipped on arrival; a rumor's coverage
+//! goes with it once it is confirmed or shot.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,7 +35,6 @@ use crate::messages::{
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
 use crate::services::group_distribution::GdService;
-use crate::services::hit_history::HitHistory;
 use crate::services::proxy::ProxyService;
 use crate::split;
 
@@ -54,9 +60,53 @@ struct Lane {
     gd: GdService,
 }
 
+/// An own rumor awaiting confirmation.
 struct CachedRumor {
-    rumor: Rumor,
+    /// Shared by every destination's `Shoot` if the fallback fires.
+    rumor: Arc<Rumor>,
     expire: Round,
+    /// Words per `(ℓ, g)` slot of `coverage`: `⌈|dest| / 64⌉`, at least 1.
+    width: usize,
+    /// This rumor's row of `hitSetM`: one slot per `(ℓ, g)`, in that order,
+    /// whose bit `dest.rank(q)` is set once a `Distribution` of `(ℓ, g)`
+    /// reported serving destination `q` — partitions × groups × |dest|
+    /// bits, however large `n` is.
+    coverage: Vec<u64>,
+}
+
+impl CachedRumor {
+    fn new(rumor: Rumor, expire: Round, slots: usize) -> Self {
+        let width = rumor.dest.len().div_ceil(64).max(1);
+        CachedRumor {
+            rumor: Arc::new(rumor),
+            expire,
+            width,
+            coverage: vec![0; slots * width],
+        }
+    }
+
+    /// Records that `(ℓ, g)`'s `slot` served `q`; a non-destination is no
+    /// part of the rule and is ignored.
+    fn cover(&mut self, slot: usize, q: ProcessId) {
+        if self.rumor.dest.contains(q) {
+            let bit = slot * self.width * 64 + self.rumor.dest.rank(q);
+            self.coverage[bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Figure 8's confirmation rule, generalized to `k` groups: confirmed
+    /// once, for some partition `ℓ`, **every** group's hit-set covers
+    /// **every** destination — i.e. each destination was explicitly sent
+    /// each of the `k` fragments. (Lemma 4's soundness direction: a hit-set
+    /// entry exists only if the fragment was actually sent.) A slot holds at
+    /// most |dest| bits, so a partition's `k` slots are all full exactly when
+    /// they hold `k·|dest|`.
+    fn is_confirmed(&self, groups: usize) -> bool {
+        let full = groups * self.rumor.dest.len();
+        self.coverage
+            .chunks_exact(groups * self.width)
+            .any(|part| part.iter().map(|w| w.count_ones() as usize).sum::<usize>() == full)
+    }
 }
 
 /// Statistics a class engine exposes for experiments.
@@ -78,9 +128,9 @@ pub(crate) struct ClassEngine {
     sqrt_d: u64,
     lanes: Vec<Lane>,
     all_gossip: ContinuousGossip<Arc<GossipPayload>>,
+    /// Groups per partition (`k`).
+    groups: usize,
     cache: BTreeMap<CongosRumorId, CachedRumor>,
-    /// Confirmation matrix `hitSetM`, ring-buffered by birth epoch.
-    hit_matrix: HitHistory,
     stats: ClassStats,
 }
 
@@ -121,8 +171,8 @@ impl ClassEngine {
             sqrt_d: dline.isqrt(),
             lanes,
             all_gossip: gossip(GossipConfig::all(n, TAG_ALL_GOSSIP)),
+            groups: partitions.groups_per_partition(),
             cache: BTreeMap::new(),
-            hit_matrix: HitHistory::new(dline),
             stats: ClassStats::default(),
         }
     }
@@ -173,13 +223,9 @@ impl ClassEngine {
                 }
             }
         }
-        self.cache.insert(
-            rid,
-            CachedRumor {
-                rumor,
-                expire: now + self.dline,
-            },
-        );
+        let slots = self.lanes.len() * self.groups;
+        self.cache
+            .insert(rid, CachedRumor::new(rumor, now + self.dline, slots));
     }
 
     /// Send phase for this class: block/iteration bookkeeping, service
@@ -338,11 +384,7 @@ impl ClassEngine {
         self.all_gossip
             .step_with(now, rng, gossip_to(out, GossipLane::All { dline }));
 
-        self.check_confirmations(partitions);
-        self.fire_fallbacks(now, out);
-        if self.clock.is_block_end(now) {
-            self.prune(now);
-        }
+        self.settle(now, out);
     }
 
     /// Routes an incoming protocol message, borrowed from the inbox, into
@@ -420,85 +462,63 @@ impl ClassEngine {
             }
         }
         for rumor in self.all_gossip.take_delivered() {
-            if let GossipPayload::Distribution {
-                partition,
-                group,
-                hits,
-            } = rumor.payload.as_ref()
-            {
-                self.hit_matrix
-                    .extend(*partition, *group, hits.iter().copied());
+            match rumor.payload.as_ref() {
+                GossipPayload::Distribution {
+                    partition,
+                    group,
+                    hits,
+                } if (*partition as usize) < self.lanes.len()
+                    && (*group as usize) < self.groups =>
+                {
+                    let slot = *partition as usize * self.groups + *group as usize;
+                    for (q, rid) in hits {
+                        // Only the source asks about a rumor (Figure 8).
+                        if rid.source != self.me {
+                            continue;
+                        }
+                        if let Some(cached) = self.cache.get_mut(rid) {
+                            cached.cover(slot, *q);
+                        }
+                    }
+                }
+                // AllGossip carries only Distribution, of a (partition,
+                // group) this configuration has.
+                _ => self.stats.rejected += 1,
             }
         }
     }
 
-    /// Figure 8's confirmation rule, generalized to `k` groups: a rumor is
-    /// confirmed once, for some partition `ℓ`, **every** group's hit-set
-    /// covers **every** destination — i.e. each destination was explicitly
-    /// sent each of the `k` fragments. (Lemma 4's soundness direction: a
-    /// hit-set entry exists only if the fragment was actually sent.)
-    fn check_confirmations(&mut self, partitions: &PartitionSet) {
-        let confirmed: Vec<CongosRumorId> = self
-            .cache
-            .iter()
-            .filter(|(rid, c)| self.is_confirmed(**rid, &c.rumor, partitions))
-            .map(|(rid, _)| *rid)
-            .collect();
-        for rid in confirmed {
-            self.cache.remove(&rid);
-            self.stats.confirmed += 1;
-        }
-    }
-
-    fn is_confirmed(&self, rid: CongosRumorId, rumor: &Rumor, partitions: &PartitionSet) -> bool {
-        partitions.iter().any(|(ell, p)| {
-            (0..p.group_count() as u8).all(|g| {
-                rumor
-                    .dest
-                    .iter()
-                    .all(|q| self.hit_matrix.contains(ell as u16, g, q, rid))
-            })
-        })
-    }
-
-    /// The last two bullets of Figure 2: if a rumor's (trimmed) deadline is
-    /// expiring and no confirmation arrived, send it whole, directly, to
-    /// every destination. Every destination's copy shares one `Arc`.
-    fn fire_fallbacks(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
-        let expired: Vec<CongosRumorId> = self
-            .cache
-            .iter()
-            .filter(|(_, c)| c.expire == now)
-            .map(|(rid, _)| *rid)
-            .collect();
-        for rid in expired {
-            let rumor = Arc::new(self.cache.remove(&rid).expect("present").rumor);
-            self.stats.fallbacks += 1;
-            for q in rumor.dest.iter() {
-                if q != self.me {
+    /// Settles the cache in one pass, in rid order: a rumor that
+    /// [`is_confirmed`](CachedRumor::is_confirmed) leaves it; one whose
+    /// (trimmed) deadline expires now without a confirmation takes the last
+    /// two bullets of Figure 2 — sent whole, directly, to every destination,
+    /// every copy sharing one `Arc`. Anything past its expiry (possible only
+    /// if this process was crashed across the boundary — then it lost this
+    /// state anyway) is dropped defensively.
+    fn settle(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
+        let (me, groups, stats) = (self.me, self.groups, &mut self.stats);
+        self.cache.retain(|&rid, cached| {
+            if cached.is_confirmed(groups) {
+                stats.confirmed += 1;
+                return false;
+            }
+            if cached.expire == now {
+                stats.fallbacks += 1;
+                for q in cached.rumor.dest.iter().filter(|&q| q != me) {
+                    let rumor = Arc::clone(&cached.rumor);
                     send(
                         out,
                         q,
                         CongosMsg::Shoot {
-                            rumor: Arc::clone(&rumor),
+                            rumor,
                             rid,
                             direct: false,
                         },
                     );
                 }
             }
-        }
-        // Anything past its expiry (possible only if this process was
-        // crashed across the boundary — then it lost this state anyway) is
-        // dropped defensively.
-        self.cache.retain(|_, c| c.expire > now);
-    }
-
-    /// Drops confirmation entries for long-expired rumors: whole birth-epoch
-    /// buckets whose every possible entry is past `birth + 2·dline`. O(evicted),
-    /// not O(live) — and never an entry a cached rumor could still query.
-    fn prune(&mut self, now: Round) {
-        self.hit_matrix.evict_expired(now);
+            cached.expire > now
+        });
     }
 
     /// Fallback count plus confirmation count of the substrate endpoints —
@@ -521,7 +541,8 @@ mod tests {
     use crate::messages::TAG_SHOOT;
     use congos_sim::{IdSet, Tag};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     const DLINE: u64 = 64; // block 16, iteration 10
 
@@ -643,18 +664,80 @@ mod tests {
         assert_eq!(engine.stats().fallbacks, 1);
     }
 
+    /// An AllGossip push of one `Distribution` from p1 to `to`; `seq` keeps
+    /// the gossip ids of one test distinct.
+    fn distribution(
+        n: usize,
+        to: ProcessId,
+        seq: u32,
+        partition: u16,
+        group: u8,
+        hits: Vec<(ProcessId, CongosRumorId)>,
+    ) -> CongosMsg {
+        all_gossip_push(
+            n,
+            to,
+            seq,
+            GossipPayload::Distribution {
+                partition,
+                group,
+                hits,
+            },
+        )
+    }
+
+    fn all_gossip_push(n: usize, to: ProcessId, seq: u32, payload: GossipPayload) -> CongosMsg {
+        CongosMsg::Gossip {
+            lane: GossipLane::All { dline: DLINE },
+            wire: congos_gossip::GossipWire::Push(Arc::new(
+                vec![congos_gossip::GossipRumor {
+                    id: congos_gossip::RumorId {
+                        origin: ProcessId::new(1),
+                        birth: Round(0),
+                        seq,
+                    },
+                    payload: Arc::new(payload),
+                    duration: 8,
+                    deadline: Round(8),
+                    dest: IdSet::from_iter(n, [to]),
+                    best_effort: true,
+                }]
+                .into(),
+            )),
+        }
+    }
+
+    /// Delivers `msgs` in one compute phase: receive, then drain.
+    fn deliver(engine: &mut ClassEngine, now: u64, partitions: &PartitionSet, msgs: &[CongosMsg]) {
+        let mut saved = Vec::new();
+        for msg in msgs {
+            engine.on_receive(Round(now), ProcessId::new(1), msg, partitions, &mut saved);
+        }
+        engine.post_receive(&mut saved);
+    }
+
     #[test]
-    fn confirmation_through_the_hit_matrix_suppresses_the_fallback() {
+    fn confirmation_through_delivered_hits_suppresses_the_fallback() {
         let n = 8;
         let (mut engine, partitions, cfg, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
         engine.inject(Round(0), &mut rng, rid, r, &partitions);
 
-        // Hand-feed Distribution metadata claiming p3 got every group's
+        // Deliver Distribution metadata claiming p3 got every group's
         // fragment of partition 0.
-        for g in 0..2u8 {
-            engine.hit_matrix.extend(0, g, [(ProcessId::new(3), rid)]);
-        }
+        let hits = (0..2u8)
+            .map(|g| {
+                distribution(
+                    n,
+                    ProcessId::new(0),
+                    g.into(),
+                    0,
+                    g,
+                    vec![(ProcessId::new(3), rid)],
+                )
+            })
+            .collect::<Vec<_>>();
+        deliver(&mut engine, 0, &partitions, &hits);
         // Run to expiry: the confirmation check clears the cache before the
         // fallback would fire.
         let mut shoots = 0;
@@ -671,14 +754,22 @@ mod tests {
     }
 
     #[test]
-    fn partial_hit_matrix_does_not_confirm() {
+    fn partial_coverage_does_not_confirm() {
         let n = 8;
         let (mut engine, partitions, _cfg, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
         engine.inject(Round(0), &mut rng, rid, r, &partitions);
         // Only group 0 of partition 0 reported the hit: unsound to confirm.
-        engine.hit_matrix.extend(0, 0, [(ProcessId::new(3), rid)]);
-        engine.check_confirmations(&partitions);
+        let hit = distribution(
+            n,
+            ProcessId::new(0),
+            0,
+            0,
+            0,
+            vec![(ProcessId::new(3), rid)],
+        );
+        deliver(&mut engine, 0, &partitions, &[hit]);
+        engine.settle(Round(1), &mut SendColumns::default());
         assert_eq!(engine.stats().confirmed, 0);
         assert_eq!(engine.cache_len(), 1);
     }
@@ -836,7 +927,7 @@ mod tests {
         };
         // Distribution rides AllGossip only; a group lane carries only its
         // own group's fragments of its own partition.
-        let distribution = GossipPayload::Distribution {
+        let misplaced = GossipPayload::Distribution {
             partition: 0,
             group: 0,
             hits: vec![],
@@ -846,13 +937,222 @@ mod tests {
             fragment(n, 1, 0),
             fragment(n, 0, 0),
         ]);
+        // AllGossip carries only Distribution, of a (partition, group) the
+        // configuration has: two of its four pushes are out of range.
+        let me = ProcessId::new(0);
+        let (ells, groups) = (
+            partitions.len() as u16,
+            partitions.groups_per_partition() as u8,
+        );
+        let all = [
+            all_gossip_push(n, me, 2, GossipPayload::GdShare { hits: vec![] }),
+            distribution(n, me, 3, ells, 0, vec![]),
+            distribution(n, me, 4, 0, groups, vec![]),
+            distribution(n, me, 5, ells - 1, groups - 1, vec![]),
+        ];
         let mut saved = Vec::new();
-        for msg in [push(0, distribution), push(1, fragments)] {
-            engine.on_receive(Round(0), from, &msg, &partitions, &mut saved);
+        for msg in [push(0, misplaced), push(1, fragments)].iter().chain(&all) {
+            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
         }
         assert!(saved.is_empty(), "pushes deliver at post_receive");
         engine.post_receive(&mut saved);
         assert_eq!(saved, vec![fragment(n, 0, 0)]);
-        assert_eq!(engine.stats().rejected, 3);
+        assert_eq!(engine.stats().rejected, 3 + 3);
+    }
+
+    /// Figure 8's rule over every hit ever delivered, whoever the rumor's
+    /// source — what the confirmation matrix held before it moved into the
+    /// cache.
+    #[derive(Default)]
+    struct Reference {
+        hits: HashSet<(u16, u8, ProcessId, CongosRumorId)>,
+        cache: BTreeMap<CongosRumorId, (IdSet, Round)>,
+    }
+
+    impl Reference {
+        /// One send phase's `(confirmed, shot)` rumors, each in rid order.
+        fn settle(&mut self, now: Round, partitions: &PartitionSet) -> [Vec<CongosRumorId>; 2] {
+            let (hits, mut confirmed, mut shot) = (&self.hits, Vec::new(), Vec::new());
+            self.cache.retain(|&rid, (dest, expire)| {
+                let covered = partitions.iter().any(|(ell, p)| {
+                    (0..p.group_count() as u8)
+                        .all(|g| dest.iter().all(|q| hits.contains(&(ell as u16, g, q, rid))))
+                });
+                if covered {
+                    confirmed.push(rid);
+                    return false;
+                }
+                if *expire == now {
+                    shot.push(rid);
+                }
+                *expire > now
+            });
+            [confirmed, shot]
+        }
+    }
+
+    /// Random `Distribution` hits about `own`: all, some or none of its
+    /// destinations (with duplicates), non-destinations, and the same
+    /// targets for a foreign rumor of equal `(birth, seq)`.
+    fn random_hits(
+        rng: &mut SmallRng,
+        n: usize,
+        own: CongosRumorId,
+        dest: &IdSet,
+    ) -> Vec<(ProcessId, CongosRumorId)> {
+        let targets: Vec<ProcessId> = match rng.gen_range(0..4) {
+            0 | 1 => dest.iter().collect(),
+            2 => dest.iter().filter(|_| rng.gen_bool(0.5)).collect(),
+            _ => (0..3)
+                .map(|_| ProcessId::new(rng.gen_range(0..n)))
+                .collect(),
+        };
+        let rid = if rng.gen_bool(0.25) {
+            let other = (own.source.as_usize() + rng.gen_range(1..n)) % n;
+            CongosRumorId {
+                source: ProcessId::new(other),
+                ..own
+            }
+        } else {
+            own
+        };
+        let mut hits: Vec<_> = targets.into_iter().map(|q| (q, rid)).collect();
+        if let Some(&dup) = hits.first().filter(|_| rng.gen_bool(0.3)) {
+            hits.push(dup);
+        }
+        hits
+    }
+
+    /// Drives a lone engine and the reference through one random run and
+    /// checks every send phase's decisions against each other. Returns how
+    /// many rumors were confirmed and how many shot.
+    fn confirmation_matches_reference(partitions: PartitionSet, seed: u64) -> (usize, usize) {
+        let n = partitions.n();
+        // Under lean metadata the lowest member publishes a group's hits; a
+        // process that is the lowest of none of its groups publishes
+        // nothing, so every hit its engine sees is fed below.
+        let me = (0..n)
+            .rev()
+            .map(ProcessId::new)
+            .find(|&q| {
+                partitions
+                    .iter()
+                    .all(|(_, p)| p.group(p.group_of(q)).iter().next() != Some(q))
+            })
+            .expect("some process publishes nothing");
+        let cfg = CongosConfig::base().lean_metadata(true);
+        let mut engine = ClassEngine::new(me, n, DLINE, &partitions, &cfg);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut reference = Reference::default();
+        let mut injected: Vec<(CongosRumorId, IdSet)> = Vec::new();
+        let (mut seq, mut totals) = (0, (0, 0));
+        let last_birth = 24;
+        for t in 0..=last_birth + DLINE + 1 {
+            let before: Vec<CongosRumorId> = engine.cache.keys().copied().collect();
+            let stats = engine.stats();
+            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
+            let mut shot: Vec<CongosRumorId> = sends
+                .iter()
+                .filter_map(|(_, _, m)| match m {
+                    CongosMsg::Shoot { rid, .. } => Some(*rid),
+                    _ => None,
+                })
+                .collect();
+            shot.dedup();
+            let after: Vec<CongosRumorId> = engine.cache.keys().copied().collect();
+            let confirmed: Vec<CongosRumorId> = before
+                .into_iter()
+                .filter(|rid| !after.contains(rid) && !shot.contains(rid))
+                .collect();
+            let [want_confirmed, want_shot] = reference.settle(Round(t), &partitions);
+            assert_eq!(
+                confirmed, want_confirmed,
+                "seed {seed}, round {t}: confirmed"
+            );
+            assert_eq!(shot, want_shot, "seed {seed}, round {t}: shot");
+            assert!(
+                after.iter().eq(reference.cache.keys()),
+                "seed {seed}, round {t}: cache"
+            );
+            assert_eq!(
+                engine.stats().confirmed - stats.confirmed,
+                confirmed.len() as u64
+            );
+            assert_eq!(
+                engine.stats().fallbacks - stats.fallbacks,
+                shot.len() as u64
+            );
+            totals.0 += confirmed.len();
+            totals.1 += shot.len();
+
+            if t <= last_birth && rng.gen_bool(0.3) {
+                let rid = CongosRumorId {
+                    source: me,
+                    birth: Round(t),
+                    seq: 0,
+                };
+                let dest = IdSet::from_iter(
+                    n,
+                    (0..n)
+                        .map(ProcessId::new)
+                        .filter(|&q| q != me && rng.gen_bool(0.4)),
+                );
+                let dest = if dest.is_empty() {
+                    IdSet::from_iter(n, [ProcessId::new(0)])
+                } else {
+                    dest
+                };
+                let r = Rumor {
+                    wid: t,
+                    data: vec![0xAA; 8],
+                    deadline: DLINE,
+                    dest: dest.clone(),
+                };
+                engine.inject(Round(t), &mut rng, rid, r, &partitions);
+                reference
+                    .cache
+                    .insert(rid, (dest.clone(), Round(t + DLINE)));
+                injected.push((rid, dest));
+            }
+            // Hits keep coming for rumors already confirmed or shot.
+            let mut pushes = Vec::new();
+            for _ in 0..rng.gen_range(0..3) {
+                let Some((rid, dest)) = injected.get(rng.gen_range(0..injected.len().max(1)))
+                else {
+                    break;
+                };
+                let ell = rng.gen_range(0..partitions.len()) as u16;
+                let g = rng.gen_range(0..partitions.groups_per_partition()) as u8;
+                let hits = random_hits(&mut rng, n, *rid, dest);
+                reference
+                    .hits
+                    .extend(hits.iter().map(|&(q, r)| (ell, g, q, r)));
+                pushes.push(distribution(n, me, seq, ell, g, hits));
+                seq += 1;
+            }
+            deliver(&mut engine, t, &partitions, &pushes);
+        }
+        assert_eq!(engine.stats().rejected, 0);
+        totals
+    }
+
+    #[test]
+    fn confirmation_rule_matches_a_reference_over_every_hit() {
+        let (mut confirmed, mut shot) = (0, 0);
+        for seed in 0..12 {
+            for partitions in [
+                PartitionSet::bits(8),
+                PartitionSet::random(12, 2, 1.0, seed),
+            ] {
+                let (c, s) = confirmation_matches_reference(partitions, seed);
+                confirmed += c;
+                shot += s;
+            }
+        }
+        // The runs must exercise both outcomes.
+        assert!(
+            confirmed > 0 && shot > 0,
+            "confirmed {confirmed}, shot {shot}"
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! substrate.
 
 pub(crate) mod class_engine;
+pub(crate) mod expiry;
 pub(crate) mod group_distribution;
-pub(crate) mod hit_history;
 pub(crate) mod proxy;
 
 pub use class_engine::ClassStats;

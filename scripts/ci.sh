@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
 #                            #        congos, adversary and baselines crate
-#                            #        tests (gossip's in release too) + from
+#                            #        tests (gossip's and congos's class
+#                            #        engine's in release too) + from
 #                            #        the congos-harness lib
 #                            #        (otherwise outside tier-1) the E10 and
 #                            #        E11 tests, the only ones that read
@@ -220,6 +221,11 @@ echo "==> tier1: congos-gossip tests in release"
 # tests that feed an endpoint hostile pushes (a rumor whose origin is not a
 # member) must see it drop them by its own checks.
 cargo test -q --release -p congos-gossip
+
+echo "==> tier1: congos class-engine tests in release"
+# Likewise for the class engine: its rejection counts and the confirmation
+# rule's reference test must hold where `debug_assert!`s are compiled out.
+cargo test -q --release -p congos --lib services::class_engine
 
 echo "==> tier1: E10 and E11, the tests that read simulator bytes, in release"
 # Both run in about 1 s together on a 2-core host, after the harness lib's
