@@ -69,8 +69,10 @@ pub mod wire;
 
 pub use audit::{AuditReport, ConfidentialityAuditor};
 pub use config::{CongosConfig, CoverTrafficConfig, PartitionScheme};
-pub use messages::{CongosMsg, DestRef, FragBytes, Fragment, GossipPayload, TAG_ALL_GOSSIP,
-    TAG_GD, TAG_GROUP_GOSSIP, TAG_PROXY, TAG_SHOOT};
+pub use messages::{
+    CongosMsg, Fragment, GossipPayload, TAG_ALL_GOSSIP, TAG_GD, TAG_GROUP_GOSSIP, TAG_PROXY,
+    TAG_SHOOT,
+};
 pub use node::{CongosNode, NodeStats};
 pub use partition::{Partition, PartitionSet};
 pub use rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};

@@ -1,118 +1,11 @@
 //! Wire types: fragments and the multiplexed CONGOS message.
 
-use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::ops::Deref;
 use std::sync::Arc;
 
 use congos_gossip::GossipWire;
 use congos_sim::{IdSet, ProcessId, Tag};
 
 use crate::rumor::{CongosRumorId, Rumor};
-
-/// A shared fragment byte string.
-///
-/// Dereferences to `[u8]`; equality and hashing are by content, with a
-/// pointer-identity fast path. Clones share the allocation.
-#[derive(Clone)]
-pub struct FragBytes(Arc<[u8]>);
-
-impl FragBytes {
-    /// `true` if both handles point at the same allocation.
-    pub fn ptr_eq(a: &FragBytes, b: &FragBytes) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl Deref for FragBytes {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl PartialEq for FragBytes {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
-    }
-}
-impl Eq for FragBytes {}
-
-impl Hash for FragBytes {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl fmt::Debug for FragBytes {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FragBytes({} bytes)", self.0.len())
-    }
-}
-
-impl From<Vec<u8>> for FragBytes {
-    fn from(v: Vec<u8>) -> Self {
-        FragBytes(v.into())
-    }
-}
-
-impl From<&[u8]> for FragBytes {
-    fn from(v: &[u8]) -> Self {
-        FragBytes(v.into())
-    }
-}
-
-/// A shared destination set.
-///
-/// Dereferences to [`IdSet`]; equality and hashing are by content, with a
-/// pointer-identity fast path. Clones share the allocation.
-#[derive(Clone)]
-pub struct DestRef(Arc<IdSet>);
-
-impl DestRef {
-    /// `true` if both handles point at the same allocation.
-    pub fn ptr_eq(a: &DestRef, b: &DestRef) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-}
-
-impl Deref for DestRef {
-    type Target = IdSet;
-    fn deref(&self) -> &IdSet {
-        &self.0
-    }
-}
-
-impl PartialEq for DestRef {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
-    }
-}
-impl Eq for DestRef {}
-
-impl Hash for DestRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-    }
-}
-
-impl fmt::Debug for DestRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
-    }
-}
-
-impl From<IdSet> for DestRef {
-    fn from(s: IdSet) -> Self {
-        DestRef(Arc::new(s))
-    }
-}
-
-impl From<&IdSet> for DestRef {
-    fn from(s: &IdSet) -> Self {
-        DestRef(Arc::new(s.clone()))
-    }
-}
 
 /// One fragment of a split rumor, for one partition.
 ///
@@ -136,19 +29,12 @@ pub struct Fragment {
     pub k: u8,
     /// The fragment bytes (a uniform pad, or the XOR-masked residue). Every
     /// clone of this fragment a process buffers shares one allocation.
-    pub bytes: FragBytes,
+    pub bytes: Arc<[u8]>,
     /// The rumor's destination set `ρ.D` (metadata). At the source all
     /// `k·p` fragments of one rumor share one allocation.
-    pub dest: DestRef,
+    pub dest: Arc<IdSet>,
     /// Trimmed deadline class of the rumor (selects the protocol instance).
     pub dline: u64,
-}
-
-impl Fragment {
-    /// Key identifying the split this fragment belongs to.
-    pub fn split_key(&self) -> (CongosRumorId, u16) {
-        (self.rid, self.partition)
-    }
 }
 
 /// Payload carried inside GroupGossip/AllGossip instances.
@@ -210,13 +96,14 @@ pub enum GossipLane {
 pub enum CongosMsg {
     /// Traffic of a gossip endpoint, held inline: the wire is at most as
     /// large as the other variants, so a box would only add an allocation
-    /// per message. Payloads are `Arc`-shared: epidemic push clones a batch
-    /// per target every round, and the payloads are the bulk of the bytes.
+    /// per message. A payload rides inline in its rumor: a push clones one
+    /// `Arc<PushBatch>` per target, and every buffer that keeps a rumor
+    /// shares its one `Arc<GossipRumor>`, so no payload is ever copied.
     Gossip {
         /// Which endpoint.
         lane: GossipLane,
         /// The gossip wire message.
-        wire: GossipWire<Arc<GossipPayload>>,
+        wire: GossipWire<GossipPayload>,
     },
     /// A proxy request (Figure 9, round 1 of an iteration): fragments the
     /// receiver is asked to spread in its own group.
@@ -301,7 +188,7 @@ impl CongosMsg {
             }
             CongosMsg::ProxyAck { .. } | CongosMsg::Shoot { .. } => (&[], None),
         };
-        let pushed = pushed.iter().filter_map(|r| match r.payload.as_ref() {
+        let pushed = pushed.iter().filter_map(|r| match &r.payload {
             GossipPayload::Fragments(frags) => Some(frags.as_slice()),
             _ => None,
         });
@@ -382,7 +269,9 @@ mod tests {
     /// inboxes by value, so the enum's size is paid per message, and a boxed
     /// field is one more allocation per message. A variant that would grow
     /// the enum goes behind an `Arc` (shared, like `Shoot`'s rumor) or a
-    /// `Box`; the gossip wire, the bulk of the traffic, stays inline.
+    /// `Box`. The gossip wire, the bulk of the traffic, stays inline: a push
+    /// is one `Arc<PushBatch>`, and each payload lives inside its rumor's
+    /// `Arc`, so no payload's size reaches the enum.
     #[test]
     fn a_message_is_at_most_48_bytes_and_holds_its_wire_inline() {
         let size = std::mem::size_of::<CongosMsg>();
@@ -401,26 +290,5 @@ mod tests {
             (start..start + size).contains(&at),
             "the wire is not inline"
         );
-    }
-
-    #[test]
-    fn split_key_groups_fragments_of_one_split() {
-        let rid = CongosRumorId {
-            source: ProcessId::new(0),
-            birth: Round(3),
-            seq: 0,
-        };
-        let f = |group: u8, partition: u16| Fragment {
-            rid,
-            wid: 0,
-            partition,
-            group,
-            k: 2,
-            bytes: vec![].into(),
-            dest: congos_sim::IdSet::empty(4).into(),
-            dline: 64,
-        };
-        assert_eq!(f(0, 1).split_key(), f(1, 1).split_key());
-        assert_ne!(f(0, 1).split_key(), f(0, 2).split_key());
     }
 }

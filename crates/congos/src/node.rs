@@ -35,9 +35,9 @@ pub struct NodeStats {
     pub decoys_discarded: u64,
     /// Received messages dropped as ones no correct process sends (an
     /// impossible deadline class or partition index, a fragment outside its
-    /// group, a rumor id born after the current round). Always 0 in the
-    /// simulator; over sockets it counts corrupt or hostile frames that
-    /// still decoded.
+    /// group or of a split no correct process makes, a rumor id born after
+    /// the current round). Always 0 in the simulator; over sockets it
+    /// counts corrupt or hostile frames that still decoded.
     pub rejected: u64,
 }
 
@@ -45,7 +45,7 @@ struct PartsEntry {
     k: u8,
     wid: u64,
     /// Fragment bytes by group, sharing the received fragments' allocations.
-    got: BTreeMap<u8, crate::messages::FragBytes>,
+    got: BTreeMap<u8, Arc<[u8]>>,
 }
 
 /// One process running CONGOS.
@@ -619,7 +619,7 @@ mod tests {
                     wid: 0,
                     partition: 0,
                     group: 0,
-                    k: 1,
+                    k: 2,
                     bytes: vec![1, 2, 3].into(),
                     dest: dest.clone().into(),
                     dline: 32,
@@ -646,6 +646,57 @@ mod tests {
         assert_eq!(node.protocol().stats().rejected, 4);
         assert!(node.outputs().is_empty(), "nothing was delivered");
         assert!(node.protocol().parts.is_empty() && node.protocol().delivered.is_empty());
+    }
+
+    #[test]
+    fn a_fragment_no_split_makes_is_rejected_not_merged() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let partitions = PartitionSet::bits(n).len() as u16;
+        let fragment = |seq, partition, group, k, byte| Fragment {
+            rid: CongosRumorId {
+                source: ProcessId::new(1),
+                birth: Round(0),
+                seq,
+            },
+            wid: 0,
+            partition,
+            group,
+            k,
+            bytes: vec![byte; 3].into(),
+            dest: IdSet::from_iter(n, [me]).into(),
+            dline: 32,
+        };
+        // Each message is a whole split of some rumor by its own count, and
+        // each names a split no correct process makes (the configuration
+        // splits every partition in two): a group outside the split, a
+        // split into three, a partition the configuration does not have.
+        let forged = [
+            vec![fragment(0, 0, 0, 2, 0), fragment(0, 0, 9, 2, 9)],
+            (0..3).map(|g| fragment(1, 0, g, 3, 9 * g)).collect(),
+            (0..2).map(|g| fragment(2, partitions, g, 2, 9 * g)).collect(),
+        ];
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        peers.0 = forged
+            .into_iter()
+            .map(|fragments| Envelope {
+                src: ProcessId::new(1),
+                dst: me,
+                round: Round(1),
+                tag: crate::messages::TAG_GD,
+                payload: CongosMsg::Partials {
+                    dline: 32,
+                    ell: 0,
+                    fragments,
+                },
+            })
+            .collect();
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        assert_eq!(node.protocol().stats().rejected, 1 + 3 + 2);
+        assert!(node.outputs().is_empty(), "nothing was delivered");
     }
 
     #[test]

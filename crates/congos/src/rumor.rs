@@ -19,9 +19,10 @@ pub struct CongosRumorId {
     pub source: ProcessId,
     /// Injection round.
     pub birth: Round,
-    /// Sequence among this source's injections in `birth` (the model allows
-    /// at most one injection per process per round, so this is 0 in engine
-    /// runs; kept for API completeness).
+    /// Sequence among the rumors this source starts in `birth`, so that
+    /// their ids differ: one injection per round can start several
+    /// (`hide_destinations`' n rumors take 0…n−1; a cover-traffic decoy of
+    /// the send phase takes 0, the compute phase's real injection 1).
     pub seq: u32,
 }
 

@@ -29,14 +29,19 @@ use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
 use crate::config::CongosConfig;
 use crate::messages::{
-    CongosMsg, DestRef, FragBytes, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP,
-    TAG_GROUP_GOSSIP,
+    CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GROUP_GOSSIP,
 };
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
 use crate::services::group_distribution::GdService;
 use crate::services::proxy::ProxyService;
 use crate::split;
+
+/// Whether `f` is of a split some correct process makes: of one of the `p`
+/// partitions, split into its `k` groups, and of one of them.
+fn fits(f: &Fragment, p: usize, k: usize) -> bool {
+    (f.partition as usize) < p && f.k as usize == k && f.group < f.k
+}
 
 /// Queues `msg` for `dst` under the tag the message implies.
 fn send(out: &mut SendColumns<CongosMsg>, dst: ProcessId, msg: CongosMsg) {
@@ -48,14 +53,14 @@ fn send(out: &mut SendColumns<CongosMsg>, dst: ProcessId, msg: CongosMsg) {
 fn gossip_to(
     out: &mut SendColumns<CongosMsg>,
     lane: GossipLane,
-) -> impl FnMut(ProcessId, GossipWire<Arc<GossipPayload>>) + '_ {
+) -> impl FnMut(ProcessId, GossipWire<GossipPayload>) + '_ {
     move |dst, wire| send(out, dst, CongosMsg::Gossip { lane, wire })
 }
 
 struct Lane {
     ell: u16,
     my_group: u8,
-    gossip: ContinuousGossip<Arc<GossipPayload>>,
+    gossip: ContinuousGossip<GossipPayload>,
     proxy: ProxyService,
     gd: GdService,
 }
@@ -127,7 +132,7 @@ pub(crate) struct ClassEngine {
     clock: BlockClock,
     sqrt_d: u64,
     lanes: Vec<Lane>,
-    all_gossip: ContinuousGossip<Arc<GossipPayload>>,
+    all_gossip: ContinuousGossip<GossipPayload>,
     /// Groups per partition (`k`).
     groups: usize,
     cache: BTreeMap<CongosRumorId, CachedRumor>,
@@ -194,12 +199,12 @@ impl ClassEngine {
         partitions: &PartitionSet,
     ) {
         // One destination set shared by all k·p fragments.
-        let dest = DestRef::from(&rumor.dest);
+        let dest = Arc::new(rumor.dest.clone());
         for lane in &mut self.lanes {
             let partition = partitions.partition(lane.ell as usize);
             let k = partition.group_count();
             let frags = split::split(rng, &rumor.data, k);
-            for (g, bytes) in frags.into_iter().map(FragBytes::from).enumerate() {
+            for (g, bytes) in frags.into_iter().map(Arc::from).enumerate() {
                 let fragment = Fragment {
                     rid,
                     wid: rumor.wid,
@@ -214,7 +219,7 @@ impl ClassEngine {
                     let group_set = partition.group(lane.my_group).clone();
                     lane.gossip.inject(
                         now,
-                        Arc::new(GossipPayload::Fragments(vec![fragment])),
+                        GossipPayload::Fragments(vec![fragment]),
                         self.sqrt_d,
                         group_set,
                     );
@@ -296,15 +301,15 @@ impl ClassEngine {
                     if !buffer.is_empty() {
                         lane.gossip.inject(
                             now,
-                            Arc::new(GossipPayload::Fragments(buffer)),
+                            GossipPayload::Fragments(buffer),
                             self.sqrt_d,
                             group_set.clone(),
                         );
                     }
                     if lane.proxy.beacon() || !failed.is_empty() {
-                        let payload = Arc::new(GossipPayload::ProxyMeta {
+                        let payload = GossipPayload::ProxyMeta {
                             failed_proxies: failed,
-                        });
+                        };
                         if cfg.lean_metadata {
                             // One epidemic round: every process re-beacons
                             // each iteration anyway, so a longer forwarding
@@ -319,7 +324,7 @@ impl ClassEngine {
                 Some(2) => {
                     if let Some(hits) = lane.gd.gossip_share() {
                         let group_set = partition.group(lane.my_group).clone();
-                        let payload = Arc::new(GossipPayload::GdShare { hits });
+                        let payload = GossipPayload::GdShare { hits };
                         if cfg.lean_metadata {
                             // One epidemic round, as for the beacons: shares
                             // are re-published every iteration, and slower
@@ -365,11 +370,11 @@ impl ClassEngine {
                         IdSet::from_iter(self.n, hits.iter().map(|(_, rid)| rid.source));
                     self.all_gossip.inject(
                         now,
-                        Arc::new(GossipPayload::Distribution {
+                        GossipPayload::Distribution {
                             partition: lane.ell,
                             group: lane.my_group,
                             hits,
-                        }),
+                        },
                         self.clock.block_len().saturating_sub(1).max(1),
                         sources,
                     );
@@ -392,8 +397,9 @@ impl ClassEngine {
     /// `Partials` fragments are appended to `saved`, the node's reassembly
     /// queue. A message no correct process sends — a partition index this
     /// configuration does not have, or a proxy request carrying a fragment
-    /// of a foreign group — is dropped and counted in
-    /// [`ClassStats::rejected`], in every build profile.
+    /// of a foreign group or partition — is dropped and counted in
+    /// [`ClassStats::rejected`], in every build profile; so is each
+    /// fragment of a split no correct process makes ([`fits`]).
     pub(crate) fn on_receive(
         &mut self,
         now: Round,
@@ -402,6 +408,7 @@ impl ClassEngine {
         partitions: &PartitionSet,
         saved: &mut Vec<Fragment>,
     ) {
+        let (p, k) = (self.lanes.len(), self.groups);
         match msg {
             CongosMsg::Gossip { lane, wire } => match lane {
                 GossipLane::Group { ell, .. } => match self.lanes.get_mut(*ell as usize) {
@@ -411,11 +418,14 @@ impl ClassEngine {
                 GossipLane::All { .. } => self.all_gossip.on_receive(now, src, wire),
             },
             CongosMsg::ProxyRequest { ell, fragments, .. } => {
+                let valid = fragments
+                    .iter()
+                    .all(|f| f.partition == *ell && fits(f, p, k));
                 match self.lanes.get_mut(*ell as usize) {
                     // [PROXY:CONFIDENTIAL]: only fragments of our own group
                     // may be proxied to us — an accepted foreign one would be
                     // re-gossiped inside a group that must never hold it.
-                    Some(l) if fragments.iter().all(|f| f.group == l.my_group) => {
+                    Some(l) if valid && fragments.iter().all(|f| f.group == l.my_group) => {
                         l.proxy.on_request(src, fragments);
                     }
                     _ => self.stats.rejected += 1,
@@ -425,7 +435,11 @@ impl ClassEngine {
                 Some(l) => l.proxy.on_ack(src, partitions.partition(*ell as usize)),
                 None => self.stats.rejected += 1,
             },
-            CongosMsg::Partials { fragments, .. } => saved.extend_from_slice(fragments),
+            CongosMsg::Partials { fragments, .. } => {
+                let before = saved.len();
+                saved.extend(fragments.iter().filter(|f| fits(f, p, k)).cloned());
+                self.stats.rejected += (before + fragments.len() - saved.len()) as u64;
+            }
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
         }
     }
@@ -434,15 +448,18 @@ impl ClassEngine {
     /// append the fragments this process received through its groups to
     /// `saved` (for reassembly if it is a destination).
     pub(crate) fn post_receive(&mut self, saved: &mut Vec<Fragment>) {
+        let (p, k) = (self.lanes.len(), self.groups);
         for lane in &mut self.lanes {
             for rumor in lane.gossip.take_delivered() {
                 let origin = rumor.id.origin;
-                match rumor.payload.as_ref() {
+                match &rumor.payload {
                     GossipPayload::Fragments(frags) => {
                         for f in frags {
                             // A lane carries its own group's fragments of
-                            // its own partition and no others.
-                            if f.partition != lane.ell || f.group != lane.my_group {
+                            // its own partition, of a split that fits, and
+                            // no others.
+                            if f.partition != lane.ell || f.group != lane.my_group || !fits(f, p, k)
+                            {
                                 self.stats.rejected += 1;
                                 continue;
                             }
@@ -462,7 +479,7 @@ impl ClassEngine {
             }
         }
         for rumor in self.all_gossip.take_delivered() {
-            match rumor.payload.as_ref() {
+            match &rumor.payload {
                 GossipPayload::Distribution {
                     partition,
                     group,
@@ -696,7 +713,7 @@ mod tests {
                         birth: Round(0),
                         seq,
                     },
-                    payload: Arc::new(payload),
+                    payload,
                     duration: 8,
                     deadline: Round(8),
                     dest: IdSet::from_iter(n, [to]),
@@ -831,7 +848,7 @@ mod tests {
                         congos_gossip::GossipWire::Push(batch) if batch
                             .rumors()
                             .iter()
-                            .any(|r| matches!(*r.payload, GossipPayload::Fragments(_)))
+                            .any(|r| matches!(r.payload, GossipPayload::Fragments(_)))
                     ))
                 })
         })
@@ -883,19 +900,24 @@ mod tests {
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(spread, "a request for the own group is taken up");
 
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
-        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+        // A foreign group's fragment, one of another partition (p0 is in
+        // group 0 of each), or one of a split no correct process makes
+        // (every partition is split in two) spoils the request.
         let mixed = vec![fragment(n, 0, 0), fragment(n, 0, 1)];
-        engine.on_receive(
-            Round(0),
-            from,
-            &request(mixed),
-            &partitions,
-            &mut Vec::new(),
-        );
-        assert_eq!(engine.stats().rejected, 1);
-        let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
-        assert!(!spread, "nothing of a rejected request is re-gossiped");
+        let crossed = vec![fragment(n, 1, 0)];
+        let resplit = vec![Fragment {
+            k: 3,
+            ..fragment(n, 0, 0)
+        }];
+        for fragments in [mixed, crossed, resplit] {
+            let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+            sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+            let msg = request(fragments);
+            engine.on_receive(Round(0), from, &msg, &partitions, &mut Vec::new());
+            assert_eq!(engine.stats().rejected, 1);
+            let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
+            assert!(!spread, "nothing of a rejected request is re-gossiped");
+        }
     }
 
     #[test]
@@ -916,7 +938,7 @@ mod tests {
                         birth: Round(0),
                         seq,
                     },
-                    payload: Arc::new(payload),
+                    payload,
                     duration: 8,
                     deadline: Round(8),
                     dest: IdSet::from_iter(n, [ProcessId::new(0)]),
@@ -926,7 +948,8 @@ mod tests {
             )),
         };
         // Distribution rides AllGossip only; a group lane carries only its
-        // own group's fragments of its own partition.
+        // own group's fragments of its own partition, split in two as every
+        // partition is.
         let misplaced = GossipPayload::Distribution {
             partition: 0,
             group: 0,
@@ -935,6 +958,10 @@ mod tests {
         let fragments = GossipPayload::Fragments(vec![
             fragment(n, 0, 1),
             fragment(n, 1, 0),
+            Fragment {
+                k: 3,
+                ..fragment(n, 0, 0)
+            },
             fragment(n, 0, 0),
         ]);
         // AllGossip carries only Distribution, of a (partition, group) the
@@ -957,7 +984,7 @@ mod tests {
         assert!(saved.is_empty(), "pushes deliver at post_receive");
         engine.post_receive(&mut saved);
         assert_eq!(saved, vec![fragment(n, 0, 0)]);
-        assert_eq!(engine.stats().rejected, 3 + 3);
+        assert_eq!(engine.stats().rejected, 4 + 3);
     }
 
     /// Figure 8's rule over every hit ever delivered, whoever the rumor's

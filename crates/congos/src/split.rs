@@ -12,10 +12,10 @@
 //! from different partitions never combine — the auditor in [`crate::audit`]
 //! checks reconstruction per `(rumor, partition)` pair accordingly.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-use crate::messages::FragBytes;
 
 /// Splits `data` into `k ≥ 1` fragments such that the XOR of all fragments
 /// equals `data`, and any `k−1` of them are independent uniform randomness.
@@ -75,13 +75,13 @@ impl FragStore {
     pub fn stats(&self) -> FragStoreStats {
         FragStoreStats::default()
     }
-    pub fn intern_bytes(&self, bytes: &[u8]) -> FragBytes {
+    pub fn intern_bytes(&self, bytes: &[u8]) -> Arc<[u8]> {
         bytes.into()
     }
 }
 
-/// [`split`] into [`FragBytes`], ignoring the store (see [`FragStore`]).
-pub fn split_interned(rng: &mut SmallRng, data: &[u8], k: usize, _: &FragStore) -> Vec<FragBytes> {
+/// [`split`] into `Arc`s, ignoring the store (see [`FragStore`]).
+pub fn split_interned(rng: &mut SmallRng, data: &[u8], k: usize, _: &FragStore) -> Vec<Arc<[u8]>> {
     split(rng, data, k).into_iter().map(Into::into).collect()
 }
 

@@ -31,11 +31,11 @@ use std::sync::Arc;
 use congos_gossip::{GossipRumor, GossipWire, PushBatch, RumorId};
 use congos_sim::{IdSet, ProcessId, Round};
 
-use crate::messages::{CongosMsg, DestRef, FragBytes, Fragment, GossipLane, GossipPayload};
+use crate::messages::{CongosMsg, Fragment, GossipLane, GossipPayload};
 use crate::rumor::{CongosRumorId, Rumor};
 
 /// A gossip rumor as it crosses the wire.
-pub type WireRumor = GossipRumor<Arc<GossipPayload>>;
+pub type WireRumor = GossipRumor<GossipPayload>;
 
 /// A `(target, rumor id)` pair of a hit-set.
 type Hit = (ProcessId, CongosRumorId);
@@ -555,8 +555,8 @@ fn take_fragment(d: &mut Dec) -> io::Result<Fragment> {
         partition: d.u16()?,
         group: d.u8()?,
         k: d.u8()?,
-        bytes: FragBytes::from(d.bytes()?),
-        dest: DestRef::from(take_idset(d)?),
+        bytes: Arc::from(d.bytes()?),
+        dest: Arc::new(take_idset(d)?),
         dline: d.u64()?,
     })
 }
@@ -604,7 +604,7 @@ pub fn take_definition(span: &[u8], n: usize) -> io::Result<WireRumor> {
     let mut d = Dec::new(span, n);
     let rumor = GossipRumor {
         id: take_rid(&mut d)?,
-        payload: Arc::new(take_payload(&mut d)?),
+        payload: take_payload(&mut d)?,
         duration: d.u64()?,
         deadline: Round(d.u64()?),
         dest: take_idset(&mut d)?,
@@ -700,9 +700,9 @@ mod tests {
         assert_eq!(a, f);
         assert_eq!(b, f);
         assert!(
-            !FragBytes::ptr_eq(&a.bytes, &b.bytes) && !FragBytes::ptr_eq(&a.bytes, &f.bytes),
+            !Arc::ptr_eq(&a.bytes, &b.bytes) && !Arc::ptr_eq(&a.bytes, &f.bytes),
             "each decode allocates its own bytes"
         );
-        assert!(!DestRef::ptr_eq(&a.dest, &b.dest) && !DestRef::ptr_eq(&a.dest, &f.dest));
+        assert!(!Arc::ptr_eq(&a.dest, &b.dest) && !Arc::ptr_eq(&a.dest, &f.dest));
     }
 }

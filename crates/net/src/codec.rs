@@ -663,7 +663,7 @@ mod tests {
         }
     }
 
-    fn all_gossip(wire: congos_gossip::GossipWire<Arc<GossipPayload>>) -> WireFrame {
+    fn all_gossip(wire: congos_gossip::GossipWire<GossipPayload>) -> WireFrame {
         msg(CongosMsg::Gossip {
             lane: GossipLane::All { dline: 64 },
             wire,
@@ -678,7 +678,7 @@ mod tests {
                     birth: Round(1),
                     seq: 0,
                 },
-                payload: Arc::new(payload),
+                payload,
                 duration: 8,
                 deadline: Round(9),
                 dest: IdSet::from_iter(universe, [pid(1)]),
@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn gossip_wire_serializes_through_arc() {
-        // The Arc-shared gossip payloads must survive the codec.
+        // The Arc-shared gossip rumors must survive the codec.
         let frame = push(
             pid(0),
             GossipPayload::ProxyMeta {
@@ -983,9 +983,9 @@ mod tests {
                 birth: Round(1),
                 seq,
             },
-            payload: Arc::new(GossipPayload::ProxyMeta {
+            payload: GossipPayload::ProxyMeta {
                 failed_proxies: meta.iter().map(|&p| pid(p)).collect(),
-            }),
+            },
             duration: 8,
             deadline: Round(deadline),
             dest: IdSet::from_iter(universe, [pid(1)]),
@@ -996,10 +996,10 @@ mod tests {
     /// A rumor carrying one fragment of `len` bytes.
     fn rumor_of_size(seq: u32, len: usize, deadline: u64) -> WireRumor {
         let mut r = rumor_until(N, 0, seq, &[], deadline);
-        r.payload = Arc::new(GossipPayload::Fragments(vec![congos::Fragment {
+        r.payload = GossipPayload::Fragments(vec![congos::Fragment {
             bytes: vec![seq as u8; len].into(),
             ..fragment(pid(0), N)
-        }]));
+        }]);
         r
     }
 

@@ -1044,7 +1044,7 @@ mod tests {
 
     /// A gossip rumor of a two-node cluster with one `len`-byte fragment,
     /// live until round 1000.
-    fn gossip_rumor(seq: u32, len: usize) -> GossipRumor<Arc<GossipPayload>> {
+    fn gossip_rumor(seq: u32, len: usize) -> GossipRumor<GossipPayload> {
         let rid = CongosRumorId {
             source: pid(0),
             birth: Round(0),
@@ -1056,7 +1056,7 @@ mod tests {
                 birth: Round(0),
                 seq,
             },
-            payload: Arc::new(GossipPayload::Fragments(vec![Fragment {
+            payload: GossipPayload::Fragments(vec![Fragment {
                 rid,
                 wid: seq as u64,
                 partition: 0,
@@ -1065,7 +1065,7 @@ mod tests {
                 bytes: vec![seq as u8; len].into(),
                 dest: IdSet::from_iter(2, [pid(1)]).into(),
                 dline: 64,
-            }])),
+            }]),
             duration: 1000,
             deadline: Round(1000),
             dest: IdSet::from_iter(2, [pid(1)]),
@@ -1073,7 +1073,7 @@ mod tests {
         }
     }
 
-    fn push_of(rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> CongosMsg {
+    fn push_of(rumors: Vec<GossipRumor<GossipPayload>>) -> CongosMsg {
         CongosMsg::Gossip {
             lane: LANE,
             wire: GossipWire::Push(Arc::new(rumors.into())),

@@ -51,10 +51,10 @@ fn rid(seq: u32) -> RumorId {
     }
 }
 
-fn gossip_rumor(payload: GossipPayload) -> GossipRumor<Arc<GossipPayload>> {
+fn gossip_rumor(payload: GossipPayload) -> GossipRumor<GossipPayload> {
     GossipRumor {
         id: rid(0),
-        payload: Arc::new(payload),
+        payload,
         duration: 8,
         deadline: Round(40),
         dest: IdSet::from_iter(8, [ProcessId::new(2)]),
@@ -199,7 +199,7 @@ fn decode_warm(buf: &[u8]) -> Decoded {
 }
 
 /// A push of `rumors` from `src` in `round`.
-fn push_frame(src: usize, round: u64, rumors: Vec<GossipRumor<Arc<GossipPayload>>>) -> WireFrame {
+fn push_frame(src: usize, round: u64, rumors: Vec<GossipRumor<GossipPayload>>) -> WireFrame {
     WireFrame::Msg {
         src: ProcessId::new(src),
         round,
@@ -226,7 +226,7 @@ fn told(enc: &mut Encoder, frame: &WireFrame) -> Vec<u8> {
 }
 
 /// Six rumors, two of which share a `RumorId` with different contents.
-fn rumor_pool() -> Vec<GossipRumor<Arc<GossipPayload>>> {
+fn rumor_pool() -> Vec<GossipRumor<GossipPayload>> {
     let mut pool: Vec<_> = (0..5)
         .map(|i| {
             let mut r = gossip_rumor(GossipPayload::Fragments(vec![fragment(i)]));
@@ -235,9 +235,9 @@ fn rumor_pool() -> Vec<GossipRumor<Arc<GossipPayload>>> {
         })
         .collect();
     let mut twin = pool[0].clone();
-    twin.payload = Arc::new(GossipPayload::ProxyMeta {
+    twin.payload = GossipPayload::ProxyMeta {
         failed_proxies: vec![ProcessId::new(7)],
-    });
+    };
     pool.push(twin);
     pool
 }

@@ -104,11 +104,11 @@ fn lane(rng: &mut SmallRng) -> GossipLane {
     }
 }
 
-fn push_batch(rng: &mut SmallRng, n: usize) -> Arc<PushBatch<Arc<GossipPayload>>> {
+fn push_batch(rng: &mut SmallRng, n: usize) -> Arc<PushBatch<GossipPayload>> {
     let pushed: Vec<_> = (0..len(rng))
         .map(|_| GossipRumor {
             id: rid(rng, n),
-            payload: Arc::new(payload(rng, n)),
+            payload: payload(rng, n),
             duration: rng.gen(),
             deadline: Round(rng.gen()),
             dest: idset(rng, n),

@@ -4,8 +4,8 @@
 #   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
 #                            #        congos, adversary and baselines crate
 #                            #        tests (gossip's and congos's class
-#                            #        engine's in release too) + from
-#                            #        the congos-harness lib
+#                            #        engine's and node's in release too)
+#                            #        + from the congos-harness lib
 #                            #        (otherwise outside tier-1) the E10 and
 #                            #        E11 tests, the only ones that read
 #                            #        simulator bytes + the benchmark
@@ -15,7 +15,7 @@
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
 #                            #        target/BENCH_topology_smoke.json)
-#   scripts/ci.sh mem        # memory target only: fragment-handle
+#   scripts/ci.sh mem        # memory target only: fragment-equality
 #                            #        proptests, the congos soak test
 #                            #        (release, ~3 s: 1024 rounds of churn
 #                            #        and attacks, bounded state) and the
@@ -71,8 +71,8 @@ run_topo() {
 }
 
 run_mem() {
-    echo "==> mem: fragment-handle proptests"
-    cargo test -q -p congos --test handles_prop
+    echo "==> mem: fragment-equality proptests"
+    cargo test -q -p congos --test fragment_prop
     echo "==> mem: congos soak test (release)"
     cargo test -q --release -p congos --test soak -- --ignored
     echo "==> mem: exp e3m smoke sweep under a hard peak-RSS budget"
@@ -222,10 +222,12 @@ echo "==> tier1: congos-gossip tests in release"
 # member) must see it drop them by its own checks.
 cargo test -q --release -p congos-gossip
 
-echo "==> tier1: congos class-engine tests in release"
-# Likewise for the class engine: its rejection counts and the confirmation
-# rule's reference test must hold where `debug_assert!`s are compiled out.
+echo "==> tier1: congos class-engine and node tests in release"
+# Likewise for the class engine and the node: their rejection counts, the
+# node's hostile-input tests and the confirmation rule's reference test must
+# hold where `debug_assert!`s are compiled out.
 cargo test -q --release -p congos --lib services::class_engine
+cargo test -q --release -p congos --lib node::
 
 echo "==> tier1: E10 and E11, the tests that read simulator bytes, in release"
 # Both run in about 1 s together on a 2-core host, after the harness lib's
