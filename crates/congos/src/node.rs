@@ -57,6 +57,8 @@ pub struct CongosNode {
     me: ProcessId,
     n: usize,
     cfg: CongosConfig,
+    /// `cfg.deadline_cap(n)`, the paper's `c·log⁶ n`, computed once.
+    deadline_cap: u64,
     partitions: PartitionSet,
     /// `None` = alive since the beginning of the execution (treated as
     /// "alive forever", matching the paper's long-running system); `Some(t)`
@@ -110,6 +112,7 @@ impl CongosNode {
         CongosNode {
             me,
             n,
+            deadline_cap: cfg.deadline_cap(n),
             cfg,
             partitions,
             alive_since: None,
@@ -218,7 +221,7 @@ impl CongosNode {
         if self.partitions.is_empty() || self.cfg.degenerate_collusion(self.n) {
             return None;
         }
-        let dline = trim_deadline(deadline, self.cfg.deadline_cap(self.n));
+        let dline = trim_deadline(deadline, self.deadline_cap);
         (dline >= self.cfg.direct_threshold).then_some(dline)
     }
 
@@ -243,7 +246,7 @@ impl CongosNode {
     fn valid_class(&self, dline: u64) -> bool {
         dline.is_power_of_two()
             && dline >= self.cfg.direct_threshold
-            && dline <= trim_deadline(u64::MAX, self.cfg.deadline_cap(self.n))
+            && dline <= trim_deadline(u64::MAX, self.deadline_cap)
     }
 
     fn save_fragment(&mut self, ctx: &mut Context<'_, Self>, f: Fragment) {
@@ -258,7 +261,7 @@ impl CongosNode {
         }
         let key = (f.rid, f.partition);
         if !self.parts.contains_key(&key) {
-            let horizon = 2 * self.cfg.deadline_cap(self.n);
+            let horizon = 2 * self.deadline_cap;
             self.parts_expiry.insert((f.rid.birth + horizon).as_u64(), key);
         }
         let entry = self.parts.entry(key).or_insert_with(|| PartsEntry {
@@ -286,7 +289,7 @@ impl CongosNode {
 
     fn deliver(&mut self, ctx: &mut Context<'_, Self>, mut out: DeliveredRumor) {
         if self.delivered.insert(out.rid) {
-            let horizon = 2 * self.cfg.deadline_cap(self.n);
+            let horizon = 2 * self.deadline_cap;
             self.delivered_expiry
                 .insert((out.rid.birth + horizon).as_u64(), out.rid);
             // Reassembly state for this rumor is no longer needed. (Its

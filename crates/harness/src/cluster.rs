@@ -547,6 +547,25 @@ mod tests {
         assert!(w1.iter().all(|d| d.round.as_u64() <= 5 + 64));
     }
 
+    /// Each node writes to each peer once per round: the peer's frames and
+    /// the round's marker leave together. The traffic is light enough for
+    /// every socket to take every write whole.
+    #[test]
+    fn a_round_is_one_write_per_peer() {
+        let (n, rounds) = (4, 16);
+        let report = Cluster::new(n, 18590)
+            .rounds(rounds)
+            .seed(5)
+            .run(vec![(
+                0,
+                ProcessId::new(0),
+                input(0, b"w".to_vec(), 16, &[1, 3]),
+            )])
+            .expect("cluster run");
+        assert!(report.messages > 0);
+        assert_eq!(report.wire.writes, (n * (n - 1)) as u64 * rounds);
+    }
+
     #[test]
     fn single_node_cluster() {
         let report = Cluster::new(1, 18550)

@@ -9,11 +9,16 @@
 //!   written; one inbound connection per peer, accepted during construction
 //!   and only ever read.
 //! * **Sending**: the round's outbox is stable-sorted by destination, and
-//!   each peer's frames are encoded into one reusable scratch buffer and
-//!   written with one `write`. The node's one [`Encoder`] writes a gossip
-//!   rumor's bytes to a peer once and refers to them afterwards (see
-//!   [`codec`](crate::codec)). Only the bytes the socket would not take wait
-//!   in that peer's pending buffer, which is freed once it drains.
+//!   each peer's frames, followed by the round's end-of-round marker, are
+//!   encoded into one reusable scratch buffer and written with one `write`
+//!   — every peer gets that write, in ascending id order, even when it has
+//!   no frames. That closes the round: a later frame would follow a marker,
+//!   so a second `send_outbox` is `InvalidInput`, and `end_of_round` only
+//!   sends the markers `send_outbox` did not. The node's one [`Encoder`]
+//!   writes a gossip rumor's bytes to a peer once and refers to them
+//!   afterwards (see [`codec`](crate::codec)). Only the bytes the socket
+//!   would not take wait in that peer's pending buffer, which is freed once
+//!   it drains.
 //! * **Receiving**: each inbound connection reads into its own buffer, and
 //!   the complete frames in it are decoded in place after every read, by
 //!   the node's one [`Decoder`], which resolves each peer's references to
@@ -87,6 +92,9 @@ struct Peer {
     /// Whether this peer's end-of-round marker for the current round has
     /// arrived.
     marked: bool,
+    /// The last round whose end-of-round marker this node sent the peer
+    /// (written or pending): nothing more may follow it that round.
+    marker_sent: Option<u64>,
 }
 
 impl Peer {
@@ -166,7 +174,7 @@ pub struct TcpTransport {
     /// between rounds.
     outbox: Vec<(ProcessId, CongosMsg)>,
     /// Encode buffer shared by every frame this node sends: one peer's
-    /// frames of a round, or one marker.
+    /// frames of a round and its marker, or a marker alone.
     scratch: Vec<u8>,
     /// `poll` set: one entry per inbound connection, then one per peer id.
     pollfds: Vec<PollFd>,
@@ -318,6 +326,7 @@ impl TcpTransport {
                         sent: 0,
                         claimed: false,
                         marked: false,
+                        marker_sent: None,
                     });
                 }
                 Err(e) => {
@@ -382,6 +391,20 @@ impl TcpTransport {
             .expect("a connection to every peer");
         peer.send(&self.scratch, &mut self.wire)
             .map_err(|e| write_error(self.me, dst.as_usize(), e))
+    }
+
+    /// Appends `round`'s end-of-round marker to `scratch` and sends the lot
+    /// to peer `dst`, whose round it closes.
+    fn close_round(&mut self, dst: ProcessId, round: Round) -> io::Result<()> {
+        let marker = WireFrame::EndOfRound {
+            src: self.me,
+            round: round.as_u64(),
+        };
+        encode_frame(&mut self.scratch, &marker)?;
+        self.send_scratch(dst)?;
+        let peer = self.peers[dst.as_usize()].as_mut().expect("a peer");
+        peer.marker_sent = Some(round.as_u64());
+        Ok(())
     }
 
     /// Reads inbound connection `i` until it would block, decoding each
@@ -563,6 +586,21 @@ impl RoundTransport<CongosMsg> for TcpTransport {
     ) -> io::Result<()> {
         debug_assert_eq!(src, self.me, "a TcpTransport serves exactly one node");
         let r = round.as_u64();
+        if self
+            .peers
+            .iter()
+            .flatten()
+            .any(|p| p.marker_sent == Some(r))
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "node {}: {round} is closed: a frame after its end-of-round \
+                     marker would break the peer's barrier",
+                    self.me
+                ),
+            ));
+        }
         let mut outbox = std::mem::take(&mut self.outbox);
         for (dst, tag, payload) in out.drain() {
             if dst == self.me {
@@ -586,47 +624,43 @@ impl RoundTransport<CongosMsg> for TcpTransport {
         }
         // Stable: each peer's messages keep their send order.
         outbox.sort_by_key(|&(dst, _)| dst);
-        self.scratch.clear();
-        let mut batch = None;
-        for (dst, payload) in outbox.drain(..) {
-            match batch {
-                Some(b) if b != dst => {
-                    self.send_scratch(b)?;
-                    self.scratch.clear();
+        let mut frames = outbox.drain(..).peekable();
+        for dst in (0..self.n).map(ProcessId::new) {
+            if dst == self.me {
+                continue;
+            }
+            self.scratch.clear();
+            while let Some((_, payload)) = frames.next_if(|&(d, _)| d == dst) {
+                let frame = WireFrame::Msg {
+                    src: self.me,
+                    round: r,
+                    payload,
+                };
+                if let Err(e) = self.encoder.encode_frame(&mut self.scratch, &frame, dst) {
+                    // The frames already in the batch were told: they go
+                    // out, and the round stays open.
+                    self.send_scratch(dst)?;
+                    return Err(e);
                 }
-                _ => {}
+                self.messages += 1;
             }
-            batch = Some(dst);
-            let frame = WireFrame::Msg {
-                src: self.me,
-                round: r,
-                payload,
-            };
-            if let Err(e) = self.encoder.encode_frame(&mut self.scratch, &frame, dst) {
-                // The frames already in the batch were told: they go out.
-                self.send_scratch(dst)?;
-                return Err(e);
-            }
-            self.messages += 1;
+            self.close_round(dst, round)?;
         }
-        if let Some(b) = batch {
-            self.send_scratch(b)?;
-        }
+        drop(frames);
         self.outbox = outbox;
         Ok(())
     }
 
     fn end_of_round(&mut self, round: Round, src: ProcessId) -> io::Result<()> {
         debug_assert_eq!(src, self.me);
-        let marker = WireFrame::EndOfRound {
-            src: self.me,
-            round: round.as_u64(),
-        };
-        self.scratch.clear();
-        encode_frame(&mut self.scratch, &marker)?;
+        // `send_outbox` closed the round to every peer it wrote to.
         for dst in (0..self.n).map(ProcessId::new) {
-            if dst != self.me {
-                self.send_scratch(dst)?;
+            if self.peers[dst.as_usize()]
+                .as_ref()
+                .is_some_and(|p| p.marker_sent != Some(round.as_u64()))
+            {
+                self.scratch.clear();
+                self.close_round(dst, round)?;
             }
         }
         Ok(())
@@ -1080,37 +1114,46 @@ mod tests {
         }
     }
 
-    /// Runs `send` on node 0 of a two-node cluster at `base`, whose peer is a
-    /// raw socket. Returns the transport and every byte it wrote to the
-    /// peer.
+    /// Runs `send` on node 0 of an `n`-node cluster at `base`, whose peers
+    /// are raw sockets. Returns the transport and, for each peer `1..n`,
+    /// every byte it wrote to that peer.
     fn node_0_writes(
+        n: usize,
         base: u16,
         topology: TopologySpec,
         seed: u64,
         send: impl FnOnce(&mut TcpTransport) + Send + 'static,
-    ) -> (TcpTransport, Vec<u8>) {
+    ) -> (TcpTransport, Vec<Vec<u8>>) {
         let node = std::thread::spawn(move || {
             let listener = TcpListener::bind(("127.0.0.1", base)).expect("bind");
             let mut t =
-                TcpTransport::build(pid(0), 2, base, listener, topology, seed, CONNECT_DEADLINE)
+                TcpTransport::build(pid(0), n, base, listener, topology, seed, CONNECT_DEADLINE)
                     .expect("node 0 transport");
             send(&mut t);
             t
         });
-        let (listeners, _fakes) = raw_peers(2, base);
+        let (listeners, _fakes) = raw_peers(n, base);
         let mut t = node.join().expect("node thread");
-        // Closing the connection ends the peer's stream.
-        let out = t.peers[1].take().expect("a peer").out;
-        drop(out);
-        let (mut from_node, _) = listeners[0].accept().expect("node 0 dialed p1");
-        let mut bytes = Vec::new();
-        from_node.read_to_end(&mut bytes).expect("read");
+        let bytes = listeners
+            .iter()
+            .enumerate()
+            .map(|(i, listener)| {
+                // Closing the connection ends the peer's stream.
+                let out = t.peers[i + 1].take().expect("a peer").out;
+                drop(out);
+                let (mut from_node, _) = listener.accept().expect("node 0 dialed the peer");
+                let mut bytes = Vec::new();
+                from_node.read_to_end(&mut bytes).expect("read");
+                bytes
+            })
+            .collect();
         (t, bytes)
     }
 
-    /// Decodes every frame of `bytes` with one fresh decoder.
-    fn frames_in(bytes: &[u8]) -> Vec<WireFrame> {
-        let mut dec = Decoder::new(2);
+    /// Decodes every frame of `bytes` with one fresh decoder of an `n`-node
+    /// cluster.
+    fn frames_in(n: usize, bytes: &[u8]) -> Vec<WireFrame> {
+        let mut dec = Decoder::new(n);
         let mut rest = bytes;
         let mut frames = Vec::new();
         while let Some((frame, used)) = dec.decode(rest).expect("decodes") {
@@ -1119,6 +1162,25 @@ mod tests {
         }
         assert!(rest.is_empty());
         frames
+    }
+
+    /// The messages among `frames`, markers skipped.
+    fn msgs(frames: Vec<WireFrame>) -> Vec<CongosMsg> {
+        frames
+            .into_iter()
+            .filter_map(|f| match f {
+                WireFrame::Msg { payload, .. } => Some(payload),
+                WireFrame::EndOfRound { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Node 0's round-`r` end-of-round marker.
+    fn marker(r: u64) -> WireFrame {
+        WireFrame::EndOfRound {
+            src: pid(0),
+            round: r,
+        }
     }
 
     /// A frame the topology drops tells its peer nothing: the first push
@@ -1135,7 +1197,7 @@ mod tests {
             .collect();
         let rumor = gossip_rumor(0, 8);
         let id = rumor.id;
-        let (t, bytes) = node_0_writes(21360, spec, seed, move |t| {
+        let (t, bytes) = node_0_writes(2, 21360, spec, seed, move |t| {
             for r in rounds {
                 let mut out = SendColumns::default();
                 let msg = push_of(vec![rumor.clone()]);
@@ -1148,12 +1210,10 @@ mod tests {
         let stats = t.wire_stats();
         assert_eq!((stats.rumors_defined, stats.rumors_referenced), (1, 1));
         // A fresh decoder resolves the reference only after the definition.
-        let frames = frames_in(&bytes);
+        let frames = msgs(frames_in(2, &bytes[0]));
         assert_eq!(frames.len(), 2);
-        for frame in frames {
-            assert!(
-                matches!(frame, WireFrame::Msg { payload, .. } if payload == push_of(vec![gossip_rumor(0, 8)]))
-            );
+        for payload in frames {
+            assert!(payload == push_of(vec![gossip_rumor(0, 8)]));
         }
     }
 
@@ -1163,7 +1223,7 @@ mod tests {
     fn an_encode_error_leaves_no_told_mark() {
         let (small, other) = (gossip_rumor(0, 8), gossip_rumor(1, 8));
         let (first, second) = (small.id, other.id);
-        let (t, bytes) = node_0_writes(21380, TopologySpec::Complete, 0, move |t| {
+        let (t, bytes) = node_0_writes(2, 21380, TopologySpec::Complete, 0, move |t| {
             let mut out = SendColumns::default();
             for rumors in [vec![small], vec![other, gossip_rumor(2, MAX_FRAME_LEN)]] {
                 let msg = push_of(rumors);
@@ -1175,39 +1235,115 @@ mod tests {
             assert!(!t.encoder.told(LANE, second, pid(1)));
         });
         assert_eq!(t.messages(), 1);
-        let frames = frames_in(&bytes);
+        let frames = msgs(frames_in(2, &bytes[0]));
         assert_eq!(frames.len(), 1);
-        assert!(
-            matches!(&frames[0], WireFrame::Msg { payload, .. } if *payload == push_of(vec![gossip_rumor(0, 8)]))
-        );
+        assert!(frames[0] == push_of(vec![gossip_rumor(0, 8)]));
     }
 
-    /// A round's frames to one peer go out in send order with one `write`,
-    /// and its marker with one more.
+    /// A round leaves for each peer in one `write`: the peer's frames in
+    /// send order, then the round's marker. A peer with no frames, or whose
+    /// only frame the topology dropped, gets the marker alone, and
+    /// `end_of_round` has nothing left to write.
     #[test]
     fn a_peers_frames_of_a_round_take_one_write() {
-        let shots: Vec<_> = (0..5).map(|i| shoot(vec![i; 4], pid(1), 2)).collect();
+        let (n, spec, seed) = (4, TopologySpec::churn(0.5), 5);
+        let topology = Topology::build(spec, n, seed);
+        let up = |r: u64, j: usize| topology.connected(Round(r), pid(0), pid(j));
+        let (r, to, dropped) = (0..)
+            .find_map(|r| {
+                let to = (1..n).find(|&j| up(r, j))?;
+                let dropped = (1..n).find(|&j| !up(r, j))?;
+                Some((r, to, dropped))
+            })
+            .expect("a round with a link up and a link down");
+        let idle = (1..n)
+            .find(|&j| j != to && j != dropped)
+            .expect("a third peer");
+        let shots: Vec<_> = (0..5).map(|i| shoot(vec![i; 4], pid(to), n)).collect();
         let sent = shots.clone();
-        let (t, bytes) = node_0_writes(21400, TopologySpec::Complete, 0, move |t| {
+        let (t, bytes) = node_0_writes(n, 21400, spec, seed, move |t| {
             let mut out = SendColumns::default();
             for (i, msg) in sent.into_iter().enumerate() {
-                out.push(pid((i + 1) % 2), msg.tag(), msg); // 1, 0, 1, 0, 1
+                let dst = if i % 2 == 0 { to } else { 0 }; // to, 0, to, 0, to
+                out.push(pid(dst), msg.tag(), msg);
             }
-            t.send_outbox(Round(0), pid(0), &mut out).expect("send");
-            assert_eq!(t.wire_stats().writes, 1);
-            t.end_of_round(Round(0), pid(0)).expect("marker");
+            let msg = shoot(vec![9; 4], pid(dropped), n);
+            out.push(pid(dropped), msg.tag(), msg);
+            t.send_outbox(Round(r), pid(0), &mut out).expect("send");
+            assert_eq!(t.wire_stats().writes, n as u64 - 1);
+            t.end_of_round(Round(r), pid(0)).expect("marker");
+            assert_eq!(t.wire_stats().writes, n as u64 - 1);
         });
         let stats = t.wire_stats();
-        assert_eq!(stats.writes, 2);
-        assert_eq!(stats.bytes_out, bytes.len() as u64);
-        let got: Vec<_> = frames_in(&bytes)
-            .into_iter()
-            .filter_map(|f| match f {
-                WireFrame::Msg { payload, .. } => Some(payload),
-                WireFrame::EndOfRound { .. } => None,
-            })
-            .collect();
-        assert_eq!(got, [&shots[0], &shots[2], &shots[4]].map(Clone::clone));
+        assert_eq!(stats.writes, n as u64 - 1);
+        let total: usize = bytes.iter().map(Vec::len).sum();
+        assert_eq!(stats.bytes_out, total as u64);
+        assert_eq!(t.topology_drops(), 1);
+        let msg = |payload: &CongosMsg| WireFrame::Msg {
+            src: pid(0),
+            round: r,
+            payload: payload.clone(),
+        };
+        let want = [&shots[0], &shots[2], &shots[4]].map(msg);
+        assert_eq!(
+            frames_in(n, &bytes[to - 1]),
+            [&want[..], &[marker(r)]].concat()
+        );
+        assert_eq!(frames_in(n, &bytes[dropped - 1]), [marker(r)]);
+        assert_eq!(frames_in(n, &bytes[idle - 1]), [marker(r)]);
         assert_eq!(t.self_inbox.len(), 2);
+    }
+
+    /// A round whose markers went out takes no more frames: a second
+    /// `send_outbox` is refused and writes nothing.
+    #[test]
+    fn a_send_after_the_round_closed_is_invalid_input() {
+        let (t, bytes) = node_0_writes(2, 21420, TopologySpec::Complete, 0, |t| {
+            for expect_closed in [false, true] {
+                let mut out = SendColumns::default();
+                let msg = shoot(vec![1; 4], pid(1), 2);
+                out.push(pid(1), msg.tag(), msg);
+                let sent = t.send_outbox(Round(0), pid(0), &mut out);
+                assert_eq!(sent.is_err(), expect_closed);
+                if let Err(e) = sent {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{e}");
+                    assert!(e.to_string().contains("r0 is closed"), "{e}");
+                }
+            }
+            t.end_of_round(Round(0), pid(0)).expect("marker");
+        });
+        assert_eq!((t.wire_stats().writes, t.messages()), (1, 1));
+        let frames = frames_in(2, &bytes[0]);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[1], marker(0));
+    }
+
+    /// An encode error leaves the round open: the failing peer's earlier
+    /// frames go out without a marker, and `end_of_round` sends that peer
+    /// its marker and the peers already closed nothing more.
+    #[test]
+    fn an_encode_error_leaves_the_round_open() {
+        let (n, base) = (3, 21440);
+        let (t, bytes) = node_0_writes(n, base, TopologySpec::Complete, 0, move |t| {
+            let mut out = SendColumns::default();
+            let to_p1 = shoot(vec![1; 4], pid(1), n);
+            out.push(pid(1), to_p1.tag(), to_p1);
+            let fits = shoot(vec![2; 4], pid(2), n);
+            out.push(pid(2), fits.tag(), fits);
+            let too_big = shoot(vec![3; MAX_FRAME_LEN], pid(2), n);
+            out.push(pid(2), too_big.tag(), too_big);
+            let err = t.send_outbox(Round(0), pid(0), &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(t.wire_stats().writes, 2);
+            t.end_of_round(Round(0), pid(0)).expect("the round is open");
+        });
+        assert_eq!((t.wire_stats().writes, t.messages()), (3, 2));
+        let shots = [1, 2].map(|j| WireFrame::Msg {
+            src: pid(0),
+            round: 0,
+            payload: shoot(vec![j as u8; 4], pid(j), n),
+        });
+        assert_eq!(frames_in(n, &bytes[0]), [shots[0].clone(), marker(0)]);
+        assert_eq!(frames_in(n, &bytes[1]), [shots[1].clone(), marker(0)]);
     }
 }

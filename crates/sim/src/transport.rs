@@ -39,11 +39,14 @@ use crate::topology::{Topology, TopologySpec};
 ///
 /// The round contract, per node and per round `r`:
 ///
-/// 1. [`send_outbox`](RoundTransport::send_outbox) — ship the node's round-`r`
-///    messages (the transport takes ownership; self-sends are looped back by
-///    the transport, not the caller).
+/// 1. [`send_outbox`](RoundTransport::send_outbox), at most once per round —
+///    ship the node's round-`r` messages (the transport takes ownership;
+///    self-sends are looped back by the transport, not the caller). A socket
+///    transport may put the round's end-of-round announcement on the wire
+///    together with these frames.
 /// 2. [`end_of_round`](RoundTransport::end_of_round) — announce that the node
-///    will send nothing more in round `r`.
+///    will send nothing more in round `r`, if `send_outbox` has not already
+///    done so.
 /// 3. [`recv_until_barrier`](RoundTransport::recv_until_barrier) — block until
 ///    every process's round-`r` announcement has been observed, then hand
 ///    back everything delivered to this node in round `r`.
@@ -52,11 +55,13 @@ use crate::topology::{Topology, TopologySpec};
 /// and topology filtering, a socket runtime's sender-side topology drops) but
 /// must never reorder messages of one `(src, dst)` pair.
 pub trait RoundTransport<M> {
-    /// Ships node `src`'s round-`round` sends, draining `out`.
+    /// Ships node `src`'s round-`round` sends, draining `out`. Called at
+    /// most once per round.
     ///
     /// # Errors
     ///
-    /// Transport-level failure (e.g. a lost peer connection).
+    /// Transport-level failure (e.g. a lost peer connection), or a second
+    /// call in a round whose announcement has already gone out.
     fn send_outbox(
         &mut self,
         round: Round,

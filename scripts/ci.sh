@@ -8,7 +8,10 @@
 #                            #        + from the congos-harness lib
 #                            #        (otherwise outside tier-1) the E10 and
 #                            #        E11 tests, the only ones that read
-#                            #        simulator bytes + the benchmark
+#                            #        simulator bytes + the congos-net
+#                            #        transport unit tests (≈ 1 s: the
+#                            #        round's write shape per peer and the
+#                            #        send/marker contract) + the benchmark
 #                            #        package (its pinned API surface) +
 #                            #        every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
@@ -235,6 +238,11 @@ echo "==> tier1: E10 and E11, the tests that read simulator bytes, in release"
 cargo test -q --release -p congos-harness --lib -- --exact \
     experiments::e10_metadata_hiding::tests::e10_bytes_blow_up_more_than_messages \
     experiments::e11_communication::tests::e11_overhead_amortizes_with_rumor_size
+
+echo "==> tier1: congos-net transport unit tests"
+# Each peer's round leaves in one write, frames then marker; the tests pin
+# that shape and the contract around it over raw loopback sockets.
+cargo test -q -p congos-net --lib transport::
 
 echo "==> tier1: benchmark package builds and passes against this tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
