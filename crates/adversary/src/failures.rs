@@ -196,7 +196,7 @@ impl FailurePlan for ProxyKiller {
         view: &RoundView<'_>,
     ) -> (Vec<CrashSpec>, Vec<(ProcessId, IncomingPolicy)>) {
         let mut victims: Vec<ProcessId> = Vec::new();
-        for m in view.outbox {
+        for m in view.outbox.iter() {
             if m.tag == self.tag
                 && view.alive[m.dst.as_usize()]
                 && !self.protected.contains(&m.dst)
@@ -282,21 +282,40 @@ impl FailurePlan for GroupAnnihilator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_sim::OutboxMeta;
+    use congos_sim::message::SendColumns;
+    use congos_sim::{OutboxColumns, OutboxView};
 
-    fn view<'a>(round: u64, alive: &'a [bool], outbox: &'a [OutboxMeta]) -> RoundView<'a> {
+    fn view<'a>(round: u64, alive: &'a [bool], outbox: &'a OutboxColumns<()>) -> RoundView<'a> {
         RoundView {
             round: Round(round),
             alive,
-            outbox,
+            outbox: outbox.view(),
         }
+    }
+
+    /// A view of a round in which nothing was sent.
+    fn quiet(round: u64, alive: &[bool]) -> RoundView<'_> {
+        RoundView {
+            round: Round(round),
+            alive,
+            outbox: OutboxView::default(),
+        }
+    }
+
+    /// An outbox of `(src, dst, tag)` messages, each in a slot of its own.
+    fn columns(msgs: &[(usize, usize, &'static str)]) -> OutboxColumns<()> {
+        let mut cols = OutboxColumns::new();
+        for &(src, dst, tag) in msgs {
+            cols.push(ProcessId::new(src), ProcessId::new(dst), Tag(tag), ());
+        }
+        cols
     }
 
     #[test]
     fn random_churn_respects_protection() {
         let alive = vec![true; 50];
         let mut churn = RandomChurn::new(1.0, 0.0, 1).protect(ProcessId::all(10));
-        let (crashes, _) = churn.decide_failures(&view(0, &alive, &[]));
+        let (crashes, _) = churn.decide_failures(&quiet(0, &alive));
         assert_eq!(crashes.len(), 40);
         assert!(crashes.iter().all(|c| c.process.as_usize() >= 10));
     }
@@ -306,7 +325,7 @@ mod tests {
         let mut alive = vec![true; 4];
         alive[2] = false;
         let mut churn = RandomChurn::new(0.0, 1.0, 1);
-        let (crashes, restarts) = churn.decide_failures(&view(0, &alive, &[]));
+        let (crashes, restarts) = churn.decide_failures(&quiet(0, &alive));
         assert!(crashes.is_empty());
         assert_eq!(restarts.len(), 1);
         assert_eq!(restarts[0].0, ProcessId::new(2));
@@ -319,34 +338,22 @@ mod tests {
             .restart_at(Round(2), ProcessId::new(0));
         let alive = vec![true; 2];
         let dead = vec![false, true];
-        assert!(sched.decide_failures(&view(0, &alive, &[])).0.is_empty());
-        assert_eq!(sched.decide_failures(&view(1, &alive, &[])).0.len(), 1);
+        assert!(sched.decide_failures(&quiet(0, &alive)).0.is_empty());
+        assert_eq!(sched.decide_failures(&quiet(1, &alive)).0.len(), 1);
         // Restart only applies if actually crashed.
-        assert_eq!(sched.decide_failures(&view(2, &dead, &[])).1.len(), 1);
+        assert_eq!(sched.decide_failures(&quiet(2, &dead)).1.len(), 1);
         let mut sched2 = ScheduledChurn::new().restart_at(Round(2), ProcessId::new(0));
-        assert!(sched2.decide_failures(&view(2, &alive, &[])).1.is_empty());
+        assert!(sched2.decide_failures(&quiet(2, &alive)).1.is_empty());
     }
 
     #[test]
     fn proxy_killer_targets_tagged_receivers() {
         let alive = vec![true; 4];
-        let outbox = [
-            OutboxMeta {
-                src: ProcessId::new(0),
-                dst: ProcessId::new(1),
-                tag: Tag("proxy_request"),
-            },
-            OutboxMeta {
-                src: ProcessId::new(0),
-                dst: ProcessId::new(2),
-                tag: Tag("other"),
-            },
-            OutboxMeta {
-                src: ProcessId::new(0),
-                dst: ProcessId::new(3),
-                tag: Tag("proxy_request"),
-            },
-        ];
+        let outbox = columns(&[
+            (0, 1, "proxy_request"),
+            (0, 2, "other"),
+            (0, 3, "proxy_request"),
+        ]);
         let mut killer = ProxyKiller::new(Tag("proxy_request"), 10);
         let (crashes, _) = killer.decide_failures(&view(0, &alive, &outbox));
         let victims: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
@@ -355,27 +362,30 @@ mod tests {
     }
 
     #[test]
+    fn proxy_killer_sees_every_target_of_a_shared_payload() {
+        let alive = vec![true; 5];
+        let mut sent = SendColumns::default();
+        sent.push(ProcessId::new(4), Tag("other"), ());
+        sent.push_each(ProcessId::all(4).skip(1), Tag("proxy_request"), ());
+        let mut outbox = OutboxColumns::new();
+        outbox.append_from(ProcessId::new(0), &mut sent);
+        let mut killer = ProxyKiller::new(Tag("proxy_request"), 10);
+        let (crashes, _) = killer.decide_failures(&view(0, &alive, &outbox));
+        let victims: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
+        assert_eq!(victims, vec![1, 2, 3]);
+    }
+
+    #[test]
     fn proxy_killer_budget_and_revival() {
         let alive = vec![true; 4];
-        let outbox = [
-            OutboxMeta {
-                src: ProcessId::new(0),
-                dst: ProcessId::new(1),
-                tag: Tag("p"),
-            },
-            OutboxMeta {
-                src: ProcessId::new(0),
-                dst: ProcessId::new(2),
-                tag: Tag("p"),
-            },
-        ];
+        let outbox = columns(&[(0, 1, "p"), (0, 2, "p")]);
         let mut killer = ProxyKiller::new(Tag("p"), 1).revive_after(2);
         let (crashes, _) = killer.decide_failures(&view(0, &alive, &outbox));
         assert_eq!(crashes.len(), 1);
         // Two rounds later the victim is revived.
         let mut dead = vec![true; 4];
         dead[1] = false;
-        let (_, restarts) = killer.decide_failures(&view(2, &dead, &[]));
+        let (_, restarts) = killer.decide_failures(&quiet(2, &dead));
         assert_eq!(restarts, vec![(ProcessId::new(1), IncomingPolicy::DropAll)]);
     }
 
@@ -383,8 +393,8 @@ mod tests {
     fn group_annihilator_kills_exactly_one_side() {
         let alive = vec![true; 8];
         let mut ann = GroupAnnihilator::new(1, 0, Round(3));
-        assert!(ann.decide_failures(&view(0, &alive, &[])).0.is_empty());
-        let (crashes, _) = ann.decide_failures(&view(3, &alive, &[]));
+        assert!(ann.decide_failures(&quiet(0, &alive)).0.is_empty());
+        let (crashes, _) = ann.decide_failures(&quiet(3, &alive));
         // ids with bit 1 == 0: 0,1,4,5
         let victims: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
         assert_eq!(victims, vec![0, 1, 4, 5]);
@@ -441,7 +451,7 @@ impl FailurePlan for Eclipse {
             return (Vec::new(), Vec::new());
         }
         let mut victims: Vec<ProcessId> = Vec::new();
-        for m in view.outbox {
+        for m in view.outbox.iter() {
             if m.dst == self.victim
                 && m.src != self.victim
                 && view.alive[m.src.as_usize()]
@@ -528,36 +538,38 @@ impl FailurePlan for RollingWaves {
 #[cfg(test)]
 mod extra_tests {
     use super::*;
-    use congos_sim::OutboxMeta;
+    use congos_sim::{OutboxColumns, OutboxView};
 
-    fn view<'a>(round: u64, alive: &'a [bool], outbox: &'a [OutboxMeta]) -> RoundView<'a> {
+    fn view<'a>(round: u64, alive: &'a [bool], outbox: &'a OutboxColumns<()>) -> RoundView<'a> {
         RoundView {
             round: Round(round),
             alive,
-            outbox,
+            outbox: outbox.view(),
         }
+    }
+
+    /// A view of a round in which nothing was sent.
+    fn quiet(round: u64, alive: &[bool]) -> RoundView<'_> {
+        RoundView {
+            round: Round(round),
+            alive,
+            outbox: OutboxView::default(),
+        }
+    }
+
+    /// An outbox of `(src, dst, tag)` messages, each in a slot of its own.
+    fn columns(msgs: &[(usize, usize, &'static str)]) -> OutboxColumns<()> {
+        let mut cols = OutboxColumns::new();
+        for &(src, dst, tag) in msgs {
+            cols.push(ProcessId::new(src), ProcessId::new(dst), Tag(tag), ());
+        }
+        cols
     }
 
     #[test]
     fn eclipse_crashes_victims_correspondents_only() {
         let alive = vec![true; 5];
-        let outbox = [
-            OutboxMeta {
-                src: ProcessId::new(1),
-                dst: ProcessId::new(0),
-                tag: Tag("x"),
-            },
-            OutboxMeta {
-                src: ProcessId::new(2),
-                dst: ProcessId::new(3),
-                tag: Tag("x"),
-            },
-            OutboxMeta {
-                src: ProcessId::new(4),
-                dst: ProcessId::new(0),
-                tag: Tag("x"),
-            },
-        ];
+        let outbox = columns(&[(1, 0, "x"), (2, 3, "x"), (4, 0, "x")]);
         let mut e = Eclipse::new(ProcessId::new(0), Round(10), 8)
             .protect([ProcessId::new(4)]);
         let (crashes, _) = e.decide_failures(&view(0, &alive, &outbox));
@@ -573,9 +585,9 @@ mod extra_tests {
     fn rolling_waves_flap_disjoint_windows() {
         let alive = vec![true; 9];
         let mut w = RollingWaves::new(3, 8);
-        assert!(w.decide_failures(&view(0, &alive, &[])).0.is_empty());
-        assert!(w.decide_failures(&view(5, &alive, &[])).0.is_empty());
-        let (crashes, restarts) = w.decide_failures(&view(8, &alive, &[]));
+        assert!(w.decide_failures(&quiet(0, &alive)).0.is_empty());
+        assert!(w.decide_failures(&quiet(5, &alive)).0.is_empty());
+        let (crashes, restarts) = w.decide_failures(&quiet(8, &alive));
         let victims: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
         assert_eq!(victims, vec![3, 4, 5], "wave 1");
         assert!(restarts.is_empty(), "wave 0 never crashed (t=0 skipped)");
@@ -584,7 +596,7 @@ mod extra_tests {
         for v in &victims {
             alive2[*v] = false;
         }
-        let (crashes, restarts) = w.decide_failures(&view(16, &alive2, &[]));
+        let (crashes, restarts) = w.decide_failures(&quiet(16, &alive2));
         let victims2: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
         assert_eq!(victims2, vec![6, 7, 8]);
         let returned: Vec<usize> = restarts.iter().map(|(p, _)| p.as_usize()).collect();

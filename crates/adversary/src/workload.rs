@@ -307,13 +307,13 @@ pub fn sample_distinct(rng: &mut SmallRng, n: usize, k: usize) -> Vec<ProcessId>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_sim::OutboxMeta;
+    use congos_sim::OutboxView;
 
     fn view(round: u64, alive: &[bool]) -> RoundView<'_> {
         RoundView {
             round: Round(round),
             alive,
-            outbox: &[] as &[OutboxMeta],
+            outbox: OutboxView::default(),
         }
     }
 

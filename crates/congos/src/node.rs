@@ -259,6 +259,11 @@ impl CongosNode {
         if !f.dest.contains(self.me) || self.delivered.contains(&f.rid) {
             return;
         }
+        // `deliver` drops a rumor's entries by these keys, one per partition.
+        debug_assert!(
+            usize::from(f.partition) < self.partitions.len(),
+            "a received fragment passed `class_engine::fits`"
+        );
         let key = (f.rid, f.partition);
         if !self.parts.contains_key(&key) {
             let horizon = 2 * self.deadline_cap;
@@ -292,9 +297,13 @@ impl CongosNode {
             let horizon = 2 * self.deadline_cap;
             self.delivered_expiry
                 .insert((out.rid.birth + horizon).as_u64(), out.rid);
-            // Reassembly state for this rumor is no longer needed. (Its
+            // Reassembly state for this rumor is no longer needed. Every
+            // saved fragment is of one of the partitions (`save_fragment`
+            // asserts it), so its entries are exactly these keys. (Their
             // expiry-ring keys go stale; draining them later is a no-op.)
-            self.parts.retain(|(rid, _), _| *rid != out.rid);
+            for ell in 0..self.partitions.len() {
+                self.parts.remove(&(out.rid, ell as u16));
+            }
             // Decoys (unframe → None) are silently discarded.
             if let Some(data) = self.unframe(std::mem::take(&mut out.data)) {
                 out.data = data;
@@ -406,9 +415,8 @@ impl CongosNode {
                     rid,
                     direct: true,
                 };
-                for q in others.iter() {
-                    ctx.send(q, shoot.clone(), shoot.tag());
-                }
+                let tag = shoot.tag();
+                ctx.send_each(others.iter(), shoot, tag);
             }
         }
     }
@@ -700,6 +708,54 @@ mod tests {
         node.compute_phase(&mut peers, None).expect("compute");
         assert_eq!(node.protocol().stats().rejected, 1 + 3 + 2);
         assert!(node.outputs().is_empty(), "nothing was delivered");
+    }
+
+    #[test]
+    fn a_delivery_drops_only_its_own_reassembly_state() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let rid = |seq| CongosRumorId {
+            source: ProcessId::new(1),
+            birth: Round(0),
+            seq,
+        };
+        let fragment = |seq, partition, group| Fragment {
+            rid: rid(seq),
+            wid: 0,
+            partition,
+            group,
+            k: 2,
+            bytes: vec![seq as u8; 3].into(),
+            dest: IdSet::from_iter(n, [me]).into(),
+            dline: 32,
+        };
+        let partials = |round, fragments| Envelope {
+            src: ProcessId::new(1),
+            dst: me,
+            round: Round(round),
+            tag: crate::messages::TAG_GD,
+            payload: CongosMsg::Partials {
+                dline: 32,
+                ell: 0,
+                fragments,
+            },
+        };
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        // Rumor 0 is half there in partition 0, rumor 1 in partitions 0 and
+        // 1; then partition 1 completes rumor 1.
+        let first = vec![fragment(0, 0, 0), fragment(1, 0, 0), fragment(1, 1, 0)];
+        peers.0 = vec![partials(1, first)];
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        assert_eq!(node.protocol().parts.len(), 3);
+        peers.0 = vec![partials(2, vec![fragment(1, 1, 1)])];
+        node.send_phase(&mut peers).expect("send");
+        node.compute_phase(&mut peers, None).expect("compute");
+        assert!(node.protocol().delivered.contains(&rid(1)));
+        let left: Vec<_> = node.protocol().parts.keys().copied().collect();
+        assert_eq!(left, [(rid(0), 0)]);
     }
 
     #[test]

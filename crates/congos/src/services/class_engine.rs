@@ -49,12 +49,15 @@ fn send(out: &mut SendColumns<CongosMsg>, dst: ProcessId, msg: CongosMsg) {
 }
 
 /// The emitter a gossip endpoint of `lane` steps into: queues each wire on
-/// `out`.
+/// `out` once, to all of its targets.
 fn gossip_to(
     out: &mut SendColumns<CongosMsg>,
     lane: GossipLane,
-) -> impl FnMut(ProcessId, GossipWire<GossipPayload>) + '_ {
-    move |dst, wire| send(out, dst, CongosMsg::Gossip { lane, wire })
+) -> impl FnMut(&[ProcessId], GossipWire<GossipPayload>) + '_ {
+    move |targets, wire| {
+        let msg = CongosMsg::Gossip { lane, wire };
+        out.push_each(targets.iter().copied(), msg.tag(), msg);
+    }
 }
 
 struct Lane {
@@ -509,7 +512,7 @@ impl ClassEngine {
     /// [`is_confirmed`](CachedRumor::is_confirmed) leaves it; one whose
     /// (trimmed) deadline expires now without a confirmation takes the last
     /// two bullets of Figure 2 — sent whole, directly, to every destination,
-    /// every copy sharing one `Arc`. Anything past its expiry (possible only
+    /// as one queued message. Anything past its expiry (possible only
     /// if this process was crashed across the boundary — then it lost this
     /// state anyway) is dropped defensively.
     fn settle(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
@@ -521,18 +524,13 @@ impl ClassEngine {
             }
             if cached.expire == now {
                 stats.fallbacks += 1;
-                for q in cached.rumor.dest.iter().filter(|&q| q != me) {
-                    let rumor = Arc::clone(&cached.rumor);
-                    send(
-                        out,
-                        q,
-                        CongosMsg::Shoot {
-                            rumor,
-                            rid,
-                            direct: false,
-                        },
-                    );
-                }
+                let shoot = CongosMsg::Shoot {
+                    rumor: Arc::clone(&cached.rumor),
+                    rid,
+                    direct: false,
+                };
+                let others = cached.rumor.dest.iter().filter(|&q| q != me);
+                out.push_each(others, shoot.tag(), shoot);
             }
             cached.expire > now
         });

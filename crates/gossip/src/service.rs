@@ -22,7 +22,7 @@ use crate::rumor::{GossipRumor, RumorId};
 /// active rumors, deep copies dominate memory otherwise). The sender also
 /// keeps the batch between rounds and rebuilds it only after its active
 /// set changed, so consecutive pushes may share one allocation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub enum GossipWire<T> {
     /// Epidemic push of a batch of active rumors (one envelope, arbitrarily
     /// many rumors — the model allows unbounded message size and gossip
@@ -36,6 +36,16 @@ pub enum GossipWire<T> {
     Push(Arc<PushBatch<T>>),
     /// Acknowledgment of delivered rumors, sent to each rumor's origin.
     Ack(Vec<RumorId>),
+}
+
+/// A clone shares the push batch; it needs no `T: Clone`.
+impl<T> Clone for GossipWire<T> {
+    fn clone(&self) -> Self {
+        match self {
+            GossipWire::Push(batch) => GossipWire::Push(Arc::clone(batch)),
+            GossipWire::Ack(ids) => GossipWire::Ack(ids.clone()),
+        }
+    }
 }
 
 /// The rumors of one push, each shared by `Arc` with every endpoint that
@@ -211,6 +221,8 @@ pub struct ContinuousGossip<T> {
     delivered: Vec<Arc<GossipRumor<T>>>,
     /// Collaborators heard from in the previous round (plus self).
     collab_est: usize,
+    /// The targets of the emission being built (capacity kept).
+    targets: Vec<ProcessId>,
     collab_this_round: IdSet,
     /// `collab_this_round.len()`, counted as peers are first heard.
     heard_this_round: usize,
@@ -249,6 +261,7 @@ impl<T> ContinuousGossip<T> {
             pending_acks: Vec::new(),
             delivered: Vec::new(),
             collab_est: 1,
+            targets: Vec::new(),
             collab_this_round: IdSet::empty(n),
             heard_this_round: 0,
             fallbacks: 0,
@@ -337,33 +350,39 @@ impl<T> ContinuousGossip<T> {
         id
     }
 
-    /// Send phase: returns this round's outgoing wire messages, in the
-    /// order [`step_with`](Self::step_with) emits them. Only tests and the
-    /// benchmark probe call this; hosts emit in place.
+    /// Send phase: returns this round's outgoing wire messages, one per
+    /// destination, in the order [`step_with`](Self::step_with) emits them
+    /// and each emission's targets in order. Only tests and the benchmark
+    /// probe call this; hosts emit in place.
     pub fn step(&mut self, now: Round, rng: &mut SmallRng) -> Vec<(ProcessId, GossipWire<T>)> {
         let mut out = Vec::new();
-        self.step_with(now, rng, |dst, wire| out.push((dst, wire)));
+        self.step_with(now, rng, |targets, wire| {
+            out.extend(targets.iter().map(|&dst| (dst, wire.clone())));
+        });
         out
     }
 
-    /// Send phase: hands this round's outgoing wire messages to `emit`, in
-    /// order: acks (ascending destination, ids in arrival order), deadline
-    /// fallbacks (ascending rumor id, ascending destination), then the
-    /// epidemic push. Every destination is a member of the instance — the
-    /// filter by construction.
+    /// Send phase: hands this round's outgoing wire messages to `emit`, each
+    /// once with the destinations it goes to, in order: acks (one per
+    /// destination, ascending, ids in arrival order), deadline fallbacks
+    /// (one per rumor, ascending rumor id, to its unacknowledged
+    /// destinations in ascending order), then the epidemic push (to the
+    /// round's targets). No emission has an empty target list, and every
+    /// destination is a member of the instance — the filter by
+    /// construction.
     pub fn step_with(
         &mut self,
         now: Round,
         rng: &mut SmallRng,
-        mut emit: impl FnMut(ProcessId, GossipWire<T>),
+        mut emit: impl FnMut(&[ProcessId], GossipWire<T>),
     ) {
         let membership = &self.cfg.membership;
-        let mut emit = |dst: ProcessId, wire: GossipWire<T>| {
+        let mut emit = |targets: &[ProcessId], wire: GossipWire<T>| {
             debug_assert!(
-                membership.contains(dst),
+                targets.iter().all(|&dst| membership.contains(dst)),
                 "filter violation: gossip instance addressed a non-member"
             );
-            emit(dst, wire);
+            emit(targets, wire);
         };
 
         // Drop expired rumors from the forwarding set.
@@ -391,7 +410,7 @@ impl<T> ContinuousGossip<T> {
         self.pending_acks.sort_by_key(|&(dst, _)| dst);
         for run in self.pending_acks.chunk_by(|a, b| a.0 == b.0) {
             let ids = run.iter().map(|&(_, id)| id).collect();
-            emit(run[0].0, GossipWire::Ack(ids));
+            emit(&[run[0].0], GossipWire::Ack(ids));
         }
         self.pending_acks.clear();
 
@@ -399,14 +418,14 @@ impl<T> ContinuousGossip<T> {
         // send directly to every unacknowledged destination. This is what
         // makes Quality of Delivery hold with probability 1.
         if !self.own.is_empty() {
-            let fallbacks = &mut self.fallbacks;
+            let (fallbacks, targets) = (&mut self.fallbacks, &mut self.targets);
             self.own.retain(|_, o| {
                 if o.rumor.deadline == now && !o.unacked.is_empty() {
-                    let single = Arc::new(PushBatch::from(vec![Arc::clone(&o.rumor)]));
-                    for dst in o.unacked.iter() {
-                        *fallbacks += 1;
-                        emit(dst, GossipWire::Push(Arc::clone(&single)));
-                    }
+                    targets.clear();
+                    targets.extend(o.unacked.iter());
+                    *fallbacks += targets.len() as u64;
+                    let single = PushBatch::from(vec![Arc::clone(&o.rumor)]);
+                    emit(targets, GossipWire::Push(Arc::new(single)));
                 }
                 o.rumor.deadline > now
             });
@@ -428,12 +447,14 @@ impl<T> ContinuousGossip<T> {
                 self.collab_est,
                 self.group_size,
             );
-            let targets: Vec<ProcessId> = match self.cfg.strategy {
-                GossipStrategy::Random => self.peers.sample(k, rng),
-                GossipStrategy::Expander => expander_targets(membership, self.me, now, k),
-            };
-            for dst in targets {
-                emit(dst, GossipWire::Push(Arc::clone(batch)));
+            match self.cfg.strategy {
+                GossipStrategy::Random => self.peers.sample_into(k, rng, &mut self.targets),
+                GossipStrategy::Expander => {
+                    self.targets = expander_targets(membership, self.me, now, k);
+                }
+            }
+            if !self.targets.is_empty() {
+                emit(&self.targets, GossipWire::Push(Arc::clone(batch)));
             }
         }
 
@@ -541,6 +562,7 @@ impl<T> ContinuousGossip<T> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::BTreeSet;
 
     fn mk(me: usize, n: usize) -> ContinuousGossip<u32> {
         ContinuousGossip::new(ProcessId::new(me), n, GossipConfig::all(n, Tag("gg")))
@@ -1001,6 +1023,56 @@ mod tests {
             assert_eq!(len, 20);
         }
         assert_eq!(calls, 1, "the count is memoized");
+    }
+
+    /// An endpoint of 8 with two acks, one deadline fallback and an
+    /// epidemic push due at round 2.
+    fn endpoint_with_every_emission() -> ContinuousGossip<u32> {
+        let n = 8;
+        let mut g = mk(0, n);
+        let dest = IdSet::from_iter(n, [3, 4, 5].map(ProcessId::new));
+        let own = g.inject(Round(0), 1, 2, dest);
+        push_one(&mut g, Round(0), 1, rumor(n, 2, 0, &[0]));
+        push_one(&mut g, Round(0), 6, rumor(n, 6, 0, &[0, 7]));
+        g.on_receive(Round(0), ProcessId::new(4), GossipWire::Ack(vec![own]));
+        g
+    }
+
+    #[test]
+    fn step_with_emits_each_wire_once_to_all_its_targets() {
+        let mut g = endpoint_with_every_emission();
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut emitted: Vec<(Vec<ProcessId>, GossipWire<u32>)> = Vec::new();
+        g.step_with(Round(2), &mut rng, |targets, wire| {
+            emitted.push((targets.to_vec(), wire));
+        });
+        let pids = |ids: &[usize]| ids.iter().map(|&i| ProcessId::new(i)).collect::<Vec<_>>();
+        assert!(matches!(&emitted[0], (t, GossipWire::Ack(_)) if *t == pids(&[2])));
+        assert!(matches!(&emitted[1], (t, GossipWire::Ack(_)) if *t == pids(&[6])));
+        match &emitted[2] {
+            (t, GossipWire::Push(single)) => {
+                assert_eq!(*t, pids(&[3, 5]), "every unacked destination, once");
+                assert_eq!(single.rumors().len(), 1);
+            }
+            other => panic!("expected the deadline fallback, got {other:?}"),
+        }
+        assert_eq!(g.fallbacks(), 2);
+        assert_eq!(emitted.len(), 4, "the epidemic push is one emission");
+        let (targets, wire) = &emitted[3];
+        assert!(matches!(wire, GossipWire::Push(batch) if batch.rumors().len() == 3));
+        let k = fanout(FanoutParams::default(), 8, 2, 1, 8);
+        let distinct: BTreeSet<_> = targets.iter().collect();
+        assert_eq!((targets.len(), distinct.len()), (k, k));
+        assert!(!targets.contains(&ProcessId::new(0)));
+
+        // `step` is the same emissions, one wire per target, in order.
+        let mut twin = endpoint_with_every_emission();
+        let expanded = twin.step(Round(2), &mut SmallRng::seed_from_u64(3));
+        let want: Vec<(ProcessId, GossipWire<u32>)> = emitted
+            .iter()
+            .flat_map(|(t, wire)| t.iter().map(move |&dst| (dst, wire.clone())))
+            .collect();
+        assert_eq!(expanded, want);
     }
 
     #[test]

@@ -113,7 +113,9 @@ impl Protocol for GossipNode {
         let now = ctx.round();
         let (rng, out) = ctx.rng_and_out();
         self.svc
-            .step_with(now, rng, |dst, wire| out.push(dst, GOSSIP_TAG, wire));
+            .step_with(now, rng, |targets, wire| {
+                out.push_each(targets.iter().copied(), GOSSIP_TAG, wire);
+            });
     }
 
     fn receive(

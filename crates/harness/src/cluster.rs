@@ -34,7 +34,7 @@ use congos_adversary::predict::{CoalitionTap, Sighting};
 use congos_adversary::{InjectionPlan, RumorSpec};
 use congos_net::{TcpTransport, WireStats};
 use congos_sim::transport::{split_schedule, NodeDriver};
-use congos_sim::{Observer, ProcessId, Round, RoundView, TopologySpec};
+use congos_sim::{Observer, OutboxView, ProcessId, Round, RoundView, TopologySpec};
 
 use crate::Json;
 
@@ -53,7 +53,7 @@ pub fn materialize_injections<I: From<RumorSpec>, W: InjectionPlan>(
         let view = RoundView {
             round: Round(r),
             alive: &alive,
-            outbox: &[],
+            outbox: OutboxView::default(),
         };
         for (source, spec) in workload.decide_injections(&view) {
             schedule.push((r, source, I::from(spec)));

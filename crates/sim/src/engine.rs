@@ -50,7 +50,7 @@ use rand::rngs::SmallRng;
 
 use crate::clock::Round;
 use crate::liveness::LivenessLog;
-use crate::message::{EnvelopeRef, Inbox, SendColumns, Tag};
+use crate::message::{EnvelopeRef, Inbox, OutboxView, SendColumns, Tag};
 use crate::metrics::Metrics;
 use crate::process::{ProcessId, ProcessState};
 use crate::rng::{fork_rng, fork_seed};
@@ -150,6 +150,16 @@ impl<P: Protocol> Context<'_, P> {
         self.out.push(dst, tag, msg);
     }
 
+    /// Queues `msg` to each of `targets`, in target order, as
+    /// [`send`](Self::send) would one by one, but storing it once.
+    pub fn send_each(&mut self, targets: impl IntoIterator<Item = ProcessId>, msg: P::Msg, tag: Tag) {
+        let n = self.n;
+        let targets = targets.into_iter().inspect(|dst| {
+            debug_assert!(dst.as_usize() < n, "send to unknown process {dst}");
+        });
+        self.out.push_each(targets, tag, msg);
+    }
+
     /// Delivers an output to the local user (recorded by the engine).
     pub fn output(&mut self, out: P::Output) {
         self.outputs.push(OutputRecord {
@@ -176,17 +186,6 @@ pub struct OutputRecord<O> {
     pub value: O,
 }
 
-/// Metadata of one queued message, visible to the adaptive adversary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OutboxMeta {
-    /// Sender.
-    pub src: ProcessId,
-    /// Receiver.
-    pub dst: ProcessId,
-    /// Sending service.
-    pub tag: Tag,
-}
-
 /// The adversary's view of the current round, presented *after* the send
 /// phase — so its decisions may depend on the round's random choices, as the
 /// CRRI adversary of the paper does.
@@ -196,8 +195,9 @@ pub struct RoundView<'a> {
     pub round: Round,
     /// `alive[p]` — liveness at the start of the round.
     pub alive: &'a [bool],
-    /// Every message queued this round.
-    pub outbox: &'a [OutboxMeta],
+    /// Every message queued this round, read in place from the round's
+    /// outbox columns.
+    pub outbox: OutboxView<'a>,
 }
 
 impl RoundView<'_> {
@@ -655,8 +655,6 @@ pub struct Engine<P: Protocol + 'static> {
     /// deployments drive a socket transport through the same
     /// [`RoundTransport`](crate::transport::RoundTransport) superstep.
     mem: MemTransport<P::Msg>,
-    /// The adversary's outbox-metadata view (reused across rounds).
-    meta: Vec<OutboxMeta>,
     /// This round's injected inputs (reused across rounds).
     inputs: Vec<Option<P::Input>>,
     /// This round's liveness decisions, indexed by process (reused across
@@ -699,7 +697,6 @@ impl<P: Protocol + 'static> Engine<P> {
             liveness: LivenessLog::new(cfg.n),
             outputs: Vec::new(),
             injections: Vec::new(),
-            meta: Vec::new(),
             inputs: Vec::new(),
             touched: Vec::new(),
             crash_policy: Vec::new(),
@@ -801,15 +798,10 @@ impl<P: Protocol + 'static> Engine<P> {
         let round = self.round;
 
         // ---- Phase 2: adversary. --------------------------------------
-        self.meta.clear();
-        self.meta.extend((0..self.mem.outbox_len()).map(|i| {
-            let (src, dst, tag) = self.mem.outbox_meta(i);
-            OutboxMeta { src, dst, tag }
-        }));
         let view = RoundView {
             round,
             alive: &self.alive,
-            outbox: &self.meta,
+            outbox: self.mem.columns().view(),
         };
         let decision = adversary.decide(&view);
 

@@ -134,43 +134,54 @@ impl IdSet {
     }
 
     /// Picks `min(k, len)` distinct members uniformly at random, in random
-    /// order.
+    /// order: [`sample_into`](IdSet::sample_into) into a new `Vec`.
+    pub fn sample<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
+        let mut picks = Vec::new();
+        self.sample_into(k, rng, &mut picks);
+        picks
+    }
+
+    /// Replaces the contents of `picks` with `min(k, len)` distinct members
+    /// drawn uniformly at random, in random order; a kept `picks` makes it
+    /// allocate nothing.
     ///
     /// A partial Fisher–Yates over member ranks: exactly `min(k, len)`
-    /// draws, the `i`-th being `gen_range(i..len)`. A small `k` tracks only
-    /// the displaced ranks and resolves each pick with [`select`]
-    /// (`O(k·n/64 + k²)`, no member list); a larger `k` lists the members
-    /// once and swaps in place (`O(n/64 + len)`). Both make the same draws
-    /// and return the same picks; the two cost the same near `k = √(len/2)`
+    /// draws, the `i`-th being `gen_range(i..len)`. A larger `k` lists the
+    /// members into `picks` and swaps in place (`O(n/64 + len)`). A small
+    /// `k` stores the draws in `picks` and then, from the last pick back,
+    /// resolves each by following the earlier draws that displaced its
+    /// position and turns the rank into a member with [`select`]
+    /// (`O(k·n/64 + k²)`, no member list). Both make the same draws and
+    /// return the same picks; the two cost the same near `k = √(len/2)`
     /// (measured for `n` from 96 to 8192), which is where the switch sits.
     ///
     /// [`select`]: IdSet::select
-    pub fn sample<R: Rng + ?Sized>(&self, k: usize, rng: &mut R) -> Vec<ProcessId> {
+    pub fn sample_into<R: Rng + ?Sized>(&self, k: usize, rng: &mut R, picks: &mut Vec<ProcessId>) {
+        picks.clear();
         let len = self.len();
         let k = k.min(len);
         if 2 * k * k > len {
-            let mut members = self.to_vec();
+            picks.extend(self.iter());
             for i in 0..k {
-                members.swap(i, rng.gen_range(i..len));
+                picks.swap(i, rng.gen_range(i..len));
             }
-            members.truncate(k);
-            return members;
+            picks.truncate(k);
+            return;
         }
-        // `moved` holds `(position, rank now there)` for the swapped
-        // positions only; the latest entry for a position wins.
-        let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k);
-        let mut picks = Vec::with_capacity(k);
-        for i in 0..k {
-            let j = rng.gen_range(i..len);
-            let at = |pos| {
-                let latest = moved.iter().rev().find(|(p, _)| *p == pos);
-                latest.map_or(pos, |(_, rank)| *rank)
-            };
-            let (rank_i, rank_j) = (at(i), at(j));
-            picks.push(self.select(rank_j).expect("rank below len"));
-            moved.push((j, rank_i));
+        // Until pick `i` replaces it, `picks[i]` holds draw `j_i`: a
+        // position, not a member, stored as a `ProcessId` so that no second
+        // buffer is needed. Pick `i` is the rank at position `j_i` after swaps `0..i`,
+        // which only the draws below `i` decide: the latest swap `t` that
+        // drew a position moved position `t`'s rank there, so follow it back
+        // until no earlier draw hit the position.
+        picks.extend((0..k).map(|i| ProcessId::new(rng.gen_range(i..len))));
+        for i in (0..k).rev() {
+            let (mut pos, mut swaps) = (picks[i].as_usize(), i);
+            while let Some(t) = picks[..swaps].iter().rposition(|j| j.as_usize() == pos) {
+                (pos, swaps) = (t, t);
+            }
+            picks[i] = self.select(pos).expect("rank below len");
         }
-        picks
     }
 
     /// Iterates members in increasing id order.

@@ -76,12 +76,12 @@ pub mod transport;
 pub use clock::{BlockClock, Round};
 pub use engine::{
     Adversary, Context, CrashSpec, Engine, EngineBackend, EngineConfig, IncomingPolicy,
-    InjectionRecord, NullAdversary, NullObserver, Observer, OutboxMeta, OutputRecord, Protocol,
-    RoundDecision, RoundView, SentPolicy,
+    InjectionRecord, NullAdversary, NullObserver, Observer, OutputRecord, Protocol, RoundDecision,
+    RoundView, SentPolicy,
 };
 pub use idset::IdSet;
 pub use liveness::{LivenessEvent, LivenessLog};
-pub use message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, Tag};
+pub use message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, OutboxMeta, OutboxView, Tag};
 pub use metrics::{Metrics, RoundCounts};
 pub use process::{ProcessId, ProcessState};
 pub use topology::{Topology, TopologySpec};

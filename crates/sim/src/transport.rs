@@ -31,7 +31,7 @@ use std::io;
 
 use crate::clock::Round;
 use crate::engine::{NullObserver, Observer, OutputRecord, Process, Protocol};
-use crate::message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, SendColumns, Tag};
+use crate::message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, SendColumns};
 use crate::process::ProcessId;
 use crate::topology::{Topology, TopologySpec};
 
@@ -181,11 +181,6 @@ impl<M> MemTransport<M> {
         self.outbox.len()
     }
 
-    /// Routing metadata of queued message `i`.
-    pub fn outbox_meta(&self, i: usize) -> (ProcessId, ProcessId, Tag) {
-        self.outbox.meta(i)
-    }
-
     /// The round's merged outbox columns (for zero-copy columnar inboxes).
     pub fn columns(&self) -> &OutboxColumns<M> {
         &self.outbox
@@ -222,7 +217,7 @@ impl<M> MemTransport<M> {
         let mut drops = 0u64;
         let filter_topology = !self.topology.is_complete();
         for i in 0..self.outbox.len() {
-            let (src, dst, _tag) = self.outbox.meta(i);
+            let (src, dst) = self.outbox.ends(i);
             if !sender_gate(src, dst) {
                 continue;
             }
@@ -587,6 +582,7 @@ where
 mod tests {
     use super::*;
     use crate::engine::{Context, Engine, EngineConfig, NullAdversary};
+    use crate::message::Tag;
     use rand::Rng;
 
     /// Every process sends a seeded random token to its successor and to

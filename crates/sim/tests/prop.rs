@@ -190,7 +190,8 @@ proptest! {
     /// `sample` returns `min(k, len)` distinct members, and makes the draws
     /// and the picks of a partial Fisher–Yates over `to_vec()` — for `k` on
     /// both sides of the internal sparse/dense switch (`2k² ≤ len`), `k = 0`
-    /// and `k > len`.
+    /// and `k > len`. `sample_into` replaces a used buffer with the same
+    /// picks.
     #[test]
     fn idset_sample_matches_reference_fisher_yates(
         set in arb_idset(),
@@ -199,7 +200,12 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut reference_rng = rng.clone();
+        let mut into_rng = rng.clone();
         let picks = set.sample(k, &mut rng);
+        let mut into = vec![ProcessId::new(0); 7];
+        set.sample_into(k, &mut into_rng, &mut into);
+        prop_assert_eq!(&into, &picks);
+        prop_assert_eq!(&into_rng, &rng);
 
         let mut reference = set.to_vec();
         let want = k.min(reference.len());
