@@ -3,7 +3,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use congos_sim::{CrashSpec, IncomingPolicy, ProcessId, Round, RoundView, SentPolicy, Tag};
+use congos_sim::{CrashSpec, IncomingPolicy, ProcessId, Round, RoundView, Tag};
 
 use crate::plan::FailurePlan;
 
@@ -30,7 +30,6 @@ pub struct RandomChurn {
     p_restart: f64,
     protected: Vec<ProcessId>,
     rng: SmallRng,
-    deliver_on_crash: bool,
 }
 
 impl RandomChurn {
@@ -47,20 +46,12 @@ impl RandomChurn {
             p_restart,
             protected: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ 0xc4a5_4e57),
-            deliver_on_crash: false,
         }
     }
 
     /// Marks processes that must never crash.
     pub fn protect<I: IntoIterator<Item = ProcessId>>(mut self, ids: I) -> Self {
         self.protected.extend(ids);
-        self
-    }
-
-    /// If set, a crashing process's in-flight messages are delivered rather
-    /// than dropped (a milder failure mode).
-    pub fn deliver_on_crash(mut self, yes: bool) -> Self {
-        self.deliver_on_crash = yes;
         self
     }
 }
@@ -76,14 +67,7 @@ impl FailurePlan for RandomChurn {
             let p = ProcessId::new(i);
             if view.alive[i] {
                 if !self.protected.contains(&p) && self.rng.gen_bool(self.p_crash) {
-                    crashes.push(CrashSpec {
-                        process: p,
-                        sent: if self.deliver_on_crash {
-                            SentPolicy::DeliverAll
-                        } else {
-                            SentPolicy::DropAll
-                        },
-                    });
+                    crashes.push(CrashSpec::dropping(p));
                 }
             } else if self.rng.gen_bool(self.p_restart) {
                 restarts.push((p, IncomingPolicy::DropAll));

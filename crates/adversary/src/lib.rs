@@ -40,6 +40,6 @@ pub use predict::{
 pub use failures::{Eclipse, GroupAnnihilator, NoFailures, ProxyKiller, RandomChurn, RollingWaves, ScheduledChurn};
 pub use plan::{CrriAdversary, FailurePlan, InjectionPlan};
 pub use workload::{
-    FreshGroupWorkload, InjectionLogEntry, NoInjections, OneShot, PoissonWorkload, RumorSpec,
+    InjectionLogEntry, NoInjections, OneShot, PoissonWorkload, RumorSpec,
     StableGroupWorkload, Theorem1Workload,
 };

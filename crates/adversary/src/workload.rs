@@ -282,11 +282,6 @@ impl InjectionPlan for StableGroupWorkload {
     }
 }
 
-/// Alias-style wrapper for the *dynamic groups* regime: every rumor draws a
-/// completely fresh destination set. Identical to [`PoissonWorkload`] but
-/// named for its role in experiment E8.
-pub type FreshGroupWorkload = PoissonWorkload;
-
 /// Samples `k` distinct process ids uniformly from `0..n` (Floyd's
 /// algorithm).
 pub fn sample_distinct(rng: &mut SmallRng, n: usize, k: usize) -> Vec<ProcessId> {

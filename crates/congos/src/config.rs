@@ -1,7 +1,6 @@
 //! Protocol configuration.
 
 use congos_gossip::{FanoutParams, GossipStrategy};
-use congos_sim::clock::deadline_cap;
 
 /// Which partition scheme a configuration uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,16 +46,8 @@ pub struct CongosConfig {
     pub gossip_fanout: FanoutParams,
     /// Substrate target selection: randomized epidemic (default) or the
     /// deterministic expander schedule — the de-randomized construction of
-    /// [13], which the paper's substrate actually uses.
+    /// \[13\], which the paper's substrate actually uses.
     pub gossip_strategy: GossipStrategy,
-    /// Deadline cap constant `c` in `c·log⁶ n` (Section 4.2 trims longer
-    /// deadlines to this; it does not change asymptotic complexity).
-    pub deadline_cap_c: f64,
-    /// Deadline classes shorter than this bypass the pipeline and are sent
-    /// directly by the source (the paper assumes `dline > 48`; below that
-    /// the desired bound "can be trivially met simply by sending rumors
-    /// directly", Section 5).
-    pub direct_threshold: u64,
     /// Ablation hook: cap the number of partitions used (the paper needs
     /// all `log n` of them against adaptive group-killing adversaries —
     /// experiment E9 measures what a single partition costs in fallbacks).
@@ -135,24 +126,11 @@ impl CongosConfig {
                 root: 3,
             },
             gossip_strategy: GossipStrategy::Random,
-            deadline_cap_c: 1.0,
-            direct_threshold: 32,
             max_partitions: None,
             degenerate_shortcut: true,
             hide_destinations: false,
             cover_traffic: None,
             lean_metadata: false,
-        }
-    }
-
-    /// The paper's literal asymptotic constants (`γ = 48` for services,
-    /// `γ = 6` for gossip). At laptop scale these saturate the fanout cap —
-    /// useful for the saturation-crossover ablation (experiment E9).
-    pub fn paper_constants() -> Self {
-        CongosConfig {
-            service_fanout: FanoutParams::proxy(),
-            gossip_fanout: FanoutParams::continuous_gossip(),
-            ..Self::base()
         }
     }
 
@@ -226,11 +204,6 @@ impl CongosConfig {
         self.hide_destinations || self.cover_traffic.is_some()
     }
 
-    /// The deadline cap `c·log⁶ n` in rounds for system size `n`.
-    pub fn deadline_cap(&self, n: usize) -> u64 {
-        deadline_cap(n, self.deadline_cap_c)
-    }
-
     /// `true` when the collusion-tolerant variant must abandon the pipeline
     /// entirely (`τ ≥ n/log²n`, Section 6.2: "all rumors are sent directly
     /// to their destinations").
@@ -258,9 +231,6 @@ impl CongosConfig {
         }
         if matches!(self.scheme, PartitionScheme::Bits) && self.tau != 1 {
             return Err("bit partitions support only τ = 1".into());
-        }
-        if self.direct_threshold < 32 {
-            return Err("direct_threshold below 32 leaves blocks with no whole iteration".into());
         }
         Ok(())
     }
@@ -314,12 +284,5 @@ mod tests {
         assert!(!cfg.degenerate_collusion(1 << 14));
         // The base algorithm never degenerates.
         assert!(!CongosConfig::base().degenerate_collusion(4));
-    }
-
-    #[test]
-    fn paper_constants_match() {
-        let cfg = CongosConfig::paper_constants();
-        assert_eq!(cfg.service_fanout.gamma, 48.0);
-        assert_eq!(cfg.gossip_fanout.gamma, 6.0);
     }
 }

@@ -60,7 +60,6 @@ pub mod audit;
 pub mod config;
 pub mod messages;
 pub mod node;
-pub mod oneshot;
 pub mod partition;
 pub mod rumor;
 pub mod services;

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use congos_sim::clock::trim_deadline;
+use congos_sim::clock::{deadline_cap, trim_deadline};
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
 
 use crate::config::{CongosConfig, PartitionScheme};
@@ -35,11 +35,19 @@ pub struct NodeStats {
     pub decoys_discarded: u64,
     /// Received messages dropped as ones no correct process sends (an
     /// impossible deadline class or partition index, a fragment outside its
-    /// group or of a split no correct process makes, a rumor id born after
-    /// the current round). Always 0 in the simulator; over sockets it
-    /// counts corrupt or hostile frames that still decoded.
+    /// group or class or of a split no correct process makes, a fallback
+    /// `Shoot` of an impossible class, a rumor id born after the current
+    /// round, a fragment or `Shoot` past its rumor's horizon).
+    /// Always 0 in the simulator; over sockets it counts corrupt or hostile
+    /// frames that still decoded.
     pub rejected: u64,
 }
+
+/// Deadline classes shorter than this bypass the pipeline and are sent
+/// directly by the source (the paper assumes `dline > 48`; below that the
+/// desired bound "can be trivially met simply by sending rumors directly",
+/// Section 5). Shorter classes leave blocks with no whole iteration.
+const DIRECT_THRESHOLD: u64 = 32;
 
 struct PartsEntry {
     k: u8,
@@ -57,7 +65,7 @@ pub struct CongosNode {
     me: ProcessId,
     n: usize,
     cfg: CongosConfig,
-    /// `cfg.deadline_cap(n)`, the paper's `c·log⁶ n`, computed once.
+    /// [`deadline_cap`] of `n`, the paper's `c·log⁶ n`, computed once.
     deadline_cap: u64,
     partitions: PartitionSet,
     /// `None` = alive since the beginning of the execution (treated as
@@ -112,7 +120,7 @@ impl CongosNode {
         CongosNode {
             me,
             n,
-            deadline_cap: cfg.deadline_cap(n),
+            deadline_cap: deadline_cap(n),
             cfg,
             partitions,
             alive_since: None,
@@ -222,7 +230,7 @@ impl CongosNode {
             return None;
         }
         let dline = trim_deadline(deadline, self.deadline_cap);
-        (dline >= self.cfg.direct_threshold).then_some(dline)
+        (dline >= DIRECT_THRESHOLD).then_some(dline)
     }
 
     /// Fetches (or lazily creates) the class engine for `dline`, returning
@@ -245,14 +253,32 @@ impl CongosNode {
     /// configuration could legitimately produce.
     fn valid_class(&self, dline: u64) -> bool {
         dline.is_power_of_two()
-            && dline >= self.cfg.direct_threshold
+            && dline >= DIRECT_THRESHOLD
             && dline <= trim_deadline(u64::MAX, self.deadline_cap)
+    }
+
+    /// The last round in which anything of a rumor born at `birth` with
+    /// `deadline` circulates: `birth + 2·dline`, the auditor's admissibility
+    /// horizon. The node keeps the rumor's reassembly and dedup state until
+    /// then and rejects whatever arrives later. Trimming bounds `dline` by
+    /// the cap, even for a corrupt `deadline`; the caller has checked that
+    /// `birth` is not in the future.
+    fn horizon(&self, birth: Round, deadline: u64) -> Round {
+        birth + 2 * trim_deadline(deadline, self.deadline_cap)
     }
 
     fn save_fragment(&mut self, ctx: &mut Context<'_, Self>, f: Fragment) {
         if f.rid.birth > ctx.round() {
             // No correct process sends a rumor born after this round, and
             // its expiry round would overflow.
+            self.rejected += 1;
+            return;
+        }
+        // `f.dline` is its message's class (`class_engine::fits`).
+        let horizon = self.horizon(f.rid.birth, f.dline);
+        if ctx.round() > horizon {
+            // Its dedup entry may be pruned: a replay must not deliver it
+            // again.
             self.rejected += 1;
             return;
         }
@@ -266,8 +292,7 @@ impl CongosNode {
         );
         let key = (f.rid, f.partition);
         if !self.parts.contains_key(&key) {
-            let horizon = 2 * self.deadline_cap;
-            self.parts_expiry.insert((f.rid.birth + horizon).as_u64(), key);
+            self.parts_expiry.insert(horizon.as_u64(), key);
         }
         let entry = self.parts.entry(key).or_insert_with(|| PartsEntry {
             k: f.k,
@@ -281,6 +306,7 @@ impl CongosNode {
                 let wid = entry.wid;
                 self.deliver(
                     ctx,
+                    horizon,
                     DeliveredRumor {
                         wid,
                         rid: f.rid,
@@ -292,11 +318,10 @@ impl CongosNode {
         }
     }
 
-    fn deliver(&mut self, ctx: &mut Context<'_, Self>, mut out: DeliveredRumor) {
+    /// Outputs a rumor once; `horizon` is its [`horizon`](Self::horizon).
+    fn deliver(&mut self, ctx: &mut Context<'_, Self>, horizon: Round, mut out: DeliveredRumor) {
         if self.delivered.insert(out.rid) {
-            let horizon = 2 * self.deadline_cap;
-            self.delivered_expiry
-                .insert((out.rid.birth + horizon).as_u64(), out.rid);
+            self.delivered_expiry.insert(horizon.as_u64(), out.rid);
             // Reassembly state for this rumor is no longer needed. Every
             // saved fragment is of one of the partitions (`save_fragment`
             // asserts it), so its entries are exactly these keys. (Their
@@ -380,6 +405,7 @@ impl CongosNode {
         if rumor.dest.contains(self.me) {
             self.deliver(
                 ctx,
+                self.horizon(now, rumor.deadline),
                 DeliveredRumor {
                     wid: rumor.wid,
                     rid,
@@ -422,10 +448,10 @@ impl CongosNode {
     }
 
     fn prune(&mut self, now: Round) {
-        // Expiry rings were filed with `birth + 2·deadline_cap`, so draining
-        // `expire < now` removes exactly the keys the old full-scan
-        // `retain(birth + horizon >= now)` removed — without walking the
-        // live entries.
+        // Expiry rings were filed at each rumor's horizon, so draining
+        // `expire < now` removes exactly the keys of rumors whose fragments
+        // and shoots are now rejected on arrival, without walking the live
+        // entries.
         for key in self.parts_expiry.drain_expired(now.as_u64()) {
             self.parts.remove(&key);
         }
@@ -479,8 +505,15 @@ impl Protocol for CongosNode {
         let mut received = std::mem::take(&mut self.received);
         for env in inbox {
             match env.payload {
-                CongosMsg::Shoot { rid, .. } if rid.birth > now => {
-                    // Born after this round, as in `save_fragment`.
+                CongosMsg::Shoot { rumor, rid, direct }
+                    if rid.birth > now
+                        || now > self.horizon(rid.birth, rumor.deadline)
+                        || !direct
+                            && !self.valid_class(trim_deadline(rumor.deadline, self.deadline_cap)) =>
+                {
+                    // Born after this round, or past its horizon, as in
+                    // `save_fragment`; or a fallback of a class no correct
+                    // process runs, whose horizon would be made up.
                     self.rejected += 1;
                 }
                 CongosMsg::Shoot { rumor, rid, direct } => {
@@ -488,6 +521,7 @@ impl Protocol for CongosNode {
                     if rumor.dest.contains(self.me) && !self.delivered.contains(rid) {
                         self.deliver(
                             ctx,
+                            self.horizon(rid.birth, rumor.deadline),
                             DeliveredRumor {
                                 wid: rumor.wid,
                                 rid: *rid,
@@ -756,6 +790,170 @@ mod tests {
         assert!(node.protocol().delivered.contains(&rid(1)));
         let left: Vec<_> = node.protocol().parts.keys().copied().collect();
         assert_eq!(left, [(rid(0), 0)]);
+    }
+
+    /// Runs `node` until its next round is `round`, feeding `peers` nothing.
+    fn run_until(node: &mut NodeDriver<CongosNode>, peers: &mut Hostile, round: u64) {
+        while node.round() < Round(round) {
+            node.send_phase(peers).expect("send");
+            node.compute_phase(peers, None).expect("compute");
+        }
+    }
+
+    /// Rumor `seq` of p1, born at round 0 for p0 alone, in class `dline`
+    /// (its horizon is round `2·dline`): both fragments of partition 0, and
+    /// a fallback `Shoot`.
+    fn rumor_of_p1(seq: u32, dline: u64, n: usize) -> (Vec<Fragment>, CongosMsg) {
+        let rid = CongosRumorId {
+            source: ProcessId::new(1),
+            birth: Round(0),
+            seq,
+        };
+        let dest = IdSet::from_iter(n, [ProcessId::new(0)]);
+        let fragments = (0..2)
+            .map(|group| Fragment {
+                rid,
+                wid: u64::from(seq),
+                partition: 0,
+                group,
+                k: 2,
+                bytes: vec![group; 3].into(),
+                dest: dest.clone().into(),
+                dline,
+            })
+            .collect();
+        let rumor = Arc::new(Rumor {
+            wid: u64::from(seq),
+            data: vec![seq as u8],
+            deadline: dline,
+            dest,
+        });
+        let shoot = CongosMsg::Shoot {
+            rumor,
+            rid,
+            direct: false,
+        };
+        (fragments, shoot)
+    }
+
+    fn to_p0(round: u64, payload: CongosMsg) -> Envelope<CongosMsg> {
+        Envelope {
+            src: ProcessId::new(1),
+            dst: ProcessId::new(0),
+            round: Round(round),
+            tag: payload.tag(),
+            payload,
+        }
+    }
+
+    fn partials(dline: u64, fragments: Vec<Fragment>) -> CongosMsg {
+        CongosMsg::Partials {
+            dline,
+            ell: 0,
+            fragments,
+        }
+    }
+
+    #[test]
+    fn round_511s_prune_drops_every_key_of_an_expired_rumor() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        run_until(&mut node, &mut peers, 1);
+        // Rumor 0 is half reassembled; rumor 1 is delivered by its
+        // fragments, rumor 2 by a `Shoot`.
+        let (mut half, _) = rumor_of_p1(0, 32, n);
+        half.truncate(1);
+        let (whole, _) = rumor_of_p1(1, 32, n);
+        let (_, shoot) = rumor_of_p1(2, 32, n);
+        peers.0 = vec![
+            to_p0(1, partials(32, half)),
+            to_p0(1, partials(32, whole)),
+            to_p0(1, shoot),
+        ];
+        run_until(&mut node, &mut peers, 2);
+        assert_eq!(node.outputs().len(), 2);
+        assert_eq!(
+            (node.protocol().parts.len(), node.protocol().delivered.len()),
+            (1, 2)
+        );
+        // Past the horizon, but before the prune: the keys are still there.
+        run_until(&mut node, &mut peers, 511);
+        assert_eq!(
+            (node.protocol().parts.len(), node.protocol().delivered.len()),
+            (1, 2)
+        );
+        run_until(&mut node, &mut peers, 512);
+        let p = node.protocol();
+        assert!(p.parts.is_empty() && p.delivered.is_empty());
+        assert_eq!((p.parts_expiry.len(), p.delivered_expiry.len()), (0, 0));
+        assert_eq!(p.stats().rejected, 0);
+    }
+
+    #[test]
+    fn a_replay_past_the_horizon_is_rejected_not_delivered() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        run_until(&mut node, &mut peers, 1);
+        let (fragments, shoot) = rumor_of_p1(1, 32, n);
+        peers.0 = vec![to_p0(1, partials(32, fragments.clone()))];
+        run_until(&mut node, &mut peers, 2);
+        assert_eq!(node.outputs().len(), 1);
+        // At the horizon a replay is a repeat; one round later, and after
+        // the prune, it is rejected.
+        let replay = |round| {
+            vec![
+                to_p0(round, partials(32, fragments.clone())),
+                to_p0(round, shoot.clone()),
+            ]
+        };
+        run_until(&mut node, &mut peers, 64);
+        peers.0 = replay(64);
+        run_until(&mut node, &mut peers, 65);
+        assert_eq!(node.protocol().stats().rejected, 0);
+        peers.0 = replay(65);
+        run_until(&mut node, &mut peers, 600);
+        assert_eq!(node.protocol().stats().rejected, 3);
+        peers.0 = replay(600);
+        run_until(&mut node, &mut peers, 601);
+        assert_eq!(node.protocol().stats().rejected, 6);
+        assert_eq!(node.outputs().len(), 1, "delivered once");
+        assert!(node.protocol().parts.is_empty() && node.protocol().delivered.is_empty());
+    }
+
+    #[test]
+    fn a_forged_short_dline_cannot_expire_a_rumor_early() {
+        let (me, n) = (ProcessId::new(0), 8);
+        let mut peers = Hostile(vec![], vec![]);
+        let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
+        run_until(&mut node, &mut peers, 1);
+        // Rumor 1 is of class 256, so its horizon is round 512. Its first
+        // fragment arrives honest, its second with a forged `dline` of 32
+        // (horizon 64); so does a fallback `Shoot` claiming deadline 8.
+        // Accepted, either would file the rumor as delivered until round 64,
+        // and round 511's prune would forget it.
+        let (fragments, shoot) = rumor_of_p1(1, 256, n);
+        let mut forged = fragments[1].clone();
+        forged.dline = 32;
+        let mut short = shoot.clone();
+        if let CongosMsg::Shoot { rumor, .. } = &mut short {
+            Arc::make_mut(rumor).deadline = 8;
+        }
+        peers.0 = vec![
+            to_p0(1, partials(256, vec![fragments[0].clone(), forged])),
+            to_p0(1, short),
+        ];
+        run_until(&mut node, &mut peers, 512);
+        assert_eq!(node.protocol().stats().rejected, 2);
+        assert!(node.outputs().is_empty());
+        // The honest fragments, after the forged horizon and the prune but
+        // within the true horizon, deliver it; the honest `Shoot` then finds
+        // it delivered.
+        peers.0 = vec![to_p0(512, partials(256, fragments)), to_p0(512, shoot)];
+        run_until(&mut node, &mut peers, 513);
+        assert_eq!(node.protocol().stats().rejected, 2);
+        assert_eq!(node.outputs().len(), 1, "delivered once");
     }
 
     #[test]

@@ -37,10 +37,12 @@ use crate::services::group_distribution::GdService;
 use crate::services::proxy::ProxyService;
 use crate::split;
 
-/// Whether `f` is of a split some correct process makes: of one of the `p`
-/// partitions, split into its `k` groups, and of one of them.
-fn fits(f: &Fragment, p: usize, k: usize) -> bool {
-    (f.partition as usize) < p && f.k as usize == k && f.group < f.k
+/// Whether `f` is of a split some correct process makes in class `dline`:
+/// of that class, of one of the `p` partitions, split into its `k` groups,
+/// and of one of them. (The node files a fragment's state to expire at a
+/// horizon taken from its `dline`, so that field must be the checked one.)
+fn fits(f: &Fragment, dline: u64, p: usize, k: usize) -> bool {
+    f.dline == dline && (f.partition as usize) < p && f.k as usize == k && f.group < f.k
 }
 
 /// Queues `msg` for `dst` under the tag the message implies.
@@ -402,7 +404,8 @@ impl ClassEngine {
     /// configuration does not have, or a proxy request carrying a fragment
     /// of a foreign group or partition — is dropped and counted in
     /// [`ClassStats::rejected`], in every build profile; so is each
-    /// fragment of a split no correct process makes ([`fits`]).
+    /// fragment of another class or of a split no correct process makes
+    /// ([`fits`]).
     pub(crate) fn on_receive(
         &mut self,
         now: Round,
@@ -411,7 +414,7 @@ impl ClassEngine {
         partitions: &PartitionSet,
         saved: &mut Vec<Fragment>,
     ) {
-        let (p, k) = (self.lanes.len(), self.groups);
+        let (dline, p, k) = (self.dline, self.lanes.len(), self.groups);
         match msg {
             CongosMsg::Gossip { lane, wire } => match lane {
                 GossipLane::Group { ell, .. } => match self.lanes.get_mut(*ell as usize) {
@@ -423,7 +426,7 @@ impl ClassEngine {
             CongosMsg::ProxyRequest { ell, fragments, .. } => {
                 let valid = fragments
                     .iter()
-                    .all(|f| f.partition == *ell && fits(f, p, k));
+                    .all(|f| f.partition == *ell && fits(f, dline, p, k));
                 match self.lanes.get_mut(*ell as usize) {
                     // [PROXY:CONFIDENTIAL]: only fragments of our own group
                     // may be proxied to us — an accepted foreign one would be
@@ -440,7 +443,7 @@ impl ClassEngine {
             },
             CongosMsg::Partials { fragments, .. } => {
                 let before = saved.len();
-                saved.extend(fragments.iter().filter(|f| fits(f, p, k)).cloned());
+                saved.extend(fragments.iter().filter(|f| fits(f, dline, p, k)).cloned());
                 self.stats.rejected += (before + fragments.len() - saved.len()) as u64;
             }
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
@@ -451,7 +454,7 @@ impl ClassEngine {
     /// append the fragments this process received through its groups to
     /// `saved` (for reassembly if it is a destination).
     pub(crate) fn post_receive(&mut self, saved: &mut Vec<Fragment>) {
-        let (p, k) = (self.lanes.len(), self.groups);
+        let (dline, p, k) = (self.dline, self.lanes.len(), self.groups);
         for lane in &mut self.lanes {
             for rumor in lane.gossip.take_delivered() {
                 let origin = rumor.id.origin;
@@ -461,7 +464,7 @@ impl ClassEngine {
                             // A lane carries its own group's fragments of
                             // its own partition, of a split that fits, and
                             // no others.
-                            if f.partition != lane.ell || f.group != lane.my_group || !fits(f, p, k)
+                            if f.partition != lane.ell || f.group != lane.my_group || !fits(f, dline, p, k)
                             {
                                 self.stats.rejected += 1;
                                 continue;

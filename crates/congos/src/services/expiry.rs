@@ -3,7 +3,13 @@
 //! The reassembly buffers and the delivery-dedup set (`CongosNode::parts` /
 //! `delivered`) and the auditor's holdings all key their entries by a rumor
 //! id whose `birth` bounds the entry's useful life: nothing in the protocol
-//! circulates a rumor's fragments past `birth + 2d`. Retained unboundedly
+//! circulates a rumor's fragments or its `Shoot` past its horizon
+//! `birth + 2·dline`, where `dline` is the rumor's trimmed deadline class.
+//! Both file each entry at that horizon. The node takes `dline` only from
+//! a checked class (a fragment's must be its message's, a fallback
+//! `Shoot`'s must trim to a valid class) and rejects a fragment or `Shoot`
+//! that arrives after the horizon, so a pruned rumor is not delivered
+//! twice; the auditor debug-asserts that none arrives. Retained unboundedly
 //! between full-scan prunes, at `n = 8192` the scans and the resident tail
 //! dominated both time and memory.
 //!

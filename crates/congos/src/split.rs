@@ -3,7 +3,7 @@
 //! Section 4.1: *"let `ρ₀.z` be a random binary string, and let
 //! `ρ₁.z = ρ.z xor ρ₀.z`"*; Section 6.2 generalizes to `τ+1` fragments:
 //! `ρ₀…ρ_{τ−1}` random, `ρ_τ = ρ xor ρ₀ xor … xor ρ_{τ−1}`. This is the
-//! simplest instantiation of cryptographic secret sharing (Shamir [34]):
+//! simplest instantiation of cryptographic secret sharing (Shamir \[34\]):
 //! any proper subset of the fragments is a uniformly random string carrying
 //! **zero information** about the rumor (information-theoretic hiding), yet
 //! all fragments together reconstruct it exactly.

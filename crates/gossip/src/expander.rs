@@ -1,6 +1,6 @@
 //! Deterministic target schedules over expander-like graphs.
 //!
-//! The original continuous-gossip substrate [13] *de-randomizes* the
+//! The original continuous-gossip substrate \[13\] *de-randomizes* the
 //! epidemic: random per-round choices are replaced by edges of explicit
 //! expander graphs, so the protocol's behavior — and its guarantees — hold
 //! against an adversary that knows every future "choice". This module
@@ -15,7 +15,6 @@
 //! contract the CONGOS layer needs (probability-1 QoD via the deadline
 //! fallback, bounded per-round complexity).
 
-use congos_sim::topology::Topology;
 use congos_sim::{IdSet, ProcessId, Round};
 
 /// How a gossip endpoint chooses its epidemic push targets.
@@ -24,7 +23,7 @@ pub enum GossipStrategy {
     /// Uniform random members (the analysis-friendly randomized epidemic).
     #[default]
     Random,
-    /// Deterministic expander schedule (the de-randomized [13] mode): the
+    /// Deterministic expander schedule (the de-randomized \[13\] mode): the
     /// adversary gains nothing from seeing the process's coin flips,
     /// because there are none.
     Expander,
@@ -44,96 +43,153 @@ pub enum GossipStrategy {
 ///   offsets span all binary scales — the union graph has logarithmic
 ///   diameter, so a rumor injected anywhere floods the group in
 ///   `O(log² m)` rounds even if a constant fraction of members crash.
+///
+/// Replaces the contents of `targets` with the picks, in schedule order; a
+/// kept `targets` makes it allocate nothing. Ranks are resolved through
+/// [`IdSet::rank`] and [`IdSet::select`], so the member list is never built.
+///
+/// # Panics
+///
+/// Panics if the group has two or more members and `me` is not one of them.
 pub fn expander_targets(
     membership: &IdSet,
     me: ProcessId,
     now: Round,
     fanout: usize,
-) -> Vec<ProcessId> {
-    let members: Vec<ProcessId> = membership.iter().collect();
-    let m = members.len();
+    targets: &mut Vec<ProcessId>,
+) {
+    targets.clear();
+    let m = membership.len();
     if m <= 1 {
-        return Vec::new();
+        return;
     }
-    let my_rank = members
-        .binary_search(&me)
-        .expect("caller is a member of the group");
+    assert!(membership.contains(me), "caller is a member of the group");
+    let my_rank = membership.rank(me);
 
-    // Offset family: powers of two and their negations (mod m).
+    // Offset family: powers of two, then their negations (mod m), with a
+    // repeat where the halves meet (when m − 1 is a power of two) dropped.
+    // At most 2·⌈log₂ m⌉ offsets, so they fit on the stack.
     let bits = usize::BITS - (m - 1).leading_zeros(); // ⌈log2 m⌉
-    let mut offsets: Vec<usize> = Vec::with_capacity(2 * bits as usize);
-    for j in 0..bits {
-        offsets.push((1usize << j) % m);
-    }
-    for j in 0..bits {
-        offsets.push(m - ((1usize << j) % m));
-    }
-    offsets.retain(|o| *o != 0 && *o != m);
-    offsets.dedup();
-    if offsets.is_empty() {
-        offsets.push(1);
+    let mut offsets = [0usize; 2 * usize::BITS as usize];
+    let mut d = 0;
+    for off in (0..bits).map(|j| 1 << j).chain((0..bits).map(|j| m - (1 << j))) {
+        if d == 0 || offsets[d - 1] != off {
+            offsets[d] = off;
+            d += 1;
+        }
     }
 
-    let d = offsets.len();
-    let t = now.as_u64() as usize;
-    let mut out = Vec::with_capacity(fanout.min(m - 1));
-    let mut seen = vec![false; m];
-    for j in 0..fanout.min(m - 1) + d {
-        if out.len() >= fanout.min(m - 1) {
+    // One pass over the family visits every rank the schedule can reach;
+    // a rank two offsets share is picked once.
+    let k = fanout.min(m - 1);
+    let t = (now.as_u64() % d as u64) as usize;
+    for j in 0..d {
+        if targets.len() >= k {
             break;
         }
-        let off = offsets[(t + j) % d];
-        let rank = (my_rank + off) % m;
-        if rank != my_rank && !seen[rank] {
-            seen[rank] = true;
-            out.push(members[rank]);
+        let rank = (my_rank + offsets[(t + j) % d]) % m;
+        let p = membership.select(rank).expect("rank below len");
+        if !targets.contains(&p) {
+            targets.push(p);
         }
     }
-    out
-}
-
-/// The deterministic neighbor schedule for one member of a group, restricted
-/// to a communication [`Topology`](congos_sim::topology::Topology) — the
-/// bridge between the gossip substrate's de-randomized mode and the
-/// engine-level topology layer (`sim::topology`).
-///
-/// On [`TopologySpec::Complete`](congos_sim::TopologySpec::Complete) this is
-/// exactly [`expander_targets`] (every pair is linked, so the schedule is
-/// unrestricted). On sparser topologies it rotates round-by-round through
-/// the member's *actual* round-`now` neighbors inside the group, so the
-/// substrate never wastes a send on a link the delivery phase would drop.
-pub fn topology_targets(
-    topo: &Topology,
-    membership: &IdSet,
-    me: ProcessId,
-    now: Round,
-    fanout: usize,
-) -> Vec<ProcessId> {
-    if topo.is_complete() {
-        return expander_targets(membership, me, now, fanout);
-    }
-    let mut reachable = topo.neighbors(now, me);
-    reachable.intersect_with(membership);
-    let candidates: Vec<ProcessId> = reachable.iter().collect();
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    // Rotate the (sorted) candidate list by round so repeated rounds spread
-    // contacts across the whole neighborhood, mirroring expander_targets.
-    let k = fanout.min(candidates.len());
-    let start = (now.as_u64() as usize) % candidates.len();
-    (0..k)
-        .map(|j| candidates[(start + j) % candidates.len()])
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_sim::TopologySpec;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn group(ids: &[usize], n: usize) -> IdSet {
         IdSet::from_iter(n, ids.iter().map(|i| ProcessId::new(*i)))
+    }
+
+    fn schedule(g: &IdSet, me: ProcessId, now: Round, fanout: usize) -> Vec<ProcessId> {
+        let mut targets = Vec::new();
+        expander_targets(g, me, now, fanout, &mut targets);
+        targets
+    }
+
+    /// Reference schedule, spelled out: the member list and the offset
+    /// family built as `Vec`s, and a `seen` flag per rank.
+    fn listed_schedule(
+        membership: &IdSet,
+        me: ProcessId,
+        now: Round,
+        fanout: usize,
+    ) -> Vec<ProcessId> {
+        let members: Vec<ProcessId> = membership.iter().collect();
+        let m = members.len();
+        if m <= 1 {
+            return Vec::new();
+        }
+        let my_rank = members.binary_search(&me).expect("member");
+        let bits = usize::BITS - (m - 1).leading_zeros();
+        let mut offsets: Vec<usize> = Vec::with_capacity(2 * bits as usize);
+        for j in 0..bits {
+            offsets.push((1usize << j) % m);
+        }
+        for j in 0..bits {
+            offsets.push(m - ((1usize << j) % m));
+        }
+        offsets.retain(|o| *o != 0 && *o != m);
+        offsets.dedup();
+        if offsets.is_empty() {
+            offsets.push(1);
+        }
+        let d = offsets.len();
+        let t = now.as_u64() as usize;
+        let mut out = Vec::with_capacity(fanout.min(m - 1));
+        let mut seen = vec![false; m];
+        for j in 0..fanout.min(m - 1) + d {
+            if out.len() >= fanout.min(m - 1) {
+                break;
+            }
+            let rank = (my_rank + offsets[(t + j) % d]) % m;
+            if rank != my_rank && !seen[rank] {
+                seen[rank] = true;
+                out.push(members[rank]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn picks_match_the_listed_schedule() {
+        let mut targets = vec![ProcessId::new(0); 3];
+        // Every small group size, so each `m = 2^j + 1` (the halves of the
+        // offset family meet) is drawn; then random memberships.
+        for m in 1..=70 {
+            let g = IdSet::full(m);
+            for me in g.iter() {
+                for fanout in [1, 2, 5, m] {
+                    let now = Round((7 * me.as_usize() + fanout) as u64);
+                    expander_targets(&g, me, now, fanout, &mut targets);
+                    assert_eq!(targets, listed_schedule(&g, me, now, fanout), "m={m}");
+                }
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(0xE4);
+        for _ in 0..3000 {
+            let n = rng.gen_range(1usize..300);
+            let density = rng.gen::<f64>();
+            let mut g = IdSet::from_iter(
+                n,
+                (0..n).filter(|_| rng.gen_bool(density)).map(ProcessId::new),
+            );
+            let me = ProcessId::new(rng.gen_range(0..n));
+            g.insert(me);
+            let now = Round(rng.gen_range(0u64..1 << 40));
+            let fanout = rng.gen_range(0..=g.len() + 2);
+            expander_targets(&g, me, now, fanout, &mut targets);
+            assert_eq!(
+                targets,
+                listed_schedule(&g, me, now, fanout),
+                "n={n} |g|={} me={me} {now} fanout={fanout}",
+                g.len()
+            );
+        }
     }
 
     #[test]
@@ -141,7 +197,7 @@ mod tests {
         let g = group(&[0, 3, 5, 8, 9, 12, 17, 20], 24);
         for t in 0..40u64 {
             for me in g.iter() {
-                let targets = expander_targets(&g, me, Round(t), 3);
+                let targets = schedule(&g, me, Round(t), 3);
                 assert!(!targets.contains(&me), "self-send at t={t}");
                 let mut d = targets.clone();
                 d.sort_unstable();
@@ -155,8 +211,8 @@ mod tests {
     #[test]
     fn schedule_is_deterministic() {
         let g = group(&[1, 2, 4, 7], 8);
-        let a = expander_targets(&g, ProcessId::new(2), Round(9), 2);
-        let b = expander_targets(&g, ProcessId::new(2), Round(9), 2);
+        let a = schedule(&g, ProcessId::new(2), Round(9), 2);
+        let b = schedule(&g, ProcessId::new(2), Round(9), 2);
         assert_eq!(a, b);
     }
 
@@ -169,7 +225,7 @@ mod tests {
         let me = ProcessId::new(5);
         let mut contacted: Vec<ProcessId> = Vec::new();
         for t in 0..64u64 {
-            contacted.extend(expander_targets(&g, me, Round(t), 1));
+            contacted.extend(schedule(&g, me, Round(t), 1));
         }
         contacted.sort_unstable();
         contacted.dedup();
@@ -195,7 +251,7 @@ mod tests {
             let snapshot = informed.clone();
             for (i, is) in snapshot.iter().enumerate() {
                 if *is {
-                    for tgt in expander_targets(&g, ProcessId::new(i), Round(t), fanout) {
+                    for tgt in schedule(&g, ProcessId::new(i), Round(t), fanout) {
                         informed[tgt.as_usize()] = true;
                     }
                 }
@@ -210,62 +266,11 @@ mod tests {
     }
 
     #[test]
-    fn topology_targets_on_complete_equals_expander_schedule() {
-        let topo = Topology::build(TopologySpec::Complete, 24, 7);
-        let g = group(&[0, 3, 5, 8, 9, 12, 17, 20], 24);
-        for t in 0..16u64 {
-            for me in g.iter() {
-                assert_eq!(
-                    topology_targets(&topo, &g, me, Round(t), 3),
-                    expander_targets(&g, me, Round(t), 3)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn topology_targets_stay_on_live_links() {
-        let topo = Topology::build(TopologySpec::Expander { degree: 4 }, 24, 7);
-        let g = IdSet::full(24);
-        for t in 0..32u64 {
-            for me in g.iter() {
-                let targets = topology_targets(&topo, &g, me, Round(t), 3);
-                assert!(!targets.contains(&me), "self-send at t={t}");
-                for tgt in &targets {
-                    assert!(
-                        topo.connected(Round(t), me, *tgt),
-                        "t={t}: {me}→{tgt} is not a live link"
-                    );
-                }
-                let mut d = targets.clone();
-                d.sort_unstable();
-                d.dedup();
-                assert_eq!(d.len(), targets.len(), "duplicate targets");
-            }
-        }
-    }
-
-    #[test]
-    fn topology_targets_rotate_across_rounds() {
-        // With fanout 1 on a 4-regular graph, successive rounds must not be
-        // stuck on a single neighbor.
-        let topo = Topology::build(TopologySpec::Expander { degree: 4 }, 16, 3);
-        let g = IdSet::full(16);
-        let me = ProcessId::new(5);
-        let mut contacted: Vec<ProcessId> = (0..8u64)
-            .flat_map(|t| topology_targets(&topo, &g, me, Round(t), 1))
-            .collect();
-        contacted.sort_unstable();
-        contacted.dedup();
-        assert!(contacted.len() >= 3, "schedule barely rotates: {contacted:?}");
-    }
-
-    #[test]
     fn tiny_groups_are_handled() {
         let g = group(&[4], 8);
-        assert!(expander_targets(&g, ProcessId::new(4), Round(0), 3).is_empty());
+        assert!(schedule(&g, ProcessId::new(4), Round(0), 3).is_empty());
         let g = group(&[2, 6], 8);
-        let t = expander_targets(&g, ProcessId::new(2), Round(5), 3);
+        let t = schedule(&g, ProcessId::new(2), Round(5), 3);
         assert_eq!(t, vec![ProcessId::new(6)]);
     }
 }

@@ -3,7 +3,7 @@
 //! CONGOS (the confidential-gossip algorithm) consumes a non-confidential
 //! *Continuous Gossip service* as a black box — the protocol of Georgiou,
 //! Gilbert & Kowalski, *"Meeting the Deadline: On the Complexity of
-//! Fault-Tolerant Continuous Gossip"* (reference [13] of the paper). The
+//! Fault-Tolerant Continuous Gossip"* (reference \[13\] of the paper). The
 //! black box guarantees exactly two things:
 //!
 //! 1. **Quality of Delivery with probability 1** — every admissible rumor
@@ -19,7 +19,7 @@
 //! acknowledgment tracking, and a deterministic direct-send fallback at the
 //! deadline — which fires only when the epidemic phase failed to confirm
 //! delivery, preserving property 1 deterministically while property 2 holds
-//! with high probability. (The original [13] de-randomizes the epidemic
+//! with high probability. (The original \[13\] de-randomizes the epidemic
 //! choices with explicit expander graphs; building those is outside the
 //! scope of the confidential-gossip paper, which treats this service as a
 //! black box. See DESIGN.md §2.3.)

@@ -129,7 +129,7 @@ pub struct GossipConfig {
     /// Fanout formula parameters.
     pub fanout: FanoutParams,
     /// Target selection: randomized epidemic or the deterministic
-    /// expander schedule (the de-randomized [13] mode).
+    /// expander schedule (the de-randomized \[13\] mode).
     pub strategy: GossipStrategy,
     /// Tag under which this instance's traffic is metered.
     pub tag: Tag,
@@ -450,7 +450,7 @@ impl<T> ContinuousGossip<T> {
             match self.cfg.strategy {
                 GossipStrategy::Random => self.peers.sample_into(k, rng, &mut self.targets),
                 GossipStrategy::Expander => {
-                    self.targets = expander_targets(membership, self.me, now, k);
+                    expander_targets(membership, self.me, now, k, &mut self.targets)
                 }
             }
             if !self.targets.is_empty() {

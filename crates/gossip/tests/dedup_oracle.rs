@@ -153,10 +153,13 @@ impl Reference {
                 self.collab_est,
                 self.cfg.membership.len(),
             );
-            let targets = match self.cfg.strategy {
-                GossipStrategy::Random => self.peers.sample(k, rng),
-                GossipStrategy::Expander => expander_targets(&self.cfg.membership, self.me, now, k),
-            };
+            let mut targets = Vec::new();
+            match self.cfg.strategy {
+                GossipStrategy::Random => self.peers.sample_into(k, rng, &mut targets),
+                GossipStrategy::Expander => {
+                    expander_targets(&self.cfg.membership, self.me, now, k, &mut targets)
+                }
+            }
             let batch = Arc::new(PushBatch::from(
                 self.active.values().cloned().collect::<Vec<_>>(),
             ));

@@ -88,7 +88,7 @@ fn parse(args: &[String]) -> Result<Command, String> {
     let exp = experiments::find(&target)
         .ok_or_else(|| format!("unknown experiment {target:?} (see exp --list)"))?;
     let name = exp.name;
-    if gave("--topology") && !exp.runs.honours_topology() {
+    if gave("--topology") && !exp.honours_topology {
         return Err(format!(
             "{name} does not take --topology: it pins or sweeps the topology itself"
         ));

@@ -24,28 +24,6 @@ use crate::table::Table;
 /// The one shape every experiment entry point has: `run(full, defaults)`.
 pub type RunFn = fn(bool, &RunDefaults) -> Vec<Table>;
 
-/// How an experiment executes its runs — which decides which of the
-/// command line's run defaults it can honour. `exp` rejects a flag the
-/// selected experiment would ignore.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Runs {
-    /// Drives the engine directly on the paper's complete network, or runs
-    /// no protocol at all (E4's combinatorics): no `--topology`.
-    Engine,
-    /// Every run goes through [`crate::run()`], but the topology is the swept
-    /// axis: no `--topology`.
-    TopologySweep,
-    /// Every run goes through [`crate::run()`]: `--topology` applies.
-    Harness,
-}
-
-impl Runs {
-    /// Whether `--topology` reaches every run of the experiment.
-    pub fn honours_topology(self) -> bool {
-        self == Runs::Harness
-    }
-}
-
 /// A `BENCH_*.json` row set an experiment emits next to its tables.
 #[derive(Clone, Copy)]
 pub struct Bench {
@@ -64,8 +42,12 @@ pub struct Experiment {
     pub claim: &'static str,
     /// Entry point.
     pub run: RunFn,
-    /// How it executes its runs.
-    pub runs: Runs,
+    /// Whether `--topology` reaches every run: `true` when every run goes
+    /// through [`crate::run()`]; `false` when the experiment drives the
+    /// engine directly on the paper's complete network, runs no protocol
+    /// at all (E4's combinatorics), or sweeps the topology itself. `exp`
+    /// rejects a flag the selected experiment would ignore.
+    pub honours_topology: bool,
     /// The bench row set it writes, if any.
     pub bench: Option<Bench>,
     /// `true` for the memory sweep: it measures process-wide peak RSS, so it
@@ -73,12 +55,17 @@ pub struct Experiment {
     pub measures_rss: bool,
 }
 
-const fn row(name: &'static str, claim: &'static str, run: RunFn, runs: Runs) -> Experiment {
+const fn row(
+    name: &'static str,
+    claim: &'static str,
+    run: RunFn,
+    honours_topology: bool,
+) -> Experiment {
     Experiment {
         name,
         claim,
         run,
-        runs,
+        honours_topology,
         bench: None,
         measures_rss: false,
     }
@@ -90,19 +77,19 @@ pub const REGISTRY: &[Experiment] = &[
         "e1",
         "E1: Theorem 1 — the price of strong confidentiality",
         e1_strong_confidentiality::run,
-        Runs::Harness,
+        true,
     ),
     row(
         "e2",
         "E2: Theorem 2 — confidentiality + Quality of Delivery, always",
         e2_correctness::run,
-        Runs::Engine,
+        false,
     ),
     row(
         "e3",
         "E3: Lemma 7 / Theorem 11 — per-round message complexity",
         e3_complexity::run,
-        Runs::Harness,
+        true,
     ),
     Experiment {
         bench: Some(Bench {
@@ -114,62 +101,62 @@ pub const REGISTRY: &[Experiment] = &[
             "e3m",
             "E3m: memory accounting of the high-n complexity sweeps",
             e3_memory::run,
-            Runs::Harness,
+            true,
         )
     },
     row(
         "e4",
         "E4: Lemma 5 / Lemma 13 — partition goodness",
         e4_partitions::run,
-        Runs::Engine,
+        false,
     ),
     row(
         "e5",
         "E5: Theorem 12 — collusion lower bound (border messages)",
         e5_collusion_lb::run,
-        Runs::Engine,
+        false,
     ),
     row(
         "e6",
         "E6: Theorem 16 — the tau^2 cost of collusion tolerance",
         e6_collusion_cost::run,
-        Runs::Harness,
+        true,
     ),
     row(
         "e7",
         "E7: Robustness — QoD and fallback rate under churn",
         e7_churn::run,
-        Runs::Engine,
+        false,
     ),
     row(
         "e8",
         "E8: Alternative approaches — CONGOS vs direct/crypto/epidemic",
         e8_baselines::run,
-        Runs::Harness,
+        true,
     ),
     row(
         "e9",
         "E9: Ablations — partitions, fanout constants, substrate strategy",
         e9_ablation::run,
-        Runs::Engine,
+        false,
     ),
     row(
         "e10",
         "E10: Section 7 — metadata-hiding costs",
         e10_metadata_hiding::run,
-        Runs::Harness,
+        true,
     ),
     row(
         "e11",
         "E11: Section 7 — communication complexity in bytes",
         e11_communication::run,
-        Runs::Harness,
+        true,
     ),
     row(
         "e12",
         "E12: Section 7 — adaptive vs oblivious adversary power",
         e12_adaptivity::run,
-        Runs::Engine,
+        false,
     ),
     Experiment {
         bench: Some(Bench {
@@ -180,7 +167,7 @@ pub const REGISTRY: &[Experiment] = &[
             "e13",
             "E13: Source anonymity — who started this rumor, and can CONGOS hide it?",
             e13_anonymity::run,
-            Runs::TopologySweep,
+            false,
         )
     },
     Experiment {
@@ -192,7 +179,7 @@ pub const REGISTRY: &[Experiment] = &[
             "e14",
             "E14: Beyond the complete graph — QoD/complexity vs topology",
             e14_topology::run,
-            Runs::TopologySweep,
+            false,
         )
     },
 ];

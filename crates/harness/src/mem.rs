@@ -145,7 +145,7 @@ impl MemSample {
 }
 
 /// Before/after memory accounting of one measured region (e.g. one
-/// [`crate::run`] call), plus its wall-clock time.
+/// [`crate::run()`] call), plus its wall-clock time.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MemUsage {
     /// Snapshot at region entry.

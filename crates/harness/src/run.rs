@@ -1,5 +1,7 @@
 //! Generic experiment runner with Quality-of-Delivery accounting.
 
+use std::collections::HashMap;
+
 use congos_adversary::predict::{CoalitionSpec, CoalitionTap, SightingLog};
 use congos_adversary::{CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, RumorSpec};
 use congos_sim::{Engine, EngineBackend, EngineConfig, Metrics, ProcessId, Round, TopologySpec};
@@ -374,6 +376,12 @@ where
             round: o.round,
         })
         .collect();
+    // Each (rumor, process)'s first delivery round, indexed once. The
+    // engine logs outputs in round order, so the first seen is the earliest.
+    let mut first: HashMap<(u64, ProcessId), Round> = HashMap::new();
+    for r in &deliveries {
+        first.entry((r.wid, r.process)).or_insert(r.round);
+    }
     let (liveness, topology) = (engine.liveness(), engine.topology());
     let mut qod = QodSummary::default();
     let mut latencies = Vec::new();
@@ -391,12 +399,7 @@ where
                 continue;
             }
             qod.admissible += 1;
-            let best = deliveries
-                .iter()
-                .filter(|r| r.wid == entry.spec.id && r.process == *d)
-                .map(|r| r.round)
-                .min();
-            match best {
+            match first.get(&(entry.spec.id, *d)).copied() {
                 Some(r) if r <= end => {
                     qod.on_time += 1;
                     latencies.push(r - t);

@@ -185,13 +185,13 @@ pub fn trim_deadline(d: u64, cap_rounds: u64) -> u64 {
     1u64 << (63 - d.leading_zeros() as u64)
 }
 
-/// The paper's deadline cap `c·log⁶ n` for a system of `n` processes.
-///
-/// `c` is configurable by callers; this helper computes `⌈c · (log₂ n)⁶⌉`,
-/// with a floor of 64 so the block pipeline is meaningful at small `n`.
-pub fn deadline_cap(n: usize, c: f64) -> u64 {
+/// The paper's deadline cap `c·log⁶ n` for a system of `n` processes,
+/// with `c = 1`: `⌈(log₂ n)⁶⌉`, with a floor of 64 so the block pipeline is
+/// meaningful at small `n`. (Section 4.2 trims longer deadlines to it; the
+/// constant does not change the asymptotic complexity.)
+pub fn deadline_cap(n: usize) -> u64 {
     let lg = (n.max(2) as f64).log2();
-    (c * lg.powi(6)).ceil().max(64.0) as u64
+    lg.powi(6).ceil().max(64.0) as u64
 }
 
 #[cfg(test)]
@@ -274,10 +274,10 @@ mod tests {
 
     #[test]
     fn deadline_cap_grows_polylog() {
-        let c16 = deadline_cap(16, 1.0);
-        let c256 = deadline_cap(256, 1.0);
+        let c16 = deadline_cap(16);
+        let c256 = deadline_cap(256);
         assert!(c256 > c16);
-        assert_eq!(deadline_cap(2, 1.0), 64, "floor applies at tiny n");
+        assert_eq!(deadline_cap(2), 64, "floor applies at tiny n");
     }
 
     #[test]

@@ -70,7 +70,6 @@ pub mod metrics;
 pub mod process;
 pub mod rng;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 
 pub use clock::{BlockClock, Round};
@@ -85,5 +84,4 @@ pub use message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, OutboxMeta, Outbo
 pub use metrics::{Metrics, RoundCounts};
 pub use process::{ProcessId, ProcessState};
 pub use topology::{Topology, TopologySpec};
-pub use trace::{TraceEvent, Tracer};
 pub use transport::{run_local_cluster, MemTransport, NodeDriver, RoundTransport};

@@ -11,9 +11,11 @@
 #                            #        simulator bytes + the congos-net
 #                            #        transport unit tests (≈ 1 s: the
 #                            #        round's write shape per peer and the
-#                            #        send/marker contract) + the benchmark
-#                            #        package (its pinned API surface) +
-#                            #        every target below
+#                            #        send/marker contract) + rustdoc of
+#                            #        every workspace crate with warnings
+#                            #        denied (no dangling doc link) + the
+#                            #        benchmark package (its pinned API
+#                            #        surface) + every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
 #                            #        suite, topology proptests, and the
 #                            #        `exp e14` quick smoke (writes
@@ -243,6 +245,11 @@ echo "==> tier1: congos-net transport unit tests"
 # Each peer's round leaves in one write, frames then marker; the tests pin
 # that shape and the contract around it over raw loopback sockets.
 cargo test -q -p congos-net --lib transport::
+
+echo "==> tier1: rustdoc with warnings denied"
+# A deleted or renamed item must not leave a dangling or ambiguous doc link
+# behind. The vendored rand and proptest stubs are not ours to document.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --exclude proptest --exclude rand --no-deps
 
 echo "==> tier1: benchmark package builds and passes against this tree"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml

@@ -9,7 +9,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`sim`] | `congos-sim` | synchronous-round CRRI-model engine (sequential and parallel backends), metrics, tracing |
+//! | [`sim`] | `congos-sim` | synchronous-round CRRI-model engine (sequential and parallel backends), metrics |
 //! | [`adversary`] | `congos-adversary` | crash/restart strategies and rumor workloads |
 //! | [`gossip`] | `congos-gossip` | the continuous-gossip substrate (randomized + expander modes) |
 //! | [`congos`] | `congos` | **the paper's algorithm**: splitting, partitions, Proxy, GroupDistribution, auditor, extensions |
@@ -20,23 +20,28 @@
 //! ## Sixty seconds to a confidential rumor
 //!
 //! ```
-//! use confidential_gossip::congos::oneshot::{share, OneshotRumor};
-//! use confidential_gossip::sim::ProcessId;
+//! use confidential_gossip::adversary::{CrriAdversary, NoFailures, OneShot, RumorSpec};
+//! use confidential_gossip::congos::{ConfidentialityAuditor, CongosNode};
+//! use confidential_gossip::sim::{Engine, EngineConfig, ProcessId, Round};
 //!
-//! let report = share(
-//!     16,   // processes
-//!     7,    // seed
-//!     &[OneshotRumor {
-//!         data: b"for the committee only".to_vec(),
-//!         source: ProcessId::new(0),
-//!         dest: vec![ProcessId::new(4), ProcessId::new(9)],
-//!         deadline: 64,
-//!     }],
+//! let n = 16;
+//! let dest = vec![ProcessId::new(4), ProcessId::new(9)];
+//! let rumor = RumorSpec::new(0, b"for the committee only".to_vec(), 64, dest.clone());
+//! let mut adv = CrriAdversary::new(
+//!     NoFailures,
+//!     OneShot::new(Round(0), vec![(ProcessId::new(0), rumor)]),
 //! );
+//! let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(7));
+//! let mut audit = ConfidentialityAuditor::new(n);
+//! engine.run_observed(65, &mut adv, &mut audit);
+//!
 //! // Both recipients — and only they — reassembled the rumor, on time,
-//! // and the built-in audit verified nobody else ever could have.
-//! assert_eq!(report.deliveries.len(), 2);
-//! assert!(report.deliveries.iter().all(|d| d.round <= 64));
+//! // and the audit verified nobody else ever could have.
+//! let receivers: Vec<ProcessId> = engine.outputs().iter().map(|o| o.process).collect();
+//! assert_eq!(receivers.len(), 2);
+//! assert!(dest.iter().all(|d| receivers.contains(d)));
+//! assert!(engine.outputs().iter().all(|o| o.round <= Round(64)));
+//! audit.assert_clean();
 //! ```
 //!
 //! See the repository's `README.md`, `DESIGN.md`, `PAPER_MAPPING.md` and

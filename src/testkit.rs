@@ -8,12 +8,17 @@
 //! [`GOLDEN_TRACE_DIGEST`] — so every suite asserts against the same
 //! fixture instead of each carrying a private copy that can drift.
 
-use congos::{AuditReport, ConfidentialityAuditor, CongosNode, DeliveredRumor};
+use std::fmt::{self, Write as _};
+
+use congos::{
+    AuditReport, ConfidentialityAuditor, CongosInput, CongosMsg, CongosNode, DeliveredRumor,
+};
 use congos_adversary::predict::{CoalitionTap, SightingLog};
 use congos_adversary::{CrriAdversary, FailurePlan, PoissonWorkload};
 use congos_sim::engine::OutputRecord;
-use congos_sim::trace::Tracer;
-use congos_sim::{Engine, EngineBackend, EngineConfig, ProcessId, Round, TopologySpec};
+use congos_sim::{
+    Engine, EngineBackend, EngineConfig, EnvelopeRef, Observer, ProcessId, Round, TopologySpec,
+};
 
 /// Universe size used by every fingerprint run (matches the seed suite).
 pub const N: usize = 16;
@@ -38,6 +43,48 @@ pub fn fnv1a(s: &str) -> u64 {
 /// semantic drift in the engine, the protocol, or the topology layer's
 /// supposedly invisible default path.
 pub const GOLDEN_TRACE_DIGEST: u64 = 0x8216_e22b_d38c_0d66;
+
+/// Renders a run's events as a per-round timeline, one line per event as it
+/// arrives: a `rN:` header whenever the round changes, then the indented
+/// event. [`GOLDEN_TRACE_DIGEST`] is the [`fnv1a`] of this text.
+#[derive(Default)]
+struct Timeline {
+    text: String,
+    round: Option<Round>,
+}
+
+impl Timeline {
+    fn line(&mut self, round: Round, event: fmt::Arguments<'_>) {
+        if self.round != Some(round) {
+            self.round = Some(round);
+            let _ = writeln!(self.text, "{round}:");
+        }
+        let _ = writeln!(self.text, "  {event}");
+    }
+}
+
+impl Observer<CongosNode> for Timeline {
+    fn on_deliver(&mut self, env: EnvelopeRef<'_, CongosMsg>) {
+        let (src, dst, tag) = (env.src, env.dst, env.tag);
+        self.line(env.round, format_args!("{src} → {dst}  {tag:?}"));
+    }
+
+    fn on_inject(&mut self, round: Round, process: ProcessId, _input: &CongosInput) {
+        self.line(round, format_args!("inject @ {process}"));
+    }
+
+    fn on_output(&mut self, rec: &OutputRecord<DeliveredRumor>) {
+        self.line(rec.round, format_args!("output @ {}", rec.process));
+    }
+
+    fn on_crash(&mut self, round: Round, process: ProcessId) {
+        self.line(round, format_args!("✗ crash {process}"));
+    }
+
+    fn on_restart(&mut self, round: Round, process: ProcessId) {
+        self.line(round, format_args!("↻ restart {process}"));
+    }
+}
 
 /// Everything observable about one run, for exact comparison.
 #[derive(PartialEq, Debug)]
@@ -101,19 +148,18 @@ pub fn congos_fingerprint_tapped<F: FailurePlan>(
             .backend(backend),
     );
     let mut obs = (
-        (ConfidentialityAuditor::new(N), Tracer::new(1 << 20)),
+        (ConfidentialityAuditor::new(N), Timeline::default()),
         CoalitionTap::new(N, members),
     );
     engine.run_observed(ROUNDS, &mut adv, &mut obs);
-    let ((audit, tracer), tap) = obs;
+    let ((audit, timeline), tap) = obs;
     let per_tag = (0..ROUNDS)
         .map(|t| engine.metrics().round(t).iter().collect())
         .collect();
-    assert_eq!(tracer.dropped(), 0, "trace must be complete for the digest");
     let fp = Fingerprint {
         per_tag,
         audit: audit.report().clone(),
-        trace: tracer.render(),
+        trace: timeline.text,
         outputs: engine.into_outputs(),
     };
     (fp, tap.into_log())
