@@ -449,7 +449,10 @@ impl FailurePlan for Eclipse {
             }
         }
         self.kills += victims.len() as u64;
-        (victims.into_iter().map(CrashSpec::dropping).collect(), Vec::new())
+        (
+            victims.into_iter().map(CrashSpec::dropping).collect(),
+            Vec::new(),
+        )
     }
 }
 
@@ -554,8 +557,7 @@ mod extra_tests {
     fn eclipse_crashes_victims_correspondents_only() {
         let alive = vec![true; 5];
         let outbox = columns(&[(1, 0, "x"), (2, 3, "x"), (4, 0, "x")]);
-        let mut e = Eclipse::new(ProcessId::new(0), Round(10), 8)
-            .protect([ProcessId::new(4)]);
+        let mut e = Eclipse::new(ProcessId::new(0), Round(10), 8).protect([ProcessId::new(4)]);
         let (crashes, _) = e.decide_failures(&view(0, &alive, &outbox));
         let victims: Vec<usize> = crashes.iter().map(|c| c.process.as_usize()).collect();
         assert_eq!(victims, vec![1], "p2 talks elsewhere, p4 protected");

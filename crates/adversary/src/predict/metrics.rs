@@ -29,7 +29,12 @@ pub fn argmax_credit(posterior: &[f64], candidates: &[ProcessId], source: Proces
 
 /// Probability that `source` lands in the top `k` of `posterior` when ties
 /// are broken uniformly at random.
-pub fn topk_credit(posterior: &[f64], candidates: &[ProcessId], source: ProcessId, k: usize) -> f64 {
+pub fn topk_credit(
+    posterior: &[f64],
+    candidates: &[ProcessId],
+    source: ProcessId,
+    k: usize,
+) -> f64 {
     debug_assert_eq!(posterior.len(), candidates.len());
     let Some(si) = candidates.iter().position(|c| *c == source) else {
         return 0.0;
@@ -136,12 +141,21 @@ mod tests {
     #[test]
     fn argmax_credit_handles_ties_and_misses() {
         let c = ids(4);
-        assert_eq!(argmax_credit(&[0.1, 0.6, 0.2, 0.1], &c, ProcessId::new(1)), 1.0);
-        assert_eq!(argmax_credit(&[0.1, 0.6, 0.2, 0.1], &c, ProcessId::new(2)), 0.0);
+        assert_eq!(
+            argmax_credit(&[0.1, 0.6, 0.2, 0.1], &c, ProcessId::new(1)),
+            1.0
+        );
+        assert_eq!(
+            argmax_credit(&[0.1, 0.6, 0.2, 0.1], &c, ProcessId::new(2)),
+            0.0
+        );
         let split = argmax_credit(&[0.4, 0.4, 0.1, 0.1], &c, ProcessId::new(0));
         assert!((split - 0.5).abs() < 1e-12);
         // Source outside the candidate pool can never be credited.
-        assert_eq!(argmax_credit(&[1.0], &[ProcessId::new(0)], ProcessId::new(9)), 0.0);
+        assert_eq!(
+            argmax_credit(&[1.0], &[ProcessId::new(0)], ProcessId::new(9)),
+            0.0
+        );
     }
 
     #[test]

@@ -147,8 +147,18 @@ mod tests {
     fn ctx_log() -> SightingLog {
         let mut log = SightingLog::new(4);
         let obs = ProcessId::new(3);
-        log.record(Sighting { round: Round(3), observer: obs, sender: ProcessId::new(0), tag: Tag("rumor") });
-        log.record(Sighting { round: Round(4), observer: obs, sender: ProcessId::new(1), tag: Tag("rumor") });
+        log.record(Sighting {
+            round: Round(3),
+            observer: obs,
+            sender: ProcessId::new(0),
+            tag: Tag("rumor"),
+        });
+        log.record(Sighting {
+            round: Round(4),
+            observer: obs,
+            sender: ProcessId::new(1),
+            tag: Tag("rumor"),
+        });
         log
     }
 
@@ -219,6 +229,9 @@ mod tests {
         let p = MlEstimator::default().posterior(&ctx, &topo);
         // The sighted node itself (latency d+1 vs its expected 1) is a
         // worse explanation than candidate 0, for which the fit is exact.
-        assert!(p[0] > p[far], "distance-consistent candidate preferred: {p:?}");
+        assert!(
+            p[0] > p[far],
+            "distance-consistent candidate preferred: {p:?}"
+        );
     }
 }

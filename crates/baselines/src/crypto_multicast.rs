@@ -154,8 +154,7 @@ impl Protocol for CryptoMulticastNode {
                 self.next_gid += 1;
                 self.next_gid
             });
-            let others: Vec<ProcessId> =
-                members.iter().copied().filter(|p| *p != me).collect();
+            let others: Vec<ProcessId> = members.iter().copied().filter(|p| *p != me).collect();
             if others.is_empty() {
                 return;
             }
@@ -219,20 +218,12 @@ mod tests {
         let n = 8;
         let batch: Vec<_> = rumors
             .into_iter()
-            .map(|(wid, dest)| {
-                (
-                    ProcessId::new(0),
-                    RumorSpec::new(wid, vec![1], 16, dest),
-                )
-            })
+            .map(|(wid, dest)| (ProcessId::new(0), RumorSpec::new(wid, vec![1], 16, dest)))
             .collect();
         // One rumor per round per process: spread the batch over rounds.
         let mut e = Engine::<CryptoMulticastNode>::new(EngineConfig::new(n));
         for (i, item) in batch.into_iter().enumerate() {
-            let mut adv = CrriAdversary::new(
-                NoFailures,
-                OneShot::new(Round(i as u64), vec![item]),
-            );
+            let mut adv = CrriAdversary::new(NoFailures, OneShot::new(Round(i as u64), vec![item]));
             e.step(&mut adv);
         }
         let mut adv = CrriAdversary::new(NoFailures, congos_adversary::NoInjections);
@@ -262,11 +253,7 @@ mod tests {
     #[test]
     fn fresh_groups_rekey_every_time() {
         let mk = |ids: &[usize]| ids.iter().map(|i| ProcessId::new(*i)).collect::<Vec<_>>();
-        let e = run_rumors(vec![
-            (0, mk(&[1, 2])),
-            (1, mk(&[3, 4])),
-            (2, mk(&[5, 6])),
-        ]);
+        let e = run_rumors(vec![(0, mk(&[1, 2])), (1, mk(&[3, 4])), (2, mk(&[5, 6]))]);
         assert_eq!(e.metrics().total_of(TAG_REKEY), 12, "every rumor re-keys");
         assert_eq!(e.outputs().len(), 6);
     }

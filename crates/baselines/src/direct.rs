@@ -100,8 +100,7 @@ mod tests {
         let n = 4;
         let src = ProcessId::new(0);
         let spec = RumorSpec::new(0, vec![7], 4, vec![src]);
-        let mut adv =
-            CrriAdversary::new(NoFailures, OneShot::new(Round(0), vec![(src, spec)]));
+        let mut adv = CrriAdversary::new(NoFailures, OneShot::new(Round(0), vec![(src, spec)]));
         let mut e = Engine::<DirectNode>::new(EngineConfig::new(n));
         e.run(2, &mut adv);
         assert_eq!(e.outputs().len(), 1);

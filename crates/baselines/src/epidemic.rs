@@ -14,9 +14,7 @@ mod tests {
     use super::*;
     use congos_adversary::{CrriAdversary, NoFailures, OneShot, RumorSpec};
     use congos_gossip::GossipWire;
-    use congos_sim::{
-        Engine, EngineConfig, EnvelopeRef, Observer, ProcessId, Round,
-    };
+    use congos_sim::{Engine, EngineConfig, EnvelopeRef, Observer, ProcessId, Round};
 
     #[test]
     fn plain_epidemic_leaks_rumors_to_relays() {

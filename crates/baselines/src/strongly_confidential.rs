@@ -129,8 +129,7 @@ impl Protocol for StronglyConfidentialNode {
         // which is what Theorem 1's workload makes rare).
         let mut per_target: BTreeMap<ProcessId, Vec<StrongRumor>> = BTreeMap::new();
         for rumor in self.active.values() {
-            let members: Vec<ProcessId> =
-                rumor.dest.iter().filter(|p| *p != me).collect();
+            let members: Vec<ProcessId> = rumor.dest.iter().filter(|p| *p != me).collect();
             let k = self.fanout.min(members.len());
             for dst in members.choose_multiple(ctx.rng(), k) {
                 per_target.entry(*dst).or_default().push(rumor.clone());

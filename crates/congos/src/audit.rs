@@ -205,7 +205,8 @@ impl ConfidentialityAuditor {
             self.now.as_u64(),
             expire
         );
-        self.expiry.insert(expire, (holder, f.rid, f.partition, f.group));
+        self.expiry
+            .insert(expire, (holder, f.rid, f.partition, f.group));
         self.check_process(holder, f.rid, f.partition);
         // Coalition pooling: check every coalition containing the holder.
         for ci in 0..self.coalitions.len() {
@@ -241,8 +242,7 @@ impl ConfidentialityAuditor {
         let Some(&k) = self.split_k.get(&(rid, partition)) else {
             return;
         };
-        let held = (0..k)
-            .all(|g| self.holdings[p.as_usize()].contains(&(rid, partition, g)));
+        let held = (0..k).all(|g| self.holdings[p.as_usize()].contains(&(rid, partition, g)));
         if held {
             self.report
                 .violations

@@ -132,7 +132,10 @@ impl PartitionSet {
     pub fn random(n: usize, tau: usize, c: f64, seed: u64) -> Self {
         assert!(tau >= 1, "collusion tolerance τ must be ≥ 1");
         let k = tau + 1;
-        assert!(k <= n, "cannot split {n} processes into {k} non-empty groups");
+        assert!(
+            k <= n,
+            "cannot split {n} processes into {k} non-empty groups"
+        );
         let lg = (n.max(2) as f64).log2();
         let count = (c * tau as f64 * lg).ceil().max(1.0) as usize;
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9a47_1710);

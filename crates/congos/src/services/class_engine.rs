@@ -371,8 +371,7 @@ impl ClassEngine {
                     // acknowledgment/fallback cost for n-wide delivery
                     // (which would add an n² per-round term the paper's
                     // bound does not have).
-                    let sources =
-                        IdSet::from_iter(self.n, hits.iter().map(|(_, rid)| rid.source));
+                    let sources = IdSet::from_iter(self.n, hits.iter().map(|(_, rid)| rid.source));
                     self.all_gossip.inject(
                         now,
                         GossipPayload::Distribution {
@@ -464,7 +463,9 @@ impl ClassEngine {
                             // A lane carries its own group's fragments of
                             // its own partition, of a split that fits, and
                             // no others.
-                            if f.partition != lane.ell || f.group != lane.my_group || !fits(f, dline, p, k)
+                            if f.partition != lane.ell
+                                || f.group != lane.my_group
+                                || !fits(f, dline, p, k)
                             {
                                 self.stats.rejected += 1;
                                 continue;
@@ -542,8 +543,7 @@ impl ClassEngine {
     /// Fallback count plus confirmation count of the substrate endpoints —
     /// used by robustness experiments.
     pub(crate) fn gossip_fallbacks(&self) -> u64 {
-        self.lanes.iter().map(|l| l.gossip.fallbacks()).sum::<u64>()
-            + self.all_gossip.fallbacks()
+        self.lanes.iter().map(|l| l.gossip.fallbacks()).sum::<u64>() + self.all_gossip.fallbacks()
     }
 
     /// Number of own rumors still awaiting confirmation (diagnostics).
@@ -632,7 +632,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(!requests.is_empty(), "proxy must fire at the block boundary");
+        assert!(
+            !requests.is_empty(),
+            "proxy must fire at the block boundary"
+        );
         for (dst, ell, fragments) in requests {
             let p = partitions.partition(*ell as usize);
             for f in fragments {
@@ -655,7 +658,9 @@ mod tests {
         for t in 0..DLINE {
             let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
             assert!(
-                !sends.iter().any(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. })),
+                !sends
+                    .iter()
+                    .any(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. })),
                 "premature shoot at round {t}"
             );
         }

@@ -313,7 +313,9 @@ mod tests {
         gd.inject(frag(0, 0, &[1], n));
         gd.on_block_start(Round(0), false, 2); // recently restarted
         let mut rng = SmallRng::seed_from_u64(3);
-        assert!(gd.on_send_round(&mut rng, n, 64, &part, params()).is_empty());
+        assert!(gd
+            .on_send_round(&mut rng, n, 64, &part, params())
+            .is_empty());
         assert!(!gd.is_active());
         // Next block it is eligible and the fragment is still there.
         gd.on_block_start(Round(0), true, 2);

@@ -159,7 +159,13 @@ impl ProxyService {
                 self.failed_proxies.clear();
                 candidates = partition.group(g).clone();
             }
-            let k = fanout(params, n, dline, self.collaborators, partition.group(g).len() + 1);
+            let k = fanout(
+                params,
+                n,
+                dline,
+                self.collaborators,
+                partition.group(g).len() + 1,
+            );
             for target in candidates.sample(k, rng) {
                 self.outstanding.push(target);
                 requests.push((target, frags.clone()));
@@ -220,10 +226,7 @@ impl ProxyService {
     fn all_groups_served(&self, partition: &Partition) -> bool {
         (0..partition.group_count() as u8)
             .filter(|g| *g != self.my_group)
-            .all(|g| {
-                self.acked_groups.contains(&g)
-                    || !self.my_rumors.iter().any(|f| f.group == g)
-            })
+            .all(|g| self.acked_groups.contains(&g) || !self.my_rumors.iter().any(|f| f.group == g))
     }
 }
 

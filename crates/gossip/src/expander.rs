@@ -72,7 +72,10 @@ pub fn expander_targets(
     let bits = usize::BITS - (m - 1).leading_zeros(); // ⌈log2 m⌉
     let mut offsets = [0usize; 2 * usize::BITS as usize];
     let mut d = 0;
-    for off in (0..bits).map(|j| 1 << j).chain((0..bits).map(|j| m - (1 << j))) {
+    for off in (0..bits)
+        .map(|j| 1 << j)
+        .chain((0..bits).map(|j| m - (1 << j)))
+    {
         if d == 0 || offsets[d - 1] != off {
             offsets[d] = off;
             d += 1;

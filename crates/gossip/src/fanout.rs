@@ -14,7 +14,6 @@
 //! where the decay with `dline` is visible and (b) sweep the coefficient to
 //! exhibit the saturation crossover (experiment E9).
 
-
 /// Parameters of the fanout formula
 /// `α · n^{γ/ᵏ√dline} · ln n / collaborators`, clamped to
 /// `[1, group_size − 1]`.

@@ -684,7 +684,8 @@ mod tests {
             let out = a.step(Round(r), &mut rng);
             if r == 4 {
                 saw_direct = out.iter().any(|(dst, w)| {
-                    *dst == ProcessId::new(5) && matches!(w, GossipWire::Push(b) if b.rumors().len() == 1)
+                    *dst == ProcessId::new(5)
+                        && matches!(w, GossipWire::Push(b) if b.rumors().len() == 1)
                 });
             }
         }
@@ -991,7 +992,11 @@ mod tests {
         // The next push forwards the same allocations.
         let mut rng = SmallRng::seed_from_u64(13);
         let forwarded = epidemic_batch(&g.step(Round(1), &mut rng));
-        assert!(forwarded.rumors().iter().zip(pushed).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert!(forwarded
+            .rumors()
+            .iter()
+            .zip(pushed)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

@@ -103,7 +103,9 @@ fn main() {
     // At most one injection per (process, round) — the model's rule — so
     // rate is capped at n.
     if rate as usize > n {
-        usage_error(&format!("--rate must be at most --n (one injection per process per round), got {rate} > {n}"));
+        usage_error(&format!(
+            "--rate must be at most --n (one injection per process per round), got {rate} > {n}"
+        ));
     }
     let mut rng = fork_rng(seed, ProcessId::new(0), u64::MAX);
     let mut injections = Vec::new();

@@ -41,7 +41,10 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
 
     let variants: Vec<(&str, CongosConfig)> = vec![
         ("base", CongosConfig::base()),
-        ("hide destinations", CongosConfig::base().hide_destinations()),
+        (
+            "hide destinations",
+            CongosConfig::base().hide_destinations(),
+        ),
         (
             "cover traffic",
             CongosConfig::base().cover_traffic(CoverTrafficConfig {

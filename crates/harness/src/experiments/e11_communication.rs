@@ -61,9 +61,11 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             format!("{:.1}", cb / db.max(1.0)),
         ]);
     }
-    t.note("the overhead factor shrinks as |z| grows: control bits amortize, \
+    t.note(
+        "the overhead factor shrinks as |z| grows: control bits amortize, \
             fragment copies remain (paper: reasonable for large rumors, \
-            significant for small ones)");
+            significant for small ones)",
+    );
     vec![t]
 }
 

@@ -41,7 +41,9 @@
 //! extension is what hides the source.
 
 use congos::{CongosConfig, CongosNode, CoverTrafficConfig};
-use congos_adversary::predict::{first_contact_posterior, AttackScore, CoalitionSpec, EstimatorCtx, MlEstimator};
+use congos_adversary::predict::{
+    first_contact_posterior, AttackScore, CoalitionSpec, EstimatorCtx, MlEstimator,
+};
 use congos_adversary::{NoFailures, OneShot, RumorSpec};
 use congos_baselines::{DirectNode, StronglyConfidentialNode};
 use congos_sim::{ProcessId, Protocol, Round, Topology, TopologySpec};
@@ -175,9 +177,8 @@ where
         let out = run_with_factory::<P, _, _>(spec, factory.clone(), NoFailures, workload);
         let log = out.tap.expect("tapped run returns a sighting log");
 
-        let candidates: Vec<ProcessId> = ProcessId::all(n)
-            .filter(|p| !members.contains(p))
-            .collect();
+        let candidates: Vec<ProcessId> =
+            ProcessId::all(n).filter(|p| !members.contains(p)).collect();
         m_candidates = candidates.len();
         let ctx = EstimatorCtx {
             log: &log,
@@ -260,7 +261,11 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         for &fraction_ppm in &fractions {
             let gate_cell =
                 topology == TopologySpec::Expander { degree: 4 } && fraction_ppm == 100_000;
-            let congos_trials = if gate_cell { trials * GATE_MULT } else { trials };
+            let congos_trials = if gate_cell {
+                trials * GATE_MULT
+            } else {
+                trials
+            };
             let cell = RunDefaults { topology };
             let mut sys_rows: Vec<(&'static str, AttackScore, AttackScore, usize)> = Vec::new();
             let (fc, ml, m) = run_cell(
@@ -415,7 +420,10 @@ mod tests {
             d > c,
             "direct ({d:.3}) should leak more than congos ({c:.3}) with a 25% coalition"
         );
-        assert!(d > 1.5 / m as f64, "direct must beat uniform ({m} candidates)");
+        assert!(
+            d > 1.5 / m as f64,
+            "direct must beat uniform ({m} candidates)"
+        );
         let (fc_nc, ml_nc, _) = run_cell(
             "congos-nocover",
             CongosNode::new,
@@ -437,13 +445,32 @@ mod tests {
     fn e13_bench_json_schema() {
         // Schema check on a synthetic table — the JSON writer must key rows
         // by the E13 column names and carry the anonymity suite marker.
-        let mut t = Table::new("E13: source-identification probability vs coalition size",
-            &["topology", "system", "coalition%", "estimator", "trials", "m",
-              "p_id%", "top3%", "eps", "uniform%"]);
+        let mut t = Table::new(
+            "E13: source-identification probability vs coalition size",
+            &[
+                "topology",
+                "system",
+                "coalition%",
+                "estimator",
+                "trials",
+                "m",
+                "p_id%",
+                "top3%",
+                "eps",
+                "uniform%",
+            ],
+        );
         t.row(vec![
-            "complete".into(), "congos".into(), "10.0".into(), "ml".into(),
-            "40".into(), "58".into(), "1.72".into(), "5.17".into(),
-            "0.000".into(), "1.72".into(),
+            "complete".into(),
+            "congos".into(),
+            "10.0".into(),
+            "ml".into(),
+            "40".into(),
+            "58".into(),
+            "1.72".into(),
+            "5.17".into(),
+            "0.000".into(),
+            "1.72".into(),
         ]);
         let doc = bench_json(&[t]);
         assert_eq!(doc["suite"].as_str(), Some("anonymity"));

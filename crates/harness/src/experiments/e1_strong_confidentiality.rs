@@ -60,11 +60,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         assert!(strong.qod_theorem_holds(), "strong QoD: {:?}", strong.qod);
         assert!(congos.qod_theorem_holds(), "congos QoD: {:?}", congos.qod);
 
-        let copies: usize = strong
-            .injections
-            .iter()
-            .map(|e| e.spec.dest.len())
-            .sum();
+        let copies: usize = strong.injections.iter().map(|e| e.spec.dest.len()).sum();
         let x = (n as f64).powf(0.5 - 2.0 / C);
         t.row(vec![
             n.to_string(),

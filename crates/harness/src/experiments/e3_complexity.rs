@@ -67,7 +67,14 @@ fn run_sized(sizes: &Sizes, defaults: &RunDefaults) -> Vec<Table> {
     let mut t = Table::new(
         "E3a: per-round complexity vs n (Theorem 11)",
         &[
-            "dline", "n", "max/rnd", "mean/rnd", "svc_max/rnd", "rumors", "lat_p50", "lat_p95",
+            "dline",
+            "n",
+            "max/rnd",
+            "mean/rnd",
+            "svc_max/rnd",
+            "rumors",
+            "lat_p50",
+            "lat_p95",
         ],
     );
     let mut exponents = Vec::new();
@@ -77,8 +84,7 @@ fn run_sized(sizes: &Sizes, defaults: &RunDefaults) -> Vec<Table> {
         for &n in sizes.a_ns {
             let rounds = 3 * deadline.min(512) + deadline;
             let spec = defaults.spec(n, 0xE3, rounds);
-            let w =
-                PoissonWorkload::new(0.05, 3, deadline, 0xE3).until(Round(rounds - deadline));
+            let w = PoissonWorkload::new(0.05, 3, deadline, 0xE3).until(Round(rounds - deadline));
             let o = run_system::<CongosNode, _, _>(spec, NoFailures, w);
             assert!(o.qod_theorem_holds(), "n={n}: {:?}", o.qod);
             let svc = o
@@ -157,7 +163,9 @@ fn run_sized(sizes: &Sizes, defaults: &RunDefaults) -> Vec<Table> {
     // run. Outcomes must be bit-identical.
     let mut t = Table::new(
         "E3c: engine wall-clock vs backend at large n",
-        &["n", "seq_ms", "auto_ms", "par_ms", "auto_x", "par_x", "msgs"],
+        &[
+            "n", "seq_ms", "auto_ms", "par_ms", "auto_x", "par_x", "msgs",
+        ],
     );
     let backends = [
         EngineBackend::Sequential,

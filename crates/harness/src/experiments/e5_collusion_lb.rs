@@ -10,8 +10,8 @@
 //! grows at least linearly in `τ` (CONGOS sends each of the `τ+1` fragments
 //! into a different group, so the bound is met with room to spare).
 
-use std::collections::{HashMap, HashSet};
 use std::collections::BTreeSet;
+use std::collections::{HashMap, HashSet};
 
 use congos::{CongosConfig, CongosMsg, CongosNode, CongosRumorId, Fragment};
 use congos_adversary::{CrriAdversary, NoFailures, PoissonWorkload};

@@ -17,13 +17,24 @@ use crate::table::Table;
 /// Runs E6 and returns its table.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 64 } else { 32 };
-    let taus: &[usize] = if full { &[1, 2, 3, 4, 6] } else { &[1, 2, 3, 4] };
+    let taus: &[usize] = if full {
+        &[1, 2, 3, 4, 6]
+    } else {
+        &[1, 2, 3, 4]
+    };
     let deadline = 64u64;
     let rounds = 3 * deadline;
 
     let mut t = Table::new(
         "E6: collusion-tolerance cost vs tau (Theorem 16)",
-        &["tau", "partitions", "groups", "max/rnd", "mean/rnd", "total"],
+        &[
+            "tau",
+            "partitions",
+            "groups",
+            "max/rnd",
+            "mean/rnd",
+            "total",
+        ],
     );
     let mut xs = Vec::new();
     let mut ys = Vec::new();

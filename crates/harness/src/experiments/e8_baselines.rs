@@ -13,9 +13,7 @@
 
 use congos::CongosNode;
 use congos_adversary::{NoFailures, PoissonWorkload, StableGroupWorkload};
-use congos_baselines::{
-    CryptoMulticastNode, DirectNode, StronglyConfidentialNode, TAG_REKEY,
-};
+use congos_baselines::{CryptoMulticastNode, DirectNode, StronglyConfidentialNode, TAG_REKEY};
 use congos_gossip::GossipNode;
 use congos_sim::{ProcessId, Round};
 
@@ -42,13 +40,21 @@ fn regime(title: &str, spec: RunSpec, fresh: bool, stable_groups: usize) -> Tabl
     let (n, rounds) = (spec.n, spec.rounds);
     let mut t = Table::new(
         title,
-        &["system", "total", "max/rnd", "mean/rnd", "rekey_msgs", "rekey/copy", "on_time%"],
+        &[
+            "system",
+            "total",
+            "max/rnd",
+            "mean/rnd",
+            "rekey_msgs",
+            "rekey/copy",
+            "on_time%",
+        ],
     );
     macro_rules! go {
         ($P:ty) => {{
             if fresh {
-                let w = PoissonWorkload::new(0.05, 4, DEADLINE, 0xE8)
-                    .until(Round(rounds - DEADLINE));
+                let w =
+                    PoissonWorkload::new(0.05, 4, DEADLINE, 0xE8).until(Round(rounds - DEADLINE));
                 run_system::<$P, _, _>(spec, NoFailures, w)
             } else {
                 let groups: Vec<Vec<ProcessId>> = (0..stable_groups)

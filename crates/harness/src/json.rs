@@ -31,12 +31,7 @@ static NULL: Json = Json::Null;
 impl Json {
     /// Object constructor from `(key, value)` pairs.
     pub fn object(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Object(
-            pairs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// The boolean, if this is a boolean.
@@ -265,10 +260,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected {:?} at byte {}", b as char, self.pos))
         }
     }
 

@@ -83,7 +83,11 @@ impl Table {
                 .join("  ")
         };
         let _ = writeln!(out, "{}", line(&self.headers, &widths));
-        let _ = writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1))));
+        let _ = writeln!(
+            out,
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len().saturating_sub(1)))
+        );
         for row in &self.rows {
             let _ = writeln!(out, "{}", line(row, &widths));
         }
@@ -184,20 +188,31 @@ pub fn rows_json(tables: &[Table]) -> crate::json::Json {
 pub fn tables_to_markdown(tables: &[Table]) -> String {
     let mut out = String::new();
     for t in tables {
-        let _ = writeln!(out, "## {}
-", t.title);
+        let _ = writeln!(
+            out,
+            "## {}
+",
+            t.title
+        );
         let _ = writeln!(out, "| {} |", t.headers.join(" | "));
         let _ = writeln!(
             out,
             "|{}|",
-            t.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|")
+            t.headers
+                .iter()
+                .map(|_| "---")
+                .collect::<Vec<_>>()
+                .join("|")
         );
         for row in &t.rows {
             let _ = writeln!(out, "| {} |", row.join(" | "));
         }
         for note in &t.notes {
-            let _ = writeln!(out, "
-> {note}");
+            let _ = writeln!(
+                out,
+                "
+> {note}"
+            );
         }
         let _ = writeln!(out);
     }

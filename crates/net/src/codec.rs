@@ -37,7 +37,7 @@ use std::sync::Arc;
 use congos::messages::GossipLane;
 use congos::wire::{
     self, form, invalid_data, min_size, put_definition, put_pid, put_rid, take_definition,
-    take_pid, take_rid, DefineAll, Dec, PutGossipRumor, Sink, TakeGossipRumor, WireRumor,
+    take_pid, take_rid, Dec, DefineAll, PutGossipRumor, Sink, TakeGossipRumor, WireRumor,
 };
 use congos::CongosMsg;
 use congos_gossip::RumorId;
@@ -410,7 +410,14 @@ impl Decoder {
             WireFrame::Msg {
                 src,
                 round,
-                payload: wire::take_msg(d, &mut Resolve { dec: self, src, round })?,
+                payload: wire::take_msg(
+                    d,
+                    &mut Resolve {
+                        dec: self,
+                        src,
+                        round,
+                    },
+                )?,
             }
         } else {
             WireFrame::EndOfRound { src, round }

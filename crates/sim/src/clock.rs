@@ -10,9 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A globally numbered synchronous round.
-#[derive(
-    Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash,
-)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Round(pub u64);
 
 impl Round {
@@ -257,7 +255,7 @@ mod tests {
     #[test]
     fn blocks_are_globally_aligned() {
         let c = BlockClock::new(256); // block 64
-        // Same offsets regardless of absolute time — restart-safe.
+                                      // Same offsets regardless of absolute time — restart-safe.
         assert_eq!(c.offset_in_block(Round(1000)), 1000 % 64);
         assert_eq!(c.block_of(Round(1000)), 1000 / 64);
     }

@@ -152,7 +152,12 @@ impl<P: Protocol> Context<'_, P> {
 
     /// Queues `msg` to each of `targets`, in target order, as
     /// [`send`](Self::send) would one by one, but storing it once.
-    pub fn send_each(&mut self, targets: impl IntoIterator<Item = ProcessId>, msg: P::Msg, tag: Tag) {
+    pub fn send_each(
+        &mut self,
+        targets: impl IntoIterator<Item = ProcessId>,
+        msg: P::Msg,
+        tag: Tag,
+    ) {
         let n = self.n;
         let targets = targets.into_iter().inspect(|dst| {
             debug_assert!(dst.as_usize() < n, "send to unknown process {dst}");
@@ -1222,11 +1227,7 @@ mod tests {
         };
         let mut e = Engine::<Ring>::new(EngineConfig::new(4).seed(1));
         e.run(2, &mut adv);
-        let injected: Vec<_> = e
-            .outputs()
-            .iter()
-            .filter(|o| o.value.1 >= 1000)
-            .collect();
+        let injected: Vec<_> = e.outputs().iter().filter(|o| o.value.1 >= 1000).collect();
         assert_eq!(injected.len(), 1, "only the alive process saw its input");
         assert_eq!(injected[0].value, (ProcessId::new(0), 1007));
         assert_eq!(e.injections().len(), 2);
@@ -1356,8 +1357,10 @@ mod tests {
     }
     impl Observer<Ring> for EventLog {
         fn on_deliver(&mut self, env: EnvelopeRef<'_, u64>) {
-            self.events
-                .push(format!("d {} {} {} {}", env.src, env.dst, env.round, env.payload));
+            self.events.push(format!(
+                "d {} {} {} {}",
+                env.src, env.dst, env.round, env.payload
+            ));
         }
         fn on_inject(&mut self, round: Round, p: ProcessId, input: &u64) {
             self.events.push(format!("i {round} {p} {input}"));
@@ -1665,7 +1668,11 @@ mod policy_tests {
         let mut e = Engine::<Fan>::new(EngineConfig::new(3).seed(1));
         e.step(&mut SubsetCrash);
         let receivers: Vec<ProcessId> = e.outputs().iter().map(|o| o.value).collect();
-        assert_eq!(receivers, vec![ProcessId::new(2)], "only p2's copy survives");
+        assert_eq!(
+            receivers,
+            vec![ProcessId::new(2)],
+            "only p2's copy survives"
+        );
         // Both sends are still metered (complexity counts sends).
         assert_eq!(e.metrics().round(0).total(), 2);
     }

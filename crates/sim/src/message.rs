@@ -543,7 +543,12 @@ mod tests {
     fn columnar_inbox_iterates_index_list() {
         let mut cols: OutboxColumns<u32> = OutboxColumns::new();
         for i in 0..5u32 {
-            cols.push(ProcessId::new(i as usize), ProcessId::new(0), Tag("t"), i * 11);
+            cols.push(
+                ProcessId::new(i as usize),
+                ProcessId::new(0),
+                Tag("t"),
+                i * 11,
+            );
         }
         let idx = [1u32, 3, 4];
         let inbox = Inbox::columnar(&cols, &idx, Round(2));
@@ -586,7 +591,11 @@ mod tests {
         // a later target still needs it.
         assert_eq!(counts, [3, 3, 2, 2]);
         assert!(buf.is_empty());
-        assert_eq!(std::sync::Arc::strong_count(&two), 1, "an empty send keeps nothing");
+        assert_eq!(
+            std::sync::Arc::strong_count(&two),
+            1,
+            "an empty send keeps nothing"
+        );
     }
 
     mod slots {
@@ -629,7 +638,12 @@ mod tests {
 
         /// What [`route`] reads: the view, every message, the deliveries
         /// and the inbox lists.
-        type Routed = (Vec<OutboxMeta>, Vec<Delivered>, Vec<Delivered>, Vec<Vec<u32>>);
+        type Routed = (
+            Vec<OutboxMeta>,
+            Vec<Delivered>,
+            Vec<Delivered>,
+            Vec<Vec<u32>>,
+        );
 
         /// The round's outbox as seen through every reader, then routed
         /// with gates that drop some pairs.

@@ -93,7 +93,11 @@ impl Metrics {
     /// Maximum per-round total message count — the paper's per-round message
     /// complexity of the metered execution.
     pub fn max_per_round(&self) -> u64 {
-        self.rounds.iter().map(RoundCounts::total).max().unwrap_or(0)
+        self.rounds
+            .iter()
+            .map(RoundCounts::total)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Maximum per-round payload byte count — the per-round *communication*

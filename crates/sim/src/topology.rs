@@ -97,7 +97,10 @@ impl TopologySpec {
                 ));
             }
             if d >= n {
-                return Err(format!("expander degree {d} needs at least {} processes", d + 1));
+                return Err(format!(
+                    "expander degree {d} needs at least {} processes",
+                    d + 1
+                ));
             }
             if n * d % 2 != 0 {
                 return Err(format!("no {d}-regular graph on {n} vertices (n·d is odd)"));
@@ -107,7 +110,10 @@ impl TopologySpec {
         match self {
             TopologySpec::Complete => Ok(()),
             TopologySpec::Expander { degree } => check_degree(*degree),
-            TopologySpec::Churn { base_degree, flip_ppm } => {
+            TopologySpec::Churn {
+                base_degree,
+                flip_ppm,
+            } => {
                 if *flip_ppm > 1_000_000 {
                     return Err(format!("churn probability {flip_ppm}ppm exceeds 1.0"));
                 }
@@ -140,10 +146,16 @@ impl std::fmt::Display for TopologySpec {
         match self {
             TopologySpec::Complete => write!(f, "complete"),
             TopologySpec::Expander { degree } => write!(f, "expander:{degree}"),
-            TopologySpec::Churn { base_degree: None, flip_ppm } => {
+            TopologySpec::Churn {
+                base_degree: None,
+                flip_ppm,
+            } => {
                 write!(f, "churn:{}", fmt_ppm(*flip_ppm))
             }
-            TopologySpec::Churn { base_degree: Some(d), flip_ppm } => {
+            TopologySpec::Churn {
+                base_degree: Some(d),
+                flip_ppm,
+            } => {
                 write!(f, "churn:{}@expander:{d}", fmt_ppm(*flip_ppm))
             }
         }
@@ -258,7 +270,10 @@ impl Topology {
             TopologySpec::Expander { degree } => {
                 (BaseGraph::Static(build_regular(n, degree, graph_seed)), 0)
             }
-            TopologySpec::Churn { base_degree, flip_ppm } => {
+            TopologySpec::Churn {
+                base_degree,
+                flip_ppm,
+            } => {
                 let base = match base_degree {
                     None => BaseGraph::Complete,
                     Some(d) => BaseGraph::Static(build_regular(n, d, graph_seed)),
@@ -324,7 +339,13 @@ impl Topology {
     /// flooding over rounds `start..=end` (one hop per round, ignoring
     /// crashes) — the reachability bound that gates Quality-of-Delivery
     /// admissibility on sparse or churning topologies.
-    pub fn reachable_within(&self, src: ProcessId, dst: ProcessId, start: Round, end: Round) -> bool {
+    pub fn reachable_within(
+        &self,
+        src: ProcessId,
+        dst: ProcessId,
+        start: Round,
+        end: Round,
+    ) -> bool {
         if src == dst || self.is_complete() {
             return src == dst || start <= end;
         }
@@ -433,7 +454,10 @@ fn build_regular(n: usize, d: usize, seed: u64) -> Vec<IdSet> {
             add_edge(label[i], label[i + n / 2]);
         }
     }
-    debug_assert!(base_adj.iter().all(|s| s.len() == d), "base must be d-regular");
+    debug_assert!(
+        base_adj.iter().all(|s| s.len() == d),
+        "base must be d-regular"
+    );
 
     let m = base_edges.len();
     for _restart in 0..8 {
@@ -531,7 +555,12 @@ mod tests {
             TopologySpec::from_str("churn:0.2@complete").unwrap(),
             TopologySpec::churn(0.2)
         );
-        for s in ["complete", "expander:8", "churn:0.05", "churn:0.1@expander:6"] {
+        for s in [
+            "complete",
+            "expander:8",
+            "churn:0.05",
+            "churn:0.1@expander:6",
+        ] {
             let spec = TopologySpec::from_str(s).unwrap();
             assert_eq!(spec.to_string(), s, "display must round-trip");
             assert_eq!(
@@ -650,7 +679,10 @@ mod tests {
             10,
             3,
         );
-        assert!(inverted.edges(Round(0)).is_empty(), "p=1 over complete = empty");
+        assert!(
+            inverted.edges(Round(0)).is_empty(),
+            "p=1 over complete = empty"
+        );
         assert!(!inverted.connected(Round(0), p(0), p(1)));
         assert!(inverted.connected(Round(0), p(3), p(3)), "self stays local");
     }

@@ -26,12 +26,7 @@ impl Protocol for Chatty {
             ctx.send(p, r, Tag("tick"));
         }
     }
-    fn receive(
-        &mut self,
-        ctx: &mut Context<'_, Self>,
-        inbox: Inbox<'_, u64>,
-        input: Option<u64>,
-    ) {
+    fn receive(&mut self, ctx: &mut Context<'_, Self>, inbox: Inbox<'_, u64>, input: Option<u64>) {
         for env in inbox {
             let src = env.src;
             let val = *env.payload;

@@ -39,10 +39,10 @@ fn run_variant(name: &str, cfg: CongosConfig) -> (u64, u64, usize, f64) {
         CoalitionTap::new(n, &members),
     );
     let cfg2 = cfg.clone();
-    let mut e = Engine::<CongosNode>::with_factory(
-        EngineConfig::new(n).seed(1234),
-        move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
-    );
+    let mut e =
+        Engine::<CongosNode>::with_factory(EngineConfig::new(n).seed(1234), move |id, n, _s| {
+            CongosNode::with_config(id, n, cfg2.clone())
+        });
     e.run_observed(66, &mut adv, &mut watchers);
     let (audit, tap) = watchers;
     audit.assert_clean();
@@ -53,9 +53,7 @@ fn run_variant(name: &str, cfg: CongosConfig) -> (u64, u64, usize, f64) {
     }
     // Who started it? First-contact estimation over the rumor-bearing tags.
     let log = tap.log();
-    let candidates: Vec<ProcessId> = ProcessId::all(n)
-        .filter(|p| !members.contains(p))
-        .collect();
+    let candidates: Vec<ProcessId> = ProcessId::all(n).filter(|p| !members.contains(p)).collect();
     let posterior = first_contact_posterior(&EstimatorCtx {
         log,
         candidates: &candidates,

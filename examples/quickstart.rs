@@ -12,7 +12,7 @@
 //! destination set could ever reassemble the secret — even though *all*
 //! sixteen processes collaborated in carrying its fragments.
 
-use congos::{CongosNode, ConfidentialityAuditor};
+use congos::{ConfidentialityAuditor, CongosNode};
 use congos_adversary::{CrriAdversary, NoFailures, OneShot, RumorSpec};
 use congos_sim::{Engine, EngineConfig, ProcessId, Round};
 
@@ -26,10 +26,8 @@ fn main() {
 
     // A rumor is ⟨data, deadline, destination set⟩.
     let rumor = RumorSpec::new(0, secret.clone(), 64, recipients.clone());
-    let mut adversary = CrriAdversary::new(
-        NoFailures,
-        OneShot::new(Round(0), vec![(source, rumor)]),
-    );
+    let mut adversary =
+        CrriAdversary::new(NoFailures, OneShot::new(Round(0), vec![(source, rumor)]));
 
     let mut engine = Engine::<CongosNode>::new(EngineConfig::new(n).seed(42));
     let mut audit = ConfidentialityAuditor::new(n);

@@ -19,7 +19,10 @@ fn main() {
     let n = 8;
     let secret = b"wire-level secret".to_vec();
     let dest = vec![ProcessId::new(3), ProcessId::new(6)];
-    println!("starting {n}-node TCP cluster on 127.0.0.1:18700..{}", 18700 + n);
+    println!(
+        "starting {n}-node TCP cluster on 127.0.0.1:18700..{}",
+        18700 + n
+    );
 
     let report = Cluster::new(n, 18700)
         .rounds(70)

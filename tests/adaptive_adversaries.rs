@@ -4,7 +4,7 @@
 use confidential_gossip::adversary::{
     CrriAdversary, GroupAnnihilator, OneShot, ProxyKiller, RumorSpec, ScheduledChurn,
 };
-use confidential_gossip::congos::{CongosNode, ConfidentialityAuditor, DeliveryPath};
+use confidential_gossip::congos::{ConfidentialityAuditor, CongosNode, DeliveryPath};
 use confidential_gossip::sim::{Engine, EngineConfig, ProcessId, Round, Tag};
 
 #[test]

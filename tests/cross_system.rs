@@ -7,7 +7,7 @@ use confidential_gossip::adversary::{
 use confidential_gossip::baselines::{
     CryptoMulticastNode, DirectNode, PlainEpidemicNode, StronglyConfidentialNode,
 };
-use confidential_gossip::congos::{CongosNode, ConfidentialityAuditor};
+use confidential_gossip::congos::{ConfidentialityAuditor, CongosNode};
 use confidential_gossip::harness::{run, RunSpec};
 use confidential_gossip::sim::{Engine, EngineConfig, ProcessId, Round};
 

@@ -28,9 +28,7 @@ use confidential_gossip::congos::CongosNode;
 use confidential_gossip::harness::{run, RunSpec};
 use confidential_gossip::sim::Round;
 
-fn delivery_set(
-    out: &confidential_gossip::harness::RunOutcome,
-) -> BTreeSet<(u64, usize)> {
+fn delivery_set(out: &confidential_gossip::harness::RunOutcome) -> BTreeSet<(u64, usize)> {
     out.deliveries
         .iter()
         .map(|d| (d.wid, d.process.as_usize()))
@@ -43,9 +41,7 @@ fn congos_and_direct_deliver_identical_sets() {
         let n = 16;
         let rounds = 160;
         let spec = RunSpec::new(n, seed, rounds);
-        let mk = || {
-            PoissonWorkload::new(0.04, 3, 64, seed * 31).until(Round(rounds - 64))
-        };
+        let mk = || PoissonWorkload::new(0.04, 3, 64, seed * 31).until(Round(rounds - 64));
         let congos = run::<CongosNode, _, _>(spec, NoFailures, mk());
         let direct = run::<DirectNode, _, _>(spec, NoFailures, mk());
         assert!(congos.qod.perfect(), "seed {seed}: {:?}", congos.qod);
@@ -115,12 +111,7 @@ mod backend_equivalence {
             );
             assert!(!seq.outputs.is_empty(), "seed {seed}: nothing delivered");
             for backend in BACKENDS {
-                let par = congos_fingerprint(
-                    backend,
-                    TopologySpec::Complete,
-                    seed,
-                    NoFailures,
-                );
+                let par = congos_fingerprint(backend, TopologySpec::Complete, seed, NoFailures);
                 assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
@@ -137,12 +128,7 @@ mod backend_equivalence {
                 churn(),
             );
             for backend in BACKENDS {
-                let par = congos_fingerprint(
-                    backend,
-                    TopologySpec::Complete,
-                    seed,
-                    churn(),
-                );
+                let par = congos_fingerprint(backend, TopologySpec::Complete, seed, churn());
                 assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
@@ -162,12 +148,7 @@ mod backend_equivalence {
                 killer(),
             );
             for backend in BACKENDS {
-                let par = congos_fingerprint(
-                    backend,
-                    TopologySpec::Complete,
-                    seed,
-                    killer(),
-                );
+                let par = congos_fingerprint(backend, TopologySpec::Complete, seed, killer());
                 assert_eq!(seq, par, "seed {seed} backend {backend}");
             }
         }
@@ -220,7 +201,10 @@ mod backend_equivalence {
         use confidential_gossip::testkit::congos_fingerprint_tapped;
 
         let members: Vec<ProcessId> = [3usize, 7, 11].map(ProcessId::new).to_vec();
-        for backend in [EngineBackend::Sequential, EngineBackend::Parallel { workers: 4 }] {
+        for backend in [
+            EngineBackend::Sequential,
+            EngineBackend::Parallel { workers: 4 },
+        ] {
             let (tapped, log) = congos_fingerprint_tapped(
                 backend,
                 TopologySpec::Complete,
@@ -234,8 +218,7 @@ mod backend_equivalence {
                 "tap-enabled golden trace digest moved (got {:#x})",
                 fnv1a(&tapped.trace)
             );
-            let plain =
-                congos_fingerprint(backend, TopologySpec::Complete, 42, NoFailures);
+            let plain = congos_fingerprint(backend, TopologySpec::Complete, 42, NoFailures);
             assert_eq!(tapped, plain, "tap perturbed the execution");
             assert!(!log.is_empty(), "coalition of 3 must see traffic");
             assert!(
@@ -302,7 +285,10 @@ mod topology_differential {
     fn random_churn_identical_across_backends_per_topology() {
         // Process churn on top of link churn/sparseness: crashes, restarts
         // and missing links interleave in the same delivery phase.
-        assert_equivalent(|seed| RandomChurn::new(0.01, 0.2, seed * 7 + 1), "random churn");
+        assert_equivalent(
+            |seed| RandomChurn::new(0.01, 0.2, seed * 7 + 1),
+            "random churn",
+        );
     }
 
     #[test]
@@ -332,10 +318,22 @@ mod topology_differential {
         let workload = PoissonWorkload::new(0.05, 3, 48, 5 ^ 0xD1FF).until(Round(rounds - 48));
         let out = run::<CongosNode, _, _>(spec, NoFailures, workload);
         assert!(out.qod.unreachable > 0, "blackout must exempt pairs");
-        assert_eq!(out.qod.missed, 0, "unreachable pairs must not count as missed");
-        assert_eq!(out.qod.admissible, out.qod.on_time, "any admissible pair is local");
-        assert!(out.metrics.topology_drops() > 0, "the network must eat the traffic");
-        assert!(out.qod_theorem_holds(), "the theorem is vacuous off the complete graph");
+        assert_eq!(
+            out.qod.missed, 0,
+            "unreachable pairs must not count as missed"
+        );
+        assert_eq!(
+            out.qod.admissible, out.qod.on_time,
+            "any admissible pair is local"
+        );
+        assert!(
+            out.metrics.topology_drops() > 0,
+            "the network must eat the traffic"
+        );
+        assert!(
+            out.qod_theorem_holds(),
+            "the theorem is vacuous off the complete graph"
+        );
 
         // Same blackout under the full fingerprint: the audit stays clean.
         let fp = congos_fingerprint(
