@@ -48,7 +48,7 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         let mut engine = Engine::<CongosNode>::new(cfg);
         engine.run(rounds, &mut adv);
 
-        let (_, qod, _) = engine_qod(&engine, adv.injections());
+        let qod = engine_qod(&engine, adv.injections()).1.summary;
         assert!(qod.perfect(), "p={p}: QoD violated");
 
         let (mut confirmed, mut fallbacks) = (0u64, 0u64);

@@ -1,8 +1,8 @@
 //! Generic experiment runner with Quality-of-Delivery accounting.
 
-use std::collections::HashMap;
-
 use congos_adversary::predict::{CoalitionSpec, CoalitionTap, SightingLog};
+pub use congos_adversary::qod::QodSummary;
+use congos_adversary::qod::{classify, QodVerdict};
 use congos_adversary::{CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, RumorSpec};
 use congos_sim::{Engine, EngineBackend, EngineConfig, Metrics, ProcessId, Round, TopologySpec};
 
@@ -168,44 +168,6 @@ pub struct DeliveryRecord {
     pub round: Round,
 }
 
-/// Quality-of-Delivery classification of (rumor, destination) pairs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QodSummary {
-    /// Pairs where source and destination were continuously alive.
-    pub admissible: usize,
-    /// Admissible pairs delivered by the deadline.
-    pub on_time: usize,
-    /// Admissible pairs delivered after the deadline (a QoD violation!).
-    pub late: usize,
-    /// Admissible pairs never delivered (a QoD violation!).
-    pub missed: usize,
-    /// Pairs exempted by crashes (not admissible).
-    pub inadmissible: usize,
-    /// Pairs exempted by the topology: source and destination were
-    /// continuously alive but no temporal path connected them within the
-    /// deadline window, so no protocol could have delivered (only non-zero
-    /// on non-complete topologies; the reachability check floods one hop
-    /// per round ignoring crashes, so it never exempts a pair a protocol
-    /// could actually have served).
-    pub unreachable: usize,
-}
-
-impl QodSummary {
-    /// `true` when every admissible pair was delivered on time.
-    pub fn perfect(&self) -> bool {
-        self.late == 0 && self.missed == 0
-    }
-
-    /// On-time fraction over admissible pairs (1.0 when none).
-    pub fn on_time_rate(&self) -> f64 {
-        if self.admissible == 0 {
-            1.0
-        } else {
-            self.on_time as f64 / self.admissible as f64
-        }
-    }
-}
-
 /// Everything measured in one run.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
@@ -312,7 +274,7 @@ where
     );
 
     let injections = adv.injections().to_vec();
-    let (deliveries, qod, latencies) = engine_qod(&engine, &injections);
+    let (deliveries, verdict) = engine_qod(&engine, &injections);
 
     RunOutcome {
         name: P::NAME,
@@ -320,9 +282,9 @@ where
         metrics: engine.metrics().clone(),
         deliveries,
         injections,
-        qod,
+        qod: verdict.summary,
         crashes: engine.liveness().crash_count(),
-        latencies,
+        latencies: verdict.latencies,
         mem,
         tap: tap.map(CoalitionTap::into_log),
     }
@@ -350,19 +312,13 @@ fn timed_with_mem<R>(probe: bool, f: impl FnOnce() -> R) -> (R, crate::mem::MemU
     (result, usage)
 }
 
-/// The deliveries of a finished engine run, and their QoD classification
+/// The deliveries of a finished engine run, and their [`classify`] verdict
 /// against the adversary's injection log — for the experiments that drive
 /// an [`Engine`] themselves as much as for [`run_with_factory`].
-///
-/// Every (rumor, destination) pair is exempt when source or destination
-/// was not continuously alive over the deadline window (`inadmissible`) or
-/// the topology offered no temporal path within it (`unreachable`);
-/// otherwise it is admissible, and on time, late or missed. Also returns
-/// the delivery latencies of the on-time pairs.
 pub fn engine_qod<P>(
     engine: &Engine<P>,
     injections: &[InjectionLogEntry],
-) -> (Vec<DeliveryRecord>, QodSummary, Vec<u64>)
+) -> (Vec<DeliveryRecord>, QodVerdict)
 where
     P: GossipSystem,
     P::Input: From<RumorSpec>,
@@ -376,40 +332,13 @@ where
             round: o.round,
         })
         .collect();
-    // Each (rumor, process)'s first delivery round, indexed once. The
-    // engine logs outputs in round order, so the first seen is the earliest.
-    let mut first: HashMap<(u64, ProcessId), Round> = HashMap::new();
-    for r in &deliveries {
-        first.entry((r.wid, r.process)).or_insert(r.round);
-    }
-    let (liveness, topology) = (engine.liveness(), engine.topology());
-    let mut qod = QodSummary::default();
-    let mut latencies = Vec::new();
-    for entry in injections {
-        let t = entry.round;
-        let end = t + entry.spec.deadline;
-        let src_ok = liveness.continuously_alive(entry.source, t, end);
-        for d in &entry.spec.dest {
-            if !src_ok || !liveness.continuously_alive(*d, t, end) {
-                qod.inadmissible += 1;
-                continue;
-            }
-            if !topology.reachable_within(entry.source, *d, t, end) {
-                qod.unreachable += 1;
-                continue;
-            }
-            qod.admissible += 1;
-            match first.get(&(entry.spec.id, *d)).copied() {
-                Some(r) if r <= end => {
-                    qod.on_time += 1;
-                    latencies.push(r - t);
-                }
-                Some(_) => qod.late += 1,
-                None => qod.missed += 1,
-            }
-        }
-    }
-    (deliveries, qod, latencies)
+    let verdict = classify(
+        injections,
+        deliveries.iter().map(|r| (r.wid, r.process, r.round)),
+        engine.liveness(),
+        engine.topology(),
+    );
+    (deliveries, verdict)
 }
 
 #[cfg(test)]

@@ -76,7 +76,7 @@ fn msg_frame(payload: CongosMsg) -> WireFrame {
 /// A corpus of valid frames touching every wire variant: both `WireFrame`s,
 /// all five `CongosMsg`s, both `GossipWire`s, all four `GossipPayload`s.
 fn corpus() -> Vec<Vec<u8>> {
-    let frames = vec![
+    let frames = [
         WireFrame::EndOfRound {
             src: ProcessId::new(3),
             round: 12,

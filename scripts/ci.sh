@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
 # Tier-1 CI for the confidential-gossip workspace.
 #
-#   scripts/ci.sh            # tier1: build + root tests + the sim, gossip,
-#                            #        congos, adversary and baselines crate
-#                            #        tests (gossip's and congos's class
-#                            #        engine's and node's in release too)
-#                            #        + from the congos-harness lib
-#                            #        (otherwise outside tier-1) the E10 and
+#   scripts/ci.sh            # tier1: rustfmt and clippy (warnings denied)
+#                            #        + release build + the whole workspace
+#                            #        test suite + in release: the
+#                            #        differential suite's backend
+#                            #        equivalence, gossip's tests, congos's
+#                            #        class engine's and node's, and from
+#                            #        the congos-harness lib the E10 and
 #                            #        E11 tests, the only ones that read
-#                            #        simulator bytes + the congos-net
-#                            #        transport unit tests (≈ 1 s: the
-#                            #        round's write shape per peer and the
-#                            #        send/marker contract) + rustdoc of
-#                            #        every workspace crate with warnings
-#                            #        denied (no dangling doc link) + the
+#                            #        simulator bytes + rustdoc of every
+#                            #        workspace crate with warnings denied
+#                            #        (no dangling doc link) + the
 #                            #        benchmark package (its pinned API
 #                            #        surface) + every target below
 #   scripts/ci.sh topo       # topology target only: topology-differential
@@ -44,7 +42,6 @@
 #                            #        determinism test, and the `exp e13`
 #                            #        quick sweep (asserts congos < direct
 #                            #        at coalition 10% on expander:4)
-#   scripts/ci.sh full       # tier1 + the full workspace test suite
 #   scripts/ci.sh loc [REV]  # non-test Rust lines per crate and in total
 #                            #        over crates/*/src, src/ and examples/
 #                            #        (each file cut at the #[cfg(test)]
@@ -53,9 +50,9 @@
 #                            #        `git archive`) and the delta. Builds
 #                            #        nothing; a bad REV exits 2
 #
-# The differential suite (part of the root tests) compares the engine
-# backends pairwise from inside each test, so one pass covers them all;
-# tier1 runs its backend-equivalence module once more in release.
+# The differential suite (part of the root package's tests) compares the
+# engine backends pairwise from inside each test, so one pass covers them
+# all; tier1 runs its backend-equivalence module once more in release.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -199,27 +196,28 @@ topo | mem | net | loadtest | anonymity)
     echo "==> ci: OK ($target)"
     exit 0
     ;;
-tier1 | full) ;;
+tier1) ;;
 *)
     echo "unknown target $target (see the header of $0)" >&2
     exit 2
     ;;
 esac
 
+echo "==> tier1: rustfmt and clippy"
+cargo fmt --all --check
+cargo clippy -q --workspace --all-targets -- -D warnings
+
 echo "==> tier1: cargo build --release"
 cargo build --release
 
-echo "==> tier1: cargo test -q (root package, incl. the differential suite)"
-cargo test -q
+echo "==> tier1: the workspace test suite (every package's unit, integration and doc tests)"
+cargo test -q --offline --workspace
 
 echo "==> tier1: backend-equivalence suite in release, the profile the benchmark runs"
 # The default backend fans heavy rounds out over worker threads, so every
 # default run takes the parallel path; pin it bit-identical in the build
 # profile the benchmark measures, not only in the test profile.
 cargo test -q --release --test differential backend_equivalence
-
-echo "==> tier1: unit tests and proptests of every library crate but congos-harness"
-cargo test -q -p congos-sim -p congos-gossip -p congos -p congos-adversary -p congos-baselines
 
 echo "==> tier1: congos-gossip tests in release"
 # The membership filter's `debug_assert!` is compiled out here, so the
@@ -241,11 +239,6 @@ cargo test -q --release -p congos-harness --lib -- --exact \
     experiments::e10_metadata_hiding::tests::e10_bytes_blow_up_more_than_messages \
     experiments::e11_communication::tests::e11_overhead_amortizes_with_rumor_size
 
-echo "==> tier1: congos-net transport unit tests"
-# Each peer's round leaves in one write, frames then marker; the tests pin
-# that shape and the contract around it over raw loopback sockets.
-cargo test -q -p congos-net --lib transport::
-
 echo "==> tier1: rustdoc with warnings denied"
 # A deleted or renamed item must not leave a dangling or ambiguous doc link
 # behind. The vendored rand and proptest stubs are not ours to document.
@@ -260,10 +253,5 @@ run_mem
 run_net
 run_loadtest
 run_anonymity
-
-if [ "$target" = "full" ]; then
-    echo "==> full: cargo test -q --workspace"
-    cargo test -q --workspace
-fi
 
 echo "==> ci: OK ($target)"
