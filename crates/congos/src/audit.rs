@@ -285,10 +285,12 @@ impl ConfidentialityAuditor {
     /// an evicted entry again, so every confidentiality verdict the full
     /// history would have produced has already been produced.
     fn evict_expired(&mut self) {
-        for (p, rid, partition, group) in self.expiry.drain_expired(self.now.as_u64()) {
-            self.holdings[p.as_usize()].remove(&(rid, partition, group));
-            self.split_k.remove(&(rid, partition));
-        }
+        let (holdings, split_k) = (&mut self.holdings, &mut self.split_k);
+        self.expiry
+            .drain_expired(self.now.as_u64(), |(p, rid, partition, group)| {
+                holdings[p.as_usize()].remove(&(rid, partition, group));
+                split_k.remove(&(rid, partition));
+            });
     }
 }
 

@@ -72,7 +72,7 @@ pub use messages::{
     CongosMsg, Fragment, GossipPayload, TAG_ALL_GOSSIP, TAG_GD, TAG_GROUP_GOSSIP, TAG_PROXY,
     TAG_SHOOT,
 };
-pub use node::{CongosNode, NodeStats};
+pub use node::{CongosNode, NodeStats, StateCensus};
 pub use partition::{Partition, PartitionSet};
 pub use rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
 pub use split::{FragStore, FragStoreStats};

@@ -4,6 +4,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
+use congos_gossip::GossipCensus;
 use congos_sim::clock::{deadline_cap, trim_deadline};
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
 
@@ -43,6 +44,43 @@ pub struct NodeStats {
     pub rejected: u64,
 }
 
+/// Entry counts of a node's per-rumor tables ([`CongosNode::census`]),
+/// summed over its deadline classes and partitions. Every table drops a
+/// rumor once its horizon has passed, so an idle node's census falls to
+/// zero within `2·deadline + 1` rounds of its last rumor's birth.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StateCensus {
+    /// Reassembly entries, one per (rumor, partition).
+    pub parts: usize,
+    /// Delivery-dedup entries.
+    pub delivered: usize,
+    /// Distinct rumors with a reassembly or dedup entry.
+    pub retained_rumors: usize,
+    /// Own rumors awaiting confirmation in the class caches.
+    pub cached: usize,
+    /// The GroupGossip and AllGossip endpoints' tables.
+    pub gossip: GossipCensus,
+    /// Proxy fragments waiting for the next block.
+    pub proxy_waiting: usize,
+    /// Proxy fragments being distributed this block.
+    pub proxy_rumors: usize,
+    /// Fragments received as a proxy, pending re-share.
+    pub proxy_buffer: usize,
+    /// GroupDistribution fragments waiting for the next block.
+    pub gd_waiting: usize,
+    /// GroupDistribution fragments being distributed this block.
+    pub gd_partials: usize,
+    /// GroupDistribution hit-set entries.
+    pub gd_hits: usize,
+}
+
+impl StateCensus {
+    /// `true` when the node holds no per-rumor state at all.
+    pub fn is_empty(&self) -> bool {
+        *self == StateCensus::default()
+    }
+}
+
 /// Deadline classes shorter than this bypass the pipeline and are sent
 /// directly by the source (the paper assumes `dline > 48`; below that the
 /// desired bound "can be trivially met simply by sending rumors directly",
@@ -76,8 +114,8 @@ pub struct CongosNode {
     /// Saved fragments for reassembly: `(rumor, partition) → group → bytes`.
     parts: HashMap<(CongosRumorId, u16), PartsEntry>,
     delivered: HashSet<CongosRumorId>,
-    /// Expiry indexes over `parts` / `delivered`: pruning walks only expired
-    /// ring buckets instead of scanning the whole map every 512 rounds.
+    /// Expiry indexes over `parts` / `delivered`, one bucket per horizon
+    /// round: the prune of every round walks only the keys that expired.
     parts_expiry: ExpiryRing<(CongosRumorId, u16)>,
     delivered_expiry: ExpiryRing<CongosRumorId>,
     /// Fragments received in the current compute phase, drained through
@@ -127,8 +165,8 @@ impl CongosNode {
             classes: BTreeMap::new(),
             parts: HashMap::new(),
             delivered: HashSet::new(),
-            parts_expiry: ExpiryRing::new(512),
-            delivered_expiry: ExpiryRing::new(512),
+            parts_expiry: ExpiryRing::new(1),
+            delivered_expiry: ExpiryRing::new(1),
             received: Vec::new(),
             injected: 0,
             direct: 0,
@@ -149,17 +187,21 @@ impl CongosNode {
         &self.partitions
     }
 
-    /// Rumors this node injected that still await confirmation.
-    pub fn pending_confirmations(&self) -> usize {
-        self.classes.values().map(|c| c.cache_len()).sum()
-    }
-
-    /// Rumors this node keeps reassembly (`parts`) or dedup (`delivered`)
-    /// entries of; the periodic prune drops them once the rumor's horizon
-    /// passes.
-    pub fn retained_rumors(&self) -> usize {
+    /// The entry counts of every per-rumor table this node keeps. The
+    /// prune of every send phase drops a rumor's reassembly and dedup
+    /// entries once its horizon passes.
+    pub fn census(&self) -> StateCensus {
         let parts = self.parts.keys().map(|(rid, _)| rid);
-        parts.chain(&self.delivered).collect::<HashSet<_>>().len()
+        let mut census = StateCensus {
+            parts: self.parts.len(),
+            delivered: self.delivered.len(),
+            retained_rumors: parts.chain(&self.delivered).collect::<HashSet<_>>().len(),
+            ..StateCensus::default()
+        };
+        for class in self.classes.values() {
+            class.count(&mut census);
+        }
+        census
     }
 
     /// Aggregated statistics.
@@ -456,17 +498,19 @@ impl CongosNode {
         }
     }
 
+    /// Drops the keys of every rumor whose horizon has passed. Expiry
+    /// rings were filed at each rumor's horizon, so draining `expire < now`
+    /// removes exactly the keys of rumors whose fragments and shoots are now
+    /// rejected on arrival, without walking the live entries.
     fn prune(&mut self, now: Round) {
-        // Expiry rings were filed at each rumor's horizon, so draining
-        // `expire < now` removes exactly the keys of rumors whose fragments
-        // and shoots are now rejected on arrival, without walking the live
-        // entries.
-        for key in self.parts_expiry.drain_expired(now.as_u64()) {
-            self.parts.remove(&key);
-        }
-        for rid in self.delivered_expiry.drain_expired(now.as_u64()) {
-            self.delivered.remove(&rid);
-        }
+        let parts = &mut self.parts;
+        self.parts_expiry.drain_expired(now.as_u64(), |key| {
+            parts.remove(&key);
+        });
+        let delivered = &mut self.delivered;
+        self.delivered_expiry.drain_expired(now.as_u64(), |rid| {
+            delivered.remove(&rid);
+        });
     }
 }
 
@@ -499,9 +543,7 @@ impl Protocol for CongosNode {
         for class in self.classes.values_mut() {
             class.on_send(now, rng, &self.cfg, &self.partitions, alive_rounds, out);
         }
-        if now.as_u64() % 512 == 511 {
-            self.prune(now);
-        }
+        self.prune(now);
     }
 
     fn receive(
@@ -867,13 +909,13 @@ mod tests {
     }
 
     #[test]
-    fn round_511s_prune_drops_every_key_of_an_expired_rumor() {
+    fn each_rounds_prune_drops_every_key_of_a_rumor_past_its_horizon() {
         let (me, n) = (ProcessId::new(0), 8);
         let mut peers = Hostile(vec![], vec![]);
         let mut node = NodeDriver::<CongosNode>::new(me, n, 0);
         run_until(&mut node, &mut peers, 1);
         // Rumor 0 is half reassembled; rumor 1 is delivered by its
-        // fragments, rumor 2 by a `Shoot`.
+        // fragments, rumor 2 by a `Shoot`. All three have horizon 64.
         let (mut half, _) = rumor_of_p1(0, 32, n);
         half.truncate(1);
         let (whole, _) = rumor_of_p1(1, 32, n);
@@ -885,19 +927,18 @@ mod tests {
         ];
         run_until(&mut node, &mut peers, 2);
         assert_eq!(node.outputs().len(), 2);
-        assert_eq!(
-            (node.protocol().parts.len(), node.protocol().delivered.len()),
-            (1, 2)
-        );
-        // Past the horizon, but before the prune: the keys are still there.
-        run_until(&mut node, &mut peers, 511);
-        assert_eq!(
-            (node.protocol().parts.len(), node.protocol().delivered.len()),
-            (1, 2)
-        );
-        run_until(&mut node, &mut peers, 512);
+        let kept = |node: &NodeDriver<CongosNode>| {
+            let c = node.protocol().census();
+            (c.parts, c.delivered, c.retained_rumors)
+        };
+        assert_eq!(kept(&node), (1, 2, 3));
+        // Through the horizon round the keys are kept; the next round's
+        // send phase drops them all.
+        run_until(&mut node, &mut peers, 65);
+        assert_eq!(kept(&node), (1, 2, 3));
+        node.send_phase(&mut peers).expect("send");
+        assert_eq!(kept(&node), (0, 0, 0));
         let p = node.protocol();
-        assert!(p.parts.is_empty() && p.delivered.is_empty());
         assert_eq!((p.parts_expiry.len(), p.delivered_expiry.len()), (0, 0));
         assert_eq!(p.stats().rejected, 0);
     }
@@ -912,8 +953,8 @@ mod tests {
         peers.0 = vec![to_p0(1, partials(32, fragments.clone()))];
         run_until(&mut node, &mut peers, 2);
         assert_eq!(node.outputs().len(), 1);
-        // At the horizon a replay is a repeat; one round later, and after
-        // the prune, it is rejected.
+        // At the horizon a replay is a repeat; one round later, after the
+        // prune dropped its keys, it is rejected.
         let replay = |round| {
             vec![
                 to_p0(round, partials(32, fragments.clone())),
@@ -944,7 +985,7 @@ mod tests {
         // fragment arrives honest, its second with a forged `dline` of 32
         // (horizon 64); so does a fallback `Shoot` claiming deadline 8.
         // Accepted, either would file the rumor as delivered until round 64,
-        // and round 511's prune would forget it.
+        // and round 65's prune would forget it.
         let (fragments, shoot) = rumor_of_p1(1, 256, n);
         let mut forged = fragments[1].clone();
         forged.dline = 32;
@@ -959,8 +1000,8 @@ mod tests {
         run_until(&mut node, &mut peers, 512);
         assert_eq!(node.protocol().stats().rejected, 2);
         assert!(node.outputs().is_empty());
-        // The honest fragments, after the forged horizon and the prune but
-        // within the true horizon, deliver it; the honest `Shoot` then finds
+        // The honest fragments, after the forged horizon but within the
+        // true horizon, deliver it; the honest `Shoot` then finds
         // it delivered.
         peers.0 = vec![to_p0(512, partials(256, fragments)), to_p0(512, shoot)];
         run_until(&mut node, &mut peers, 513);

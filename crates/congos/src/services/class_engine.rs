@@ -31,6 +31,7 @@ use crate::config::CongosConfig;
 use crate::messages::{
     CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GROUP_GOSSIP,
 };
+use crate::node::StateCensus;
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
 use crate::services::group_distribution::GdService;
@@ -302,16 +303,17 @@ impl ClassEngine {
                         );
                     }
                     let (buffer, failed) = lane.proxy.gossip_payloads();
-                    let group_set = partition.group(lane.my_group).clone();
+                    let group_set = || partition.group(lane.my_group).clone();
                     if !buffer.is_empty() {
                         lane.gossip.inject(
                             now,
                             GossipPayload::Fragments(buffer),
                             self.sqrt_d,
-                            group_set.clone(),
+                            group_set(),
                         );
                     }
                     if lane.proxy.beacon() || !failed.is_empty() {
+                        let group_set = group_set();
                         let payload = GossipPayload::ProxyMeta {
                             failed_proxies: failed,
                         };
@@ -550,6 +552,17 @@ impl ClassEngine {
     pub(crate) fn cache_len(&self) -> usize {
         self.cache.len()
     }
+
+    /// Adds this class's per-rumor table sizes to `census`.
+    pub(crate) fn count(&self, census: &mut StateCensus) {
+        census.cached += self.cache_len();
+        census.gossip += self.all_gossip.census();
+        for lane in &self.lanes {
+            census.gossip += lane.gossip.census();
+            lane.proxy.count(census);
+            lane.gd.count(census);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -688,7 +701,9 @@ mod tests {
     }
 
     /// An AllGossip push of one `Distribution` from p1 to `to`; `seq` keeps
-    /// the gossip ids of one test distinct.
+    /// the gossip ids of one test distinct. Pushes are born at round 0 and
+    /// live through every test's last round (a push past its deadline is
+    /// dropped on receipt).
     fn distribution(
         n: usize,
         to: ProcessId,
@@ -720,8 +735,8 @@ mod tests {
                         seq,
                     },
                     payload,
-                    duration: 8,
-                    deadline: Round(8),
+                    duration: 2 * DLINE,
+                    deadline: Round(2 * DLINE),
                     dest: IdSet::from_iter(n, [to]),
                     best_effort: true,
                 }]

@@ -18,7 +18,7 @@
 //! [GD:CONFIDENTIAL] holds by construction: a fragment is only ever sent to
 //! a member of its rumor's destination set.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use rand::rngs::SmallRng;
 
@@ -26,6 +26,7 @@ use congos_gossip::{fanout, FanoutParams};
 use congos_sim::{IdSet, ProcessId, Round};
 
 use crate::messages::Fragment;
+use crate::node::StateCensus;
 use crate::partition::Partition;
 use crate::rumor::CongosRumorId;
 
@@ -35,10 +36,12 @@ pub(crate) type GdSends = Vec<(ProcessId, Vec<Fragment>)>;
 /// Per-partition group-distribution state at one process.
 pub(crate) struct GdService {
     my_group: u8,
-    /// Fragments delivered by the group spread since the block began.
+    /// Fragments delivered by the group spread since the block began
+    /// (drained at the boundary, capacity kept).
     waiting: Vec<Fragment>,
-    /// This block's fragments to distribute, one per rumor.
-    partials: BTreeMap<CongosRumorId, Fragment>,
+    /// This block's fragments to distribute, one per rumor, in rid order
+    /// (retained in place across blocks).
+    partials: Vec<Fragment>,
     active: bool,
     /// `(target, rumor)` pairs this group has served (own + gossiped).
     hit_set: HashSet<(ProcessId, CongosRumorId)>,
@@ -56,7 +59,7 @@ impl GdService {
         GdService {
             my_group,
             waiting: Vec::new(),
-            partials: BTreeMap::new(),
+            partials: Vec::new(),
             active: false,
             hit_set: HashSet::new(),
             hit_procs: IdSet::empty(n),
@@ -91,19 +94,20 @@ impl GdService {
     /// push rumors to the deadline fallback far more often than the paper's
     /// asymptotic constants would.
     pub(crate) fn on_block_start(&mut self, now: Round, alive_ok: bool, group_len: usize) {
-        let collected = std::mem::take(&mut self.waiting);
-        let mut carried = std::mem::take(&mut self.partials);
-        carried.retain(|rid, f| rid.birth + f.dline >= now);
+        self.partials.retain(|f| f.rid.birth + f.dline >= now);
         self.active = alive_ok;
         if self.active {
-            self.partials = carried;
-            for f in collected {
-                self.partials.insert(f.rid, f);
+            // A collected fragment replaces a carried one of its rumor.
+            for f in self.waiting.drain(..) {
+                match self.partials.binary_search_by_key(&f.rid, |p| p.rid) {
+                    Ok(i) => self.partials[i] = f,
+                    Err(i) => self.partials.insert(i, f),
+                }
             }
         } else {
-            // Not yet eligible: keep the fragments for the next block.
-            self.waiting = collected;
-            self.waiting.extend(carried.into_values());
+            // Not yet eligible: keep the fragments for the next block,
+            // collected first, then the carried ones in rid order.
+            self.waiting.append(&mut self.partials);
         }
         self.hit_set.clear();
         self.hit_procs.clear();
@@ -146,7 +150,7 @@ impl GdService {
         for target in candidates.sample(k, rng) {
             let appropriate: Vec<Fragment> = self
                 .partials
-                .values()
+                .iter()
                 .filter(|f| f.dest.contains(target))
                 .cloned()
                 .collect();
@@ -181,6 +185,13 @@ impl GdService {
             self.hit_set.insert((*p, *rid));
             self.hit_procs.insert(*p);
         }
+    }
+
+    /// Adds this service's per-rumor table sizes to `census`.
+    pub(crate) fn count(&self, census: &mut StateCensus) {
+        census.gd_waiting += self.waiting.len();
+        census.gd_partials += self.partials.len();
+        census.gd_hits += self.hit_set.len();
     }
 
     /// Last round of the block: the sanitized hit-set to publish through

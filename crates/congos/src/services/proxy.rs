@@ -24,6 +24,7 @@ use congos_gossip::{fanout, FanoutParams};
 use congos_sim::{IdSet, ProcessId};
 
 use crate::messages::Fragment;
+use crate::node::StateCensus;
 use crate::partition::Partition;
 
 /// A proxy request to emit: fragments for one sampled member of another
@@ -102,11 +103,13 @@ impl ProxyService {
         alive_ok: bool,
         group_len: usize,
     ) {
-        let acked = std::mem::take(&mut self.acked_groups);
-        let mut carried = std::mem::take(&mut self.my_rumors);
-        carried.retain(|f| !acked.contains(&f.group) && f.rid.birth + f.dline >= now);
-        self.my_rumors = std::mem::take(&mut self.waiting);
-        self.my_rumors.extend(carried);
+        let acked = &self.acked_groups;
+        self.my_rumors
+            .retain(|f| !acked.contains(&f.group) && f.rid.birth + f.dline >= now);
+        // `my_rumors` becomes `waiting ++ carried`; both keep their buffers.
+        std::mem::swap(&mut self.my_rumors, &mut self.waiting);
+        self.my_rumors.append(&mut self.waiting);
+        self.acked_groups.clear();
         self.active = alive_ok && !self.my_rumors.is_empty();
         self.collaborators = group_len.max(1);
         self.collab_next.clear();
@@ -221,6 +224,13 @@ impl ProxyService {
         for p in failed {
             self.failed_proxies.insert(*p);
         }
+    }
+
+    /// Adds this service's per-rumor table sizes to `census`.
+    pub(crate) fn count(&self, census: &mut StateCensus) {
+        census.proxy_waiting += self.waiting.len();
+        census.proxy_rumors += self.my_rumors.len();
+        census.proxy_buffer += self.buffer.len();
     }
 
     fn all_groups_served(&self, partition: &Partition) -> bool {

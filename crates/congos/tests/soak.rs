@@ -3,9 +3,11 @@
 //! `cargo test --release -p congos --test soak -- --ignored`.
 //!
 //! A thousand rounds of continuous injection under combined churn and
-//! adaptive attacks, with the auditor attached throughout: memory must stay
-//! bounded (pruning works), confidentiality must never break, and every
-//! admissible pair must deliver on time.
+//! adaptive attacks, with the auditor attached throughout, then
+//! `2·deadline` idle rounds: in every round a node keeps reassembly and
+//! dedup entries only of rumors within their horizon, once the last rumor
+//! has expired no live node keeps any per-rumor state, confidentiality
+//! must never break, and every admissible pair must deliver on time.
 
 use congos::{ConfidentialityAuditor, CongosNode};
 use congos_adversary::{
@@ -44,8 +46,10 @@ impl FailurePlan for Combined {
 fn thousand_round_soak() {
     let n = 24;
     let deadline = 64u64;
-    let rounds = 1024u64;
-    let workload = PoissonWorkload::new(0.03, 3, deadline, 0x50AC).until(Round(rounds - deadline));
+    // Injections stop at round 960; the last 2·deadline rounds are idle,
+    // so every rumor's horizon has passed before the run ends.
+    let (inject_until, rounds) = (1024 - deadline, 1024 + 2 * deadline);
+    let workload = PoissonWorkload::new(0.03, 3, deadline, 0x50AC).until(Round(inject_until));
     let failures = Combined {
         churn: RandomChurn::new(0.002, 0.12, 0x50AC),
         killer: ProxyKiller::new(Tag("proxy"), 1).revive_after(48),
@@ -54,7 +58,33 @@ fn thousand_round_soak() {
     let mut audit = ConfidentialityAuditor::new(n);
     let mut e =
         congos_sim::Engine::<CongosNode>::new(congos_sim::EngineConfig::new(n).seed(0x50AC));
-    e.run_observed(rounds, &mut adv, &mut audit);
+    let live_at = |e: &congos_sim::Engine<CongosNode>, t: Round| -> Vec<ProcessId> {
+        ProcessId::all(n)
+            .filter(|&p| e.liveness().alive_at_end(p, t))
+            .collect()
+    };
+    for t in (0..rounds).map(Round) {
+        e.step_observed(&mut adv, &mut audit);
+        // Each round's prune leaves a node entries only of rumors it is a
+        // destination of whose horizon (birth + 2·deadline) has not passed.
+        // A crashed node does not prune, so only the live ones are counted.
+        let live = live_at(&e, t);
+        let recent: usize = adv
+            .injections()
+            .iter()
+            .filter(|i| i.round + 2 * deadline >= t)
+            .map(|i| i.spec.dest.iter().filter(|d| live.contains(d)).count())
+            .sum();
+        let retained: usize = live
+            .iter()
+            .map(|&p| e.protocol(p).census().retained_rumors)
+            .sum();
+        assert!(
+            retained <= recent,
+            "round {t}: live nodes keep parts/delivered entries of {retained} (rumor, node) \
+             pairs, more than the {recent} born within the last 2·deadline rounds"
+        );
+    }
     audit.assert_clean();
 
     let out = e.outputs();
@@ -64,28 +94,10 @@ fn thousand_round_soak() {
     let admissible = q.summary.admissible;
     assert!(admissible > 100, "soak workload too thin: {admissible}");
     assert!(e.liveness().crash_count() > 20);
-    // Memory bounding sanity: pending confirmations are pruned over time.
-    let pending: usize = ProcessId::all(n)
-        .map(|p| e.protocol(p).pending_confirmations())
-        .sum();
-    assert!(pending < 50, "confirmation cache leak: {pending}");
-    // Round 1023's prune leaves a node entries only of rumors it is a
-    // destination of whose horizon (birth + 2·deadline) has not passed. A
-    // crashed node does not prune, so only the live ones are counted.
-    let last = Round(rounds - 1);
-    let live: Vec<ProcessId> = ProcessId::all(n)
-        .filter(|&p| e.liveness().alive_at_end(p, last))
-        .collect();
-    let recent: usize = adv
-        .injections()
-        .iter()
-        .filter(|i| i.round + 2 * deadline >= last)
-        .map(|i| i.spec.dest.iter().filter(|d| live.contains(d)).count())
-        .sum();
-    let retained: usize = live.iter().map(|&p| e.protocol(p).retained_rumors()).sum();
-    assert!(
-        retained <= recent,
-        "live nodes keep parts/delivered entries of {retained} (rumor, node) pairs, \
-         more than the {recent} born within the last 2·deadline rounds"
-    );
+    // Every rumor is past its horizon: no live node keeps any state of one,
+    // in any table.
+    for p in live_at(&e, Round(rounds - 1)) {
+        let census = e.protocol(p).census();
+        assert!(census.is_empty(), "{p} keeps per-rumor state: {census:?}");
+    }
 }

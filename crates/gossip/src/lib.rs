@@ -45,5 +45,5 @@ pub mod standalone;
 pub use expander::{expander_targets, GossipStrategy};
 pub use fanout::{fanout, FanoutParams};
 pub use rumor::{GossipRumor, RumorId};
-pub use service::{ContinuousGossip, GossipConfig, GossipWire, PushBatch};
+pub use service::{ContinuousGossip, GossipCensus, GossipConfig, GossipWire, PushBatch};
 pub use standalone::GossipNode;

@@ -171,6 +171,30 @@ impl GossipConfig {
     }
 }
 
+/// Entry counts of one endpoint's per-rumor tables
+/// ([`ContinuousGossip::census`]). Each table drops a rumor by its
+/// deadline, so every count is 0 once the endpoint's rumors are past it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct GossipCensus {
+    /// Dedup entries, each kept until `deadline + 2`.
+    pub seen: usize,
+    /// Rumors forwarded, each until its deadline.
+    pub active: usize,
+    /// Own rumors tracked for acknowledgment, each until its deadline.
+    pub own: usize,
+    /// Deliveries awaiting pickup by the host.
+    pub delivered: usize,
+}
+
+impl std::ops::AddAssign for GossipCensus {
+    fn add_assign(&mut self, other: Self) {
+        self.seen += other.seen;
+        self.active += other.active;
+        self.own += other.own;
+        self.delivered += other.delivered;
+    }
+}
+
 struct OwnRumor<T> {
     rumor: Arc<GossipRumor<T>>,
     unacked: IdSet,
@@ -207,10 +231,13 @@ pub struct ContinuousGossip<T> {
     /// duration among them (the fanout's `dmin`); `None` once they changed,
     /// rebuilt at the next push.
     batch: Option<(Arc<PushBatch<T>>, u64)>,
-    /// Dedup set with the round after which each entry may be dropped. A
-    /// superset of `active`'s ids; it also guards ids no longer active, or
-    /// never made active.
+    /// Dedup set with each entry's rumor deadline: an entry is dropped in
+    /// the first round past `deadline + 2`. A superset of `active`'s ids;
+    /// it also guards ids no longer active, or never made active.
     seen: HashMap<RumorId, Round>,
+    /// The earliest deadline in `seen`, `Round(u64::MAX)` when it is empty:
+    /// `seen` is scanned only in rounds past that entry's horizon.
+    seen_earliest: Round,
     /// Rumors this process injected and still tracks for acknowledgment.
     own: BTreeMap<RumorId, OwnRumor<T>>,
     /// Acks queued for the next send phase as `(destination, id)`, in
@@ -257,6 +284,7 @@ impl<T> ContinuousGossip<T> {
             active: Vec::new(),
             batch: None,
             seen: HashMap::new(),
+            seen_earliest: Round(u64::MAX),
             own: BTreeMap::new(),
             pending_acks: Vec::new(),
             delivered: Vec::new(),
@@ -323,7 +351,7 @@ impl<T> ContinuousGossip<T> {
             dest,
             best_effort,
         });
-        self.seen.insert(id, rumor.deadline);
+        self.file_seen(id, rumor.deadline);
         if rumor.dest.contains(self.me) {
             self.delivered.push(Arc::clone(&rumor));
         }
@@ -393,16 +421,23 @@ impl<T> ContinuousGossip<T> {
             self.ids.extend(self.active.iter().map(|r| r.id));
             self.batch = None;
         }
-        // Prune the dedup map once it outgrows a small bound. The retain
-        // predicate is the receive horizon (a rumor's last send is its
-        // deadline fallback in round `dl`, received in that same round, so
-        // `now = dl < dl + 2`), so pruning earlier or more often is
-        // behavior-neutral — it only caps the map near the live window
-        // instead of letting every instance hold thousands of dead ids.
-        // It is also weaker than the expiry above (`dl ≥ now`), which keeps
-        // `active ⊆ seen`.
-        if self.seen.len() > 256 {
-            self.seen.retain(|_, dl| *dl + 2 >= now);
+        // Drop dedup entries past their receive horizon `dl + 2`, in every
+        // round where the earliest has passed it. A rumor's last send is its
+        // deadline fallback in round `dl`, received in that same round, and
+        // `on_receive` skips a rumor past the horizon, so a dropped id is
+        // never looked up again: the map follows the live rumors at no
+        // behavioral cost. The horizon is later than the expiry above
+        // (`dl ≥ now`), which keeps `active ⊆ seen`.
+        if now.since(self.seen_earliest) > 2 {
+            let mut earliest = Round(u64::MAX);
+            self.seen.retain(|_, &mut dl| {
+                let keep = now.since(dl) <= 2;
+                if keep {
+                    earliest = earliest.min(dl);
+                }
+                keep
+            });
+            self.seen_earliest = earliest;
         }
 
         // Acks queued from last round's deliveries: one per destination.
@@ -473,10 +508,13 @@ impl<T> ContinuousGossip<T> {
 
     /// Handles an incoming wire message. Traffic from outside the membership
     /// is ignored (filtered), and so is a pushed rumor whose origin is not a
-    /// member: no honest peer forwards one, since a rumor enters an instance
-    /// only at a member. The wire may be owned or borrowed (a host reads its
-    /// inbox in place); either way a rumor this endpoint keeps is the
-    /// pushed allocation, shared by one refcount bump.
+    /// member, or whose receive horizon `deadline + 2` has passed: no honest
+    /// peer forwards either, since a rumor enters an instance only at a
+    /// member and is pushed only until its deadline. (The dedup set forgets
+    /// a rumor past that horizon, so a replay would otherwise be delivered,
+    /// acked and forwarded again.) The wire may be owned or borrowed (a
+    /// host reads its inbox in place); either way a rumor this endpoint
+    /// keeps is the pushed allocation, shared by one refcount bump.
     ///
     /// A push is deduplicated by walking its id column in step with the
     /// endpoint's own sorted active ids; only a rumor not found there is
@@ -513,14 +551,14 @@ impl<T> ContinuousGossip<T> {
                         at += 1;
                         continue;
                     }
-                    if !self.cfg.membership.contains(id.origin) {
+                    let rumor = &batch.rumors()[i];
+                    if !self.cfg.membership.contains(id.origin) || now.since(rumor.deadline) > 2 {
                         continue;
                     }
-                    let rumor = &batch.rumors()[i];
                     if self.seen.contains_key(&id) {
                         continue;
                     }
-                    self.seen.insert(id, rumor.deadline);
+                    self.file_seen(id, rumor.deadline);
                     if rumor.dest.contains(self.me) {
                         self.delivered.push(Arc::clone(rumor));
                         if id.origin != self.me && !rumor.best_effort {
@@ -542,6 +580,22 @@ impl<T> ContinuousGossip<T> {
                     }
                 }
             }
+        }
+    }
+
+    /// Files `id` in the dedup set until its receive horizon.
+    fn file_seen(&mut self, id: RumorId, deadline: Round) {
+        self.seen.insert(id, deadline);
+        self.seen_earliest = self.seen_earliest.min(deadline);
+    }
+
+    /// The entry counts of the endpoint's per-rumor tables.
+    pub fn census(&self) -> GossipCensus {
+        GossipCensus {
+            seen: self.seen.len(),
+            active: self.active.len(),
+            own: self.own.len(),
+            delivered: self.delivered.len(),
         }
     }
 
@@ -968,6 +1022,48 @@ mod tests {
             "{out:?}"
         );
         assert!(matches!(&out[0].1, GossipWire::Ack(ids) if ids.len() == 1));
+    }
+
+    #[test]
+    fn seen_drops_an_id_in_the_first_round_past_its_receive_horizon() {
+        let n = 8;
+        let mut g = mk(0, n);
+        let mut rng = SmallRng::seed_from_u64(14);
+        // Deadlines 16 (pushed) and 18 (injected): horizons 18 and 20.
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[1]));
+        g.inject(Round(2), 1, 16, IdSet::full(n));
+        g.take_delivered().for_each(drop);
+        for (round, seen) in [(18, 2), (19, 1), (20, 1), (21, 0)] {
+            let _ = g.step(Round(round), &mut rng);
+            assert_eq!(g.census().seen, seen, "after round {round}'s step");
+        }
+        assert_eq!(g.census(), GossipCensus::default());
+    }
+
+    #[test]
+    fn a_replay_past_the_receive_horizon_is_dropped() {
+        let n = 8;
+        let mut g = mk(1, n);
+        let mut rng = SmallRng::seed_from_u64(15);
+        // Rumor (3, 0) has deadline 16: delivered once, acked once.
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[1]));
+        assert_eq!(g.take_delivered().len(), 1);
+        let out = g.step(Round(1), &mut rng);
+        assert!(matches!(&out[..], [(to, GossipWire::Ack(_)), ..] if *to == ProcessId::new(3)));
+        // Within the horizon a replay is a duplicate; past it, the dedup
+        // entry is gone and the replay is skipped all the same.
+        for round in [18, 19, 40] {
+            let _ = g.step(Round(round), &mut rng);
+            push_one(&mut g, Round(round), 3, rumor(n, 3, 0, &[1]));
+            assert_eq!(
+                g.take_delivered().len(),
+                0,
+                "round {round}: no second delivery"
+            );
+            assert!(g.pending_acks.is_empty(), "round {round}: no second ack");
+            assert!(g.active.is_empty(), "round {round}: not forwarded");
+        }
+        assert_eq!(g.census().seen, 0);
     }
 
     #[test]

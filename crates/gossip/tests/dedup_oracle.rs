@@ -4,8 +4,9 @@
 //! pushed rumor it already forwards, found by walking the push's id column,
 //! without reading the rumor or consulting its `seen` map. `Reference`
 //! below is the straightforward endpoint that walk replaced: a `BTreeMap`
-//! active set and every pushed id looked up in `seen`. Both ignore a pushed
-//! rumor whose origin is not a member. Both are driven through the same
+//! active set and every pushed id looked up in `seen`, which it prunes in
+//! every step. Both ignore a pushed rumor whose origin is not a member or
+//! whose receive horizon `deadline + 2` has passed. Both are driven through the same
 //! arbitrary interleaving of `inject`, `step` and `on_receive` — pushes
 //! ascending, shuffled or repeating ids, carrying expired rumors and
 //! rumors of any origin, from members and non-members, plus acks and echoes
@@ -116,9 +117,7 @@ impl Reference {
     fn step(&mut self, now: Round, rng: &mut SmallRng) -> Vec<(ProcessId, Wire)> {
         let mut out = Vec::new();
         self.active.retain(|_, r| r.active_at(now));
-        if self.seen.len() > 256 {
-            self.seen.retain(|_, dl| *dl + 2 >= now);
-        }
+        self.seen.retain(|_, dl| *dl + 2 >= now);
         self.pending_acks.sort_by_key(|&(dst, _)| dst);
         for run in self.pending_acks.chunk_by(|a, b| a.0 == b.0) {
             out.push((
@@ -182,6 +181,7 @@ impl Reference {
             GossipWire::Push(batch) => {
                 for rumor in batch.rumors() {
                     if !self.cfg.membership.contains(rumor.id.origin)
+                        || rumor.deadline + 2 < now
                         || self.seen.contains_key(&rumor.id)
                     {
                         continue;
@@ -272,7 +272,7 @@ fn rarely() -> impl Strategy<Value = bool> {
 }
 
 /// A rumor whose sequence number is below `seqs`: few make pushes overlap,
-/// many make a flood that grows `seen` past its pruning threshold.
+/// many make a flood of distinct ids in `seen`.
 fn rumor_spec(seqs: u32) -> impl Strategy<Value = RumorSpec> {
     (
         0..N,

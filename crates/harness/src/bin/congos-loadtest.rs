@@ -7,7 +7,8 @@
 //! injecting `--rate` rumors per round (deterministically spread over
 //! sources, each to a fresh random destination set) during the first
 //! `--duration` rounds. Afterwards it classifies every (rumor, destination)
-//! pair, prints a human summary and writes the full report to
+//! pair with `congos_adversary::qod::classify` (on time, late, missed or
+//! unreachable), prints a human summary and writes the full report to
 //! `results/BENCH_net_loadtest.json` (see `--out`).
 //!
 //! Exit status: nonzero if the cluster errored, or if nothing was
@@ -17,10 +18,12 @@
 use std::process::exit;
 
 use congos::CongosInput;
+use congos_adversary::qod::{self, QodSummary};
+use congos_adversary::{InjectionLogEntry, RumorSpec};
 use congos_harness::stats::{mean, percentile};
 use congos_harness::{Cluster, Json};
 use congos_sim::rng::fork_rng;
-use congos_sim::{ProcessId, TopologySpec};
+use congos_sim::{LivenessLog, ProcessId, Round, Topology, TopologySpec};
 use rand::Rng;
 
 const USAGE: &str = "usage: congos-loadtest [options]
@@ -136,9 +139,14 @@ fn main() {
     }
     let injected = injections.len() as u64;
     let pairs: u64 = injections.iter().map(|(_, _, i)| i.dest.len() as u64).sum();
-    let schedule: Vec<(u64, u64, Vec<ProcessId>)> = injections
+    // The injection log QoD is judged against (payloads are not needed).
+    let log: Vec<InjectionLogEntry> = injections
         .iter()
-        .map(|(r, _, i)| (i.wid, *r, i.dest.clone()))
+        .map(|(r, source, i)| InjectionLogEntry {
+            round: Round(*r),
+            source: *source,
+            spec: RumorSpec::new(i.wid, Vec::new(), i.deadline, i.dest.clone()),
+        })
         .collect();
 
     println!(
@@ -162,24 +170,28 @@ fn main() {
     };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // Latency per delivered (rumor, destination) pair: rounds from
-    // injection to that destination's first delivery.
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut delivered_pairs = 0u64;
-    for (wid, inject_round, dest) in &schedule {
-        for d in dest {
-            let first = report
-                .deliveries
-                .iter()
-                .filter(|o| o.wid == *wid && o.process == *d)
-                .map(|o| o.round.as_u64())
-                .min();
-            if let Some(r) = first {
-                delivered_pairs += 1;
-                latencies.push(r - inject_round);
-            }
-        }
-    }
+    // Every node stays up, so each pair is admissible unless the topology
+    // leaves it unreachable. Latency per on-time (rumor, destination) pair:
+    // rounds from injection to that destination's first delivery.
+    let deliveries = report
+        .deliveries
+        .iter()
+        .map(|o| (o.wid, o.process, o.round));
+    let verdict = qod::classify(
+        &log,
+        deliveries,
+        &LivenessLog::new(n),
+        &Topology::build(topology, n, seed),
+    );
+    let QodSummary {
+        on_time,
+        late,
+        missed,
+        unreachable,
+        ..
+    } = verdict.summary;
+    let latencies = verdict.latencies;
+    let delivered_pairs = on_time as u64;
 
     if delivered_pairs == 0 {
         eprintln!("congos-loadtest: nothing was delivered — broken setup, not a measurement");
@@ -196,7 +208,8 @@ fn main() {
     let deliveries_per_sec = delivered_pairs as f64 / (wall_ms / 1e3);
 
     println!(
-        "  delivered {delivered_pairs}/{pairs} pairs ({:.1}%), \
+        "  delivered {delivered_pairs}/{pairs} pairs on time ({:.1}%; {late} late, \
+         {missed} missed, {unreachable} unreachable), \
          latency p50/p90/p99/max = {p50}/{p90}/{p99}/{max} rounds (mean {lat_mean:.2})",
         delivery_rate * 100.0
     );
@@ -225,6 +238,9 @@ fn main() {
         ("injected", Json::from(injected)),
         ("pairs", Json::from(pairs)),
         ("delivered_pairs", Json::from(delivered_pairs)),
+        ("late", Json::from(late)),
+        ("missed", Json::from(missed)),
+        ("unreachable", Json::from(unreachable)),
         ("delivery_rate", Json::from(delivery_rate)),
         (
             "latency_rounds",
