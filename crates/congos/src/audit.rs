@@ -79,11 +79,12 @@ pub enum Violation {
     },
 }
 
+/// What a caller injected under one workload id: the ground truth a
+/// delivery of that wid is checked against.
 #[derive(Clone, Debug)]
-struct RumorMeta {
-    source: ProcessId,
+struct Injected {
     dest: IdSet,
-    data: Option<Vec<u8>>,
+    data: Vec<u8>,
 }
 
 /// Summary of an audited execution.
@@ -114,11 +115,17 @@ pub struct AuditReport {
 #[derive(Clone, Debug)]
 pub struct ConfidentialityAuditor {
     n: usize,
-    rumors: HashMap<CongosRumorId, RumorMeta>,
+    /// Per rumor id: the destination set its own fragments and `Shoot`s
+    /// carry. A process is entitled to a rumor iff it is the rumor's
+    /// source or in this set.
+    rumors: HashMap<CongosRumorId, IdSet>,
+    /// Per workload id: what was injected. The node may start several
+    /// rumors per injection (destination hiding) or a decoy alongside it
+    /// (cover traffic), so injections are keyed by the id the caller chose,
+    /// never by a guessed rumor id.
+    injected: HashMap<u64, Injected>,
     /// Per process: fragments ever held, as `(rid, partition, group)`.
     holdings: Vec<HashSet<(CongosRumorId, u16, u8)>>,
-    /// Per process: rumors held whole (injection or shoot).
-    whole: Vec<HashSet<CongosRumorId>>,
     /// Registered coalitions of curious processes.
     coalitions: Vec<IdSet>,
     /// Fragment count `k` per (rumor, partition) split.
@@ -137,8 +144,8 @@ impl ConfidentialityAuditor {
         ConfidentialityAuditor {
             n,
             rumors: HashMap::new(),
+            injected: HashMap::new(),
             holdings: vec![HashSet::new(); n],
-            whole: vec![HashSet::new(); n],
             coalitions: Vec::new(),
             split_k: HashMap::new(),
             expiry: ExpiryRing::new(128),
@@ -176,35 +183,29 @@ impl ConfidentialityAuditor {
         );
     }
 
-    fn meta_entry(&mut self, rid: CongosRumorId, dest: &IdSet) -> &mut RumorMeta {
-        self.report.rumors = self.rumors.len() + 1; // updated below if new
-        let entry = self.rumors.entry(rid).or_insert_with(|| RumorMeta {
-            source: rid.source,
-            dest: dest.clone(),
-            data: None,
-        });
-        entry
+    /// Files `rid`'s destination set on first sight.
+    fn note_rumor(&mut self, rid: CongosRumorId, dest: &IdSet) {
+        self.rumors.entry(rid).or_insert_with(|| dest.clone());
+        self.report.rumors = self.rumors.len();
     }
 
     fn record_fragment(&mut self, holder: ProcessId, f: &Fragment) {
+        // Nothing in the protocol circulates a fragment past its split's
+        // admissibility horizon, and the node drops one that arrives later
+        // (a forged or replayed message). Such a receipt is skipped here
+        // too: the holdings it could complete were already evicted, so
+        // every verdict the full history would give has been given.
+        let expire = f.rid.birth.as_u64() + 2 * f.dline;
+        if self.now.as_u64() > expire {
+            return;
+        }
         self.report.fragment_receipts += 1;
-        self.meta_entry(f.rid, &f.dest);
-        self.report.rumors = self.rumors.len();
+        self.note_rumor(f.rid, &f.dest);
         self.split_k.insert((f.rid, f.partition), f.k);
         let newly = self.holdings[holder.as_usize()].insert((f.rid, f.partition, f.group));
         if !newly {
             return;
         }
-        // Nothing in the protocol circulates a fragment past its split's
-        // admissibility horizon, so holdings evicted at the horizon can
-        // never be referenced by a later receipt — verdicts are unaffected.
-        let expire = f.rid.birth.as_u64() + 2 * f.dline;
-        debug_assert!(
-            self.now.as_u64() <= expire,
-            "fragment received past its admissibility horizon (round {}, horizon {})",
-            self.now.as_u64(),
-            expire
-        );
         self.expiry
             .insert(expire, (holder, f.rid, f.partition, f.group));
         self.check_process(holder, f.rid, f.partition);
@@ -217,11 +218,8 @@ impl ConfidentialityAuditor {
     }
 
     fn record_whole(&mut self, holder: ProcessId, rid: CongosRumorId, dest: &IdSet) {
-        self.meta_entry(rid, dest);
-        self.report.rumors = self.rumors.len();
-        self.whole[holder.as_usize()].insert(rid);
-        let meta = &self.rumors[&rid];
-        if !meta.dest.contains(holder) && meta.source != holder {
+        self.note_rumor(rid, dest);
+        if !self.is_entitled(holder, rid) {
             self.report.violations.push(Violation::WholeRumorLeaked {
                 process: holder,
                 rid,
@@ -230,9 +228,7 @@ impl ConfidentialityAuditor {
     }
 
     fn is_entitled(&self, p: ProcessId, rid: CongosRumorId) -> bool {
-        self.rumors
-            .get(&rid)
-            .is_some_and(|m| m.dest.contains(p) || m.source == p)
+        rid.source == p || self.rumors.get(&rid).is_some_and(|d| d.contains(p))
     }
 
     fn check_process(&mut self, p: ProcessId, rid: CongosRumorId, partition: u16) {
@@ -280,10 +276,10 @@ impl ConfidentialityAuditor {
         }
     }
 
-    /// Drops holdings whose split's admissibility horizon has passed. By
-    /// the `record_fragment` assertion no admissible receipt can reference
-    /// an evicted entry again, so every confidentiality verdict the full
-    /// history would have produced has already been produced.
+    /// Drops holdings whose split's admissibility horizon has passed.
+    /// `record_fragment` skips every later receipt of such a split, so every
+    /// confidentiality verdict the full history would have produced has
+    /// already been produced.
     fn evict_expired(&mut self) {
         let (holdings, split_k) = (&mut self.holdings, &mut self.split_k);
         self.expiry
@@ -308,47 +304,37 @@ impl Observer<CongosNode> for ConfidentialityAuditor {
         }
     }
 
-    fn on_inject(&mut self, round: Round, process: ProcessId, input: &CongosInput) {
-        let rid = CongosRumorId {
-            source: process,
-            birth: round,
-            seq: 0,
-        };
+    fn on_inject(&mut self, _round: Round, _process: ProcessId, input: &CongosInput) {
         let dest = IdSet::from_iter(self.n, input.dest.iter().copied());
-        let meta = self.meta_entry(rid, &dest);
-        meta.data = Some(input.data.clone());
-        self.report.rumors = self.rumors.len();
-        self.whole[process.as_usize()].insert(rid);
+        let data = input.data.clone();
+        self.injected.insert(input.wid, Injected { dest, data });
     }
 
+    /// Checks a delivery against what was injected under its wid. A node
+    /// watched alone (over TCP) sees only its own injections; there a
+    /// delivery of another node's rumor is checked against the
+    /// destinations its fragments or `Shoot` carried.
     fn on_output(&mut self, rec: &OutputRecord<DeliveredRumor>) {
         self.report.deliveries += 1;
-        let rid = rec.value.rid;
-        match self.rumors.get(&rid) {
-            Some(meta) => {
-                if !meta.dest.contains(rec.process) {
-                    self.report.violations.push(Violation::WrongDelivery {
-                        process: rec.process,
-                        rid,
-                    });
-                }
-                if let Some(data) = &meta.data {
-                    if *data != rec.value.data {
-                        self.report.violations.push(Violation::CorruptDelivery {
-                            process: rec.process,
-                            rid,
-                        });
-                    }
-                }
-            }
-            None => {
-                // A delivery for a rumor never injected: corrupt by
-                // definition.
-                self.report.violations.push(Violation::CorruptDelivery {
-                    process: rec.process,
-                    rid,
-                });
-            }
+        let (process, rid) = (rec.process, rec.value.rid);
+        let (entitled, intact) = match self.injected.get(&rec.value.wid) {
+            Some(truth) => (truth.dest.contains(process), truth.data == rec.value.data),
+            None => match self.rumors.get(&rid) {
+                Some(dest) => (dest.contains(process), true),
+                // A delivery of a rumor never injected nor seen: corrupt
+                // by definition.
+                None => (true, false),
+            },
+        };
+        if !entitled {
+            self.report
+                .violations
+                .push(Violation::WrongDelivery { process, rid });
+        }
+        if !intact {
+            self.report
+                .violations
+                .push(Violation::CorruptDelivery { process, rid });
         }
     }
 
@@ -456,6 +442,29 @@ mod tests {
     }
 
     #[test]
+    fn a_fragment_past_its_horizon_is_skipped() {
+        let mut a = ConfidentialityAuditor::new(8);
+        let mut late = frag(8, 0, 0, 0, 1, &[1]);
+        late.dline = 32;
+        let payload = CongosMsg::Partials {
+            dline: 32,
+            ell: 0,
+            fragments: vec![late],
+        };
+        // Born at round 0, horizon 64: a forged or replayed copy at round
+        // 1000 completes a split for p5, which is not entitled to it.
+        let env = EnvelopeRef {
+            src: ProcessId::new(3),
+            dst: ProcessId::new(5),
+            round: Round(1000),
+            tag: payload.tag(),
+            payload: &payload,
+        };
+        Observer::<CongosNode>::on_deliver(&mut a, env);
+        assert_eq!(*a.report(), AuditReport::default(), "nothing recorded");
+    }
+
+    #[test]
     #[should_panic(expected = "confidentiality audit failed")]
     fn assert_clean_panics_on_violation() {
         let mut a = ConfidentialityAuditor::new(4);
@@ -479,9 +488,32 @@ mod output_tests {
         }
     }
 
+    fn fragment(rid: CongosRumorId, wid: u64, dest: usize) -> Fragment {
+        Fragment {
+            rid,
+            wid,
+            partition: 0,
+            group: 0,
+            k: 2,
+            bytes: vec![1].into(),
+            dest: IdSet::from_iter(4, [ProcessId::new(dest)]).into(),
+            dline: 64,
+        }
+    }
+
     fn inject(a: &mut ConfidentialityAuditor, src: usize, data: &[u8], dest: &[usize]) {
+        inject_wid(a, 0, src, data, dest);
+    }
+
+    fn inject_wid(
+        a: &mut ConfidentialityAuditor,
+        wid: u64,
+        src: usize,
+        data: &[u8],
+        dest: &[usize],
+    ) {
         let input = CongosInput {
-            wid: 0,
+            wid,
             data: data.to_vec(),
             deadline: 64,
             dest: dest.iter().map(|i| ProcessId::new(*i)).collect(),
@@ -542,5 +574,36 @@ mod output_tests {
             a.report().violations[0],
             Violation::CorruptDelivery { .. }
         ));
+    }
+
+    /// A source that starts a cover-traffic decoy and a real rumor in one
+    /// round gives the decoy seq 0 and the real rumor seq 1: the real
+    /// rumor's delivery must still be checked against the injected data.
+    #[test]
+    fn a_corrupt_delivery_beside_a_same_round_decoy_is_flagged() {
+        let mut a = ConfidentialityAuditor::new(4);
+        let decoy = rid(0);
+        let real = CongosRumorId { seq: 1, ..decoy };
+        a.record_fragment(ProcessId::new(3), &fragment(decoy, u64::MAX, 3));
+        inject_wid(&mut a, 7, 0, b"data", &[2]);
+        a.record_fragment(ProcessId::new(2), &fragment(real, 7, 2));
+        let rec = OutputRecord {
+            round: Round(5),
+            process: ProcessId::new(2),
+            value: DeliveredRumor {
+                wid: 7,
+                rid: real,
+                data: b"wrong".to_vec(),
+                via: DeliveryPath::Fragments,
+            },
+        };
+        Observer::<crate::node::CongosNode>::on_output(&mut a, &rec);
+        assert_eq!(
+            a.report().violations,
+            [Violation::CorruptDelivery {
+                process: ProcessId::new(2),
+                rid: real,
+            }]
+        );
     }
 }

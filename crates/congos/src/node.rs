@@ -44,6 +44,19 @@ pub struct NodeStats {
     pub rejected: u64,
 }
 
+impl std::ops::AddAssign for NodeStats {
+    fn add_assign(&mut self, other: Self) {
+        self.injected += other.injected;
+        self.confirmed += other.confirmed;
+        self.fallbacks += other.fallbacks;
+        self.direct += other.direct;
+        self.gossip_fallbacks += other.gossip_fallbacks;
+        self.decoys_injected += other.decoys_injected;
+        self.decoys_discarded += other.decoys_discarded;
+        self.rejected += other.rejected;
+    }
+}
+
 /// Entry counts of a node's per-rumor tables ([`CongosNode::census`]),
 /// summed over its deadline classes and partitions. Every table drops a
 /// rumor once its horizon has passed, so an idle node's census falls to

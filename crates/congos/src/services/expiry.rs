@@ -9,7 +9,7 @@
 //! a checked class (a fragment's must be its message's, a fallback
 //! `Shoot`'s must trim to a valid class) and rejects a fragment or `Shoot`
 //! that arrives after the horizon, so a pruned rumor is not delivered
-//! twice; the auditor debug-asserts that none arrives.
+//! twice; the auditor skips such a receipt the same way.
 //!
 //! [`ExpiryRing`] is an index over such a container: it buckets keys by
 //! expiry round and replays exactly the owner's `retain` predicate at

@@ -63,22 +63,23 @@ fn destination_hiding_delivers_only_to_real_destinations() {
     assert!(discarded > 0, "decoy copies must have been discarded");
 }
 
+/// Destination hiding starts n singleton rumors per injection, seq 0 being
+/// p0's copy: the audit must hold whichever process is the source.
 #[test]
 fn destination_hiding_is_audited_clean() {
     let n = 12;
     let cfg = CongosConfig::base().hide_destinations();
-    let dest = vec![ProcessId::new(5)];
-    let spec = RumorSpec::new(0, vec![1, 2, 3, 4], 64, dest);
-    let mut adv = CrriAdversary::new(
-        NoFailures,
-        OneShot::new(Round(0), vec![(ProcessId::new(0), spec)]),
-    );
-    let mut audit = ConfidentialityAuditor::new(n);
-    let mut e = engine_with(cfg, n, 32);
-    e.run_observed(66, &mut adv, &mut audit);
-    audit.assert_clean();
-    assert_eq!(e.outputs().len(), 1);
-    assert_eq!(e.outputs()[0].value.data, vec![1, 2, 3, 4]);
+    for source in [ProcessId::new(0), ProcessId::new(1)] {
+        let dest = vec![ProcessId::new(5)];
+        let spec = RumorSpec::new(0, vec![1, 2, 3, 4], 64, dest);
+        let mut adv = CrriAdversary::new(NoFailures, OneShot::new(Round(0), vec![(source, spec)]));
+        let mut audit = ConfidentialityAuditor::new(n);
+        let mut e = engine_with(cfg.clone(), n, 32);
+        e.run_observed(66, &mut adv, &mut audit);
+        audit.assert_clean();
+        assert_eq!(e.outputs().len(), 1);
+        assert_eq!(e.outputs()[0].value.data, vec![1, 2, 3, 4]);
+    }
 }
 
 #[test]

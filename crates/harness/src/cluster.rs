@@ -469,10 +469,10 @@ pub fn unhex(s: &str) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{run, RunSpec, TapSpec};
+    use crate::run::{run, run_with_factory, RunSpec};
     use congos_adversary::{CoalitionSpec, NoFailures, OneShot, PoissonWorkload};
     use congos_baselines::DirectNode;
-    use congos_sim::Tag;
+    use congos_sim::{Protocol, Tag};
 
     #[test]
     fn materializes_oneshot() {
@@ -639,21 +639,19 @@ mod tests {
     #[test]
     fn tcp_tap_sees_what_the_engine_tap_sees() {
         let (n, seed, rounds) = (5, 2, 70);
-        let tap = TapSpec {
-            coalition: CoalitionSpec::new(0.4, 5),
-            exclude: Some(ProcessId::new(0)),
-        };
+        let members = CoalitionSpec::new(0.4, 5).members(n, Some(ProcessId::new(0)));
         let rumor = RumorSpec::new(0, b"who said it".to_vec(), 64, vec![ProcessId::new(3)]);
         let mk = || OneShot::new(Round(1), vec![(ProcessId::new(0), rumor.clone())]);
-        let spec = RunSpec::new(n, seed, rounds).tap(tap);
-        let engine = run::<CongosNode, _, _>(spec, NoFailures, mk());
-        let mut seen: Vec<Sighting> = engine.tap.expect("tapped").iter().copied().collect();
+        let mut tap = CoalitionTap::new(n, &members);
+        let spec = RunSpec::new(n, seed, rounds);
+        run_with_factory(spec, CongosNode::new, NoFailures, mk(), &mut tap);
+        let mut seen: Vec<Sighting> = tap.log().iter().copied().collect();
         seen.sort_by_key(|s| (s.round, s.observer, s.sender, s.tag.name()));
         assert!(!seen.is_empty());
         let report = Cluster::new(n, 20780)
             .seed(seed)
             .rounds(rounds)
-            .watch(tap.members(n))
+            .watch(members)
             .run(materialize_injections(n, rounds, &mut mk()))
             .expect("cluster run");
         assert_eq!(report.sightings, seen);

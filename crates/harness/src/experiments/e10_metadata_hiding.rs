@@ -15,7 +15,7 @@
 
 use congos::{CongosConfig, CongosNode, CoverTrafficConfig};
 use congos_adversary::{NoFailures, PoissonWorkload};
-use congos_sim::Round;
+use congos_sim::{NullObserver, Round};
 
 use crate::run::{run_with_factory, RunDefaults};
 use crate::table::Table;
@@ -67,6 +67,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
             NoFailures,
             w,
+            &mut NullObserver,
         );
         assert!(o.qod_theorem_holds(), "{name}: {:?}", o.qod);
         rows.push((o.metrics.total(), o.metrics.total_bytes()));

@@ -13,41 +13,18 @@
 //! holds for both, by Theorem 2.
 
 use congos::CongosNode;
-use congos_adversary::{CrriAdversary, FailurePlan, PoissonWorkload, ProxyKiller, ScheduledChurn};
-use congos_sim::{Engine, EngineConfig, ProcessId, Round, Tag};
+use congos_adversary::{FailurePlan, PoissonWorkload, ProxyKiller, ScheduledChurn};
+use congos_sim::{LivenessEvent, ProcessId, Round, Tag};
 
-use crate::run::{engine_qod, RunDefaults};
+use crate::run::{run as run_system, RunDefaults, RunOutcome, RunSpec};
 use crate::table::Table;
 
-struct Outcome {
-    crashes: usize,
-    confirmed: u64,
-    fallbacks: u64,
-    on_time_rate: f64,
-}
-
-fn run_against<F: FailurePlan>(cfg: EngineConfig, rounds: u64, failures: F) -> Outcome {
-    let (n, seed) = (cfg.n(), cfg.master_seed());
+fn run_against<F: FailurePlan>(n: usize, rounds: u64, failures: F) -> RunOutcome {
     let deadline = 64u64;
-    let workload = PoissonWorkload::new(0.03, 3, deadline, seed).until(Round(rounds - deadline));
-    let mut adv = CrriAdversary::new(failures, workload);
-    let mut engine = Engine::<CongosNode>::new(cfg);
-    engine.run(rounds, &mut adv);
-
-    let (mut confirmed, mut fallbacks) = (0u64, 0u64);
-    for p in ProcessId::all(n) {
-        let s = engine.protocol(p).stats();
-        confirmed += s.confirmed;
-        fallbacks += s.fallbacks;
-    }
-    let qod = engine_qod(&engine, adv.injections()).1.summary;
-    assert!(qod.perfect(), "QoD must hold regardless of adaptivity");
-    Outcome {
-        crashes: engine.liveness().crash_count(),
-        confirmed,
-        fallbacks,
-        on_time_rate: qod.on_time_rate(),
-    }
+    let workload = PoissonWorkload::new(0.03, 3, deadline, 0xE12).until(Round(rounds - deadline));
+    let out = run_system::<CongosNode, _, _>(RunSpec::new(n, 0xE12, rounds), failures, workload);
+    assert!(out.qod.perfect(), "QoD must hold regardless of adaptivity");
+    out
 }
 
 /// Runs E12 and returns its table.
@@ -55,36 +32,23 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 24 } else { 16 };
     let rounds = if full { 384u64 } else { 256 };
 
-    // Phase 1: the adaptive attack, recording when it struck.
-    let deadline = 64u64;
-    let workload = PoissonWorkload::new(0.03, 3, deadline, 0xE12).until(Round(rounds - deadline));
+    // The adaptive attack, recording when it struck.
     let killer = ProxyKiller::new(Tag("proxy"), 1).revive_after(40);
-    let mut adaptive_adv = CrriAdversary::new(killer, workload);
-    let cfg = EngineConfig::new(n).seed(0xE12);
-    let mut engine = Engine::<CongosNode>::new(cfg);
-    engine.run(rounds, &mut adaptive_adv);
-    // Extract the adaptive run's crash/restart schedule.
+    let adaptive = run_against(n, rounds, killer);
+    // Its oblivious twin: the same crash/restart schedule, but targets
+    // rotated by one — fixed before the run, so they cannot track the
+    // sampled proxies.
     let mut schedule = ScheduledChurn::new();
-    let mut crash_count = 0usize;
     for p in ProcessId::all(n) {
-        for ev in engine.liveness().events(p) {
-            match ev {
-                congos_sim::liveness::LivenessEvent::Crash(r) => {
-                    crash_count += 1;
-                    // Oblivious twin: same rounds, same *number* of crashes,
-                    // but targets rotated by one — fixed before the run, so
-                    // they cannot track the sampled proxies.
-                    let twin = ProcessId::new((p.as_usize() + 1) % n);
-                    schedule = schedule.crash_at(*r, twin);
-                }
-                congos_sim::liveness::LivenessEvent::Restart(r) => {
-                    let twin = ProcessId::new((p.as_usize() + 1) % n);
-                    schedule = schedule.restart_at(*r, twin);
-                }
-            }
+        let twin = ProcessId::new((p.as_usize() + 1) % n);
+        for ev in adaptive.liveness.events(p) {
+            schedule = match *ev {
+                LivenessEvent::Crash(r) => schedule.crash_at(r, twin),
+                LivenessEvent::Restart(r) => schedule.restart_at(r, twin),
+            };
         }
     }
-    let _ = crash_count;
+    let oblivious = run_against(n, rounds, schedule);
 
     let mut t = Table::new(
         "E12: adaptive vs oblivious adversary (Section 7 open question)",
@@ -97,21 +61,16 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
             "on_time%",
         ],
     );
-    let adaptive = run_against(
-        cfg,
-        rounds,
-        ProxyKiller::new(Tag("proxy"), 1).revive_after(40),
-    );
-    let oblivious = run_against(cfg, rounds, schedule);
     for (name, o) in [("adaptive", adaptive), ("oblivious twin", oblivious)] {
-        let total = (o.confirmed + o.fallbacks).max(1);
+        let (confirmed, fallbacks) = (o.stats.confirmed, o.stats.fallbacks);
+        let total = (confirmed + fallbacks).max(1);
         t.row(vec![
             name.to_string(),
-            o.crashes.to_string(),
-            o.confirmed.to_string(),
-            o.fallbacks.to_string(),
-            format!("{:.1}", 100.0 * o.fallbacks as f64 / total as f64),
-            format!("{:.1}", 100.0 * o.on_time_rate),
+            o.liveness.crash_count().to_string(),
+            confirmed.to_string(),
+            fallbacks.to_string(),
+            format!("{:.1}", 100.0 * fallbacks as f64 / total as f64),
+            format!("{:.1}", 100.0 * o.qod.on_time_rate()),
         ]);
     }
     t.note(
@@ -137,5 +96,6 @@ mod tests {
         for r in 0..2 {
             assert_eq!(t.cell(r, 5), "100.0");
         }
+        assert_eq!(t.cell(0, 1), t.cell(1, 1), "the same crash budget");
     }
 }

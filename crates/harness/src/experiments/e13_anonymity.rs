@@ -42,7 +42,7 @@
 
 use congos::{CongosConfig, CongosNode, CoverTrafficConfig};
 use congos_adversary::predict::{
-    first_contact_posterior, AttackScore, CoalitionSpec, EstimatorCtx, MlEstimator,
+    first_contact_posterior, AttackScore, CoalitionSpec, CoalitionTap, EstimatorCtx, MlEstimator,
 };
 use congos_adversary::{NoFailures, OneShot, RumorSpec};
 use congos_baselines::{DirectNode, StronglyConfidentialNode};
@@ -52,7 +52,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::json::Json;
-use crate::run::{run_with_factory, RunDefaults, TapSpec};
+use crate::run::{run_with_factory, RunDefaults};
 use crate::system::GossipSystem;
 use crate::table::{rows_json, Table};
 
@@ -161,27 +161,25 @@ where
         let mut dest: Vec<ProcessId> = ids[1..1 + DEST_SIZE].to_vec();
         dest.sort_unstable();
 
-        let tap = TapSpec {
-            coalition: CoalitionSpec {
-                fraction_ppm,
-                seed: seed ^ 0x0B5E_11E5,
-            },
-            exclude: Some(source),
+        // The observing coalition: never the source it is looking for.
+        let coalition = CoalitionSpec {
+            fraction_ppm,
+            seed: seed ^ 0x0B5E_11E5,
         };
-        let members = tap.members(n);
-        let spec = cell.spec(n, seed, rounds).probe_mem(false).tap(tap);
+        let members = coalition.members(n, Some(source));
+        let mut tap = CoalitionTap::new(n, &members);
+        let spec = cell.spec(n, seed, rounds);
         let workload = OneShot::new(
             Round(INJECT_AT),
             vec![(source, RumorSpec::new(0, vec![0xE1, 0x3A], DEADLINE, dest))],
         );
-        let out = run_with_factory::<P, _, _>(spec, factory.clone(), NoFailures, workload);
-        let log = out.tap.expect("tapped run returns a sighting log");
+        run_with_factory::<P, _, _>(spec, factory.clone(), NoFailures, workload, &mut tap);
 
         let candidates: Vec<ProcessId> =
             ProcessId::all(n).filter(|p| !members.contains(p)).collect();
         m_candidates = candidates.len();
         let ctx = EstimatorCtx {
-            log: &log,
+            log: tap.log(),
             candidates: &candidates,
             injected_at: Round(INJECT_AT),
             tags: rumor_tags(system),

@@ -8,48 +8,35 @@
 
 use congos::{ConfidentialityAuditor, CongosNode};
 use congos_adversary::{
-    CrriAdversary, Eclipse, FailurePlan, GroupAnnihilator, NoFailures, PoissonWorkload,
-    ProxyKiller, RandomChurn, RollingWaves,
+    Eclipse, FailurePlan, GroupAnnihilator, NoFailures, PoissonWorkload, ProxyKiller, RandomChurn,
+    RollingWaves,
 };
-use congos_sim::{Engine, EngineConfig, Round, Tag};
+use congos_sim::{ProcessId, Protocol, Round, Tag};
 
-use congos_adversary::qod::QodVerdict;
-
-use crate::run::{engine_qod, RunDefaults};
+use crate::run::{run_with_factory, RunDefaults, RunOutcome, RunSpec};
 use crate::table::Table;
 
+/// One audited CONGOS run: its outcome and the auditor's violation count.
 fn run_audited<F: FailurePlan>(
-    cfg: EngineConfig,
+    n: usize,
+    seed: u64,
     rounds: u64,
     failures: F,
-) -> (QodVerdict, usize, usize) {
-    let (n, seed) = (cfg.n(), cfg.master_seed());
+) -> (RunOutcome, usize) {
     let deadline = 64u64;
     let workload = PoissonWorkload::new(0.03, 3, deadline, seed).until(Round(rounds - deadline));
-    let mut adv = CrriAdversary::new(failures, workload);
     let mut audit = ConfidentialityAuditor::new(n);
-    // Theorem replication pins the paper's complete network (the default
-    // EngineConfig topology); the sparse/churn sweep lives in E14.
-    let mut engine = Engine::<CongosNode>::new(cfg);
-    engine.run_observed(rounds, &mut adv, &mut audit);
-
-    (
-        engine_qod(&engine, adv.injections()).1,
-        audit.report().violations.len(),
-        engine.liveness().crash_count(),
-    )
+    // Theorem replication pins the paper's complete network (`RunSpec::new`);
+    // the sparse/churn sweep lives in E14.
+    let spec = RunSpec::new(n, seed, rounds);
+    let out = run_with_factory(spec, CongosNode::new, failures, workload, &mut audit);
+    (out, audit.report().violations.len())
 }
-
-type Scenario = (
-    &'static str,
-    Box<dyn FnOnce() -> (QodVerdict, usize, usize)>,
-);
 
 /// Runs E2 and returns its table.
 pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 384 } else { 256 };
-    let cfg = move |seed: u64| EngineConfig::new(n).seed(seed);
     let mut t = Table::new(
         "E2: correctness matrix (Theorem 2 / Lemmas 3-4)",
         &[
@@ -63,61 +50,33 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         ],
     );
 
-    let scenarios: Vec<Scenario> = vec![
-        (
-            "none",
-            Box::new(move || run_audited(cfg(0xE2_01), rounds, NoFailures)),
-        ),
+    let killer = ProxyKiller::new(Tag("proxy"), 1).revive_after(48);
+    let eclipse = Eclipse::new(ProcessId::new(3), Round(rounds / 2), 1);
+    let scenarios = [
+        ("none", run_audited(n, 0xE2_01, rounds, NoFailures)),
         (
             "random churn",
-            Box::new(move || {
-                run_audited(cfg(0xE2_02), rounds, RandomChurn::new(0.004, 0.15, 0xE2))
-            }),
+            run_audited(n, 0xE2_02, rounds, RandomChurn::new(0.004, 0.15, 0xE2)),
         ),
-        (
-            "proxy killer",
-            Box::new(move || {
-                run_audited(
-                    cfg(0xE2_03),
-                    rounds,
-                    ProxyKiller::new(Tag("proxy"), 1).revive_after(48),
-                )
-            }),
-        ),
+        ("proxy killer", run_audited(n, 0xE2_03, rounds, killer)),
         (
             "group annihilation",
-            Box::new(move || {
-                run_audited(cfg(0xE2_04), rounds, GroupAnnihilator::new(0, 0, Round(8)))
-            }),
+            run_audited(n, 0xE2_04, rounds, GroupAnnihilator::new(0, 0, Round(8))),
         ),
-        (
-            "eclipse",
-            Box::new(move || {
-                run_audited(
-                    cfg(0xE2_05),
-                    rounds,
-                    Eclipse::new(congos_sim::ProcessId::new(3), Round(rounds / 2), 1),
-                )
-            }),
-        ),
+        ("eclipse", run_audited(n, 0xE2_05, rounds, eclipse)),
         (
             "rolling waves",
-            Box::new(move || run_audited(cfg(0xE2_06), rounds, RollingWaves::new(2, 48))),
+            run_audited(n, 0xE2_06, rounds, RollingWaves::new(2, 48)),
         ),
     ];
 
-    for (name, f) in scenarios {
-        let (verdict, violations, crashes) = f();
-        let qod = verdict.summary;
+    for (name, (out, violations)) in scenarios {
+        let qod = out.qod;
         assert_eq!(violations, 0, "{name}: confidentiality violated");
-        assert!(
-            qod.perfect(),
-            "{name}: QoD violated, first at (wid, destination) {:?}: {qod:?}",
-            verdict.violations[0]
-        );
+        assert!(qod.perfect(), "{name}: QoD violated: {qod:?}");
         t.row(vec![
             name.to_string(),
-            crashes.to_string(),
+            out.liveness.crash_count().to_string(),
             qod.admissible.to_string(),
             qod.on_time.to_string(),
             qod.late.to_string(),

@@ -16,7 +16,7 @@
 use congos::{CongosConfig, CongosNode};
 use congos_adversary::{NoFailures, PoissonWorkload};
 use congos_gossip::FanoutParams;
-use congos_sim::Round;
+use congos_sim::{NullObserver, Round};
 
 use crate::json::Json;
 use crate::mem;
@@ -109,6 +109,7 @@ pub fn sweep(ns: &[usize], defaults: &RunDefaults) -> Table {
             move |id, nn, _s| CongosNode::with_config(id, nn, cfg.clone()),
             NoFailures,
             w,
+            &mut NullObserver,
         );
         assert!(o.qod_theorem_holds(), "n={n}: {:?}", o.qod);
         t.row(vec![

@@ -14,10 +14,10 @@ use std::collections::BTreeSet;
 use std::collections::{HashMap, HashSet};
 
 use congos::{CongosConfig, CongosMsg, CongosNode, CongosRumorId, Fragment};
-use congos_adversary::{CrriAdversary, NoFailures, PoissonWorkload};
-use congos_sim::{Engine, EngineConfig, EnvelopeRef, IdSet, Observer, ProcessId, Round};
+use congos_adversary::{NoFailures, PoissonWorkload};
+use congos_sim::{EnvelopeRef, IdSet, Observer, ProcessId, Round};
 
-use crate::run::RunDefaults;
+use crate::run::{run_with_factory, RunDefaults, RunSpec};
 use crate::table::Table;
 
 /// Counts fragment batches ([`CongosMsg::fragment_batches`]: a gossip push
@@ -121,14 +121,14 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         let rounds = 3 * deadline;
         let workload =
             PoissonWorkload::new(0.02, 3, deadline, 0xE5).until(Round(rounds - deadline));
-        let mut adv = CrriAdversary::new(NoFailures, workload);
         let mut meter = BorderMeter::new(n);
-        let cfg2 = cfg.clone();
-        let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(n).seed(0xE5 + tau as u64),
-            move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
+        run_with_factory(
+            RunSpec::new(n, 0xE5 + tau as u64, rounds),
+            move |id, n, _s| CongosNode::with_config(id, n, cfg.clone()),
+            NoFailures,
+            workload,
+            &mut meter,
         );
-        engine.run_observed(rounds, &mut adv, &mut meter);
 
         let rumor_count = meter.rumors.len().max(1);
         let mean_outside: f64 = meter

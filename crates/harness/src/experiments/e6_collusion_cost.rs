@@ -8,7 +8,7 @@
 
 use congos::{CongosConfig, CongosNode};
 use congos_adversary::{NoFailures, PoissonWorkload};
-use congos_sim::Round;
+use congos_sim::{NullObserver, Round};
 
 use crate::run::{run_with_factory, RunDefaults};
 use crate::stats::fit_power_law;
@@ -49,6 +49,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
             NoFailures,
             workload,
+            &mut NullObserver,
         );
         assert!(o.qod_theorem_holds(), "tau={tau}: {:?}", o.qod);
         let lg = (n as f64).log2();

@@ -7,10 +7,10 @@
 //! the deadline, so "shoot" messages are the exception, not the mechanism.
 
 use congos::CongosNode;
-use congos_adversary::{CrriAdversary, PoissonWorkload, RandomChurn};
-use congos_sim::{Engine, EngineConfig, ProcessId, Round};
+use congos_adversary::{PoissonWorkload, RandomChurn};
+use congos_sim::Round;
 
-use crate::run::{engine_qod, RunDefaults};
+use crate::run::{run as run_system, RunDefaults, RunSpec};
 use crate::table::Table;
 
 /// Runs E7 and returns its table.
@@ -41,31 +41,21 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         let workload =
             PoissonWorkload::new(0.03, 3, deadline, 0xE7).until(Round(rounds - deadline));
         let churn = RandomChurn::new(p, 0.15, 0xE7);
-        let mut adv = CrriAdversary::new(churn, workload);
-        // Pins the paper's complete network: E7 isolates process churn,
-        // E14 isolates link churn.
-        let cfg = EngineConfig::new(n).seed(0xE7);
-        let mut engine = Engine::<CongosNode>::new(cfg);
-        engine.run(rounds, &mut adv);
-
-        let qod = engine_qod(&engine, adv.injections()).1.summary;
+        // Pins the paper's complete network (`RunSpec::new`): E7 isolates
+        // process churn, E14 isolates link churn.
+        let out = run_system::<CongosNode, _, _>(RunSpec::new(n, 0xE7, rounds), churn, workload);
+        let qod = out.qod;
         assert!(qod.perfect(), "p={p}: QoD violated");
 
-        let (mut confirmed, mut fallbacks) = (0u64, 0u64);
-        for pid in ProcessId::all(n) {
-            let s = engine.protocol(pid).stats();
-            confirmed += s.confirmed;
-            fallbacks += s.fallbacks;
-        }
         t.row(vec![
             format!("{p:.3}"),
-            engine.liveness().crash_count().to_string(),
+            out.liveness.crash_count().to_string(),
             qod.admissible.to_string(),
             format!("{:.1}", 100.0 * qod.on_time_rate()),
             qod.late.to_string(),
             qod.missed.to_string(),
-            confirmed.to_string(),
-            fallbacks.to_string(),
+            out.stats.confirmed.to_string(),
+            out.stats.fallbacks.to_string(),
         ]);
     }
     t.note("on_time% = 100 in every row (probability-1 QoD for admissible rumors)");

@@ -11,43 +11,50 @@
 
 use congos::{CongosConfig, CongosNode};
 use congos_adversary::{
-    CrriAdversary, GroupAnnihilator, NoFailures, OneShot, PoissonWorkload, RumorSpec,
+    FailurePlan, GroupAnnihilator, InjectionPlan, NoFailures, OneShot, PoissonWorkload, RumorSpec,
 };
 use congos_gossip::{FanoutParams, GossipStrategy};
-use congos_sim::{Engine, EngineConfig, ProcessId, Round};
+use congos_sim::{NullObserver, ProcessId, Round};
 
-use crate::run::{engine_qod, run_with_factory, RunDefaults};
+use crate::run::{run_with_factory, RunDefaults, RunOutcome, RunSpec};
 use crate::table::Table;
 
-fn annihilation_run(engine_cfg: EngineConfig, cap: Option<usize>) -> (u64, u64, bool) {
-    let n = engine_cfg.n();
+/// CONGOS under `cfg`, unobserved, on `spec`.
+fn run_congos(
+    spec: RunSpec,
+    cfg: CongosConfig,
+    failures: impl FailurePlan,
+    workload: impl InjectionPlan,
+) -> RunOutcome {
+    run_with_factory(
+        spec,
+        move |id, n, _s| CongosNode::with_config(id, n, cfg.clone()),
+        failures,
+        workload,
+        &mut NullObserver,
+    )
+}
+
+/// One rumor p1 → p3 while group 0 of partition 0 is annihilated: the
+/// run's summed (confirmed, fallbacks), and whether p3 got it on time.
+fn annihilation_run(n: usize, seed: u64, cap: Option<usize>) -> (u64, u64, bool) {
     let mut cfg = CongosConfig::base();
     if let Some(c) = cap {
         cfg = cfg.max_partitions(c);
     }
     let deadline = 64u64;
     let source = ProcessId::new(1);
-    let dest = vec![ProcessId::new(3)];
-    let spec = RumorSpec::new(0, vec![5; 8], deadline, dest.clone());
+    let dest = ProcessId::new(3);
+    let spec = RumorSpec::new(0, vec![5; 8], deadline, vec![dest]);
     // Kill group 0 of partition 0 right as fragments spread.
-    let ann = GroupAnnihilator::new(0, 0, Round(2)).protect([source, dest[0]]);
-    let mut adv = CrriAdversary::new(ann, OneShot::new(Round(0), vec![(source, spec)]));
-    let cfg2 = cfg.clone();
-    let mut engine = Engine::<CongosNode>::with_factory(engine_cfg, move |id, n, _s| {
-        CongosNode::with_config(id, n, cfg2.clone())
-    });
-    engine.run(deadline + 2, &mut adv);
-    let delivered = engine
-        .outputs()
+    let ann = GroupAnnihilator::new(0, 0, Round(2)).protect([source, dest]);
+    let workload = OneShot::new(Round(0), vec![(source, spec)]);
+    let o = run_congos(RunSpec::new(n, seed, deadline + 2), cfg, ann, workload);
+    let delivered = o
+        .deliveries
         .iter()
-        .any(|o| o.process == dest[0] && o.round.as_u64() <= deadline);
-    let (mut confirmed, mut fallbacks) = (0u64, 0u64);
-    for pid in ProcessId::all(n) {
-        let s = engine.protocol(pid).stats();
-        confirmed += s.confirmed;
-        fallbacks += s.fallbacks;
-    }
-    (confirmed, fallbacks, delivered)
+        .any(|d| d.process == dest && d.round.as_u64() <= deadline);
+    (o.stats.confirmed, o.stats.fallbacks, delivered)
 }
 
 /// Runs E9 and returns its two tables.
@@ -68,8 +75,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         let mut fallbacks = 0u64;
         let mut delivered_all = true;
         for &s in seeds {
-            let engine_cfg = EngineConfig::new(n).seed(0xE9 + s);
-            let (c, f, d) = annihilation_run(engine_cfg, cap);
+            let (c, f, d) = annihilation_run(n, 0xE9 + s, cap);
             confirmed += c;
             fallbacks += f;
             delivered_all &= d;
@@ -105,13 +111,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         });
         let spec = defaults.spec(n, 0xE9B, rounds);
         let w = PoissonWorkload::new(0.03, 3, deadline, 0xE9B).until(Round(rounds - deadline));
-        let cfg2 = cfg.clone();
-        let o = run_with_factory::<CongosNode, _, _>(
-            spec,
-            move |id, n, _s| CongosNode::with_config(id, n, cfg2.clone()),
-            NoFailures,
-            w,
-        );
+        let o = run_congos(spec, cfg, NoFailures, w);
         assert!(o.qod_theorem_holds(), "gamma={gamma}: {:?}", o.qod);
         t.row(vec![
             format!("{gamma}"),
@@ -140,30 +140,17 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
         ("expander", GossipStrategy::Expander),
     ] {
         let cfg = CongosConfig::base().gossip_strategy(strategy);
-        let spec = defaults.spec(n, 0xE9C, rounds);
+        let spec = RunSpec::new(n, 0xE9C, rounds);
         let w = PoissonWorkload::new(0.03, 3, deadline, 0xE9C).until(Round(rounds - deadline));
-        let cfg_engine = cfg.clone();
-        let mut adv = CrriAdversary::new(NoFailures, w);
-        let mut engine = Engine::<CongosNode>::with_factory(
-            EngineConfig::new(spec.n).seed(spec.seed),
-            move |id, n, _s| CongosNode::with_config(id, n, cfg_engine.clone()),
-        );
-        engine.run(spec.rounds, &mut adv);
-        let (mut confirmed, mut fallbacks) = (0u64, 0u64);
-        for p in ProcessId::all(n) {
-            let s = engine.protocol(p).stats();
-            confirmed += s.confirmed;
-            fallbacks += s.fallbacks;
-        }
-        let qod = engine_qod(&engine, adv.injections()).1.summary;
-        assert!(qod.perfect(), "{label}: QoD violated");
+        let o = run_congos(spec, cfg, NoFailures, w);
+        assert!(o.qod.perfect(), "{label}: QoD violated");
         t.row(vec![
             label.to_string(),
-            engine.metrics().max_per_round().to_string(),
-            format!("{:.1}", engine.metrics().mean_per_round()),
-            confirmed.to_string(),
-            fallbacks.to_string(),
-            "100.0".to_string(),
+            o.metrics.max_per_round().to_string(),
+            format!("{:.1}", o.metrics.mean_per_round()),
+            o.stats.confirmed.to_string(),
+            o.stats.fallbacks.to_string(),
+            format!("{:.1}", 100.0 * o.qod.on_time_rate()),
         ]);
     }
     t.note("the de-randomized schedule matches the randomized epidemic's guarantees             (the [13] substrate is deterministic; DESIGN.md §2.3)");

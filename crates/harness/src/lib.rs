@@ -18,6 +18,12 @@
 //! [`congos_sim::EngineBackend::Auto`]): results are bit-identical on every
 //! backend, so there is nothing to choose.
 //!
+//! Every engine run goes through [`run_with_factory`] ([`run()`] is its
+//! default-construction shorthand): it builds the engine, drives it with
+//! the caller's [`congos_sim::Observer`], asserts that the engine rejected
+//! no plan decision and that no process rejected a message, and returns one
+//! [`RunOutcome`]. No experiment drives an engine of its own.
+//!
 //! Every run over TCP goes through [`Cluster`]: `n` CONGOS nodes on
 //! localhost sockets, driven by a static injection schedule. The
 //! TCP-vs-engine differential tests turn an oblivious workload into that
@@ -44,7 +50,6 @@ pub use json::Json;
 pub use mem::{MemSample, MemUsage};
 pub use run::{
     run, run_with_factory, ArgError, DeliveryRecord, QodSummary, RunDefaults, RunOutcome, RunSpec,
-    TapSpec,
 };
 pub use stats::{fit_power_law, percentile};
 pub use system::GossipSystem;

@@ -1,10 +1,15 @@
-//! Generic experiment runner with Quality-of-Delivery accounting.
+//! The harness's one engine-run path: [`run_with_factory`] builds, drives
+//! and judges every experiment's [`Engine`], and [`run`] is its
+//! default-construction shorthand.
 
-use congos_adversary::predict::{CoalitionSpec, CoalitionTap, SightingLog};
+use congos::NodeStats;
+use congos_adversary::qod::classify;
 pub use congos_adversary::qod::QodSummary;
-use congos_adversary::qod::{classify, QodVerdict};
 use congos_adversary::{CrriAdversary, FailurePlan, InjectionLogEntry, InjectionPlan, RumorSpec};
-use congos_sim::{Engine, EngineBackend, EngineConfig, Metrics, ProcessId, Round, TopologySpec};
+use congos_sim::{
+    Engine, EngineBackend, EngineConfig, LivenessLog, Metrics, NullObserver, Observer, ProcessId,
+    Round, TopologySpec,
+};
 
 use crate::system::GossipSystem;
 
@@ -24,35 +29,6 @@ pub struct RunSpec {
     /// Communication topology (changes the measured outcome, unlike the
     /// backend: sparser topologies drop undeliverable links).
     pub topology: TopologySpec,
-    /// Whether to sample the memory probe (peak-RSS + allocator counters)
-    /// around the engine run. Cheap (two `/proc` reads and a handful of
-    /// atomic loads); on by default. When off, [`RunOutcome::mem`] is
-    /// zeroed.
-    pub probe_mem: bool,
-    /// When `Some`, an observing coalition (the E13 source-prediction
-    /// adversary) is attached to the run: its members record delivery
-    /// metadata into [`RunOutcome::tap`]. The tap is an RNG-neutral
-    /// observer, so the measured execution is bit-identical to an untapped
-    /// run.
-    pub tap: Option<TapSpec>,
-}
-
-/// An observing coalition attached to a run (see [`RunSpec::tap`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TapSpec {
-    /// Who observes: the deterministic coalition draw.
-    pub coalition: CoalitionSpec,
-    /// A process the coalition must not contain — normally the trial's
-    /// rumor source (the adversary is *looking for* the source, so the
-    /// source is not one of its observers).
-    pub exclude: Option<ProcessId>,
-}
-
-impl TapSpec {
-    /// The coalition members this spec resolves to for `n` processes.
-    pub fn members(&self, n: usize) -> Vec<ProcessId> {
-        self.coalition.members(n, self.exclude)
-    }
 }
 
 impl RunSpec {
@@ -74,18 +50,6 @@ impl RunSpec {
     /// Selects the communication topology.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.topology = topology;
-        self
-    }
-
-    /// Enables or disables the memory probe (see [`RunSpec::probe_mem`]).
-    pub fn probe_mem(mut self, enabled: bool) -> Self {
-        self.probe_mem = enabled;
-        self
-    }
-
-    /// Attaches an observing coalition (see [`RunSpec::tap`]).
-    pub fn tap(mut self, tap: TapSpec) -> Self {
-        self.tap = Some(tap);
         self
     }
 }
@@ -151,8 +115,6 @@ impl RunDefaults {
             rounds,
             backend: EngineBackend::default(),
             topology: self.topology,
-            probe_mem: true,
-            tap: None,
         }
     }
 }
@@ -183,17 +145,16 @@ pub struct RunOutcome {
     pub injections: Vec<InjectionLogEntry>,
     /// QoD classification.
     pub qod: QodSummary,
-    /// Crash events that occurred.
-    pub crashes: usize,
+    /// Every crash and restart, per process.
+    pub liveness: LivenessLog,
+    /// [`GossipSystem::stats`] summed over the processes at the end of the
+    /// run (all zero for the baselines).
+    pub stats: NodeStats,
     /// Delivery latencies (rounds from injection to first delivery) of the
     /// admissible pairs that were delivered.
     pub latencies: Vec<u64>,
-    /// Memory accounting around the engine run (zeroed when
-    /// [`RunSpec::probe_mem`] was off).
+    /// Memory accounting around the engine run.
     pub mem: crate::mem::MemUsage,
-    /// The observing coalition's sighting log when [`RunSpec::tap`] was
-    /// set (`None` otherwise).
-    pub tap: Option<SightingLog>,
 }
 
 impl RunOutcome {
@@ -217,7 +178,7 @@ impl RunOutcome {
 }
 
 /// Runs protocol `P` (default construction) under the given failure and
-/// injection plans.
+/// injection plans, unobserved.
 pub fn run<P, F, W>(spec: RunSpec, failures: F, workload: W) -> RunOutcome
 where
     P: GossipSystem + Send,
@@ -227,15 +188,25 @@ where
     F: FailurePlan,
     W: InjectionPlan,
 {
-    run_with_factory(spec, P::new, failures, workload)
+    run_with_factory(spec, P::new, failures, workload, &mut NullObserver)
 }
 
-/// Runs protocol `P` built by `factory` (for configured deployments).
+/// Runs protocol `P` built by `factory` (for configured deployments) under
+/// the given failure and injection plans, reporting every engine event to
+/// `obs` (an auditor, a wiretap, a coalition tap; observers are RNG-neutral,
+/// so the execution is the unobserved one).
+///
+/// # Panics
+///
+/// Panics if the engine rejected a decision of the plans (say, a crash of
+/// a process already down), or if a process rejected a message
+/// ([`NodeStats::rejected`]): in the simulator every sender is correct.
 pub fn run_with_factory<P, F, W>(
     spec: RunSpec,
     factory: impl Fn(ProcessId, usize, u64) -> P + 'static,
     failures: F,
     workload: W,
+    obs: &mut impl Observer<P>,
 ) -> RunOutcome
 where
     P: GossipSystem + Send,
@@ -253,76 +224,28 @@ where
         factory,
     );
     let mut adv = CrriAdversary::new(failures, workload);
-    let mut tap = spec
-        .tap
-        .map(|t| CoalitionTap::new(spec.n, &t.members(spec.n)));
-    let ((), mem) = timed_with_mem(spec.probe_mem, || match &mut tap {
-        Some(tap) => engine.run_observed(spec.rounds, &mut adv, tap),
-        None => engine.run(spec.rounds, &mut adv),
-    });
+    let before = crate::mem::MemSample::now();
+    let t0 = std::time::Instant::now();
+    engine.run_observed(spec.rounds, &mut adv, obs);
+    let mem = crate::mem::MemUsage {
+        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        before,
+        after: crate::mem::MemSample::now(),
+    };
     assert_eq!(
         engine.metrics().rejected_decisions(),
         0,
         "the failure/injection plans issued decisions the engine rejected"
     );
-    let rejected: u64 = ProcessId::all(spec.n)
-        .map(|p| engine.protocol(p).rejected())
-        .sum();
+    let mut stats = NodeStats::default();
+    for p in ProcessId::all(spec.n) {
+        stats += engine.protocol(p).stats();
+    }
     assert_eq!(
-        rejected, 0,
+        stats.rejected, 0,
         "a process rejected a message another process sent"
     );
 
-    let injections = adv.injections().to_vec();
-    let (deliveries, verdict) = engine_qod(&engine, &injections);
-
-    RunOutcome {
-        name: P::NAME,
-        topology: spec.topology,
-        metrics: engine.metrics().clone(),
-        deliveries,
-        injections,
-        qod: verdict.summary,
-        crashes: engine.liveness().crash_count(),
-        latencies: verdict.latencies,
-        mem,
-        tap: tap.map(CoalitionTap::into_log),
-    }
-}
-
-/// Runs `f` between two memory-probe samples (zeroed when `probe` is off)
-/// and times it.
-fn timed_with_mem<R>(probe: bool, f: impl FnOnce() -> R) -> (R, crate::mem::MemUsage) {
-    let sample = || {
-        if probe {
-            crate::mem::MemSample::now()
-        } else {
-            crate::mem::MemSample::default()
-        }
-    };
-    let before = sample();
-    let t0 = std::time::Instant::now();
-    let result = f();
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let usage = crate::mem::MemUsage {
-        before,
-        after: sample(),
-        wall_ms,
-    };
-    (result, usage)
-}
-
-/// The deliveries of a finished engine run, and their [`classify`] verdict
-/// against the adversary's injection log — for the experiments that drive
-/// an [`Engine`] themselves as much as for [`run_with_factory`].
-pub fn engine_qod<P>(
-    engine: &Engine<P>,
-    injections: &[InjectionLogEntry],
-) -> (Vec<DeliveryRecord>, QodVerdict)
-where
-    P: GossipSystem,
-    P::Input: From<RumorSpec>,
-{
     let deliveries: Vec<DeliveryRecord> = engine
         .outputs()
         .iter()
@@ -332,21 +255,38 @@ where
             round: o.round,
         })
         .collect();
+    let injections = adv.injections().to_vec();
     let verdict = classify(
-        injections,
+        &injections,
         deliveries.iter().map(|r| (r.wid, r.process, r.round)),
         engine.liveness(),
         engine.topology(),
     );
-    (deliveries, verdict)
+
+    RunOutcome {
+        name: P::NAME,
+        topology: spec.topology,
+        metrics: engine.metrics().clone(),
+        deliveries,
+        injections,
+        qod: verdict.summary,
+        liveness: engine.liveness().clone(),
+        stats,
+        latencies: verdict.latencies,
+        mem,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congos_adversary::{NoFailures, PoissonWorkload, RandomChurn};
+    use congos_adversary::{
+        NoFailures, NoInjections, PoissonWorkload, RandomChurn, ScheduledChurn,
+    };
     use congos_baselines::DirectNode;
+    use congos_gossip::standalone::{Delivered, GossipInput};
     use congos_gossip::GossipNode;
+    use congos_sim::{Context, Inbox, Protocol};
 
     fn parse(args: &[&str]) -> Result<(RunDefaults, Vec<String>), ArgError> {
         let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -385,7 +325,8 @@ mod tests {
         let out = run::<DirectNode, _, _>(spec, NoFailures, w);
         assert!(out.qod.perfect());
         assert!(out.qod.admissible > 0);
-        assert_eq!(out.crashes, 0);
+        assert_eq!(out.liveness.crash_count(), 0);
+        assert_eq!(out.stats, NodeStats::default(), "baselines keep no stats");
         assert_eq!(out.name, "direct");
     }
 
@@ -395,8 +336,60 @@ mod tests {
         let w = PoissonWorkload::new(0.05, 3, 32, 4).until(Round(60));
         let churn = RandomChurn::new(0.01, 0.2, 5);
         let out = run::<GossipNode, _, _>(spec, churn, w);
-        assert!(out.crashes > 0);
+        assert!(out.liveness.crash_count() > 0);
         assert!(out.qod.perfect(), "substrate QoD must hold: {:?}", out.qod);
         assert!(out.qod.inadmissible > 0, "churn should exempt some pairs");
+    }
+
+    #[test]
+    #[should_panic(expected = "decisions the engine rejected")]
+    fn a_rejected_plan_decision_fails_the_run() {
+        // Both entries see p1 alive in the round's view, so the plan issues
+        // the second crash of p1 after the engine applied the first.
+        let p1 = ProcessId::new(1);
+        let crash_twice = ScheduledChurn::new()
+            .crash_at(Round(2), p1)
+            .crash_at(Round(2), p1);
+        let w = PoissonWorkload::new(0.1, 3, 16, 2).until(Round(4));
+        run::<DirectNode, _, _>(RunSpec::new(4, 1, 8), crash_twice, w);
+    }
+
+    /// A protocol every process of which reports one rejected message.
+    struct Rejecting;
+
+    impl Protocol for Rejecting {
+        type Msg = ();
+        type Input = GossipInput;
+        type Output = Delivered;
+
+        fn new(_id: ProcessId, _n: usize, _seed: u64) -> Self {
+            Rejecting
+        }
+
+        fn send(&mut self, _ctx: &mut Context<'_, Self>) {}
+
+        fn receive(&mut self, _: &mut Context<'_, Self>, _: Inbox<'_, ()>, _: Option<GossipInput>) {
+        }
+    }
+
+    impl GossipSystem for Rejecting {
+        const NAME: &'static str = "rejecting";
+
+        fn wid_of(out: &Delivered) -> u64 {
+            out.wid
+        }
+
+        fn stats(&self) -> NodeStats {
+            NodeStats {
+                rejected: 1,
+                ..NodeStats::default()
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a process rejected a message")]
+    fn a_rejected_message_fails_the_run() {
+        run::<Rejecting, _, _>(RunSpec::new(4, 1, 8), NoFailures, NoInjections);
     }
 }

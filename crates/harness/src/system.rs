@@ -1,6 +1,6 @@
 //! Uniform view over the protocols under test.
 
-use congos::{CongosNode, DeliveredRumor};
+use congos::{CongosNode, DeliveredRumor, NodeStats};
 use congos_adversary::RumorSpec;
 use congos_baselines::{CryptoMulticastNode, DirectNode, StronglyConfidentialNode};
 use congos_gossip::standalone::Delivered;
@@ -19,11 +19,12 @@ where
     /// Workload id of a delivered output.
     fn wid_of(out: &Self::Output) -> u64;
 
-    /// Received messages this process dropped as ones no correct process
-    /// sends (0 for protocols that validate nothing). In the simulator
-    /// every sender is correct, so the harness asserts a total of 0.
-    fn rejected(&self) -> u64 {
-        0
+    /// This process's counters (all zero for protocols that keep none).
+    /// [`RunOutcome::stats`](crate::RunOutcome::stats) sums them, and the
+    /// harness asserts the summed [`NodeStats::rejected`] is 0: in the
+    /// simulator every sender is correct.
+    fn stats(&self) -> NodeStats {
+        NodeStats::default()
     }
 }
 
@@ -33,8 +34,8 @@ impl GossipSystem for CongosNode {
         out.wid
     }
 
-    fn rejected(&self) -> u64 {
-        self.stats().rejected
+    fn stats(&self) -> NodeStats {
+        CongosNode::stats(self)
     }
 }
 

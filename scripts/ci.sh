@@ -2,6 +2,10 @@
 # Tier-1 CI for the confidential-gossip workspace.
 #
 #   scripts/ci.sh            # tier1: rustfmt and clippy (warnings denied)
+#                            #        + a grep gate: no file under
+#                            #        crates/harness/src/experiments/ names
+#                            #        `Engine::` (every experiment runs
+#                            #        through harness::run_with_factory)
 #                            #        + release build + the whole workspace
 #                            #        test suite + in release: the
 #                            #        differential suite's backend
@@ -206,6 +210,9 @@ esac
 echo "==> tier1: rustfmt and clippy"
 cargo fmt --all --check
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "==> tier1: experiments drive no engine of their own"
+if grep -rn 'Engine::' crates/harness/src/experiments; then echo "experiments must run through harness::run_with_factory, not an Engine of their own" >&2; exit 1; fi
 
 echo "==> tier1: cargo build --release"
 cargo build --release

@@ -62,6 +62,7 @@ fn congos_and_direct_deliver_identical_sets() {
 fn congos_collusion_variant_is_also_delivery_equivalent() {
     use confidential_gossip::congos::CongosConfig;
     use confidential_gossip::harness::run_with_factory;
+    use confidential_gossip::sim::NullObserver;
 
     let n = 16;
     let rounds = 160;
@@ -73,6 +74,7 @@ fn congos_collusion_variant_is_also_delivery_equivalent() {
         move |id, n, _s| CongosNode::with_config(id, n, cfg.clone()),
         NoFailures,
         mk(),
+        &mut NullObserver,
     );
     let direct = run::<DirectNode, _, _>(spec, NoFailures, mk());
     assert!(collusion.qod.perfect(), "{:?}", collusion.qod);
