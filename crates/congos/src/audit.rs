@@ -26,13 +26,15 @@
 //! verdicts need no connectivity gate, and dropped links can only ever
 //! *shrink* what a curious process or coalition learns.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
+use congos_sim::clock::deadline_cap;
 use congos_sim::{EnvelopeRef, IdSet, Observer, OutputRecord, ProcessId, Round};
 
 use crate::messages::{CongosMsg, Fragment};
 use crate::node::CongosNode;
-use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor};
+use crate::rumor::{self, CongosInput, CongosRumorId, DeliveredRumor};
 use crate::services::expiry::ExpiryRing;
 
 /// A violation the auditor detected.
@@ -87,12 +89,24 @@ struct Injected {
     data: Vec<u8>,
 }
 
+/// An auditor entry filed on the expiry ring at its rumor's horizon.
+#[derive(Clone, Copy, Debug)]
+enum Expiring {
+    /// A fragment held: `(holder, rid, partition, group)`.
+    Holding(ProcessId, CongosRumorId, u16, u8),
+    /// A rumor's destination set.
+    Rumor(CongosRumorId),
+    /// An injection's ground truth, by workload id.
+    Injected(u64),
+}
+
 /// Summary of an audited execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AuditReport {
     /// Violations found (empty = the execution was confidential & correct).
     pub violations: Vec<Violation>,
-    /// Distinct rumors observed.
+    /// Distinct rumors observed (a running count: the auditor forgets a
+    /// rumor at its horizon).
     pub rumors: usize,
     /// Fragment receipts recorded.
     pub fragment_receipts: u64,
@@ -115,6 +129,8 @@ pub struct AuditReport {
 #[derive(Clone, Debug)]
 pub struct ConfidentialityAuditor {
     n: usize,
+    /// [`deadline_cap`] of `n`, which bounds every rumor's horizon.
+    deadline_cap: u64,
     /// Per rumor id: the destination set its own fragments and `Shoot`s
     /// carry. A process is entitled to a rumor iff it is the rumor's
     /// source or in this set.
@@ -130,9 +146,9 @@ pub struct ConfidentialityAuditor {
     coalitions: Vec<IdSet>,
     /// Fragment count `k` per (rumor, partition) split.
     split_k: HashMap<(CongosRumorId, u16), u8>,
-    /// Expiry index bounding `holdings` / `split_k`: every retained entry is
-    /// filed at its split's admissibility horizon `birth + 2·dline`.
-    expiry: ExpiryRing<(ProcessId, CongosRumorId, u16, u8)>,
+    /// Expiry index bounding every table above but `coalitions`: each
+    /// entry is filed at its rumor's [`rumor::horizon`].
+    expiry: ExpiryRing<Expiring>,
     /// Latest round observed; drives eviction.
     now: Round,
     report: AuditReport,
@@ -143,12 +159,13 @@ impl ConfidentialityAuditor {
     pub fn new(n: usize) -> Self {
         ConfidentialityAuditor {
             n,
+            deadline_cap: deadline_cap(n),
             rumors: HashMap::new(),
             injected: HashMap::new(),
             holdings: vec![HashSet::new(); n],
             coalitions: Vec::new(),
             split_k: HashMap::new(),
-            expiry: ExpiryRing::new(128),
+            expiry: ExpiryRing::new(),
             now: Round(0),
             report: AuditReport::default(),
         }
@@ -183,31 +200,44 @@ impl ConfidentialityAuditor {
         );
     }
 
-    /// Files `rid`'s destination set on first sight.
-    fn note_rumor(&mut self, rid: CongosRumorId, dest: &IdSet) {
-        self.rumors.entry(rid).or_insert_with(|| dest.clone());
-        self.report.rumors = self.rumors.len();
+    /// The horizon of a received rumor `rid` with `deadline`, or `None` if
+    /// the receipt is to be skipped. Nothing in the protocol circulates a
+    /// rumor born after the current round or past its horizon, and the node
+    /// drops such a fragment or `Shoot` (a forged or replayed message).
+    /// The auditor skips it too: the entries it could complete were already
+    /// evicted, so every verdict the full history would give has been given.
+    fn live_horizon(&self, rid: CongosRumorId, deadline: u64) -> Option<Round> {
+        if rid.birth > self.now {
+            return None;
+        }
+        let horizon = rumor::horizon(rid.birth, deadline, self.deadline_cap);
+        (self.now <= horizon).then_some(horizon)
+    }
+
+    /// Files `rid`'s destination set on first sight, until `horizon`.
+    fn note_rumor(&mut self, rid: CongosRumorId, dest: &IdSet, horizon: Round) {
+        if let Entry::Vacant(entry) = self.rumors.entry(rid) {
+            entry.insert(dest.clone());
+            self.expiry.insert(horizon.as_u64(), Expiring::Rumor(rid));
+            self.report.rumors += 1;
+        }
     }
 
     fn record_fragment(&mut self, holder: ProcessId, f: &Fragment) {
-        // Nothing in the protocol circulates a fragment past its split's
-        // admissibility horizon, and the node drops one that arrives later
-        // (a forged or replayed message). Such a receipt is skipped here
-        // too: the holdings it could complete were already evicted, so
-        // every verdict the full history would give has been given.
-        let expire = f.rid.birth.as_u64() + 2 * f.dline;
-        if self.now.as_u64() > expire {
+        let Some(horizon) = self.live_horizon(f.rid, f.dline) else {
             return;
-        }
+        };
         self.report.fragment_receipts += 1;
-        self.note_rumor(f.rid, &f.dest);
+        self.note_rumor(f.rid, &f.dest, horizon);
         self.split_k.insert((f.rid, f.partition), f.k);
         let newly = self.holdings[holder.as_usize()].insert((f.rid, f.partition, f.group));
         if !newly {
             return;
         }
-        self.expiry
-            .insert(expire, (holder, f.rid, f.partition, f.group));
+        self.expiry.insert(
+            horizon.as_u64(),
+            Expiring::Holding(holder, f.rid, f.partition, f.group),
+        );
         self.check_process(holder, f.rid, f.partition);
         // Coalition pooling: check every coalition containing the holder.
         for ci in 0..self.coalitions.len() {
@@ -217,8 +247,11 @@ impl ConfidentialityAuditor {
         }
     }
 
-    fn record_whole(&mut self, holder: ProcessId, rid: CongosRumorId, dest: &IdSet) {
-        self.note_rumor(rid, dest);
+    fn record_whole(&mut self, holder: ProcessId, rid: CongosRumorId, dest: &IdSet, deadline: u64) {
+        let Some(horizon) = self.live_horizon(rid, deadline) else {
+            return;
+        };
+        self.note_rumor(rid, dest, horizon);
         if !self.is_entitled(holder, rid) {
             self.report.violations.push(Violation::WholeRumorLeaked {
                 process: holder,
@@ -276,17 +309,32 @@ impl ConfidentialityAuditor {
         }
     }
 
-    /// Drops holdings whose split's admissibility horizon has passed.
-    /// `record_fragment` skips every later receipt of such a split, so every
-    /// confidentiality verdict the full history would have produced has
+    /// Drops every entry whose rumor's horizon has passed. Every later
+    /// receipt of such a rumor is skipped, and no correct process delivers
+    /// it later, so every verdict the full history would have produced has
     /// already been produced.
     fn evict_expired(&mut self) {
-        let (holdings, split_k) = (&mut self.holdings, &mut self.split_k);
-        self.expiry
-            .drain_expired(self.now.as_u64(), |(p, rid, partition, group)| {
+        let now = self.now.as_u64();
+        let Self {
+            holdings,
+            split_k,
+            rumors,
+            injected,
+            expiry,
+            ..
+        } = self;
+        expiry.drain_expired(now, |entry| match entry {
+            Expiring::Holding(p, rid, partition, group) => {
                 holdings[p.as_usize()].remove(&(rid, partition, group));
                 split_k.remove(&(rid, partition));
-            });
+            }
+            Expiring::Rumor(rid) => {
+                rumors.remove(&rid);
+            }
+            Expiring::Injected(wid) => {
+                injected.remove(&wid);
+            }
+        });
     }
 }
 
@@ -297,16 +345,19 @@ impl Observer<CongosNode> for ConfidentialityAuditor {
             // Note: the shoot payload is NOT recorded as ground truth — with
             // the Section 7 extensions payloads are framed with a marker
             // byte, and only `on_inject` sees the caller's original bytes.
-            self.record_whole(env.dst, *rid, &rumor.dest);
+            self.record_whole(env.dst, *rid, &rumor.dest, rumor.deadline);
         }
         for f in env.payload.fragments() {
             self.record_fragment(env.dst, f);
         }
     }
 
-    fn on_inject(&mut self, _round: Round, _process: ProcessId, input: &CongosInput) {
+    fn on_inject(&mut self, round: Round, _process: ProcessId, input: &CongosInput) {
         let dest = IdSet::from_iter(self.n, input.dest.iter().copied());
         let data = input.data.clone();
+        let horizon = rumor::horizon(round, input.deadline, self.deadline_cap);
+        self.expiry
+            .insert(horizon.as_u64(), Expiring::Injected(input.wid));
         self.injected.insert(input.wid, Injected { dest, data });
     }
 
@@ -433,7 +484,7 @@ mod tests {
     fn whole_rumor_to_non_destination_is_a_leak() {
         let mut a = ConfidentialityAuditor::new(4);
         let dest = IdSet::from_iter(4, [ProcessId::new(1)]);
-        a.record_whole(ProcessId::new(2), rid(0, 0), &dest);
+        a.record_whole(ProcessId::new(2), rid(0, 0), &dest, 64);
         assert_eq!(a.report().violations.len(), 1);
         assert!(matches!(
             a.report().violations[0],
@@ -442,25 +493,41 @@ mod tests {
     }
 
     #[test]
-    fn a_fragment_past_its_horizon_is_skipped() {
+    fn a_receipt_past_its_horizon_or_born_later_is_skipped() {
         let mut a = ConfidentialityAuditor::new(8);
         let mut late = frag(8, 0, 0, 0, 1, &[1]);
         late.dline = 32;
-        let payload = CongosMsg::Partials {
-            dline: 32,
+        let mut unborn = frag(8, 0, 0, 0, 1, &[1]);
+        unborn.rid.birth = Round(u64::MAX);
+        let partials = |f: Fragment| CongosMsg::Partials {
+            dline: f.dline,
             ell: 0,
-            fragments: vec![late],
+            fragments: vec![f],
+        };
+        let shoot = CongosMsg::Shoot {
+            rumor: std::sync::Arc::new(crate::rumor::Rumor {
+                wid: 0,
+                data: vec![1],
+                deadline: 32,
+                dest: IdSet::from_iter(8, [ProcessId::new(1)]),
+            }),
+            rid: rid(0, 0),
+            direct: false,
         };
         // Born at round 0, horizon 64: a forged or replayed copy at round
-        // 1000 completes a split for p5, which is not entitled to it.
-        let env = EnvelopeRef {
-            src: ProcessId::new(3),
-            dst: ProcessId::new(5),
-            round: Round(1000),
-            tag: payload.tag(),
-            payload: &payload,
-        };
-        Observer::<CongosNode>::on_deliver(&mut a, env);
+        // 1000 completes a split for p5, which is not entitled to it, or
+        // hands it the whole rumor. One born after round 1000 has no
+        // horizon the node would accept.
+        for payload in [partials(late), partials(unborn), shoot] {
+            let env = EnvelopeRef {
+                src: ProcessId::new(3),
+                dst: ProcessId::new(5),
+                round: Round(1000),
+                tag: payload.tag(),
+                payload: &payload,
+            };
+            Observer::<CongosNode>::on_deliver(&mut a, env);
+        }
         assert_eq!(*a.report(), AuditReport::default(), "nothing recorded");
     }
 
@@ -469,7 +536,7 @@ mod tests {
     fn assert_clean_panics_on_violation() {
         let mut a = ConfidentialityAuditor::new(4);
         let dest = IdSet::from_iter(4, [ProcessId::new(1)]);
-        a.record_whole(ProcessId::new(2), rid(0, 0), &dest);
+        a.record_whole(ProcessId::new(2), rid(0, 0), &dest, 64);
         a.assert_clean();
     }
 }
@@ -603,6 +670,99 @@ mod output_tests {
             [Violation::CorruptDelivery {
                 process: ProcessId::new(2),
                 rid: real,
+            }]
+        );
+    }
+
+    /// Delivers `f` to `to` in `round` as a one-fragment `Partials`.
+    fn receive(a: &mut ConfidentialityAuditor, to: usize, round: u64, f: Fragment) {
+        let payload = CongosMsg::Partials {
+            dline: f.dline,
+            ell: 0,
+            fragments: vec![f],
+        };
+        let env = EnvelopeRef {
+            src: ProcessId::new(0),
+            dst: ProcessId::new(to),
+            round: Round(round),
+            tag: payload.tag(),
+            payload: &payload,
+        };
+        Observer::<crate::node::CongosNode>::on_deliver(a, env);
+    }
+
+    fn end_rounds(a: &mut ConfidentialityAuditor, rounds: std::ops::RangeInclusive<u64>) {
+        for r in rounds {
+            Observer::<crate::node::CongosNode>::on_round_end(a, Round(r));
+        }
+    }
+
+    #[test]
+    fn no_per_rumor_entry_outlives_its_horizon() {
+        // Born at round 0 with deadline 64: horizon 128.
+        let mut a = ConfidentialityAuditor::new(4);
+        inject_wid(&mut a, 7, 0, b"data", &[2]);
+        receive(&mut a, 2, 1, fragment(rid(0), 7, 2));
+        let shoot = CongosMsg::Shoot {
+            rumor: std::sync::Arc::new(crate::rumor::Rumor {
+                wid: 8,
+                data: b"other".to_vec(),
+                deadline: 64,
+                dest: IdSet::from_iter(4, [ProcessId::new(3)]),
+            }),
+            rid: rid(1),
+            direct: false,
+        };
+        let env = EnvelopeRef {
+            src: ProcessId::new(1),
+            dst: ProcessId::new(3),
+            round: Round(2),
+            tag: shoot.tag(),
+            payload: &shoot,
+        };
+        Observer::<crate::node::CongosNode>::on_deliver(&mut a, env);
+        end_rounds(&mut a, 2..=128);
+        let entries = |a: &ConfidentialityAuditor| {
+            let held: usize = a.holdings.iter().map(HashSet::len).sum();
+            (a.rumors.len(), a.injected.len(), held, a.split_k.len())
+        };
+        assert_eq!(
+            entries(&a),
+            (2, 1, 1, 1),
+            "every entry lives to its horizon"
+        );
+        end_rounds(&mut a, 129..=129);
+        assert_eq!(entries(&a), (0, 0, 0, 0));
+        assert_eq!(a.expiry.len(), 0);
+        assert_eq!(a.report().rumors, 2, "a running count of distinct rumors");
+        a.assert_clean();
+    }
+
+    #[test]
+    fn a_delivery_in_its_horizon_round_is_checked_against_its_injection() {
+        let mut a = ConfidentialityAuditor::new(4);
+        inject_wid(&mut a, 7, 0, b"data", &[2]);
+        receive(&mut a, 2, 1, fragment(rid(0), 7, 2));
+        end_rounds(&mut a, 1..=127);
+        // Round 128 is the horizon: the corrupt delivery is caught against
+        // the injected data, not waved through by the fragment's own
+        // destination set.
+        let rec = OutputRecord {
+            round: Round(128),
+            process: ProcessId::new(2),
+            value: DeliveredRumor {
+                wid: 7,
+                rid: rid(0),
+                data: b"wrong".to_vec(),
+                via: DeliveryPath::Fragments,
+            },
+        };
+        Observer::<crate::node::CongosNode>::on_output(&mut a, &rec);
+        assert_eq!(
+            a.report().violations,
+            [Violation::CorruptDelivery {
+                process: ProcessId::new(2),
+                rid: rid(0),
             }]
         );
     }

@@ -11,8 +11,8 @@ use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
 use crate::config::{CongosConfig, PartitionScheme};
 use crate::messages::{CongosMsg, Fragment};
 use crate::partition::PartitionSet;
-use crate::rumor::{CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
-use crate::services::class_engine::{ClassEngine, ClassStats};
+use crate::rumor::{self, CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
+use crate::services::class_engine::ClassEngine;
 use crate::services::expiry::ExpiryRing;
 use crate::split;
 
@@ -178,8 +178,8 @@ impl CongosNode {
             classes: BTreeMap::new(),
             parts: HashMap::new(),
             delivered: HashSet::new(),
-            parts_expiry: ExpiryRing::new(1),
-            delivered_expiry: ExpiryRing::new(1),
+            parts_expiry: ExpiryRing::new(),
+            delivered_expiry: ExpiryRing::new(),
             received: Vec::new(),
             injected: 0,
             direct: 0,
@@ -219,24 +219,18 @@ impl CongosNode {
 
     /// Aggregated statistics.
     pub fn stats(&self) -> NodeStats {
-        let class: ClassStats = self.classes.values().fold(ClassStats::default(), |a, c| {
-            let s = c.stats();
-            ClassStats {
-                confirmed: a.confirmed + s.confirmed,
-                fallbacks: a.fallbacks + s.fallbacks,
-                rejected: a.rejected + s.rejected,
-            }
-        });
-        NodeStats {
+        let mut stats = NodeStats {
             injected: self.injected,
-            confirmed: class.confirmed,
-            fallbacks: class.fallbacks,
             direct: self.direct,
-            gossip_fallbacks: self.classes.values().map(|c| c.gossip_fallbacks()).sum(),
             decoys_injected: self.decoys_injected,
             decoys_discarded: self.decoys_discarded,
-            rejected: self.rejected + class.rejected,
+            rejected: self.rejected,
+            ..NodeStats::default()
+        };
+        for class in self.classes.values() {
+            class.add_stats(&mut stats);
         }
+        stats
     }
 
     fn next_rid(&mut self, now: Round) -> CongosRumorId {
@@ -320,16 +314,6 @@ impl CongosNode {
             && dline <= trim_deadline(u64::MAX, self.deadline_cap)
     }
 
-    /// The last round in which anything of a rumor born at `birth` with
-    /// `deadline` circulates: `birth + 2·dline`, the auditor's admissibility
-    /// horizon. The node keeps the rumor's reassembly and dedup state until
-    /// then and rejects whatever arrives later. Trimming bounds `dline` by
-    /// the cap, even for a corrupt `deadline`; the caller has checked that
-    /// `birth` is not in the future.
-    fn horizon(&self, birth: Round, deadline: u64) -> Round {
-        birth + 2 * trim_deadline(deadline, self.deadline_cap)
-    }
-
     fn save_fragment(&mut self, ctx: &mut Context<'_, Self>, f: Fragment) {
         if f.rid.birth > ctx.round() {
             // No correct process sends a rumor born after this round, and
@@ -338,7 +322,7 @@ impl CongosNode {
             return;
         }
         // `f.dline` is its message's class (`class_engine::fits`).
-        let horizon = self.horizon(f.rid.birth, f.dline);
+        let horizon = rumor::horizon(f.rid.birth, f.dline, self.deadline_cap);
         if ctx.round() > horizon {
             // Its dedup entry may be pruned: a replay must not deliver it
             // again.
@@ -381,7 +365,7 @@ impl CongosNode {
         }
     }
 
-    /// Outputs a rumor once; `horizon` is its [`horizon`](Self::horizon).
+    /// Outputs a rumor once; `horizon` is its [`rumor::horizon`].
     fn deliver(&mut self, ctx: &mut Context<'_, Self>, horizon: Round, mut out: DeliveredRumor) {
         if self.delivered.insert(out.rid) {
             self.delivered_expiry.insert(horizon.as_u64(), out.rid);
@@ -469,7 +453,7 @@ impl CongosNode {
         if rumor.dest.contains(self.me) {
             self.deliver(
                 ctx,
-                self.horizon(now, rumor.deadline),
+                rumor::horizon(now, rumor.deadline, self.deadline_cap),
                 DeliveredRumor {
                     wid: rumor.wid,
                     rid,
@@ -571,7 +555,7 @@ impl Protocol for CongosNode {
             match env.payload {
                 CongosMsg::Shoot { rumor, rid, direct }
                     if rid.birth > now
-                        || now > self.horizon(rid.birth, rumor.deadline)
+                        || now > rumor::horizon(rid.birth, rumor.deadline, self.deadline_cap)
                         || !direct
                             && !self
                                 .valid_class(trim_deadline(rumor.deadline, self.deadline_cap)) =>
@@ -586,7 +570,7 @@ impl Protocol for CongosNode {
                     if rumor.dest.contains(self.me) && !self.delivered.contains(rid) {
                         self.deliver(
                             ctx,
-                            self.horizon(rid.birth, rumor.deadline),
+                            rumor::horizon(rid.birth, rumor.deadline, self.deadline_cap),
                             DeliveredRumor {
                                 wid: rumor.wid,
                                 rid: *rid,

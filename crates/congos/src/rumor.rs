@@ -1,8 +1,20 @@
 //! Application-level rumors: the triplet `ρ = ⟨z, d, D⟩` of the paper.
 
 use congos_adversary::RumorSpec;
+use congos_sim::clock::trim_deadline;
 use congos_sim::{IdSet, ProcessId, Round};
 use std::fmt;
+
+/// The last round in which anything of a rumor born at `birth` with
+/// `deadline` circulates: `birth + 2·dline`, where `dline` is `deadline`
+/// trimmed to its class under `cap` ([`congos_sim::clock::deadline_cap`]
+/// of `n`). The node keeps a rumor's reassembly and dedup state until then
+/// and rejects whatever arrives later; the auditor keeps its per-rumor
+/// entries as long. Trimming bounds `dline` by the cap, even for a corrupt
+/// `deadline`; the caller has checked that `birth` is not in the future.
+pub(crate) fn horizon(birth: Round, deadline: u64, cap: u64) -> Round {
+    birth + 2 * trim_deadline(deadline, cap)
+}
 
 /// Identity of an injected rumor: source process, injection round, and a
 /// round-local sequence number.

@@ -31,7 +31,7 @@ use crate::config::CongosConfig;
 use crate::messages::{
     CongosMsg, Fragment, GossipLane, GossipPayload, TAG_ALL_GOSSIP, TAG_GROUP_GOSSIP,
 };
-use crate::node::StateCensus;
+use crate::node::{NodeStats, StateCensus};
 use crate::partition::PartitionSet;
 use crate::rumor::{CongosRumorId, Rumor};
 use crate::services::group_distribution::GdService;
@@ -120,17 +120,6 @@ impl CachedRumor {
     }
 }
 
-/// Statistics a class engine exposes for experiments.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Rumors confirmed through the pipeline (no fallback needed).
-    pub confirmed: u64,
-    /// Rumors that hit the deadline fallback ("shoot").
-    pub fallbacks: u64,
-    /// Received messages dropped as ones no correct process sends.
-    pub rejected: u64,
-}
-
 pub(crate) struct ClassEngine {
     me: ProcessId,
     n: usize,
@@ -142,7 +131,12 @@ pub(crate) struct ClassEngine {
     /// Groups per partition (`k`).
     groups: usize,
     cache: BTreeMap<CongosRumorId, CachedRumor>,
-    stats: ClassStats,
+    /// Own rumors confirmed through the pipeline.
+    confirmed: u64,
+    /// Own rumors that hit the deadline fallback ("shoot").
+    fallbacks: u64,
+    /// Received messages dropped as ones no correct process sends.
+    rejected: u64,
 }
 
 impl ClassEngine {
@@ -184,12 +178,10 @@ impl ClassEngine {
             all_gossip: gossip(GossipConfig::all(n, TAG_ALL_GOSSIP)),
             groups: partitions.groups_per_partition(),
             cache: BTreeMap::new(),
-            stats: ClassStats::default(),
+            confirmed: 0,
+            fallbacks: 0,
+            rejected: 0,
         }
-    }
-
-    pub(crate) fn stats(&self) -> ClassStats {
-        self.stats
     }
 
     /// Injects a rumor into this class's pipeline (Figure 8's
@@ -404,7 +396,7 @@ impl ClassEngine {
     /// queue. A message no correct process sends — a partition index this
     /// configuration does not have, or a proxy request carrying a fragment
     /// of a foreign group or partition — is dropped and counted in
-    /// [`ClassStats::rejected`], in every build profile; so is each
+    /// [`NodeStats::rejected`], in every build profile; so is each
     /// fragment of another class or of a split no correct process makes
     /// ([`fits`]).
     pub(crate) fn on_receive(
@@ -420,7 +412,7 @@ impl ClassEngine {
             CongosMsg::Gossip { lane, wire } => match lane {
                 GossipLane::Group { ell, .. } => match self.lanes.get_mut(*ell as usize) {
                     Some(l) => l.gossip.on_receive(now, src, wire),
-                    None => self.stats.rejected += 1,
+                    None => self.rejected += 1,
                 },
                 GossipLane::All { .. } => self.all_gossip.on_receive(now, src, wire),
             },
@@ -435,17 +427,17 @@ impl ClassEngine {
                     Some(l) if valid && fragments.iter().all(|f| f.group == l.my_group) => {
                         l.proxy.on_request(src, fragments);
                     }
-                    _ => self.stats.rejected += 1,
+                    _ => self.rejected += 1,
                 }
             }
             CongosMsg::ProxyAck { ell, .. } => match self.lanes.get_mut(*ell as usize) {
                 Some(l) => l.proxy.on_ack(src, partitions.partition(*ell as usize)),
-                None => self.stats.rejected += 1,
+                None => self.rejected += 1,
             },
             CongosMsg::Partials { fragments, .. } => {
                 let before = saved.len();
                 saved.extend(fragments.iter().filter(|f| fits(f, dline, p, k)).cloned());
-                self.stats.rejected += (before + fragments.len() - saved.len()) as u64;
+                self.rejected += (before + fragments.len() - saved.len()) as u64;
             }
             CongosMsg::Shoot { .. } => unreachable!("Shoot handled at node level"),
         }
@@ -469,7 +461,7 @@ impl ClassEngine {
                                 || f.group != lane.my_group
                                 || !fits(f, dline, p, k)
                             {
-                                self.stats.rejected += 1;
+                                self.rejected += 1;
                                 continue;
                             }
                             lane.gd.inject(f.clone());
@@ -483,7 +475,7 @@ impl ClassEngine {
                         lane.gd.on_share(origin, hits);
                     }
                     // Distribution rides AllGossip only.
-                    GossipPayload::Distribution { .. } => self.stats.rejected += 1,
+                    GossipPayload::Distribution { .. } => self.rejected += 1,
                 }
             }
         }
@@ -509,7 +501,7 @@ impl ClassEngine {
                 }
                 // AllGossip carries only Distribution, of a (partition,
                 // group) this configuration has.
-                _ => self.stats.rejected += 1,
+                _ => self.rejected += 1,
             }
         }
     }
@@ -522,14 +514,15 @@ impl ClassEngine {
     /// if this process was crashed across the boundary — then it lost this
     /// state anyway) is dropped defensively.
     fn settle(&mut self, now: Round, out: &mut SendColumns<CongosMsg>) {
-        let (me, groups, stats) = (self.me, self.groups, &mut self.stats);
+        let (me, groups) = (self.me, self.groups);
+        let (confirmed, fallbacks) = (&mut self.confirmed, &mut self.fallbacks);
         self.cache.retain(|&rid, cached| {
             if cached.is_confirmed(groups) {
-                stats.confirmed += 1;
+                *confirmed += 1;
                 return false;
             }
             if cached.expire == now {
-                stats.fallbacks += 1;
+                *fallbacks += 1;
                 let shoot = CongosMsg::Shoot {
                     rumor: Arc::clone(&cached.rumor),
                     rid,
@@ -542,10 +535,14 @@ impl ClassEngine {
         });
     }
 
-    /// Fallback count plus confirmation count of the substrate endpoints —
-    /// used by robustness experiments.
-    pub(crate) fn gossip_fallbacks(&self) -> u64 {
-        self.lanes.iter().map(|l| l.gossip.fallbacks()).sum::<u64>() + self.all_gossip.fallbacks()
+    /// Adds this class's counts to `stats`: its confirmations, fallbacks
+    /// and rejections, and its substrate endpoints' deadline fallbacks.
+    pub(crate) fn add_stats(&self, stats: &mut NodeStats) {
+        stats.confirmed += self.confirmed;
+        stats.fallbacks += self.fallbacks;
+        stats.rejected += self.rejected;
+        stats.gossip_fallbacks += self.lanes.iter().map(|l| l.gossip.fallbacks()).sum::<u64>()
+            + self.all_gossip.fallbacks();
     }
 
     /// Number of own rumors still awaiting confirmation (diagnostics).
@@ -697,7 +694,7 @@ mod tests {
             }
         }
         assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().fallbacks, 1);
+        assert_eq!(engine.fallbacks, 1);
     }
 
     /// An AllGossip push of one `Distribution` from p1 to `to`; `seq` keeps
@@ -787,8 +784,8 @@ mod tests {
                 .count();
         }
         assert_eq!(shoots, 0);
-        assert_eq!(engine.stats().confirmed, 1);
-        assert_eq!(engine.stats().fallbacks, 0);
+        assert_eq!(engine.confirmed, 1);
+        assert_eq!(engine.fallbacks, 0);
     }
 
     #[test]
@@ -808,7 +805,7 @@ mod tests {
         );
         deliver(&mut engine, 0, &partitions, &[hit]);
         engine.settle(Round(1), &mut SendColumns::default());
-        assert_eq!(engine.stats().confirmed, 0);
+        assert_eq!(engine.confirmed, 0);
         assert_eq!(engine.cache_len(), 1);
     }
 
@@ -897,7 +894,7 @@ mod tests {
             engine.on_receive(Round(0), from, &msg, &partitions, &mut saved);
             assert!(saved.is_empty());
         }
-        assert_eq!(engine.stats().rejected, 3);
+        assert_eq!(engine.rejected, 3);
     }
 
     #[test]
@@ -917,7 +914,7 @@ mod tests {
         sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
         let own = vec![fragment(n, 0, 0)];
         engine.on_receive(Round(0), from, &request(own), &partitions, &mut Vec::new());
-        assert_eq!(engine.stats().rejected, 0);
+        assert_eq!(engine.rejected, 0);
         let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
         assert!(spread, "a request for the own group is taken up");
 
@@ -935,7 +932,7 @@ mod tests {
             sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
             let msg = request(fragments);
             engine.on_receive(Round(0), from, &msg, &partitions, &mut Vec::new());
-            assert_eq!(engine.stats().rejected, 1);
+            assert_eq!(engine.rejected, 1);
             let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
             assert!(!spread, "nothing of a rejected request is re-gossiped");
         }
@@ -1005,7 +1002,7 @@ mod tests {
         assert!(saved.is_empty(), "pushes deliver at post_receive");
         engine.post_receive(&mut saved);
         assert_eq!(saved, vec![fragment(n, 0, 0)]);
-        assert_eq!(engine.stats().rejected, 4 + 3);
+        assert_eq!(engine.rejected, 4 + 3);
     }
 
     /// Figure 8's rule over every hit ever delivered, whoever the rumor's
@@ -1097,7 +1094,7 @@ mod tests {
         let last_birth = 24;
         for t in 0..=last_birth + DLINE + 1 {
             let before: Vec<CongosRumorId> = engine.cache.keys().copied().collect();
-            let stats = engine.stats();
+            let counts = (engine.confirmed, engine.fallbacks);
             let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
             let mut shot: Vec<CongosRumorId> = sends
                 .iter()
@@ -1122,14 +1119,8 @@ mod tests {
                 after.iter().eq(reference.cache.keys()),
                 "seed {seed}, round {t}: cache"
             );
-            assert_eq!(
-                engine.stats().confirmed - stats.confirmed,
-                confirmed.len() as u64
-            );
-            assert_eq!(
-                engine.stats().fallbacks - stats.fallbacks,
-                shot.len() as u64
-            );
+            assert_eq!(engine.confirmed - counts.0, confirmed.len() as u64);
+            assert_eq!(engine.fallbacks - counts.1, shot.len() as u64);
             totals.0 += confirmed.len();
             totals.1 += shot.len();
 
@@ -1180,7 +1171,7 @@ mod tests {
             }
             deliver(&mut engine, t, &partitions, &pushes);
         }
-        assert_eq!(engine.stats().rejected, 0);
+        assert_eq!(engine.rejected, 0);
         totals
     }
 

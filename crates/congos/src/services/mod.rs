@@ -6,5 +6,3 @@ pub(crate) mod class_engine;
 pub(crate) mod expiry;
 pub(crate) mod group_distribution;
 pub(crate) mod proxy;
-
-pub use class_engine::ClassStats;

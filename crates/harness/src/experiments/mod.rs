@@ -6,6 +6,7 @@ pub mod e11_communication;
 pub mod e12_adaptivity;
 pub mod e13_anonymity;
 pub mod e14_topology;
+pub mod e15_tcp_load;
 pub mod e1_strong_confidentiality;
 pub mod e2_correctness;
 pub mod e3_complexity;
@@ -43,7 +44,7 @@ pub struct Experiment {
     /// Entry point.
     pub run: RunFn,
     /// Whether `--topology` reaches every run: `true` when every run goes
-    /// through [`crate::run()`]; `false` when the experiment drives the
+    /// through [`crate::run()`] or a [`crate::Cluster`]; `false` when the experiment drives the
     /// engine directly on the paper's complete network, runs no protocol
     /// at all (E4's combinatorics), or sweeps the topology itself. `exp`
     /// rejects a flag the selected experiment would ignore.
@@ -182,6 +183,18 @@ pub const REGISTRY: &[Experiment] = &[
             false,
         )
     },
+    Experiment {
+        bench: Some(Bench {
+            path: "results/BENCH_net_loadtest.json",
+            json: e15_tcp_load::bench_json,
+        }),
+        ..row(
+            "e15",
+            "E15: the TCP runtime under sustained injection: QoD, latency and throughput over loopback",
+            e15_tcp_load::run,
+            true,
+        )
+    },
 ];
 
 /// Looks an experiment up by its command-line name.
@@ -221,9 +234,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_lists_fifteen_distinct_experiments() {
-        // E1–E14 and E3m, each findable by name, each on its own `--list` line.
-        let wanted = (1..=14).map(|i| format!("e{i}")).chain(["e3m".to_string()]);
+    fn registry_lists_sixteen_distinct_experiments() {
+        // E1–E15 and E3m, each findable by name, each on its own `--list` line.
+        let wanted = (1..=15).map(|i| format!("e{i}")).chain(["e3m".to_string()]);
         let mut names: Vec<String> = wanted.collect();
         let mut listed: Vec<String> = REGISTRY.iter().map(|e| e.name.to_string()).collect();
         names.sort_unstable();
@@ -236,8 +249,8 @@ mod tests {
             );
             assert_eq!(find(e.name).map(|f| f.claim), Some(e.claim));
         }
-        assert!(find("e15").is_none());
-        // Exactly the three bench emitters, on their committed default paths.
+        assert!(find("e16").is_none());
+        // Exactly the four bench emitters, on their committed default paths.
         let paths: Vec<&str> = REGISTRY
             .iter()
             .filter_map(|e| e.bench.map(|b| b.path))
@@ -247,7 +260,8 @@ mod tests {
             [
                 "results/BENCH_memory.json",
                 "results/BENCH_anonymity.json",
-                "results/BENCH_topology.json"
+                "results/BENCH_topology.json",
+                "results/BENCH_net_loadtest.json"
             ]
         );
     }

@@ -3,7 +3,7 @@
 //! *Confidential Gossip* is a theory paper: its "evaluation" is a set of
 //! theorems and lemmas. This crate turns each quantitative claim into a
 //! measurable experiment over the simulator, and prints the tables recorded
-//! in `EXPERIMENTS.md`. Experiment ids (E1–E14 and E3m) match DESIGN.md §4;
+//! in `EXPERIMENTS.md`. Experiment ids (E1–E15 and E3m) match DESIGN.md §4;
 //! [`experiments::REGISTRY`] — printed by `exp --list` — names each one and
 //! the claim it measures.
 //!
@@ -28,7 +28,8 @@
 //! localhost sockets, driven by a static injection schedule. The
 //! TCP-vs-engine differential tests turn an oblivious workload into that
 //! schedule with [`materialize_injections`] and compare the
-//! [`ClusterReport`] with the engine run. The `congos-node` binary runs the
+//! [`ClusterReport`] with the engine run. E15 (`exp e15`) measures a
+//! `Cluster` under sustained load, and the `congos-node` binary runs the
 //! same `Cluster` as one OS process per node.
 
 // `deny`, not `forbid`: `mem` carries the one sanctioned exception — the

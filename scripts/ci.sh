@@ -37,10 +37,12 @@
 #                            #        and, from the congos-harness lib, the
 #                            #        `Cluster` unit tests and the TCP
 #                            #        coalition-tap test (every cluster node
-#                            #        runs the confidentiality auditor)
-#   scripts/ci.sh loadtest   # quick congos-loadtest gate: a small loopback
-#                            #        run must deliver something and emit a
-#                            #        report with latency percentiles
+#                            #        runs the confidentiality auditor), and
+#                            #        the `exp e15` quick load row (every
+#                            #        pair on time; writes
+#                            #        target/BENCH_net_loadtest_smoke.json
+#                            #        and checks its suite, on_time, p50
+#                            #        and p99 keys)
 #   scripts/ci.sh anonymity  # source-anonymity target: predict-subsystem
 #                            #        proptests, the tap golden-digest
 #                            #        determinism test, and the `exp e13`
@@ -101,24 +103,19 @@ run_net() {
     cargo test -q -p congos-harness --test multiprocess
     echo "==> net: Cluster unit tests, the TCP coalition-tap test among them"
     cargo test -q -p congos-harness --lib -- cluster::
-}
-
-run_loadtest() {
-    echo "==> loadtest: small loopback run, percentile report gate"
-    # Scratch output path so the quick gate cannot clobber the committed
-    # full-config results/BENCH_net_loadtest.json (regenerate that by
-    # running congos-loadtest with defaults from the repo root).
+    echo "==> net: exp e15 quick load row (asserts every pair on time)"
+    # Scratch output path so the smoke cannot clobber the committed
+    # results/BENCH_net_loadtest.json (regenerate that by running
+    # `exp e15` from the repo root).
     out=target/BENCH_net_loadtest_smoke.json
-    cargo run --release -q -p congos-harness --bin congos-loadtest -- \
-        --n 4 --base-port 20980 --rounds 40 --deadline 16 --duration 8 \
-        --rate 2 --out "$out" >/dev/null
-    for key in '"p50"' '"p99"' '"delivered_pairs"'; do
+    cargo run --release -q -p congos-harness --bin exp -- e15 --json "$out" >/dev/null
+    for key in '"suite": "net_loadtest"' '"on_time"' '"p50"' '"p99"'; do
         grep -q "$key" "$out" || {
-            echo "loadtest report $out is missing $key" >&2
+            echo "load-test row set $out is missing $key" >&2
             exit 1
         }
     done
-    echo "    wrote $out (p50/p99 present)"
+    echo "    wrote $out (schema keys present)"
 }
 
 run_anonymity() {
@@ -195,7 +192,7 @@ loc)
     run_loc "${2:-}"
     exit 0
     ;;
-topo | mem | net | loadtest | anonymity)
+topo | mem | net | anonymity)
     "run_$target"
     echo "==> ci: OK ($target)"
     exit 0
@@ -258,7 +255,6 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 run_topo
 run_mem
 run_net
-run_loadtest
 run_anonymity
 
 echo "==> ci: OK ($target)"

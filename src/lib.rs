@@ -14,7 +14,7 @@
 //! | [`gossip`] | `congos-gossip` | the continuous-gossip substrate (randomized + expander modes) |
 //! | [`congos`] | `congos` | **the paper's algorithm**: splitting, partitions, Proxy, GroupDistribution, auditor, extensions |
 //! | [`baselines`] | `congos-baselines` | direct / strongly-confidential / epidemic / crypto comparators |
-//! | [`harness`] | `congos-harness` | experiments E1–E14 reproducing the paper's theorems; `Cluster`, the localhost-TCP cluster launcher, and the `congos-node` process binary |
+//! | [`harness`] | `congos-harness` | experiments E1–E15 reproducing the paper's theorems; `Cluster`, the localhost-TCP cluster launcher, and the `congos-node` process binary |
 //! | [`net`] | `congos-net` | the TCP transport: binary wire codec, `poll(2)` loop, `TcpTransport` |
 //!
 //! ## Sixty seconds to a confidential rumor
