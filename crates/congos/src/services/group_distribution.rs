@@ -52,6 +52,10 @@ pub(crate) struct GdService {
     irrelevant: IdSet,
     collaborators: usize,
     collab_next: IdSet,
+    /// The processes a send round may sample, refilled in place each time.
+    candidates: IdSet,
+    /// A send round's sampled targets (capacity kept).
+    picks: Vec<ProcessId>,
 }
 
 impl GdService {
@@ -66,6 +70,8 @@ impl GdService {
             irrelevant: IdSet::empty(n),
             collaborators: 1,
             collab_next: IdSet::empty(n),
+            candidates: IdSet::empty(n),
+            picks: Vec::new(),
         }
     }
 
@@ -141,13 +147,14 @@ impl GdService {
         if !self.active || self.partials.is_empty() {
             return Vec::new();
         }
-        let mut candidates = IdSet::full(n);
-        candidates.subtract(&self.hit_procs);
-        candidates.subtract(&self.irrelevant);
+        self.candidates.fill();
+        self.candidates.subtract(&self.hit_procs);
+        self.candidates.subtract(&self.irrelevant);
         let other_side = n - partition.group(self.my_group).len();
         let k = fanout(params, n, dline, self.collaborators, other_side + 1);
+        self.candidates.sample_into(k, rng, &mut self.picks);
         let mut sends = Vec::new();
-        for target in candidates.sample(k, rng) {
+        for &target in &self.picks {
             let appropriate: Vec<Fragment> = self
                 .partials
                 .iter()

@@ -20,8 +20,9 @@ use crate::rumor::{GossipRumor, RumorId};
 /// all of a process's push targets, so the envelope clone is a refcount
 /// bump rather than a deep copy (at `n` processes × fanout targets × many
 /// active rumors, deep copies dominate memory otherwise). The sender also
-/// keeps the batch between rounds and rebuilds it only after its active
-/// set changed, so consecutive pushes may share one allocation.
+/// keeps the batch between rounds and brings it up to date only after its
+/// active set changed, in place when no one else holds it any more, so
+/// consecutive pushes may share one allocation.
 #[derive(Debug, PartialEq, Eq)]
 pub enum GossipWire<T> {
     /// Epidemic push of a batch of active rumors (one envelope, arbitrarily
@@ -52,9 +53,11 @@ impl<T> Clone for GossipWire<T> {
 /// holds it, with their ids as a dense column and a memo of the batch's
 /// size on the wire.
 ///
-/// A batch is immutable. Its id column is built from its rumors, so a
-/// decoded or hostile batch cannot disagree with it: `ids()[i]` is always
-/// `rumors()[i].id`. Equality compares the rumors only.
+/// A shared batch is immutable: only the endpoint that pushes it refills
+/// it, and only while it holds the one reference. Its id column is built
+/// from its rumors, so a decoded or hostile batch cannot disagree with it:
+/// `ids()[i]` is always `rumors()[i].id`. Equality compares the rumors
+/// only.
 pub struct PushBatch<T> {
     ids: Vec<RumorId>,
     rumors: Vec<Arc<GossipRumor<T>>>,
@@ -71,6 +74,17 @@ impl<T> PushBatch<T> {
             rumors,
             wire_len: OnceLock::new(),
         }
+    }
+
+    /// Makes this batch the given columns, kept in lockstep by the caller,
+    /// in its own buffers, and forgets its wire size.
+    fn refill(&mut self, ids: &[RumorId], rumors: &[Arc<GossipRumor<T>>]) {
+        debug_assert!(ids.iter().eq(rumors.iter().map(|r| &r.id)));
+        self.ids.clear();
+        self.ids.extend_from_slice(ids);
+        self.rumors.clear();
+        self.rumors.extend(rumors.iter().cloned());
+        self.wire_len = OnceLock::new();
     }
 
     /// The rumors, in push order.
@@ -228,9 +242,13 @@ pub struct ContinuousGossip<T> {
     /// The rumors of `ids`, in lockstep with it.
     active: Vec<Arc<GossipRumor<T>>>,
     /// `ids` and `active` as one shared push batch, with the shortest
-    /// duration among them (the fanout's `dmin`); `None` once they changed,
-    /// rebuilt at the next push.
+    /// duration among them (the fanout's `dmin`), kept across changes of
+    /// the active set (see `refresh_batch`); `None` before the first push,
+    /// and after the set emptied while the batch was still shared.
     batch: Option<(Arc<PushBatch<T>>, u64)>,
+    /// Whether `ids` or `active` changed since `batch` was brought up to
+    /// date.
+    stale: bool,
     /// Dedup set with each entry's rumor deadline: an entry is dropped in
     /// the first round past `deadline + 2`. A superset of `active`'s ids;
     /// it also guards ids no longer active, or never made active.
@@ -283,6 +301,7 @@ impl<T> ContinuousGossip<T> {
             ids: Vec::new(),
             active: Vec::new(),
             batch: None,
+            stale: false,
             seen: HashMap::new(),
             seen_earliest: Round(u64::MAX),
             own: BTreeMap::new(),
@@ -374,7 +393,7 @@ impl<T> ContinuousGossip<T> {
                 self.active.insert(i, rumor);
             }
         }
-        self.batch = None;
+        self.stale = true;
         id
     }
 
@@ -404,22 +423,13 @@ impl<T> ContinuousGossip<T> {
         rng: &mut SmallRng,
         mut emit: impl FnMut(&[ProcessId], GossipWire<T>),
     ) {
-        let membership = &self.cfg.membership;
-        let mut emit = |targets: &[ProcessId], wire: GossipWire<T>| {
-            debug_assert!(
-                targets.iter().all(|&dst| membership.contains(dst)),
-                "filter violation: gossip instance addressed a non-member"
-            );
-            emit(targets, wire);
-        };
-
         // Drop expired rumors from the forwarding set.
         let before = self.active.len();
         self.active.retain(|r| r.active_at(now));
         if self.active.len() != before {
             self.ids.clear();
             self.ids.extend(self.active.iter().map(|r| r.id));
-            self.batch = None;
+            self.stale = true;
         }
         // Drop dedup entries past their receive horizon `dl + 2`, in every
         // round where the earliest has passed it. A rumor's last send is its
@@ -439,6 +449,19 @@ impl<T> ContinuousGossip<T> {
             });
             self.seen_earliest = earliest;
         }
+        // The active set is final for this round.
+        if self.stale {
+            self.refresh_batch();
+        }
+
+        let membership = &self.cfg.membership;
+        let mut emit = |targets: &[ProcessId], wire: GossipWire<T>| {
+            debug_assert!(
+                targets.iter().all(|&dst| membership.contains(dst)),
+                "filter violation: gossip instance addressed a non-member"
+            );
+            emit(targets, wire);
+        };
 
         // Acks queued from last round's deliveries: one per destination.
         // The sort is stable, so each destination's ids keep arrival order.
@@ -468,13 +491,7 @@ impl<T> ContinuousGossip<T> {
 
         // Epidemic push of all active rumors, to random members or along
         // the deterministic expander schedule.
-        if !self.active.is_empty() {
-            let (ids, active) = (&self.ids, &self.active);
-            let (batch, dmin) = self.batch.get_or_insert_with(|| {
-                let dmin = active.iter().map(|r| r.duration).min().unwrap_or(1);
-                let batch = PushBatch::from_columns(ids.clone(), active.clone());
-                (Arc::new(batch), dmin.max(1))
-            });
+        if let Some((batch, dmin)) = self.batch.as_ref().filter(|_| !self.active.is_empty()) {
             let k = fanout(
                 self.cfg.fanout,
                 self.n,
@@ -569,7 +586,7 @@ impl<T> ContinuousGossip<T> {
                         self.ids.insert(at, id);
                         self.active.insert(at, Arc::clone(rumor));
                         at += 1;
-                        self.batch = None;
+                        self.stale = true;
                     }
                 }
             }
@@ -581,6 +598,35 @@ impl<T> ContinuousGossip<T> {
                 }
             }
         }
+    }
+
+    /// Brings the push batch up to date with the active columns. Where
+    /// this endpoint holds the batch's only reference (last round's
+    /// receivers have dropped their copies) the batch is refilled in its own
+    /// buffers; otherwise (a copy is still held, or there is no batch yet) a
+    /// new one is allocated, except for an empty active set, which needs
+    /// none. A batch refilled empty keeps its buffers but no rumor, so an
+    /// expired rumor is never pinned by it.
+    fn refresh_batch(&mut self) {
+        self.stale = false;
+        let dmin = self
+            .active
+            .iter()
+            .map(|r| r.duration)
+            .min()
+            .unwrap_or(1)
+            .max(1);
+        if let Some((batch, d)) = &mut self.batch {
+            if let Some(batch) = Arc::get_mut(batch) {
+                batch.refill(&self.ids, &self.active);
+                *d = dmin;
+                return;
+            }
+        }
+        self.batch = (!self.active.is_empty()).then(|| {
+            let batch = PushBatch::from_columns(self.ids.clone(), self.active.clone());
+            (Arc::new(batch), dmin)
+        });
     }
 
     /// Files `id` in the dedup set until its receive horizon.
@@ -947,6 +993,64 @@ mod tests {
         let batch = epidemic_batch(&g.step(Round(3), &mut rng));
         assert_eq!((batch.rumors().len(), columns(&batch)), (2, active(&g)));
         assert!(!Arc::ptr_eq(&batch, &last));
+    }
+
+    #[test]
+    fn a_released_batch_is_refilled_in_place() {
+        let n = 8;
+        let mut g = mk(0, n);
+        let mut rng = SmallRng::seed_from_u64(12);
+        g.inject(Round(0), 1, 2, IdSet::full(n));
+        g.inject(Round(0), 2, 16, IdSet::full(n));
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[0, 4]));
+        let first = epidemic_batch(&g.step(Round(0), &mut rng));
+        assert_eq!(first.wire_len(|r| r.len() as u64), 3);
+        let at = Arc::as_ptr(&first);
+        // Last round's receivers drop their copies.
+        drop(first);
+
+        // The first rumor's deadline (round 2) passes: it expires at round 3.
+        for now in 1..3 {
+            g.step(Round(now), &mut rng);
+        }
+        let batch = epidemic_batch(&g.step(Round(3), &mut rng));
+        assert!(std::ptr::eq(Arc::as_ptr(&batch), at), "the same allocation");
+        assert!(batch.rumors.capacity() >= 3, "in its own buffers");
+        let fresh = PushBatch::from(g.active.clone());
+        assert_eq!((batch.ids(), &*batch), (fresh.ids(), &fresh));
+        assert_eq!(
+            batch.wire_len(|r| r.len() as u64),
+            2,
+            "the wire size is counted again"
+        );
+        drop(batch);
+
+        // The set empties at round 17: the batch keeps its buffers but no
+        // rumor, and the next rumor is pushed in the same allocation.
+        assert!(g.step(Round(17), &mut rng).is_empty());
+        let (kept, _) = g.batch.as_ref().expect("the batch is kept");
+        assert!(kept.rumors().is_empty() && kept.rumors.capacity() >= 3);
+        g.inject(Round(17), 4, 16, IdSet::full(n));
+        let batch = epidemic_batch(&g.step(Round(17), &mut rng));
+        assert!(std::ptr::eq(Arc::as_ptr(&batch), at));
+        assert_eq!(batch.ids(), g.ids);
+    }
+
+    #[test]
+    fn a_held_batch_is_never_refilled() {
+        let n = 8;
+        let mut g = mk(0, n);
+        let mut rng = SmallRng::seed_from_u64(13);
+        g.inject(Round(0), 1, 16, IdSet::full(n));
+        // A receiver still holds round 0's batch when round 1 pushes.
+        let held = epidemic_batch(&g.step(Round(0), &mut rng));
+        let before = held.rumors().to_vec();
+        push_one(&mut g, Round(0), 3, rumor(n, 3, 0, &[0, 4]));
+        let batch = epidemic_batch(&g.step(Round(1), &mut rng));
+        assert!(!Arc::ptr_eq(&batch, &held), "a new allocation");
+        assert_eq!(held.rumors(), before, "the held batch is unchanged");
+        assert_eq!(held.ids(), ids_of(&before));
+        assert_eq!(batch.ids(), g.ids);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! ascending, shuffled or repeating ids, carrying expired rumors and
 //! rumors of any origin, from members and non-members, plus acks and echoes
 //! of the endpoint's own batch — and must emit equal wires, deliver equal
-//! rumors and count equal fallbacks.
+//! rumors and count equal fallbacks. A step either drops its wires, so the
+//! endpoint refills its push batch in place at the next change, or holds
+//! its push until the next step, which must leave the held batch as it was.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -242,8 +244,12 @@ enum Op {
         dest: u8,
         best_effort: bool,
     },
-    /// Step in the current round, then move to the next one.
-    Step,
+    /// Step in the current round, then move to the next one; with `hold`,
+    /// keep the step's push batch until the next step, as a receiver
+    /// that has not yet dropped it.
+    Step {
+        hold: bool,
+    },
     Push {
         src: usize,
         rumors: Vec<RumorSpec>,
@@ -324,8 +330,8 @@ fn op() -> impl Strategy<Value = Op> {
             dest,
             best_effort
         }),
-        Just(Op::Step),
-        Just(Op::Step),
+        prop::bool::ANY.prop_map(|hold| Op::Step { hold }),
+        prop::bool::ANY.prop_map(|hold| Op::Step { hold }),
         push(3, 0..16),
         push(3, 0..16),
         push(64, 32..64),
@@ -395,7 +401,10 @@ proptest! {
             (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed));
         // Start late enough that births reach back before round 0 rarely.
         let mut now = Round(BIRTH_SPREAD);
-        let mut last_batch: Option<Arc<PushBatch<u32>>> = None;
+        // The rumors of the last step's push, copied out: holding the
+        // batch itself would keep the endpoint from refilling it.
+        let mut last_batch: Option<Vec<Rumor>> = None;
+        let mut held: Option<(Arc<PushBatch<u32>>, Vec<Rumor>)> = None;
         let mut acked: Vec<RumorId> = Vec::new();
 
         for (step, op) in ops.iter().enumerate() {
@@ -411,7 +420,7 @@ proptest! {
                     model.inject(now, payload, *duration, dest, *best_effort);
                     acked.push(id);
                 }
-                Op::Step => {
+                Op::Step { hold } => {
                     let got = real.step(now, &mut rng_real);
                     let want = model.step(now, &mut rng_model);
                     prop_assert_eq!(&got, &want, "step at {:?}", now);
@@ -419,10 +428,21 @@ proptest! {
                         if let GossipWire::Push(batch) = wire {
                             let ids: Vec<_> = batch.rumors().iter().map(|r| r.id).collect();
                             prop_assert_eq!(batch.ids(), &ids[..], "id column of a step's push");
+                            prop_assert_eq!(
+                                batch.wire_len(|r| r.len() as u64),
+                                ids.len() as u64,
+                                "wire size of a step's push"
+                            );
                         }
                     }
+                    if let Some((batch, rumors)) = held.take() {
+                        prop_assert_eq!(batch.rumors(), &rumors[..], "a held batch changed");
+                    }
                     if let Some((_, GossipWire::Push(batch))) = got.last() {
-                        last_batch = Some(Arc::clone(batch));
+                        last_batch = Some(batch.rumors().to_vec());
+                        if *hold {
+                            held = Some((Arc::clone(batch), batch.rumors().to_vec()));
+                        }
                     }
                     now = now.next();
                 }
@@ -434,8 +454,8 @@ proptest! {
                     model.on_receive(now, ProcessId::new(*src), &wire);
                 }
                 Op::Echo { src, reversed } => {
-                    let Some(batch) = &last_batch else { continue };
-                    let mut rumors = batch.rumors().to_vec();
+                    let Some(rumors) = &last_batch else { continue };
+                    let mut rumors = rumors.clone();
                     if *reversed {
                         rumors.reverse();
                     }

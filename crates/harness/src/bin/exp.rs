@@ -5,7 +5,8 @@
 //! writes all tables as one document; `report` renders such a document as
 //! markdown — the generator behind EXPERIMENTS.md's measured sections.
 //!
-//! `--topology` is parsed once into a `RunDefaults` and handed to the
+//! `--topology` is parsed once into a `RunDefaults`, checked to exist at
+//! every system size the chosen experiment runs, and handed to the
 //! experiment; the engine picks its own parallelism, so there is no backend
 //! flag. A flag the chosen experiment would ignore is an error, not a
 //! no-op: E2/E7 pin the complete graph, E13/E14 sweep the
@@ -88,10 +89,21 @@ fn parse(args: &[String]) -> Result<Command, String> {
     let exp = experiments::find(&target)
         .ok_or_else(|| format!("unknown experiment {target:?} (see exp --list)"))?;
     let name = exp.name;
-    if gave("--topology") && !exp.honours_topology {
-        return Err(format!(
-            "{name} does not take --topology: it pins or sweeps the topology itself"
-        ));
+    match exp.topology_ns {
+        None if gave("--topology") => {
+            return Err(format!(
+                "{name} does not take --topology: it pins or sweeps the topology itself"
+            ));
+        }
+        None => {}
+        Some(ns) => {
+            let topology = opts.defaults.topology;
+            for n in ns(opts.full) {
+                topology
+                    .validate(n)
+                    .map_err(|e| format!("{name} runs n = {n}: no {topology} topology: {e}"))?;
+            }
+        }
     }
     if opts.json.is_some() && exp.bench.is_none() {
         return Err(format!("{name} writes no BENCH row set: no --json"));
@@ -216,6 +228,10 @@ mod tests {
         for ok in [
             &["e7", "--csv"][..],
             &["e3m", "--json", "x.json", "--budget-mib", "1024"],
+            // Feasible at every size: E15 quick n = 4, full n = 4 and 16;
+            // E3m full from n = 1024, quick from n = 256.
+            &["e15", "--full", "--topology", "expander:3"],
+            &["e3m", "--full", "--topology", "expander:300"],
         ] {
             assert!(matches!(parse_strs(ok), Ok(Command::One(..))), "{ok:?}");
         }
@@ -237,11 +253,28 @@ mod tests {
             &["e1", "--budget-mib", "10"],
             &["e3m", "--budget-mib", "lots"],
             &["all", "--topology", "expander:4"],
+            // Infeasible at a size the experiment runs.
+            &["e15", "--full", "--topology", "expander:5"],
+            &["e3m", "--topology", "expander:300"],
+            &["e1", "--topology", "churn:0.1@expander:33"],
             &["--list", "e1"],
             &["report"],
             &["report", "a.json", "--csv"],
         ] {
             assert!(parse_strs(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn a_topology_missing_at_a_run_size_is_a_usage_error() {
+        // E15's quick row runs n = 4, where no 4-regular graph exists; the
+        // row itself would panic inside the cluster.
+        let err = parse_strs(&["e15", "--topology", "expander:4"])
+            .err()
+            .expect("rejected before running");
+        assert!(
+            err.contains("n = 4") && err.contains("at least 5 processes"),
+            "{err}"
+        );
     }
 }

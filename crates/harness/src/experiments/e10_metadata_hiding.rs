@@ -20,9 +20,18 @@ use congos_sim::{NullObserver, Round};
 use crate::run::{run_with_factory, RunDefaults};
 use crate::table::Table;
 
+/// The system size E10 runs at.
+pub fn n(full: bool) -> usize {
+    if full {
+        24
+    } else {
+        16
+    }
+}
+
 /// Runs E10 and returns its table.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    let n = if full { 24 } else { 16 };
+    let n = n(full);
     let deadline = 64u64;
     let rounds = 3 * deadline;
     let dest_size = 3usize;

@@ -16,9 +16,18 @@ use congos_sim::Round;
 use crate::run::{run as run_system, RunDefaults};
 use crate::table::Table;
 
+/// The system size E11 runs at.
+pub fn n(full: bool) -> usize {
+    if full {
+        24
+    } else {
+        16
+    }
+}
+
 /// Runs E11 and returns its table.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    let n = if full { 24 } else { 16 };
+    let n = n(full);
     let deadline = 64u64;
     let rounds = 3 * deadline;
     let sizes: &[usize] = if full {

@@ -20,6 +20,19 @@ use crate::table::{rows_json, Table};
 const ROUNDS: u64 = 90;
 const SEED: u64 = 0xE15;
 
+/// Each row's system size and first port: quick runs the first row,
+/// `--full` both.
+const ROWS: [(usize, u16); 2] = [(4, 20860), (16, 20880)];
+
+fn rows(full: bool) -> &'static [(usize, u16)] {
+    &ROWS[..if full { 2 } else { 1 }]
+}
+
+/// The system sizes E15 runs.
+pub fn ns(full: bool) -> Vec<usize> {
+    rows(full).iter().map(|&(n, _)| n).collect()
+}
+
 /// One row: `n` nodes on ports `base_port..base_port + n`. About two
 /// rumors per round (48 B, deadline 64, 2 destinations) until round 26;
 /// the rest of the run drains. On the complete topology every pair must be
@@ -85,9 +98,8 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
             "p90", "p99", "max", "mean", "wall_ms", "rounds/s", "deliv/s", "msgs", "drops",
         ],
     );
-    t.row(row(4, 20860, defaults.topology));
-    if full {
-        t.row(row(16, 20880, defaults.topology));
+    for &(n, base_port) in rows(full) {
+        t.row(row(n, base_port, defaults.topology));
     }
     t.note("~2 rumors/round until round 26 of 90, 48 B, deadline 64, 2 destinations");
     t.note("p50..mean: rounds from injection to a destination's first delivery, on-time pairs");

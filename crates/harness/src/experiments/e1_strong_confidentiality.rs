@@ -25,13 +25,17 @@ use crate::table::Table;
 const C: f64 = 8.0; // ε = 2/c = 1/4 ⇒ bound Ω(n^{1.25})
 const DMAX: u64 = 64;
 
-/// Runs E1 and returns its table.
-pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    let ns: &[usize] = if full {
+/// The system sizes E1 sweeps.
+pub fn ns(full: bool) -> &'static [usize] {
+    if full {
         &[32, 64, 128, 256]
     } else {
         &[32, 64, 128]
-    };
+    }
+}
+
+/// Runs E1 and returns its table.
+pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let mut t = Table::new(
         "E1: price of strong confidentiality (Theorem 1)",
         &[
@@ -51,7 +55,7 @@ pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
     let mut strong_max = Vec::new();
     let mut congos_max = Vec::new();
 
-    for &n in ns {
+    for &n in ns(full) {
         let spec = defaults.spec(n, 0xE1, DMAX + 1);
         let w = || Theorem1Workload::new(C, DMAX, 0xE1);
         let strong = run_system::<StronglyConfidentialNode, _, _>(spec, NoFailures, w());

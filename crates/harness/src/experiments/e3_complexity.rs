@@ -57,7 +57,21 @@ const FULL: Sizes = Sizes {
 
 /// Runs E3 and returns its three tables.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    run_sized(if full { &FULL } else { &QUICK }, defaults)
+    run_sized(sizes(full), defaults)
+}
+
+fn sizes(full: bool) -> &'static Sizes {
+    if full {
+        &FULL
+    } else {
+        &QUICK
+    }
+}
+
+/// Every system size E3's sweeps run (E3a's, E3b's, E3c's).
+pub fn ns(full: bool) -> Vec<usize> {
+    let s = sizes(full);
+    [s.a_ns, &[s.b_n], s.c_ns].concat()
 }
 
 fn run_sized(sizes: &Sizes, defaults: &RunDefaults) -> Vec<Table> {

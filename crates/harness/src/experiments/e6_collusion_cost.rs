@@ -14,9 +14,18 @@ use crate::run::{run_with_factory, RunDefaults};
 use crate::stats::fit_power_law;
 use crate::table::Table;
 
+/// The system size E6 runs at.
+pub fn n(full: bool) -> usize {
+    if full {
+        64
+    } else {
+        32
+    }
+}
+
 /// Runs E6 and returns its table.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    let n = if full { 64 } else { 32 };
+    let n = n(full);
     let taus: &[usize] = if full {
         &[1, 2, 3, 4, 6]
     } else {

@@ -85,9 +85,18 @@ fn regime(title: &str, spec: RunSpec, fresh: bool, stable_groups: usize) -> Tabl
     t
 }
 
+/// The system size E8 runs at.
+pub fn n(full: bool) -> usize {
+    if full {
+        64
+    } else {
+        32
+    }
+}
+
 /// Runs E8 and returns its two tables.
 pub fn run(full: bool, defaults: &RunDefaults) -> Vec<Table> {
-    let n = if full { 64 } else { 32 };
+    let n = n(full);
     let rounds = if full { 6 * DEADLINE } else { 4 * DEADLINE };
     let spec = defaults.spec(n, 0xE8, rounds);
     let mut dynamic = regime(

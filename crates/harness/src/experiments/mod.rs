@@ -25,6 +25,9 @@ use crate::table::Table;
 /// The one shape every experiment entry point has: `run(full, defaults)`.
 pub type RunFn = fn(bool, &RunDefaults) -> Vec<Table>;
 
+/// The system sizes an experiment's runs take, `ns(full)`.
+pub type SizesFn = fn(bool) -> Vec<usize>;
+
 /// A `BENCH_*.json` row set an experiment emits next to its tables.
 #[derive(Clone, Copy)]
 pub struct Bench {
@@ -43,12 +46,14 @@ pub struct Experiment {
     pub claim: &'static str,
     /// Entry point.
     pub run: RunFn,
-    /// Whether `--topology` reaches every run: `true` when every run goes
-    /// through [`crate::run()`] or a [`crate::Cluster`]; `false` when the experiment drives the
-    /// engine directly on the paper's complete network, runs no protocol
-    /// at all (E4's combinatorics), or sweeps the topology itself. `exp`
-    /// rejects a flag the selected experiment would ignore.
-    pub honours_topology: bool,
+    /// `Some(ns)` when `--topology` reaches every run, each going through
+    /// [`crate::run()`] or a [`crate::Cluster`]: `ns(full)` lists every
+    /// system size those runs take, so `exp` can check that the topology
+    /// exists at each before it runs anything. `None` when the experiment
+    /// drives the engine directly on the paper's complete network, runs no
+    /// protocol at all (E4's combinatorics), or sweeps the topology itself;
+    /// `exp` rejects a flag the selected experiment would ignore.
+    pub topology_ns: Option<SizesFn>,
     /// The bench row set it writes, if any.
     pub bench: Option<Bench>,
     /// `true` for the memory sweep: it measures process-wide peak RSS, so it
@@ -60,13 +65,13 @@ const fn row(
     name: &'static str,
     claim: &'static str,
     run: RunFn,
-    honours_topology: bool,
+    topology_ns: Option<SizesFn>,
 ) -> Experiment {
     Experiment {
         name,
         claim,
         run,
-        honours_topology,
+        topology_ns,
         bench: None,
         measures_rss: false,
     }
@@ -78,19 +83,19 @@ pub const REGISTRY: &[Experiment] = &[
         "e1",
         "E1: Theorem 1 — the price of strong confidentiality",
         e1_strong_confidentiality::run,
-        true,
+        Some(|full| e1_strong_confidentiality::ns(full).to_vec()),
     ),
     row(
         "e2",
         "E2: Theorem 2 — confidentiality + Quality of Delivery, always",
         e2_correctness::run,
-        false,
+        None,
     ),
     row(
         "e3",
         "E3: Lemma 7 / Theorem 11 — per-round message complexity",
         e3_complexity::run,
-        true,
+        Some(e3_complexity::ns),
     ),
     Experiment {
         bench: Some(Bench {
@@ -102,62 +107,62 @@ pub const REGISTRY: &[Experiment] = &[
             "e3m",
             "E3m: memory accounting of the high-n complexity sweeps",
             e3_memory::run,
-            true,
+            Some(|full| e3_memory::sweep_sizes(full).to_vec()),
         )
     },
     row(
         "e4",
         "E4: Lemma 5 / Lemma 13 — partition goodness",
         e4_partitions::run,
-        false,
+        None,
     ),
     row(
         "e5",
         "E5: Theorem 12 — collusion lower bound (border messages)",
         e5_collusion_lb::run,
-        false,
+        None,
     ),
     row(
         "e6",
         "E6: Theorem 16 — the tau^2 cost of collusion tolerance",
         e6_collusion_cost::run,
-        true,
+        Some(|full| vec![e6_collusion_cost::n(full)]),
     ),
     row(
         "e7",
         "E7: Robustness — QoD and fallback rate under churn",
         e7_churn::run,
-        false,
+        None,
     ),
     row(
         "e8",
         "E8: Alternative approaches — CONGOS vs direct/crypto/epidemic",
         e8_baselines::run,
-        true,
+        Some(|full| vec![e8_baselines::n(full)]),
     ),
     row(
         "e9",
         "E9: Ablations — partitions, fanout constants, substrate strategy",
         e9_ablation::run,
-        false,
+        None,
     ),
     row(
         "e10",
         "E10: Section 7 — metadata-hiding costs",
         e10_metadata_hiding::run,
-        true,
+        Some(|full| vec![e10_metadata_hiding::n(full)]),
     ),
     row(
         "e11",
         "E11: Section 7 — communication complexity in bytes",
         e11_communication::run,
-        true,
+        Some(|full| vec![e11_communication::n(full)]),
     ),
     row(
         "e12",
         "E12: Section 7 — adaptive vs oblivious adversary power",
         e12_adaptivity::run,
-        false,
+        None,
     ),
     Experiment {
         bench: Some(Bench {
@@ -168,7 +173,7 @@ pub const REGISTRY: &[Experiment] = &[
             "e13",
             "E13: Source anonymity — who started this rumor, and can CONGOS hide it?",
             e13_anonymity::run,
-            false,
+            None,
         )
     },
     Experiment {
@@ -180,7 +185,7 @@ pub const REGISTRY: &[Experiment] = &[
             "e14",
             "E14: Beyond the complete graph — QoD/complexity vs topology",
             e14_topology::run,
-            false,
+            None,
         )
     },
     Experiment {
@@ -192,7 +197,7 @@ pub const REGISTRY: &[Experiment] = &[
             "e15",
             "E15: the TCP runtime under sustained injection: QoD, latency and throughput over loopback",
             e15_tcp_load::run,
-            true,
+            Some(e15_tcp_load::ns),
         )
     },
 ];

@@ -770,7 +770,8 @@ impl<P: Protocol + 'static> Engine<P> {
     /// the global output log. This is the phase barrier that makes the
     /// parallel backend's observable order equal the sequential order.
     fn merge_send_results(&mut self) {
-        // Last round's payloads die here; the columns keep their capacity.
+        // Last round's routing rows go here (its payloads went when its
+        // compute phase ended); the columns keep their capacity.
         self.mem.begin_round(self.round);
         for p in &mut self.procs {
             for (tag, count, bytes) in p.sent.drain(..) {
@@ -987,8 +988,8 @@ where
         let out_start = self.outputs.len();
 
         // ---- Phase 1: send. -------------------------------------------
-        // The transport still holds last round's outbox: its size is the
-        // send phase's load estimate.
+        // The transport still holds last round's routing rows: their count
+        // is the send phase's load estimate.
         let chunk = n.div_ceil(self.cfg.backend.workers_for(self.mem.outbox_len()));
         let alive = &self.alive;
         for_each_chunk(chunk, self.procs.chunks_mut(chunk), |base, procs| {
@@ -1025,6 +1026,10 @@ where
             },
         );
         self.merge_compute_outputs();
+        // A payload lives until its round's compute phase ends: a sender
+        // that keeps a shared buffer (a gossip push batch) holds it alone
+        // again by its next send phase.
+        self.mem.drop_payloads();
 
         self.complete_round(round, out_start, obs);
     }
@@ -1033,6 +1038,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// Every process pings its successor each round and reports each ping.
     struct Ring;
@@ -1347,6 +1353,63 @@ mod tests {
             .threads
             .iter()
             .all(|t| t.2 == caller));
+    }
+
+    /// Every process sends its token to every other process in the send
+    /// phase and to itself in the compute phase (a message of the next
+    /// round), so the token's count tells how many payloads are alive.
+    struct Tokens(Arc<()>);
+
+    impl Protocol for Tokens {
+        type Msg = Arc<()>;
+        type Input = ();
+        type Output = ();
+
+        fn new(_id: ProcessId, _n: usize, _seed: u64) -> Self {
+            Tokens(Arc::new(()))
+        }
+        fn send(&mut self, ctx: &mut Context<'_, Self>) {
+            let me = ctx.id();
+            let others = ProcessId::all(ctx.n()).filter(|&p| p != me);
+            ctx.send_each(others, self.0.clone(), Tag("token"));
+        }
+        fn receive(
+            &mut self,
+            ctx: &mut Context<'_, Self>,
+            inbox: Inbox<'_, Self::Msg>,
+            _: Option<()>,
+        ) {
+            for env in inbox {
+                assert!(Arc::ptr_eq(env.payload, &self.0));
+            }
+            ctx.send(ctx.id(), self.0.clone(), Tag("next"));
+        }
+    }
+
+    #[test]
+    fn no_payload_outlives_its_rounds_compute_phase() {
+        let n = 6;
+        let token = Arc::new(());
+        let parallel = EngineBackend::Parallel { workers: 3 };
+        for backend in [EngineBackend::Sequential, parallel, EngineBackend::Auto] {
+            let held = token.clone();
+            let cfg = EngineConfig::new(n).seed(5).backend(backend);
+            let mut e = Engine::with_factory(cfg, move |_, _, _| Tokens(held.clone()));
+            for r in 0..4 {
+                e.step(&mut NullAdversary);
+                // The test, the factory and every process hold the token;
+                // of the payloads only the compute-phase sends, queued for
+                // the next round, are alive.
+                assert_eq!(Arc::strong_count(&token), 2 + n + n, "round {r}");
+                // The routing rows stay: the next send phase is sized by
+                // this round's message count, self-sends of the previous
+                // compute phase included.
+                let msgs = n * (n - 1) + if r == 0 { 0 } else { n };
+                assert_eq!(e.mem.outbox_len(), msgs, "{backend}, round {r}");
+            }
+            drop(e);
+            assert_eq!(Arc::strong_count(&token), 1);
+        }
     }
 
     /// Observer that fingerprints the full ordered event stream, for

@@ -35,11 +35,9 @@ impl IdSet {
 
     /// The full set `{0, …, n−1}`.
     pub fn full(n: usize) -> Self {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
-        if n % 64 != 0 {
-            words[n / 64] = (1 << (n % 64)) - 1;
-        }
-        IdSet { n, words }
+        let mut s = Self::empty(n);
+        s.fill();
+        s
     }
 
     /// Builds a set from an iterator of ids.
@@ -85,6 +83,15 @@ impl IdSet {
     /// Removes every member; the universe and the allocation stay.
     pub fn clear(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Inserts every id of the universe, making the set
+    /// [`full`](IdSet::full) in its own allocation.
+    pub fn fill(&mut self) {
+        self.words.fill(u64::MAX);
+        if self.n % 64 != 0 {
+            self.words[self.n / 64] = (1 << (self.n % 64)) - 1;
+        }
     }
 
     /// Membership test (ids outside the universe are never members).
@@ -338,6 +345,13 @@ mod tests {
         let mut c = IdSet::full(70);
         c.clear();
         assert_eq!(c, IdSet::empty(70));
+        // Filling in place is `full` over the same universe, whatever the
+        // set held.
+        for n in [0, 1, 63, 64, 65, 130] {
+            let mut s = IdSet::from_iter(n, (0..n).step_by(3).map(p));
+            s.fill();
+            assert_eq!(s, IdSet::full(n));
+        }
     }
 
     #[test]

@@ -157,6 +157,14 @@ impl<M> OutboxColumns<M> {
         self.payload.clear();
     }
 
+    /// Drops every payload, keeping the routing rows (so [`len`](Self::len)
+    /// still counts the round's messages) and every column's capacity. No
+    /// message can be read through [`get`](Self::get) until the next
+    /// [`clear`](Self::clear).
+    pub(crate) fn drop_payloads(&mut self) {
+        self.payload.clear();
+    }
+
     /// Appends one message, in a payload slot of its own.
     pub fn push(&mut self, src: ProcessId, dst: ProcessId, tag: Tag, payload: M) {
         self.src.push(src);

@@ -161,6 +161,14 @@ impl<M> MemTransport<M> {
         self.routed = false;
     }
 
+    /// Drops this round's payloads once its compute phase has read them,
+    /// keeping the routing rows and the column capacities:
+    /// [`outbox_len`](Self::outbox_len) still counts the round's messages
+    /// until the next [`begin_round`](Self::begin_round).
+    pub(crate) fn drop_payloads(&mut self) {
+        self.outbox.drop_payloads();
+    }
+
     /// Appends every message of `buf` (all sent by `src`) onto the round
     /// outbox, leaving `buf` empty. Callers append in pid order; the outbox
     /// is then src-major, which is what makes index-list inboxes arrive

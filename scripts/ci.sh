@@ -9,7 +9,10 @@
 #                            #        + release build + the whole workspace
 #                            #        test suite + in release: the
 #                            #        differential suite's backend
-#                            #        equivalence, gossip's tests, congos's
+#                            #        equivalence, the allocation budget
+#                            #        (tests/alloc_budget.rs, the profile
+#                            #        the benchmark measures), gossip's
+#                            #        tests, congos's
 #                            #        class engine's and node's, and from
 #                            #        the congos-harness lib the E10 and
 #                            #        E11 tests, the only ones that read
@@ -222,6 +225,11 @@ echo "==> tier1: backend-equivalence suite in release, the profile the benchmark
 # default run takes the parallel path; pin it bit-identical in the build
 # profile the benchmark measures, not only in the test profile.
 cargo test -q --release --test differential backend_equivalence
+
+echo "==> tier1: allocation budget in release, the profile the benchmark measures"
+# The workspace suite above runs it in the test profile; this run pins the
+# profile whose `alloc_bytes_per_msg` the benchmark reports.
+cargo test -q --release --test alloc_budget
 
 echo "==> tier1: congos-gossip tests in release"
 # The membership filter's `debug_assert!` is compiled out here, so the
