@@ -8,7 +8,7 @@ use congos_gossip::GossipCensus;
 use congos_sim::clock::{deadline_cap, trim_deadline};
 use congos_sim::{Context, IdSet, Inbox, ProcessId, Protocol, Round};
 
-use crate::config::{CongosConfig, PartitionScheme};
+use crate::config::CongosConfig;
 use crate::messages::{CongosMsg, Fragment};
 use crate::partition::PartitionSet;
 use crate::rumor::{self, CongosInput, CongosRumorId, DeliveredRumor, DeliveryPath, Rumor};
@@ -118,7 +118,9 @@ pub struct CongosNode {
     cfg: CongosConfig,
     /// [`deadline_cap`] of `n`, the paper's `c·log⁶ n`, computed once.
     deadline_cap: u64,
-    partitions: PartitionSet,
+    /// The agreed partition table, shared by every node of this OS process
+    /// built with the same `n` and configuration.
+    partitions: Arc<PartitionSet>,
     /// `None` = alive since the beginning of the execution (treated as
     /// "alive forever", matching the paper's long-running system); `Some(t)`
     /// = restarted at `t`.
@@ -153,21 +155,7 @@ impl CongosNode {
         if let Err(e) = cfg.validate(n) {
             panic!("invalid CONGOS configuration for n={n}: {e}");
         }
-        let mut partitions = match cfg.scheme {
-            PartitionScheme::Bits => PartitionSet::bits(n),
-            PartitionScheme::Random { c, seed } => {
-                if cfg.degenerate_collusion(n) {
-                    // τ ≥ n/log²n: the algorithm abandons the pipeline and
-                    // sends everything directly (Section 6.2).
-                    PartitionSet::bits(0)
-                } else {
-                    PartitionSet::random(n, cfg.tau, c, seed)
-                }
-            }
-        };
-        if let Some(cap) = cfg.max_partitions {
-            partitions.truncate(cap);
-        }
+        let partitions = PartitionSet::agreed(n, &cfg);
         CongosNode {
             me,
             n,
@@ -195,7 +183,9 @@ impl CongosNode {
         &self.cfg
     }
 
-    /// The agreed partition set.
+    /// The agreed partition set ([`PartitionSet::agreed`]), shared with
+    /// every node of this OS process built for the same `n` and
+    /// configuration.
     pub fn partitions(&self) -> &PartitionSet {
         &self.partitions
     }

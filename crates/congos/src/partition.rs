@@ -20,12 +20,19 @@
 //!
 //! All processes must agree on the partition set, so it is derived
 //! deterministically from configuration (`n`, `τ`, a shared seed) — "given
-//! as part of the input of the algorithm", as the paper puts it.
+//! as part of the input of the algorithm", as the paper puts it. Being a
+//! pure function of its inputs, each agreed table is built once per OS
+//! process by [`PartitionSet::agreed`]: every node holds an `Arc` to it, and
+//! the table dies with its last node.
+
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use congos_sim::{IdSet, ProcessId};
+
+use crate::config::{CongosConfig, PartitionScheme};
 
 /// One partition of `[n]` into `k` disjoint, exhaustive, non-empty groups.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -127,8 +134,8 @@ impl PartitionSet {
     ///
     /// # Panics
     ///
-    /// Panics if `tau + 1 > n` (groups could never all be non-empty) or
-    /// `tau == 0` is fine (reduces to 1 group... ) — `tau ≥ 1` is required.
+    /// Panics if `tau == 0`, or if `tau + 1 > n` (the groups could never all
+    /// be non-empty).
     pub fn random(n: usize, tau: usize, c: f64, seed: u64) -> Self {
         assert!(tau >= 1, "collusion tolerance τ must be ≥ 1");
         let k = tau + 1;
@@ -203,11 +210,71 @@ impl PartitionSet {
             .map(|(ell, _)| ell)
     }
 }
+
+/// Every input of an agreed table's build.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct AgreedKey {
+    n: usize,
+    /// `None` for bit partitions, else the random scheme's `(c.to_bits(),
+    /// seed)`.
+    random: Option<(u64, u64)>,
+    tau: usize,
+    max_partitions: Option<usize>,
+    degenerate: bool,
+}
+
+/// The agreed tables alive in this process, by their inputs.
+static AGREED: Mutex<Vec<(AgreedKey, Weak<PartitionSet>)>> = Mutex::new(Vec::new());
+
 impl PartitionSet {
-    /// Keeps only the first `cap` partitions (ablation support; the full
-    /// set is required for the paper's adaptive-adversary guarantees).
-    pub fn truncate(&mut self, cap: usize) {
-        self.partitions.truncate(cap);
+    /// The partition set every process of an `n`-process deployment of
+    /// `cfg` agrees on: bit or random partitions by `cfg.scheme`, none in
+    /// the degenerate collusion regime (Section 6.2 sends everything
+    /// directly), and at most `cfg.max_partitions` of them (an ablation;
+    /// the paper's adaptive-adversary guarantees need the full set).
+    ///
+    /// Nodes of one OS process share the table: while some node holds it,
+    /// every call with the same inputs returns the same `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`PartitionSet::random`] does on an invalid `τ`; a
+    /// configuration that passes `cfg.validate(n)` never panics.
+    pub fn agreed(n: usize, cfg: &CongosConfig) -> Arc<PartitionSet> {
+        let key = AgreedKey {
+            n,
+            random: match cfg.scheme {
+                PartitionScheme::Bits => None,
+                PartitionScheme::Random { c, seed } => Some((c.to_bits(), seed)),
+            },
+            tau: cfg.tau,
+            max_partitions: cfg.max_partitions,
+            degenerate: cfg.degenerate_collusion(n),
+        };
+        // A build that panics (an invalid τ) leaves the memo valid: an
+        // entry is pushed only once its table is built.
+        let mut memo = AGREED.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.retain(|(_, table)| table.strong_count() > 0);
+        if let Some(table) = memo
+            .iter()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, table)| table.upgrade())
+        {
+            return table;
+        }
+        let mut set = match cfg.scheme {
+            PartitionScheme::Bits => PartitionSet::bits(n),
+            // τ ≥ n/log²n: the algorithm abandons the pipeline and sends
+            // everything directly (Section 6.2).
+            PartitionScheme::Random { .. } if key.degenerate => PartitionSet::bits(0),
+            PartitionScheme::Random { c, seed } => PartitionSet::random(n, cfg.tau, c, seed),
+        };
+        if let Some(cap) = cfg.max_partitions {
+            set.partitions.truncate(cap);
+        }
+        let table = Arc::new(set);
+        memo.push((key, Arc::downgrade(&table)));
+        table
     }
 }
 

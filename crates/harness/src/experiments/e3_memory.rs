@@ -95,6 +95,7 @@ pub fn sweep(ns: &[usize], defaults: &RunDefaults) -> Table {
             "alloc_mib",
             "live_peak_mib",
             "wall_ms",
+            "built_mib",
         ],
     );
     for &n in ns {
@@ -124,6 +125,7 @@ pub fn sweep(ns: &[usize], defaults: &RunDefaults) -> Table {
             mem::mib(o.mem.allocated_delta()),
             mem::mib(o.mem.after.live_peak),
             format!("{:.1}", o.mem.wall_ms),
+            mem::mib(o.mem.before.live),
         ]);
     }
     t.note(format!(
@@ -137,6 +139,10 @@ pub fn sweep(ns: &[usize], defaults: &RunDefaults) -> Table {
     t.note(
         "rss_before/after = process peak-RSS (VmHWM) at point entry/exit; the monotone \
          high-water mark attributes each point's delta to that point (sweep runs small→large n)",
+    );
+    t.note(
+        "built_mib = live heap right after the engine is built, before its first round: \
+         every node's empty state plus the agreed partition table the nodes share",
     );
     t
 }
@@ -168,6 +174,10 @@ mod tests {
             // Wall clock and allocation deltas must be non-trivial.
             assert!(t.cell(r, 10).parse::<f64>().unwrap() > 0.0);
             assert!(t.cell(r, 8).parse::<f64>().unwrap() > 0.0);
+            // The built state is live before the first round, so within
+            // the live peak (at n = 32 it rounds to 0.0 MiB).
+            let built: f64 = t.cell(r, 11).parse().unwrap();
+            assert!(built <= t.cell(r, 9).parse::<f64>().unwrap());
             // RSS columns parse; on Linux the high-water mark is monotone.
             let before: f64 = t.cell(r, 5).parse().unwrap();
             let after: f64 = t.cell(r, 6).parse().unwrap();

@@ -11,7 +11,9 @@
 #                            #        differential suite's backend
 #                            #        equivalence, the allocation budget
 #                            #        (tests/alloc_budget.rs, the profile
-#                            #        the benchmark measures), gossip's
+#                            #        the benchmark measures), the
+#                            #        construction budget
+#                            #        (tests/build_budget.rs), gossip's
 #                            #        tests, congos's
 #                            #        class engine's and node's, and from
 #                            #        the congos-harness lib the E10 and
@@ -226,10 +228,11 @@ echo "==> tier1: backend-equivalence suite in release, the profile the benchmark
 # profile the benchmark measures, not only in the test profile.
 cargo test -q --release --test differential backend_equivalence
 
-echo "==> tier1: allocation budget in release, the profile the benchmark measures"
-# The workspace suite above runs it in the test profile; this run pins the
-# profile whose `alloc_bytes_per_msg` the benchmark reports.
+echo "==> tier1: allocation and construction budgets in release, the profile the benchmark measures"
+# The workspace suite above runs them in the test profile; this run pins the
+# profile whose `alloc_bytes_per_msg` and `setup_s` the benchmark reports.
 cargo test -q --release --test alloc_budget
+cargo test -q --release --test build_budget
 
 echo "==> tier1: congos-gossip tests in release"
 # The membership filter's `debug_assert!` is compiled out here, so the
