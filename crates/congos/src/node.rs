@@ -280,18 +280,11 @@ impl CongosNode {
         (dline >= DIRECT_THRESHOLD).then_some(dline)
     }
 
-    /// Fetches (or lazily creates) the class engine for `dline`, returning
-    /// it together with the partition set — split borrows so callers can use
-    /// both mutably/shared at once.
-    fn class_engine<'a>(
-        classes: &'a mut BTreeMap<u64, ClassEngine>,
-        partitions: &'a PartitionSet,
-        cfg: &CongosConfig,
-        me: ProcessId,
-        n: usize,
-        dline: u64,
-    ) -> &'a mut ClassEngine {
-        classes
+    /// Fetches (or lazily creates) the class engine for `dline`.
+    fn class_engine(&mut self, dline: u64) -> &mut ClassEngine {
+        let (me, n) = (self.me, self.n);
+        let (partitions, cfg) = (&self.partitions, &self.cfg);
+        self.classes
             .entry(dline)
             .or_insert_with(|| ClassEngine::new(me, n, dline, partitions, cfg))
     }
@@ -459,15 +452,7 @@ impl CongosNode {
         }
         match self.deadline_class(rumor.deadline) {
             Some(dline) => {
-                let class = Self::class_engine(
-                    &mut self.classes,
-                    &self.partitions,
-                    &self.cfg,
-                    self.me,
-                    self.n,
-                    dline,
-                );
-                class.inject(now, ctx.rng(), rid, rumor, &self.partitions);
+                self.class_engine(dline).inject(now, ctx.rng(), rid, rumor);
             }
             None => {
                 // Direct path: deadline too short for the pipeline (or the
@@ -528,7 +513,7 @@ impl Protocol for CongosNode {
         }
         let (rng, out) = ctx.rng_and_out();
         for class in self.classes.values_mut() {
-            class.on_send(now, rng, &self.cfg, &self.partitions, alive_rounds, out);
+            class.on_send(now, rng, alive_rounds, out);
         }
         self.prune(now);
     }
@@ -589,15 +574,8 @@ impl Protocol for CongosNode {
                         self.rejected += 1;
                         continue;
                     }
-                    let class = Self::class_engine(
-                        &mut self.classes,
-                        &self.partitions,
-                        &self.cfg,
-                        self.me,
-                        self.n,
-                        dline,
-                    );
-                    class.on_receive(now, env.src, msg, &self.partitions, &mut received);
+                    self.class_engine(dline)
+                        .on_receive(now, env.src, msg, &mut received);
                 }
             }
         }

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 
-use congos_gossip::{ContinuousGossip, GossipConfig, GossipWire};
+use congos_gossip::{ContinuousGossip, FanoutParams, GossipConfig, GossipWire};
 use congos_sim::message::SendColumns;
 use congos_sim::{BlockClock, IdSet, ProcessId, Round};
 
@@ -124,6 +124,12 @@ pub(crate) struct ClassEngine {
     me: ProcessId,
     n: usize,
     dline: u64,
+    /// The node's agreed partition table.
+    partitions: Arc<PartitionSet>,
+    /// [`CongosConfig::service_fanout`].
+    service_fanout: FanoutParams,
+    /// [`CongosConfig::lean_metadata`].
+    lean_metadata: bool,
     clock: BlockClock,
     sqrt_d: u64,
     lanes: Vec<Lane>,
@@ -144,7 +150,7 @@ impl ClassEngine {
         me: ProcessId,
         n: usize,
         dline: u64,
-        partitions: &PartitionSet,
+        partitions: &Arc<PartitionSet>,
         cfg: &CongosConfig,
     ) -> Self {
         let clock = BlockClock::new(dline);
@@ -172,6 +178,9 @@ impl ClassEngine {
             me,
             n,
             dline,
+            partitions: Arc::clone(partitions),
+            service_fanout: cfg.service_fanout,
+            lean_metadata: cfg.lean_metadata,
             clock,
             sqrt_d: dline.isqrt(),
             lanes,
@@ -194,12 +203,11 @@ impl ClassEngine {
         rng: &mut SmallRng,
         rid: CongosRumorId,
         rumor: Rumor,
-        partitions: &PartitionSet,
     ) {
         // One destination set shared by all k·p fragments.
         let dest = Arc::new(rumor.dest.clone());
         for lane in &mut self.lanes {
-            let partition = partitions.partition(lane.ell as usize);
+            let partition = self.partitions.partition(lane.ell as usize);
             let k = partition.group_count();
             let frags = split::split(rng, &rumor.data, k);
             for (g, bytes) in frags.into_iter().map(Arc::from).enumerate() {
@@ -238,18 +246,16 @@ impl ClassEngine {
         &mut self,
         now: Round,
         rng: &mut SmallRng,
-        cfg: &CongosConfig,
-        partitions: &PartitionSet,
         alive_rounds: u64,
         out: &mut SendColumns<CongosMsg>,
     ) {
-        let dline = self.dline;
+        let (dline, fanout, lean) = (self.dline, self.service_fanout, self.lean_metadata);
         let off_block = self.clock.offset_in_block(now);
         let it_off = self.clock.offset_in_iteration(now);
         let last_iter_round = self.clock.iter_len() - 1;
 
         for lane in &mut self.lanes {
-            let partition = partitions.partition(lane.ell as usize);
+            let partition = self.partitions.partition(lane.ell as usize);
             let group_len = partition.group(lane.my_group).len();
             if off_block == 0 {
                 lane.proxy
@@ -261,13 +267,10 @@ impl ClassEngine {
             }
             match it_off {
                 Some(0) => {
-                    for (dst, fragments) in lane.proxy.on_iteration_start(
-                        rng,
-                        self.n,
-                        dline,
-                        partition,
-                        cfg.service_fanout,
-                    ) {
+                    for (dst, fragments) in lane
+                        .proxy
+                        .on_iteration_start(rng, self.n, dline, partition, fanout)
+                    {
                         send(
                             out,
                             dst,
@@ -281,8 +284,7 @@ impl ClassEngine {
                 }
                 Some(1) => {
                     for (dst, fragments) in
-                        lane.gd
-                            .on_send_round(rng, self.n, dline, partition, cfg.service_fanout)
+                        lane.gd.on_send_round(rng, self.n, dline, partition, fanout)
                     {
                         send(
                             out,
@@ -309,7 +311,7 @@ impl ClassEngine {
                         let payload = GossipPayload::ProxyMeta {
                             failed_proxies: failed,
                         };
-                        if cfg.lean_metadata {
+                        if lean {
                             // One epidemic round: every process re-beacons
                             // each iteration anyway, so a longer forwarding
                             // window only multiplies the active-set size
@@ -324,7 +326,7 @@ impl ClassEngine {
                     if let Some(hits) = lane.gd.gossip_share() {
                         let group_set = partition.group(lane.my_group).clone();
                         let payload = GossipPayload::GdShare { hits };
-                        if cfg.lean_metadata {
+                        if lean {
                             // One epidemic round, as for the beacons: shares
                             // are re-published every iteration, and slower
                             // aggregation costs at most a confirmation.
@@ -355,8 +357,8 @@ impl ClassEngine {
                 // active for a whole block in every process's forwarding
                 // set. A missed publication costs a confirmation, never
                 // delivery (the source's deadline fallback covers it).
-                let publisher = !cfg.lean_metadata
-                    || partition.group(lane.my_group).iter().next() == Some(self.me);
+                let publisher =
+                    !lean || partition.group(lane.my_group).iter().next() == Some(self.me);
                 if let Some(hits) = lane.gd.end_of_block().filter(|_| publisher) {
                     // The paper gossips the sanitized hit-set to [n]; only
                     // the rumor *sources* ever consult it, so the guaranteed
@@ -404,7 +406,6 @@ impl ClassEngine {
         now: Round,
         src: ProcessId,
         msg: &CongosMsg,
-        partitions: &PartitionSet,
         saved: &mut Vec<Fragment>,
     ) {
         let (dline, p, k) = (self.dline, self.lanes.len(), self.groups);
@@ -431,7 +432,9 @@ impl ClassEngine {
                 }
             }
             CongosMsg::ProxyAck { ell, .. } => match self.lanes.get_mut(*ell as usize) {
-                Some(l) => l.proxy.on_ack(src, partitions.partition(*ell as usize)),
+                Some(l) => l
+                    .proxy
+                    .on_ack(src, self.partitions.partition(*ell as usize)),
                 None => self.rejected += 1,
             },
             CongosMsg::Partials { fragments, .. } => {
@@ -574,11 +577,11 @@ mod tests {
 
     const DLINE: u64 = 64; // block 16, iteration 10
 
-    fn setup(me: usize, n: usize) -> (ClassEngine, PartitionSet, CongosConfig, SmallRng) {
-        let partitions = PartitionSet::bits(n);
+    fn setup(me: usize, n: usize) -> (ClassEngine, Arc<PartitionSet>, SmallRng) {
+        let partitions = Arc::new(PartitionSet::bits(n));
         let cfg = CongosConfig::base();
         let engine = ClassEngine::new(ProcessId::new(me), n, DLINE, &partitions, &cfg);
-        (engine, partitions, cfg, SmallRng::seed_from_u64(7))
+        (engine, partitions, SmallRng::seed_from_u64(7))
     }
 
     /// One send phase, returning what it queued as `(dst, tag, msg)`.
@@ -586,11 +589,9 @@ mod tests {
         engine: &mut ClassEngine,
         t: u64,
         rng: &mut SmallRng,
-        cfg: &CongosConfig,
-        partitions: &PartitionSet,
     ) -> Vec<(ProcessId, Tag, CongosMsg)> {
         let mut out = SendColumns::default();
-        engine.on_send(Round(t), rng, cfg, partitions, u64::MAX, &mut out);
+        engine.on_send(Round(t), rng, u64::MAX, &mut out);
         let sends = out.drain().collect();
         sends
     }
@@ -614,17 +615,17 @@ mod tests {
     #[test]
     fn proxy_requests_start_at_the_next_block_boundary() {
         let n = 8;
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        let (mut engine, partitions, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
         // Mirror the engine's phase order: round 0's send phase runs first,
         // the injection lands in the compute phase after it.
-        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
-        engine.inject(Round(0), &mut rng, rid, r, &partitions);
+        sends_at(&mut engine, 0, &mut rng);
+        engine.inject(Round(0), &mut rng, rid, r);
 
         // Rest of block 0: fragments spread via gossip; the Proxy service
         // has only collected them into `waiting`.
         for t in 1..16u64 {
-            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
+            let sends = sends_at(&mut engine, t, &mut rng);
             assert!(
                 !sends
                     .iter()
@@ -634,7 +635,7 @@ mod tests {
         }
         // Round 16 is block 1's first round: proxy requests go out, and each
         // targets the fragment's own group ([PROXY:CONFIDENTIAL]).
-        let sends = sends_at(&mut engine, 16, &mut rng, &cfg, &partitions);
+        let sends = sends_at(&mut engine, 16, &mut rng);
         let requests: Vec<_> = sends
             .iter()
             .filter_map(|(dst, _, m)| match m {
@@ -657,16 +658,16 @@ mod tests {
     #[test]
     fn unconfirmed_rumor_shoots_exactly_at_expiry() {
         let n = 8;
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        let (mut engine, _, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3, 5]);
-        engine.inject(Round(0), &mut rng, rid, r, &partitions);
+        engine.inject(Round(0), &mut rng, rid, r);
         assert_eq!(engine.cache_len(), 1);
 
         // Without any Distribution feedback (nothing is routed back into
         // this engine), confirmation can never happen; the fallback must
         // fire exactly at round 64 and clear the cache.
         for t in 0..DLINE {
-            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
+            let sends = sends_at(&mut engine, t, &mut rng);
             assert!(
                 !sends
                     .iter()
@@ -674,7 +675,7 @@ mod tests {
                 "premature shoot at round {t}"
             );
         }
-        let sends = sends_at(&mut engine, DLINE, &mut rng, &cfg, &partitions);
+        let sends = sends_at(&mut engine, DLINE, &mut rng);
         let shoots: Vec<_> = sends
             .iter()
             .filter(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. }))
@@ -743,10 +744,10 @@ mod tests {
     }
 
     /// Delivers `msgs` in one compute phase: receive, then drain.
-    fn deliver(engine: &mut ClassEngine, now: u64, partitions: &PartitionSet, msgs: &[CongosMsg]) {
+    fn deliver(engine: &mut ClassEngine, now: u64, msgs: &[CongosMsg]) {
         let mut saved = Vec::new();
         for msg in msgs {
-            engine.on_receive(Round(now), ProcessId::new(1), msg, partitions, &mut saved);
+            engine.on_receive(Round(now), ProcessId::new(1), msg, &mut saved);
         }
         engine.post_receive(&mut saved);
     }
@@ -754,9 +755,9 @@ mod tests {
     #[test]
     fn confirmation_through_delivered_hits_suppresses_the_fallback() {
         let n = 8;
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        let (mut engine, _, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
-        engine.inject(Round(0), &mut rng, rid, r, &partitions);
+        engine.inject(Round(0), &mut rng, rid, r);
 
         // Deliver Distribution metadata claiming p3 got every group's
         // fragment of partition 0.
@@ -772,12 +773,12 @@ mod tests {
                 )
             })
             .collect::<Vec<_>>();
-        deliver(&mut engine, 0, &partitions, &hits);
+        deliver(&mut engine, 0, &hits);
         // Run to expiry: the confirmation check clears the cache before the
         // fallback would fire.
         let mut shoots = 0;
         for t in 0..=DLINE {
-            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
+            let sends = sends_at(&mut engine, t, &mut rng);
             shoots += sends
                 .iter()
                 .filter(|(_, _, m)| matches!(m, CongosMsg::Shoot { .. }))
@@ -791,9 +792,9 @@ mod tests {
     #[test]
     fn partial_coverage_does_not_confirm() {
         let n = 8;
-        let (mut engine, partitions, _cfg, mut rng) = setup(0, n);
+        let (mut engine, _, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
-        engine.inject(Round(0), &mut rng, rid, r, &partitions);
+        engine.inject(Round(0), &mut rng, rid, r);
         // Only group 0 of partition 0 reported the hit: unsound to confirm.
         let hit = distribution(
             n,
@@ -803,7 +804,7 @@ mod tests {
             0,
             vec![(ProcessId::new(3), rid)],
         );
-        deliver(&mut engine, 0, &partitions, &[hit]);
+        deliver(&mut engine, 0, &[hit]);
         engine.settle(Round(1), &mut SendColumns::default());
         assert_eq!(engine.confirmed, 0);
         assert_eq!(engine.cache_len(), 1);
@@ -812,10 +813,10 @@ mod tests {
     #[test]
     fn own_group_fragments_spread_from_round_one() {
         let n = 8;
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
+        let (mut engine, partitions, mut rng) = setup(0, n);
         let (rid, r) = rumor(n, &[3]);
-        engine.inject(Round(0), &mut rng, rid, r, &partitions);
-        let sends = sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+        engine.inject(Round(0), &mut rng, rid, r);
+        let sends = sends_at(&mut engine, 0, &mut rng);
         // Group gossip pushes carry the own-group fragments immediately, and
         // the filter confines them to the sender's groups.
         let mut pushes = 0;
@@ -851,24 +852,17 @@ mod tests {
     }
 
     /// Whether any group-gossip push in the rest of block 0 carries fragments.
-    fn regossips_fragments(
-        engine: &mut ClassEngine,
-        rng: &mut SmallRng,
-        cfg: &CongosConfig,
-        partitions: &PartitionSet,
-    ) -> bool {
+    fn regossips_fragments(engine: &mut ClassEngine, rng: &mut SmallRng) -> bool {
         (1..16).any(|t| {
-            sends_at(engine, t, rng, cfg, partitions)
-                .iter()
-                .any(|(_, _, m)| {
-                    matches!(m, CongosMsg::Gossip { wire, .. } if matches!(
-                        wire,
-                        congos_gossip::GossipWire::Push(batch) if batch
-                            .rumors()
-                            .iter()
-                            .any(|r| matches!(r.payload, GossipPayload::Fragments(_)))
-                    ))
-                })
+            sends_at(engine, t, rng).iter().any(|(_, _, m)| {
+                matches!(m, CongosMsg::Gossip { wire, .. } if matches!(
+                    wire,
+                    congos_gossip::GossipWire::Push(batch) if batch
+                        .rumors()
+                        .iter()
+                        .any(|r| matches!(r.payload, GossipPayload::Fragments(_)))
+                ))
+            })
         })
     }
 
@@ -891,7 +885,7 @@ mod tests {
             },
         ] {
             let mut saved = Vec::new();
-            engine.on_receive(Round(0), from, &msg, &partitions, &mut saved);
+            engine.on_receive(Round(0), from, &msg, &mut saved);
             assert!(saved.is_empty());
         }
         assert_eq!(engine.rejected, 3);
@@ -910,12 +904,12 @@ mod tests {
         let from = ProcessId::new(1);
 
         // Requests arrive in the compute phase of an iteration's first round.
-        let (mut engine, partitions, cfg, mut rng) = setup(0, n);
-        sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+        let (mut engine, _, mut rng) = setup(0, n);
+        sends_at(&mut engine, 0, &mut rng);
         let own = vec![fragment(n, 0, 0)];
-        engine.on_receive(Round(0), from, &request(own), &partitions, &mut Vec::new());
+        engine.on_receive(Round(0), from, &request(own), &mut Vec::new());
         assert_eq!(engine.rejected, 0);
-        let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
+        let spread = regossips_fragments(&mut engine, &mut rng);
         assert!(spread, "a request for the own group is taken up");
 
         // A foreign group's fragment, one of another partition (p0 is in
@@ -928,12 +922,12 @@ mod tests {
             ..fragment(n, 0, 0)
         }];
         for fragments in [mixed, crossed, resplit] {
-            let (mut engine, partitions, cfg, mut rng) = setup(0, n);
-            sends_at(&mut engine, 0, &mut rng, &cfg, &partitions);
+            let (mut engine, _, mut rng) = setup(0, n);
+            sends_at(&mut engine, 0, &mut rng);
             let msg = request(fragments);
-            engine.on_receive(Round(0), from, &msg, &partitions, &mut Vec::new());
+            engine.on_receive(Round(0), from, &msg, &mut Vec::new());
             assert_eq!(engine.rejected, 1);
-            let spread = regossips_fragments(&mut engine, &mut rng, &cfg, &partitions);
+            let spread = regossips_fragments(&mut engine, &mut rng);
             assert!(!spread, "nothing of a rejected request is re-gossiped");
         }
     }
@@ -997,7 +991,7 @@ mod tests {
         ];
         let mut saved = Vec::new();
         for msg in [push(0, misplaced), push(1, fragments)].iter().chain(&all) {
-            engine.on_receive(Round(0), from, msg, &partitions, &mut saved);
+            engine.on_receive(Round(0), from, msg, &mut saved);
         }
         assert!(saved.is_empty(), "pushes deliver at post_receive");
         engine.post_receive(&mut saved);
@@ -1072,6 +1066,7 @@ mod tests {
     /// checks every send phase's decisions against each other. Returns how
     /// many rumors were confirmed and how many shot.
     fn confirmation_matches_reference(partitions: PartitionSet, seed: u64) -> (usize, usize) {
+        let partitions = Arc::new(partitions);
         let n = partitions.n();
         // Under lean metadata the lowest member publishes a group's hits; a
         // process that is the lowest of none of its groups publishes
@@ -1095,7 +1090,7 @@ mod tests {
         for t in 0..=last_birth + DLINE + 1 {
             let before: Vec<CongosRumorId> = engine.cache.keys().copied().collect();
             let counts = (engine.confirmed, engine.fallbacks);
-            let sends = sends_at(&mut engine, t, &mut rng, &cfg, &partitions);
+            let sends = sends_at(&mut engine, t, &mut rng);
             let mut shot: Vec<CongosRumorId> = sends
                 .iter()
                 .filter_map(|(_, _, m)| match m {
@@ -1147,7 +1142,7 @@ mod tests {
                     deadline: DLINE,
                     dest: dest.clone(),
                 };
-                engine.inject(Round(t), &mut rng, rid, r, &partitions);
+                engine.inject(Round(t), &mut rng, rid, r);
                 reference
                     .cache
                     .insert(rid, (dest.clone(), Round(t + DLINE)));
@@ -1169,7 +1164,7 @@ mod tests {
                 pushes.push(distribution(n, me, seq, ell, g, hits));
                 seq += 1;
             }
-            deliver(&mut engine, t, &partitions, &pushes);
+            deliver(&mut engine, t, &pushes);
         }
         assert_eq!(engine.rejected, 0);
         totals

@@ -180,9 +180,7 @@ impl GdService {
         if !self.active || (self.partials.is_empty() && self.hit_set.is_empty()) {
             return None;
         }
-        let mut hits: Vec<(ProcessId, CongosRumorId)> = self.hit_set.iter().copied().collect();
-        hits.sort_unstable_by_key(|(p, rid)| (*p, rid.source, rid.birth, rid.seq));
-        Some(hits)
+        Some(self.sorted_hits())
     }
 
     /// Group gossip delivered a peer's hit-set share.
@@ -208,9 +206,15 @@ impl GdService {
         if !self.active || self.hit_set.is_empty() {
             return None;
         }
+        Some(self.sorted_hits())
+    }
+
+    /// The hit-set in `(target, rumor)` order, so that what is gossiped does
+    /// not depend on the hash set's iteration order.
+    fn sorted_hits(&self) -> Vec<(ProcessId, CongosRumorId)> {
         let mut hits: Vec<(ProcessId, CongosRumorId)> = self.hit_set.iter().copied().collect();
         hits.sort_unstable_by_key(|(p, rid)| (*p, rid.source, rid.birth, rid.seq));
-        Some(hits)
+        hits
     }
 }
 

@@ -6,8 +6,9 @@
 //! adaptive attacks, with the auditor attached throughout, then
 //! `2·deadline` idle rounds: in every round a node keeps reassembly and
 //! dedup entries only of rumors within their horizon, once the last rumor
-//! has expired no live node keeps any per-rumor state, confidentiality
-//! must never break, and every admissible pair must deliver on time.
+//! has expired no node, crashed or not, keeps any per-rumor state,
+//! confidentiality must never break, and every admissible pair must deliver
+//! on time.
 
 use congos::{ConfidentialityAuditor, CongosNode};
 use congos_adversary::{
@@ -58,30 +59,27 @@ fn thousand_round_soak() {
     let mut audit = ConfidentialityAuditor::new(n);
     let mut e =
         congos_sim::Engine::<CongosNode>::new(congos_sim::EngineConfig::new(n).seed(0x50AC));
-    let live_at = |e: &congos_sim::Engine<CongosNode>, t: Round| -> Vec<ProcessId> {
-        ProcessId::all(n)
-            .filter(|&p| e.liveness().alive_at_end(p, t))
-            .collect()
-    };
     for t in (0..rounds).map(Round) {
         e.step_observed(&mut adv, &mut audit);
         // Each round's prune leaves a node entries only of rumors it is a
-        // destination of whose horizon (birth + 2·deadline) has not passed.
-        // A crashed node does not prune, so only the live ones are counted.
-        let live = live_at(&e, t);
+        // destination of whose horizon (birth + 2·deadline) has not passed,
+        // and a crash drops the node's state: only live destinations count
+        // towards the bound, and every slot counts towards the sum.
+        let live: Vec<ProcessId> = ProcessId::all(n)
+            .filter(|&p| e.liveness().alive_at_end(p, t))
+            .collect();
         let recent: usize = adv
             .injections()
             .iter()
             .filter(|i| i.round + 2 * deadline >= t)
             .map(|i| i.spec.dest.iter().filter(|d| live.contains(d)).count())
             .sum();
-        let retained: usize = live
-            .iter()
-            .map(|&p| e.protocol(p).census().retained_rumors)
+        let retained: usize = ProcessId::all(n)
+            .map(|p| e.protocol(p).census().retained_rumors)
             .sum();
         assert!(
             retained <= recent,
-            "round {t}: live nodes keep parts/delivered entries of {retained} (rumor, node) \
+            "round {t}: nodes keep parts/delivered entries of {retained} (rumor, node) \
              pairs, more than the {recent} born within the last 2·deadline rounds"
         );
     }
@@ -94,9 +92,9 @@ fn thousand_round_soak() {
     let admissible = q.summary.admissible;
     assert!(admissible > 100, "soak workload too thin: {admissible}");
     assert!(e.liveness().crash_count() > 20);
-    // Every rumor is past its horizon: no live node keeps any state of one,
-    // in any table.
-    for p in live_at(&e, Round(rounds - 1)) {
+    // Every rumor is past its horizon: no node keeps any state of one, in
+    // any table.
+    for p in ProcessId::all(n) {
         let census = e.protocol(p).census();
         assert!(census.is_empty(), "{p} keeps per-rumor state: {census:?}");
     }

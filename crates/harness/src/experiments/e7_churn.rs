@@ -13,11 +13,18 @@ use congos_sim::Round;
 use crate::run::{run as run_system, RunDefaults, RunSpec};
 use crate::table::Table;
 
+const DEADLINE: u64 = 64;
+
+/// The churn and the workload of E7's row at crash probability `p`.
+fn plans(p: f64, rounds: u64) -> (RandomChurn, PoissonWorkload) {
+    let workload = PoissonWorkload::new(0.03, 3, DEADLINE, 0xE7).until(Round(rounds - DEADLINE));
+    (RandomChurn::new(p, 0.15, 0xE7), workload)
+}
+
 /// Runs E7 and returns its table.
 pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
     let n = if full { 32 } else { 16 };
     let rounds = if full { 512u64 } else { 256 };
-    let deadline = 64u64;
     let crash_ps: &[f64] = if full {
         &[0.0, 0.001, 0.002, 0.005, 0.01, 0.02]
     } else {
@@ -38,9 +45,7 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
         ],
     );
     for &p in crash_ps {
-        let workload =
-            PoissonWorkload::new(0.03, 3, deadline, 0xE7).until(Round(rounds - deadline));
-        let churn = RandomChurn::new(p, 0.15, 0xE7);
+        let (churn, workload) = plans(p, rounds);
         // Pins the paper's complete network (`RunSpec::new`): E7 isolates
         // process churn, E14 isolates link churn.
         let out = run_system::<CongosNode, _, _>(RunSpec::new(n, 0xE7, rounds), churn, workload);
@@ -66,6 +71,34 @@ pub fn run(full: bool, _defaults: &RunDefaults) -> Vec<Table> {
 
 #[cfg(test)]
 mod tests {
+    use congos::CongosNode;
+    use congos_sim::{Observer, ProcessId, Protocol, Round};
+
+    use crate::run::{run_with_factory, RunSpec};
+
+    /// Counts the injections the engine makes.
+    #[derive(Default)]
+    struct Injections(u64);
+
+    impl Observer<CongosNode> for Injections {
+        fn on_inject(&mut self, _: Round, _: ProcessId, _: &congos::CongosInput) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn e7_stats_count_every_incarnation() {
+        // The quick row at p_crash = 0.010: many nodes crash after taking
+        // injections, and their counts must not go with them.
+        let (churn, workload) = super::plans(0.01, 256);
+        let mut made = Injections::default();
+        let spec = RunSpec::new(16, 0xE7, 256);
+        let out = run_with_factory(spec, CongosNode::new, churn, workload, &mut made);
+        assert!(out.liveness.crash_count() > 0);
+        assert!(made.0 > 0 && made.0 <= out.injections.len() as u64);
+        assert_eq!(out.stats.injected, made.0);
+    }
+
     #[test]
     fn e7_benign_fallbacks_are_rare() {
         let tables = super::run(false, &crate::RunDefaults::default());

@@ -147,8 +147,9 @@ pub struct RunOutcome {
     pub qod: QodSummary,
     /// Every crash and restart, per process.
     pub liveness: LivenessLog,
-    /// [`GossipSystem::stats`] summed over the processes at the end of the
-    /// run (all zero for the baselines).
+    /// [`GossipSystem::stats`] summed over every incarnation of every
+    /// process: each one retired by a crash, and each one in a slot at the
+    /// end of the run (all zero for the baselines).
     pub stats: NodeStats,
     /// Delivery latencies (rounds from injection to first delivery) of the
     /// admissible pairs that were delivered.
@@ -199,7 +200,7 @@ where
 /// # Panics
 ///
 /// Panics if the engine rejected a decision of the plans (say, a crash of
-/// a process already down), or if a process rejected a message
+/// a process already down), or if an incarnation rejected a message
 /// ([`NodeStats::rejected`]): in the simulator every sender is correct.
 pub fn run_with_factory<P, F, W>(
     spec: RunSpec,
@@ -224,9 +225,10 @@ where
         factory,
     );
     let mut adv = CrriAdversary::new(failures, workload);
+    let mut observers = (obs, RetiredStats::default());
     let before = crate::mem::MemSample::now();
     let t0 = std::time::Instant::now();
-    engine.run_observed(spec.rounds, &mut adv, obs);
+    engine.run_observed(spec.rounds, &mut adv, &mut observers);
     let mem = crate::mem::MemUsage {
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         before,
@@ -237,7 +239,7 @@ where
         0,
         "the failure/injection plans issued decisions the engine rejected"
     );
-    let mut stats = NodeStats::default();
+    let (_, RetiredStats(mut stats)) = observers;
     for p in ProcessId::all(spec.n) {
         stats += engine.protocol(p).stats();
     }
@@ -274,6 +276,16 @@ where
         stats,
         latencies: verdict.latencies,
         mem,
+    }
+}
+
+/// Sums the [`GossipSystem::stats`] of every incarnation a crash retires.
+#[derive(Default)]
+struct RetiredStats(NodeStats);
+
+impl<P: GossipSystem<Input: From<RumorSpec>>> Observer<P> for RetiredStats {
+    fn on_crash(&mut self, _round: Round, _process: ProcessId, retired: &P) {
+        self.0 += retired.stats();
     }
 }
 

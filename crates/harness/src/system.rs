@@ -20,9 +20,10 @@ where
     fn wid_of(out: &Self::Output) -> u64;
 
     /// This process's counters (all zero for protocols that keep none).
-    /// [`RunOutcome::stats`](crate::RunOutcome::stats) sums them, and the
-    /// harness asserts the summed [`NodeStats::rejected`] is 0: in the
-    /// simulator every sender is correct.
+    /// [`RunOutcome::stats`](crate::RunOutcome::stats) sums them over every
+    /// incarnation, and the harness asserts the summed
+    /// [`NodeStats::rejected`] is 0: in the simulator every sender is
+    /// correct.
     fn stats(&self) -> NodeStats {
         NodeStats::default()
     }

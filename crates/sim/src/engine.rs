@@ -16,8 +16,11 @@
 //! 4. **Compute phase** — every alive process runs [`Protocol::receive`]
 //!    with its inbox and any injected input.
 //!
-//! Restarted processes are reset to `Protocol::new(..)` (no durable storage)
-//! and are told the current global round via [`Protocol::on_start`].
+//! Processes have no durable storage: a crash ends the process's
+//! incarnation. The engine lends the retired state once to
+//! [`Observer::on_crash`], drops it, and puts the next incarnation, built by
+//! the factory but not started, in the slot. A restart starts it: it is told
+//! the current global round via [`Protocol::on_start`].
 //!
 //! # Execution backends
 //!
@@ -52,7 +55,7 @@ use crate::clock::Round;
 use crate::liveness::LivenessLog;
 use crate::message::{EnvelopeRef, Inbox, OutboxView, SendColumns, Tag};
 use crate::metrics::Metrics;
-use crate::process::{ProcessId, ProcessState};
+use crate::process::ProcessId;
 use crate::rng::{fork_rng, fork_seed};
 use crate::topology::{Topology, TopologySpec};
 use crate::transport::MemTransport;
@@ -74,8 +77,9 @@ pub trait Protocol: Sized {
     /// seed for this incarnation.
     fn new(id: ProcessId, n: usize, seed: u64) -> Self;
 
-    /// Called once right after `new`, with the current global round (the
-    /// only information a restarted process may consult).
+    /// Called once when the incarnation starts — round 0, or the round of
+    /// its restart — with the current global round (the only information a
+    /// restarted process may consult).
     fn on_start(&mut self, _round: Round) {}
 
     /// Send phase: queue messages via [`Context::send`]. Random choices made
@@ -353,9 +357,10 @@ pub trait Observer<P: Protocol> {
     fn on_inject(&mut self, _round: Round, _process: ProcessId, _input: &P::Input) {}
     /// An output was produced.
     fn on_output(&mut self, _rec: &OutputRecord<P::Output>) {}
-    /// A process crashed.
-    fn on_crash(&mut self, _round: Round, _process: ProcessId) {}
-    /// A process restarted (state already reset).
+    /// A process crashed; `retired` is its incarnation's last state, lent
+    /// once and dropped when this returns.
+    fn on_crash(&mut self, _round: Round, _process: ProcessId, _retired: &P) {}
+    /// A process restarted (its fresh incarnation already started).
     fn on_restart(&mut self, _round: Round, _process: ProcessId) {}
     /// A round completed.
     fn on_round_end(&mut self, _round: Round) {}
@@ -382,9 +387,9 @@ impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
         self.0.on_output(rec);
         self.1.on_output(rec);
     }
-    fn on_crash(&mut self, round: Round, process: ProcessId) {
-        self.0.on_crash(round, process);
-        self.1.on_crash(round, process);
+    fn on_crash(&mut self, round: Round, process: ProcessId, retired: &P) {
+        self.0.on_crash(round, process, retired);
+        self.1.on_crash(round, process, retired);
     }
     fn on_restart(&mut self, round: Round, process: ProcessId) {
         self.0.on_restart(round, process);
@@ -396,15 +401,27 @@ impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
     }
 }
 
-/// An injected input and whether it reached an alive process.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InjectionRecord {
-    /// Round of injection.
-    pub round: Round,
-    /// Target process.
-    pub process: ProcessId,
-    /// `false` if the target was crashed and the injection was dropped.
-    pub delivered: bool,
+/// Forwarding: a borrowed observer watches as the owner would, so a caller
+/// can pair its observer with one of its own.
+impl<P: Protocol, O: Observer<P> + ?Sized> Observer<P> for &mut O {
+    fn on_deliver(&mut self, env: EnvelopeRef<'_, P::Msg>) {
+        (**self).on_deliver(env);
+    }
+    fn on_inject(&mut self, round: Round, process: ProcessId, input: &P::Input) {
+        (**self).on_inject(round, process, input);
+    }
+    fn on_output(&mut self, rec: &OutputRecord<P::Output>) {
+        (**self).on_output(rec);
+    }
+    fn on_crash(&mut self, round: Round, process: ProcessId, retired: &P) {
+        (**self).on_crash(round, process, retired);
+    }
+    fn on_restart(&mut self, round: Round, process: ProcessId) {
+        (**self).on_restart(round, process);
+    }
+    fn on_round_end(&mut self, round: Round) {
+        (**self).on_round_end(round);
+    }
 }
 
 /// Engine configuration.
@@ -583,29 +600,31 @@ pub(crate) struct Process<P: Protocol> {
 }
 
 impl<P: Protocol> Process<P> {
-    /// Starts incarnation `generation` of process `id` at `round`: a fresh
-    /// protocol instance (processes have no durable storage) on the seed and
-    /// RNG stream forked from `(master_seed, id, generation)`.
-    pub(crate) fn spawn(
+    /// Builds incarnation `generation` of process `id`, not yet started: a
+    /// fresh protocol instance (processes have no durable storage) on the
+    /// seed and RNG stream forked from `(master_seed, id, generation)`.
+    pub(crate) fn new(
         factory: impl FnOnce(ProcessId, usize, u64) -> P,
         master_seed: u64,
         id: ProcessId,
         n: usize,
         generation: u64,
-        round: Round,
     ) -> Self {
-        let mut proto = factory(id, n, fork_seed(master_seed, id, generation));
-        proto.on_start(round);
         Process {
             id,
             n,
             generation,
-            proto,
+            proto: factory(id, n, fork_seed(master_seed, id, generation)),
             rng: fork_rng(master_seed, id, generation),
             out: SendColumns::default(),
             sent: Vec::new(),
             outputs: Vec::new(),
         }
+    }
+
+    /// Starts this incarnation at `round` ([`Protocol::on_start`]).
+    pub(crate) fn start(&mut self, round: Round) {
+        self.proto.on_start(round);
     }
 
     fn step(&mut self, round: Round, phase: impl FnOnce(&mut P, &mut Context<'_, P>)) {
@@ -642,10 +661,21 @@ impl<P: Protocol> Process<P> {
     }
 }
 
+/// A process's one liveness event of the current round, with the fate the
+/// adversary chose for its messages.
+enum Transition {
+    /// Crashed: which of its messages sent this round survive.
+    Crash(SentPolicy),
+    /// Restarted: which messages sent to it this round it receives.
+    Restart(IncomingPolicy),
+}
+
 /// The lock-step execution engine.
 pub struct Engine<P: Protocol + 'static> {
     cfg: EngineConfig,
     round: Round,
+    /// One incarnation per process: the running one, or for a crashed
+    /// process the next one, built but not started.
     procs: Vec<Process<P>>,
     /// `alive[p]` — liveness right now.
     alive: Vec<bool>,
@@ -653,7 +683,6 @@ pub struct Engine<P: Protocol + 'static> {
     metrics: Metrics,
     liveness: LivenessLog,
     outputs: Vec<OutputRecord<P::Output>>,
-    injections: Vec<InjectionRecord>,
     /// The in-memory delivery substrate: topology, this round's merged
     /// columnar outbox and the per-process index-list inboxes into it. The
     /// engine drives it through its inherent zero-copy methods; networked
@@ -662,12 +691,9 @@ pub struct Engine<P: Protocol + 'static> {
     mem: MemTransport<P::Msg>,
     /// This round's injected inputs (reused across rounds).
     inputs: Vec<Option<P::Input>>,
-    /// This round's liveness decisions, indexed by process (reused across
-    /// rounds; sized by the first round): whether the process already had
-    /// its one liveness event, and the policy of its crash or restart.
-    touched: Vec<bool>,
-    crash_policy: Vec<Option<SentPolicy>>,
-    restart_policy: Vec<Option<IncomingPolicy>>,
+    /// This round's liveness event of each process, if it had one (reused
+    /// across rounds; sized by the first round).
+    transitions: Vec<Option<Transition>>,
 }
 
 impl<P: Protocol + 'static> Engine<P> {
@@ -678,18 +704,22 @@ impl<P: Protocol + 'static> Engine<P> {
     }
 
     /// Creates an engine whose processes are built by `factory` — used to
-    /// thread deployment configuration into protocol state. The factory is
-    /// also what restarts use, so a restarted process is reset to the same
-    /// configured initial state (it keeps configuration and `[n]`, nothing
-    /// else — exactly the paper's "default initial state consisting only of
-    /// the algorithm and `[n]`").
+    /// thread deployment configuration into protocol state. The factory also
+    /// builds each crashed process's next incarnation, so a restarted
+    /// process is reset to the same configured initial state (it keeps
+    /// configuration and `[n]`, nothing else — exactly the paper's "default
+    /// initial state consisting only of the algorithm and `[n]`").
     pub fn with_factory<F>(cfg: EngineConfig, factory: F) -> Self
     where
         F: Fn(ProcessId, usize, u64) -> P + 'static,
     {
         let factory: Box<dyn Fn(ProcessId, usize, u64) -> P> = Box::new(factory);
         let procs = ProcessId::all(cfg.n)
-            .map(|id| Process::spawn(&factory, cfg.seed, id, cfg.n, 0, Round::ZERO))
+            .map(|id| {
+                let mut p = Process::new(&factory, cfg.seed, id, cfg.n, 0);
+                p.start(Round::ZERO);
+                p
+            })
             .collect();
         Engine {
             mem: MemTransport::new(cfg.topology, cfg.n, cfg.seed),
@@ -701,11 +731,8 @@ impl<P: Protocol + 'static> Engine<P> {
             metrics: Metrics::new(),
             liveness: LivenessLog::new(cfg.n),
             outputs: Vec::new(),
-            injections: Vec::new(),
             inputs: Vec::new(),
-            touched: Vec::new(),
-            crash_policy: Vec::new(),
-            restart_policy: Vec::new(),
+            transitions: Vec::new(),
         }
     }
 
@@ -717,15 +744,6 @@ impl<P: Protocol + 'static> Engine<P> {
     /// The round about to execute (i.e. completed rounds are `0..round`).
     pub fn round(&self) -> Round {
         self.round
-    }
-
-    /// Liveness of process `p` right now.
-    pub fn state_of(&self, p: ProcessId) -> ProcessState {
-        if self.alive[p.as_usize()] {
-            ProcessState::Alive
-        } else {
-            ProcessState::Crashed
-        }
     }
 
     /// Accumulated message metrics.
@@ -753,13 +771,10 @@ impl<P: Protocol + 'static> Engine<P> {
         self.outputs
     }
 
-    /// All injections attempted so far.
-    pub fn injections(&self) -> &[InjectionRecord] {
-        &self.injections
-    }
-
     /// Read access to a process's protocol state (for white-box assertions
-    /// in tests; the protocols themselves never use this).
+    /// in tests; the protocols themselves never use this). For a crashed
+    /// process this is its next incarnation, built but not started: the
+    /// crashed one's state went with the crash ([`Observer::on_crash`]).
     pub fn protocol(&self, p: ProcessId) -> &P {
         &self.procs[p.as_usize()].proto
     }
@@ -812,39 +827,35 @@ impl<P: Protocol + 'static> Engine<P> {
         let decision = adversary.decide(&view);
 
         // One liveness event per process per round.
-        let touched = &mut self.touched;
-        touched.clear();
-        touched.resize(n, false);
-        let crash_policy = &mut self.crash_policy;
-        crash_policy.clear();
-        crash_policy.resize_with(n, || None);
-        let restart_policy = &mut self.restart_policy;
-        restart_policy.clear();
-        restart_policy.resize_with(n, || None);
+        let transitions = &mut self.transitions;
+        transitions.clear();
+        transitions.resize_with(n, || None);
         for spec in decision.crashes {
             let i = spec.process.as_usize();
-            if !self.alive[i] || touched[i] {
+            if !self.alive[i] || transitions[i].is_some() {
                 self.metrics.record_rejected_decision();
                 continue;
             }
-            touched[i] = true;
+            transitions[i] = Some(Transition::Crash(spec.sent));
             self.alive[i] = false;
-            crash_policy[i] = Some(spec.sent);
             self.liveness.record_crash(spec.process, round);
-            obs.on_crash(round, spec.process);
+            // The crash ends the incarnation: its successor waits in the
+            // slot, and the retired state is observed once, then dropped.
+            let generation = self.procs[i].generation + 1;
+            let next = Process::new(&self.factory, self.cfg.seed, spec.process, n, generation);
+            let retired = std::mem::replace(&mut self.procs[i], next);
+            obs.on_crash(round, spec.process, &retired.proto);
         }
 
         for (p, policy) in decision.restarts {
             let i = p.as_usize();
-            if self.alive[i] || touched[i] {
+            if self.alive[i] || transitions[i].is_some() {
                 self.metrics.record_rejected_decision();
                 continue;
             }
-            touched[i] = true;
-            let generation = self.procs[i].generation + 1;
-            self.procs[i] = Process::spawn(&self.factory, self.cfg.seed, p, n, generation, round);
+            transitions[i] = Some(Transition::Restart(policy));
+            self.procs[i].start(round);
             self.alive[i] = true;
-            restart_policy[i] = Some(policy);
             self.liveness.record_restart(p, round);
             obs.on_restart(round, p);
         }
@@ -860,18 +871,18 @@ impl<P: Protocol + 'static> Engine<P> {
             let metrics = &mut self.metrics;
             self.mem.route_with(
                 round,
-                |src, dst| match &crash_policy[src.as_usize()] {
-                    Some(policy) => policy.allows(dst),
-                    None => true,
+                |src, dst| match &transitions[src.as_usize()] {
+                    Some(Transition::Crash(policy)) => policy.allows(dst),
+                    _ => true,
                 },
                 |src, dst| {
                     let di = dst.as_usize();
                     if !alive[di] {
                         return false; // crashed receivers receive nothing
                     }
-                    match &restart_policy[di] {
-                        Some(policy) => policy.allows(src),
-                        None => true,
+                    match &transitions[di] {
+                        Some(Transition::Restart(policy)) => policy.allows(src),
+                        _ => true,
                     }
                 },
                 |env| {
@@ -893,13 +904,8 @@ impl<P: Protocol + 'static> Engine<P> {
                 self.metrics.record_rejected_decision();
                 continue;
             }
-            let delivered = self.alive[i];
-            self.injections.push(InjectionRecord {
-                round,
-                process: p,
-                delivered,
-            });
-            if delivered {
+            // An injection at a crashed process is lost.
+            if self.alive[i] {
                 obs.on_inject(round, p, &input);
                 self.inputs[i] = Some(input);
             }
@@ -1088,7 +1094,7 @@ mod tests {
         script: Vec<(u64, RoundDecision<u64>)>,
     }
 
-    impl Adversary<Ring> for ScriptedAdversary {
+    impl<P: Protocol<Input = u64>> Adversary<P> for ScriptedAdversary {
         fn decide(&mut self, view: &RoundView<'_>) -> RoundDecision<u64> {
             let t = view.round.as_u64();
             match self.script.iter().position(|(r, _)| *r == t) {
@@ -1118,7 +1124,7 @@ mod tests {
         assert_eq!(e.metrics().round(0).total(), 4);
         // p2 got nothing, p1 got nothing: only p0←p3 and p3←p2 delivered.
         assert_eq!(e.outputs().len(), 2);
-        assert_eq!(e.state_of(ProcessId::new(1)), ProcessState::Crashed);
+        assert!(!e.liveness().alive_at_end(ProcessId::new(1), Round(0)));
         // Crashed process does not send in round 1: 3 messages.
         e.step(&mut adv);
         assert_eq!(e.metrics().round(1).total(), 3);
@@ -1167,7 +1173,7 @@ mod tests {
         };
         let mut e = Engine::<Ring>::new(EngineConfig::new(4).seed(1));
         e.run(4, &mut adv);
-        assert_eq!(e.state_of(p1), ProcessState::Alive);
+        assert!(e.liveness().alive_at_end(p1, Round(3)));
         // Round 2: p1 restarted mid-round, receives p0's ping (DeliverAll)
         // but did not send. Round 3: fully back, sends again.
         assert_eq!(e.metrics().round(2).total(), 3);
@@ -1232,13 +1238,101 @@ mod tests {
             ],
         };
         let mut e = Engine::<Ring>::new(EngineConfig::new(4).seed(1));
-        e.run(2, &mut adv);
+        let mut log = EventLog::default();
+        e.run_observed(2, &mut adv, &mut log);
         let injected: Vec<_> = e.outputs().iter().filter(|o| o.value.1 >= 1000).collect();
         assert_eq!(injected.len(), 1, "only the alive process saw its input");
         assert_eq!(injected[0].value, (ProcessId::new(0), 1007));
-        assert_eq!(e.injections().len(), 2);
-        assert!(e.injections()[0].delivered);
-        assert!(!e.injections()[1].delivered);
+        // Of the two injections, the engine made only the one at p0.
+        let made: Vec<_> = log.events.iter().filter(|e| e.starts_with("i ")).collect();
+        assert_eq!(made, ["i r0 p0 7"]);
+    }
+
+    /// Remembers its seed, when it started and how many compute phases it
+    /// ran.
+    struct Life {
+        seed: u64,
+        started: Option<Round>,
+        computed: u64,
+    }
+
+    impl Protocol for Life {
+        type Msg = ();
+        type Input = u64;
+        type Output = ();
+        fn new(_id: ProcessId, _n: usize, seed: u64) -> Self {
+            Life {
+                seed,
+                started: None,
+                computed: 0,
+            }
+        }
+        fn on_start(&mut self, round: Round) {
+            self.started = Some(round);
+        }
+        fn send(&mut self, _: &mut Context<'_, Self>) {}
+        fn receive(&mut self, _: &mut Context<'_, Self>, _: Inbox<'_, ()>, _: Option<u64>) {
+            self.computed += 1;
+        }
+    }
+
+    /// Each crash with the retired incarnation's `(seed, started, computed)`.
+    #[derive(Default)]
+    struct Retirements(Vec<(Round, ProcessId, u64, Option<Round>, u64)>);
+
+    impl Observer<Life> for Retirements {
+        fn on_crash(&mut self, round: Round, p: ProcessId, retired: &Life) {
+            self.0
+                .push((round, p, retired.seed, retired.started, retired.computed));
+        }
+    }
+
+    #[test]
+    fn a_crash_retires_the_incarnation_and_a_restart_starts_the_next() {
+        let p1 = ProcessId::new(1);
+        let parallel = EngineBackend::Parallel { workers: 3 };
+        for backend in [EngineBackend::Sequential, parallel] {
+            let mut adv = ScriptedAdversary {
+                script: vec![
+                    (
+                        3,
+                        RoundDecision {
+                            crashes: vec![CrashSpec::dropping(p1)],
+                            ..RoundDecision::none()
+                        },
+                    ),
+                    (
+                        5,
+                        RoundDecision {
+                            restarts: vec![(p1, IncomingPolicy::DropAll)],
+                            ..RoundDecision::none()
+                        },
+                    ),
+                ],
+            };
+            let mut e = Engine::<Life>::new(EngineConfig::new(4).seed(1).backend(backend));
+            let mut retired = Retirements::default();
+            e.run_observed(4, &mut adv, &mut retired);
+            // The crash lent the last state of generation 0, which started
+            // in round 0 and computed in rounds 0, 1 and 2.
+            let last = (Round(3), p1, fork_seed(1, p1, 0), Some(Round::ZERO), 3);
+            assert_eq!(retired.0, [last], "{backend}");
+            // The slot holds generation 1, built but not started.
+            let next = e.protocol(p1);
+            let waiting = (next.seed, next.started, next.computed);
+            assert_eq!(waiting, (fork_seed(1, p1, 1), None, 0), "{backend}");
+
+            // Restarted in round 5, it computes in rounds 5 and 6.
+            e.run_observed(3, &mut adv, &mut retired);
+            let now = e.protocol(p1);
+            let started = (now.seed, now.started, now.computed);
+            assert_eq!(
+                started,
+                (fork_seed(1, p1, 1), Some(Round(5)), 2),
+                "{backend}"
+            );
+            assert_eq!(retired.0, [last], "{backend}");
+        }
     }
 
     #[test]
@@ -1432,7 +1526,7 @@ mod tests {
             self.events
                 .push(format!("o {} {} {:?}", rec.round, rec.process, rec.value));
         }
-        fn on_crash(&mut self, round: Round, p: ProcessId) {
+        fn on_crash(&mut self, round: Round, p: ProcessId, _retired: &Ring) {
             self.events.push(format!("c {round} {p}"));
         }
         fn on_restart(&mut self, round: Round, p: ProcessId) {
@@ -1492,7 +1586,6 @@ mod tests {
                 e.metrics().total(),
                 e.metrics().deliveries(),
                 e.outputs().to_vec(),
-                e.injections().to_vec(),
             )
         };
         let seq = run(EngineBackend::Sequential);
@@ -1525,7 +1618,6 @@ mod tests {
             (
                 log.events,
                 e.outputs().to_vec(),
-                e.injections().to_vec(),
                 e.metrics().rejected_decisions(),
             )
         };
@@ -1537,11 +1629,11 @@ mod tests {
             .push((ProcessId::new(0), IncomingPolicy::DeliverAll));
         bad.script[2].1.injections.push((ProcessId::new(2), 99u64));
 
-        let (events, outputs, injections, rejected) = run(bad);
+        let (events, outputs, rejected) = run(bad);
         let valid = run(churn_script());
-        assert_eq!(valid.3, 0);
+        assert_eq!(valid.2, 0);
         assert_eq!(rejected, 3);
-        assert_eq!((events, outputs, injections), (valid.0, valid.1, valid.2));
+        assert_eq!((events, outputs), (valid.0, valid.1));
     }
 
     /// Protocol that outputs one random value, to check RNG reset semantics.

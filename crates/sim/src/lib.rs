@@ -15,9 +15,9 @@
 //!   in each round — *after observing the random choices made in that round*
 //!   (i.e. the outboxes) — crashes processes, restarts processes, and injects
 //!   rumors;
-//! * processes have **no durable storage**: a restarted process is reset to
-//!   its default initial state, knowing only the algorithm, `[n]`, and the
-//!   global clock.
+//! * processes have **no durable storage**: a crash ends the process's
+//!   incarnation, and a restarted process is reset to its default initial
+//!   state, knowing only the algorithm, `[n]`, and the global clock.
 //!
 //! The engine is fully deterministic given a master seed, so every
 //! probabilistic claim of the paper can be reproduced exactly.
@@ -75,13 +75,13 @@ pub mod transport;
 pub use clock::{BlockClock, Round};
 pub use engine::{
     Adversary, Context, CrashSpec, Engine, EngineBackend, EngineConfig, IncomingPolicy,
-    InjectionRecord, NullAdversary, NullObserver, Observer, OutputRecord, Protocol, RoundDecision,
-    RoundView, SentPolicy,
+    NullAdversary, NullObserver, Observer, OutputRecord, Protocol, RoundDecision, RoundView,
+    SentPolicy,
 };
 pub use idset::IdSet;
 pub use liveness::{LivenessEvent, LivenessLog};
 pub use message::{Envelope, EnvelopeRef, Inbox, OutboxColumns, OutboxMeta, OutboxView, Tag};
 pub use metrics::{Metrics, RoundCounts};
-pub use process::{ProcessId, ProcessState};
+pub use process::ProcessId;
 pub use topology::{Topology, TopologySpec};
 pub use transport::{run_local_cluster, MemTransport, NodeDriver, RoundTransport};

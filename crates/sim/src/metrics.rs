@@ -163,9 +163,10 @@ impl Metrics {
     }
 
     /// Adversary decisions the engine refused because they were invalid in
-    /// the round they were made: a crash of a dead (or already touched)
-    /// process, a restart of a live one, or a second injection at one
-    /// process (the first input is kept). A valid adversary scores 0.
+    /// the round they were made: a crash of a dead process, a restart of a
+    /// live one, a second liveness event of one process, or a second
+    /// injection at one process (the first input is kept). A valid
+    /// adversary scores 0.
     pub fn rejected_decisions(&self) -> u64 {
         self.rejected_decisions
     }

@@ -1,4 +1,4 @@
-//! Process identifiers and liveness states.
+//! Process identifiers.
 
 use std::fmt;
 
@@ -51,26 +51,6 @@ impl From<ProcessId> for usize {
     }
 }
 
-/// Liveness state of a process at a point in time.
-///
-/// Mirrors the paper's two-state model: a process is either `Alive` or
-/// `Crashed`; while crashed it performs no computation and neither sends nor
-/// receives messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProcessState {
-    /// The process executes the protocol normally.
-    Alive,
-    /// The process is crashed: no computation, no messages.
-    Crashed,
-}
-
-impl ProcessState {
-    /// Returns `true` if the process is alive.
-    pub fn is_alive(self) -> bool {
-        matches!(self, ProcessState::Alive)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +92,5 @@ mod tests {
     fn display_and_debug_are_compact() {
         assert_eq!(format!("{}", ProcessId::new(7)), "p7");
         assert_eq!(format!("{:?}", ProcessId::new(7)), "p7");
-    }
-
-    #[test]
-    fn state_liveness_predicate() {
-        assert!(ProcessState::Alive.is_alive());
-        assert!(!ProcessState::Crashed.is_alive());
     }
 }

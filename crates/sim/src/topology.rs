@@ -21,7 +21,7 @@
 //!
 //! A topology is a pure function of `(spec, n, seed)`; edge queries are pure
 //! functions of `(topology, round, pair)`. No engine RNG stream is consumed
-//! — per-process protocol RNG streams are untouched, so enabling a topology
+//! — per-process protocol RNG streams are left alone, so enabling a topology
 //! cannot reorder any random choice, and the sequential and parallel
 //! backends remain bit-identical under every topology (delivery filtering
 //! happens in the engine's sequential delivery phase, shared by both

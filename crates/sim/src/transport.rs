@@ -392,8 +392,10 @@ impl<P: Protocol> NodeDriver<P> {
         master_seed: u64,
         factory: impl FnOnce(ProcessId, usize, u64) -> P,
     ) -> Self {
+        let mut process = Process::new(factory, master_seed, id, n, 0);
+        process.start(Round::ZERO);
         NodeDriver {
-            process: Process::spawn(factory, master_seed, id, n, 0, Round::ZERO),
+            process,
             round: Round::ZERO,
             inbox: Vec::new(),
         }

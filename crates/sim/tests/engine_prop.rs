@@ -4,7 +4,7 @@
 
 use congos_sim::{
     Adversary, Context, CrashSpec, Engine, EngineConfig, EnvelopeRef, Inbox, IncomingPolicy,
-    Observer, ProcessId, Protocol, RoundDecision, RoundView, SentPolicy, Tag,
+    Observer, ProcessId, Protocol, Round, RoundDecision, RoundView, SentPolicy, Tag,
 };
 use proptest::prelude::*;
 
@@ -105,10 +105,11 @@ impl Adversary<Chatty> for Scripted {
     }
 }
 
-/// Observer checking per-delivery invariants.
+/// Observer checking per-delivery invariants and recording injections.
 #[derive(Default)]
 struct Invariants {
     delivered: u64,
+    injected: Vec<(u64, ProcessId, u64)>,
 }
 
 impl Observer<Chatty> for Invariants {
@@ -116,6 +117,9 @@ impl Observer<Chatty> for Invariants {
         // Messages are delivered in the round they were sent (synchrony).
         assert_eq!(*env.payload, env.round.as_u64());
         self.delivered += 1;
+    }
+    fn on_inject(&mut self, round: Round, process: ProcessId, input: &u64) {
+        self.injected.push((round.as_u64(), process, *input));
     }
 }
 
@@ -161,7 +165,11 @@ proptest! {
         // 3. Sent-message metering: a process alive at the start of round r
         //    sends exactly n messages that round — so per-round totals are
         //    n × (alive processes at send time). Replay liveness to check.
+        // 4. Injections: the engine makes a performed injection, in script
+        //    order, iff its target is alive at compute time, and each one it
+        //    makes is output.
         let mut alive = vec![true; n];
+        let mut made = Vec::new();
         for r in 0..rounds {
             let expected: u64 = alive.iter().filter(|a| **a).count() as u64 * n as u64;
             prop_assert_eq!(
@@ -179,27 +187,22 @@ proptest! {
                     }
                 }
             }
+            for (pr, action) in &adv.performed {
+                match action {
+                    Action::Inject(i, v) if *pr == r && alive[i % n] => {
+                        made.push((r, ProcessId::new(i % n), *v));
+                    }
+                    _ => {}
+                }
+            }
         }
-
-        // 4. Injection records: every performed injection is logged; it is
-        //    delivered iff the target was alive at compute time.
-        let performed_injections = adv
-            .performed
-            .iter()
-            .filter(|(_, a)| matches!(a, Action::Inject(..)))
-            .count();
-        prop_assert_eq!(engine.injections().len(), performed_injections);
-        let delivered_injections = engine
-            .injections()
-            .iter()
-            .filter(|i| i.delivered)
-            .count();
+        prop_assert_eq!(&inv.injected, &made);
         let injection_outputs = engine
             .outputs()
             .iter()
             .filter(|o| o.value.0 >= 1_000_000)
             .count();
-        prop_assert_eq!(delivered_injections, injection_outputs);
+        prop_assert_eq!(made.len(), injection_outputs);
 
         // 5. Determinism: replaying the same seed and script yields the
         //    same metrics.

@@ -30,7 +30,8 @@
 #   scripts/ci.sh mem        # memory target only: fragment-equality
 #                            #        proptests, the congos soak test
 #                            #        (release, ~3 s: 1024 rounds of churn
-#                            #        and attacks, bounded state) and the
+#                            #        and attacks, bounded state of every
+#                            #        slot, crashed ones included) and the
 #                            #        `exp e3m` small-n smoke sweep under a
 #                            #        hard peak-RSS budget
 #   scripts/ci.sh net        # network target only: TCP-vs-simulator

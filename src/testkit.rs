@@ -77,7 +77,7 @@ impl Observer<CongosNode> for Timeline {
         self.line(rec.round, format_args!("output @ {}", rec.process));
     }
 
-    fn on_crash(&mut self, round: Round, process: ProcessId) {
+    fn on_crash(&mut self, round: Round, process: ProcessId, _retired: &CongosNode) {
         self.line(round, format_args!("✗ crash {process}"));
     }
 
